@@ -245,7 +245,6 @@ def cmd_certify(args) -> int:
             cert = certify_fj(problem, candidate, opts, grid)
     except InfeasibleError as err:
         return _emit_infeasible(args, loaded, err)
-    elapsed = time.perf_counter() - started
 
     verdict = _verdict_of(cert)
     report = {
@@ -303,7 +302,8 @@ def cmd_certify(args) -> int:
                 "residual": sm.residual,
                 "lambda0_nonzero_guaranteed": sm.lambda0_nonzero_guaranteed,
             }
-    report["timings"] = {"total_s": elapsed}
+    # covers the certification and the semi-infinite recast
+    report["timings"] = {"total_s": time.perf_counter() - started}
 
     if args.json:
         print(emit_json(report))

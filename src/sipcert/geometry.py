@@ -262,7 +262,9 @@ def segment_hull_member(
 
     Substituting mu_i = (1 - lambda) a_i turns the bilinear combination
     lambda w + (1 - lambda) sum a_i g_i into a single linear program; the
-    returned coefficients are the normalized a_i.
+    returned coefficients are the normalized a_i.  Among the best fits the
+    largest lambda is returned, so a lambda that is not unique does not
+    depend on the order of the generators or on the pivot rule.
     """
     t = _check_target(target, hull)
     w = np.asarray(w, dtype=float).reshape(-1)
@@ -281,7 +283,9 @@ def segment_hull_member(
     b_ub = np.concatenate([t, -t])
     a_eq = np.zeros((1, n + 2))
     a_eq[0, : n + 1] = 1.0
-    sol = solve_lp(c, a_ub, b_ub, a_eq, [1.0])
+    largest_lam = np.zeros(n + 2)
+    largest_lam[0] = -1.0
+    sol = solve_lp(c, a_ub, b_ub, a_eq, [1.0], then=largest_lam)
     if not sol.optimal:
         raise GeometryError(f"segment membership LP failed with status {sol.status}")
     lam = float(min(max(sol.x[0], 0.0), 1.0))

@@ -124,13 +124,7 @@ def tc_approx(prob: Problem, x, opts: Options = Options(), grid: int | None = No
             break
         ladder.append((eps, aset))
         hull = aset.hull()
-        if pure_finite and all(e.value <= opts.tol_feas for e in aset.entries):
-            # the whole surviving family is exactly active: the limit hull
-            # is the strictly-active hull, no further shrinking needed
-            converged = True
-            stopped_by = "finite_shortcut"
-            break
-        if prev_hull is not None:
+        if prev_hull is not None:  # one gap per rung after the first
             gaps.append(_ladder_gap(prev_hull, hull))
             if (
                 not pure_finite
@@ -141,6 +135,12 @@ def tc_approx(prob: Problem, x, opts: Options = Options(), grid: int | None = No
                 converged = True
                 stopped_by = "stabilized"
                 break
+        if pure_finite and all(e.value <= opts.tol_feas for e in aset.entries):
+            # the whole surviving family is exactly active: the limit hull
+            # is the strictly-active hull, no further shrinking needed
+            converged = True
+            stopped_by = "finite_shortcut"
+            break
         prev_hull = hull
         eps *= opts.shrink
     if not ladder:
@@ -254,7 +254,8 @@ class SipMultipliers:
     """Certificate in the semi-infinite normal form.
 
     lambda0 * grad f(x) + sum_i lambda_i * grad_x h(x, t_i) = 0 with all
-    lambda >= 0 summing to one and at most p index points.
+    lambda >= 0 summing to one and at most p index points, p + 1 when
+    lambda0 = 0.
     """
 
     found: bool
@@ -280,9 +281,10 @@ def sip_multipliers(
     """Recast a Fritz John certificate as semi-infinite multipliers.
 
     Requires a parametric family and a nonempty (near-)active set at x.
-    The support is reduced so that at most p index points carry weight; an
-    exact coincidence of the segment witness with a single generator is
-    preferred, it realizes the smallest possible support.  Pass a
+    The support is reduced so that at most p index points carry weight, or
+    p + 1 when lambda0 = 0 (Caratheodory over grad f and the support
+    generators); an exact coincidence of the segment witness with a single
+    generator is preferred, it realizes the smallest possible support.  Pass a
     ``certificate`` from an earlier :func:`certify_fj` run to skip the
     recertification.
     """

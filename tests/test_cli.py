@@ -90,6 +90,24 @@ class TestCertify:
         assert sip["k"] == 1
         assert sip["entries"][0]["t"][0] == pytest.approx(0.5, abs=1e-6)
 
+    def test_finite_ladder_shortcut_after_a_member_drops_out(self, tmp_path):
+        # the third member has value 0.005 in (0, eps0]: it leaves at the third
+        # rung, where the finite shortcut ends the ladder
+        doc = {
+            "dimension": 2,
+            "objective": "-x1 - x2",
+            "constraints": {"finite": ["x1", "x2", "0.005 + x1 + x2"]},
+            "candidate": [0.0, 0.0],
+        }
+        path = tmp_path / "drop.json"
+        path.write_text(json.dumps(doc))
+        code, report = run_json("certify", str(path))
+        assert code == 0
+        assert report["verdict"] == "KKT"
+        assert report["stopped_by"] == "finite_shortcut"
+        gaps = [row["gap"] for row in report["ladder"]]
+        assert len(gaps) >= 3 and gaps[0] is None and None not in gaps[1:]
+
     def test_exit_code_is_function_of_verdict(self):
         for name, expected in (
             ("near_active", 0),

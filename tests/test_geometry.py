@@ -123,6 +123,14 @@ class TestSegmentHull:
         r = segment_hull_member((1, 1), (0, 0), H([1, 0]))
         assert not r.member
 
+    @pytest.mark.parametrize("order", [[0, 1, 2], [2, 1, 0], [1, 2, 0]])
+    def test_largest_lambda_whatever_the_order(self, order):
+        # 0 = lam (1, 0) + (1 - lam) g holds for every lam in [0, 1/2]
+        gens = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+        r = segment_hull_member((0, 0), (1, 0), Hull(gens[order]))
+        assert r.member
+        assert r.lam == pytest.approx(0.5, abs=1e-12)
+
     def test_grid_oracle_agreement(self, rng):
         for _ in range(25):
             gens = rng.uniform(-1, 1, size=(3, 2))

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from sipcert.expr import linear_expr, parse
-from sipcert.geometry import Hull, hull_distance, hull_member, one_sided_hull_gap
+import sipcert.geometry as geometry
+import sipcert.lp as lp
+from sipcert.fixtures import load_fixture
+from sipcert.geometry import (
+    Hull,
+    hull_distance,
+    hull_member,
+    one_sided_hull_gap,
+    segment_hull_member,
+)
 from sipcert.model import (
     FiniteFamily,
     IndexSet,
@@ -55,6 +64,14 @@ class TestTcApprox:
         tc = tc_approx(prob, (0, 0))
         assert tc.converged and tc.stopped_by == "finite_shortcut"
         assert {tuple(g) for g in tc.final.generators} == {(1.0, 0.0), (0.0, 1.0)}
+
+    def test_finite_shortcut_after_a_member_drops_out(self):
+        members = (parse("x1", 2), parse("x2", 2), parse("0.005 + x1 + x2", 2))
+        prob = Problem(2, parse("-x1 - x2", 2), FiniteFamily(members))
+        tc = tc_approx(prob, (0, 0))
+        assert tc.stopped_by == "finite_shortcut" and len(tc.ladder) == 3
+        assert len(tc.hausdorff_gaps) == len(tc.ladder) - 1  # one gap per later rung
+        assert [gap for _, _, gap in tc.ladder_table()] == [None, *tc.hausdorff_gaps]
 
     def test_strict_family_collapses(self):
         tc = tc_approx(strict_active_problem(), (0, 0))
@@ -326,3 +343,64 @@ def _fj_grid_residual(grad_f, gens, steps=100):
         residuals = np.abs(lam * grad_f + (1 - lam) * hull_points).max(axis=1)
         best = min(best, float(residuals.min()))
     return best
+
+
+def full_circle_fj_problem(grid=1025):
+    # every t is active at x = 0 and the gradients fill the circle: Fritz John
+    family = ParametricFamily(
+        h=parse("x1*cos(t1 + 0.7) + x2*sin(t1 + 0.7)", 2, 1),
+        index=IndexSet.box([0.0], [2 * np.pi], grid),
+    )
+    return Problem(2, parse("0.8*x1 - 1.3*x2", 2), family)
+
+
+def _fixture_certificate(name):
+    loaded = load_fixture(name)
+    return certify_fj(loaded.problem, loaded.candidate, Options().replace(**loaded.options))
+
+
+class TestCanonicalLambda:
+    """A Fritz John lambda that is not unique is reported as the largest one."""
+
+    def test_sip_trig_lambda_is_the_largest(self):
+        # 0 = lam (1, 2) + (1 - lam) g with |g| <= 1 allows lam up to 1 / (1 + sqrt 5)
+        cert = _fixture_certificate("sip_trig")
+        assert cert.kind == "fj"
+        assert cert.lam == pytest.approx(1 / (1 + np.sqrt(5)), abs=1e-5)
+
+    @pytest.mark.parametrize("case", ["sip_trig", "full_circle"])
+    @pytest.mark.parametrize("bland", [False, True])
+    def test_lambda_depends_on_neither_generator_order_nor_pivot_rule(
+        self, case, bland, monkeypatch
+    ):
+        if case == "sip_trig":
+            cert = _fixture_certificate("sip_trig")
+        else:
+            cert = certify_fj(full_circle_fj_problem(), (0, 0))
+        assert cert.kind == "fj"
+        if bland:
+            monkeypatch.setattr(lp, "_DEGENERATE_RUN", 0)  # Bland's rule from the start
+        gens = cert.tc.final.generators
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            shuffled = Hull(gens[rng.permutation(len(gens))])
+            seg = segment_hull_member(np.zeros(2), cert.grad_f, shuffled)
+            assert seg.member
+            assert seg.lam == pytest.approx(cert.lam, abs=1e-9)
+
+
+def test_sip_linear_needs_few_pivots(monkeypatch):
+    # Bland's lowest-index rule alone needs 1,541 pivots on these two 2,050-column LPs
+    pivots = []
+    solve = geometry.solve_lp
+
+    def counted(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        pivots.append(sol.pivots)
+        return sol
+
+    monkeypatch.setattr(geometry, "solve_lp", counted)
+    cert = _fixture_certificate("sip_linear")  # grid 1025
+    assert cert.kind == "kkt"
+    assert len(pivots) == 2
+    assert sum(pivots) <= 20
