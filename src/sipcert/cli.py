@@ -22,18 +22,11 @@ import numpy as np
 
 from .expr import ExprError, evaluate
 from .geometry import cone_interior_nonempty
-from .model import (
-    InfeasibleError,
-    ParametricFamily,
-    PolyhedralFamily,
-    admissible_diagnostics,
-    feasibility,
-    is_pure_finite,
-)
+from .model import InfeasibleError, admissible_diagnostics, feasibility
 from .multipliers import Certificate, certify_fj, sip_multipliers, tc_approx
 from .options import Options
 from .problemfile import LoadedProblem, ProblemFileError, emit_json, load_problem
-from .reduction import FullCertificate, certify_composed, certify_equality
+from .reduction import FullCertificate, certify_composed, certify_equality, compose_family
 
 EXIT_OK = 0
 EXIT_NO_CERTIFICATE = 2
@@ -139,21 +132,10 @@ def _require_candidate(loaded):
     return loaded.candidate
 
 
-def _family_kind(problem):
-    family = problem.family
-    if family is None:
-        return "none"
-    if isinstance(family, ParametricFamily):
-        return "parametric+finite" if family.extra else "parametric"
-    if isinstance(family, PolyhedralFamily):
-        return "polyhedral"
-    return "finite"
-
-
 def _assumptions(loaded, cert=None):
     problem = loaded.problem
     notes = list(loaded.notes)
-    if problem.family is not None and not is_pure_finite(problem.family):
+    if problem.family is not None and not problem.family.pure_finite:
         notes.append("equi-lower-semicontinuity of inactive members is assumed, not verified")
         notes.append("the index set is sampled on a grid; hulls may under-approximate between points")
     if problem.equality:
@@ -253,7 +235,7 @@ def cmd_certify(args) -> int:
         "verdict": verdict,
         "problem": {
             "dimension": problem.p,
-            "family": _family_kind(problem),
+            "family": problem.family.kind if problem.family else "none",
             "has_inner_map": problem.inner_map is not None,
             "equality_rows": len(problem.equality or ()),
             "candidate": list(candidate),
@@ -286,9 +268,9 @@ def cmd_certify(args) -> int:
             report["converged"] = cert.tc.converged
             report["stopped_by"] = cert.tc.stopped_by
         if (
-            isinstance(problem.family, ParametricFamily)
+            problem.family is not None
+            and not problem.family.pure_finite
             and cert.found
-            and cert.tc is not None
             and not cert.tc.interior
         ):
             sm = sip_multipliers(problem, candidate, opts, grid, certificate=cert)
@@ -376,8 +358,6 @@ def cmd_tcset(args) -> int:
     candidate = _require_candidate(loaded)
     problem = loaded.problem
     if problem.inner_map is not None:
-        from .reduction import compose_family
-
         problem = compose_family(problem, candidate)
     try:
         tc = tc_approx(problem, candidate, opts, grid)
@@ -421,17 +401,15 @@ def cmd_admissible(args) -> int:
     candidate = _require_candidate(loaded)
     problem = loaded.problem
     if problem.inner_map is not None:
-        from .reduction import compose_family
-
         problem = compose_family(problem, candidate)
     try:
-        diag = admissible_diagnostics(problem, candidate, opts.eps0, opts, grid)
+        diag = admissible_diagnostics(problem, candidate, opts, grid)
     except InfeasibleError as err:
         return _emit_infeasible(args, loaded, err)
     report = {
         "tool": "sipcert",
         "command": "admissible",
-        "family": _family_kind(problem),
+        "family": problem.family.kind if problem.family else "none",
         "zero_in_full_hull": diag.zero_in_full_hull,
         "hull_gap": diag.hull_gap,
         "admissible_style": diag.admissible_style,
@@ -443,9 +421,9 @@ def cmd_admissible(args) -> int:
         "assumptions": list(diag.assumptions),
         "exit_code": EXIT_OK,
     }
-    family = problem.family
-    if isinstance(family, PolyhedralFamily) and family.poly.is_cone(tol=1e-12):
-        interior = cone_interior_nonempty(family.poly, opts.tol_lp)
+    cone = problem.family.cone() if problem.family is not None else None
+    if cone is not None:
+        interior = cone_interior_nonempty(cone, opts.tol_lp)
         report["cone"] = {
             "interior_nonempty": interior.nonempty,
             "witness": list(interior.witness),
@@ -479,8 +457,6 @@ def cmd_scan(args) -> int:
     loaded = load_problem(args.file)
     problem = loaded.problem
     if problem.inner_map is not None:
-        from .reduction import compose_family
-
         problem = compose_family(problem, np.zeros(problem.p))
     bounds = [float(v) for v in args.box.split(",")]
     if len(bounds) != 2 * problem.p:

@@ -11,17 +11,29 @@ A constraint family is one of
 * :class:`PolyhedralFamily` -- the normalized linear functionals of an
   H-polyhedron {y : a_j @ y >= b_j}.
 
+All three share one interface over *rows*, the discretized members in a
+fixed order: listed members first (a finite family's members, a parametric
+family's extras), then grid points or facets.  ``values(x, grid)`` is one
+array over every row (listed members through scalar ``evaluate``, grid
+points through one ``evaluate_many``, facets through one matmul);
+``gradients(x, rows, grid, kink_tol)``, ``labels(rows, grid)`` and
+``tag(row, grid)`` serve only the rows a caller asks for.  ``kind`` names
+the family in reports, ``pure_finite`` says it has no sampled part, and
+``substitute(inner)`` composes it with an inner map.
+
+A certification evaluates the family once (:func:`evaluate_family`): its
+feasibility report and the near-active scan read the same values.
 Families and problems are immutable after construction.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import ExprFn, evaluate, evaluate_many, gradient
+from .expr import DEFAULT_KINK_TOL, ExprFn, evaluate, evaluate_many, gradient, linear_expr
+from .expr import substitute as substitute_expr
 from .geometry import Hull, Polyhedron, hull_member, polyhedron_support_infimum
 from .options import Options, resolve_seed
 
@@ -35,6 +47,7 @@ __all__ = [
     "ActiveSet",
     "FeasibilityReport",
     "InfeasibleError",
+    "evaluate_family",
     "feasibility",
     "active_set",
     "FamilyScan",
@@ -82,22 +95,108 @@ class IndexSet:
     def t_dim(self) -> int:
         return self.points.shape[1] if self.kind == "finite" else self.lower.size
 
+    def _axes(self, grid):
+        n = int(grid) if grid else self.base_grid
+        return [np.linspace(self.lower[a], self.upper[a], n) for a in range(self.t_dim)]
+
     def grid_points(self, grid: int | None = None) -> np.ndarray:
         if self.kind == "finite":
             return self.points
-        n = int(grid) if grid else self.base_grid
-        axes = [np.linspace(self.lower[a], self.upper[a], n) for a in range(self.t_dim)]
-        return np.array(list(itertools.product(*axes)))
+        mesh = np.meshgrid(*self._axes(grid), indexing="ij")  # last axis varies fastest
+        return np.stack(mesh, axis=-1).reshape(-1, self.t_dim)
+
+    def points_at(self, rows, grid: int | None = None) -> np.ndarray:
+        """``grid_points(grid)[rows]``, without building the whole grid."""
+        rows = np.asarray(rows, dtype=int)
+        if self.kind == "finite":
+            return self.points[rows]
+        axes = self._axes(grid)
+        cells = np.unravel_index(rows, [axis.size for axis in axes])
+        return np.stack([axis[c] for axis, c in zip(axes, cells)], axis=-1)
 
     def steps(self, grid: int | None = None) -> np.ndarray:
         n = int(grid) if grid else self.base_grid
         return (self.upper - self.lower) / (n - 1)
 
 
+def _param_tag(t):
+    return "t=(" + ", ".join(format(v, ".12g") for v in t) + ")"
+
+
+def _clamp(values, tol_feas):
+    # small negatives within tolerance are rounding noise, not infeasibility
+    return np.where((values < 0.0) & (values >= -tol_feas), 0.0, values)
+
+
+class _Family:
+    """The row interface the family kinds share (see the module docstring).
+
+    Subclasses list their individually named members in ``_listed`` as
+    (tag, expr) pairs and supply the ``_indexed_*`` hooks for the rest.
+    """
+
+    pure_finite = True  # known in full: no sampled parametric part
+    _listed = ()
+
+    def values(self, x, grid: int | None = None) -> np.ndarray:
+        return self._values_at(np.asarray(x, dtype=float), self._index_points(grid))
+
+    def _values_at(self, x, points):
+        listed = np.array([evaluate(m, x) for _, m in self._listed], dtype=float)
+        return np.concatenate([listed, self._indexed_values(x, points)])
+
+    def gradients(self, x, rows, grid: int | None = None, kink_tol=DEFAULT_KINK_TOL) -> list:
+        """Gradients at x of the members in ``rows`` (ascending)."""
+        rows = np.asarray(rows, dtype=int)
+        d = len(self._listed)
+        listed = [gradient(self._listed[r][1], x, kink_tol=kink_tol) for r in rows[rows < d]]
+        return listed + self._indexed_gradients(x, rows[rows >= d] - d, grid, kink_tol)
+
+    def labels(self, rows, grid: int | None = None) -> list:
+        """(tag, index point or None) of the members in ``rows`` (ascending)."""
+        rows = np.asarray(rows, dtype=int)
+        d = len(self._listed)
+        listed = [(self._listed[r][0], None) for r in rows[rows < d]]
+        return listed + self._indexed_labels(rows[rows >= d] - d, grid)
+
+    def tag(self, row: int, grid: int | None = None) -> str:
+        return self.labels([row], grid)[0][0]
+
+    def entry_gradient(self, y, tag, param):
+        """Gradient at y of the member an active entry names by (tag, param)."""
+        return gradient(dict(self._listed)[tag], y)
+
+    def refine(self, x, rows, values, eps_cap, opts, grid=None) -> list:
+        """Off-grid (gate, ActiveEntry) pairs next to the near-active ``rows``."""
+        return []
+
+    def determination(self) -> tuple:
+        """(normalized normal, infimum over the set, stated offset) per facet."""
+        return ()
+
+    def cone(self) -> Polyhedron | None:
+        """The polyhedral cone the family determines, if it is one."""
+        return None
+
+    def _index_points(self, grid):
+        return None
+
+    def _indexed_values(self, x, points):
+        return np.zeros(0)
+
+    def _indexed_gradients(self, x, idx, grid, kink_tol):
+        return []
+
+    def _indexed_labels(self, idx, grid):
+        return []
+
+
 @dataclass(frozen=True)
-class FiniteFamily:
+class FiniteFamily(_Family):
     members: tuple[ExprFn, ...]
     tags: tuple[str, ...] = ()
+
+    kind = "finite"
 
     def __post_init__(self):
         members = tuple(self.members)
@@ -108,18 +207,24 @@ class FiniteFamily:
             raise ValueError("one tag per member required")
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "tags", tags)
+        object.__setattr__(self, "_listed", tuple(zip(tags, members)))
 
     @property
     def arity(self) -> int:
         return self.members[0].arity_x
 
+    def substitute(self, inner) -> "FiniteFamily":
+        return FiniteFamily(tuple(substitute_expr(m, inner) for m in self.members), self.tags)
+
 
 @dataclass(frozen=True)
-class ParametricFamily:
+class ParametricFamily(_Family):
     h: ExprFn
     index: IndexSet
     extra: tuple[ExprFn, ...] = ()
     extra_tags: tuple[str, ...] = ()
+
+    pure_finite = False
 
     def __post_init__(self):
         object.__setattr__(self, "extra", tuple(self.extra))
@@ -127,6 +232,7 @@ class ParametricFamily:
         if len(tags) != len(self.extra):
             raise ValueError("one tag per extra member required")
         object.__setattr__(self, "extra_tags", tags)
+        object.__setattr__(self, "_listed", tuple(zip(tags, self.extra)))
         if self.h.arity_t != self.index.t_dim:
             raise ValueError("h arity in t must match the index-set dimension")
 
@@ -134,12 +240,78 @@ class ParametricFamily:
     def arity(self) -> int:
         return self.h.arity_x
 
+    @property
+    def kind(self) -> str:
+        return "parametric+finite" if self.extra else "parametric"
+
+    def substitute(self, inner) -> "ParametricFamily":
+        return ParametricFamily(
+            substitute_expr(self.h, inner),
+            self.index,
+            tuple(substitute_expr(m, inner) for m in self.extra),
+            self.extra_tags,
+        )
+
+    def entry_gradient(self, y, tag, param):
+        if param is None:
+            return super().entry_gradient(y, tag, param)
+        return gradient(self.h, y, np.asarray(param))
+
+    def refine(self, x, rows, values, eps_cap, opts, grid=None) -> list:
+        """Bisect each near-active box grid point toward smaller h.
+
+        ``opts.refine_depth`` levels per axis localize T(x).  A refined point
+        is gated by the larger of its own and its seed's value, so it joins
+        the ladder exactly when its seed does.
+        """
+        seeds = rows[rows >= len(self.extra)]
+        index = self.index
+        if index.kind != "box" or opts.refine_depth <= 0 or not len(seeds):
+            return []
+        points = index.points_at(seeds - len(self.extra), grid)
+        seen = {t.tobytes() for t in points}
+        steps = index.steps(grid)
+        refined = points.copy()
+        for axis in range(index.t_dim):
+            lo = np.maximum(index.lower[axis], refined[:, axis] - steps[axis])
+            hi = np.minimum(index.upper[axis], refined[:, axis] + steps[axis])
+            refined[:, axis] = _refine_axis_all(self.h, x, refined, axis, lo, hi, opts.refine_depth)
+        refined_values = evaluate_many(self.h, x, refined)
+        bad = np.flatnonzero(refined_values < -opts.tol_feas)
+        if bad.size:  # the grid missed a violation between its points
+            tag, value = _param_tag(refined[bad[0]]), float(refined_values[bad[0]])
+            raise InfeasibleError(FeasibilityReport(False, value, tag, True, ((tag, value),)))
+        entries = []
+        near = _clamp(refined_values, opts.tol_feas).tolist()
+        for seed_value, t, value in zip(values[seeds], refined, near):
+            if value <= eps_cap and t.tobytes() not in seen:
+                seen.add(t.tobytes())
+                entry = ActiveEntry(
+                    _param_tag(t), tuple(t), value, gradient(self.h, x, t, opts.tol_kink)
+                )
+                entries.append((max(float(seed_value), value), entry))
+        return entries
+
+    def _index_points(self, grid):
+        return self.index.grid_points(grid)
+
+    def _indexed_values(self, x, points):
+        return evaluate_many(self.h, x, points)
+
+    def _indexed_gradients(self, x, idx, grid, kink_tol):
+        return [gradient(self.h, x, t, kink_tol) for t in self.index.points_at(idx, grid)]
+
+    def _indexed_labels(self, idx, grid):
+        return [(_param_tag(t), tuple(t)) for t in self.index.points_at(idx, grid)]
+
 
 @dataclass(frozen=True)
-class PolyhedralFamily:
+class PolyhedralFamily(_Family):
     """Members phi_j(y) = (a_j @ y - b_j)/|a_j| with constant gradients a_j/|a_j|."""
 
     poly: Polyhedron
+
+    kind = "polyhedral"
 
     @property
     def arity(self) -> int:
@@ -149,13 +321,39 @@ class PolyhedralFamily:
         norms = np.linalg.norm(self.poly.normals, axis=1)
         return self.poly.normals / norms[:, None], self.poly.offsets / norms
 
+    def substitute(self, inner) -> FiniteFamily:
+        """The normalized linear members, composed: a finite family tagged A[j]."""
+        normals, offsets = self.normalized()
+        members = [linear_expr(a, -b, normals.shape[1]) for a, b in zip(normals, offsets)]
+        tags = tuple(self.tag(j) for j in range(len(offsets)))
+        return FiniteFamily(tuple(substitute_expr(m, inner) for m in members), tags)
+
+    def entry_gradient(self, y, tag, param):
+        normals, _ = self.normalized()
+        return normals[[self.tag(j) for j in range(len(normals))].index(tag)]
+
+    def determination(self) -> tuple:
+        normals, offsets = self.normalized()
+        return tuple(
+            (tuple(a), polyhedron_support_infimum(self.poly, a), float(b))
+            for a, b in zip(normals, offsets)
+        )
+
+    def cone(self) -> Polyhedron | None:
+        return self.poly if self.poly.is_cone(tol=1e-12) else None
+
+    def _indexed_values(self, x, points):
+        normals, offsets = self.normalized()
+        return normals @ x - offsets
+
+    def _indexed_gradients(self, x, idx, grid, kink_tol):
+        return list(self.normalized()[0][idx])
+
+    def _indexed_labels(self, idx, grid):
+        return [(f"A[{j}]", None) for j in idx]
+
 
 ConstraintFamily = FiniteFamily | ParametricFamily | PolyhedralFamily
-
-
-def is_pure_finite(family) -> bool:
-    """True when the family is known in full (no sampled parametric part)."""
-    return isinstance(family, (FiniteFamily, PolyhedralFamily))
 
 
 @dataclass(frozen=True)
@@ -222,66 +420,38 @@ class FeasibilityReport:
     equality_violation: float = 0.0
 
 
-def _direct_members(family):
-    """(tag, expr) pairs for the non-parametric members of the family."""
-    if isinstance(family, FiniteFamily):
-        return list(zip(family.tags, family.members))
-    if isinstance(family, ParametricFamily):
-        return list(zip(family.extra_tags, family.extra))
-    return []
+def evaluate_family(
+    prob: Problem, x, tol_feas: float = 1e-9, grid: int | None = None
+) -> tuple[np.ndarray, FeasibilityReport]:
+    """The values of every discretized family member at x, and their report.
 
-
-def _param_tag(t):
-    return "t=(" + ", ".join(format(v, ".12g") for v in t) + ")"
-
-
-def _family_values(family, x, grid=None):
-    """Yield (tag, param, value) over the discretized family."""
-    if family is None:
-        return
-    for tag, member in _direct_members(family):
-        yield tag, None, evaluate(member, x)
-    if isinstance(family, ParametricFamily):
-        points = family.index.grid_points(grid)
-        values = evaluate_many(family.h, x, points)
-        for t, value in zip(points, values):
-            yield _param_tag(t), tuple(t), float(value)
-    elif isinstance(family, PolyhedralFamily):
-        normals, offsets = family.normalized()
-        x = np.asarray(x, dtype=float)
-        for j, (a, b) in enumerate(zip(normals, offsets)):
-            yield f"A[{j}]", None, float(a @ x - b)
-
-
-def feasibility(prob: Problem, x, tol_feas: float = 1e-9, grid: int | None = None) -> FeasibilityReport:
-    """Minimum constraint value over the (discretized) family at x.
-
-    Feasible iff the minimum is >= -tol_feas.  Also reports whether the
-    infimum sits at zero, the boundary indicator used to decide between
-    the interior (unconstrained) and constrained branches.
+    Feasible iff the minimum is >= -tol_feas and every equality holds within
+    tol_feas.  The report also says whether the infimum sits at zero, the
+    boundary indicator used to decide between the interior (unconstrained)
+    and constrained branches.  The minimum is the first smallest row; tags
+    are formatted for it and for the violations only.
     """
     if prob.inner_map is not None:
         raise ValueError("compose the inner map before feasibility checks")
-    min_value, min_tag = float("inf"), "(none)"
-    violations = []
-    for tag, _, value in _family_values(prob.family, x, grid):
-        if value < min_value:
-            min_value, min_tag = value, tag
-        if value < -tol_feas:
-            violations.append((tag, value))
-    eq_violation = 0.0
-    if prob.equality:
-        eq_violation = max(abs(evaluate(h, x)) for h in prob.equality)
+    family = prob.family
+    values = family.values(x, grid) if family is not None else np.zeros(0)
+    min_value, min_tag, violations = float("inf"), "(none)", ()
+    if values.size:
+        row = int(np.argmin(values))
+        min_value, min_tag = float(values[row]), family.tag(row, grid)
+        bad = np.flatnonzero(values < -tol_feas)
+        violations = tuple(
+            (tag, float(values[r])) for r, (tag, _) in zip(bad, family.labels(bad, grid))
+        )
+    eq_violation = max((abs(evaluate(h, x)) for h in prob.equality or ()), default=0.0)
     feasible = not violations and eq_violation <= tol_feas
     boundary = min_value <= tol_feas
-    return FeasibilityReport(
-        feasible, min_value, min_tag, boundary, tuple(violations), eq_violation
-    )
+    return values, FeasibilityReport(feasible, min_value, min_tag, boundary, violations, eq_violation)
 
 
-def _clamp(value, tol_feas):
-    # small negatives within tolerance are rounding noise, not infeasibility
-    return 0.0 if -tol_feas <= value < 0.0 else value
+def feasibility(prob: Problem, x, tol_feas: float = 1e-9, grid: int | None = None) -> FeasibilityReport:
+    """The report of :func:`evaluate_family`, without the values."""
+    return evaluate_family(prob, x, tol_feas, grid)[1]
 
 
 def _refine_axis_all(h, x, tpoints, axis, lo, hi, depth):
@@ -307,70 +477,25 @@ class FamilyScan:
     all members with value <= eps_cap and :meth:`at` filters.  Filtering
     at any eps <= eps_cap reproduces a direct scan at that eps exactly:
     refinement is deterministic per seed and a seed participates iff its
-    own value passes the filter.
+    own value passes the filter.  ``values`` are those of
+    :func:`evaluate_family` at a feasible x.
     """
 
-    def __init__(self, prob: Problem, x, eps_cap: float, opts: Options = Options(), grid=None):
-        report = feasibility(prob, x, opts.tol_feas, grid)
-        if not report.feasible:
-            raise InfeasibleError(report)
-        self.report = report
+    def __init__(
+        self, prob: Problem, x, values, eps_cap: float, opts: Options = Options(), grid=None
+    ):
         self.eps_cap = eps_cap
-        candidates = []  # (seed_value, ActiveEntry)
+        self.candidates = []  # (gate, ActiveEntry)
         family = prob.family
-        for tag, member in _direct_members(family) if family else []:
-            value = _clamp(evaluate(member, x), opts.tol_feas)
-            if 0.0 <= value <= eps_cap:
-                entry = ActiveEntry(tag, None, value, gradient(member, x, kink_tol=opts.tol_kink))
-                candidates.append((value, entry))
-        if isinstance(family, ParametricFamily):
-            self._scan_parametric(family, x, eps_cap, opts, grid, candidates)
-        elif isinstance(family, PolyhedralFamily):
-            normals, offsets = family.normalized()
-            xv = np.asarray(x, dtype=float)
-            for j, (a, b) in enumerate(zip(normals, offsets)):
-                value = _clamp(float(a @ xv - b), opts.tol_feas)
-                if 0.0 <= value <= eps_cap:
-                    candidates.append((value, ActiveEntry(f"A[{j}]", None, value, a.copy())))
-        self.candidates = candidates
-
-    def _scan_parametric(self, family, x, eps_cap, opts, grid, candidates):
-        h = family.h
-        index = family.index
-        points = index.grid_points(grid)
-        values = evaluate_many(h, x, points)
-        near = np.array([_clamp(v, opts.tol_feas) for v in values])
-        keep = (near >= 0.0) & (near <= eps_cap)
-        seeds = points[keep]
-        seed_values = near[keep]
-        seen = {t.tobytes() for t in seeds}
-        for t, value in zip(seeds, seed_values):
-            entry = ActiveEntry(
-                _param_tag(t), tuple(t), float(value), gradient(h, x, t, opts.tol_kink)
-            )
-            candidates.append((float(value), entry))
-        if index.kind != "box" or opts.refine_depth <= 0 or not len(seeds):
+        if family is None:
             return
-        steps = index.steps(grid)
-        refined = seeds.copy()
-        for axis in range(index.t_dim):
-            lo = np.maximum(index.lower[axis], refined[:, axis] - steps[axis])
-            hi = np.minimum(index.upper[axis], refined[:, axis] + steps[axis])
-            refined[:, axis] = _refine_axis_all(h, x, refined, axis, lo, hi, opts.refine_depth)
-        refined_values = evaluate_many(h, x, refined)
-        for seed_value, t, value in zip(seed_values, refined, refined_values):
-            if value < -opts.tol_feas:
-                raise InfeasibleError(
-                    FeasibilityReport(
-                        False, float(value), _param_tag(t), True, ((_param_tag(t), float(value)),)
-                    )
-                )
-            value = _clamp(float(value), opts.tol_feas)
-            if value <= eps_cap and t.tobytes() not in seen:
-                seen.add(t.tobytes())
-                entry = ActiveEntry(_param_tag(t), tuple(t), value, gradient(h, x, t, opts.tol_kink))
-                # a refined point exists only when its seed passed the filter
-                candidates.append((max(float(seed_value), value), entry))
+        near = _clamp(values, opts.tol_feas)
+        rows = np.flatnonzero((near >= 0.0) & (near <= eps_cap))
+        grads = family.gradients(x, rows, grid, opts.tol_kink)
+        for row, (tag, param), grad in zip(rows, family.labels(rows, grid), grads):
+            value = float(near[row])
+            self.candidates.append((value, ActiveEntry(tag, param, value, grad)))
+        self.candidates += family.refine(x, rows, near, eps_cap, opts, grid)
 
     def at(self, eps: float) -> ActiveSet:
         if eps > self.eps_cap:
@@ -389,7 +514,10 @@ def active_set(
     pass: ``opts.refine_depth`` bisection levels per axis, descending
     toward smaller constraint values to localize T(x).
     """
-    return FamilyScan(prob, x, eps, opts, grid).at(eps)
+    values, report = evaluate_family(prob, x, opts.tol_feas, grid)
+    if not report.feasible:
+        raise InfeasibleError(report)
+    return FamilyScan(prob, x, values, eps, opts, grid).at(eps)
 
 
 def equi_lipschitz_estimate(
@@ -410,6 +538,9 @@ def equi_lipschitz_estimate(
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
+    family = prob.family
+    if family is None:
+        return 0.0
     x = np.asarray(x, dtype=float)
     p = x.size
     rng = np.random.default_rng(resolve_seed() if seed is None else seed)
@@ -424,26 +555,11 @@ def equi_lipschitz_estimate(
         if np.linalg.norm(u - v) > 1e-12 * (1.0 + radius):
             pairs.append((u, v))
 
-    members = []
-    family = prob.family
-    for _, member in _direct_members(family) if family else []:
-        members.append((member, None))
-    if isinstance(family, ParametricFamily):
-        for t in family.index.grid_points(grid):
-            members.append((family.h, t))
-    elif isinstance(family, PolyhedralFamily):
-        normals, _ = family.normalized()
-        best = 0.0
-        for u, v in pairs:
-            d = np.linalg.norm(u - v)
-            best = max(best, float(np.abs(normals @ (u - v)).max()) / d)
-        return best
-
     best = 0.0
-    for member, t in members:
-        for u, v in pairs:
-            quotient = abs(evaluate(member, u, t) - evaluate(member, v, t)) / np.linalg.norm(u - v)
-            best = max(best, quotient)
+    points = family._index_points(grid)  # one grid for every pair
+    for u, v in pairs:
+        change = np.abs(family._values_at(u, points) - family._values_at(v, points)).max()
+        best = max(best, float(change) / np.linalg.norm(u - v))
     return best
 
 
@@ -465,7 +581,7 @@ class AdmissibleReport:
 
 
 def admissible_diagnostics(
-    prob: Problem, x, eps: float, opts: Options = Options(), grid: int | None = None
+    prob: Problem, x, opts: Options = Options(), grid: int | None = None
 ) -> AdmissibleReport:
     """Numerical admissibility checks at a feasible x.
 
@@ -475,43 +591,26 @@ def admissible_diagnostics(
     determination by normalized supporting functionals, with each stated
     offset compared against the LP infimum over the set.
     """
-    report = feasibility(prob, x, opts.tol_feas, grid)
+    values, report = evaluate_family(prob, x, opts.tol_feas, grid)
     if not report.feasible:
         raise InfeasibleError(report)
-    family = prob.family
-    grads = []
-    for tag, member in _direct_members(family) if family else []:
-        grads.append(gradient(member, x, kink_tol=opts.tol_kink))
-    if isinstance(family, ParametricFamily):
-        for t in family.index.grid_points(grid):
-            grads.append(gradient(family.h, x, t, opts.tol_kink))
-    elif isinstance(family, PolyhedralFamily):
-        normals, _ = family.normalized()
-        grads.extend(normals)
-
-    assumptions = [
+    assumptions = (
         "equi-lower-semicontinuity of the inactive members is assumed, not verified",
         "equi-differentiability is exact for the closed expression grammar",
-    ]
-    if not grads:
-        return AdmissibleReport(False, float("inf"), False, 0.0, (), tuple(assumptions))
+    )
+    family = prob.family
+    if family is None:
+        return AdmissibleReport(False, float("inf"), False, 0.0, (), assumptions)
+    grads = family.gradients(x, np.arange(values.size), grid, opts.tol_kink)
     membership = hull_member(np.zeros(prob.p), Hull(np.array(grads)), opts.tol)
     lipschitz = equi_lipschitz_estimate(
         prob, x, opts.lipschitz_radius, opts.lipschitz_samples, grid=grid
     )
-
-    determination = []
-    if isinstance(family, PolyhedralFamily):
-        normals, offsets = family.normalized()
-        for a, b in zip(normals, offsets):
-            inf_value = polyhedron_support_infimum(family.poly, a)
-            determination.append((tuple(a), inf_value, float(b)))
-
     return AdmissibleReport(
         zero_in_full_hull=membership.member,
         hull_gap=membership.distance,
         admissible_style=not membership.member,
         lipschitz_estimate=lipschitz,
-        determination=tuple(determination),
-        assumptions=tuple(assumptions),
+        determination=family.determination(),
+        assumptions=assumptions,
     )

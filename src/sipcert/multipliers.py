@@ -28,14 +28,7 @@ from .geometry import (
     one_sided_hull_gap,
     segment_hull_member,
 )
-from .model import (
-    ActiveSet,
-    FamilyScan,
-    InfeasibleError,
-    Problem,
-    feasibility,
-    is_pure_finite,
-)
+from .model import ActiveSet, FamilyScan, InfeasibleError, Problem, evaluate_family
 from .options import Options
 
 __all__ = ["TCApprox", "Certificate", "SipMultipliers", "tc_approx", "certify_fj", "sip_multipliers"]
@@ -96,11 +89,13 @@ def _ladder_gap(prev: Hull, new: Hull) -> float:
 def tc_approx(prob: Problem, x, opts: Options = Options(), grid: int | None = None) -> TCApprox:
     """Build the near-active ladder and its stabilized final hull at x.
 
-    Precondition: x feasible.  When the family infimum at x is strictly
-    positive the multiplier set is empty (interior point) and an empty
-    final hull is returned with the interior indicator set.
+    Evaluates the family once: the feasibility report and the near-active
+    scan read the same values.  Raises :class:`InfeasibleError` when x is
+    infeasible.  When the family infimum at x is strictly positive the
+    multiplier set is empty (interior point) and an empty final hull is
+    returned with the interior indicator set.
     """
-    report = feasibility(prob, x, opts.tol_feas, grid)
+    values, report = evaluate_family(prob, x, opts.tol_feas, grid)
     if not report.feasible:
         raise InfeasibleError(report)
     p = prob.p
@@ -109,8 +104,7 @@ def tc_approx(prob: Problem, x, opts: Options = Options(), grid: int | None = No
             (), Hull(np.zeros((0, p))), True, (), True, report.min_value, "interior"
         )
 
-    pure_finite = is_pure_finite(prob.family)
-    scan = FamilyScan(prob, x, opts.eps0, opts, grid)
+    scan = FamilyScan(prob, x, values, opts.eps0, opts, grid)
     ladder = []
     gaps = []
     converged = False
@@ -127,7 +121,7 @@ def tc_approx(prob: Problem, x, opts: Options = Options(), grid: int | None = No
         if prev_hull is not None:  # one gap per rung after the first
             gaps.append(_ladder_gap(prev_hull, hull))
             if (
-                not pure_finite
+                not prob.family.pure_finite
                 and len(gaps) >= 2
                 and gaps[-1] <= opts.tol_hull
                 and gaps[-2] <= opts.tol_hull
@@ -135,7 +129,7 @@ def tc_approx(prob: Problem, x, opts: Options = Options(), grid: int | None = No
                 converged = True
                 stopped_by = "stabilized"
                 break
-        if pure_finite and all(e.value <= opts.tol_feas for e in aset.entries):
+        if prob.family.pure_finite and all(e.value <= opts.tol_feas for e in aset.entries):
             # the whole surviving family is exactly active: the limit hull
             # is the strictly-active hull, no further shrinking needed
             converged = True
@@ -162,17 +156,15 @@ def certify_fj(
 
     ``restrict`` maps all gradients into a subspace basis (rows) before
     certification; it is used by the equality reduction to certify in the
-    kernel coordinates of the equality Jacobian.
+    kernel coordinates of the equality Jacobian.  An infeasible x raises
+    :class:`InfeasibleError` before the objective gradient is taken.
     """
-    report = feasibility(prob, x, opts.tol_feas, grid)
-    if not report.feasible:
-        raise InfeasibleError(report)
+    tc = tc_approx(prob, x, opts, grid)
     grad_f = gradient(prob.objective, x, kink_tol=opts.tol_kink)
     if restrict is not None:
         grad_f = restrict @ grad_f
-    tc = tc_approx(prob, x, opts, grid)
-    if restrict is not None and len(tc.final):
-        tc = _restrict_tc(tc, restrict)
+        if len(tc.final):
+            tc = _restrict_tc(tc, restrict)
     approx = not tc.converged
 
     if tc.interior:
@@ -286,19 +278,13 @@ def sip_multipliers(
     generators); an exact coincidence of the segment witness with a single
     generator is preferred, it realizes the smallest possible support.  Pass a
     ``certificate`` from an earlier :func:`certify_fj` run to skip the
-    recertification.
+    recertification; interior and boundary are read from its ladder.
     """
-    from .model import ParametricFamily
-
-    if not isinstance(prob.family, ParametricFamily):
+    if prob.family is None or prob.family.pure_finite:
         raise ValueError("sip_multipliers requires a parametric constraint family")
-    report = feasibility(prob, x, opts.tol_feas, grid)
-    if not report.feasible:
-        raise InfeasibleError(report)
-    if not report.boundary:
-        raise ValueError("active set is empty: the candidate is interior")
-
     cert = certificate if certificate is not None else certify_fj(prob, x, opts, grid)
+    if cert.tc.interior:
+        raise ValueError("active set is empty: the candidate is interior")
     if not cert.found:
         return SipMultipliers(False, 0.0, (), float("inf"), False, cert.approximate, cert)
     if cert.beta <= 0.0:

@@ -14,16 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import evaluate, gradient, linear_expr, substitute
+from .expr import evaluate, gradient
 from .geometry import Polyhedron, polyhedron_minimize, recession_cone
-from .model import (
-    FeasibilityReport,
-    FiniteFamily,
-    InfeasibleError,
-    ParametricFamily,
-    PolyhedralFamily,
-    Problem,
-)
+from .model import FeasibilityReport, InfeasibleError, Problem
 from .multipliers import Certificate, certify_fj
 from .options import Options
 
@@ -124,73 +117,23 @@ def compose_family(prob: Problem, x) -> Problem:
     """
     if prob.inner_map is None:
         raise ValueError("compose_family requires an inner map")
-    inner = list(prob.inner_map)
     family = prob.family
-    if family is None:
-        composed = None
-    elif isinstance(family, FiniteFamily):
-        composed = FiniteFamily(
-            tuple(substitute(m, inner) for m in family.members), family.tags
-        )
-    elif isinstance(family, ParametricFamily):
-        composed = ParametricFamily(
-            substitute(family.h, inner),
-            family.index,
-            tuple(substitute(m, inner) for m in family.extra),
-            family.extra_tags,
-        )
-    else:  # polyhedral: build the normalized linear members, then substitute
-        composed = FiniteFamily(
-            tuple(substitute(m, inner) for m in _polyhedral_members(family)),
-            tuple(f"A[{j}]" for j in range(len(family.poly.offsets))),
-        )
+    composed = None if family is None else family.substitute(list(prob.inner_map))
     return Problem(prob.p, prob.objective, composed, inner_map=None, equality=prob.equality)
 
 
-def _polyhedral_members(family: PolyhedralFamily):
-    normals, offsets = family.normalized()
-    q = normals.shape[1]
-    return [linear_expr(a, -b, q) for a, b in zip(normals, offsets)]
+def _recover_y_star(prob: Problem, x, cert: Certificate):
+    """Convex combination of the pre-chain gradients with the certificate weights.
 
-
-def _pre_chain_data(prob: Problem, x):
-    """Per-member gradients of the family at the image point g(x), by tag."""
-    family = prob.family
+    Each gradient is the member's own gradient at the image point g(x).
+    """
     if prob.inner_map is not None:
         image = np.array([evaluate(g, x) for g in prob.inner_map])
     else:
         image = np.asarray(x, dtype=float)
-    grads = {}
-    if isinstance(family, FiniteFamily):
-        for tag, member in zip(family.tags, family.members):
-            grads[tag] = gradient(member, image)
-    elif isinstance(family, ParametricFamily):
-        for tag, member in zip(family.extra_tags, family.extra):
-            grads[tag] = gradient(member, image)
-    elif isinstance(family, PolyhedralFamily):
-        normals, _ = family.normalized()
-        for j, a in enumerate(normals):
-            grads[f"A[{j}]"] = a
-    return image, grads
-
-
-def _recover_y_star(prob: Problem, x, cert: Certificate):
-    """Convex combination of the pre-chain gradients with the certificate weights."""
-    if not cert.coeffs:
-        return None
-    image, tag_grads = _pre_chain_data(prob, x)
-    family = prob.family
     y = np.zeros(image.size)
     for tag, param, weight in cert.coeffs:
-        if param is not None:
-            if not isinstance(family, ParametricFamily):
-                return None
-            g = gradient(family.h, image, np.asarray(param))
-        else:
-            if tag not in tag_grads:
-                return None
-            g = tag_grads[tag]
-        y = y + weight * g
+        y = y + weight * prob.family.entry_gradient(image, tag, param)
     return y
 
 
@@ -204,9 +147,7 @@ def certify_composed(prob: Problem, x, opts: Options = Options(), grid=None) -> 
     derived = compose_family(prob, x)
     cert = certify_fj(derived, x, opts, grid)
     if cert.found and cert.coeffs:
-        y_star = _recover_y_star(prob, x, cert)
-        if y_star is not None:
-            return _with_y_star(cert, y_star)
+        return _with_y_star(cert, _recover_y_star(prob, x, cert))
     return cert
 
 
@@ -287,10 +228,7 @@ def certify_equality(prob: Problem, x, opts: Options = Options(), grid=None) -> 
         z_star = np.zeros(prob.q)
         lam0 = 1.0
     else:
-        y_star = _recover_y_star(prob, x, inner_cert)
-        if y_star is None:
-            y_star = np.zeros(prob.q)
-        z_star = inner_cert.beta * y_star
+        z_star = inner_cert.beta * _recover_y_star(prob, x, inner_cert)
         lam0 = inner_cert.lam
     jac_g = _inner_jacobian(prob, x, opts)
     pulled = jac_g.T @ z_star

@@ -173,8 +173,8 @@ def _check_parabola(opts, rng):
 def _check_cones(opts, rng):
     orthant, o_cand, o_opts, _ = _load("cone_orthant", opts)
     hyper, h_cand, h_opts, _ = _load("cone_hyperplane", opts)
-    d_orthant = admissible_diagnostics(orthant, o_cand, o_opts.eps0, o_opts)
-    d_hyper = admissible_diagnostics(hyper, h_cand, h_opts.eps0, h_opts)
+    d_orthant = admissible_diagnostics(orthant, o_cand, o_opts)
+    d_hyper = admissible_diagnostics(hyper, h_cand, h_opts)
     c_orthant = cone_interior_nonempty(orthant.family.poly)
     c_hyper = cone_interior_nonempty(hyper.family.poly)
     ok = (

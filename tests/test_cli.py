@@ -109,14 +109,52 @@ class TestCertify:
         assert len(gaps) >= 3 and gaps[0] is None and None not in gaps[1:]
 
     def test_exit_code_is_function_of_verdict(self):
-        for name, expected in (
-            ("near_active", 0),
-            ("strict_active", 2),
-            ("eq_circle", 0),
-            ("composed_parabola", 0),
+        # the whole bundled fixture verdict table
+        for name, verdict, expected in (
+            ("near_active", "KKT", 0),
+            ("strict_active", "NoCertificate", 2),
+            ("sip_linear", "KKT", 0),
+            ("sip_trig", "FJ", 0),
+            ("eq_circle", "KKT", 0),
+            ("eq_duplicated_rows", "EqualityDegenerate", 0),
+            ("eq_orthant_line", "KKT", 0),
+            ("composed_parabola", "KKT", 0),
+            ("cone_orthant", "KKT", 0),
+            ("cone_hyperplane", "FJ", 0),
         ):
             code, report = run_json("certify", fixture_path(name))
             assert code == expected == report["exit_code"]
+            assert report["verdict"] == verdict
+
+    def test_composed_parametric_family_gets_sip_multipliers(self, tmp_path):
+        # the semi-infinite recast reads the certificate's ladder, so a
+        # parametric family behind an inner map no longer needs a re-evaluation
+        doc = json.loads(open(fixture_path("sip_linear")).read())
+        doc["inner_map"] = ["x1", "x2"]
+        path = tmp_path / "composed_sip.json"
+        path.write_text(json.dumps(doc))
+        code, report = run_json("certify", str(path))
+        assert code == 0 and report["verdict"] == "KKT"
+        assert report["problem"]["has_inner_map"]
+        assert report["certificate"]["y_star"] == pytest.approx([-0.5, -0.5])
+        assert report["sip_multipliers"]["residual"] <= 1e-9
+
+    @pytest.mark.parametrize("name", ["sip_linear", "sip_trig", "near_active"])
+    def test_certify_discretizes_the_index_set_once(self, name, monkeypatch, capsys):
+        from sipcert import cli
+        from sipcert.model import IndexSet
+
+        calls = []
+        grid_points = IndexSet.grid_points
+
+        def counted(self, grid=None):
+            calls.append(grid)
+            return grid_points(self, grid)
+
+        monkeypatch.setattr(IndexSet, "grid_points", counted)
+        assert cli.main(["certify", fixture_path(name), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] in ("KKT", "FJ")
+        assert len(calls) == 1
 
 
 class TestTcset:

@@ -15,8 +15,10 @@ from sipcert.model import (
     active_set,
     admissible_diagnostics,
     equi_lipschitz_estimate,
+    evaluate_family,
     feasibility,
 )
+from sipcert.multipliers import certify_fj
 from sipcert.options import Options
 
 
@@ -77,6 +79,51 @@ class TestFeasibility:
         assert report.violations[0][0] == "phi0"
         assert report.violations[0][1] == pytest.approx(-1.0)
 
+    def test_parametric_violation_tags(self):
+        # h = x1 - t1 on the grid 0, 1/9, 2/9, 1/3 at x1 = 0.2: the last two violate
+        family = ParametricFamily(h=parse("x1 - t1", 1, 1), index=IndexSet.box([0.0], [1 / 3], 4))
+        prob = Problem(1, parse("x1", 1), family)
+        report = feasibility(prob, [0.2])
+        assert report.min_tag == "t=(0.333333333333)"
+        assert [tag for tag, _ in report.violations] == ["t=(0.222222222222)", "t=(0.333333333333)"]
+        with pytest.raises(InfeasibleError) as err:
+            certify_fj(prob, [0.2])
+        assert err.value.report == report
+
+    def test_parametric_ties_go_to_listed_members_then_grid_order(self):
+        # at x1 = 0 the extra member and the grid points (0, 1/3) and (1, 1/3)
+        # all reach -1
+        family = ParametricFamily(
+            h=parse("x1 - (t1 - 0.5)^2 * 4 * t2 * 3", 1, 2),
+            index=IndexSet.box([0.0, 0.0], [1.0, 1 / 3], 3),
+            extra=(parse("x1 - 1", 1),),
+            extra_tags=("phi0",),
+        )
+        report = feasibility(Problem(1, parse("x1", 1), family), [0.0])
+        assert report.violations[0][1] == report.violations[2][1] == -1.0
+        assert report.min_tag == "phi0"
+        assert [tag for tag, _ in report.violations] == [
+            "phi0", "t=(0, 0.166666666667)", "t=(0, 0.333333333333)",
+            "t=(1, 0.166666666667)", "t=(1, 0.333333333333)",
+        ]
+        family = ParametricFamily(h=family.h, index=family.index)
+        report = feasibility(Problem(1, parse("x1", 1), family), [0.0])
+        assert report.min_tag == "t=(0, 0.333333333333)"
+
+    def test_polyhedral_violation_tags(self):
+        # normalized facets x1, x2 - 1, x1: A[1] is the worst at (-0.5, 0);
+        # at (-1, 0) all three tie and the first facet wins
+        family = PolyhedralFamily(Polyhedron([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]], [0.0, 2.0, 0.0]))
+        prob = Problem(2, parse("x1", 2), family)
+        report = feasibility(prob, (-0.5, 0.0))
+        assert report.min_tag == "A[1]"
+        assert [tag for tag, _ in report.violations] == ["A[0]", "A[1]", "A[2]"]
+        report = feasibility(prob, (-1.0, 0.0))
+        assert report.min_tag == "A[0]"
+        with pytest.raises(InfeasibleError) as err:
+            certify_fj(prob, (-1.0, 0.0))
+        assert err.value.report == report
+
     def test_equality_violation_reported(self):
         prob = Problem(2, parse("x1", 2), equality=(parse("x1 - 1", 2),))
         report = feasibility(prob, (0, 0))
@@ -128,7 +175,8 @@ class TestActiveSet:
     def test_scan_filter_matches_direct(self):
         prob = linear_sip_problem(33)
         opts = Options()
-        scan = FamilyScan(prob, (1, 1), 0.5, opts)
+        values, _ = evaluate_family(prob, (1, 1), opts.tol_feas)
+        scan = FamilyScan(prob, (1, 1), values, 0.5, opts)
         for eps in (0.5, 0.1, 1e-6):
             via_scan = scan.at(eps)
             direct = active_set(prob, (1, 1), eps, opts)
@@ -151,6 +199,21 @@ class TestActiveSet:
         prob = Problem(1, parse("x1", 1), family)
         aset = active_set(prob, [-1e-10], 0.1)
         assert aset.entries[0].value == 0.0
+
+    def test_refinement_finds_a_violation_between_grid_points(self):
+        # h >= 0.0024 on the grid 0, 0.25, ..., 1 at x1 = 0.0099, but about
+        # -1e-4 at t1 = 0.3, toward which the near-active point 0.25 is refined
+        family = ParametricFamily(
+            h=parse("x1 + (t1 - 0.3)^2 - 0.01", 1, 1), index=IndexSet.box([0.0], [1.0], 5)
+        )
+        prob = Problem(1, parse("x1", 1), family)
+        assert feasibility(prob, [0.0099]).feasible
+        with pytest.raises(InfeasibleError) as err:
+            active_set(prob, [0.0099], 0.01)
+        report = err.value.report
+        assert not report.feasible and report.min_value < -1e-9
+        assert report.violations == ((report.min_tag, report.min_value),)
+        assert float(report.min_tag[3:-1]) == pytest.approx(0.3, abs=0.5 / 2**8)
 
     def test_kink_error_propagates(self):
         from sipcert.expr import KinkError
@@ -195,6 +258,18 @@ class TestEquiLipschitz:
         ]
         assert values[0] <= values[1] <= values[2]
 
+    def test_one_grid_for_all_sample_pairs(self, monkeypatch):
+        calls = []
+        grid_points = IndexSet.grid_points
+
+        def counted(self, grid=None):
+            calls.append(grid)
+            return grid_points(self, grid)
+
+        monkeypatch.setattr(IndexSet, "grid_points", counted)
+        equi_lipschitz_estimate(linear_sip_problem(33), (1, 1), 0.5, 32, seed=1)
+        assert len(calls) == 1
+
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError):
             equi_lipschitz_estimate(near_active_problem(), (0, 0), 0.0, 4)
@@ -202,7 +277,7 @@ class TestEquiLipschitz:
 
 class TestAdmissibleDiagnostics:
     def test_near_active_admissible(self):
-        diag = admissible_diagnostics(near_active_problem(), (0, 0), 0.05)
+        diag = admissible_diagnostics(near_active_problem(), (0, 0))
         assert diag.admissible_style
         assert not diag.zero_in_full_hull
         assert diag.hull_gap == pytest.approx(0.5, abs=1e-9)
@@ -210,14 +285,14 @@ class TestAdmissibleDiagnostics:
     def test_symmetric_pair_weak_only(self):
         family = FiniteFamily((parse("x1", 1), parse("-x1", 1)))
         prob = Problem(1, parse("x1", 1), family)
-        diag = admissible_diagnostics(prob, [0.0], 0.1)
+        diag = admissible_diagnostics(prob, [0.0])
         assert diag.zero_in_full_hull
         assert not diag.admissible_style
 
     def test_orthant_determination(self):
         family = PolyhedralFamily(Polyhedron([[2.0, 0.0], [0.0, 1.0]], [0.0, 0.0]))
         prob = Problem(2, parse("x1", 2), family)
-        diag = admissible_diagnostics(prob, (0, 0), 0.1)
+        diag = admissible_diagnostics(prob, (0, 0))
         assert diag.admissible_style
         normals = [d[0] for d in diag.determination]
         assert np.allclose(normals, [[1, 0], [0, 1]])  # normalized
@@ -226,7 +301,7 @@ class TestAdmissibleDiagnostics:
 
     def test_infeasible_rejected(self):
         with pytest.raises(InfeasibleError):
-            admissible_diagnostics(near_active_problem(), (-1, 0), 0.1)
+            admissible_diagnostics(near_active_problem(), (-1, 0))
 
 
 class TestProblemValidation:
