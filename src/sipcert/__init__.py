@@ -18,6 +18,7 @@ from .expr import (
     evaluate_many,
     format_expr,
     gradient,
+    gradient_many,
     linear_expr,
     parse,
     substitute,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .expr import ExprError, evaluate
 from .geometry import cone_interior_nonempty
-from .model import InfeasibleError, admissible_diagnostics, feasibility
+from .model import InfeasibleError, admissible_diagnostics, is_feasible
 from .multipliers import Certificate, certify_fj, sip_multipliers, tc_approx
 from .options import Options
 from .problemfile import LoadedProblem, ProblemFileError, emit_json, load_problem
@@ -469,10 +469,7 @@ def cmd_scan(args) -> int:
     candidates = []
     for point in itertools.product(*axes):
         x = np.array(point)
-        report = feasibility(problem, x, grid=loaded.grid)
-        if not report.feasible:
-            continue
-        if problem.equality and report.equality_violation > 1e-9:
+        if not is_feasible(problem, x, grid=loaded.grid):
             continue
         candidates.append((float(evaluate(problem.objective, x)), x))
     candidates.sort(key=lambda item: -item[0])

@@ -23,6 +23,17 @@ only.  Evaluation never returns NaN or infinity: any non-finite
 intermediate raises :class:`EvalDomainError`.  Differentiating ``abs``,
 ``min`` or ``max`` at a tie (within ``tol_kink``) raises
 :class:`KinkError` rather than picking an arbitrary subgradient.
+
+There are two tree walkers.  The scalar one (:func:`evaluate`,
+:func:`gradient`) serves one point at a time: objectives, individually
+listed constraints, and the reference the batched one is tested against.
+The batched one (:func:`evaluate_many`, :func:`gradient_many`) serves one
+decision point across n index points of a parametric constraint: one walk
+over numpy columns, carrying batched duals (values of shape (n,), partials
+of shape (p, n)) for gradients, with every domain, kink and finiteness
+check made per point.  Its results and errors are those of the scalar loop
+over the points: when the batched walk flags any point, the scalar loop
+runs and raises the error of the first bad point.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ __all__ = [
     "evaluate",
     "evaluate_many",
     "gradient",
+    "gradient_many",
     "format_expr",
     "substitute",
     "linear_expr",
@@ -130,6 +142,9 @@ class Dual:
     """Value plus partial derivatives with respect to the x-variables."""
 
     __slots__ = ("value", "partials")
+    # numpy defers to the reflected operators below instead of building an
+    # object array, so `ndarray (op) Dual` is a Dual
+    __array_ufunc__ = None
 
     def __init__(self, value, partials):
         self.value = value
@@ -384,21 +399,34 @@ def _unit(n, i):
     return e
 
 
-# Vectorized value evaluation: same tree, numpy arrays across index points.
-# The scalar evaluator above stays the reference implementation; property
-# tests compare the two paths.
+# Batched evaluation: the same tree, numpy arrays across n index points.  A
+# t-variable is a column of shape (n,); an x-variable is a plain number, or,
+# for gradients, a Dual whose partials have shape (p, 1), so every Dual in
+# the walk has a value of shape (n,) (or a scalar) and partials of shape
+# (p, n) (or (p, 1)), and the Dual arithmetic above broadcasts unchanged.
+# Every check of the scalar walk runs per index point.  The scalar walker
+# stays the n = 1 path and the reference: when the batched walk flags any
+# point, the public functions re-run the scalar loop, which raises the
+# error of the first bad point.
 
 
-def _ev_vec(node, xs, tcols):
+class _Unbatchable(Exception):
+    """The scalar walk keeps a value plain at some index points, dual at others."""
+
+
+_BATCH_FAILURES = (ExprError, ArithmeticError, _Unbatchable)
+
+
+def _ev_vec(node, xs, tcols, kink_tol):
     if type(node) is Num:
         return node.value
     if type(node) is Var:
         return xs[node.index] if node.kind == "x" else tcols[node.index]
     if type(node) is Neg:
-        return -_ev_vec(node.arg, xs, tcols)
+        return -_ev_vec(node.arg, xs, tcols, kink_tol)
     if type(node) is Bin:
-        left = _ev_vec(node.left, xs, tcols)
-        right = _ev_vec(node.right, xs, tcols)
+        left = _ev_vec(node.left, xs, tcols, kink_tol)
+        right = _ev_vec(node.right, xs, tcols, kink_tol)
         op = node.op
         if op == "+":
             return _vec_finite(left + right, "+")
@@ -407,67 +435,163 @@ def _ev_vec(node, xs, tcols):
         if op == "*":
             return _vec_finite(left * right, "*")
         if op == "/":
-            if np.any(np.asarray(right) == 0.0):
+            if np.any(_val(right) == 0.0):
                 raise EvalDomainError("division by zero")
             return _vec_finite(left / right, "/")
         return _vec_power(left, right)
-    args = [_ev_vec(a, xs, tcols) for a in node.args]
+    args = [_ev_vec(a, xs, tcols, kink_tol) for a in node.args]
     name = node.func
+    if name in ("min", "max"):
+        return _vec_minmax(name, args, kink_tol)
+    u = args[0]
+    v = _val(u)
+    dual = isinstance(u, Dual)
     if name == "sin":
-        return np.sin(args[0])
+        return Dual(np.sin(v), np.cos(v) * u.partials) if dual else np.sin(v)
     if name == "cos":
-        return np.cos(args[0])
+        return Dual(np.cos(v), -np.sin(v) * u.partials) if dual else np.cos(v)
     if name == "exp":
-        if np.any(np.asarray(args[0]) >= 710.0):
-            raise EvalDomainError("non-finite value in 'exp'")
-        return np.exp(args[0])
+        r = np.exp(v)
+        return _vec_finite(Dual(r, r * u.partials) if dual else r, "exp")
     if name == "log":
-        if np.any(np.asarray(args[0]) <= 0.0):
+        if np.any(v <= 0.0):
             raise EvalDomainError("log of a nonpositive value")
-        return np.log(args[0])
+        return Dual(np.log(v), u.partials / v) if dual else np.log(v)
     if name == "sqrt":
-        if np.any(np.asarray(args[0]) < 0.0):
+        if np.any(v < 0.0):
             raise EvalDomainError("sqrt of a negative value")
-        return np.sqrt(args[0])
-    if name == "abs":
-        return np.abs(args[0])
-    reducer = np.minimum if name == "min" else np.maximum
-    out = args[0]
-    for a in args[1:]:
-        out = reducer(out, a)
-    return out
+        r = np.sqrt(v)
+        if not dual:
+            return r
+        if np.any((v == 0.0) & u.partials.any(axis=0)):
+            raise EvalDomainError("sqrt differentiated at zero")
+        return Dual(r, np.where(r != 0.0, u.partials / (2.0 * r), 0.0 * u.partials))
+    # abs
+    if not dual:
+        return np.abs(v)
+    if np.any((np.abs(v) <= kink_tol) & u.partials.any(axis=0)):
+        raise KinkError("abs differentiated at its kink")
+    return Dual(np.abs(v), np.where(v != 0.0, np.copysign(1.0, v), 0.0) * u.partials)
 
 
 def _vec_finite(v, where):
-    if not np.all(np.isfinite(v)):
+    if not np.all(np.isfinite(_val(v))):
         raise EvalDomainError(f"non-finite value in '{where}'")
     return v
 
 
 def _vec_power(base, expo):
-    bases = np.asarray(base)
-    expos = np.asarray(expo)
-    if expos.ndim == 0 and float(expos).is_integer():
-        n = int(expos)
-        if n < 0 and np.any(bases == 0.0):
-            raise EvalDomainError("zero raised to a negative power")
-        with np.errstate(all="ignore"):
-            return _vec_finite(np.power(base, n), "^")
-    if np.any(bases < 0.0):
+    """:func:`_power` per index point."""
+    bv, ev = _val(base), _val(expo)
+    # the integer rule holds where the exponent is integer-valued and has
+    # zero x-partials; elsewhere the general rule needs a positive base
+    const = ~expo.partials.any(axis=0) if isinstance(expo, Dual) else True
+    integer = const & np.isfinite(ev) & (np.floor(ev) == ev)
+    if np.any(integer & (bv == 0.0) & (ev < 0.0)):
+        raise EvalDomainError("zero raised to a negative power")
+    if np.any(~integer & (bv < 0.0)):
         raise EvalDomainError("negative base with non-integer exponent")
-    if np.any((bases == 0.0) & (expos <= 0.0)):
-        raise EvalDomainError("zero base with nonpositive exponent")
-    with np.errstate(all="ignore"):
-        return _vec_finite(np.power(base, expo), "^")
+    duals = isinstance(base, Dual) or isinstance(expo, Dual)
+    if np.any(~integer & (bv == 0.0) & (duals | (ev <= 0.0))):
+        raise EvalDomainError("zero base with non-integer or non-constant exponent")
+    value = _vec_finite(np.power(bv, ev), "^")
+    if not duals:
+        return value
+    if not isinstance(base, Dual) and np.any(integer):
+        # the integer rule on a plain base gives a plain value
+        if np.all(integer):
+            return value
+        raise _Unbatchable
+    bp = base.partials if isinstance(base, Dual) else 0.0
+    if np.all(integer):
+        return Dual(value, _int_power_partials(bv, ev, bp))
+    ep = expo.partials if isinstance(expo, Dual) else 0.0
+    partials = value * (ep * np.log(bv) + ev * bp / bv)
+    if np.any(integer):
+        partials = np.where(integer, _int_power_partials(bv, ev, bp), partials)
+    return Dual(value, partials)
+
+
+def _int_power_partials(bv, n, bp):
+    # d(u^n) = n u^(n-1) u', and 0 for n = 0
+    return np.where(n == 0.0, 0.0 * bp, n * np.power(bv, n - 1.0) * bp)
+
+
+def _vec_minmax(name, args, kink_tol):
+    """:func:`_fn_minmax` per index point: a stable sort picks among ties."""
+    values = np.array(np.broadcast_arrays(*[np.atleast_1d(_val(a)) for a in args]))
+    order = np.argsort(values, axis=0, kind="stable")
+    best, second = (order[0], order[1]) if name == "min" else (order[-1], order[-2])
+    cols = np.arange(values.shape[1])
+    value = values[best, cols]
+    duals = [a for a in args if isinstance(a, Dual)]
+    if not duals:
+        return value
+    shape = (duals[0].partials.shape[0], values.shape[1])
+    parts = np.array(
+        [np.broadcast_to(a.partials, shape) if isinstance(a, Dual) else np.zeros(shape) for a in args]
+    )
+    chosen = parts[best, :, cols]  # (n, p)
+    tie = np.abs(value - values[second, cols]) <= kink_tol
+    if np.any(tie & ~(chosen == parts[second, :, cols]).all(axis=1)):
+        raise KinkError(f"{name} differentiated at a tie")
+    plain = np.array([not isinstance(a, Dual) for a in args])[best]
+    return Dual(value, np.where(plain, 0.0 * duals[0].partials, chosen.T))
 
 
 def evaluate_many(f: ExprFn, x, tpoints) -> np.ndarray:
     """Evaluate ``f`` at one decision point across many index points.
 
     ``tpoints`` is an (n, arity_t) array; the result has shape (n,).
-    Equivalent to a loop of :func:`evaluate` calls, in one tree walk.
+    Equivalent to a loop of :func:`evaluate` calls, in one tree walk; an
+    error is the one that loop raises.
     """
     xs = _coerce_point(x, f.arity_x, "x")
+    tarr = _index_points(f, tpoints)
+    try:
+        return _values_batched(f, xs, tarr)
+    except _BATCH_FAILURES:
+        return np.array([evaluate(f, xs, t) for t in tarr])
+
+
+def gradient_many(f: ExprFn, x, tpoints, kink_tol: float = DEFAULT_KINK_TOL) -> np.ndarray:
+    """Gradients in x of ``f`` at one decision point across many index points.
+
+    ``tpoints`` is an (n, arity_t) array; the result has shape (n, arity_x).
+    Equivalent to stacking :func:`gradient` over the points, in one tree
+    walk of batched duals; an error is the one that loop raises.
+    """
+    xs = _coerce_point(x, f.arity_x, "x")
+    tarr = _index_points(f, tpoints)
+    try:
+        return _gradients_batched(f, xs, tarr, kink_tol)
+    except _BATCH_FAILURES:
+        return np.array([gradient(f, xs, t, kink_tol) for t in tarr]).reshape(len(tarr), f.arity_x)
+
+
+def _values_batched(f, xs, tarr):
+    with np.errstate(all="ignore"):
+        out = _ev_vec(f.ast, xs, _columns(tarr), DEFAULT_KINK_TOL)
+    return _vec_finite(np.broadcast_to(out, tarr.shape[:1]).astype(float), "result")
+
+
+def _gradients_batched(f, xs, tarr, kink_tol):
+    n, p = tarr.shape[0], f.arity_x
+    unit = np.eye(p)
+    duals = [Dual(xs[i], unit[:, i : i + 1]) for i in range(p)]
+    with np.errstate(all="ignore"):
+        out = _ev_vec(f.ast, duals, _columns(tarr), kink_tol)
+    if not isinstance(out, Dual):  # constant in x
+        _vec_finite(out, "result")
+        return np.zeros((n, p))
+    _vec_finite(out.value, "result")
+    g = out.partials + np.zeros((p, n))  # as in `gradient`, -0.0 becomes 0.0
+    if not np.all(np.isfinite(g)):
+        raise EvalDomainError("non-finite gradient component")
+    return np.ascontiguousarray(g.T)
+
+
+def _index_points(f, tpoints):
     tarr = np.asarray(tpoints, dtype=float)
     if tarr.ndim == 1:
         tarr = tarr.reshape(-1, 1) if f.arity_t == 1 else tarr.reshape(1, -1)
@@ -475,13 +599,11 @@ def evaluate_many(f: ExprFn, x, tpoints) -> np.ndarray:
         raise EvalDomainError(
             f"index points have dimension {tarr.shape[1]}, expected {f.arity_t}"
         )
-    tcols = [tarr[:, j] for j in range(f.arity_t)]
-    with np.errstate(all="ignore"):
-        out = _ev_vec(f.ast, xs, tcols)
-    out = np.broadcast_to(np.asarray(out, dtype=float), (tarr.shape[0],)).copy()
-    if not np.all(np.isfinite(out)):
-        raise EvalDomainError("non-finite value in 'result'")
-    return out
+    return tarr
+
+
+def _columns(tarr):
+    return [tarr[:, j] for j in range(tarr.shape[1])]
 
 
 # ---------------------------------------------------------------------------

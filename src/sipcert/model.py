@@ -32,7 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import DEFAULT_KINK_TOL, ExprFn, evaluate, evaluate_many, gradient, linear_expr
+from .expr import (
+    DEFAULT_KINK_TOL,
+    ExprFn,
+    evaluate,
+    evaluate_many,
+    gradient,
+    gradient_many,
+    linear_expr,
+)
 from .expr import substitute as substitute_expr
 from .geometry import Hull, Polyhedron, hull_member, polyhedron_support_infimum
 from .options import Options, resolve_seed
@@ -49,6 +57,7 @@ __all__ = [
     "InfeasibleError",
     "evaluate_family",
     "feasibility",
+    "is_feasible",
     "active_set",
     "FamilyScan",
     "equi_lipschitz_estimate",
@@ -281,16 +290,18 @@ class ParametricFamily(_Family):
         if bad.size:  # the grid missed a violation between its points
             tag, value = _param_tag(refined[bad[0]]), float(refined_values[bad[0]])
             raise InfeasibleError(FeasibilityReport(False, value, tag, True, ((tag, value),)))
-        entries = []
         near = _clamp(refined_values, opts.tol_feas).tolist()
-        for seed_value, t, value in zip(values[seeds], refined, near):
+        keep = []
+        for i, (t, value) in enumerate(zip(refined, near)):
             if value <= eps_cap and t.tobytes() not in seen:
                 seen.add(t.tobytes())
-                entry = ActiveEntry(
-                    _param_tag(t), tuple(t), value, gradient(self.h, x, t, opts.tol_kink)
-                )
-                entries.append((max(float(seed_value), value), entry))
-        return entries
+                keep.append(i)
+        kept = refined[keep]
+        grads = gradient_many(self.h, x, kept, opts.tol_kink)
+        return [
+            (max(float(values[seeds[i]]), near[i]), ActiveEntry(_param_tag(t), tuple(t), near[i], g))
+            for i, t, g in zip(keep, kept, grads)
+        ]
 
     def _index_points(self, grid):
         return self.index.grid_points(grid)
@@ -299,7 +310,7 @@ class ParametricFamily(_Family):
         return evaluate_many(self.h, x, points)
 
     def _indexed_gradients(self, x, idx, grid, kink_tol):
-        return [gradient(self.h, x, t, kink_tol) for t in self.index.points_at(idx, grid)]
+        return list(gradient_many(self.h, x, self.index.points_at(idx, grid), kink_tol))
 
     def _indexed_labels(self, idx, grid):
         return [(_param_tag(t), tuple(t)) for t in self.index.points_at(idx, grid)]
@@ -431,10 +442,8 @@ def evaluate_family(
     and constrained branches.  The minimum is the first smallest row; tags
     are formatted for it and for the violations only.
     """
-    if prob.inner_map is not None:
-        raise ValueError("compose the inner map before feasibility checks")
+    values, eq_violation = _residuals(prob, x, grid)
     family = prob.family
-    values = family.values(x, grid) if family is not None else np.zeros(0)
     min_value, min_tag, violations = float("inf"), "(none)", ()
     if values.size:
         row = int(np.argmin(values))
@@ -443,8 +452,7 @@ def evaluate_family(
         violations = tuple(
             (tag, float(values[r])) for r, (tag, _) in zip(bad, family.labels(bad, grid))
         )
-    eq_violation = max((abs(evaluate(h, x)) for h in prob.equality or ()), default=0.0)
-    feasible = not violations and eq_violation <= tol_feas
+    feasible = _feasible(values, eq_violation, tol_feas)
     boundary = min_value <= tol_feas
     return values, FeasibilityReport(feasible, min_value, min_tag, boundary, violations, eq_violation)
 
@@ -452,6 +460,24 @@ def evaluate_family(
 def feasibility(prob: Problem, x, tol_feas: float = 1e-9, grid: int | None = None) -> FeasibilityReport:
     """The report of :func:`evaluate_family`, without the values."""
     return evaluate_family(prob, x, tol_feas, grid)[1]
+
+
+def is_feasible(prob: Problem, x, tol_feas: float = 1e-9, grid: int | None = None) -> bool:
+    """``feasibility(prob, x, tol_feas, grid).feasible``, without formatting a tag."""
+    return _feasible(*_residuals(prob, x, grid), tol_feas)
+
+
+def _residuals(prob, x, grid):
+    """Every discretized member's value at x, and the largest equality residual."""
+    if prob.inner_map is not None:
+        raise ValueError("compose the inner map before feasibility checks")
+    values = prob.family.values(x, grid) if prob.family is not None else np.zeros(0)
+    eq_violation = max((abs(evaluate(h, x)) for h in prob.equality or ()), default=0.0)
+    return values, eq_violation
+
+
+def _feasible(values, eq_violation, tol_feas):
+    return not np.any(values < -tol_feas) and eq_violation <= tol_feas
 
 
 def _refine_axis_all(h, x, tpoints, axis, lo, hi, depth):

@@ -156,6 +156,31 @@ class TestCertify:
         assert json.loads(capsys.readouterr().out)["verdict"] in ("KKT", "FJ")
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("name", ["sip_linear", "sip_trig", "near_active"])
+    def test_certify_differentiates_the_grid_in_one_batch(self, name, monkeypatch, capsys):
+        # the scan's near-active grid points and their refined twins each
+        # take one batched call; the scalar gradient serves the objective
+        # and the listed members only
+        from sipcert import cli, expr, model, multipliers
+
+        calls = {"gradient": 0, "gradient_many": 0}
+
+        def counting(fn):
+            def counted(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        for module in (expr, model, multipliers):
+            for attr in calls:
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, counting(getattr(module, attr)))
+        assert cli.main(["certify", fixture_path(name), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] in ("KKT", "FJ")
+        listed = 1 if name == "near_active" else 0  # near_active lists phi0 = x1
+        assert calls == {"gradient": 1 + listed, "gradient_many": 2}
+
 
 class TestTcset:
     def test_near_active_final_generators(self):
@@ -241,6 +266,19 @@ class TestScan:
         )
         assert code == 3
         assert report["error"] == "empty feasible grid"
+
+    def test_scan_formats_no_tags(self, monkeypatch, capsys):
+        # feasibility at each decision-grid point needs only the values
+        from sipcert import cli, model
+
+        tags = []
+        param_tag = model._param_tag
+        monkeypatch.setattr(model, "_param_tag", lambda t: tags.append(t) or param_tag(t))
+        argv = ["scan", fixture_path("sip_linear"), "--box=-2,2,-2,2", "--grid", "9", "--json"]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert 0 < report["feasible_points"] < 81  # some points violate the family
+        assert tags == []
 
     def test_top_one(self):
         code, report = run_json(

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from sipcert import expr as expr_mod
 from sipcert.expr import (
+    DEFAULT_KINK_TOL,
     Bin,
     EvalDomainError,
+    ExprError,
     ExprFn,
     KinkError,
     Neg,
@@ -17,6 +20,7 @@ from sipcert.expr import (
     evaluate_many,
     format_expr,
     gradient,
+    gradient_many,
     linear_expr,
     parse,
     substitute,
@@ -283,3 +287,149 @@ def test_linear_expr_builder():
     f = linear_expr([2.0, -1.0], 0.5, 2)
     assert evaluate(f, (1.0, 1.0)) == pytest.approx(1.5)
     assert np.array_equal(gradient(f, (0, 0)), [2.0, -1.0])
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except ExprError as err:
+        return None, (type(err), str(err))
+
+
+# random grammar expressions in x1, x2 and t1 over every operator and
+# function, at points drawn from a few round values, so that kinks, ties,
+# zero divisors and domain edges come up often
+_ROUND = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+_LEAF = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]).map(Num),
+    st.sampled_from([Var("x", 0), Var("x", 1), Var("t", 0)]),
+)
+
+
+def _grammar(depth):
+    if depth == 0:
+        return _LEAF
+    sub = st.deferred(lambda: _grammar(depth - 1))
+    return st.one_of(
+        _LEAF,
+        st.tuples(st.sampled_from("+-*/^"), sub, sub).map(lambda a: Bin(*a)),
+        sub.map(Neg),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "log", "sqrt", "abs"]), sub).map(
+            lambda a: Call(a[0], (a[1],))
+        ),
+        st.tuples(st.sampled_from(["min", "max"]), st.lists(sub, min_size=2, max_size=3)).map(
+            lambda a: Call(a[0], tuple(a[1]))
+        ),
+    )
+
+
+class TestBatchedAgreesWithScalarLoop:
+    """``evaluate_many`` / ``gradient_many`` against the scalar loop over rows."""
+
+    def test_integer_power_of_negative_base_per_point(self):
+        # the exponent t1 is integer-valued at t1 = 2, so a negative base is fine
+        f = parse("(t1 - 3)^t1", 1, 1)
+        assert evaluate(f, [0], [2]) == 1.0
+        assert np.array_equal(evaluate_many(f, [0], [[2.0]]), [1.0])
+        assert np.array_equal(expr_mod._values_batched(f, np.zeros(1), np.array([[2.0]])), [1.0])
+        with pytest.raises(EvalDomainError, match="negative base with non-integer exponent"):
+            evaluate_many(f, [0], [[2.0], [2.5]])
+
+    def test_sip_families_match_within_ulps(self, rng):
+        for src, p, m in [
+            ("1 - t1*x1 - (1 - t1)*x2", 2, 1),
+            ("x1*cos(t1) + x2*sin(t1)", 2, 1),
+            ("1 - ((0 + 0.3*x1 - 0.9*x2)*cos(t1)*cos(t2) + (0 + x3)*sin(t2))", 3, 2),
+            ("x1^3*t1 + exp(x2*t1) + abs(x1 - 2) + max(x1, t1 + 3) + sqrt(x2 + t1)", 2, 1),
+        ]:
+            f = parse(src, p, m)
+            x = rng.uniform(0.1, 1.0, size=p)
+            tpoints = rng.uniform(0.0, 1.0, size=(40, m))
+            looped = np.array([gradient(f, x, t) for t in tpoints])
+            batched = gradient_many(f, x, tpoints)
+            assert batched.shape == (40, p)
+            assert np.allclose(batched, looped, rtol=4 * np.finfo(float).eps, atol=0)
+
+    @pytest.mark.parametrize(
+        "src, error",
+        [
+            ("abs(x1 - t1)", "abs differentiated at its kink"),
+            ("min(x1, 1 - t1)", "min differentiated at a tie"),
+            ("max(x1, 2*x1 - t1 + 0.5, t1)", "max differentiated at a tie"),
+            # t1 = 0.5 puts sqrt at zero; t1 = 0.75 takes it negative later
+            ("sqrt(x1 - t1)", "sqrt differentiated at zero"),
+            ("x1/(t1 - 0.5)", "division by zero"),
+        ],
+    )
+    def test_one_bad_row_raises_the_scalar_error(self, src, error):
+        f = parse(src, 1, 1)
+        x = [0.5]
+        tpoints = np.array([[0.0], [0.25], [0.5], [0.75], [1.0]])
+        with pytest.raises(ExprError) as scalar:
+            for t in tpoints:
+                gradient(f, x, t)
+        with pytest.raises(type(scalar.value), match=f"^{error}$"):
+            gradient_many(f, x, tpoints)
+        assert str(scalar.value) == error
+        good = tpoints[:2]  # every bad row is the third
+        assert np.array_equal(gradient_many(f, x, good), [gradient(f, x, t) for t in good])
+
+    def test_exact_ties_pick_like_the_scalar_sort(self):
+        # +0.0 and -0.0 tie: min keeps the first argument, max the last
+        tpoints = np.array([[0.0], [1.0]])
+        for src, sign in [
+            ("min(t1 - t1, -(t1 - t1))", False),
+            ("max(t1 - t1, -(t1 - t1))", True),
+        ]:
+            f = parse(src, 0, 1)
+            looped = [evaluate(f, [], t) for t in tpoints]
+            assert np.signbit(looped).tolist() == [sign, sign]
+            assert np.signbit(evaluate_many(f, [], tpoints)).tolist() == [sign, sign]
+
+    def test_exponent_constant_at_some_points_only(self):
+        # at t1 = 0 the exponent t1*x1 has zero x-partials and is integer, so
+        # the scalar walk keeps 2^(t1*x1) plain there and dual elsewhere
+        f = parse("2^(t1*x1) + (t1 - 1)^(t1*x1)", 1, 1)
+        tpoints = np.array([[0.0], [1.5], [2.0]])
+        with pytest.raises(expr_mod._Unbatchable):
+            expr_mod._gradients_batched(f, np.ones(1), tpoints, DEFAULT_KINK_TOL)
+        looped = [gradient(f, [1.0], t) for t in tpoints]
+        assert np.array_equal(gradient_many(f, [1.0], tpoints), looped)
+
+    def test_tie_with_equal_partials_is_smooth(self):
+        f = parse("min(x1 + t1, t1 + x1, 2)", 1, 1)
+        tpoints = np.array([[0.0], [1.0], [3.0]])
+        assert np.array_equal(gradient_many(f, [0.5], tpoints), [[1.0], [1.0], [0.0]])
+
+    @settings(max_examples=400, derandomize=True)
+    @given(_grammar(3), st.tuples(_ROUND, _ROUND), st.lists(_ROUND, min_size=1, max_size=6))
+    def test_random_expressions(self, ast, x, ts):
+        # derandomized: exp, log and ^ may round differently in the last
+        # place in numpy than in math, and a chance cancellation could turn
+        # that into a large relative difference; a fixed sample reproduces
+        f = ExprFn(ast, 2, 1)
+        tpoints = np.array(ts).reshape(-1, 1)
+        xs = np.array(x)
+        for loop, batched, walk, rtol in [
+            (lambda t: evaluate(f, x, t), lambda: evaluate_many(f, x, tpoints),
+             lambda: expr_mod._values_batched(f, xs, tpoints), 1e-15),
+            (lambda t: gradient(f, x, t), lambda: gradient_many(f, x, tpoints),
+             lambda: expr_mod._gradients_batched(f, xs, tpoints, DEFAULT_KINK_TOL),
+             4 * np.finfo(float).eps),
+        ]:
+            looped, loop_error = _outcome(lambda: np.array([loop(t) for t in tpoints]))
+            result, error = _outcome(batched)
+            assert error == loop_error
+            if loop_error is None:
+                assert np.allclose(result, looped.reshape(result.shape), rtol=rtol, atol=0)
+            # the scalar loop runs only when the batched walk flags a point
+            try:
+                walk()
+                flagged = None
+            except expr_mod._BATCH_FAILURES as err:
+                flagged = err
+            if loop_error is None:
+                assert flagged is None or isinstance(flagged, expr_mod._Unbatchable)
+            else:
+                assert flagged is not None
+
