@@ -39,7 +39,6 @@ from .geometry import (
 )
 from .lp import SimplexError, SimplexSolution, solve_lp
 from .model import (
-    ActiveEntry,
     ActiveSet,
     FiniteFamily,
     IndexSet,

@@ -155,10 +155,6 @@ def _ladder_rows(tc):
     return rows
 
 
-def _tags_for_report(hull):
-    return list(hull.tags) if hull.tags is not None else [f"g{i}" for i in range(len(hull))]
-
-
 def _certificate_payload(cert: Certificate):
     payload = {
         "kind": cert.kind,
@@ -374,7 +370,7 @@ def cmd_tcset(args) -> int:
         "stopped_by": tc.stopped_by,
         "final": {
             "generators": [list(g) for g in tc.final.generators],
-            "tags": _tags_for_report(tc.final),
+            "tags": [tag for tag, _ in tc.labels()],
         },
         "assumptions": _assumptions(loaded),
         "options": _options_payload(opts),

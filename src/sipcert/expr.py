@@ -693,7 +693,10 @@ class _Parser:
     def atom(self):
         kind, text, pos = self.advance()
         if kind == "num":
-            return Num(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"numeric literal {text!r} overflows", pos, ("finite number",))
+            return Num(value)
         if kind == "ident":
             return self.ident(text, pos)
         if text == "(":

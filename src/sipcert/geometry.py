@@ -18,6 +18,7 @@ __all__ = [
     "Hull",
     "Polyhedron",
     "GeometryError",
+    "first_occurrences",
     "hull_member",
     "hull_distance",
     "one_sided_hull_gap",
@@ -36,6 +37,16 @@ DEFAULT_LP_TOL = 1e-9
 
 class GeometryError(Exception):
     """Dimension mismatch, invalid input, or reported LP failure."""
+
+
+def first_occurrences(rows) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct row of an (n, p) array.
+
+    Rows compare bytewise, so ``-0.0`` and ``0.0`` stay apart.
+    """
+    rows = np.ascontiguousarray(rows, dtype=float)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    return np.sort(np.unique(keys, return_index=True)[1])
 
 
 @dataclass(frozen=True)
@@ -65,10 +76,7 @@ class Hull:
 
     def deduped(self) -> "Hull":
         """Drop exactly-repeated generators, keeping the first tag seen."""
-        seen = {}
-        for i, row in enumerate(self.generators):
-            seen.setdefault(row.tobytes(), i)
-        keep = sorted(seen.values())
+        keep = first_occurrences(self.generators)
         tags = tuple(self.tags[i] for i in keep) if self.tags is not None else None
         return Hull(self.generators[keep], tags)
 
@@ -179,20 +187,16 @@ def one_sided_hull_gap(src: Hull, dst: Hull) -> float:
     """max over src generators of their distance to conv(dst).
 
     Generators of ``src`` that literally reappear in ``dst`` contribute
-    zero and are skipped before any LP runs.
+    zero and are skipped before any LP runs, as are repeats within ``src``.
     """
     if len(src) == 0:
         return 0.0
     if len(dst) == 0:
         return float("inf")
-    dst_keys = {row.tobytes() for row in dst.generators}
+    both = np.vstack([dst.generators, src.generators])
+    first = first_occurrences(both)  # a src row equal to a dst row is not first
     gap = 0.0
-    seen = set()
-    for row in src.generators:
-        key = row.tobytes()
-        if key in dst_keys or key in seen:
-            continue
-        seen.add(key)
+    for row in both[first[first >= len(dst)]]:
         gap = max(gap, hull_distance(row, dst))
     return gap
 

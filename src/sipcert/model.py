@@ -16,13 +16,16 @@ fixed order: listed members first (a finite family's members, a parametric
 family's extras), then grid points or facets.  ``values(x, grid)`` is one
 array over every row (listed members through scalar ``evaluate``, grid
 points through one ``evaluate_many``, facets through one matmul);
-``gradients(x, rows, grid, kink_tol)``, ``labels(rows, grid)`` and
-``tag(row, grid)`` serve only the rows a caller asks for.  ``kind`` names
-the family in reports, ``pure_finite`` says it has no sampled part, and
-``substitute(inner)`` composes it with an inner map.
+``gradients(x, rows, grid, kink_tol)`` (one (n, p) array), ``labels(rows,
+grid)`` and ``tag(row, grid)`` serve only the rows a caller asks for.
+``kind`` names the family in reports, ``pure_finite`` says it has no
+sampled part, and ``substitute(inner)`` composes it with an inner map.
 
 A certification evaluates the family once (:func:`evaluate_family`): its
-feasibility report and the near-active scan read the same values.
+feasibility report and the near-active scan read the same values.  The
+scan (:class:`FamilyScan`) is one candidate table in parallel arrays; a
+ladder rung (:class:`ActiveSet`) is an index array into it, so the rungs
+are nested, and tags are formatted only for the rows a report shows.
 Families and problems are immutable after construction.
 """
 
@@ -42,7 +45,7 @@ from .expr import (
     linear_expr,
 )
 from .expr import substitute as substitute_expr
-from .geometry import Hull, Polyhedron, hull_member, polyhedron_support_infimum
+from .geometry import Hull, Polyhedron, first_occurrences, hull_member, polyhedron_support_infimum
 from .options import Options, resolve_seed
 
 __all__ = [
@@ -51,7 +54,6 @@ __all__ = [
     "ParametricFamily",
     "PolyhedralFamily",
     "Problem",
-    "ActiveEntry",
     "ActiveSet",
     "FeasibilityReport",
     "InfeasibleError",
@@ -132,6 +134,10 @@ def _param_tag(t):
     return "t=(" + ", ".join(format(v, ".12g") for v in t) + ")"
 
 
+def _point_labels(points):
+    return [(_param_tag(t), tuple(t)) for t in points]
+
+
 def _clamp(values, tol_feas):
     # small negatives within tolerance are rounding noise, not infeasibility
     return np.where((values < 0.0) & (values >= -tol_feas), 0.0, values)
@@ -154,12 +160,12 @@ class _Family:
         listed = np.array([evaluate(m, x) for _, m in self._listed], dtype=float)
         return np.concatenate([listed, self._indexed_values(x, points)])
 
-    def gradients(self, x, rows, grid: int | None = None, kink_tol=DEFAULT_KINK_TOL) -> list:
-        """Gradients at x of the members in ``rows`` (ascending)."""
+    def gradients(self, x, rows, grid: int | None = None, kink_tol=DEFAULT_KINK_TOL) -> np.ndarray:
+        """Gradients at x of the members in ``rows`` (ascending), one per row."""
         rows = np.asarray(rows, dtype=int)
         d = len(self._listed)
         listed = [gradient(self._listed[r][1], x, kink_tol=kink_tol) for r in rows[rows < d]]
-        return listed + self._indexed_gradients(x, rows[rows >= d] - d, grid, kink_tol)
+        return np.vstack(listed + [self._indexed_gradients(x, rows[rows >= d] - d, grid, kink_tol)])
 
     def labels(self, rows, grid: int | None = None) -> list:
         """(tag, index point or None) of the members in ``rows`` (ascending)."""
@@ -175,9 +181,9 @@ class _Family:
         """Gradient at y of the member an active entry names by (tag, param)."""
         return gradient(dict(self._listed)[tag], y)
 
-    def refine(self, x, rows, values, eps_cap, opts, grid=None) -> list:
-        """Off-grid (gate, ActiveEntry) pairs next to the near-active ``rows``."""
-        return []
+    def refine(self, x, rows, values, eps_cap, opts, grid=None) -> tuple:
+        """Off-grid twins of the near-active ``rows``: (gates, values, points, gradients)."""
+        return np.zeros(0), np.zeros(0), np.zeros((0, 0)), np.zeros((0, len(x)))
 
     def determination(self) -> tuple:
         """(normalized normal, infimum over the set, stated offset) per facet."""
@@ -194,7 +200,7 @@ class _Family:
         return np.zeros(0)
 
     def _indexed_gradients(self, x, idx, grid, kink_tol):
-        return []
+        return np.zeros((0, len(x)))
 
     def _indexed_labels(self, idx, grid):
         return []
@@ -266,19 +272,20 @@ class ParametricFamily(_Family):
             return super().entry_gradient(y, tag, param)
         return gradient(self.h, y, np.asarray(param))
 
-    def refine(self, x, rows, values, eps_cap, opts, grid=None) -> list:
+    def refine(self, x, rows, values, eps_cap, opts, grid=None) -> tuple:
         """Bisect each near-active box grid point toward smaller h.
 
         ``opts.refine_depth`` levels per axis localize T(x).  A refined point
         is gated by the larger of its own and its seed's value, so it joins
-        the ladder exactly when its seed does.
+        the ladder exactly when its seed does.  Twins with value above
+        ``eps_cap``, and twins that repeat a seed or an earlier twin bytewise,
+        are dropped.
         """
         seeds = rows[rows >= len(self.extra)]
         index = self.index
         if index.kind != "box" or opts.refine_depth <= 0 or not len(seeds):
-            return []
+            return super().refine(x, rows, values, eps_cap, opts, grid)
         points = index.points_at(seeds - len(self.extra), grid)
-        seen = {t.tobytes() for t in points}
         steps = index.steps(grid)
         refined = points.copy()
         for axis in range(index.t_dim):
@@ -290,18 +297,12 @@ class ParametricFamily(_Family):
         if bad.size:  # the grid missed a violation between its points
             tag, value = _param_tag(refined[bad[0]]), float(refined_values[bad[0]])
             raise InfeasibleError(FeasibilityReport(False, value, tag, True, ((tag, value),)))
-        near = _clamp(refined_values, opts.tol_feas).tolist()
-        keep = []
-        for i, (t, value) in enumerate(zip(refined, near)):
-            if value <= eps_cap and t.tobytes() not in seen:
-                seen.add(t.tobytes())
-                keep.append(i)
-        kept = refined[keep]
-        grads = gradient_many(self.h, x, kept, opts.tol_kink)
-        return [
-            (max(float(values[seeds[i]]), near[i]), ActiveEntry(_param_tag(t), tuple(t), near[i], g))
-            for i, t, g in zip(keep, kept, grads)
-        ]
+        near = _clamp(refined_values, opts.tol_feas)
+        close = np.flatnonzero(near <= eps_cap)
+        first = first_occurrences(np.vstack([points, refined[close]]))  # seeds come first
+        keep = close[first[first >= len(points)] - len(points)]
+        gates = np.maximum(values[seeds[keep]], near[keep])
+        return gates, near[keep], refined[keep], gradient_many(self.h, x, refined[keep], opts.tol_kink)
 
     def _index_points(self, grid):
         return self.index.grid_points(grid)
@@ -310,10 +311,10 @@ class ParametricFamily(_Family):
         return evaluate_many(self.h, x, points)
 
     def _indexed_gradients(self, x, idx, grid, kink_tol):
-        return list(gradient_many(self.h, x, self.index.points_at(idx, grid), kink_tol))
+        return gradient_many(self.h, x, self.index.points_at(idx, grid), kink_tol)
 
     def _indexed_labels(self, idx, grid):
-        return [(_param_tag(t), tuple(t)) for t in self.index.points_at(idx, grid)]
+        return _point_labels(self.index.points_at(idx, grid))
 
 
 @dataclass(frozen=True)
@@ -358,7 +359,7 @@ class PolyhedralFamily(_Family):
         return normals @ x - offsets
 
     def _indexed_gradients(self, x, idx, grid, kink_tol):
-        return list(self.normalized()[0][idx])
+        return self.normalized()[0][idx]
 
     def _indexed_labels(self, idx, grid):
         return [(f"A[{j}]", None) for j in idx]
@@ -401,24 +402,15 @@ class Problem:
 
 
 @dataclass(frozen=True)
-class ActiveEntry:
-    tag: str
-    param: tuple | None  # index-set point for parametric entries
-    value: float
-    grad: np.ndarray
-
-
-@dataclass(frozen=True)
 class ActiveSet:
+    """One ladder rung: the ascending indices of the scan's candidates with gate <= eps."""
+
     eps: float
-    entries: tuple[ActiveEntry, ...]
+    entries: np.ndarray
+    scan: "FamilyScan"
 
     def hull(self) -> Hull:
-        gens = np.array([e.grad for e in self.entries])
-        return Hull(gens, tags=tuple(e.tag for e in self.entries))
-
-    def tag_set(self) -> frozenset:
-        return frozenset(e.tag for e in self.entries)
+        return Hull(self.scan.grads[self.entries])
 
 
 @dataclass(frozen=True)
@@ -505,30 +497,40 @@ class FamilyScan:
     refinement is deterministic per seed and a seed participates iff its
     own value passes the filter.  ``values`` are those of
     :func:`evaluate_family` at a feasible x.
+
+    The candidates are one table of parallel arrays ``gates``, ``values``
+    and ``grads`` (n, p), indexed by ``candidates``: the near-active family
+    ``rows`` (ascending), then the refined twins at ``points``, seed order.
     """
 
     def __init__(
         self, prob: Problem, x, values, eps_cap: float, opts: Options = Options(), grid=None
     ):
         self.eps_cap = eps_cap
-        self.candidates = []  # (gate, ActiveEntry)
-        family = prob.family
-        if family is None:
-            return
+        self.family = prob.family or _Family()  # no family: no candidates
+        self.grid = grid
         near = _clamp(values, opts.tol_feas)
-        rows = np.flatnonzero((near >= 0.0) & (near <= eps_cap))
-        grads = family.gradients(x, rows, grid, opts.tol_kink)
-        for row, (tag, param), grad in zip(rows, family.labels(rows, grid), grads):
-            value = float(near[row])
-            self.candidates.append((value, ActiveEntry(tag, param, value, grad)))
-        self.candidates += family.refine(x, rows, near, eps_cap, opts, grid)
+        self.rows = np.flatnonzero((near >= 0.0) & (near <= eps_cap))
+        grads = self.family.gradients(x, self.rows, grid, opts.tol_kink)
+        gates, twin_values, self.points, twin_grads = self.family.refine(
+            x, self.rows, near, eps_cap, opts, grid
+        )
+        self.gates = np.concatenate([near[self.rows], gates])
+        self.values = np.concatenate([near[self.rows], twin_values])
+        self.grads = np.vstack([grads, twin_grads])
+        self.candidates = np.arange(self.gates.size)
 
     def at(self, eps: float) -> ActiveSet:
         if eps > self.eps_cap:
             raise ValueError("eps exceeds the scanned cap")
-        return ActiveSet(
-            eps, tuple(entry for gate, entry in self.candidates if gate <= eps)
-        )
+        return ActiveSet(eps, self.candidates[self.gates <= eps], self)
+
+    def labels(self, idx) -> list:
+        """(tag, index point or None) of the candidates ``idx`` (ascending)."""
+        idx = np.asarray(idx, dtype=int)
+        n = self.rows.size
+        listed = self.family.labels(self.rows[idx[idx < n]], self.grid)
+        return listed + _point_labels(self.points[idx[idx >= n] - n])
 
 
 def active_set(
@@ -628,7 +630,7 @@ def admissible_diagnostics(
     if family is None:
         return AdmissibleReport(False, float("inf"), False, 0.0, (), assumptions)
     grads = family.gradients(x, np.arange(values.size), grid, opts.tol_kink)
-    membership = hull_member(np.zeros(prob.p), Hull(np.array(grads)), opts.tol)
+    membership = hull_member(np.zeros(prob.p), Hull(grads), opts.tol)
     lipschitz = equi_lipschitz_estimate(
         prob, x, opts.lipschitz_radius, opts.lipschitz_samples, grid=grid
     )

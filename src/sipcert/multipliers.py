@@ -16,7 +16,7 @@ lies outside the final hull.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,11 +24,12 @@ from .expr import gradient
 from .geometry import (
     Hull,
     caratheodory_reduce,
+    first_occurrences,
     hull_member,
     one_sided_hull_gap,
     segment_hull_member,
 )
-from .model import ActiveSet, FamilyScan, InfeasibleError, Problem, evaluate_family
+from .model import FamilyScan, InfeasibleError, Problem, evaluate_family
 from .options import Options
 
 __all__ = ["TCApprox", "Certificate", "SipMultipliers", "tc_approx", "certify_fj", "sip_multipliers"]
@@ -45,6 +46,8 @@ class TCApprox:
     interior: bool  # inf of the family was strictly positive: empty multiplier set
     inf_value: float
     stopped_by: str  # 'interior'|'finite_shortcut'|'stabilized'|'empty'|'max_steps'
+    # the scan candidate behind each final generator, ascending
+    final_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
     def ladder_table(self):
         rows = []
@@ -52,6 +55,11 @@ class TCApprox:
             gap = self.hausdorff_gaps[k - 1] if k >= 1 else None
             rows.append((eps, len(aset.entries), gap))
         return rows
+
+    def labels(self, idx=None) -> list:
+        """(tag, index point or None) of the final generators ``idx`` (ascending; all by default)."""
+        rows = self.final_rows if idx is None else self.final_rows[np.asarray(idx, dtype=int)]
+        return self.ladder[-1][1].scan.labels(rows) if rows.size else []
 
 
 @dataclass(frozen=True)
@@ -68,6 +76,7 @@ class Certificate:
     approximate: bool = False
     y_star: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
+    support: tuple = ()  # the final-hull index of each coefficient's generator
 
     @property
     def found(self) -> bool:
@@ -80,10 +89,15 @@ class Certificate:
         return tuple((tag, param, self.beta * w / self.lam) for tag, param, w in self.coeffs)
 
 
-def _ladder_gap(prev: Hull, new: Hull) -> float:
-    # hulls genuinely stabilized means neither side drifted: take the larger
-    # of the two one-sided gaps so nested-but-still-shrinking ladders keep going
-    return max(one_sided_hull_gap(prev, new), one_sided_hull_gap(new, prev))
+def _ladder_gap(grads: np.ndarray, prev: np.ndarray, new: np.ndarray) -> float:
+    """Hausdorff gap between the hulls of two rungs, ``new`` nested in ``prev``.
+
+    Hulls genuinely stabilized means neither side drifted, so the gap is the
+    larger one-sided gap.  Every generator of ``new`` is one of ``prev``,
+    which makes that side exactly 0; the other needs only the dropped rows.
+    """
+    dropped = np.setdiff1d(prev, new, assume_unique=True)
+    return one_sided_hull_gap(Hull(grads[dropped]), Hull(grads[new]))
 
 
 def tc_approx(prob: Problem, x, opts: Options = Options(), grid: int | None = None) -> TCApprox:
@@ -110,16 +124,15 @@ def tc_approx(prob: Problem, x, opts: Options = Options(), grid: int | None = No
     converged = False
     stopped_by = "max_steps"
     eps = opts.eps0
-    prev_hull = None
+    prev = None
     for _ in range(opts.max_steps + 1):
         aset = scan.at(eps)
-        if not aset.entries:
+        if not aset.entries.size:
             stopped_by = "empty"
             break
         ladder.append((eps, aset))
-        hull = aset.hull()
-        if prev_hull is not None:  # one gap per rung after the first
-            gaps.append(_ladder_gap(prev_hull, hull))
+        if prev is not None:  # one gap per rung after the first
+            gaps.append(_ladder_gap(scan.grads, prev.entries, aset.entries))
             if (
                 not prob.family.pure_finite
                 and len(gaps) >= 2
@@ -129,19 +142,21 @@ def tc_approx(prob: Problem, x, opts: Options = Options(), grid: int | None = No
                 converged = True
                 stopped_by = "stabilized"
                 break
-        if prob.family.pure_finite and all(e.value <= opts.tol_feas for e in aset.entries):
+        if prob.family.pure_finite and np.all(scan.values[aset.entries] <= opts.tol_feas):
             # the whole surviving family is exactly active: the limit hull
             # is the strictly-active hull, no further shrinking needed
             converged = True
             stopped_by = "finite_shortcut"
             break
-        prev_hull = hull
+        prev = aset
         eps *= opts.shrink
     if not ladder:
         return TCApprox((), Hull(np.zeros((0, p))), False, (), False, report.min_value, stopped_by)
-    final = ladder[-1][1].hull().deduped()
+    rows = ladder[-1][1].entries
+    rows = rows[first_occurrences(scan.grads[rows])]
     return TCApprox(
-        tuple(ladder), final, converged, tuple(gaps), False, report.min_value, stopped_by
+        tuple(ladder), Hull(scan.grads[rows]), converged, tuple(gaps), False,
+        report.min_value, stopped_by, rows,
     )
 
 
@@ -164,7 +179,7 @@ def certify_fj(
     if restrict is not None:
         grad_f = restrict @ grad_f
         if len(tc.final):
-            tc = _restrict_tc(tc, restrict)
+            tc = replace(tc, final=Hull(tc.final.generators @ restrict.T))
     approx = not tc.converged
 
     if tc.interior:
@@ -190,12 +205,12 @@ def certify_fj(
         # boundary point with vanishing objective gradient: (lambda, beta) = (1, 0)
         # directly, skipping a degenerate segment LP
         x_star = tc.final.generators[0]
-        tag = tc.final.tags[0] if tc.final.tags else "g0"
+        (tag, param), = tc.labels([0])
         kind = "kkt" if zero_not_in_tc else "fj"
         residual = float(np.abs(grad_f).max(initial=0.0))
         return Certificate(
-            kind, 1.0, 0.0, x_star, ((tag, _entry_param(tc, 0), 1.0),),
-            residual, zero_not_in_tc, grad_f, tc, approx,
+            kind, 1.0, 0.0, x_star, ((tag, param, 1.0),),
+            residual, zero_not_in_tc, grad_f, tc, approx, support=(0,),
         )
 
     seg = segment_hull_member(np.zeros(tc.final.dim), grad_f, tc.final, opts.tol)
@@ -208,36 +223,14 @@ def certify_fj(
     x_star = tc.final.generators.T @ seg.coeffs if beta > 0 else tc.final.generators[0]
     idx, reduced = caratheodory_reduce(x_star, tc.final, seg.coeffs, opts.tol_lp)
     coeffs = tuple(
-        (_entry_tag(tc, int(i)), _entry_param(tc, int(i)), float(w)) for i, w in zip(idx, reduced)
+        (tag, param, float(w)) for (tag, param), w in zip(tc.labels(idx), reduced)
     )
     x_star = tc.final.generators[idx].T @ reduced if len(idx) else x_star
     residual = float(np.abs(lam * grad_f + beta * x_star).max())
     kind = "kkt" if zero_not_in_tc and lam > 0.0 else "fj"
     return Certificate(
         kind, float(lam), float(beta), x_star, coeffs, residual, zero_not_in_tc,
-        grad_f, tc, approx,
-    )
-
-
-def _entry_tag(tc: TCApprox, i: int):
-    return tc.final.tags[i] if tc.final.tags else f"g{i}"
-
-
-def _entry_param(tc: TCApprox, i: int):
-    # recover the index-set point behind a deduped final-hull generator
-    tag = _entry_tag(tc, i)
-    for _, aset in reversed(tc.ladder):
-        for e in aset.entries:
-            if e.tag == tag:
-                return e.param
-    return None
-
-
-def _restrict_tc(tc: TCApprox, restrict: np.ndarray) -> TCApprox:
-    gens = tc.final.generators @ restrict.T
-    return TCApprox(
-        tc.ladder, Hull(gens, tags=tc.final.tags), tc.converged, tc.hausdorff_gaps,
-        tc.interior, tc.inf_value, tc.stopped_by,
+        grad_f, tc, approx, support=tuple(int(i) for i in idx),
     )
 
 
@@ -306,17 +299,16 @@ def sip_multipliers(
         diff = cert.grad_f - g
         denom = float(diff @ diff)
         lam0 = cert.lam if denom <= 0.0 else float(min(max(-(g @ diff) / denom, 0.0), 1.0))
-        entries = ((_entry_tag(cert.tc, i), _entry_param(cert.tc, i), 1.0 - lam0, g),)
+        (tag, param), = cert.tc.labels([i])
+        entries = ((tag, param, 1.0 - lam0, g),)
         residual = _sip_residual(lam0, cert.grad_f, entries)
         return SipMultipliers(
             True, lam0, entries, residual, bool(cert.zero_not_in_tc), cert.approximate, cert
         )
     else:
         # reduce the combined representation of 0 over {grad f} + support generators
-        support = [(tag, param, w) for tag, param, w in cert.coeffs]
-        atoms = np.vstack([cert.grad_f[None, :]] + [
-            hull.generators[_tag_index(hull, tag)][None, :] for tag, _, _ in support
-        ])
+        support = cert.coeffs
+        atoms = np.vstack([cert.grad_f[None, :], hull.generators[list(cert.support)]])
         weights = np.concatenate([[cert.lam], [cert.beta * w for _, _, w in support]])
         idx, reduced = caratheodory_reduce(
             np.zeros(hull.dim), Hull(atoms), weights, opts.tol_lp
@@ -334,10 +326,6 @@ def sip_multipliers(
         return SipMultipliers(
             True, lam0, entries, residual, bool(cert.zero_not_in_tc), cert.approximate, cert
         )
-
-
-def _tag_index(hull: Hull, tag) -> int:
-    return hull.tags.index(tag)
 
 
 def _sip_residual(lam0, grad_f, entries):

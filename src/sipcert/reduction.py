@@ -10,7 +10,7 @@ implicit-function step of the full reduction unnecessary at first order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -147,16 +147,8 @@ def certify_composed(prob: Problem, x, opts: Options = Options(), grid=None) -> 
     derived = compose_family(prob, x)
     cert = certify_fj(derived, x, opts, grid)
     if cert.found and cert.coeffs:
-        return _with_y_star(cert, _recover_y_star(prob, x, cert))
+        return replace(cert, y_star=_recover_y_star(prob, x, cert))
     return cert
-
-
-def _with_y_star(cert: Certificate, y_star):
-    return Certificate(
-        cert.kind, cert.lam, cert.beta, cert.x_star, cert.coeffs, cert.residual,
-        cert.zero_not_in_tc, cert.grad_f, cert.tc, cert.approximate, y_star,
-        cert.diagnostics,
-    )
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .options import Options, resolve_seed
 from .problemfile import emit_json
 from .reduction import certify_composed, certify_equality, convex_set_multiplier
 
-__all__ = ["run_selftest"]
+__all__ = ["run_selftest", "ladder_nested"]
 
 
 def run_selftest(tol=None, as_json=False) -> int:
@@ -263,23 +263,24 @@ def _check_nesting(opts, rng, samples=10):
         if name == "sip_linear":
             grid = 129
         tc = tc_approx(problem, candidate, fixture_opts, grid)
-        if not _nested(tc):
+        if not ladder_nested(tc):
             return False, f"fixture {name} ladder not nested"
     for _ in range(samples):
         problem, candidate = _random_finite_problem(rng)
         tc = tc_approx(problem, candidate, opts)
-        if not _nested(tc):
+        if not ladder_nested(tc):
             return False, "random instance ladder not nested"
-    return True, "tag sets nested and hulls contained on every ladder"
+    return True, "candidate sets nested and hulls contained on every ladder"
 
 
-def _nested(tc):
-    for (eps_a, aset_a), (eps_b, aset_b) in zip(tc.ladder, tc.ladder[1:]):
-        if not aset_b.tag_set() <= aset_a.tag_set():
+def ladder_nested(tc) -> bool:
+    """Each rung's candidates are among the rung before's, and its gradients in that hull."""
+    for (_, outer), (_, inner) in zip(tc.ladder, tc.ladder[1:]):
+        if not np.isin(inner.entries, outer.entries).all():
             return False
-        outer = aset_a.hull()
-        for entry in aset_b.entries:
-            if not hull_member(entry.grad, outer, 1e-7).member:
+        outer_hull = outer.hull()
+        for grad in inner.hull().generators:
+            if not hull_member(grad, outer_hull, 1e-7).member:
                 return False
     return True
 

@@ -22,6 +22,7 @@ from sipcert.model import FiniteFamily, Problem
 from sipcert.multipliers import certify_fj, sip_multipliers, tc_approx
 from sipcert.options import Options
 from sipcert.reduction import certify_composed, certify_equality, convex_set_multiplier
+from sipcert.selftest import ladder_nested
 
 _PROPERTY_SECONDS = []
 
@@ -263,17 +264,6 @@ def test_criterion_5b_hull_membership_oracle():
     )
 
 
-def _assert_nested(tc):
-    for (_, outer), (_, inner) in zip(tc.ladder, tc.ladder[1:]):
-        if not inner.tag_set() <= outer.tag_set():
-            return False
-        outer_hull = outer.hull()
-        for entry in inner.entries:
-            if not hull_member(entry.grad, outer_hull, 1e-7).member:
-                return False
-    return True
-
-
 def test_criterion_5c_ladder_nesting():
     rng = np.random.default_rng(53)
     started = time.perf_counter()
@@ -286,7 +276,7 @@ def test_criterion_5c_ladder_nesting():
         opts = Options().replace(**loaded.options)
         grid = 129 if (loaded.grid or 0) > 129 else loaded.grid
         tc = tc_approx(problem, loaded.candidate, opts, grid)
-        if not _assert_nested(tc):
+        if not ladder_nested(tc):
             bad.append(name)
     for i in range(50):
         p = 2
@@ -300,7 +290,7 @@ def test_criterion_5c_ladder_nesting():
             members.append(linear_expr(normal, -(float(normal @ x_hat) - slack), p))
         prob = Problem(p, linear_expr(rng.standard_normal(p), 0.0, p), FiniteFamily(tuple(members)))
         tc = tc_approx(prob, x_hat)
-        if not _assert_nested(tc):
+        if not ladder_nested(tc):
             bad.append(f"random#{i}")
     _PROPERTY_SECONDS.append(time.perf_counter() - started)
     assert report(

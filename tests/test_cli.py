@@ -48,6 +48,15 @@ class TestCertify:
         assert proc.returncode == 4
         assert "error" in json.loads(proc.stdout)
 
+    def test_overflowing_literal_exit_four(self, tmp_path):
+        doc = {"dimension": 1, "objective": "x1",
+               "constraints": {"finite": ["1 - x1 + 0*sin(1e999)"]}, "candidate": [1.0]}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        code, report = run_json("certify", str(path))
+        assert code == 4
+        assert "1e999" in report["error"]["message"]
+
     def test_strict_variant_exit_two(self):
         code, report = run_json("certify", fixture_path("strict_active"))
         assert code == 2
@@ -181,6 +190,25 @@ class TestCertify:
         listed = 1 if name == "near_active" else 0  # near_active lists phi0 = x1
         assert calls == {"gradient": 1 + listed, "gradient_many": 2}
 
+    @pytest.mark.parametrize("name", ["sip_linear", "sip_trig"])
+    def test_certify_formats_tags_for_reported_rows_only(self, name, monkeypatch, capsys):
+        # the minimum and the certificate support: at most p + 2 of the 2,050 candidates
+        tags = _count_param_tags(monkeypatch)
+        from sipcert import cli
+
+        assert cli.main(["certify", fixture_path(name), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert 0 < len(tags) <= report["problem"]["dimension"] + 2
+
+
+def _count_param_tags(monkeypatch):
+    from sipcert import model
+
+    tags = []
+    param_tag = model._param_tag
+    monkeypatch.setattr(model, "_param_tag", lambda t: tags.append(t) or param_tag(t))
+    return tags
+
 
 class TestTcset:
     def test_near_active_final_generators(self):
@@ -199,6 +227,15 @@ class TestTcset:
         assert code == 0
         assert report["interior"] is True
         assert report["final"]["generators"] == []
+
+    @pytest.mark.parametrize("name", ["sip_linear", "sip_trig", "near_active"])
+    def test_tcset_formats_tags_for_the_final_hull_only(self, name, monkeypatch, capsys):
+        tags = _count_param_tags(monkeypatch)
+        from sipcert import cli
+
+        assert cli.main(["tcset", fixture_path(name), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert 0 < len(tags) <= len(report["final"]["tags"]) + 1
 
     def test_linear_sip_segment_endpoints(self, tmp_path):
         doc = json.loads(open(fixture_path("sip_linear")).read())
@@ -269,11 +306,9 @@ class TestScan:
 
     def test_scan_formats_no_tags(self, monkeypatch, capsys):
         # feasibility at each decision-grid point needs only the values
-        from sipcert import cli, model
+        from sipcert import cli
 
-        tags = []
-        param_tag = model._param_tag
-        monkeypatch.setattr(model, "_param_tag", lambda t: tags.append(t) or param_tag(t))
+        tags = _count_param_tags(monkeypatch)
         argv = ["scan", fixture_path("sip_linear"), "--box=-2,2,-2,2", "--grid", "9", "--json"]
         assert cli.main(argv) == 0
         report = json.loads(capsys.readouterr().out)

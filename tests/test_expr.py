@@ -83,6 +83,13 @@ class TestParse:
     def test_double_star_power(self):
         assert evaluate(parse("x1**2", 1), [3.0]) == 9.0
 
+    def test_overflowing_literal_is_a_positioned_error(self):
+        # 1e999 would parse to inf, and sin(inf) raise a bare ValueError later
+        with pytest.raises(ParseError) as err:
+            parse("1 - x1 + 0*sin(1e999)", 1)
+        assert err.value.offset == 15
+        assert "1e999" in str(err.value)
+
     def test_parse_error_carries_expected(self):
         with pytest.raises(ParseError) as err:
             parse("(x1", 1)

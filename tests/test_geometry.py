@@ -264,5 +264,12 @@ def test_hull_dedupe_keeps_first_tag():
     assert d.tags == ("a", "b")
 
 
+def test_hull_dedupe_keeps_first_occurrence_and_signed_zeros_apart():
+    gens = np.array([[-0.0, 1.0], [2.0, 3.0], [0.0, 1.0], [2.0, 3.0], [-0.0, 1.0]])
+    d = Hull(gens, tags=("a", "b", "c", "d", "e")).deduped()
+    assert d.tags == ("a", "b", "c")
+    assert [np.signbit(g[0]) for g in d.generators] == [True, False, False]
+
+
 def test_hull_distance_empty_is_infinite():
     assert hull_distance((0.0,), Hull(np.zeros((0, 1)))) == np.inf

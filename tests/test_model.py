@@ -131,15 +131,23 @@ class TestFeasibility:
         assert report.equality_violation == pytest.approx(1.0)
 
 
+def _tags(aset):
+    return {tag for tag, _ in aset.scan.labels(aset.entries)}
+
+
+def _params(aset):
+    return [param for _, param in aset.scan.labels(aset.entries)]
+
+
 class TestActiveSet:
     def test_near_active_small_eps_keeps_only_phi0(self):
         aset = active_set(near_active_problem(), (0, 0), 0.05)
-        assert aset.tag_set() == {"phi0"}
-        assert np.array_equal(aset.entries[0].grad, [1.0, 0.0])
+        assert _tags(aset) == {"phi0"}
+        assert np.array_equal(aset.hull().generators[0], [1.0, 0.0])
 
     def test_near_active_half_eps_includes_slow_members(self):
         aset = active_set(near_active_problem(), (0, 0), 0.5)
-        tags = aset.tag_set()
+        tags = _tags(aset)
         assert "phi0" in tags
         # exactly the k with 1/k <= 0.5
         assert len(tags) == 1 + sum(1 for k in range(1, 11) if 1.0 / k <= 0.5)
@@ -147,9 +155,9 @@ class TestActiveSet:
     def test_linear_sip_everything_active(self):
         prob = linear_sip_problem(65)
         aset = active_set(prob, (1, 1), 1e-9)
-        params = [e.param[0] for e in aset.entries]
+        params = [param[0] for param in _params(aset)]
         assert len(params) >= 65  # all grid points, plus refined duplicates
-        assert all(e.value == 0.0 for e in aset.entries)
+        assert all(aset.scan.values[aset.entries] == 0.0)
 
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleError):
@@ -170,7 +178,7 @@ class TestActiveSet:
         smaller = eps * shrink_factor
         big = active_set(near_active_problem(), (0, 0), eps)
         small = active_set(near_active_problem(), (0, 0), smaller)
-        assert small.tag_set() <= big.tag_set()
+        assert _tags(small) <= _tags(big)
 
     def test_scan_filter_matches_direct(self):
         prob = linear_sip_problem(33)
@@ -180,7 +188,7 @@ class TestActiveSet:
         for eps in (0.5, 0.1, 1e-6):
             via_scan = scan.at(eps)
             direct = active_set(prob, (1, 1), eps, opts)
-            assert via_scan.tag_set() == direct.tag_set()
+            assert _tags(via_scan) == _tags(direct)
 
     def test_grid_doubling_keeps_refined_tags_close(self):
         # doubling the base grid moves surviving parameters by at most one
@@ -189,16 +197,16 @@ class TestActiveSet:
         opts = Options()
         coarse = active_set(prob, (1, 1), 1e-8, opts, grid=65)
         fine = active_set(prob, (1, 1), 1e-8, opts, grid=129)
-        fine_params = np.array([e.param[0] for e in fine.entries])
+        fine_params = np.array([param[0] for param in _params(fine)])
         cell = (1.0 / 64) / 2**opts.refine_depth
-        for e in coarse.entries:
-            assert np.min(np.abs(fine_params - e.param[0])) <= (1.0 / 64) + cell
+        for param in _params(coarse):
+            assert np.min(np.abs(fine_params - param[0])) <= (1.0 / 64) + cell
 
     def test_negative_within_tolerance_clamps_to_zero(self):
         family = FiniteFamily((parse("x1", 1),), ("phi0",))
         prob = Problem(1, parse("x1", 1), family)
         aset = active_set(prob, [-1e-10], 0.1)
-        assert aset.entries[0].value == 0.0
+        assert aset.scan.values[aset.entries[0]] == 0.0
 
     def test_refinement_finds_a_violation_between_grid_points(self):
         # h >= 0.0024 on the grid 0, 0.25, ..., 1 at x1 = 0.0099, but about
@@ -232,10 +240,10 @@ class TestActiveSet:
         )
         prob = Problem(1, parse("-x1", 1), family)
         aset = active_set(prob, [0.0], 1e-4)
-        assert aset.entries
-        for entry in aset.entries:
-            assert np.hypot(*entry.param) <= 1e-2
-            assert np.array_equal(entry.grad, [1.0])
+        assert aset.entries.size
+        for param, grad in zip(_params(aset), aset.hull().generators):
+            assert np.hypot(*param) <= 1e-2
+            assert np.array_equal(grad, [1.0])
 
 
 class TestEquiLipschitz:

@@ -8,7 +8,6 @@ from sipcert.fixtures import load_fixture
 from sipcert.geometry import (
     Hull,
     hull_distance,
-    hull_member,
     one_sided_hull_gap,
     segment_hull_member,
 )
@@ -20,8 +19,9 @@ from sipcert.model import (
     Problem,
     active_set,
 )
-from sipcert.multipliers import certify_fj, sip_multipliers, tc_approx
+from sipcert.multipliers import _ladder_gap, certify_fj, sip_multipliers, tc_approx
 from sipcert.options import Options
+from sipcert.selftest import ladder_nested
 
 
 def near_active_problem():
@@ -56,7 +56,7 @@ class TestTcApprox:
         assert tc.converged and tc.stopped_by == "stabilized"
         gens = {tuple(g) for g in tc.final.generators}
         assert gens == {(1.0, 0.0), (0.0, 1.0)}
-        tags = set(tc.final.tags)
+        tags = {tag for tag, _ in tc.labels()}
         assert "phi0" in tags and len(tags) == 2
 
     def test_finite_family_shortcut(self):
@@ -101,15 +101,47 @@ class TestTcApprox:
             (linear_sip_problem(65), (1, 1), Options()),
         ):
             tc = tc_approx(prob, x, opts)
-            _assert_nested(tc)
+            assert ladder_nested(tc)
 
 
-def _assert_nested(tc):
-    for (_, outer), (_, inner) in zip(tc.ladder, tc.ladder[1:]):
-        assert inner.tag_set() <= outer.tag_set()
-        outer_hull = outer.hull()
-        for entry in inner.entries:
-            assert hull_member(entry.grad, outer_hull, 1e-7).member
+class TestLadderGap:
+    """Nested rungs: the dropped-rows gap is the two-sided gap, bit for bit, in no more LPs."""
+
+    def _check(self, monkeypatch, grads, prev, new):
+        calls = []
+        distance = geometry.hull_distance
+        monkeypatch.setattr(geometry, "hull_distance", lambda *a: calls.append(a) or distance(*a))
+        outer, inner = Hull(grads[prev]), Hull(grads[new])
+        expected = max(one_sided_hull_gap(outer, inner), one_sided_hull_gap(inner, outer))
+        two_sided = len(calls)
+        gap = _ladder_gap(grads, prev, new)
+        assert gap.hex() == expected.hex()
+        assert len(calls) - two_sided <= two_sided
+        monkeypatch.undo()
+        return gap
+
+    def test_random_nested_hulls_with_repeats_and_signed_zeros(self, monkeypatch, rng):
+        for _ in range(40):
+            n, p = int(rng.integers(4, 14)), int(rng.integers(1, 4))
+            grads = rng.integers(-2, 3, size=(n, p)).astype(float)  # exact repeats
+            i, j = rng.choice(n, size=2, replace=False)
+            grads[j] = grads[i]
+            grads[i, 0], grads[j, 0] = 0.0, -0.0  # equal as numbers, apart as bytes
+            prev = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            new = np.sort(rng.choice(prev, size=int(rng.integers(1, prev.size + 1)), replace=False))
+            self._check(monkeypatch, grads, prev, new)
+
+    def test_sip_trig_ladder(self, monkeypatch):
+        loaded = load_fixture("sip_trig")
+        opts = Options().replace(**loaded.options)
+        tc = tc_approx(loaded.problem, loaded.candidate, opts, loaded.grid)
+        assert len(tc.ladder) >= 3
+        grads = tc.ladder[0][1].scan.grads
+        gaps = [
+            self._check(monkeypatch, grads, prev.entries, new.entries)
+            for (_, prev), (_, new) in zip(tc.ladder, tc.ladder[1:])
+        ]
+        assert [g.hex() for g in gaps] == [g.hex() for g in tc.hausdorff_gaps]
 
 
 class TestCertifyFj:
@@ -172,7 +204,7 @@ class TestCertifyFj:
 
 def _support_gens(cert):
     hull = cert.tc.final
-    return [hull.generators[hull.tags.index(tag)] for tag, _, _ in cert.coeffs]
+    return [hull.generators[i] for i in cert.support]
 
 
 class TestSipMultipliers:
