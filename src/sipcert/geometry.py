@@ -51,21 +51,15 @@ def first_occurrences(rows) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Hull:
-    """Convex hull of finitely many generators, with optional provenance tags."""
+    """Convex hull of finitely many generators."""
 
     generators: np.ndarray  # (n, p)
-    tags: tuple | None = None
 
     def __post_init__(self):
         g = np.atleast_2d(np.asarray(self.generators, dtype=float))
         if g.size == 0:
             g = g.reshape(0, g.shape[-1] if g.ndim == 2 else 0)
         object.__setattr__(self, "generators", g)
-        if self.tags is not None:
-            tags = tuple(self.tags)
-            if len(tags) != len(g):
-                raise GeometryError("one tag per generator required")
-            object.__setattr__(self, "tags", tags)
 
     def __len__(self):
         return self.generators.shape[0]
@@ -73,12 +67,6 @@ class Hull:
     @property
     def dim(self) -> int:
         return self.generators.shape[1]
-
-    def deduped(self) -> "Hull":
-        """Drop exactly-repeated generators, keeping the first tag seen."""
-        keep = first_occurrences(self.generators)
-        tags = tuple(self.tags[i] for i in keep) if self.tags is not None else None
-        return Hull(self.generators[keep], tags)
 
 
 @dataclass(frozen=True)
@@ -184,10 +172,16 @@ def hull_distance(target, hull: Hull) -> float:
 
 
 def one_sided_hull_gap(src: Hull, dst: Hull) -> float:
-    """max over src generators of their distance to conv(dst).
+    """max over src generators of their distance to conv(dst), by as few LPs as exact allows.
 
     Generators of ``src`` that literally reappear in ``dst`` contribute
     zero and are skipped before any LP runs, as are repeats within ``src``.
+    The distance ``u(g) = min_j |g - d_j|_inf`` to the nearest single
+    generator of ``dst`` bounds ``hull_distance(g, dst)`` from above.  The
+    rows are visited in descending ``u``, ties in src order, and the visit
+    stops at the first row with ``u`` at most the gap found so far: no row
+    from there on can raise the maximum.  This is the early-break rule for
+    exact Hausdorff distance (Taha & Hanbury, IEEE TPAMI 37(11), 2015).
     """
     if len(src) == 0:
         return 0.0
@@ -195,10 +189,35 @@ def one_sided_hull_gap(src: Hull, dst: Hull) -> float:
         return float("inf")
     both = np.vstack([dst.generators, src.generators])
     first = first_occurrences(both)  # a src row equal to a dst row is not first
+    rows = both[first[first >= len(dst)]]
+    bound = _nearest_generator_distance(rows, dst.generators)
     gap = 0.0
-    for row in both[first[first >= len(dst)]]:
-        gap = max(gap, hull_distance(row, dst))
+    for k in np.argsort(-bound, kind="stable"):
+        if bound[k] <= gap:
+            break
+        gap = max(gap, hull_distance(rows[k], dst))
     return gap
+
+
+_BOUND_CHUNK = 1 << 18  # rows x generators x coordinates per chunk: about 2 MB of floats
+
+
+def _nearest_generator_distance(rows: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """``min_j |rows[i] - gens[j]|_inf`` for each row i, a few rows at a time.
+
+    The max over coordinates is taken one coordinate at a time, into a
+    (rows, generators) array: numpy reduces a short last axis slowly.
+    """
+    out = np.empty(len(rows))
+    step = max(1, _BOUND_CHUNK // max(1, gens.size))
+    for start in range(0, len(rows), step):
+        chunk = rows[start : start + step]
+        worst = np.abs(chunk[:, None, 0] - gens[None, :, 0])
+        for k in range(1, gens.shape[1]):
+            diff = chunk[:, None, k] - gens[None, :, k]
+            np.maximum(worst, np.abs(diff, out=diff), out=worst)
+        out[start : start + step] = worst.min(axis=1)
+    return out
 
 
 def caratheodory_reduce(target, hull: Hull, coeffs, tol_lp: float = DEFAULT_LP_TOL):

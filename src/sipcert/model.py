@@ -325,6 +325,10 @@ class PolyhedralFamily(_Family):
 
     kind = "polyhedral"
 
+    def __post_init__(self):
+        facets = self._indexed_labels(range(len(self.poly.offsets)), None)
+        object.__setattr__(self, "_facet_rows", {tag: j for j, (tag, _) in enumerate(facets)})
+
     @property
     def arity(self) -> int:
         return self.poly.dim
@@ -337,12 +341,12 @@ class PolyhedralFamily(_Family):
         """The normalized linear members, composed: a finite family tagged A[j]."""
         normals, offsets = self.normalized()
         members = [linear_expr(a, -b, normals.shape[1]) for a, b in zip(normals, offsets)]
-        tags = tuple(self.tag(j) for j in range(len(offsets)))
-        return FiniteFamily(tuple(substitute_expr(m, inner) for m in members), tags)
+        return FiniteFamily(
+            tuple(substitute_expr(m, inner) for m in members), tuple(self._facet_rows)
+        )
 
     def entry_gradient(self, y, tag, param):
-        normals, _ = self.normalized()
-        return normals[[self.tag(j) for j in range(len(normals))].index(tag)]
+        return self.normalized()[0][self._facet_rows[tag]]
 
     def determination(self) -> tuple:
         normals, offsets = self.normalized()

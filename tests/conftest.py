@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+from sipcert.expr import linear_expr, parse
+from sipcert.model import IndexSet, ParametricFamily, Problem
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -11,3 +16,31 @@ settings.load_profile("suite")
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250809)
+
+
+@pytest.fixture
+def sphere_ladder():
+    """Factory: the one-point ladder problem ``h = 1 - x . u(t)`` on a quarter circle or octant.
+
+    ``u(t)`` is the unit circle (one index axis) or sphere (two axes) over
+    ``[0, pi/2]`` per axis.  The candidate is ``u(t*)`` at the grid point
+    ``t_index`` (one grid index per axis) and the objective is
+    ``2 x . u(t*)``: a KKT point whose only active index is t*, so the
+    near-active ladder shrinks around it.  Returns ``(problem, candidate)``.
+    """
+
+    def build(grid, t_index):
+        t = [np.linspace(0.0, math.pi / 2, grid)[i] for i in t_index]
+        if len(t) == 1:
+            text = ("cos(t1)", "sin(t1)")
+            x = np.array([math.cos(t[0]), math.sin(t[0])])
+        else:
+            text = ("cos(t1)*cos(t2)", "sin(t1)*cos(t2)", "sin(t2)")
+            c, s = math.cos(t[1]), math.sin(t[1])
+            x = np.array([math.cos(t[0]) * c, math.sin(t[0]) * c, s])
+        p = len(t) + 1
+        h = parse("1 - " + " - ".join(f"x{k + 1}*{u}" for k, u in enumerate(text)), p, len(t))
+        family = ParametricFamily(h, IndexSet.box([0.0] * len(t), [math.pi / 2] * len(t), grid))
+        return Problem(p, linear_expr(2.0 * x, 0.0, p), family), x
+
+    return build

@@ -1,14 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import sipcert.geometry as geometry
 from sipcert.geometry import (
+    DEFAULT_LP_TOL,
     GeometryError,
     Hull,
     Polyhedron,
     caratheodory_reduce,
     cone_interior_nonempty,
     dual_cone,
+    first_occurrences,
     hull_distance,
     hull_member,
     one_sided_hull_gap,
@@ -16,6 +21,8 @@ from sipcert.geometry import (
     recession_cone,
     segment_hull_member,
 )
+from sipcert.multipliers import tc_approx
+from sipcert.options import Options
 
 
 def H(*rows):
@@ -258,18 +265,137 @@ def test_one_sided_gap_skips_shared_generators():
 
 
 def test_hull_dedupe_keeps_first_tag():
-    hull = Hull(np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]), tags=("a", "b", "c"))
-    d = hull.deduped()
-    assert len(d) == 2
-    assert d.tags == ("a", "b")
+    gens = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    tags = ("a", "b", "c")
+    keep = first_occurrences(gens)
+    assert len(keep) == 2
+    assert tuple(tags[i] for i in keep) == ("a", "b")
 
 
 def test_hull_dedupe_keeps_first_occurrence_and_signed_zeros_apart():
     gens = np.array([[-0.0, 1.0], [2.0, 3.0], [0.0, 1.0], [2.0, 3.0], [-0.0, 1.0]])
-    d = Hull(gens, tags=("a", "b", "c", "d", "e")).deduped()
-    assert d.tags == ("a", "b", "c")
-    assert [np.signbit(g[0]) for g in d.generators] == [True, False, False]
+    tags = ("a", "b", "c", "d", "e")
+    keep = first_occurrences(gens)
+    assert tuple(tags[i] for i in keep) == ("a", "b", "c")
+    assert [np.signbit(g[0]) for g in gens[keep]] == [True, False, False]
 
 
 def test_hull_distance_empty_is_infinite():
     assert hull_distance((0.0,), Hull(np.zeros((0, 1)))) == np.inf
+
+
+def _unpruned_gap(src, dst):
+    """The reference: every deduped src row's LP distance, no pruning."""
+    if len(src) == 0:
+        return 0.0, []
+    if len(dst) == 0:
+        return float("inf"), []
+    both = np.vstack([dst.generators, src.generators])
+    first = first_occurrences(both)
+    rows = both[first[first >= len(dst)]]
+    distances = [hull_distance(row, dst) for row in rows]
+    gap = 0.0
+    for d in distances:
+        gap = max(gap, d)
+    return gap, list(zip(rows, distances))
+
+
+class TestOneSidedGapPruning:
+    """The pruned gap equals the unpruned maximum bit for bit; skipped rows cannot raise it."""
+
+    def _check(self, monkeypatch, src, dst):
+        src, dst = Hull(src), Hull(dst)
+        expected, distances = _unpruned_gap(src, dst)
+        run = []
+        distance = geometry.hull_distance
+        monkeypatch.setattr(
+            geometry, "hull_distance", lambda t, h: run.append(t.tobytes()) or distance(t, h)
+        )
+        gap = one_sided_hull_gap(src, dst)
+        monkeypatch.undo()
+        assert gap.hex() == expected.hex()
+        assert len(run) == len(set(run)) <= len(distances)
+        for row, d in distances:
+            if row.tobytes() not in run:  # skipped
+                assert d <= gap + DEFAULT_LP_TOL
+        return gap, len(run), len(distances)
+
+    def test_random_hulls(self, monkeypatch, rng):
+        run = offered = 0
+        for _ in range(60):
+            p = int(rng.integers(1, 4))
+            dst = rng.integers(-3, 4, size=(int(rng.integers(1, 8)), p)) / 2.0  # ties in u
+            inside = rng.dirichlet(np.ones(len(dst)), size=2) @ dst  # rows in conv(dst)
+            src = np.vstack([
+                rng.integers(-4, 5, size=(int(rng.integers(1, 8)), p)) / 2.0,
+                rng.uniform(-2, 2, size=(int(rng.integers(0, 4)), p)),
+                inside,
+                dst[: int(rng.integers(0, 3))],  # exact repeats of dst rows
+            ])
+            src = np.vstack([src, src[rng.integers(0, len(src), size=2)]])  # repeats in src
+            src[0, 0], src[-1] = 0.0, src[0]
+            src[-1, 0] = -0.0  # equal as numbers, apart as bytes
+            rng.shuffle(src)
+            _, k, n = self._check(monkeypatch, src, dst)
+            run, offered = run + k, offered + n
+        assert run < offered  # the bound does prune
+
+    def test_ties_in_the_bound_go_in_src_order(self, monkeypatch):
+        # both rows are 1 from the single dst generator; only the first needs an LP
+        run = []
+        distance = geometry.hull_distance
+        monkeypatch.setattr(
+            geometry, "hull_distance", lambda t, h: run.append(tuple(t)) or distance(t, h)
+        )
+        assert one_sided_hull_gap(H([0, 1], [1, 0]), H([0, 0])) == 1.0
+        assert run == [(0.0, 1.0)]
+
+    def test_signed_zero_twin_of_a_dst_row(self, monkeypatch):
+        gap, run, offered = self._check(monkeypatch, [[-0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0]])
+        assert (gap, run, offered) == (0.0, 0, 1)
+
+    def test_empty_sides(self, monkeypatch):
+        run = []
+        monkeypatch.setattr(geometry, "hull_distance", lambda *a: run.append(a))
+        assert one_sided_hull_gap(Hull(np.zeros((0, 2))), H([1, 0])) == 0.0
+        assert one_sided_hull_gap(H([1, 0]), Hull(np.zeros((0, 2)))) == np.inf
+        assert run == []
+
+    @pytest.mark.parametrize("grid, t_index", [(1025, [400]), (65, [40, 16])])
+    def test_ladder_rungs(self, monkeypatch, sphere_ladder, grid, t_index):
+        prob, x = sphere_ladder(grid, t_index)
+        tc = tc_approx(prob, x, Options())
+        assert tc.stopped_by == "stabilized"
+        grads = tc.ladder[0][1].scan.grads
+        run = offered = 0
+        for (_, prev), (_, new) in zip(tc.ladder, tc.ladder[1:]):
+            dropped = np.setdiff1d(prev.entries, new.entries)
+            _, k, n = self._check(monkeypatch, grads[dropped], grads[new.entries])
+            run, offered = run + k, offered + n
+            self._check(monkeypatch, grads[new.entries], grads[prev.entries])  # the other side
+        assert 2 * run < offered
+
+
+class TestNearestGeneratorBound:
+    @staticmethod
+    def _broadcast(rows, gens):
+        return np.abs(rows[:, None, :] - gens[None, :, :]).max(axis=2).min(axis=1)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 18])
+    def test_chunks_match_the_broadcast(self, monkeypatch, rng, chunk):
+        monkeypatch.setattr(geometry, "_BOUND_CHUNK", chunk)
+        for n, m, p in [(0, 3, 2), (1, 1, 1), (5, 9, 3), (37, 11, 2), (200, 150, 4)]:
+            rows, gens = rng.standard_normal((n, p)), rng.standard_normal((m, p))
+            got = geometry._nearest_generator_distance(rows, gens)
+            assert got.tobytes() == self._broadcast(rows, gens).tobytes()
+
+    def test_peak_memory_stays_small(self, rng):
+        rows, gens = rng.standard_normal((4096, 2)), rng.standard_normal((4096, 2))
+        tracemalloc.start()
+        try:
+            got = geometry._nearest_generator_distance(rows, gens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20  # the whole broadcast would be 256 MB
+        assert got.shape == (4096,)

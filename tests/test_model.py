@@ -312,6 +312,23 @@ class TestAdmissibleDiagnostics:
             admissible_diagnostics(near_active_problem(), (-1, 0))
 
 
+class TestPolyhedralEntryGradient:
+    def test_every_facet_by_tag_without_formatting_labels(self, monkeypatch, rng):
+        normals = rng.standard_normal((200, 3))
+        family = PolyhedralFamily(Polyhedron(normals, rng.standard_normal(200)))
+        tags = [tag for tag, _ in family.labels(range(200))]
+        expected = family.normalized()[0]
+
+        def no_labels(*args):
+            raise AssertionError("a facet label was formatted")
+
+        monkeypatch.setattr(PolyhedralFamily, "_indexed_labels", no_labels)
+        monkeypatch.setattr(PolyhedralFamily, "tag", no_labels)
+        for j, tag in enumerate(tags):
+            got = family.entry_gradient(np.zeros(3), tag, None)
+            assert got.tobytes() == expected[j].tobytes()
+
+
 class TestProblemValidation:
     def test_arity_checks(self):
         with pytest.raises(ValueError):

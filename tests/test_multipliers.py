@@ -7,6 +7,7 @@ import sipcert.lp as lp
 from sipcert.fixtures import load_fixture
 from sipcert.geometry import (
     Hull,
+    first_occurrences,
     hull_distance,
     one_sided_hull_gap,
     segment_hull_member,
@@ -142,6 +143,30 @@ class TestLadderGap:
             for (_, prev), (_, new) in zip(tc.ladder, tc.ladder[1:])
         ]
         assert [g.hex() for g in gaps] == [g.hex() for g in tc.hausdorff_gaps]
+
+    def test_quarter_circle_ladder_prunes_gap_lps(self, monkeypatch, sphere_ladder):
+        prob, x = sphere_ladder(1025, [400])
+        calls = []
+        distance = geometry.hull_distance
+        monkeypatch.setattr(geometry, "hull_distance", lambda *a: calls.append(a) or distance(*a))
+        tc = tc_approx(prob, x, Options())
+        monkeypatch.undo()
+        assert tc.stopped_by == "stabilized" and len(tc.ladder) >= 3
+        assert len(calls) <= 20  # every dropped row of every rung is 368 LPs
+        grads = tc.ladder[0][1].scan.grads
+        unpruned = [
+            _unpruned_ladder_gap(grads, prev.entries, new.entries)
+            for (_, prev), (_, new) in zip(tc.ladder, tc.ladder[1:])
+        ]
+        assert [g.hex() for g in tc.hausdorff_gaps] == [g.hex() for g in unpruned]
+
+
+def _unpruned_ladder_gap(grads, prev, new):
+    """The largest LP distance of a deduped dropped row to the new rung's hull."""
+    dropped = np.setdiff1d(prev, new, assume_unique=True)
+    both = np.vstack([grads[new], grads[dropped]])
+    first = first_occurrences(both)
+    return max([0.0] + [hull_distance(g, Hull(grads[new])) for g in both[first[first >= len(new)]]])
 
 
 class TestCertifyFj:
