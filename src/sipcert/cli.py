@@ -396,6 +396,7 @@ def cmd_admissible(args) -> int:
     loaded, opts, grid = _load(args)
     candidate = _require_candidate(loaded)
     problem = loaded.problem
+    started = time.perf_counter()
     if problem.inner_map is not None:
         problem = compose_family(problem, candidate)
     try:
@@ -425,6 +426,8 @@ def cmd_admissible(args) -> int:
             "witness": list(interior.witness),
             "margin": interior.margin,
         }
+    # covers the diagnostics and the cone LP
+    report["timings"] = {"total_s": time.perf_counter() - started, **diag.counters}
     if args.json:
         print(emit_json(report))
     else:

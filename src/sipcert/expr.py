@@ -28,16 +28,18 @@ There are two tree walkers.  The scalar one (:func:`evaluate`,
 :func:`gradient`) serves one point at a time: objectives, individually
 listed constraints, and the reference the batched one is tested against.
 The batched one (:func:`evaluate_many`, :func:`gradient_many`) serves one
-decision point across n index points of a parametric constraint: one walk
-over numpy columns, carrying batched duals (values of shape (n,), partials
-of shape (p, n)) for gradients, with every domain, kink and finiteness
-check made per point.  Its results and errors are those of the scalar loop
+decision point across n index points of a parametric constraint
+(:func:`evaluate_many` also takes n decision points, one per index point):
+one walk over numpy columns, carrying batched duals (values of shape (n,),
+partials of shape (p, n)) for gradients, with every domain, kink and
+finiteness check made per point.  Its results and errors are those of the scalar loop
 over the points: when the batched walk flags any point, the scalar loop
 runs and raises the error of the first bad point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -400,7 +402,8 @@ def _unit(n, i):
 
 
 # Batched evaluation: the same tree, numpy arrays across n index points.  A
-# t-variable is a column of shape (n,); an x-variable is a plain number, or,
+# t-variable is a column of shape (n,); an x-variable is a plain number (or
+# a column, when each index point has its own decision point), or,
 # for gradients, a Dual whose partials have shape (p, 1), so every Dual in
 # the walk has a value of shape (n,) (or a scalar) and partials of shape
 # (p, n) (or (p, 1)), and the Dual arithmetic above broadcasts unchanged.
@@ -540,18 +543,29 @@ def _vec_minmax(name, args, kink_tol):
 
 
 def evaluate_many(f: ExprFn, x, tpoints) -> np.ndarray:
-    """Evaluate ``f`` at one decision point across many index points.
+    """Evaluate ``f`` across many index points.
 
-    ``tpoints`` is an (n, arity_t) array; the result has shape (n,).
-    Equivalent to a loop of :func:`evaluate` calls, in one tree walk; an
-    error is the one that loop raises.
+    ``tpoints`` is an (n, arity_t) array; the result has shape (n,).  ``x``
+    is one decision point, or an (n, arity_x) array of them, row i paired
+    with index point i: then each x-variable is a column like a
+    t-variable.  Equivalent to a loop of :func:`evaluate` calls, in one
+    tree walk; an error is the one that loop raises.
     """
-    xs = _coerce_point(x, f.arity_x, "x")
     tarr = _index_points(f, tpoints)
+    if np.ndim(x) == 2:
+        xrows = np.asarray(x, dtype=float)
+        if xrows.shape != (len(tarr), f.arity_x):
+            raise EvalDomainError(
+                f"x has shape {xrows.shape}, expected ({len(tarr)}, {f.arity_x})"
+            )
+        xs = _columns(xrows)
+    else:
+        xs = _coerce_point(x, f.arity_x, "x")
+        xrows = itertools.repeat(xs)
     try:
         return _values_batched(f, xs, tarr)
     except _BATCH_FAILURES:
-        return np.array([evaluate(f, xs, t) for t in tarr])
+        return np.array([evaluate(f, xp, t) for xp, t in zip(xrows, tarr)])
 
 
 def gradient_many(f: ExprFn, x, tpoints, kink_tol: float = DEFAULT_KINK_TOL) -> np.ndarray:

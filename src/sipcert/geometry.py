@@ -28,7 +28,6 @@ __all__ = [
     "dual_cone",
     "cone_interior_nonempty",
     "polyhedron_minimize",
-    "polyhedron_support_infimum",
 ]
 
 DEFAULT_MEMBER_TOL = 1e-8
@@ -347,14 +346,6 @@ def polyhedron_minimize(poly: Polyhedron, z) -> PolyhedronMinimum:
         ray = sol.ray[:p] - sol.ray[p:]
         return PolyhedronMinimum("unbounded", -np.inf, y, ray)
     return PolyhedronMinimum("optimal", float(z @ y), y)
-
-
-def polyhedron_support_infimum(poly: Polyhedron, direction) -> float:
-    """inf over the polyhedron of direction @ y (finite for listed normals)."""
-    result = polyhedron_minimize(poly, direction)
-    if result.status != "optimal":
-        return -np.inf if result.status == "unbounded" else np.inf
-    return result.value
 
 
 def recession_cone(poly: Polyhedron) -> Polyhedron:

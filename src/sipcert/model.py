@@ -31,12 +31,13 @@ Families and problems are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .expr import (
     DEFAULT_KINK_TOL,
+    ExprError,
     ExprFn,
     evaluate,
     evaluate_many,
@@ -45,7 +46,14 @@ from .expr import (
     linear_expr,
 )
 from .expr import substitute as substitute_expr
-from .geometry import Hull, Polyhedron, first_occurrences, hull_member, polyhedron_support_infimum
+from .geometry import (
+    DEFAULT_LP_TOL,
+    Hull,
+    Polyhedron,
+    first_occurrences,
+    hull_member,
+    polyhedron_minimize,
+)
 from .options import Options, resolve_seed
 
 __all__ = [
@@ -160,6 +168,10 @@ class _Family:
         listed = np.array([evaluate(m, x) for _, m in self._listed], dtype=float)
         return np.concatenate([listed, self._indexed_values(x, points)])
 
+    def _values_many(self, xs, points) -> np.ndarray:
+        """``_values_at`` at each row of xs (k, p), stacked (k, rows)."""
+        return np.array([self._values_at(x, points) for x in xs])
+
     def gradients(self, x, rows, grid: int | None = None, kink_tol=DEFAULT_KINK_TOL) -> np.ndarray:
         """Gradients at x of the members in ``rows`` (ascending), one per row."""
         rows = np.asarray(rows, dtype=int)
@@ -185,7 +197,7 @@ class _Family:
         """Off-grid twins of the near-active ``rows``: (gates, values, points, gradients)."""
         return np.zeros(0), np.zeros(0), np.zeros((0, 0)), np.zeros((0, len(x)))
 
-    def determination(self) -> tuple:
+    def determination(self, tol_lp: float = DEFAULT_LP_TOL, counters=None) -> tuple:
         """(normalized normal, infimum over the set, stated offset) per facet."""
         return ()
 
@@ -307,6 +319,14 @@ class ParametricFamily(_Family):
     def _index_points(self, grid):
         return self.index.grid_points(grid)
 
+    def _values_many(self, xs, points) -> np.ndarray:
+        """Listed members point by point; the grid part in one tree walk over
+        every (row of xs, grid point) pair."""
+        k, n = len(xs), len(points)
+        listed = np.array([[evaluate(m, x) for _, m in self._listed] for x in xs], dtype=float)
+        walked = evaluate_many(self.h, np.repeat(xs, n, axis=0), np.tile(points, (k, 1)))
+        return np.hstack([listed.reshape(k, -1), walked.reshape(k, n)])
+
     def _indexed_values(self, x, points):
         return evaluate_many(self.h, x, points)
 
@@ -326,6 +346,11 @@ class PolyhedralFamily(_Family):
     kind = "polyhedral"
 
     def __post_init__(self):
+        norms = np.linalg.norm(self.poly.normals, axis=1)
+        normals, offsets = self.poly.normals / norms[:, None], self.poly.offsets / norms
+        normals.flags.writeable = offsets.flags.writeable = False
+        object.__setattr__(self, "_normals", normals)
+        object.__setattr__(self, "_offsets", offsets)
         facets = self._indexed_labels(range(len(self.poly.offsets)), None)
         object.__setattr__(self, "_facet_rows", {tag: j for j, (tag, _) in enumerate(facets)})
 
@@ -334,8 +359,8 @@ class PolyhedralFamily(_Family):
         return self.poly.dim
 
     def normalized(self):
-        norms = np.linalg.norm(self.poly.normals, axis=1)
-        return self.poly.normals / norms[:, None], self.poly.offsets / norms
+        """(unit normals (m, p), offsets (m,)), bound at construction, read-only."""
+        return self._normals, self._offsets
 
     def substitute(self, inner) -> FiniteFamily:
         """The normalized linear members, composed: a finite family tagged A[j]."""
@@ -346,24 +371,53 @@ class PolyhedralFamily(_Family):
         )
 
     def entry_gradient(self, y, tag, param):
-        return self.normalized()[0][self._facet_rows[tag]]
+        return self._normals[self._facet_rows[tag]]
 
-    def determination(self) -> tuple:
-        normals, offsets = self.normalized()
-        return tuple(
-            (tuple(a), polyhedron_support_infimum(self.poly, a), float(b))
-            for a, b in zip(normals, offsets)
-        )
+    def determination(self, tol_lp: float = DEFAULT_LP_TOL, counters=None) -> tuple:
+        """(normalized normal a_j, infimum of a_j @ y over the set, stated offset c_j) per facet.
+
+        The infimum is at least c_j, since the set obeys facet j, and at
+        most a_j @ v for every point v of the set.  The facets are visited
+        in order, and the minimisers that earlier support LPs returned serve
+        as such points: facet j runs its own LP only when none of them comes
+        within ``tol_lp * (1 + |c_j|)`` of c_j, and otherwise reports
+        ``max(c_j, min_v a_j @ v)``.  A facet through an LP's minimiser is
+        necessary and needs no LP of its own (the extreme-point
+        classification of necessary constraints: Caron, McDonald & Ponic,
+        JOTA 62, 1989).  An unbounded LP gives -inf.  Phase 1 does not see
+        the objective, so after one infeasible LP every infimum is +inf and
+        no further LP runs.  ``counters["support_lps"]``, if given, counts
+        the LPs.
+        """
+        normals, offsets = self._normals, self._offsets
+        reach = np.full(len(offsets), np.inf)  # min over the minimisers v of a_j @ v
+        infima, lps = [], 0
+        for j, (a, c) in enumerate(zip(normals, offsets)):
+            if reach[j] - c <= tol_lp * (1.0 + abs(c)):
+                infima.append(max(float(c), float(reach[j])))
+                continue
+            result = polyhedron_minimize(self.poly, a)
+            lps += 1
+            if result.status == "infeasible":
+                infima += [np.inf] * (len(offsets) - len(infima))
+                break
+            if result.status == "unbounded":
+                infima.append(-np.inf)
+                continue
+            infima.append(result.value)
+            np.minimum(reach, normals @ result.point, out=reach)
+        if counters is not None:
+            counters["support_lps"] = counters.get("support_lps", 0) + lps
+        return tuple((tuple(a), inf, float(c)) for a, inf, c in zip(normals, infima, offsets))
 
     def cone(self) -> Polyhedron | None:
         return self.poly if self.poly.is_cone(tol=1e-12) else None
 
     def _indexed_values(self, x, points):
-        normals, offsets = self.normalized()
-        return normals @ x - offsets
+        return self._normals @ x - self._offsets
 
     def _indexed_gradients(self, x, idx, grid, kink_tol):
-        return self.normalized()[0][idx]
+        return self._normals[idx]
 
     def _indexed_labels(self, idx, grid):
         return [(f"A[{j}]", None) for j in idx]
@@ -552,6 +606,9 @@ def active_set(
     return FamilyScan(prob, x, values, eps, opts, grid).at(eps)
 
 
+_LIPSCHITZ_CHUNK = 1 << 13  # (sample point, index point) pairs per tree walk
+
+
 def equi_lipschitz_estimate(
     prob: Problem,
     x,
@@ -559,6 +616,7 @@ def equi_lipschitz_estimate(
     samples: int,
     seed: int | None = None,
     grid: int | None = None,
+    counters: dict | None = None,
 ) -> float:
     """Monte-Carlo lower bound on the equi-Lipschitz modulus near x.
 
@@ -567,6 +625,16 @@ def equi_lipschitz_estimate(
     (which realize the modulus exactly for linear members), then seeded
     random pairs inside B(x, radius).  Monotone nondecreasing in
     ``samples`` for a fixed seed.
+
+    The sample points, ordered u_1, v_1, u_2, v_2, ..., go through the
+    index grid in chunks of whole pairs, about ``_LIPSCHITZ_CHUNK`` (x, t)
+    points each: a parametric family's grid part is one tree walk per
+    chunk, and each chunk is reduced to its quotients before the next
+    starts.  A pair whose grid alone fills a chunk walks one sample point
+    at a time.  If a chunk's walk flags a point, the chunk is redone one
+    sample point at a time, so the error raised is that of the first bad
+    point in that order.  ``counters["lipschitz_walks"]``, if given, counts
+    the grid walks.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -587,12 +655,38 @@ def equi_lipschitz_estimate(
         if np.linalg.norm(u - v) > 1e-12 * (1.0 + radius):
             pairs.append((u, v))
 
-    best = 0.0
+    best, walks = 0.0, 0
     points = family._index_points(grid)  # one grid for every pair
-    for u, v in pairs:
-        change = np.abs(family._values_at(u, points) - family._values_at(v, points)).max()
-        best = max(best, float(change) / np.linalg.norm(u - v))
+    per_walk = max(1, _LIPSCHITZ_CHUNK // (1 if points is None else len(points)))
+    step = max(1, per_walk // 2)  # pairs per chunk
+    for start in range(0, len(pairs), step):
+        chunk = pairs[start : start + step]
+        quotient, chunk_walks = _chunk_quotient(family, chunk, points, per_walk > 1)
+        best, walks = max(best, quotient), walks + chunk_walks
+    if counters is not None and not family.pure_finite:
+        counters["lipschitz_walks"] = counters.get("lipschitz_walks", 0) + walks
     return best
+
+
+def _chunk_quotient(family, chunk, points, batched):
+    """The largest difference quotient over a chunk of pairs, and the grid walks it took.
+
+    The chunk's values are freed on return, before the next chunk is walked.
+    """
+    xs = np.array([w for pair in chunk for w in pair])  # u_1, v_1, u_2, v_2, ...
+    try:
+        values = family._values_many(xs, points) if batched else None
+    except ExprError:  # redone one point at a time: the first bad point raises
+        values = None
+    walks = int(batched)
+    if values is None:
+        values = [family._values_at(w, points) for w in xs]
+        walks += len(xs)
+    best = 0.0
+    for k, (u, v) in enumerate(chunk):
+        diff = values[2 * k] - values[2 * k + 1]
+        best = max(best, float(np.abs(diff, out=diff).max()) / np.linalg.norm(u - v))
+    return best, walks
 
 
 def _ball_point(rng, center, radius):
@@ -610,6 +704,8 @@ class AdmissibleReport:
     lipschitz_estimate: float
     determination: tuple = ()  # polyhedral: (normalized normal, inf over A, stated offset)
     assumptions: tuple = ()
+    # work done: support LPs and Lipschitz grid walks; not part of the result
+    counters: dict = field(default_factory=dict, compare=False)
 
 
 def admissible_diagnostics(
@@ -621,7 +717,8 @@ def admissible_diagnostics(
     difference between weak-admissible and admissible); (b) the
     equi-Lipschitz estimate; (c) for polyhedral families, the closed-set
     determination by normalized supporting functionals, with each stated
-    offset compared against the LP infimum over the set.
+    offset compared against the infimum over the set.  The report's
+    ``counters`` say how many support LPs and Lipschitz grid walks ran.
     """
     values, report = evaluate_family(prob, x, opts.tol_feas, grid)
     if not report.feasible:
@@ -630,19 +727,21 @@ def admissible_diagnostics(
         "equi-lower-semicontinuity of the inactive members is assumed, not verified",
         "equi-differentiability is exact for the closed expression grammar",
     )
+    counters = {"support_lps": 0, "lipschitz_walks": 0}
     family = prob.family
     if family is None:
-        return AdmissibleReport(False, float("inf"), False, 0.0, (), assumptions)
+        return AdmissibleReport(False, float("inf"), False, 0.0, (), assumptions, counters)
     grads = family.gradients(x, np.arange(values.size), grid, opts.tol_kink)
     membership = hull_member(np.zeros(prob.p), Hull(grads), opts.tol)
     lipschitz = equi_lipschitz_estimate(
-        prob, x, opts.lipschitz_radius, opts.lipschitz_samples, grid=grid
+        prob, x, opts.lipschitz_radius, opts.lipschitz_samples, grid=grid, counters=counters
     )
     return AdmissibleReport(
         zero_in_full_hull=membership.member,
         hull_gap=membership.distance,
         admissible_style=not membership.member,
         lipschitz_estimate=lipschitz,
-        determination=family.determination(),
+        determination=family.determination(opts.tol_lp, counters),
         assumptions=assumptions,
+        counters=counters,
     )

@@ -265,6 +265,24 @@ class TestAdmissible:
         assert code == 0
         assert report["admissible_style"] is True
 
+    def test_timings_block_counts_the_work(self):
+        _, cone = run_json("admissible", fixture_path("cone_orthant"))
+        _, sip = run_json("admissible", fixture_path("sip_linear"))
+        for report in (cone, sip):
+            assert set(report["timings"]) == {"total_s", "support_lps", "lipschitz_walks"}
+            assert report["timings"]["total_s"] > 0.0
+        # the orthant's first minimiser touches both facets; no grid to walk
+        assert (cone["timings"]["support_lps"], cone["timings"]["lipschitz_walks"]) == (1, 0)
+        # 34 sample pairs at grid 1025: 3 pairs (6150 points) per walk
+        assert (sip["timings"]["support_lps"], sip["timings"]["lipschitz_walks"]) == (0, 12)
+
+    def test_reports_identical_modulo_timings(self):
+        _, first = run_json("admissible", fixture_path("cone_hyperplane"))
+        _, second = run_json("admissible", fixture_path("cone_hyperplane"))
+        first.pop("timings")
+        second.pop("timings")
+        assert first == second
+
 
 class TestScan:
     def test_orthant_box_finds_origin(self, tmp_path):

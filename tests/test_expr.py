@@ -408,6 +408,33 @@ class TestBatchedAgreesWithScalarLoop:
         tpoints = np.array([[0.0], [1.0], [3.0]])
         assert np.array_equal(gradient_many(f, [0.5], tpoints), [[1.0], [1.0], [0.0]])
 
+    @settings(max_examples=300, derandomize=True)
+    @given(
+        _grammar(3),
+        st.lists(st.tuples(_ROUND | st.floats(-2, 2), _ROUND | st.floats(-2, 2)), min_size=1, max_size=3),
+        st.lists(_ROUND | st.floats(-2, 2), min_size=1, max_size=5),
+    )
+    def test_decision_point_per_index_point(self, ast, xs, ts):
+        # an (n, p) x pairs row i with index point i: the one walk equals
+        # the one-point walks row by row, bit for bit, and raises their error
+        f = ExprFn(ast, 2, 1)
+        tpoints = np.array(ts).reshape(-1, 1)
+        x = np.array(xs)
+        rows, error = _outcome(lambda: np.concatenate([evaluate_many(f, xi, tpoints) for xi in x]))
+        paired = (np.repeat(x, len(tpoints), axis=0), np.tile(tpoints, (len(x), 1)))
+        result, paired_error = _outcome(lambda: evaluate_many(f, *paired))
+        assert paired_error == error
+        if error is None:
+            assert result.tobytes() == rows.tobytes()
+
+    def test_decision_points_pair_with_index_points(self):
+        f = parse("sqrt(x1) + t1", 1, 1)
+        with pytest.raises(EvalDomainError, match=r"x has shape \(3, 1\), expected \(2, 1\)"):
+            evaluate_many(f, np.ones((3, 1)), np.zeros((2, 1)))
+        assert np.array_equal(evaluate_many(f, [[4.0], [9.0]], [[0.5], [1.0]]), [2.5, 4.0])
+        with pytest.raises(EvalDomainError, match="^sqrt of a negative value$"):
+            evaluate_many(f, [[4.0], [-1.0]], [[0.5], [1.0]])
+
     @settings(max_examples=400, derandomize=True)
     @given(_grammar(3), st.tuples(_ROUND, _ROUND), st.lists(_ROUND, min_size=1, max_size=6))
     def test_random_expressions(self, ast, x, ts):

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sipcert.expr import parse
-from sipcert.geometry import Polyhedron
+from sipcert import model as model_mod
+from sipcert.expr import EvalDomainError, parse
+from sipcert.fixtures import load_fixture
+from sipcert.geometry import Polyhedron, polyhedron_minimize
 from sipcert.model import (
     FamilyScan,
     FiniteFamily,
@@ -344,3 +348,198 @@ class TestProblemValidation:
             inner_map=(parse("x1", 2), parse("x2", 2), parse("x1*x2", 2)),
         )
         assert prob.q == 3
+
+
+def _support_reference(poly, normals):
+    """Facet by facet: inf of a_j @ y over the polyhedron, one LP each."""
+    out = []
+    for a in normals:
+        result = polyhedron_minimize(poly, a)
+        out.append({"optimal": result.value, "unbounded": -np.inf, "infeasible": np.inf}[result.status])
+    return np.array(out)
+
+
+def _counted_support_lps(monkeypatch):
+    calls = []
+
+    def counted(poly, z):
+        calls.append(z)
+        return polyhedron_minimize(poly, z)
+
+    monkeypatch.setattr(model_mod, "polyhedron_minimize", counted)
+    return calls
+
+
+def _redundant_polytope(seed, m=200, p=10):
+    """m facets around the origin: 150 random, 30 loosened copies, 20 repeats.
+
+    The origin is interior, so every support LP starts feasible.
+    """
+    rng = np.random.default_rng(seed)
+    normals = rng.standard_normal((150, p))
+    offsets = -rng.uniform(0.05, 1.0, 150)
+    looser = rng.integers(0, 150, 30)
+    again = rng.integers(0, 150, m - 180)
+    scale = rng.uniform(0.5, 2.0, m - 150)
+    normals = np.vstack([normals, normals[looser], normals[again]])
+    offsets = np.concatenate([offsets, offsets[looser] - rng.uniform(0.1, 1.0, 30), offsets[again]])
+    normals[150:] *= scale[:, None]
+    offsets[150:] *= scale
+    order = rng.permutation(m)
+    return Polyhedron(normals[order], offsets[order])
+
+
+class TestDetermination:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_redundant_polytope_matches_one_lp_per_facet(self, seed):
+        poly = _redundant_polytope(seed)
+        family = PolyhedralFamily(poly)
+        normals, offsets = family.normalized()
+        counters = {}
+        rows = family.determination(Options().tol_lp, counters)
+        reference = _support_reference(poly, normals)
+        assert [r[0] for r in rows] == [tuple(a) for a in normals]
+        assert [r[2] for r in rows] == [float(c) for c in offsets]
+        infima = np.array([r[1] for r in rows])
+        assert np.all(np.abs(infima - reference) <= Options().tol_lp * (1.0 + np.abs(offsets)))
+        assert 0 < counters["support_lps"] < len(offsets)
+
+    def test_cone_needs_one_lp(self, monkeypatch, rng):
+        normals = rng.standard_normal((20, 10))
+        normals[:, 0] = np.abs(normals[:, 0]) + 2.0
+        family = PolyhedralFamily(Polyhedron(normals, np.zeros(20)))
+        reference = _support_reference(family.poly, family.normalized()[0])
+        calls = _counted_support_lps(monkeypatch)
+        counters = {}
+        rows = family.determination(1e-9, counters)
+        # every basic solution of a cone's LP is its apex, which touches every facet
+        assert len(calls) == counters["support_lps"] == 1
+        assert np.all(np.abs([r[1] for r in rows] - reference) <= 1e-9)
+
+    def test_empty_polyhedron_runs_one_lp(self, monkeypatch, rng):
+        normals = np.vstack([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], rng.standard_normal((8, 3))])
+        offsets = np.concatenate([[1.0, 0.0], rng.uniform(-2.0, -1.0, 8)])  # y1 >= 1 and y1 <= 0
+        family = PolyhedralFamily(Polyhedron(normals, offsets))
+        assert np.all(_support_reference(family.poly, family.normalized()[0]) == np.inf)
+        calls = _counted_support_lps(monkeypatch)
+        rows = family.determination(1e-9)
+        assert len(calls) == 1
+        assert [r[1] for r in rows] == [np.inf] * 10
+
+    def test_simplex_lp_count_is_pinned(self, monkeypatch):
+        # y >= 0 and y1 + ... + y4 <= 1: any minimiser is a vertex on four of
+        # the five facets, so the one facet it misses is the only other LP
+        poly = Polyhedron(np.vstack([np.eye(4), -np.ones((1, 4))]), [0.0, 0.0, 0.0, 0.0, -1.0])
+        family = PolyhedralFamily(poly)
+        calls = _counted_support_lps(monkeypatch)
+        rows = family.determination(1e-9)
+        assert len(calls) == 2
+        assert np.allclose([r[1] for r in rows], [0.0, 0.0, 0.0, 0.0, -0.5], atol=1e-12)
+
+    def test_admissible_counters(self):
+        family = PolyhedralFamily(_redundant_polytope(4))
+        counters = {}
+        rows = family.determination(Options().tol_lp, counters)
+        diag = admissible_diagnostics(Problem(10, parse("x1", 10), family), np.zeros(10))
+        assert diag.determination == rows
+        assert diag.counters == {"support_lps": counters["support_lps"], "lipschitz_walks": 0}
+
+
+def _ball_reference(rng, center, radius):
+    direction = rng.standard_normal(center.size)
+    direction /= np.linalg.norm(direction)
+    return center + radius * rng.random() ** (1.0 / center.size) * direction
+
+
+def _lipschitz_reference(prob, x, radius, samples, seed, grid=None):
+    """The estimate as one loop over the sample pairs, every member's values per point."""
+    x = np.asarray(x, dtype=float)
+    p = x.size
+    rng = np.random.default_rng(seed)
+    pairs = [(x + radius * e, x - radius * e) for e in np.eye(p)]
+    while len(pairs) < samples + p:
+        u, v = _ball_reference(rng, x, radius), _ball_reference(rng, x, radius)
+        if np.linalg.norm(u - v) > 1e-12 * (1.0 + radius):
+            pairs.append((u, v))
+    best = 0.0
+    for u, v in pairs:
+        change = np.abs(prob.family.values(u, grid) - prob.family.values(v, grid)).max()
+        best = max(best, float(change) / np.linalg.norm(u - v))
+    return best
+
+
+def _lipschitz_cases():
+    box2 = ParametricFamily(
+        parse("1 - x1*cos(t1)*cos(t2) - x2*sin(t1)*cos(t2) - x3*sin(t2)", 3, 2),
+        IndexSet.box([0.0, 0.0], [1.5, 1.5], 17),
+    )
+    listed = ParametricFamily(
+        parse("exp(x1*t1) - x2*t1^2 + sqrt(x1 + 2)", 2, 1),
+        IndexSet.box([-1.0], [1.0], 65),
+        extra=(parse("log(2 + x1) - x2", 2), parse("abs(x1 - x2)", 2)),
+    )
+    finite = FiniteFamily((parse("sin(x1)*x2", 2), parse("x1^2 - exp(x2)", 2)))
+    poly = PolyhedralFamily(Polyhedron(np.random.default_rng(5).standard_normal((40, 4)), -np.ones(40)))
+    return [
+        ("sip_linear", load_fixture("sip_linear").problem, load_fixture("sip_linear").candidate),
+        ("sip_trig", load_fixture("sip_trig").problem, load_fixture("sip_trig").candidate),
+        ("box2", Problem(3, parse("x1", 3), box2), np.array([0.3, 0.2, 0.1])),
+        ("listed", Problem(2, parse("x1", 2), listed), np.array([0.1, -0.2])),
+        ("near_active", near_active_problem(), np.zeros(2)),
+        ("finite", Problem(2, parse("x1", 2), finite), np.array([0.4, 0.7])),
+        ("polytope", Problem(4, parse("x1", 4), poly), np.zeros(4)),
+    ]
+
+
+class TestLipschitzChunks:
+    @pytest.mark.parametrize("chunk", [None, 1, 40, 200, 1 << 20])
+    @pytest.mark.parametrize("name, prob, x", _lipschitz_cases(), ids=lambda v: v if isinstance(v, str) else "")
+    def test_bitwise_equal_to_the_pair_loop(self, monkeypatch, chunk, name, prob, x):
+        # chunk 1: one sample point per walk; 40 and 200: odd and even
+        # points per walk on the small grids; 2^20: every pair in one walk
+        if chunk is not None:
+            monkeypatch.setattr(model_mod, "_LIPSCHITZ_CHUNK", chunk)
+        for radius, samples, seed in [(0.1, 32, 0), (0.3, 7, 11)]:
+            got = equi_lipschitz_estimate(prob, x, radius, samples, seed=seed)
+            assert got.hex() == _lipschitz_reference(prob, x, radius, samples, seed).hex()
+
+    @pytest.mark.parametrize(
+        "extra, x",
+        [
+            ((), (0.05, 0.0)),
+            ((parse("log(x2 + 0.05)", 2),), (0.05, 0.05)),  # the grid fails first, at v_1
+            ((parse("log(x1 + 0.02)", 2),), (0.05, 0.0)),  # a listed member fails first
+        ],
+    )
+    def test_domain_error_is_the_pair_loop_error(self, extra, x):
+        family = ParametricFamily(parse("sqrt(x1) + t1*x2 + 1", 2, 1), IndexSet.box([0.0], [1.0], 11), extra)
+        prob = Problem(2, parse("x1", 2), family)
+        with pytest.raises(EvalDomainError) as reference:
+            _lipschitz_reference(prob, x, 0.1, 32, 0)
+        with pytest.raises(type(reference.value), match=f"^{reference.value}$"):
+            equi_lipschitz_estimate(prob, x, 0.1, 32, seed=0)
+
+    def test_domain_error_message(self):
+        family = ParametricFamily(parse("sqrt(x1) + t1*x2 + 1", 2, 1), IndexSet.box([0.0], [1.0], 11))
+        with pytest.raises(EvalDomainError, match="^sqrt of a negative value$"):
+            equi_lipschitz_estimate(Problem(2, parse("x1", 2), family), (0.05, 0.0), 0.1, 32)
+
+    def test_walks_per_chunk(self):
+        # grid 257: 31 sample points per walk, so 15 pairs; 34 pairs take 3 walks
+        counters = {}
+        equi_lipschitz_estimate(linear_sip_problem(257), (1, 1), 0.1, 32, seed=1, counters=counters)
+        assert counters == {"lipschitz_walks": 3}
+
+    def test_memory_stays_at_one_sample_point_at_grid_16385(self, sphere_ladder):
+        # a pair's grid fills a chunk, so each sample point walks alone: the
+        # per-pair loop peaked at 0.65 MiB here, one walk over every sample
+        # point at about 52 MiB
+        prob, x = sphere_ladder(16385, [400])
+        equi_lipschitz_estimate(prob, x, 0.1, 32, seed=1)
+        tracemalloc.start()
+        try:
+            equi_lipschitz_estimate(prob, x, 0.1, 32, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
