@@ -5,28 +5,33 @@ Shows how the stabilized hull depends on where the ladder starts -- the
 usual way to audit a certificate whose ladder did not converge.
 
     python scripts/ladder_trace.py problem.json [eps0 ...]
+
+An invalid problem file or eps0 is an input error (exit 4), as in sipcert.
 """
 
 import sys
 
 from sipcert.multipliers import tc_approx
-from sipcert.options import Options
-from sipcert.problemfile import load_problem
+from sipcert.problemfile import ProblemFileError, load_problem, resolve_options
 
 
 def main(argv):
     if len(argv) < 2:
         print(__doc__)
         return 2
-    loaded = load_problem(argv[1])
     eps_values = [float(v) for v in argv[2:]] or [1.0, 1e-1, 1e-2, 1e-3]
+    try:
+        loaded = load_problem(argv[1])
+        runs = [resolve_options(loaded.options, {"eps0": ("eps0", eps0)}) for eps0 in eps_values]
+    except ProblemFileError as err:
+        print(f"error (input): {err}")
+        return 4
     if loaded.candidate is None:
         print("the problem file needs a candidate point")
         return 2
-    for eps0 in eps_values:
-        opts = Options().replace(**loaded.options).replace(eps0=eps0)
+    for opts in runs:
         tc = tc_approx(loaded.problem, loaded.candidate, opts, loaded.grid)
-        print(f"eps0 = {eps0:g}: stopped_by={tc.stopped_by} converged={tc.converged}")
+        print(f"eps0 = {opts.eps0:g}: stopped_by={tc.stopped_by} converged={tc.converged}")
         for rung, (eps, count, gap) in enumerate(tc.ladder_table()):
             gap_s = "-" if gap is None else format(gap, ".3g")
             print(f"  rung {rung}: eps={eps:<12.6g} generators={count:<6d} gap={gap_s}")

@@ -25,7 +25,7 @@ from .geometry import cone_interior_nonempty
 from .model import InfeasibleError, admissible_diagnostics, is_feasible
 from .multipliers import Certificate, certify_fj, sip_multipliers, tc_approx
 from .options import Options
-from .problemfile import LoadedProblem, ProblemFileError, emit_json, load_problem
+from .problemfile import LoadedProblem, ProblemFileError, emit_json, load_problem, resolve_options
 from .reduction import FullCertificate, certify_composed, certify_equality, compose_family
 
 EXIT_OK = 0
@@ -111,13 +111,15 @@ def _print_error(kind, message, args):
 
 def _load(args) -> tuple[LoadedProblem, Options, int | None]:
     loaded = load_problem(args.file)
-    opts = Options().replace(**loaded.options)
-    opts = opts.replace(
-        tol=args.tol,
-        eps0=args.eps0,
-        shrink=args.shrink,
-        max_steps=getattr(args, "max_steps", None),
-        refine_depth=getattr(args, "refine", None),
+    opts = resolve_options(
+        loaded.options,
+        {
+            "--tol": ("tol", args.tol),
+            "--eps0": ("eps0", args.eps0),
+            "--shrink": ("shrink", args.shrink),
+            "--max-steps": ("max_steps", getattr(args, "max_steps", None)),
+            "--refine": ("refine_depth", getattr(args, "refine", None)),
+        },
     )
     flag_grid = getattr(args, "grid", None)
     if flag_grid is not None and flag_grid < 2:
@@ -495,6 +497,7 @@ def cmd_scan(args) -> int:
 def cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
+    resolve_options({}, {"--tol": ("tol", args.tol)})  # the range check, before any work
     return run_selftest(tol=args.tol, as_json=args.json)
 
 

@@ -31,10 +31,11 @@ The batched one (:func:`evaluate_many`, :func:`gradient_many`) serves one
 decision point across n index points of a parametric constraint
 (:func:`evaluate_many` also takes n decision points, one per index point):
 one walk over numpy columns, carrying batched duals (values of shape (n,),
-partials of shape (p, n)) for gradients, with every domain, kink and
-finiteness check made per point.  Its results and errors are those of the scalar loop
-over the points: when the batched walk flags any point, the scalar loop
-runs and raises the error of the first bad point.
+partials of shape (p, n)) for gradients, with every domain and kink check
+made per point and one finiteness test per walk.  Its results and errors
+are those of the scalar loop over the points: when the batched walk flags
+any point, the scalar loop runs and decides, raising the error of the
+first bad point.
 """
 
 from __future__ import annotations
@@ -407,10 +408,14 @@ def _unit(n, i):
 # for gradients, a Dual whose partials have shape (p, 1), so every Dual in
 # the walk has a value of shape (n,) (or a scalar) and partials of shape
 # (p, n) (or (p, 1)), and the Dual arithmetic above broadcasts unchanged.
-# Every check of the scalar walk runs per index point.  The scalar walker
-# stays the n = 1 path and the reference: when the batched walk flags any
-# point, the public functions re-run the scalar loop, which raises the
-# error of the first bad point.
+# Every domain and kink check of the scalar walk runs per index point.  The
+# per-node finiteness checks become one running sum `acc` of (n,) over the
+# checked nodes' values, tested once at the end of the walk: non-finite
+# values flow on until then.  The scalar walker stays the n = 1 path and
+# the reference: when the batched walk flags any point, or the sum is not
+# finite, the public functions re-run the scalar loop, which raises the
+# error of the first bad point (or, if only the sum overflowed, returns
+# the values).
 
 
 class _Unbatchable(Exception):
@@ -420,29 +425,29 @@ class _Unbatchable(Exception):
 _BATCH_FAILURES = (ExprError, ArithmeticError, _Unbatchable)
 
 
-def _ev_vec(node, xs, tcols, kink_tol):
+def _ev_vec(node, xs, tcols, kink_tol, acc):
     if type(node) is Num:
         return node.value
     if type(node) is Var:
         return xs[node.index] if node.kind == "x" else tcols[node.index]
     if type(node) is Neg:
-        return -_ev_vec(node.arg, xs, tcols, kink_tol)
+        return -_ev_vec(node.arg, xs, tcols, kink_tol, acc)
     if type(node) is Bin:
-        left = _ev_vec(node.left, xs, tcols, kink_tol)
-        right = _ev_vec(node.right, xs, tcols, kink_tol)
+        left = _ev_vec(node.left, xs, tcols, kink_tol, acc)
+        right = _ev_vec(node.right, xs, tcols, kink_tol, acc)
         op = node.op
         if op == "+":
-            return _vec_finite(left + right, "+")
+            return _summed(left + right, acc)
         if op == "-":
-            return _vec_finite(left - right, "-")
+            return _summed(left - right, acc)
         if op == "*":
-            return _vec_finite(left * right, "*")
+            return _summed(left * right, acc)
         if op == "/":
             if np.any(_val(right) == 0.0):
                 raise EvalDomainError("division by zero")
-            return _vec_finite(left / right, "/")
-        return _vec_power(left, right)
-    args = [_ev_vec(a, xs, tcols, kink_tol) for a in node.args]
+            return _summed(left / right, acc)
+        return _vec_power(left, right, acc)
+    args = [_ev_vec(a, xs, tcols, kink_tol, acc) for a in node.args]
     name = node.func
     if name in ("min", "max"):
         return _vec_minmax(name, args, kink_tol)
@@ -455,7 +460,7 @@ def _ev_vec(node, xs, tcols, kink_tol):
         return Dual(np.cos(v), -np.sin(v) * u.partials) if dual else np.cos(v)
     if name == "exp":
         r = np.exp(v)
-        return _vec_finite(Dual(r, r * u.partials) if dual else r, "exp")
+        return _summed(Dual(r, r * u.partials) if dual else r, acc)
     if name == "log":
         if np.any(v <= 0.0):
             raise EvalDomainError("log of a nonpositive value")
@@ -477,13 +482,22 @@ def _ev_vec(node, xs, tcols, kink_tol):
     return Dual(np.abs(v), np.where(v != 0.0, np.copysign(1.0, v), 0.0) * u.partials)
 
 
-def _vec_finite(v, where):
-    if not np.all(np.isfinite(_val(v))):
-        raise EvalDomainError(f"non-finite value in '{where}'")
+def _summed(v, acc):
+    # where the scalar walk checks a node for finiteness, the batched walk
+    # adds its values into `acc`, tested once per walk by `_check_sum`
+    np.add(acc, _val(v), out=acc)
     return v
 
 
-def _vec_power(base, expo):
+def _check_sum(acc):
+    # a finite sum proves every summand finite; a non-finite one (or one
+    # that only overflowed) sends the caller to the scalar loop, which
+    # decides per node
+    if not np.isfinite(acc).all():
+        raise EvalDomainError("non-finite value")
+
+
+def _vec_power(base, expo, acc):
     """:func:`_power` per index point."""
     bv, ev = _val(base), _val(expo)
     # the integer rule holds where the exponent is integer-valued and has
@@ -497,7 +511,7 @@ def _vec_power(base, expo):
     duals = isinstance(base, Dual) or isinstance(expo, Dual)
     if np.any(~integer & (bv == 0.0) & (duals | (ev <= 0.0))):
         raise EvalDomainError("zero base with non-integer or non-constant exponent")
-    value = _vec_finite(np.power(bv, ev), "^")
+    value = _summed(np.power(bv, ev), acc)
     if not duals:
         return value
     if not isinstance(base, Dual) and np.any(integer):
@@ -549,7 +563,9 @@ def evaluate_many(f: ExprFn, x, tpoints) -> np.ndarray:
     is one decision point, or an (n, arity_x) array of them, row i paired
     with index point i: then each x-variable is a column like a
     t-variable.  Equivalent to a loop of :func:`evaluate` calls, in one
-    tree walk; an error is the one that loop raises.
+    tree walk with one finiteness test; when the walk flags a point or a
+    non-finite value, that loop runs and decides, so an error is the one
+    it raises.
     """
     tarr = _index_points(f, tpoints)
     if np.ndim(x) == 2:
@@ -584,21 +600,24 @@ def gradient_many(f: ExprFn, x, tpoints, kink_tol: float = DEFAULT_KINK_TOL) -> 
 
 
 def _values_batched(f, xs, tarr):
+    acc = np.zeros(len(tarr))
     with np.errstate(all="ignore"):
-        out = _ev_vec(f.ast, xs, _columns(tarr), DEFAULT_KINK_TOL)
-    return _vec_finite(np.broadcast_to(out, tarr.shape[:1]).astype(float), "result")
+        out = _ev_vec(f.ast, xs, _columns(tarr), DEFAULT_KINK_TOL, acc)
+        out = _summed(np.broadcast_to(out, acc.shape).astype(float), acc)
+        _check_sum(acc)
+    return out
 
 
 def _gradients_batched(f, xs, tarr, kink_tol):
     n, p = tarr.shape[0], f.arity_x
     unit = np.eye(p)
     duals = [Dual(xs[i], unit[:, i : i + 1]) for i in range(p)]
+    acc = np.zeros(n)
     with np.errstate(all="ignore"):
-        out = _ev_vec(f.ast, duals, _columns(tarr), kink_tol)
+        out = _summed(_ev_vec(f.ast, duals, _columns(tarr), kink_tol, acc), acc)
+        _check_sum(acc)
     if not isinstance(out, Dual):  # constant in x
-        _vec_finite(out, "result")
         return np.zeros((n, p))
-    _vec_finite(out.value, "result")
     g = out.partials + np.zeros((p, n))  # as in `gradient`, -0.0 becomes 0.0
     if not np.all(np.isfinite(g)):
         raise EvalDomainError("non-finite gradient component")

@@ -287,9 +287,11 @@ class ParametricFamily(_Family):
     def refine(self, x, rows, values, eps_cap, opts, grid=None) -> tuple:
         """Bisect each near-active box grid point toward smaller h.
 
-        ``opts.refine_depth`` levels per axis localize T(x).  A refined point
-        is gated by the larger of its own and its seed's value, so it joins
-        the ladder exactly when its seed does.  Twins with value above
+        ``opts.refine_depth`` levels per axis localize T(x), each level one
+        tree walk over both quarter points of every seed, so a refinement
+        costs ``refine_depth * t_dim + 1`` walks.  A refined point is gated
+        by the larger of its own and its seed's value, so it joins the
+        ladder exactly when its seed does.  Twins with value above
         ``eps_cap``, and twins that repeat a seed or an earlier twin bytewise,
         are dropped.
         """
@@ -531,15 +533,20 @@ def _feasible(values, eq_violation, tol_feas):
 
 
 def _refine_axis_all(h, x, tpoints, axis, lo, hi, depth):
-    """Halve each [lo_i, hi_i] toward smaller h-values, one axis, all seeds at once."""
-    t = tpoints.copy()
+    """Halve each [lo_i, hi_i] toward smaller h-values, one axis, all seeds at once.
+
+    Each level is one ``evaluate_many`` walk over the 2n stacked quarter
+    points, the left ones first, so an error is the first bad left point's,
+    else the first bad right point's.
+    """
+    n = len(tpoints)
+    t = np.vstack([tpoints, tpoints])
     for _ in range(depth):
         mid = 0.5 * (lo + hi)
-        t[:, axis] = 0.5 * (lo + mid)
-        left = evaluate_many(h, x, t)
-        t[:, axis] = 0.5 * (mid + hi)
-        right = evaluate_many(h, x, t)
-        take_left = left <= right
+        t[:n, axis] = 0.5 * (lo + mid)
+        t[n:, axis] = 0.5 * (mid + hi)
+        both = evaluate_many(h, x, t)
+        take_left = both[:n] <= both[n:]
         hi = np.where(take_left, mid, hi)
         lo = np.where(take_left, lo, mid)
     return 0.5 * (lo + hi)

@@ -8,10 +8,45 @@ from the SIPCERT_SEED environment variable so reports stay reproducible.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 
-__all__ = ["Options", "resolve_seed", "OPTION_KEYS"]
+__all__ = ["Options", "OptionError", "resolve_seed", "OPTION_KEYS"]
+
+
+class OptionError(ValueError):
+    """An option value outside its valid range; ``key`` names the field."""
+
+    def __init__(self, key, message):
+        super().__init__(f"{key} {message}")
+        self.key = key
+        self.message = message
+
+
+def _nonnegative(v):
+    return math.isfinite(v) and v >= 0
+
+
+def _positive(v):
+    return math.isfinite(v) and v > 0
+
+
+# the valid range of every field, checked whenever an Options is built
+_RANGES = {
+    "tol": (_nonnegative, "must be finite and >= 0"),
+    "tol_lp": (_nonnegative, "must be finite and >= 0"),
+    "tol_feas": (_nonnegative, "must be finite and >= 0"),
+    "tol_hull": (_nonnegative, "must be finite and >= 0"),
+    "tol_kink": (_nonnegative, "must be finite and >= 0"),
+    "eps0": (_positive, "must be finite and > 0"),
+    "shrink": (lambda v: 0 < v < 1, "must lie strictly between 0 and 1"),
+    "max_steps": (lambda v: v >= 0, "must be >= 0"),
+    "refine_depth": (lambda v: v >= 0, "must be >= 0"),
+    "k_max": (lambda v: v >= 1, "must be >= 1"),
+    "lipschitz_radius": (_positive, "must be finite and > 0"),
+    "lipschitz_samples": (lambda v: v >= 1, "must be >= 1"),
+}
 
 
 @dataclass(frozen=True)
@@ -29,9 +64,14 @@ class Options:
     lipschitz_radius: float = 0.1
     lipschitz_samples: int = 32
 
+    def __post_init__(self):
+        for key, (valid, message) in _RANGES.items():
+            if not valid(getattr(self, key)):
+                raise OptionError(key, message)
+
     def replace(self, **kwargs) -> "Options":
         known = {k: v for k, v in kwargs.items() if v is not None}
-        return dataclasses.replace(self, **known)
+        return dataclasses.replace(self, **known) if known else self
 
 
 OPTION_KEYS = tuple(f.name for f in dataclasses.fields(Options))

@@ -38,9 +38,9 @@ import numpy as np
 from .expr import ParseError, parse
 from .geometry import Polyhedron
 from .model import FiniteFamily, IndexSet, ParametricFamily, PolyhedralFamily, Problem
-from .options import OPTION_KEYS
+from .options import OPTION_KEYS, OptionError, Options
 
-__all__ = ["ProblemFileError", "LoadedProblem", "load_problem", "emit_json"]
+__all__ = ["ProblemFileError", "LoadedProblem", "load_problem", "resolve_options", "emit_json"]
 
 
 class ProblemFileError(Exception):
@@ -76,11 +76,17 @@ def _parse_expr(src, arity_x, arity_t, where):
         raise ProblemFileError(f"bad expression {src!r}: {err}", where) from err
 
 
+def _is_finite_number(v):
+    # json accepts NaN and Infinity; neither is a valid input anywhere
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _number_list(values, where, length=None):
     _require(isinstance(values, list) and values, "expected a nonempty array of numbers", where)
     out = []
     for i, v in enumerate(values):
-        _require(isinstance(v, (int, float)) and not isinstance(v, bool), "expected a number", f"{where}[{i}]")
+        if not _is_finite_number(v):
+            raise ProblemFileError("expected a finite number", f"{where}[{i}]")
         out.append(float(v))
     if length is not None:
         _require(len(out) == length, f"expected {length} entries", where)
@@ -143,12 +149,12 @@ def load_problem(source) -> LoadedProblem:
         _check_keys(opts, OPTION_KEYS, "$.options")
         int_keys = ("max_steps", "refine_depth", "k_max", "lipschitz_samples")
         for key, value in opts.items():
-            _require(
-                isinstance(value, (int, float)) and not isinstance(value, bool),
-                "option values must be numbers",
-                f"$.options.{key}",
-            )
+            where = f"$.options.{key}"
+            _require(_is_finite_number(value), "option values must be finite numbers", where)
+            if key in int_keys:
+                _require(float(value).is_integer(), "must be an integer", where)
             raw_options[key] = int(value) if key in int_keys else float(value)
+        resolve_options(raw_options)
 
     notes = []
     if "k_max" in raw_options:
@@ -158,6 +164,27 @@ def load_problem(source) -> LoadedProblem:
     except ValueError as err:
         raise ProblemFileError(str(err), "$") from err
     return LoadedProblem(problem, candidate, raw_options, grid, tuple(notes))
+
+
+def resolve_options(file_options, flags=None) -> Options:
+    """The defaults, overridden by a file's ``options``, overridden by
+    ``flags``, a mapping from a flag's name to the (field, value) it sets
+    (a None value leaves the field as it is).
+
+    Every field is range-checked by :class:`Options`; a value out of range
+    is a :class:`ProblemFileError` at ``$.options.<key>``, or at the flag
+    that set it.
+    """
+    flags = flags or {}
+    try:
+        opts = Options(**file_options)
+    except OptionError as err:
+        raise ProblemFileError(err.message, f"$.options.{err.key}") from err
+    try:
+        return opts.replace(**dict(flags.values()))
+    except OptionError as err:
+        flag = next(flag for flag, (key, _) in flags.items() if key == err.key)
+        raise ProblemFileError(err.message, flag) from err
 
 
 def _load_constraints(raw, q):

@@ -79,6 +79,56 @@ class TestCertify:
         code, report = run_json("certify", fixture_path("near_active"), "--eps0", "1e-3")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--shrink", "1.5", "must lie strictly between 0 and 1"),
+            ("--shrink", "0", "must lie strictly between 0 and 1"),
+            ("--eps0", "-1", "must be finite and > 0"),
+            ("--eps0", "inf", "must be finite and > 0"),
+            ("--refine", "-3", "must be >= 0"),
+            ("--max-steps", "-1", "must be >= 0"),
+            ("--tol", "nan", "must be finite and >= 0"),
+        ],
+    )
+    def test_flag_out_of_range_exit_four(self, flag, value, message, capsys):
+        # checked before any computation, and named like --grid 1
+        from sipcert import cli
+
+        argv = ["certify", fixture_path("sip_trig"), f"{flag}={value}", "--json"]
+        assert cli.main(argv) == 4
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"kind": "input", "message": f"{flag}: {message}"}
+
+    def test_selftest_tolerance_checked(self, capsys):
+        from sipcert import cli
+
+        assert cli.main(["selftest", "--tol=-1"]) == 4
+        assert capsys.readouterr().out == "error (input): --tol: must be finite and >= 0\n"
+
+    def test_file_option_out_of_range_exit_four(self, tmp_path, capsys):
+        from sipcert import cli
+
+        doc = json.loads(open(fixture_path("sip_trig")).read())
+        doc["options"] = {"lipschitz_radius": -1}
+        path = tmp_path / "radius.json"
+        path.write_text(json.dumps(doc))
+        for command in ("admissible", "certify"):
+            assert cli.main([command, str(path), "--json"]) == 4
+            error = json.loads(capsys.readouterr().out)["error"]
+            assert error["message"] == "$.options.lipschitz_radius: must be finite and > 0"
+
+    def test_non_finite_candidate_exit_four(self, tmp_path):
+        # json reads NaN; the loader rejects it at its position
+        doc = json.loads(open(fixture_path("near_active")).read())
+        doc["candidate"] = [float("nan"), 0.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        assert '"candidate": [NaN, 0.0]' in path.read_text()
+        code, report = run_json("certify", str(path))
+        assert code == 4
+        assert report["error"]["message"] == "$.candidate[0]: expected a finite number"
+
     def test_missing_candidate_exit_four(self, tmp_path):
         doc = json.loads(open(fixture_path("near_active")).read())
         del doc["candidate"]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -313,12 +314,20 @@ _LEAF = st.one_of(
 )
 
 
-def _grammar(depth):
+# subtrees that overflow at some of those points and whose parent node can
+# map the overflowed value back to a finite one, so that the batched walk's
+# one finiteness test per walk must still send such points to the scalar loop
+_SATURATING = st.sampled_from(
+    [parse(src, 2, 1).ast for src in ("1/exp(800*t1)", "min(exp(800*t1), 1)", "x1^(2000*t1)")]
+)
+
+
+def _grammar(depth, leaf=_LEAF):
     if depth == 0:
-        return _LEAF
-    sub = st.deferred(lambda: _grammar(depth - 1))
+        return leaf
+    sub = st.deferred(lambda: _grammar(depth - 1, leaf))
     return st.one_of(
-        _LEAF,
+        leaf,
         st.tuples(st.sampled_from("+-*/^"), sub, sub).map(lambda a: Bin(*a)),
         sub.map(Neg),
         st.tuples(st.sampled_from(["sin", "cos", "exp", "log", "sqrt", "abs"]), sub).map(
@@ -438,32 +447,72 @@ class TestBatchedAgreesWithScalarLoop:
     @settings(max_examples=400, derandomize=True)
     @given(_grammar(3), st.tuples(_ROUND, _ROUND), st.lists(_ROUND, min_size=1, max_size=6))
     def test_random_expressions(self, ast, x, ts):
-        # derandomized: exp, log and ^ may round differently in the last
-        # place in numpy than in math, and a chance cancellation could turn
-        # that into a large relative difference; a fixed sample reproduces
-        f = ExprFn(ast, 2, 1)
-        tpoints = np.array(ts).reshape(-1, 1)
-        xs = np.array(x)
-        for loop, batched, walk, rtol in [
-            (lambda t: evaluate(f, x, t), lambda: evaluate_many(f, x, tpoints),
-             lambda: expr_mod._values_batched(f, xs, tpoints), 1e-15),
-            (lambda t: gradient(f, x, t), lambda: gradient_many(f, x, tpoints),
-             lambda: expr_mod._gradients_batched(f, xs, tpoints, DEFAULT_KINK_TOL),
-             4 * np.finfo(float).eps),
-        ]:
-            looped, loop_error = _outcome(lambda: np.array([loop(t) for t in tpoints]))
-            result, error = _outcome(batched)
-            assert error == loop_error
-            if loop_error is None:
-                assert np.allclose(result, looped.reshape(result.shape), rtol=rtol, atol=0)
-            # the scalar loop runs only when the batched walk flags a point
-            try:
-                walk()
-                flagged = None
-            except expr_mod._BATCH_FAILURES as err:
-                flagged = err
-            if loop_error is None:
-                assert flagged is None or isinstance(flagged, expr_mod._Unbatchable)
-            else:
-                assert flagged is not None
+        _agrees_with_scalar_loop(ast, x, ts)
 
+    @settings(max_examples=300, derandomize=True)
+    @given(_grammar(2, _LEAF | _SATURATING), st.tuples(_ROUND, _ROUND), st.lists(_ROUND, min_size=1, max_size=6))
+    def test_non_finite_intermediates(self, ast, x, ts):
+        # an overflowed node need not leave the result non-finite: the one
+        # test per walk must catch it all the same, and the scalar loop
+        # must name the node
+        _agrees_with_scalar_loop(ast, x, ts)
+
+    def test_saturating_nodes_raise_the_scalar_error(self):
+        tpoints = np.array([[0.0], [1.0]])
+        for src, error in [
+            ("1/exp(800*t1)", "non-finite value in 'exp'"),
+            ("min(exp(800*t1), 1)", "non-finite value in 'exp'"),
+            ("x1^(2000*t1) - x1^(2000*t1)", "non-finite value in '^'"),
+        ]:
+            f = parse(src, 1, 1)
+            assert evaluate(f, [2.0], [0.0]) in (0.0, 1.0)
+            with pytest.raises(EvalDomainError, match=f"^{re.escape(error)}$"):
+                evaluate_many(f, [2.0], tpoints)
+            with pytest.raises(EvalDomainError, match=f"^{re.escape(error)}$"):
+                gradient_many(f, [2.0], tpoints)
+
+    def test_sum_overflow_returns_the_scalar_values(self):
+        # every node is finite, but the running sum of the nodes is not: the
+        # walk is flagged and the scalar loop returns the values, bit for bit
+        f = parse("(x1*1e308*t1 - 1e308) + x1*1.7e308*t1", 1, 1)
+        x, tpoints = [1.0], np.array([[0.25], [0.5]])
+        with pytest.raises(EvalDomainError):
+            expr_mod._values_batched(f, np.ones(1), tpoints)
+        with pytest.raises(EvalDomainError):
+            expr_mod._gradients_batched(f, np.ones(1), tpoints, DEFAULT_KINK_TOL)
+        looped = np.array([evaluate(f, x, t) for t in tpoints])
+        assert looped.tolist() == [(1e308 * t - 1e308) + 1.7e308 * t for t in (0.25, 0.5)]
+        assert evaluate_many(f, x, tpoints).tobytes() == looped.tobytes()
+        grads = np.array([gradient(f, x, t) for t in tpoints])
+        assert gradient_many(f, x, tpoints).tobytes() == grads.tobytes()
+
+
+def _agrees_with_scalar_loop(ast, x, ts):
+    # derandomized: exp, log and ^ may round differently in the last
+    # place in numpy than in math, and a chance cancellation could turn
+    # that into a large relative difference; a fixed sample reproduces
+    f = ExprFn(ast, 2, 1)
+    tpoints = np.array(ts).reshape(-1, 1)
+    xs = np.array(x)
+    for loop, batched, walk, rtol in [
+        (lambda t: evaluate(f, x, t), lambda: evaluate_many(f, x, tpoints),
+         lambda: expr_mod._values_batched(f, xs, tpoints), 1e-15),
+        (lambda t: gradient(f, x, t), lambda: gradient_many(f, x, tpoints),
+         lambda: expr_mod._gradients_batched(f, xs, tpoints, DEFAULT_KINK_TOL),
+         4 * np.finfo(float).eps),
+    ]:
+        looped, loop_error = _outcome(lambda: np.array([loop(t) for t in tpoints]))
+        result, error = _outcome(batched)
+        assert error == loop_error
+        if loop_error is None:
+            assert np.allclose(result, looped.reshape(result.shape), rtol=rtol, atol=0)
+        # the scalar loop runs only when the batched walk flags a point
+        try:
+            walk()
+            flagged = None
+        except expr_mod._BATCH_FAILURES as err:
+            flagged = err
+        if loop_error is None:
+            assert flagged is None or isinstance(flagged, expr_mod._Unbatchable)
+        else:
+            assert flagged is not None

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sipcert import model as model_mod
-from sipcert.expr import EvalDomainError, parse
+from sipcert.expr import EvalDomainError, evaluate_many, parse
 from sipcert.fixtures import load_fixture
 from sipcert.geometry import Polyhedron, polyhedron_minimize
 from sipcert.model import (
@@ -22,7 +22,7 @@ from sipcert.model import (
     evaluate_family,
     feasibility,
 )
-from sipcert.multipliers import certify_fj
+from sipcert.multipliers import certify_fj, tc_approx
 from sipcert.options import Options
 
 
@@ -543,3 +543,68 @@ class TestLipschitzChunks:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def _two_walk_refine(h, x, tpoints, axis, lo, hi, depth):
+    """The bisection with one walk per quarter point, left then right."""
+    t = tpoints.copy()
+    for _ in range(depth):
+        mid = 0.5 * (lo + hi)
+        t[:, axis] = 0.5 * (lo + mid)
+        left = evaluate_many(h, x, t)
+        t[:, axis] = 0.5 * (mid + hi)
+        right = evaluate_many(h, x, t)
+        take_left = left <= right
+        hi = np.where(take_left, mid, hi)
+        lo = np.where(take_left, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+class TestFusedRefinement:
+    LADDERS = [((1025, [400]), 8), ((65, [40, 16]), 16)]
+
+    @pytest.mark.parametrize("ladder, levels", LADDERS)
+    def test_equals_the_two_walk_bisection(self, monkeypatch, sphere_ladder, ladder, levels):
+        prob, x = sphere_ladder(*ladder)
+        seen = []
+        fused = model_mod._refine_axis_all
+
+        def recorded(h, x, tpoints, axis, lo, hi, depth):
+            out = fused(h, x, tpoints, axis, lo, hi, depth)
+            seen.append((out, _two_walk_refine(h, x, tpoints, axis, lo, hi, depth), len(tpoints)))
+            return out
+
+        monkeypatch.setattr(model_mod, "_refine_axis_all", recorded)
+        tc_approx(prob, x, Options())
+        assert len(seen) == len(ladder[1])  # one call per axis
+        for out, reference, seeds in seen:
+            assert seeds > 1
+            assert out.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("ladder, levels", LADDERS)
+    def test_one_walk_per_level(self, monkeypatch, sphere_ladder, ladder, levels):
+        # the grid, one walk per bisection level and axis, the refined points
+        # (one walk per quarter point, as before, would be 2 * levels)
+        prob, x = sphere_ladder(*ladder)
+        sizes = []
+        walk = model_mod.evaluate_many
+        monkeypatch.setattr(
+            model_mod, "evaluate_many", lambda f, x, t: sizes.append(len(t)) or walk(f, x, t)
+        )
+        tc_approx(prob, x, Options())
+        seeds = sizes[-1]
+        assert sizes == [ladder[0] ** len(ladder[1])] + [2 * seeds] * levels + [seeds]
+
+    def test_left_point_error_comes_first(self):
+        # seed 0 leaves the domain at its right quarter point only (sqrt),
+        # seed 1 at its left one (log): the left walk ran first, so its
+        # error is the one raised
+        h = parse("log(t1 - 0.3) + sqrt(0.65 - t1) + 0*x1", 1, 1)
+        tpoints = np.array([[0.6], [0.2]])
+        lo, hi = np.array([0.4, 0.0]), np.array([0.8, 0.4])
+        for refine in (model_mod._refine_axis_all, _two_walk_refine):
+            with pytest.raises(EvalDomainError, match="^log of a nonpositive value$"):
+                refine(h, [0.0], tpoints, 0, lo, hi, 1)
+        # alone, seed 0 raises its right point's error
+        with pytest.raises(EvalDomainError, match="^sqrt of a negative value$"):
+            model_mod._refine_axis_all(h, [0.0], tpoints[:1], 0, lo[:1], hi[:1], 1)

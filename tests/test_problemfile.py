@@ -1,12 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sipcert.fixtures import fixture_names, load_fixture
+from sipcert.fixtures import fixture_names, fixture_path, load_fixture
 from sipcert.model import FiniteFamily, ParametricFamily, PolyhedralFamily
-from sipcert.problemfile import ProblemFileError, emit_json, load_problem
+from sipcert.problemfile import ProblemFileError, emit_json, load_problem, resolve_options
 
 
 def minimal(**overrides):
@@ -120,6 +121,69 @@ class TestLoad:
     def test_booleans_rejected_as_numbers(self):
         with pytest.raises(ProblemFileError):
             load_problem(minimal(options={"eps0": True}))
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("eps0", 0.0, "must be finite and > 0"),
+            ("shrink", 1.0, "must lie strictly between 0 and 1"),
+            ("max_steps", -1, "must be >= 0"),
+            ("refine_depth", -3, "must be >= 0"),
+            ("refine_depth", 2.5, "must be an integer"),
+            ("k_max", 0, "must be >= 1"),
+            ("lipschitz_radius", -1, "must be finite and > 0"),
+            ("lipschitz_samples", 0, "must be >= 1"),
+            ("tol_lp", -1e-9, "must be finite and >= 0"),
+            ("tol_kink", float("inf"), "option values must be finite numbers"),
+            ("tol", float("nan"), "option values must be finite numbers"),
+        ],
+    )
+    def test_option_ranges_checked_at_load(self, key, value, message):
+        with pytest.raises(ProblemFileError) as err:
+            load_problem(minimal(options={key: value}))
+        assert str(err.value) == f"$.options.{key}: {message}"
+
+    def test_option_range_boundaries_accepted(self):
+        options = {"tol": 0, "max_steps": 0, "refine_depth": 0, "k_max": 1, "lipschitz_samples": 1,
+                   "shrink": 0.999, "eps0": 1e-300, "lipschitz_radius": 1e-300}
+        assert load_problem(minimal(options=options)).options == {**options, "tol": 0.0}
+
+    def test_flags_checked_after_file_options(self):
+        loaded = load_problem(minimal(options={"shrink": 0.25}))
+        opts = resolve_options(loaded.options, {"--shrink": ("shrink", None), "--eps0": ("eps0", 0.5)})
+        assert (opts.shrink, opts.eps0) == (0.25, 0.5)
+        with pytest.raises(ProblemFileError, match=r"^--refine: must be >= 0$"):
+            resolve_options(loaded.options, {"--refine": ("refine_depth", -1)})
+        with pytest.raises(ProblemFileError, match=r"^\$\.options\.shrink: "):
+            resolve_options({"shrink": 2.0}, {"--shrink": ("shrink", 0.5)})
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ('"candidate": [NaN, 0]', "$.candidate[0]"),
+            ('"candidate": [0, -Infinity]', "$.candidate[1]"),
+        ],
+    )
+    def test_non_finite_candidate_rejected(self, text, where):
+        doc = json.dumps(minimal(candidate=[7, 7])).replace('"candidate": [7, 7]', text)
+        with pytest.raises(ProblemFileError) as err:
+            load_problem(doc)
+        assert str(err.value) == f"{where}: expected a finite number"
+
+    def test_non_finite_bounds_and_normals_rejected(self):
+        sip = json.loads(open(fixture_path("sip_trig")).read())
+        sip["constraints"]["parametric"]["box"]["upper"] = [math.inf]
+        with pytest.raises(ProblemFileError) as err:
+            load_problem(sip)
+        assert str(err.value) == "$.constraints.parametric.box.upper[0]: expected a finite number"
+        poly = minimal(constraints={"polyhedral": {"normals": [[1, 0], [0, math.nan]], "offsets": [0, 0]}})
+        with pytest.raises(ProblemFileError) as err:
+            load_problem(poly)
+        assert str(err.value) == "$.constraints.polyhedral.normals[1][1]: expected a finite number"
+        poly["constraints"]["polyhedral"]["normals"][1][1] = 1
+        poly["constraints"]["polyhedral"]["offsets"][0] = -math.inf
+        with pytest.raises(ProblemFileError, match=r"offsets\[0\]: expected a finite number"):
+            load_problem(poly)
 
 
 class TestFixtures:

@@ -11,7 +11,7 @@ from sipcert.fixtures import fixture_path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_script(name, *args, code=0):
     src = str(Path(sipcert.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "PYTHONPATH": path, "SIPCERT_SEED": "0"}
@@ -22,7 +22,7 @@ def run_script(name, *args):
         timeout=300,
         env=env,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return proc.stdout.splitlines()
 
 
@@ -31,6 +31,12 @@ def test_ladder_trace():
     assert lines[0].startswith("eps0 = 0.01: stopped_by=")
     assert lines[1].startswith("  rung 0: eps=0.01")
     assert lines[-1].startswith("  final hull:")
+
+
+def test_ladder_trace_checks_eps0():
+    # the same range check as sipcert certify --eps0
+    lines = run_script("ladder_trace.py", fixture_path("sip_trig"), "0.1", "-1", code=4)
+    assert lines == ["error (input): eps0: must be finite and > 0"]
 
 
 def test_cone_audit():
