@@ -15,12 +15,19 @@ from sipcert.multipliers import tc_approx
 from sipcert.problemfile import ProblemFileError, load_problem, resolve_options
 
 
+def _number(text):
+    try:
+        return float(text)
+    except ValueError:
+        raise ProblemFileError(f"not a number: {text!r}", "eps0") from None
+
+
 def main(argv):
     if len(argv) < 2:
         print(__doc__)
         return 2
-    eps_values = [float(v) for v in argv[2:]] or [1.0, 1e-1, 1e-2, 1e-3]
     try:
+        eps_values = [_number(v) for v in argv[2:]] or [1.0, 1e-1, 1e-2, 1e-3]
         loaded = load_problem(argv[1])
         runs = [resolve_options(loaded.options, {"eps0": ("eps0", eps0)}) for eps0 in eps_values]
     except ProblemFileError as err:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 import time
 
@@ -459,11 +460,18 @@ def cmd_scan(args) -> int:
     problem = loaded.problem
     if problem.inner_map is not None:
         problem = compose_family(problem, np.zeros(problem.p))
-    bounds = [float(v) for v in args.box.split(",")]
+    try:
+        bounds = [float(v) for v in args.box.split(",")]
+    except ValueError:
+        bounds = []
     if len(bounds) != 2 * problem.p:
-        raise ProblemFileError(
-            f"--box needs {2 * problem.p} comma-separated numbers", "--box"
-        )
+        raise ProblemFileError(f"needs {2 * problem.p} comma-separated numbers", "--box")
+    if not all(map(math.isfinite, bounds)):
+        raise ProblemFileError("bounds must be finite", "--box")
+    if args.grid < 1:
+        raise ProblemFileError("must be at least 1", "--grid")
+    if args.top < 1:
+        raise ProblemFileError("must be at least 1", "--top")
     axes = [
         np.linspace(bounds[2 * i], bounds[2 * i + 1], args.grid) for i in range(problem.p)
     ]
@@ -474,7 +482,7 @@ def cmd_scan(args) -> int:
             continue
         candidates.append((float(evaluate(problem.objective, x)), x))
     candidates.sort(key=lambda item: -item[0])
-    top = candidates[: max(args.top, 1)]
+    top = candidates[: args.top]
     report = {
         "tool": "sipcert",
         "command": "scan",

@@ -2,21 +2,38 @@
 
 Solves   min c@x   s.t.   a_ub@x <= b_ub,  a_eq@x == b_eq,  x >= 0.
 
+The tableau is condensed, the dictionary form of the simplex method
+(Chvatal, Linear Programming, 1983, ch. 2-3): one column per nonbasic
+variable, with its id in ``nb``, plus the right-hand side; basic columns
+are implicit unit vectors.  A 200-facet support LP in 10 dimensions pivots
+on 201 x 22 entries, not 201 x 222.  A pivot writes the leaving variable's
+unit column into the entering slot before it divides the row and runs the
+rank-1 update, so each entry it makes takes the full tableau's float
+operations.  Only the reduced costs set up at the start of a phase come
+from a BLAS product over fewer columns, which may round the last bit
+differently and so could flip a pricing near-tie; ``tests/test_lp.py``
+holds pivots and solutions to a full-tableau reference, bit for bit.
+
 Entering columns are priced by Dantzig's rule: the most negative reduced
-cost enters.  On the wide hull-membership LPs this needs a few pivots where
-Bland's lowest-index rule needs hundreds.  Dantzig's rule alone can cycle at
-a degenerate vertex, so after ``_DEGENERATE_RUN`` degenerate pivots in a
-row (ratio 0, objective unchanged) the loop prices by Bland's rule until a
-pivot makes progress again.  Bland's rule cannot cycle and every
-nondegenerate pivot lowers the objective, so termination stays guaranteed
-(Bland, Math. Oper. Res. 2, 1977).  The leaving row is the lowest basic
-index among the ratio-test ties.
+cost enters, the lowest variable id among equals.  On the wide
+hull-membership LPs this needs a few pivots where Bland's lowest-index rule
+needs hundreds.  Dantzig's rule alone can cycle at a degenerate vertex, so
+after ``_DEGENERATE_RUN`` degenerate pivots in a row (ratio 0, objective
+unchanged) the loop prices by Bland's rule, the lowest id with a negative
+reduced cost, until a pivot makes progress again.  Bland's rule cannot
+cycle and every nondegenerate pivot lowers the objective, so termination
+stays guaranteed (Bland, Math. Oper. Res. 2, 1977).  The leaving row is the
+lowest basic index among the ratio-test ties.  Ids are the full tableau's
+column order (x, slacks, artificials); the slot order never breaks a tie.
 
 An optional secondary objective ``then`` picks one solution among the
-optimal ones, in the same tableau: after phase 2 only the columns whose
-reduced cost is at most ``tol`` may enter (the optimal face), and the same
-pricing loop minimizes ``then`` there.  Where that secondary optimum is
-unique, the answer does not depend on the pivot rule.
+optimal ones, in the same tableau: after phase 2 only the basic columns and
+the nonbasic ones whose reduced cost is at most ``tol`` may enter (the
+optimal face), and the same pricing loop minimizes ``then`` there; a basic
+column that leaves keeps a slot and may enter again.  Where that secondary
+optimum is unique, the answer does not depend on the pivot rule.  Columns
+that must not enter -- artificials after phase 1, columns off the optimal
+face -- get cost +inf, so no pricing rule picks them.
 
 Everything here is small -- a few thousand columns at most -- so a dense
 tableau is the right tool and there is no external dependency.  All state
@@ -83,35 +100,35 @@ def solve_lp(
 
     m_eq, m_ub = b_eq.size, b_ub.size
     m = m_eq + m_ub
-    n_slack = m_ub
-    n_real = n + n_slack
+    n_real = n + m_ub  # the x columns, then one slack per inequality row
 
-    # constraint rows: equalities first, then inequalities with +1 slack each;
-    # the last row holds the reduced costs and, in its last entry, -objective
+    # constraint rows: equalities first, then inequalities; the last row holds
+    # the reduced costs and, in its last entry, -objective
     rhs = np.concatenate([b_eq, b_ub])
     neg = rhs < 0  # these rows are negated so that every rhs is nonnegative
     # artificials for equality rows and for negated inequality rows
     need_art = neg.copy()
     need_art[:m_eq] = True
     art_rows = np.flatnonzero(need_art)
-    n_art = art_rows.size
-    total = n_real + n_art
-    tableau = np.zeros((m + 1, total + 1))
+    total = n_real + art_rows.size
+    # the slack of a negated inequality row starts nonbasic: its artificial is basic
+    slack_rows = art_rows[art_rows >= m_eq]
+    nb = np.concatenate([np.arange(n), n - m_eq + slack_rows])
+    tableau = np.zeros((m + 1, nb.size + 1))
     tableau[:m_eq, :n] = a_eq
     tableau[m_eq:m, :n] = a_ub
-    tableau[np.arange(m_eq, m), np.arange(n, n_real)] = 1.0
+    tableau[slack_rows, np.arange(n, nb.size)] = 1.0
     tableau[:m, -1] = rhs
     tableau[:m][neg] *= -1.0  # negated slack columns become -1
-    tableau[art_rows, np.arange(n_real, total)] = 1.0
 
     basis = np.arange(n - m_eq, n_real)  # each inequality row's slack ...
     basis[art_rows] = np.arange(n_real, total)  # ... unless the row has an artificial
 
     pivots = 0
-    if n_art:
+    if art_rows.size:
         cost1 = np.zeros(total)
         cost1[n_real:] = 1.0
-        obj1, _, count = _run_phase(tableau, basis, cost1, np.arange(total), tol)
+        obj1, _, count = _run_phase(tableau, basis, nb, cost1, tol)
         pivots += count
         if obj1 is None:
             raise SimplexError("phase 1 unbounded (should be impossible)")
@@ -119,85 +136,91 @@ def solve_lp(
             return SimplexSolution(
                 "infeasible", float("nan"), np.full(n, np.nan), pivots=pivots
             )
-        tableau, basis, count = _evict_artificials(tableau, basis, n_real, tol)
+        tableau, basis, count = _evict_artificials(tableau, basis, nb, n_real, tol)
         pivots += count
 
     cost2 = np.zeros(total)
     cost2[:n] = c
-    allowed = np.arange(n_real)  # artificials stay out in phase 2
-    obj2, bad_col, count = _run_phase(tableau, basis, cost2, allowed, tol)
+    cost2[n_real:] = np.inf  # artificials stay out in phase 2
+    obj2, bad, count = _run_phase(tableau, basis, nb, cost2, tol)
     pivots += count
     if obj2 is None:
         ray = np.zeros(total)
-        ray[bad_col] = 1.0
-        ray[basis] = -tableau[:-1, bad_col]
+        ray[nb[bad]] = 1.0
+        ray[basis] = -tableau[:-1, bad]
         ray[np.abs(ray) < _PIVOT_TOL] = 0.0
         return SimplexSolution(
-            "unbounded", -np.inf, _extract(tableau, basis, n), ray=ray[:n], pivots=pivots
+            "unbounded", -np.inf, _extract(tableau, basis, n, total), ray=ray[:n], pivots=pivots
         )
     if then is not None:
-        # the optimal face: columns that can enter without raising c@x
-        face = allowed[tableau[-1, allowed] <= tol]
+        # the optimal face: the basic columns and the nonbasic ones that can
+        # enter without raising c@x; a basic column that leaves may re-enter
         cost3 = np.zeros(total)
         cost3[:n] = then
-        pivots += _run_phase(tableau, basis, cost3, face, tol)[2]
-    x = _extract(tableau, basis, n)
+        cost3[nb[tableau[-1, :-1] > tol]] = np.inf  # off the face (artificials too)
+        pivots += _run_phase(tableau, basis, nb, cost3, tol)[2]
+    x = _extract(tableau, basis, n, total)
     return SimplexSolution("optimal", float(c @ x), x, pivots=pivots)
 
 
-def _extract(tableau, basis, n):
-    full = np.zeros(tableau.shape[1] - 1)
+def _extract(tableau, basis, n, total):
+    full = np.zeros(total)
     full[basis] = tableau[:-1, -1]
     return full[:n]
 
 
-def _run_phase(tableau, basis, cost, allowed, tol):
-    """Minimize cost over the ``allowed`` columns from the current basis.
+def _run_phase(tableau, basis, nb, cost, tol):
+    """Minimize cost from the current basis over the columns in the tableau.
 
-    Returns (objective, None, pivots), or (None, column, pivots) when the
-    column can enter without bound.
+    Returns (objective, None, pivots), or (None, slot, pivots) when the
+    column in that slot can enter without bound.
     """
     body = tableau[:-1]
     reduced = tableau[-1]
-    reduced[:-1] = cost - cost[basis] @ body[:, :-1]
+    reduced[:-1] = cost[nb] - cost[basis] @ body[:, :-1]
     reduced[-1] = -(cost[basis] @ body[:, -1])
+    red = reduced[:-1]
     degenerate = 0
     for pivots in range(_MAX_ITERS):
-        red = reduced[allowed]
         if degenerate < _DEGENERATE_RUN:
-            k = int(red.argmin())  # Dantzig: most negative reduced cost
+            k = int(red.argmin())  # Dantzig: most negative reduced cost ...
             if red[k] >= -tol:
                 return -float(reduced[-1]), None, pivots
+            ties = (red == red[k]).nonzero()[0]
+            if ties.size > 1:
+                k = int(ties[nb[ties].argmin()])  # ... the lowest id among equals
         else:
             negative = (red < -tol).nonzero()[0]
             if negative.size == 0:
                 return -float(reduced[-1]), None, pivots
-            k = int(negative[0])  # Bland: lowest index
-        entering = int(allowed[k])
-        col = body[:, entering]
+            k = int(negative[nb[negative].argmin()])  # Bland: lowest id
+        col = body[:, k]
         pos = (col > _PIVOT_TOL).nonzero()[0]
         if pos.size == 0:
-            return None, entering, pivots
+            return None, k, pivots
         ratios = body[pos, -1] / col[pos]
         best = ratios.min()
         ties = pos[ratios <= best + _PIVOT_TOL * (1.0 + abs(best))]
         leave = int(ties[basis[ties].argmin()])  # lowest basic index
         degenerate = degenerate + 1 if best <= _PIVOT_TOL else 0
-        _pivot(tableau, leave, entering)
-        basis[leave] = entering
+        _pivot(tableau, basis, nb, leave, k)
     raise SimplexError("simplex iteration limit exceeded")
 
 
-def _pivot(tableau, row, col):
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
+def _pivot(tableau, basis, nb, row, slot):
+    """Swap the column in ``slot`` into the basis at ``row``; the leaving
+    unit column takes the slot before the update, as the full tableau has it."""
+    piv = tableau[row, slot]
+    factors = tableau[:, slot].copy()
     factors[row] = 0.0
+    tableau[:, slot] = 0.0
+    tableau[row, slot] = 1.0
+    tableau[row] /= piv
     tableau -= factors[:, None] * tableau[row]
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
+    basis[row], nb[slot] = nb[slot], basis[row]
 
 
-def _evict_artificials(tableau, basis, n_real, tol):
+def _evict_artificials(tableau, basis, nb, n_real, tol):
     """Pivot basic artificials out, or drop the (redundant) row if impossible.
 
     Returns (tableau, basis, pivots).
@@ -207,10 +230,10 @@ def _evict_artificials(tableau, basis, n_real, tol):
     for i in range(tableau.shape[0] - 1):
         if basis[i] < n_real:
             continue
-        candidates = np.flatnonzero(np.abs(tableau[i, :n_real]) > max(tol, _PIVOT_TOL))
+        nonzero = np.abs(tableau[i, :-1]) > max(tol, _PIVOT_TOL)
+        candidates = np.flatnonzero(nonzero & (nb < n_real))
         if candidates.size:
-            _pivot(tableau, i, int(candidates[0]))
-            basis[i] = int(candidates[0])
+            _pivot(tableau, basis, nb, i, int(candidates[nb[candidates].argmin()]))
             pivots += 1
         else:
             drop.append(i)

@@ -389,6 +389,27 @@ class TestScan:
         )
         assert len(report["candidates"]) == 1
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--box=abc,1,-1,1"], "--box: needs 4 comma-separated numbers"),
+            (["--box=-1,1,-1"], "--box: needs 4 comma-separated numbers"),
+            (["--box=nan,1,-1,1"], "--box: bounds must be finite"),
+            (["--box=-inf,1,-1,1"], "--box: bounds must be finite"),
+            (["--box=-1,1,-1,1", "--grid", "0"], "--grid: must be at least 1"),
+            (["--box=-1,1,-1,1", "--grid", "-2"], "--grid: must be at least 1"),
+            (["--box=-1,1,-1,1", "--top", "0"], "--top: must be at least 1"),
+        ],
+    )
+    def test_bad_flags_exit_four(self, flags, message, capsys):
+        # positioned input errors, checked before the grid is walked
+        from sipcert import cli
+
+        argv = ["scan", fixture_path("near_active"), "--grid", "3", *flags, "--json"]
+        assert cli.main(argv) == 4
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"kind": "input", "message": message}
+
 
 class TestSelftest:
     def test_fresh_build_passes(self):

@@ -201,3 +201,285 @@ def test_degenerate_row_heavy_lps_with_repeated_facets(rng):
     at_vertex = _assert_matches_scipy(*_polyhedron_lp(normals, offsets, through[:10].sum(axis=0)))
     assert np.allclose(at_vertex.x[:10] - at_vertex.x[10:], y0, atol=1e-8)
     _assert_matches_scipy(*_polyhedron_lp(normals, offsets, rng.standard_normal(10)))
+
+
+# the condensed tableau: one column per nonbasic variable, basic columns implicit
+
+
+def _pivot_log(monkeypatch):
+    """Record (leaving id, entering id) per pivot, and "phase" at each phase start."""
+    log = []
+    run_phase, pivot = lp._run_phase, lp._pivot
+
+    def logged_phase(*args):
+        log.append("phase")
+        return run_phase(*args)
+
+    def logged_pivot(tableau, basis, nb, row, slot):
+        log.append((int(basis[row]), int(nb[slot])))
+        return pivot(tableau, basis, nb, row, slot)
+
+    monkeypatch.setattr(lp, "_run_phase", logged_phase)
+    monkeypatch.setattr(lp, "_pivot", logged_pivot)
+    return log
+
+
+def _last_phase(log):
+    return log[len(log) - log[::-1].index("phase"):]
+
+
+def test_secondary_objective_on_a_face_of_basic_columns_only(monkeypatch):
+    # a unique nondegenerate optimum: every nonbasic column is off the face
+    log = _pivot_log(monkeypatch)
+    plain = solve_lp([-1, -1], a_ub=[[1, 0], [0, 1]], b_ub=[1, 1])
+    sol = solve_lp([-1, -1], a_ub=[[1, 0], [0, 1]], b_ub=[1, 1], then=[1, 1])
+    assert sol.optimal and np.array_equal(sol.x, [1.0, 1.0])
+    assert sol.pivots == plain.pivots == 2
+    assert _last_phase(log) == []
+
+
+def test_secondary_objective_lets_a_leaving_basic_column_re_enter(monkeypatch):
+    # min x2 on the simplex leaves x1, x3, x4, x5 free; the tie-break pass
+    # moves x3 out of the basis and back in on its way to x3 = 1
+    log = _pivot_log(monkeypatch)
+    sol = solve_lp(
+        [0, 1, 0, 0, 0], [[2, -2, -1, 1, 1]], [2], [[1, 1, 1, 1, 1]], [1], then=[3, -3, -1, 1, 0]
+    )
+    assert sol.optimal and np.array_equal(sol.x, [0.0, 0.0, 1.0, 0.0, 0.0])
+    tie_break = _last_phase(log)
+    assert tie_break == [(2, 4), (0, 5), (4, 2)]
+    assert sol.pivots == 6
+
+
+def test_beale_through_blands_rule_after_column_swaps(monkeypatch):
+    # two Dantzig pivots scramble the column order; Bland's rule must still
+    # pick the lowest variable id, not the lowest column slot
+    monkeypatch.setattr(lp, "_DEGENERATE_RUN", 2)
+    log = _pivot_log(monkeypatch)
+    sol = solve_lp(*BEALE)
+    assert sol.optimal
+    assert np.allclose(sol.x, [1, 0, 1, 0], atol=1e-12)
+    assert log[1:] == [(4, 0), (5, 1), (0, 2), (1, 3), (6, 0), (3, 4)]
+    assert sol.pivots == 6
+
+
+def test_unbounded_ray_after_phase_one():
+    # x1 = x2 and x1 + x2 >= 1 need artificials; then -x1 falls without bound
+    c, a_ub, b_ub, a_eq, b_eq = [-1, 0], [[-1, -1]], [-1], [[1, -1]], [0]
+    sol = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+    assert sol.status == "unbounded"
+    assert np.all(sol.x >= 0) and np.allclose(np.dot(a_eq, sol.x), b_eq)
+    ray = sol.ray
+    assert np.all(ray >= 0) and np.dot(c, ray) < 0
+    assert np.all(np.dot(a_ub, ray) <= 0) and np.allclose(np.dot(a_eq, ray), 0)
+    assert np.array_equal(ray, [0.5, 0.5]) and sol.pivots == 2
+
+
+def test_redundant_equality_row_is_dropped(monkeypatch):
+    evict = lp._evict_artificials
+    rows = []
+
+    def counted(tableau, *args):
+        out = evict(tableau, *args)
+        rows.append((tableau.shape[0], out[0].shape[0]))
+        return out
+
+    monkeypatch.setattr(lp, "_evict_artificials", counted)
+    # the third equality is the sum of the first two
+    a_eq, b_eq = [[1, 1, 0], [0, 1, 1], [1, 2, 1]], [1, 1, 2]
+    sol = _assert_matches_scipy([-2, 0, 1], [[1, 0, 0]], [0.5], a_eq, b_eq)
+    assert np.allclose(sol.x, [0.5, 0.5, 0.5], atol=1e-12)
+    assert rows == [(5, 4)]
+
+
+def _support_polytope(rng, center):
+    """200 facets in p = 10 around ``center``, each at distance 1 to 2 from it."""
+    normals = rng.standard_normal((200, 10))
+    return normals, normals @ center - 1.0 - rng.random(200)
+
+
+@pytest.mark.parametrize("outside", [False, True])
+def test_support_lp_matches_scipy(rng, outside):
+    # with the origin outside the polytope some rows start negated: phase 1
+    center = 4.0 * rng.standard_normal(10) if outside else np.zeros(10)
+    normals, offsets = _support_polytope(rng, center)
+    c, a_ub, b_ub = _polyhedron_lp(normals, offsets, rng.standard_normal(10))
+    assert np.any(b_ub < 0) == outside
+    _assert_matches_scipy(c, a_ub, b_ub)
+
+
+def test_determination_support_lps_and_pivots_are_pinned(monkeypatch):
+    from sipcert import geometry
+    from sipcert.geometry import Polyhedron
+    from sipcert.model import PolyhedralFamily
+    from sipcert.options import Options
+
+    pivots = []
+
+    def counted(*args, **kwargs):
+        sol = solve_lp(*args, **kwargs)
+        pivots.append(sol.pivots)
+        return sol
+
+    monkeypatch.setattr(geometry, "solve_lp", counted)
+    normals, offsets = _support_polytope(np.random.default_rng(7), np.zeros(10))
+    counters = {}
+    PolyhedralFamily(Polyhedron(normals, offsets)).determination(Options().tol_lp, counters)
+    # the full tableau's numbers: the condensed one takes the same pivots
+    assert (counters["support_lps"], len(pivots), sum(pivots)) == (112, 112, 1041)
+
+
+# the full tableau (every column kept, basic ones as explicit unit columns),
+# as the reference the condensed tableau must match pivot for pivot and bit
+# for bit
+
+
+def _full_pivot(tableau, row, col):
+    tableau[row] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= factors[:, None] * tableau[row]
+    tableau[:, col] = 0.0
+    tableau[row, col] = 1.0
+
+
+def _full_phase(tableau, basis, cost, allowed, tol):
+    body, reduced = tableau[:-1], tableau[-1]
+    reduced[:-1] = cost - cost[basis] @ body[:, :-1]
+    reduced[-1] = -(cost[basis] @ body[:, -1])
+    degenerate = 0
+    for pivots in range(lp._MAX_ITERS):
+        red = reduced[allowed]
+        if degenerate < lp._DEGENERATE_RUN:
+            k = int(red.argmin())
+            if red[k] >= -tol:
+                return -float(reduced[-1]), None, pivots
+        else:
+            negative = (red < -tol).nonzero()[0]
+            if negative.size == 0:
+                return -float(reduced[-1]), None, pivots
+            k = int(negative[0])
+        entering = int(allowed[k])
+        col = body[:, entering]
+        pos = (col > lp._PIVOT_TOL).nonzero()[0]
+        if pos.size == 0:
+            return None, entering, pivots
+        ratios = body[pos, -1] / col[pos]
+        best = ratios.min()
+        ties = pos[ratios <= best + lp._PIVOT_TOL * (1.0 + abs(best))]
+        leave = int(ties[basis[ties].argmin()])
+        degenerate = degenerate + 1 if best <= lp._PIVOT_TOL else 0
+        _full_pivot(tableau, leave, entering)
+        basis[leave] = entering
+    raise SimplexError("simplex iteration limit exceeded")
+
+
+def _full_tableau_lp(c, a_ub, b_ub, a_eq, b_eq, then=None, tol=1e-9):
+    """(status, x, pivots, ray) of the full-tableau simplex."""
+    c, b_ub, b_eq = (np.asarray(v, dtype=float).reshape(-1) for v in (c, b_ub, b_eq))
+    n, m_eq, m_ub = c.size, b_eq.size, b_ub.size
+    m, n_real = m_eq + m_ub, c.size + b_ub.size
+    rhs = np.concatenate([b_eq, b_ub])
+    neg = rhs < 0
+    need_art = neg.copy()
+    need_art[:m_eq] = True
+    art_rows = np.flatnonzero(need_art)
+    total = n_real + art_rows.size
+    tableau = np.zeros((m + 1, total + 1))
+    tableau[:m_eq, :n] = np.reshape(a_eq, (m_eq, n))
+    tableau[m_eq:m, :n] = np.reshape(a_ub, (m_ub, n))
+    tableau[np.arange(m_eq, m), np.arange(n, n_real)] = 1.0
+    tableau[:m, -1] = rhs
+    tableau[:m][neg] *= -1.0
+    tableau[art_rows, np.arange(n_real, total)] = 1.0
+    basis = np.arange(n - m_eq, n_real)
+    basis[art_rows] = np.arange(n_real, total)
+    pivots = 0
+    if art_rows.size:
+        cost = np.zeros(total)
+        cost[n_real:] = 1.0
+        obj, _, count = _full_phase(tableau, basis, cost, np.arange(total), tol)
+        pivots += count
+        if obj > max(tol, 1e-7 * (1.0 + abs(rhs).max(initial=0.0))):
+            return "infeasible", np.full(n, np.nan), pivots, None
+        drop = []
+        for i in range(m):
+            if basis[i] < n_real:
+                continue
+            candidates = np.flatnonzero(np.abs(tableau[i, :n_real]) > max(tol, lp._PIVOT_TOL))
+            if candidates.size:
+                _full_pivot(tableau, i, int(candidates[0]))
+                basis[i] = int(candidates[0])
+                pivots += 1
+            else:
+                drop.append(i)
+        tableau = np.delete(tableau, drop, axis=0)
+        basis = np.delete(basis, drop)
+    allowed = np.arange(n_real)
+    cost = np.zeros(total)
+    cost[:n] = c
+    obj, bad, count = _full_phase(tableau, basis, cost, allowed, tol)
+    pivots += count
+    ray = None
+    if obj is None:
+        ray = np.zeros(total)
+        ray[bad] = 1.0
+        ray[basis] = -tableau[:-1, bad]
+        ray[np.abs(ray) < lp._PIVOT_TOL] = 0.0
+        ray = ray[:n]
+    elif then is not None:
+        face = allowed[tableau[-1, allowed] <= tol]
+        cost = np.zeros(total)
+        cost[:n] = then
+        pivots += _full_phase(tableau, basis, cost, face, tol)[2]
+    full = np.zeros(total)
+    full[basis] = tableau[:-1, -1]
+    return ("optimal" if ray is None else "unbounded"), full[:n], pivots, ray
+
+
+def _assert_same_as_full_tableau(c, a_ub, b_ub, a_eq, b_eq, then=None):
+    status, x, pivots, ray = _full_tableau_lp(c, a_ub, b_ub, a_eq, b_eq, then)
+    sol = solve_lp(c, a_ub, b_ub, a_eq, b_eq, then=then)
+    assert (sol.status, sol.x.tobytes(), sol.pivots) == (status, x.tobytes(), pivots)
+    assert (sol.ray is None) == (ray is None)
+    if ray is not None:
+        assert sol.ray.tobytes() == ray.tobytes()
+
+
+def test_small_integer_lps_match_the_full_tableau():
+    # tiny integer data: exact ties in pricing, in the ratio test and in the
+    # artificials' candidates, redundant equality rows, unbounded rays
+    for seed in range(1500):
+        rng = np.random.default_rng(seed)
+        n, m_ub, m_eq = (int(v) for v in rng.integers([2, 1, 0], [5, 4, 3]))
+        a_eq = rng.integers(-1, 2, (m_eq, n)).astype(float)
+        b_eq = rng.integers(0, 2, m_eq).astype(float)
+        if m_eq and seed % 2:
+            a_eq, b_eq = np.vstack([a_eq, a_eq[:1]]), np.append(b_eq, b_eq[:1])
+        _assert_same_as_full_tableau(
+            rng.integers(-2, 3, n).astype(float),
+            rng.integers(-1, 2, (m_ub, n)).astype(float),
+            rng.integers(-1, 3, m_ub).astype(float),
+            a_eq,
+            b_eq,
+            rng.integers(-2, 3, n).astype(float) if seed % 3 == 0 else None,
+        )
+
+
+@pytest.mark.parametrize("outside", [False, True])
+def test_support_lps_match_the_full_tableau(rng, outside):
+    center = 4.0 * rng.standard_normal(10) if outside else np.zeros(10)
+    normals, offsets = _support_polytope(rng, center)
+    for _ in range(3):
+        _assert_same_as_full_tableau(*_polyhedron_lp(normals, offsets, rng.standard_normal(10)), [], [])
+
+
+def test_hull_lps_match_the_full_tableau(rng):
+    # the ladder's gap LPs; with a tie-break toward the first generators'
+    # weights, as the certificate LP asks for its largest lambda
+    gens = rng.standard_normal((130, 3))
+    gens[65:] = gens[:65]
+    for target in (gens.mean(axis=0), gens[7], rng.standard_normal(3) * 3.0):
+        c, a_ub, b_ub, a_eq, b_eq = _hull_lp(gens, target)
+        _assert_same_as_full_tableau(c, a_ub, b_ub, a_eq, b_eq)
+        _assert_same_as_full_tableau(c, a_ub, b_ub, a_eq, b_eq, then=-np.arange(c.size, 0, -1))

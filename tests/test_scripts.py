@@ -1,12 +1,13 @@
 """Smoke tests: each script in scripts/ runs on small inputs and prints its table."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import sipcert
-from sipcert.fixtures import fixture_path
+from sipcert.fixtures import fixture_names, fixture_path
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,6 +38,26 @@ def test_ladder_trace_checks_eps0():
     # the same range check as sipcert certify --eps0
     lines = run_script("ladder_trace.py", fixture_path("sip_trig"), "0.1", "-1", code=4)
     assert lines == ["error (input): eps0: must be finite and > 0"]
+
+
+def test_ladder_trace_rejects_a_non_number():
+    lines = run_script("ladder_trace.py", fixture_path("sip_trig"), "abc", code=4)
+    assert lines == ["error (input): eps0: not a number: 'abc'"]
+
+
+def test_report_snapshot(tmp_path):
+    # fixtures only: one line per (fixture, command), each report without timings
+    out = tmp_path / "snapshot.txt"
+    assert run_script("report_snapshot.py", str(out)) == []
+    lines = out.read_text().splitlines()
+    assert len(lines) == 3 * len(fixture_names())
+    source, name, command, code, report = lines[0].split(" ", 4)
+    assert (source, name, command, code) == ("fixture", "near_active", "certify", "0")
+    assert json.loads(report)["verdict"] == "KKT"
+    assert all('"timings"' not in line for line in lines)
+    again = tmp_path / "again.txt"
+    run_script("report_snapshot.py", str(again))
+    assert again.read_bytes() == out.read_bytes()
 
 
 def test_cone_audit():
