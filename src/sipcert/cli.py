@@ -25,7 +25,7 @@ from .expr import ExprError, evaluate
 from .geometry import cone_interior_nonempty
 from .model import InfeasibleError, admissible_diagnostics, is_feasible
 from .multipliers import Certificate, certify_fj, sip_multipliers, tc_approx
-from .options import Options
+from .options import OptionError, Options
 from .problemfile import LoadedProblem, ProblemFileError, emit_json, load_problem, resolve_options
 from .reduction import FullCertificate, certify_composed, certify_equality, compose_family
 
@@ -54,6 +54,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
     except ExprError as err:
         _print_error("expression", str(err), args)
+        return EXIT_INPUT_ERROR
+    except OptionError as err:  # SIPCERT_SEED, read where sampling starts
+        _print_error("input", f"{err.key}: {err.message}", args)
         return EXIT_INPUT_ERROR
 
 

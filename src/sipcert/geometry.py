@@ -136,6 +136,25 @@ def _check_target(target, hull):
     return t
 
 
+def _fit_lp(cols, t):
+    """``solve_lp``'s arrays for the inf-norm fit of ``t`` by the columns ``cols``.
+
+    Variables ``a_1..a_n, s``: minimize s subject to
+    -s <= (cols @ a - t)_j <= s and sum(a) = 1.
+    """
+    p, n = cols.shape
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    a_ub = np.zeros((2 * p, n + 1))
+    a_ub[:p, :n] = cols
+    a_ub[p:, :n] = -cols
+    a_ub[:, -1] = -1.0
+    b_ub = np.concatenate([t, -t])
+    a_eq = np.zeros((1, n + 1))
+    a_eq[0, :n] = 1.0
+    return c, a_ub, b_ub, a_eq, [1.0]
+
+
 def hull_member(target, hull: Hull, tol: float = DEFAULT_MEMBER_TOL) -> HullMembership:
     """Decide target in conv(generators) by one LP.
 
@@ -143,19 +162,8 @@ def hull_member(target, hull: Hull, tol: float = DEFAULT_MEMBER_TOL) -> HullMemb
     the simplex; membership holds iff the optimal s is at most ``tol``.
     """
     t = _check_target(target, hull)
-    g = hull.generators
-    n, p = g.shape
-    # variables: a_1..a_n, s
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    a_ub = np.zeros((2 * p, n + 1))
-    a_ub[:p, :n] = g.T
-    a_ub[p:, :n] = -g.T
-    a_ub[:, -1] = -1.0
-    b_ub = np.concatenate([t, -t])
-    a_eq = np.zeros((1, n + 1))
-    a_eq[0, :n] = 1.0
-    sol = solve_lp(c, a_ub, b_ub, a_eq, [1.0])
+    n = len(hull)
+    sol = solve_lp(*_fit_lp(hull.generators.T, t))
     if not sol.optimal:
         raise GeometryError(f"membership LP failed with status {sol.status}")
     coeffs = np.clip(sol.x[:n], 0.0, None)
@@ -292,22 +300,11 @@ def segment_hull_member(
     w = np.asarray(w, dtype=float).reshape(-1)
     if w.size != hull.dim:
         raise GeometryError("segment endpoint dimension mismatch")
-    g = hull.generators
-    n, p = g.shape
+    n = len(hull)
     # variables: lambda, mu_1..mu_n, s
-    c = np.zeros(n + 2)
-    c[-1] = 1.0
-    cols = np.column_stack([w, g.T])  # p x (n+1)
-    a_ub = np.zeros((2 * p, n + 2))
-    a_ub[:p, : n + 1] = cols
-    a_ub[p:, : n + 1] = -cols
-    a_ub[:, -1] = -1.0
-    b_ub = np.concatenate([t, -t])
-    a_eq = np.zeros((1, n + 2))
-    a_eq[0, : n + 1] = 1.0
     largest_lam = np.zeros(n + 2)
     largest_lam[0] = -1.0
-    sol = solve_lp(c, a_ub, b_ub, a_eq, [1.0], then=largest_lam)
+    sol = solve_lp(*_fit_lp(np.column_stack([w, hull.generators.T]), t), then=largest_lam)
     if not sol.optimal:
         raise GeometryError(f"segment membership LP failed with status {sol.status}")
     lam = float(min(max(sol.x[0], 0.0), 1.0))

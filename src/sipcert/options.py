@@ -78,7 +78,15 @@ OPTION_KEYS = tuple(f.name for f in dataclasses.fields(Options))
 
 
 def resolve_seed() -> int:
+    """The sampling seed from SIPCERT_SEED (0 when unset).
+
+    A value that is not an integer >= 0 is an :class:`OptionError` at
+    ``SIPCERT_SEED``.
+    """
+    raw = os.environ.get("SIPCERT_SEED", "0")
     try:
-        return int(os.environ.get("SIPCERT_SEED", "0"))
+        if int(raw) >= 0:
+            return int(raw)
     except ValueError:
-        return 0
+        pass
+    raise OptionError("SIPCERT_SEED", f"must be an integer >= 0, not {raw!r}")

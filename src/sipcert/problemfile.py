@@ -261,7 +261,7 @@ def _load_constraints(raw, q):
 
 
 def _emit(value, out):
-    if value is None or isinstance(value, bool):
+    if value is None or isinstance(value, (bool, np.bool_)):
         out.append("null" if value is None else ("true" if value else "false"))
     elif isinstance(value, (int, np.integer)):
         out.append(str(int(value)))

@@ -1,58 +1,67 @@
-"""Bundled fixture suite and reduced property checks behind `sipcert selftest`.
+"""The check library behind `sipcert selftest` and the acceptance suite.
 
-Every check prints one ok/FAIL line; the command exits 0 only if all pass.
-Sample counts here are reduced relative to the full pytest suite; the
-random streams are seeded via SIPCERT_SEED.
+Each check is written once, here: a function ``(opts, rng, *, counts)``
+that returns ``(ok, detail)``.  The fixture checks compare the bundled
+examples with their closed forms; the property checks compare the
+geometry and calculus with independent oracles (central differences, a
+dense simplex grid, an exact segment distance, direction sampling).  The
+caller sets the sample counts, grids and random stream: `sipcert selftest`
+runs the reduced counts in `run_selftest` on the SIPCERT_SEED stream, and
+``tests/test_acceptance.py`` runs the full counts on its own seeds.  The
+tolerances are pinned here and nowhere else.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .expr import evaluate, gradient, parse
-from .fixtures import load_fixture
+from .expr import Bin, ExprFn, Num, evaluate, gradient, linear_expr, parse
+from .fixtures import fixture_names, load_fixture
 from .geometry import (
     Hull,
+    Polyhedron,
     caratheodory_reduce,
     cone_interior_nonempty,
     hull_member,
     one_sided_hull_gap,
 )
-from .geometry import Polyhedron
-from .model import admissible_diagnostics, active_set
+from .model import FiniteFamily, Problem, active_set, admissible_diagnostics
 from .multipliers import certify_fj, sip_multipliers, tc_approx
 from .options import Options, resolve_seed
 from .problemfile import emit_json
 from .reduction import certify_composed, certify_equality, convex_set_multiplier
 
-__all__ = ["run_selftest", "ladder_nested"]
+__all__ = ["run_selftest", "ladder_nested", "simplex_grid", "grid_hull_residual"]
 
 
 def run_selftest(tol=None, as_json=False) -> int:
     opts = Options().replace(tol=tol)
     rng = np.random.default_rng(resolve_seed())
+    # the counts are reduced from the acceptance suite's
     checks = [
-        ("near-active window certificate", _check_near_active),
-        ("strictly-active variant refuses", _check_strict_active),
-        ("linear SIP multipliers", _check_sip_linear),
-        ("trigonometric SIP certificate", _check_sip_trig),
-        ("circle equality multiplier", _check_circle),
-        ("duplicated-row equality degeneracy", _check_duprow),
-        ("equality with polyhedral set", _check_orthant_line),
-        ("composed parabola certificate", _check_parabola),
-        ("cone admissibility fixtures", _check_cones),
-        ("gradients vs central differences", _check_gradients),
-        ("hull membership vs grid oracle", _check_hull_oracle),
-        ("ladder nesting", _check_nesting),
-        ("caratheodory support bound", _check_caratheodory),
-        ("objective-scaling invariance", _check_scaling),
-        ("cone interior vs direction sampling", _check_cone_oracle),
+        ("near-active window certificate", check_near_active, {}),
+        ("strictly-active variant refuses", check_strict_active, {}),
+        ("linear SIP multipliers", check_sip_linear, {"grid": 257}),
+        ("trigonometric SIP certificate", check_sip_trig, {"grid": 257}),
+        ("circle equality multiplier", check_circle, {}),
+        ("duplicated-row equality degeneracy", check_duprow, {}),
+        ("equality with polyhedral set", check_orthant_line, {}),
+        ("composed parabola certificate", check_parabola, {}),
+        ("cone admissibility fixtures", check_cones, {}),
+        ("gradients vs central differences", check_gradients, {"samples": 40}),
+        ("hull membership vs grid oracle", check_hull_oracle,
+         {"instances": 20, "generators": 4, "steps": 40}),
+        ("ladder nesting", check_nesting, {"samples": 10}),
+        ("caratheodory support bound", check_caratheodory, {"samples": 20}),
+        ("objective-scaling invariance", check_scaling, {}),
+        ("cone interior vs direction sampling", check_cone_oracle,
+         {"cones": 10, "directions": 2000}),
     ]
     results = []
     failures = 0
-    for name, fn in checks:
+    for name, fn, counts in checks:
         try:
-            ok, detail = fn(opts, rng)
+            ok, detail = fn(opts, rng, **counts)
         except Exception as err:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(err).__name__}: {err}"
         results.append({"name": name, "ok": ok, "detail": detail})
@@ -73,56 +82,98 @@ def _load(name, opts):
     return loaded.problem, loaded.candidate, opts.replace(**loaded.options), loaded.grid
 
 
-def _check_near_active(opts, rng):
+def _rounded(hull):
+    return {tuple(float(v) for v in np.round(g, 12)) for g in hull.generators}
+
+
+# --- the bundled fixtures against their closed forms ------------------------
+
+
+def check_near_active(opts, rng):
     problem, candidate, fixture_opts, grid = _load("near_active", opts)
+    tc = tc_approx(problem, candidate, fixture_opts, grid)
     cert = certify_fj(problem, candidate, fixture_opts, grid)
-    gens = {tuple(np.round(g, 12)) for g in cert.tc.final.generators}
     ok = (
-        cert.kind == "kkt"
-        and gens == {(1.0, 0.0), (0.0, 1.0)}
+        len(tc.final) == 2
+        and _rounded(tc.final) == {(1.0, 0.0), (0.0, 1.0)}
+        and cert.kind == "kkt"
+        and np.abs(cert.x_star - np.array([0.0, 1.0])).max() <= 1e-9
         and abs(cert.lam - 0.5) <= 1e-9
         and abs(cert.beta - 0.5) <= 1e-9
-        and np.abs(cert.x_star - np.array([0.0, 1.0])).max() <= 1e-9
         and cert.residual <= fixture_opts.tol
     )
-    return ok, f"kind={cert.kind} lam={cert.lam:.3g} beta={cert.beta:.3g} residual={cert.residual:.2g}"
+    return ok, (
+        f"kind={cert.kind} final={sorted(_rounded(tc.final))} "
+        f"lam={cert.lam:.9g} beta={cert.beta:.9g} residual={cert.residual:.2g}"
+    )
 
 
-def _check_strict_active(opts, rng):
+def check_strict_active(opts, rng):
     problem, candidate, fixture_opts, grid = _load("strict_active", opts)
     cert = certify_fj(problem, candidate, fixture_opts, grid)
-    strict_hull = {tuple(float(v) for v in np.round(g, 12)) for g in cert.tc.final.generators}
-    ok = cert.kind == "no_certificate" and strict_hull == {(1.0, 0.0)}
-    return ok, f"kind={cert.kind} final={sorted(strict_hull)}"
+    final = sorted(tuple(float(v) for v in g) for g in cert.tc.final.generators)
+    ok = cert.kind == "no_certificate" and final == [(1.0, 0.0)]
+    return ok, f"kind={cert.kind} final={final}"
 
 
-def _check_sip_linear(opts, rng):
+def check_sip_linear(opts, rng, *, grid):
     problem, candidate, fixture_opts, _ = _load("sip_linear", opts)
-    grid = 257  # reduced from the bundled 1025
+    tc = tc_approx(problem, candidate, fixture_opts, grid)
     sm = sip_multipliers(problem, candidate, fixture_opts, grid)
+    hausdorff = float(_segment_distance_inf(tc.final.generators, [-1.0, 0.0], [0.0, -1.0]).max())
     ok = (
-        sm.found
+        hausdorff <= 1e-6
+        and sm.found
         and sm.k == 1
         and abs(sm.lambda0 - 1.0 / 3.0) <= 1e-6
         and abs(sm.entries[0][2] - 2.0 / 3.0) <= 1e-6
         and abs(sm.entries[0][1][0] - 0.5) <= 1e-6
         and sm.residual <= 1e-9
     )
-    return ok, f"lambda0={sm.lambda0:.6g} k={sm.k} residual={sm.residual:.2g}"
+    t = sm.entries[0][1][0] if sm.entries else float("nan")
+    return ok, (
+        f"hausdorff={hausdorff:.2g} lambda0={sm.lambda0:.9g} k={sm.k} t={t:.9g} "
+        f"residual={sm.residual:.2g}"
+    )
 
 
-def _check_sip_trig(opts, rng):
+def _segment_distance_inf(points, a, b):
+    """Exact inf-norm distance from each point to the segment [a, b].
+
+    One-dimensional convex piecewise-linear minimization over the segment
+    parameter; the minimum sits at a breakpoint.  Independent of the LP
+    machinery it checks.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    out = np.empty(len(points))
+    for i, g in enumerate(points):
+        # residual coords are affine in mu: r(mu) = a + mu (b - a) - g
+        candidates = [0.0, 1.0]
+        for j in range(a.size):
+            if b[j] != a[j]:
+                candidates.append((g[j] - a[j]) / (b[j] - a[j]))  # r_j = 0
+        for j in range(a.size):
+            for k in range(j + 1, a.size):
+                for s1 in (1, -1):
+                    for s2 in (1, -1):
+                        denom = s1 * (b[j] - a[j]) - s2 * (b[k] - a[k])
+                        if denom != 0:
+                            num = s2 * (a[k] - g[k]) - s1 * (a[j] - g[j])
+                            candidates.append(num / denom)  # |r_j| = |r_k|
+        out[i] = min(np.abs(a + min(max(mu, 0.0), 1.0) * (b - a) - g).max() for mu in candidates)
+    return out
+
+
+def check_sip_trig(opts, rng, *, grid):
     problem, candidate, fixture_opts, _ = _load("sip_trig", opts)
-    grid = 257
     cert = certify_fj(problem, candidate, fixture_opts, grid)
-    tc = cert.tc
     reference = active_set(problem, candidate, fixture_opts.tol_feas, fixture_opts, grid).hull()
-    gap = one_sided_hull_gap(tc.final, reference)
+    gap = one_sided_hull_gap(cert.tc.final, reference)
     ok = cert.kind == "fj" and cert.residual <= fixture_opts.tol and gap <= 1e-6
     return ok, f"kind={cert.kind} closed-form gap={gap:.2g} residual={cert.residual:.2g}"
 
 
-def _check_circle(opts, rng):
+def check_circle(opts, rng):
     problem, candidate, fixture_opts, grid = _load("eq_circle", opts)
     cert = certify_equality(problem, candidate, fixture_opts, grid)
     ok = (
@@ -132,10 +183,12 @@ def _check_circle(opts, rng):
         and abs(cert.w_star[0] + 0.5) <= 1e-9
         and cert.residual <= 1e-9
     )
-    return ok, f"branch={cert.branch} w*={cert.w_star} residual={cert.residual:.2g}"
+    return ok, (
+        f"branch={cert.branch} lambda0={cert.lambda0} w*={cert.w_star} residual={cert.residual:.2g}"
+    )
 
 
-def _check_duprow(opts, rng):
+def check_duprow(opts, rng):
     problem, candidate, fixture_opts, grid = _load("eq_duplicated_rows", opts)
     cert = certify_equality(problem, candidate, fixture_opts, grid)
     unit = abs(np.linalg.norm(cert.w_star) - 1.0) <= 1e-9
@@ -144,15 +197,18 @@ def _check_duprow(opts, rng):
     return ok, f"branch={cert.branch} |w*|={np.linalg.norm(cert.w_star):.12g}"
 
 
-def _check_orthant_line(opts, rng):
+def check_orthant_line(opts, rng):
     problem, candidate, fixture_opts, grid = _load("eq_orthant_line", opts)
     cert = certify_equality(problem, candidate, fixture_opts, grid)
     check = convex_set_multiplier(problem.family.poly, candidate, cert.z_star, 1e-8)
     ok = cert.found and cert.branch == "onto_with_a" and cert.residual <= fixture_opts.tol and check.passed
-    return ok, f"branch={cert.branch} residual={cert.residual:.2g} convex-set={check.passed}"
+    return ok, (
+        f"branch={cert.branch} residual={cert.residual:.2g} convex-set={check.passed} "
+        f"(dual={check.in_dual_of_recession}, min@image={check.attains_minimum})"
+    )
 
 
-def _check_parabola(opts, rng):
+def check_parabola(opts, rng):
     problem, candidate, fixture_opts, grid = _load("composed_parabola", opts)
     cert = certify_composed(problem, candidate, fixture_opts, grid)
     check = convex_set_multiplier(
@@ -167,10 +223,13 @@ def _check_parabola(opts, rng):
         and cert.residual <= fixture_opts.tol
         and check.passed
     )
-    return ok, f"kind={cert.kind} y*={cert.y_star} convex-set={check.passed}"
+    return ok, (
+        f"kind={cert.kind} y*={cert.y_star} convex-set={check.passed} "
+        f"(dual={check.in_dual_of_recession}, min@image={check.attains_minimum})"
+    )
 
 
-def _check_cones(opts, rng):
+def check_cones(opts, rng):
     orthant, o_cand, o_opts, _ = _load("cone_orthant", opts)
     hyper, h_cand, h_opts, _ = _load("cone_hyperplane", opts)
     d_orthant = admissible_diagnostics(orthant, o_cand, o_opts)
@@ -189,27 +248,30 @@ def _check_cones(opts, rng):
     )
 
 
+# --- property checks against independent oracles ---------------------------
+
 _SMOOTH_EXPRS = (
     "x1*x2 - 0.5*x1^2 + sin(x2)",
     "cos(x1) + x2^3 - 0.25*x1*x2",
     "exp(0.3*x1 - 0.2*x2) + x1*x2",
     "x1^2*x2 + x2/(2 + x1^2)",
     "sin(x1*x2) + 0.5*cos(x1 - x2)",
+    "x1^3 - x2^2 + 0.1*exp(0.5*x2)",
 )
 
 
-def _central_difference(f, x, t=None, step=1e-6):
+def _central_difference(f, x, step=1e-6):
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.size)
     for i in range(x.size):
         forward, backward = x.copy(), x.copy()
         forward[i] += step
         backward[i] -= step
-        out[i] = (evaluate(f, forward, t) - evaluate(f, backward, t)) / (2 * step)
+        out[i] = (evaluate(f, forward) - evaluate(f, backward)) / (2 * step)
     return out
 
 
-def _check_gradients(opts, rng, samples=40):
+def check_gradients(opts, rng, *, samples):
     worst = 0.0
     for _ in range(samples):
         f = parse(_SMOOTH_EXPRS[rng.integers(len(_SMOOTH_EXPRS))], 2)
@@ -220,135 +282,150 @@ def _check_gradients(opts, rng, samples=40):
     return worst <= 1e-6, f"worst relative gap {worst:.2g} over {samples} samples"
 
 
-def _check_hull_oracle(opts, rng, samples=20):
+def simplex_grid(k, steps):
+    """Every weight vector on the k-simplex whose first k - 1 entries are multiples of 1/steps."""
+    ws = np.linspace(0.0, 1.0, steps + 1)
+    head = np.stack([m.ravel() for m in np.meshgrid(*[ws] * (k - 1), indexing="ij")], axis=1)
+    head = head[head.sum(axis=1) <= 1.0 + 1e-12]
+    return np.column_stack([head, 1.0 - head.sum(axis=1)])
+
+
+def grid_hull_residual(target, gens, weights):
+    """Inf-norm residual of the best combination ``weights @ gens``, one weight vector per row."""
+    points = weights @ np.asarray(gens, dtype=float)
+    return float(np.abs(points - np.asarray(target)).max(axis=1).min())
+
+
+def check_hull_oracle(opts, rng, *, instances, generators, steps):
+    """LP membership against the simplex grid, on ``instances`` decided draws.
+
+    A draw whose grid residual lies between 1e-6 and four grid resolutions
+    cannot be decided at this resolution and is replaced by a fresh one.
+    """
+    weights = simplex_grid(generators, steps)
     disagreements = 0
-    for _ in range(samples):
-        gens = rng.uniform(-1, 1, size=(4, 2))
-        hull = Hull(gens)
+    checked = drawn = 0
+    while checked < instances:
+        drawn += 1
+        gens = rng.uniform(-1, 1, size=(generators, 2))
         if rng.random() < 0.5:
-            weights = rng.dirichlet(np.ones(4))
-            target = gens.T @ weights
+            target = gens.T @ rng.dirichlet(np.ones(generators))
         else:
-            target = rng.uniform(-1, 1, size=2) * 3.0
-        lp_member = hull_member(target, hull, 1e-6).member
-        oracle_member, decisive = _grid_hull_oracle(target, gens)
-        if decisive and oracle_member != lp_member:
+            target = rng.uniform(-1.5, 1.5, size=2)
+        residual = grid_hull_residual(target, gens, weights)
+        resolution = 2.0 * np.abs(gens).max() / steps
+        if 1e-6 < residual <= 4 * resolution:
+            continue
+        checked += 1
+        if (residual <= resolution) != hull_member(target, Hull(gens), 1e-6).member:
             disagreements += 1
-    return disagreements == 0, f"{disagreements} disagreements over {samples} instances"
+    return disagreements == 0, (
+        f"{disagreements} disagreements over {instances} instances ({drawn} drawn)"
+    )
 
 
-def _grid_hull_oracle(target, gens, steps=40):
-    """Brute-force simplex grid; returns (member, decisive)."""
-    best = np.inf
-    grid = np.linspace(0.0, 1.0, steps + 1)
-    for a in grid:
-        for b in grid:
-            if a + b > 1.0:
-                continue
-            for c in grid:
-                if a + b + c > 1.0:
-                    continue
-                d = 1.0 - a - b - c
-                point = a * gens[0] + b * gens[1] + c * gens[2] + d * gens[3]
-                best = min(best, np.abs(point - target).max())
-    resolution = 2.0 * np.abs(gens).max() / steps
-    member = best <= resolution
-    decisive = best <= resolution or best > 4 * resolution  # skip the ambiguous band
-    return member, decisive
-
-
-def _check_nesting(opts, rng, samples=10):
-    for name in ("near_active", "sip_linear"):
+def check_nesting(opts, rng, *, samples):
+    """Every fixture with a family and no inner map, then ``samples`` random finite problems."""
+    bad = []
+    for name in fixture_names():
         problem, candidate, fixture_opts, grid = _load(name, opts)
-        if name == "sip_linear":
-            grid = 129
-        tc = tc_approx(problem, candidate, fixture_opts, grid)
-        if not ladder_nested(tc):
-            return False, f"fixture {name} ladder not nested"
-    for _ in range(samples):
+        if problem.family is None or problem.inner_map is not None:
+            continue
+        grid = 129 if (grid or 0) > 129 else grid
+        if not ladder_nested(tc_approx(problem, candidate, fixture_opts, grid)):
+            bad.append(name)
+    for i in range(samples):
         problem, candidate = _random_finite_problem(rng)
-        tc = tc_approx(problem, candidate, opts)
-        if not ladder_nested(tc):
-            return False, "random instance ladder not nested"
-    return True, "candidate sets nested and hulls contained on every ladder"
+        if not ladder_nested(tc_approx(problem, candidate, opts)):
+            bad.append(f"random#{i}")
+    return not bad, (
+        f"violations: {bad if bad else 'none'} over the fixtures and {samples} random instances"
+    )
 
 
 def ladder_nested(tc) -> bool:
-    """Each rung's candidates are among the rung before's, and its gradients in that hull."""
-    for (_, outer), (_, inner) in zip(tc.ladder, tc.ladder[1:]):
-        if not np.isin(inner.entries, outer.entries).all():
-            return False
-        outer_hull = outer.hull()
-        for grad in inner.hull().generators:
-            if not hull_member(grad, outer_hull, 1e-7).member:
-                return False
-    return True
+    """Each rung's candidates are among the rung before's, and its gradients in that hull.
+
+    A gradient is in the hull when its distance to it is at most 1e-7;
+    `one_sided_hull_gap` is the largest such distance, without an LP for a
+    gradient that is literally a generator of the outer hull.
+    """
+    return all(
+        np.isin(inner.entries, outer.entries).all()
+        and one_sided_hull_gap(inner.hull(), outer.hull()) <= 1e-7
+        for (_, outer), (_, inner) in zip(tc.ladder, tc.ladder[1:])
+    )
 
 
-def _random_finite_problem(rng, p=2, members=4):
-    from .model import FiniteFamily, Problem
-    from .expr import linear_expr
-
+def _random_finite_problem(rng, p=2):
+    """2 to 5 half-planes through or near a random candidate, and a random linear objective."""
     x_hat = rng.uniform(-0.5, 0.5, size=p)
-    exprs = []
-    for _ in range(members):
+    members = []
+    for _ in range(int(rng.integers(2, 6))):
         normal = rng.standard_normal(p)
         normal /= np.linalg.norm(normal)
-        offset = float(normal @ x_hat) - float(rng.choice([0.0, 0.0, 0.2]))
-        exprs.append(linear_expr(normal, -offset, p))
-    coeffs = rng.standard_normal(p)
-    objective = linear_expr(coeffs, 0.0, p)
-    return Problem(p, objective, FiniteFamily(tuple(exprs))), x_hat
+        slack = float(rng.choice([0.0, 0.005, 0.02, 0.3]))
+        members.append(linear_expr(normal, -(float(normal @ x_hat) - slack), p))
+    objective = linear_expr(rng.standard_normal(p), 0.0, p)
+    return Problem(p, objective, FiniteFamily(tuple(members))), x_hat
 
 
-def _check_caratheodory(opts, rng, samples=20):
+def check_caratheodory(opts, rng, *, samples):
+    worst_excess = 0
+    worst_residual = 0.0
     for _ in range(samples):
         p = int(rng.integers(2, 5))
-        n = p + 4
+        n = p + int(rng.integers(3, 7))
         gens = rng.uniform(-1, 1, size=(n, p))
         weights = rng.dirichlet(np.ones(n))
         target = gens.T @ weights
-        hull = Hull(gens)
-        idx, reduced = caratheodory_reduce(target, hull, weights)
-        residual = np.abs(gens[idx].T @ reduced - target).max()
-        if len(idx) > p + 1 or residual > 1e-9:
-            return False, f"support {len(idx)} residual {residual:.2g}"
-    return True, f"support <= p+1 and residual <= 1e-9 on {samples} instances"
+        idx, reduced = caratheodory_reduce(target, Hull(gens), weights)
+        worst_excess = max(worst_excess, len(idx) - (p + 1))
+        worst_residual = max(worst_residual, float(np.abs(gens[idx].T @ reduced - target).max()))
+    ok = worst_excess <= 0 and worst_residual <= 1e-9
+    return ok, (
+        f"max support excess over p+1 {worst_excess}, worst residual {worst_residual:.2g} "
+        f"on {samples} instances"
+    )
 
 
-def _check_scaling(opts, rng):
+def check_scaling(opts, rng):
     problem, candidate, fixture_opts, grid = _load("near_active", opts)
     base = certify_fj(problem, candidate, fixture_opts, grid)
-    for c in (1e-3, 1e3):
-        from .expr import ExprFn, Bin, Num
-        from .model import Problem
-
-        scaled_obj = ExprFn(Bin("*", Num(c), problem.objective.ast), problem.p)
-        scaled = Problem(problem.p, scaled_obj, problem.family)
+    details = []
+    ok = True
+    for c in (1e-3, 1.0, 1e3):
+        scaled = Problem(
+            problem.p, ExprFn(Bin("*", Num(c), problem.objective.ast), problem.p), problem.family
+        )
         cert = certify_fj(scaled, candidate, fixture_opts, grid)
-        if cert.kind != base.kind or np.abs(cert.x_star - base.x_star).max() > fixture_opts.tol:
-            return False, f"scale {c}: kind {cert.kind}, witness moved"
-    return True, "verdict and witness stable for c in {1e-3, 1, 1e3}"
+        moved = np.abs(cert.x_star - base.x_star).max()
+        ok = ok and cert.kind == base.kind and moved <= fixture_opts.tol
+        details.append(f"c={c:g}: {cert.kind}")
+    return ok, "; ".join(details)
 
 
-def _check_cone_oracle(opts, rng, cones=10, directions=2000):
+def check_cone_oracle(opts, rng, *, cones, directions):
+    tol = 1e-9
+    false_nonempty = unexplained_empty = 0
     for _ in range(cones):
-        m = int(rng.integers(2, 6))
+        m = int(rng.integers(2, 7))
         normals = rng.standard_normal((m, 3))
-        poly = Polyhedron(normals, np.zeros(m))
-        result = cone_interior_nonempty(poly, 1e-9)
+        result = cone_interior_nonempty(Polyhedron(normals, np.zeros(m)), tol)
         unit = normals / np.linalg.norm(normals, axis=1, keepdims=True)
         samples = rng.standard_normal((directions, 3))
         samples /= np.linalg.norm(samples, axis=1, keepdims=True)
-        margins = (samples @ unit.T).min(axis=1)
-        best = float(margins.max())
+        sampled_margin = float((samples @ unit.T).min(axis=1).max())
         if result.nonempty:
-            witness_margin = float((unit @ result.witness).min())
-            if witness_margin <= 0:
-                return False, "false nonempty: witness outside the cone"
-        elif best >= 10 * 1e-9:
-            return False, f"false empty: sampled margin {best:.2g}"
-    return True, f"agreement on {cones} random cones"
+            if float((unit @ result.witness).min()) <= 0.0:
+                false_nonempty += 1
+        elif sampled_margin >= 10 * tol:
+            unexplained_empty += 1
+    ok = false_nonempty == 0 and unexplained_empty == 0
+    return ok, (
+        f"false nonempty: {false_nonempty}, unexplained empty: {unexplained_empty} "
+        f"on {cones} cones x {directions} directions"
+    )
 
 
 if __name__ == "__main__":

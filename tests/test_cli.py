@@ -424,6 +424,43 @@ class TestSelftest:
         assert proc.returncode == 1
         assert "[FAIL]" in proc.stdout
 
+    def test_json_names_every_check_in_order(self, capsys):
+        from sipcert import cli
+
+        assert cli.main(["selftest", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [r["name"] for r in report["results"]] == [
+            "near-active window certificate",
+            "strictly-active variant refuses",
+            "linear SIP multipliers",
+            "trigonometric SIP certificate",
+            "circle equality multiplier",
+            "duplicated-row equality degeneracy",
+            "equality with polyhedral set",
+            "composed parabola certificate",
+            "cone admissibility fixtures",
+            "gradients vs central differences",
+            "hull membership vs grid oracle",
+            "ladder nesting",
+            "caratheodory support bound",
+            "objective-scaling invariance",
+            "cone interior vs direction sampling",
+        ]
+        assert all(r["ok"] for r in report["results"])
+        assert (report["failures"], report["total"], report["exit_code"]) == (0, 15, 0)
+
+
+@pytest.mark.parametrize("seed", ["abc", "-1"])
+@pytest.mark.parametrize("argv", [["admissible", fixture_path("cone_orthant")], ["selftest"]])
+def test_bad_seed_is_an_input_error(seed, argv, monkeypatch, capsys):
+    from sipcert import cli
+
+    monkeypatch.setenv("SIPCERT_SEED", seed)
+    assert cli.main(argv) == 4
+    assert capsys.readouterr().out == (
+        f"error (input): SIPCERT_SEED: must be an integer >= 0, not '{seed}'\n"
+    )
+
 
 class TestDeterminism:
     def test_reports_identical_modulo_timings(self):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import sipcert
 from sipcert.fixtures import fixture_names, fixture_path
 
@@ -45,11 +47,16 @@ def test_ladder_trace_rejects_a_non_number():
     assert lines == ["error (input): eps0: not a number: 'abc'"]
 
 
-def test_report_snapshot(tmp_path):
-    # fixtures only: one line per (fixture, command), each report without timings
-    out = tmp_path / "snapshot.txt"
+@pytest.fixture(scope="module")
+def snapshot(tmp_path_factory):
+    """report_snapshot.py over the fixtures only: one line per (fixture, command)."""
+    out = tmp_path_factory.mktemp("snapshot") / "snapshot.txt"
     assert run_script("report_snapshot.py", str(out)) == []
-    lines = out.read_text().splitlines()
+    return out
+
+
+def test_report_snapshot(snapshot, tmp_path):
+    lines = snapshot.read_text().splitlines()
     assert len(lines) == 3 * len(fixture_names())
     source, name, command, code, report = lines[0].split(" ", 4)
     assert (source, name, command, code) == ("fixture", "near_active", "certify", "0")
@@ -57,7 +64,7 @@ def test_report_snapshot(tmp_path):
     assert all('"timings"' not in line for line in lines)
     again = tmp_path / "again.txt"
     run_script("report_snapshot.py", str(again))
-    assert again.read_bytes() == out.read_bytes()
+    assert again.read_bytes() == snapshot.read_bytes()
 
 
 def test_cone_audit():
@@ -67,10 +74,13 @@ def test_cone_audit():
     assert lines[-1] == "0 violations over 3 cones"
 
 
-def test_certify_fixtures():
-    lines = run_script("certify_fixtures.py")
-    assert lines[0].split() == ["fixture", "verdict", "exit", "residual"]
-    rows = {line.split()[0]: line.split()[1:3] for line in lines[1:]}
+def test_certify_fixtures(snapshot):
+    # the verdict table over the corpus: each fixture's certify verdict and exit code
+    rows = {}
+    for line in snapshot.read_text().splitlines():
+        _, name, command, code, report = line.split(" ", 4)
+        if command == "certify":
+            rows[name] = [json.loads(report).get("verdict", "error"), code]
     assert rows["sip_linear"] == ["KKT", "0"]
     assert rows["strict_active"] == ["NoCertificate", "2"]
     assert len(rows) == 10
