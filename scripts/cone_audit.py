@@ -5,40 +5,44 @@
 
 Prints one line per cone with the LP margin and the best sampled margin;
 any sound-ness violation (false nonempty, or empty with a clearly interior
-sampled direction) is flagged.
+sampled direction) is flagged.  The cones and the rules are those of
+`sipcert selftest`'s cone check.  A count that is not an integer >= 1, or
+a SIPCERT_SEED that is not an integer >= 0, is an input error (exit 4).
 """
 
 import sys
 
 import numpy as np
 
-from sipcert.geometry import Polyhedron, cone_interior_nonempty
-from sipcert.options import resolve_seed
+from sipcert.options import OptionError, resolve_seed
+from sipcert.selftest import cone_trials
+
+
+def _count(argv, i, name, default):
+    if len(argv) <= i:
+        return default
+    try:
+        if int(argv[i]) >= 1:
+            return int(argv[i])
+    except ValueError:
+        pass
+    raise OptionError(name, f"must be an integer >= 1, not {argv[i]!r}")
 
 
 def main(argv):
-    n_cones = int(argv[1]) if len(argv) > 1 else 25
-    dim = int(argv[2]) if len(argv) > 2 else 3
-    n_dirs = int(argv[3]) if len(argv) > 3 else 10_000
-    rng = np.random.default_rng(resolve_seed())
-    tol = 1e-9
+    try:
+        n_cones = _count(argv, 1, "n_cones", 25)
+        dim = _count(argv, 2, "dimension", 3)
+        n_dirs = _count(argv, 3, "n_directions", 10_000)
+        rng = np.random.default_rng(resolve_seed())
+    except OptionError as err:
+        print(f"error (input): {err.key}: {err.message}")
+        return 4
     violations = 0
-    for i in range(n_cones):
-        m = int(rng.integers(2, dim * 2 + 1))
-        normals = rng.standard_normal((m, dim))
-        poly = Polyhedron(normals, np.zeros(m))
-        result = cone_interior_nonempty(poly, tol)
-        unit = normals / np.linalg.norm(normals, axis=1, keepdims=True)
-        directions = rng.standard_normal((n_dirs, dim))
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        sampled = float((directions @ unit.T).min(axis=1).max())
-        flag = ""
-        if result.nonempty and float((unit @ result.witness).min()) <= 0:
-            flag = "  <-- FALSE NONEMPTY"
-            violations += 1
-        elif not result.nonempty and sampled >= 10 * tol:
-            flag = "  <-- FALSE EMPTY"
-            violations += 1
+    trials = cone_trials(rng, cones=n_cones, directions=n_dirs, dim=dim)
+    for i, (m, result, sampled, violation) in enumerate(trials):
+        violations += bool(violation)
+        flag = f"  <-- {violation.upper()}" if violation else ""
         print(
             f"cone {i:>3} (m={m}): lp_margin={result.margin:< .3e} "
             f"sampled={sampled:< .3e} nonempty={result.nonempty}{flag}"

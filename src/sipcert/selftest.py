@@ -31,7 +31,7 @@ from .options import Options, resolve_seed
 from .problemfile import emit_json
 from .reduction import certify_composed, certify_equality, convex_set_multiplier
 
-__all__ = ["run_selftest", "ladder_nested", "simplex_grid", "grid_hull_residual"]
+__all__ = ["run_selftest", "ladder_nested", "simplex_grid", "grid_hull_residual", "cone_trials"]
 
 
 def run_selftest(tol=None, as_json=False) -> int:
@@ -297,30 +297,38 @@ def grid_hull_residual(target, gens, weights):
 
 
 def check_hull_oracle(opts, rng, *, instances, generators, steps):
-    """LP membership against the simplex grid, on ``instances`` decided draws.
+    """LP membership and distance against the simplex grid on ``instances`` random hulls.
 
-    A draw whose grid residual lies between 1e-6 and four grid resolutions
-    cannot be decided at this resolution and is replaced by a fresh one.
+    Each hull is tested at a point inside it (Dirichlet weights), which must
+    be called a member, and at a uniform point of [-1.5, 1.5]^2.  Every grid
+    point lies in the hull, and rounding the weights of any hull point to
+    multiples of 1/steps moves it by at most ``resolution`` (k/4 of the
+    generators' spread per step), so the grid residual r brackets the
+    distance d: d <= r <= d + resolution.  The LP's distance must lie in
+    that bracket, and its verdict must be "member" when r <= 1e-6 and "not
+    a member" when r > resolution + 1e-6.
     """
+    tol = 1e-6
     weights = simplex_grid(generators, steps)
-    disagreements = 0
-    checked = drawn = 0
-    while checked < instances:
-        drawn += 1
+    disagreements = members = 0
+    for _ in range(instances):
         gens = rng.uniform(-1, 1, size=(generators, 2))
-        if rng.random() < 0.5:
-            target = gens.T @ rng.dirichlet(np.ones(generators))
-        else:
-            target = rng.uniform(-1.5, 1.5, size=2)
-        residual = grid_hull_residual(target, gens, weights)
-        resolution = 2.0 * np.abs(gens).max() / steps
-        if 1e-6 < residual <= 4 * resolution:
-            continue
-        checked += 1
-        if (residual <= resolution) != hull_member(target, Hull(gens), 1e-6).member:
-            disagreements += 1
+        resolution = generators / 4 * float(np.ptp(gens, axis=0).max()) / steps
+        inside = gens.T @ rng.dirichlet(np.ones(generators))
+        for target in (inside, rng.uniform(-1.5, 1.5, size=2)):
+            residual = grid_hull_residual(target, gens, weights)
+            lp = hull_member(target, Hull(gens), tol)
+            members += lp.member
+            if target is inside or residual <= tol:
+                wrong_verdict = not lp.member
+            else:
+                wrong_verdict = lp.member and residual > resolution + tol
+            outside_bracket = not (
+                lp.distance <= residual + 1e-9 and residual <= lp.distance + resolution + 1e-9
+            )
+            disagreements += wrong_verdict or outside_bracket
     return disagreements == 0, (
-        f"{disagreements} disagreements over {instances} instances ({drawn} drawn)"
+        f"{disagreements} disagreements over {instances} hulls x 2 targets ({members} members)"
     )
 
 
@@ -405,25 +413,37 @@ def check_scaling(opts, rng):
     return ok, "; ".join(details)
 
 
-def check_cone_oracle(opts, rng, *, cones, directions):
+def cone_trials(rng, *, cones, directions, dim=3):
+    """Random cones ``{d : N d <= 0}`` with 2 to 2 dim rows, each against direction sampling.
+
+    Yields ``(m, result, sampled_margin, violation)`` per cone.  The
+    violation is "false nonempty" when the LP's witness is not strictly
+    interior, "false empty" when the LP finds no interior but a sampled unit
+    direction has margin at least 10 tol, else "".
+    """
     tol = 1e-9
-    false_nonempty = unexplained_empty = 0
     for _ in range(cones):
-        m = int(rng.integers(2, 7))
-        normals = rng.standard_normal((m, 3))
+        m = int(rng.integers(2, 2 * dim + 1))
+        normals = rng.standard_normal((m, dim))
         result = cone_interior_nonempty(Polyhedron(normals, np.zeros(m)), tol)
         unit = normals / np.linalg.norm(normals, axis=1, keepdims=True)
-        samples = rng.standard_normal((directions, 3))
+        samples = rng.standard_normal((directions, dim))
         samples /= np.linalg.norm(samples, axis=1, keepdims=True)
         sampled_margin = float((samples @ unit.T).min(axis=1).max())
+        violation = ""
         if result.nonempty:
             if float((unit @ result.witness).min()) <= 0.0:
-                false_nonempty += 1
+                violation = "false nonempty"
         elif sampled_margin >= 10 * tol:
-            unexplained_empty += 1
-    ok = false_nonempty == 0 and unexplained_empty == 0
-    return ok, (
-        f"false nonempty: {false_nonempty}, unexplained empty: {unexplained_empty} "
+            violation = "false empty"
+        yield m, result, sampled_margin, violation
+
+
+def check_cone_oracle(opts, rng, *, cones, directions):
+    found = [v for *_, v in cone_trials(rng, cones=cones, directions=directions) if v]
+    false_nonempty = found.count("false nonempty")
+    return not found, (
+        f"false nonempty: {false_nonempty}, unexplained empty: {len(found) - false_nonempty} "
         f"on {cones} cones x {directions} directions"
     )
 

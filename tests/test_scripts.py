@@ -14,10 +14,10 @@ from sipcert.fixtures import fixture_names, fixture_path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args, code=0):
+def run_script(name, *args, code=0, seed="0"):
     src = str(Path(sipcert.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = {**os.environ, "PYTHONPATH": path, "SIPCERT_SEED": "0"}
+    env = {**os.environ, "PYTHONPATH": path, "SIPCERT_SEED": seed}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
@@ -72,6 +72,15 @@ def test_cone_audit():
     assert len(lines) == 4
     assert lines[0].startswith("cone   0 (m=")
     assert lines[-1] == "0 violations over 3 cones"
+
+
+def test_cone_audit_input_errors():
+    assert run_script("cone_audit.py", "3", "x", code=4) == [
+        "error (input): dimension: must be an integer >= 1, not 'x'"
+    ]
+    assert run_script("cone_audit.py", "3", code=4, seed="abc") == [
+        "error (input): SIPCERT_SEED: must be an integer >= 0, not 'abc'"
+    ]
 
 
 def test_certify_fixtures(snapshot):

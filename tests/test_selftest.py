@@ -1,8 +1,13 @@
-"""The simplex-grid hull oracle of the check library against closed forms."""
+"""The simplex-grid hull oracle of the check library: closed forms, and the check's teeth."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from sipcert import selftest
+from sipcert.geometry import hull_member
+from sipcert.options import Options
 from sipcert.selftest import grid_hull_residual, simplex_grid
 
 GENERATORS = {
@@ -31,3 +36,33 @@ def test_zero_at_every_generator(k):
 )
 def test_known_distance_off_the_hull(k, target, distance):
     assert grid_hull_residual(target, GENERATORS[k], simplex_grid(k, 40)) == distance
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        {"member": False},  # never a member
+        {"member": True, "distance": 0.0},  # everything is a member
+        {"distance": "scaled"},  # the right verdict at half the distance
+    ],
+)
+def test_hull_check_fails_a_wrong_oracle(broken, monkeypatch):
+    def wrong(target, hull, tol):
+        right = hull_member(target, hull, tol)
+        change = {**broken}
+        if change.get("distance") == "scaled":
+            change["distance"] = right.distance / 2
+        return dataclasses.replace(right, **change)
+
+    rng = np.random.default_rng(0)
+    monkeypatch.setattr(selftest, "hull_member", wrong)
+    ok, detail = selftest.check_hull_oracle(Options(), rng, instances=10, generators=3, steps=40)
+    assert not ok, detail
+
+
+def test_hull_check_decides_inside_points():
+    rng = np.random.default_rng(0)
+    ok, detail = selftest.check_hull_oracle(Options(), rng, instances=10, generators=3, steps=40)
+    assert ok, detail
+    members = int(detail.split("(")[1].split()[0])
+    assert members >= 10  # every inside target, and any outside one that hits the hull
