@@ -3,16 +3,17 @@
 Hulls are kept in V-representation only (lists of generators); every
 operation needed downstream is a membership or a linear optimization, both
 of which reduce to small dense LPs.  Polyhedra are kept in
-H-representation ``{y : a_j @ y >= b_j}``.  All functions are pure.
+H-representation ``{y : a_j @ y >= b_j}``.  All functions are pure; a
+``PolyhedronLP`` keeps one polyhedron's simplex tableau between objectives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import solve_lp
+from .lp import Simplex, solve_lp
 
 __all__ = [
     "Hull",
@@ -27,6 +28,7 @@ __all__ = [
     "recession_cone",
     "dual_cone",
     "cone_interior_nonempty",
+    "PolyhedronLP",
     "polyhedron_minimize",
 ]
 
@@ -136,23 +138,60 @@ def _check_target(target, hull):
     return t
 
 
-def _fit_lp(cols, t):
-    """``solve_lp``'s arrays for the inf-norm fit of ``t`` by the columns ``cols``.
+def _fit_lp(cols, t, k=None):
+    """``solve_lp``'s arrays for the inf-norm fit of ``t`` by the columns ``cols``,
+    written around one column k.
 
-    Variables ``a_1..a_n, s``: minimize s subject to
-    -s <= (cols @ a - t)_j <= s and sum(a) = 1.
+    The fit minimizes s over a in the simplex subject to
+    -s <= (cols @ a - t)_j <= s.  By default k is the column nearest to t,
+    found one coordinate at a time as in ``_nearest_generator_distance``.
+    With d = cols_k - t, u = |d|_inf, D = cols - cols_k,
+    a_k = 1 - sum_{i != k} a_i and s = u - r the LP is: maximize r subject
+    to (D a)_j + r <= u - d_j, -(D a)_j + r <= u + d_j and
+    sum_{i != k} a_i <= 1.  Every right-hand side is >= 0 in IEEE
+    arithmetic, since |d_j| <= u exactly, so the slack basis (a = e_k,
+    s = u) is a feasible start: no artificials, no phase 1.  The variables
+    are (a, r); a_k keeps its column, which is zero in every row and in the
+    cost, so it never enters.
+
+    Returns (c, a_ub, b_ub, k, u).
     """
     p, n = cols.shape
+    if k is None:
+        dist = np.abs(cols[0] - t[0])
+        for j in range(1, p):
+            np.maximum(dist, np.abs(cols[j] - t[j]), out=dist)
+        k = int(dist.argmin())
+    d = cols[:, k] - t
+    u = float(np.abs(d).max())
     c = np.zeros(n + 1)
-    c[-1] = 1.0
-    a_ub = np.zeros((2 * p, n + 1))
-    a_ub[:p, :n] = cols
-    a_ub[p:, :n] = -cols
-    a_ub[:, -1] = -1.0
-    b_ub = np.concatenate([t, -t])
-    a_eq = np.zeros((1, n + 1))
-    a_eq[0, :n] = 1.0
-    return c, a_ub, b_ub, a_eq, [1.0]
+    c[-1] = -1.0
+    a_ub = np.empty((2 * p + 1, n + 1))
+    np.subtract(cols, cols[:, k : k + 1], out=a_ub[:p, :n])
+    np.negative(a_ub[:p, :n], out=a_ub[p : 2 * p, :n])
+    a_ub[: 2 * p, n] = 1.0
+    a_ub[2 * p] = 1.0
+    a_ub[2 * p, k] = a_ub[2 * p, n] = 0.0
+    return c, a_ub, np.concatenate([u - d, u + d, [1.0]]), k, u
+
+
+def _fit(cols, t, then=None, k=None):
+    """(coefficients a, distance s) of the inf-norm fit of ``t`` by ``cols``,
+    by ``_fit_lp`` around column k.
+
+    ``then``, over the fit's own variables (a, s), breaks ties among the
+    best fits; it maps through the same substitution as the LP.  The
+    distance lies in [0, u], u the start column's distance, exactly.
+    """
+    c, a_ub, b_ub, k, u = _fit_lp(cols, t, k)
+    if then is not None:
+        then = np.append(then[:-1] - then[k], -then[-1])
+    sol = solve_lp(c, a_ub, b_ub, then=then)
+    if not sol.optimal:
+        raise GeometryError(f"fit LP failed with status {sol.status}")
+    a = np.clip(sol.x[:-1], 0.0, None)
+    a[k] = max(1.0 - a.sum(), 0.0)
+    return a, min(max(u - float(sol.x[-1]), 0.0), u)
 
 
 def hull_member(target, hull: Hull, tol: float = DEFAULT_MEMBER_TOL) -> HullMembership:
@@ -160,14 +199,12 @@ def hull_member(target, hull: Hull, tol: float = DEFAULT_MEMBER_TOL) -> HullMemb
 
     Minimizes s subject to -s <= (sum_i a_i g_i - target)_j <= s with a in
     the simplex; membership holds iff the optimal s is at most ``tol``.
+    The LP is written around the generator nearest to the target
+    (``_fit_lp``), so it starts feasible and runs no phase 1, and s never
+    exceeds that generator's distance.
     """
     t = _check_target(target, hull)
-    n = len(hull)
-    sol = solve_lp(*_fit_lp(hull.generators.T, t))
-    if not sol.optimal:
-        raise GeometryError(f"membership LP failed with status {sol.status}")
-    coeffs = np.clip(sol.x[:n], 0.0, None)
-    distance = float(sol.x[-1])
+    coeffs, distance = _fit(hull.generators.T, t)
     return HullMembership(distance <= tol, coeffs, distance)
 
 
@@ -294,7 +331,9 @@ def segment_hull_member(
     lambda w + (1 - lambda) sum a_i g_i into a single linear program; the
     returned coefficients are the normalized a_i.  Among the best fits the
     largest lambda is returned, so a lambda that is not unique does not
-    depend on the order of the generators or on the pivot rule.
+    depend on the order of the generators or on the pivot rule.  The LP
+    (``_fit_lp``) is written around w: it starts feasible at lambda = 1,
+    the end the tie-break prefers, and runs no phase 1.
     """
     t = _check_target(target, hull)
     w = np.asarray(w, dtype=float).reshape(-1)
@@ -304,14 +343,10 @@ def segment_hull_member(
     # variables: lambda, mu_1..mu_n, s
     largest_lam = np.zeros(n + 2)
     largest_lam[0] = -1.0
-    sol = solve_lp(*_fit_lp(np.column_stack([w, hull.generators.T]), t), then=largest_lam)
-    if not sol.optimal:
-        raise GeometryError(f"segment membership LP failed with status {sol.status}")
-    lam = float(min(max(sol.x[0], 0.0), 1.0))
-    mu = np.clip(sol.x[1 : n + 1], 0.0, None)
+    a, distance = _fit(np.column_stack([w, hull.generators.T]), t, then=largest_lam, k=0)
+    lam, mu = float(a[0]), a[1:]  # a_0 = 1 - sum(mu), clipped at 0
     weight = mu.sum()
     coeffs = mu / weight if weight > 1e-15 else np.zeros(n)
-    distance = float(sol.x[-1])
     return SegmentMembership(distance <= tol, lam, coeffs, distance)
 
 
@@ -321,28 +356,41 @@ class PolyhedronMinimum:
     value: float
     point: np.ndarray | None
     ray: np.ndarray | None = None
+    pivots: int = field(default=0, compare=False)  # simplex pivots, phase 1 included
+
+
+class PolyhedronLP:
+    """min z @ y over one H-polyhedron for objective after objective.
+
+    The free variables are split, y = u - v with u, v >= 0, and the split
+    LP's tableau is kept in one ``Simplex``: phase 1 runs at most once, and
+    each objective starts from the vertex where the previous one ended.
+    """
+
+    def __init__(self, poly: Polyhedron):
+        self.poly = poly
+        # a_j @ y >= b_j  becomes  -a_j@u + a_j@v <= -b_j
+        self._lp = Simplex(2 * poly.dim, np.hstack([-poly.normals, poly.normals]), -poly.offsets)
+
+    def minimize(self, z) -> PolyhedronMinimum:
+        """Unbounded results carry a recession ray with z @ ray < 0."""
+        z = np.asarray(z, dtype=float).reshape(-1)
+        p = self.poly.dim
+        if z.size != p:
+            raise GeometryError("objective dimension mismatch")
+        sol = self._lp.minimize(np.concatenate([z, -z]))
+        if sol.status == "infeasible":
+            return PolyhedronMinimum("infeasible", float("nan"), None, pivots=sol.pivots)
+        y = sol.x[:p] - sol.x[p:]
+        if sol.status == "unbounded":
+            ray = sol.ray[:p] - sol.ray[p:]
+            return PolyhedronMinimum("unbounded", -np.inf, y, ray, sol.pivots)
+        return PolyhedronMinimum("optimal", float(z @ y), y, pivots=sol.pivots)
 
 
 def polyhedron_minimize(poly: Polyhedron, z) -> PolyhedronMinimum:
-    """min z @ y over the H-polyhedron (free variables, split internally).
-
-    Unbounded results carry a recession ray with z @ ray < 0.
-    """
-    z = np.asarray(z, dtype=float).reshape(-1)
-    p = poly.dim
-    if z.size != p:
-        raise GeometryError("objective dimension mismatch")
-    # y = u - v with u, v >= 0; a_j @ y >= b_j  becomes  -a_j@u + a_j@v <= -b_j
-    c = np.concatenate([z, -z])
-    a_ub = np.hstack([-poly.normals, poly.normals])
-    sol = solve_lp(c, a_ub, -poly.offsets)
-    if sol.status == "infeasible":
-        return PolyhedronMinimum("infeasible", float("nan"), None)
-    y = sol.x[:p] - sol.x[p:]
-    if sol.status == "unbounded":
-        ray = sol.ray[:p] - sol.ray[p:]
-        return PolyhedronMinimum("unbounded", -np.inf, y, ray)
-    return PolyhedronMinimum("optimal", float(z @ y), y)
+    """min z @ y over the H-polyhedron: one objective on a fresh ``PolyhedronLP``."""
+    return PolyhedronLP(poly).minimize(z)
 
 
 def recession_cone(poly: Polyhedron) -> Polyhedron:

@@ -32,12 +32,20 @@ the nonbasic ones whose reduced cost is at most ``tol`` may enter (the
 optimal face), and the same pricing loop minimizes ``then`` there; a basic
 column that leaves keeps a slot and may enter again.  Where that secondary
 optimum is unique, the answer does not depend on the pivot rule.  Columns
-that must not enter -- artificials after phase 1, columns off the optimal
-face -- get cost +inf, so no pricing rule picks them.
+off the optimal face get cost +inf, so no pricing rule picks them; the
+artificial columns that phase 1 leaves nonbasic are dropped from the
+tableau.
+
+A ``Simplex`` keeps the tableau of one constraint set across a sequence
+of objectives: phase 1 runs at most once, in its first ``minimize``, and
+each later objective starts from the basis the previous one ended at,
+which is primal feasible for any cost (the dictionary method's warm start,
+Chvatal ch. 2-3).  ``solve_lp`` is one objective on a fresh ``Simplex``.
 
 Everything here is small -- a few thousand columns at most -- so a dense
 tableau is the right tool and there is no external dependency.  All state
-is local to one call; concurrent use is safe.
+belongs to one ``Simplex`` object: separate objects may be used
+concurrently, one object may not.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SimplexSolution", "SimplexError", "solve_lp"]
+__all__ = ["Simplex", "SimplexSolution", "SimplexError", "solve_lp"]
 
 _PIVOT_TOL = 1e-10
 _MAX_ITERS = 50_000
@@ -63,7 +71,7 @@ class SimplexSolution:
     objective: float
     x: np.ndarray
     ray: np.ndarray | None = field(default=None)
-    pivots: int = 0  # phase 1, phase 2 and tie-break pivots of this solve
+    pivots: int = 0  # this call's phase 1 (the first call only), phase 2 and tie-break pivots
 
     @property
     def optimal(self) -> bool:
@@ -82,85 +90,122 @@ def solve_lp(
 ) -> SimplexSolution:
     """Minimize c@x; among the optimal x, minimize ``then``@x when it is given.
 
-    If ``then`` is unbounded over the optimal face, the optimal vertex
-    reached so far is returned.
+    One objective on a fresh ``Simplex``.  If ``then`` is unbounded over the
+    optimal face, the optimal vertex reached so far is returned.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
-    n = c.size
-    a_ub = _as_2d(a_ub, n)
-    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).reshape(-1)
-    a_eq = _as_2d(a_eq, n)
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).reshape(-1)
-    if a_ub.shape != (b_ub.size, n) or a_eq.shape != (b_eq.size, n):
-        raise ValueError("inconsistent LP dimensions")
-    if then is not None:
-        then = np.asarray(then, dtype=float).reshape(-1)
-        if then.size != n:
-            raise ValueError("secondary objective dimension mismatch")
+    return Simplex(c.size, a_ub, b_ub, a_eq, b_eq, tol=tol).minimize(c, then)
 
-    m_eq, m_ub = b_eq.size, b_ub.size
-    m = m_eq + m_ub
-    n_real = n + m_ub  # the x columns, then one slack per inequality row
 
-    # constraint rows: equalities first, then inequalities; the last row holds
-    # the reduced costs and, in its last entry, -objective
-    rhs = np.concatenate([b_eq, b_ub])
-    neg = rhs < 0  # these rows are negated so that every rhs is nonnegative
-    # artificials for equality rows and for negated inequality rows
-    need_art = neg.copy()
-    need_art[:m_eq] = True
-    art_rows = np.flatnonzero(need_art)
-    total = n_real + art_rows.size
-    # the slack of a negated inequality row starts nonbasic: its artificial is basic
-    slack_rows = art_rows[art_rows >= m_eq]
-    nb = np.concatenate([np.arange(n), n - m_eq + slack_rows])
-    tableau = np.zeros((m + 1, nb.size + 1))
-    tableau[:m_eq, :n] = a_eq
-    tableau[m_eq:m, :n] = a_ub
-    tableau[slack_rows, np.arange(n, nb.size)] = 1.0
-    tableau[:m, -1] = rhs
-    tableau[:m][neg] *= -1.0  # negated slack columns become -1
+class Simplex:
+    """The tableau of one constraint set, kept across a sequence of objectives.
 
-    basis = np.arange(n - m_eq, n_real)  # each inequality row's slack ...
-    basis[art_rows] = np.arange(n_real, total)  # ... unless the row has an artificial
+    The set is ``a_ub@x <= b_ub, a_eq@x == b_eq, x >= 0`` in ``n`` variables.
+    Phase 1 runs at most once, in the first ``minimize``, and drops the
+    artificial columns it leaves nonbasic; every later call starts from the
+    basis the previous one ended at.  A pivot keeps the basis primal
+    feasible, so that basis is a feasible start for any cost; a set found
+    infeasible is infeasible for every objective.
+    """
 
-    pivots = 0
-    if art_rows.size:
-        cost1 = np.zeros(total)
-        cost1[n_real:] = 1.0
-        obj1, _, count = _run_phase(tableau, basis, nb, cost1, tol)
+    def __init__(self, n, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, tol=1e-9):
+        a_ub = _as_2d(a_ub, n)
+        b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).reshape(-1)
+        a_eq = _as_2d(a_eq, n)
+        b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).reshape(-1)
+        if a_ub.shape != (b_ub.size, n) or a_eq.shape != (b_eq.size, n):
+            raise ValueError("inconsistent LP dimensions")
+
+        m_eq, m_ub = b_eq.size, b_ub.size
+        m = m_eq + m_ub
+        n_real = n + m_ub  # the x columns, then one slack per inequality row
+
+        # constraint rows: equalities first, then inequalities; the last row
+        # holds the reduced costs and, in its last entry, -objective
+        rhs = np.concatenate([b_eq, b_ub])
+        neg = rhs < 0  # these rows are negated so that every rhs is nonnegative
+        # artificials for equality rows and for negated inequality rows
+        need_art = neg.copy()
+        need_art[:m_eq] = True
+        art_rows = np.flatnonzero(need_art)
+        total = n_real + art_rows.size
+        # the slack of a negated inequality row starts nonbasic: its artificial is basic
+        slack_rows = art_rows[art_rows >= m_eq]
+        nb = np.concatenate([np.arange(n), n - m_eq + slack_rows])
+        tableau = np.zeros((m + 1, nb.size + 1))
+        tableau[:m_eq, :n] = a_eq
+        tableau[m_eq:m, :n] = a_ub
+        tableau[slack_rows, np.arange(n, nb.size)] = 1.0
+        tableau[:m, -1] = rhs
+        tableau[:m][neg] *= -1.0  # negated slack columns become -1
+
+        basis = np.arange(n - m_eq, n_real)  # each inequality row's slack ...
+        basis[art_rows] = np.arange(n_real, total)  # ... unless the row has an artificial
+
+        self.n, self.tol = n, tol
+        self._n_real, self._total = n_real, total
+        self._tableau, self._basis, self._nb = tableau, basis, nb
+        self._rhs_scale = float(abs(rhs).max(initial=0.0))
+        self._phase_one_due = art_rows.size > 0
+        self._feasible = True
+
+    def minimize(self, c, then=None) -> SimplexSolution:
+        """Minimize c@x from the current basis; then ``then``@x on the optimal face."""
+        c = np.asarray(c, dtype=float).reshape(-1)
+        n, total, tol = self.n, self._total, self.tol
+        if c.size != n:
+            raise ValueError("objective dimension mismatch")
+        if then is not None:
+            then = np.asarray(then, dtype=float).reshape(-1)
+            if then.size != n:
+                raise ValueError("secondary objective dimension mismatch")
+        pivots = self._phase_one() if self._phase_one_due else 0
+        if not self._feasible:
+            return SimplexSolution("infeasible", float("nan"), np.full(n, np.nan), pivots=pivots)
+
+        tableau, basis, nb = self._tableau, self._basis, self._nb
+        cost2 = np.zeros(total)
+        cost2[:n] = c
+        obj2, bad, count = _run_phase(tableau, basis, nb, cost2, tol)
         pivots += count
+        if obj2 is None:
+            ray = np.zeros(total)
+            ray[nb[bad]] = 1.0
+            ray[basis] = -tableau[:-1, bad]
+            ray[np.abs(ray) < _PIVOT_TOL] = 0.0
+            return SimplexSolution(
+                "unbounded", -np.inf, _extract(tableau, basis, n, total), ray=ray[:n], pivots=pivots
+            )
+        if then is not None:
+            # the optimal face: the basic columns and the nonbasic ones that can
+            # enter without raising c@x; a basic column that leaves may re-enter
+            cost3 = np.zeros(total)
+            cost3[:n] = then
+            cost3[nb[tableau[-1, :-1] > tol]] = np.inf  # off the face
+            pivots += _run_phase(tableau, basis, nb, cost3, tol)[2]
+        x = _extract(tableau, basis, n, total)
+        return SimplexSolution("optimal", float(c @ x), x, pivots=pivots)
+
+    def _phase_one(self) -> int:
+        """Drive the artificials out of the basis, or find the set infeasible.
+
+        Returns its pivots.  The artificial columns left nonbasic are dropped:
+        no later phase may enter them.
+        """
+        self._phase_one_due = False
+        tableau, basis, nb, n_real = self._tableau, self._basis, self._nb, self._n_real
+        cost1 = np.zeros(self._total)
+        cost1[n_real:] = 1.0
+        obj1, _, pivots = _run_phase(tableau, basis, nb, cost1, self.tol)
         if obj1 is None:
             raise SimplexError("phase 1 unbounded (should be impossible)")
-        if obj1 > max(tol, 1e-7 * (1.0 + abs(rhs).max(initial=0.0))):
-            return SimplexSolution(
-                "infeasible", float("nan"), np.full(n, np.nan), pivots=pivots
-            )
-        tableau, basis, count = _evict_artificials(tableau, basis, nb, n_real, tol)
-        pivots += count
-
-    cost2 = np.zeros(total)
-    cost2[:n] = c
-    cost2[n_real:] = np.inf  # artificials stay out in phase 2
-    obj2, bad, count = _run_phase(tableau, basis, nb, cost2, tol)
-    pivots += count
-    if obj2 is None:
-        ray = np.zeros(total)
-        ray[nb[bad]] = 1.0
-        ray[basis] = -tableau[:-1, bad]
-        ray[np.abs(ray) < _PIVOT_TOL] = 0.0
-        return SimplexSolution(
-            "unbounded", -np.inf, _extract(tableau, basis, n, total), ray=ray[:n], pivots=pivots
-        )
-    if then is not None:
-        # the optimal face: the basic columns and the nonbasic ones that can
-        # enter without raising c@x; a basic column that leaves may re-enter
-        cost3 = np.zeros(total)
-        cost3[:n] = then
-        cost3[nb[tableau[-1, :-1] > tol]] = np.inf  # off the face (artificials too)
-        pivots += _run_phase(tableau, basis, nb, cost3, tol)[2]
-    x = _extract(tableau, basis, n, total)
-    return SimplexSolution("optimal", float(c @ x), x, pivots=pivots)
+        if obj1 > max(self.tol, 1e-7 * (1.0 + self._rhs_scale)):
+            self._feasible = False
+            return pivots
+        tableau, self._basis, count = _evict_artificials(tableau, basis, nb, n_real, self.tol)
+        real = nb < n_real
+        self._tableau, self._nb = tableau[:, np.append(real, True)], nb[real]
+        return pivots + count
 
 
 def _extract(tableau, basis, n, total):
@@ -180,6 +225,8 @@ def _run_phase(tableau, basis, nb, cost, tol):
     reduced[:-1] = cost[nb] - cost[basis] @ body[:, :-1]
     reduced[-1] = -(cost[basis] @ body[:, -1])
     red = reduced[:-1]
+    if red.size == 0:  # every column is basic
+        return -float(reduced[-1]), None, 0
     degenerate = 0
     for pivots in range(_MAX_ITERS):
         if degenerate < _DEGENERATE_RUN:

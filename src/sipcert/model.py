@@ -50,9 +50,9 @@ from .geometry import (
     DEFAULT_LP_TOL,
     Hull,
     Polyhedron,
+    PolyhedronLP,
     first_occurrences,
     hull_member,
-    polyhedron_minimize,
 )
 from .options import Options, resolve_seed
 
@@ -379,38 +379,55 @@ class PolyhedralFamily(_Family):
         """(normalized normal a_j, infimum of a_j @ y over the set, stated offset c_j) per facet.
 
         The infimum is at least c_j, since the set obeys facet j, and at
-        most a_j @ v for every point v of the set.  The facets are visited
-        in order, and the minimisers that earlier support LPs returned serve
-        as such points: facet j runs its own LP only when none of them comes
-        within ``tol_lp * (1 + |c_j|)`` of c_j, and otherwise reports
-        ``max(c_j, min_v a_j @ v)``.  A facet through an LP's minimiser is
-        necessary and needs no LP of its own (the extreme-point
-        classification of necessary constraints: Caron, McDonald & Ponic,
-        JOTA 62, 1989).  An unbounded LP gives -inf.  Phase 1 does not see
-        the objective, so after one infeasible LP every infimum is +inf and
-        no further LP runs.  ``counters["support_lps"]``, if given, counts
-        the LPs.
+        most a_j @ v for every point v of the set.  The vertices that
+        earlier support LPs ended at serve as such points: facet j runs its
+        own LP only when none of them comes within ``tol_lp * (1 + |c_j|)``
+        of c_j, and otherwise reports ``max(c_j, min_v a_j @ v)``.  A facet
+        through an LP's minimiser is necessary and needs no LP of its own
+        (the extreme-point classification of necessary constraints: Caron,
+        McDonald & Ponic, JOTA 62, 1989).  An unbounded LP gives -inf.
+
+        All LPs share one kept tableau (``PolyhedronLP``): phase 1 runs at
+        most once, and each LP starts at the vertex where the last one
+        ended.  The first LP is facet 0's; after each LP the next is that
+        of the unsettled facet with the least slack ``a_j @ v - c_j`` at
+        the last vertex v, ties to the lowest index, so each LP starts
+        near its optimum.  The rows stay in facet order.  After an
+        infeasible LP every infimum is +inf and no further LP runs.
+        ``counters["support_lps"]`` and ``counters["support_pivots"]``
+        (phase 1 included), if given, count the LPs and their pivots.
         """
         normals, offsets = self._normals, self._offsets
-        reach = np.full(len(offsets), np.inf)  # min over the minimisers v of a_j @ v
-        infima, lps = [], 0
-        for j, (a, c) in enumerate(zip(normals, offsets)):
-            if reach[j] - c <= tol_lp * (1.0 + abs(c)):
-                infima.append(max(float(c), float(reach[j])))
-                continue
-            result = polyhedron_minimize(self.poly, a)
-            lps += 1
-            if result.status == "infeasible":
-                infima += [np.inf] * (len(offsets) - len(infima))
+        near = tol_lp * (1.0 + np.abs(offsets))
+        reach = np.full(len(offsets), np.inf)  # min over the LP vertices v of a_j @ v
+        infima = np.full(len(offsets), np.nan)
+        unsettled = np.ones(len(offsets), dtype=bool)
+        slack = np.zeros(len(offsets))  # a_j @ v - c_j at the last vertex v
+        support = PolyhedronLP(self.poly)
+        lps = pivots = 0
+        while True:
+            settled = unsettled & (reach - offsets <= near)
+            infima[settled] = np.maximum(offsets, reach)[settled]
+            unsettled &= ~settled
+            if not unsettled.any():
                 break
-            if result.status == "unbounded":
-                infima.append(-np.inf)
-                continue
-            infima.append(result.value)
-            np.minimum(reach, normals @ result.point, out=reach)
+            open_rows = np.flatnonzero(unsettled)
+            j = int(open_rows[slack[open_rows].argmin()])
+            unsettled[j] = False
+            result = support.minimize(normals[j])
+            lps += 1
+            pivots += result.pivots
+            if result.status == "infeasible":
+                infima[:] = np.inf
+                break
+            infima[j] = -np.inf if result.status == "unbounded" else result.value
+            product = normals @ result.point
+            np.minimum(reach, product, out=reach)
+            slack = product - offsets
         if counters is not None:
             counters["support_lps"] = counters.get("support_lps", 0) + lps
-        return tuple((tuple(a), inf, float(c)) for a, inf, c in zip(normals, infima, offsets))
+            counters["support_pivots"] = counters.get("support_pivots", 0) + pivots
+        return tuple(zip(map(tuple, normals), infima.tolist(), offsets.tolist()))
 
     def cone(self) -> Polyhedron | None:
         return self.poly if self.poly.is_cone(tol=1e-12) else None
@@ -711,7 +728,7 @@ class AdmissibleReport:
     lipschitz_estimate: float
     determination: tuple = ()  # polyhedral: (normalized normal, inf over A, stated offset)
     assumptions: tuple = ()
-    # work done: support LPs and Lipschitz grid walks; not part of the result
+    # work done: support LPs, their pivots and Lipschitz grid walks; not part of the result
     counters: dict = field(default_factory=dict, compare=False)
 
 
@@ -725,7 +742,8 @@ def admissible_diagnostics(
     equi-Lipschitz estimate; (c) for polyhedral families, the closed-set
     determination by normalized supporting functionals, with each stated
     offset compared against the infimum over the set.  The report's
-    ``counters`` say how many support LPs and Lipschitz grid walks ran.
+    ``counters`` say how many support LPs, support pivots and Lipschitz grid
+    walks ran.
     """
     values, report = evaluate_family(prob, x, opts.tol_feas, grid)
     if not report.feasible:
@@ -734,7 +752,7 @@ def admissible_diagnostics(
         "equi-lower-semicontinuity of the inactive members is assumed, not verified",
         "equi-differentiability is exact for the closed expression grammar",
     )
-    counters = {"support_lps": 0, "lipschitz_walks": 0}
+    counters = {"support_lps": 0, "support_pivots": 0, "lipschitz_walks": 0}
     family = prob.family
     if family is None:
         return AdmissibleReport(False, float("inf"), False, 0.0, (), assumptions, counters)

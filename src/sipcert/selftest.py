@@ -91,11 +91,11 @@ def _rounded(hull):
 
 def check_near_active(opts, rng):
     problem, candidate, fixture_opts, grid = _load("near_active", opts)
-    tc = tc_approx(problem, candidate, fixture_opts, grid)
     cert = certify_fj(problem, candidate, fixture_opts, grid)
+    final = cert.tc.final
     ok = (
-        len(tc.final) == 2
-        and _rounded(tc.final) == {(1.0, 0.0), (0.0, 1.0)}
+        len(final) == 2
+        and _rounded(final) == {(1.0, 0.0), (0.0, 1.0)}
         and cert.kind == "kkt"
         and np.abs(cert.x_star - np.array([0.0, 1.0])).max() <= 1e-9
         and abs(cert.lam - 0.5) <= 1e-9
@@ -103,7 +103,7 @@ def check_near_active(opts, rng):
         and cert.residual <= fixture_opts.tol
     )
     return ok, (
-        f"kind={cert.kind} final={sorted(_rounded(tc.final))} "
+        f"kind={cert.kind} final={sorted(_rounded(final))} "
         f"lam={cert.lam:.9g} beta={cert.beta:.9g} residual={cert.residual:.2g}"
     )
 

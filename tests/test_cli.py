@@ -319,12 +319,16 @@ class TestAdmissible:
         _, cone = run_json("admissible", fixture_path("cone_orthant"))
         _, sip = run_json("admissible", fixture_path("sip_linear"))
         for report in (cone, sip):
-            assert set(report["timings"]) == {"total_s", "support_lps", "lipschitz_walks"}
+            assert set(report["timings"]) == {
+                "total_s", "support_lps", "support_pivots", "lipschitz_walks"
+            }
             assert report["timings"]["total_s"] > 0.0
-        # the orthant's first minimiser touches both facets; no grid to walk
-        assert (cone["timings"]["support_lps"], cone["timings"]["lipschitz_walks"]) == (1, 0)
+        counts = ("support_lps", "support_pivots", "lipschitz_walks")
+        # the orthant's first minimiser, one degenerate pivot from the slack
+        # basis, touches both facets; no grid to walk
+        assert [cone["timings"][k] for k in counts] == [1, 1, 0]
         # 34 sample pairs at grid 1025: 3 pairs (6150 points) per walk
-        assert (sip["timings"]["support_lps"], sip["timings"]["lipschitz_walks"]) == (0, 12)
+        assert [sip["timings"][k] for k in counts] == [0, 0, 12]
 
     def test_reports_identical_modulo_timings(self):
         _, first = run_json("admissible", fixture_path("cone_hyperplane"))

@@ -73,6 +73,86 @@ class TestHullMember:
         assert np.abs(base.coeffs - scaled.coeffs).max() <= 1e-9
 
 
+def _fit_targets(rng, gens):
+    """Targets inside, on a generator, on an edge, and far outside the hull."""
+    n, p = gens.shape
+    return [
+        rng.dirichlet(np.ones(n)) @ gens,
+        gens[int(rng.integers(n))],
+        0.5 * (gens[0] + gens[-1]),
+        rng.standard_normal(p) * 10.0,
+        gens.mean(axis=0) + 1e-13,
+    ]
+
+
+class TestFitLP:
+    """The inf-norm fit written around one column starts feasible: no phase 1."""
+
+    def test_no_equality_row_and_nonnegative_rhs(self, rng):
+        for _ in range(40):
+            n, p = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+            gens = rng.standard_normal((n, p)) * 10.0 ** rng.integers(-3, 4)
+            for t in _fit_targets(rng, gens):
+                c, a_ub, b_ub, k, u = geometry._fit_lp(gens.T, t)
+                assert a_ub.shape == (2 * p + 1, n + 1) and b_ub.shape == (2 * p + 1,)
+                assert np.all(b_ub >= 0.0)
+                assert u == geometry._nearest_generator_distance(t[None], gens)[0]
+                assert np.all(a_ub[:, k] == 0.0) and c[k] == 0.0
+
+    def test_hull_and_segment_lps_run_no_phase_one(self, monkeypatch, rng):
+        from sipcert import lp
+
+        calls = []
+        monkeypatch.setattr(lp.Simplex, "_phase_one", lambda self: calls.append(self))
+        for _ in range(20):
+            gens = rng.standard_normal((int(rng.integers(1, 30)), 3))
+            for t in _fit_targets(rng, gens):
+                hull_member(t, Hull(gens))
+                segment_hull_member(t, rng.standard_normal(3), Hull(gens))
+        assert calls == []
+
+    def test_distance_lies_within_the_nearest_generator_distance(self, rng):
+        # exactly, so one_sided_hull_gap's early break holds in floating point
+        for _ in range(60):
+            n, p = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+            gens = rng.standard_normal((n, p))
+            for t in _fit_targets(rng, gens):
+                u = geometry._nearest_generator_distance(t[None], gens)[0]
+                d = hull_distance(t, Hull(gens))
+                assert 0.0 <= d <= u
+
+    def test_target_on_a_generator_is_at_distance_zero(self, rng):
+        gens = rng.standard_normal((50, 3))
+        for k in range(50):
+            r = hull_member(gens[k], Hull(gens), tol=0.0)
+            assert r.distance == 0.0 and r.member
+
+    def test_coefficients_pass_the_convexity_check(self, rng):
+        for _ in range(40):
+            n, p = int(rng.integers(2, 40)), int(rng.integers(1, 5))
+            gens = rng.standard_normal((n, p))
+            t = rng.dirichlet(np.ones(n)) @ gens
+            r = hull_member(t, Hull(gens))
+            assert r.member and np.all(r.coeffs >= 0.0)
+            idx, coeffs = caratheodory_reduce(t, Hull(gens), r.coeffs)
+            assert np.abs(gens[idx].T @ coeffs - t).max() <= 1e-9
+
+    def test_hull_lps_match_scipy(self, rng):
+        from scipy.optimize import linprog
+
+        for _ in range(20):
+            n, p = int(rng.integers(1, 60)), int(rng.integers(1, 5))
+            gens = rng.standard_normal((n, p))
+            for t in _fit_targets(rng, gens):
+                a_ub = np.block([[gens.T, -np.ones((p, 1))], [-gens.T, -np.ones((p, 1))]])
+                ref = linprog(np.r_[np.zeros(n), 1.0], A_ub=a_ub, b_ub=np.r_[t, -t],
+                              A_eq=np.r_[np.ones(n), 0.0][None, :], b_eq=[1.0])
+                r = hull_member(t, Hull(gens))
+                assert r.distance == pytest.approx(ref.fun, abs=1e-9 * (1.0 + abs(ref.fun)))
+                assert abs(r.coeffs.sum() - 1.0) <= 1e-12
+                assert np.abs(gens.T @ r.coeffs - t).max() <= r.distance + 1e-9
+
+
 class TestCaratheodory:
     def test_square_around_origin(self):
         hull = H([1, 0], [0, 1], [-1, 0], [0, -1])

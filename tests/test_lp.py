@@ -308,25 +308,130 @@ def test_support_lp_matches_scipy(rng, outside):
     _assert_matches_scipy(c, a_ub, b_ub)
 
 
-def test_determination_support_lps_and_pivots_are_pinned(monkeypatch):
-    from sipcert import geometry
+def _phase_one_log(monkeypatch):
+    """The pivots of every phase 1 any ``Simplex`` runs."""
+    log = []
+    phase_one = lp.Simplex._phase_one
+
+    def logged(self):
+        log.append(phase_one(self))
+        return log[-1]
+
+    monkeypatch.setattr(lp.Simplex, "_phase_one", logged)
+    return log
+
+
+def _determination(normals, offsets):
     from sipcert.geometry import Polyhedron
     from sipcert.model import PolyhedralFamily
     from sipcert.options import Options
 
-    pivots = []
-
-    def counted(*args, **kwargs):
-        sol = solve_lp(*args, **kwargs)
-        pivots.append(sol.pivots)
-        return sol
-
-    monkeypatch.setattr(geometry, "solve_lp", counted)
-    normals, offsets = _support_polytope(np.random.default_rng(7), np.zeros(10))
+    family = PolyhedralFamily(Polyhedron(normals, offsets))
     counters = {}
-    PolyhedralFamily(Polyhedron(normals, offsets)).determination(Options().tol_lp, counters)
-    # the full tableau's numbers: the condensed one takes the same pivots
-    assert (counters["support_lps"], len(pivots), sum(pivots)) == (112, 112, 1041)
+    rows = family.determination(Options().tol_lp, counters)
+    return family, rows, counters
+
+
+def test_determination_support_lps_and_pivots_are_pinned(monkeypatch):
+    phase_one = _phase_one_log(monkeypatch)
+    _, _, counters = _determination(*_support_polytope(np.random.default_rng(7), np.zeros(10)))
+    # one kept tableau, visited by least slack: more LPs than the 112 cold
+    # starts from the origin took, with fewer pivots each
+    assert (counters["support_lps"], counters["support_pivots"]) == (178, 1303)
+    assert phase_one == []  # the origin is inside: the slack basis is feasible
+
+
+def _support_reference(normals, offsets, unit):
+    """scipy's inf of a @ y over {normals @ y >= offsets} for each row a of ``unit``."""
+    out = []
+    for a in unit:
+        res = linprog(a, A_ub=-normals, b_ub=-offsets, bounds=(None, None))
+        assert res.status == 0
+        out.append(res.fun)
+    return np.array(out)
+
+
+def test_determination_of_a_polytope_away_from_the_origin(monkeypatch):
+    # about half of the rows start negated, so the one phase 1 has work to do
+    rng = np.random.default_rng(7)
+    normals, offsets = _support_polytope(rng, 4.0 * rng.standard_normal(10))
+    assert np.count_nonzero(offsets > 0) == 95
+    phase_one = _phase_one_log(monkeypatch)
+    family, rows, counters = _determination(normals, offsets)
+    unit, stated = family.normalized()
+    infima = np.array([r[1] for r in rows])
+    reference = _support_reference(normals, offsets, unit)
+    assert np.all(np.abs(infima - reference) <= 1e-9 * (1.0 + np.abs(stated)))
+    assert (counters["support_lps"], counters["support_pivots"], phase_one) == (176, 1137, [126])
+
+
+# one constraint set, a sequence of objectives on one kept tableau
+
+
+def _random_system(rng, n, m_ub, m_eq):
+    """A bounded-below mix: some rows negated (phase 1), sometimes equalities."""
+    a_ub = rng.standard_normal((m_ub, n))
+    b_ub = rng.standard_normal(m_ub) + 0.5
+    a_eq = np.abs(rng.standard_normal((m_eq, n)))
+    b_eq = np.abs(rng.standard_normal(m_eq)) + 1.0
+    return a_ub, b_ub, a_eq, b_eq
+
+
+def test_kept_tableau_matches_a_fresh_solve_per_objective(rng, monkeypatch):
+    phase_one = _phase_one_log(monkeypatch)
+    statuses = set()
+    for _ in range(40):
+        n, m_ub, m_eq = (int(v) for v in rng.integers([2, 1, 0], [7, 6, 3]))
+        system = _random_system(rng, n, m_ub, m_eq)
+        kept = lp.Simplex(n, *system)
+        runs = len(phase_one)
+        for _ in range(6):
+            c = rng.standard_normal(n)
+            mine, fresh = kept.minimize(c), solve_lp(c, *system)
+            statuses.add(mine.status)
+            assert mine.status == fresh.status
+            if mine.optimal:
+                assert mine.objective == pytest.approx(fresh.objective, abs=1e-9 * (1 + abs(fresh.objective)))
+                assert np.all(mine.x >= -1e-9)
+                assert np.all(system[0] @ mine.x <= system[1] + 1e-9)
+                assert np.allclose(system[2] @ mine.x, system[3], atol=1e-9)
+        # the kept tableau's phase 1, then one per fresh solve
+        assert len(phase_one) - runs == (7 if phase_one[runs:] else 0)
+    assert statuses == {"optimal", "unbounded", "infeasible"}
+
+
+def test_bounded_objectives_after_an_unbounded_one():
+    # y1 >= 0, y2 >= 0, y1 + y2 >= 1, y2 <= 3: unbounded toward +y1 only
+    a_ub, b_ub = [[-1, -1], [0, 1]], [-1, 3]
+    kept = lp.Simplex(2, a_ub, b_ub)
+    assert kept.minimize([1, 1]).objective == pytest.approx(1.0, abs=1e-12)
+    unbounded = kept.minimize([-1, 0])
+    assert unbounded.status == "unbounded" and unbounded.ray[0] > 0
+    for c, best in (([1, 2], 1.0), ([0, -1], -3.0), ([2, 1], 1.0)):
+        sol = kept.minimize(c)
+        assert sol.optimal and sol.objective == pytest.approx(best, abs=1e-12)
+        assert sol.objective == pytest.approx(solve_lp(c, a_ub, b_ub).objective, abs=1e-12)
+
+
+def test_infeasible_set_runs_phase_one_once(monkeypatch):
+    phase_one = _phase_one_log(monkeypatch)
+    kept = lp.Simplex(2, [[1, 0], [-1, -1]], [1, -3], [[0, 1]], [1])  # x1 <= 1, x1 >= 2
+    sols = [kept.minimize(c) for c in ([1, 0], [-1, 0], [0, 1])]
+    assert [s.status for s in sols] == ["infeasible"] * 3
+    assert len(phase_one) == 1
+    assert [s.pivots for s in sols] == [phase_one[0], 0, 0]
+
+
+def test_secondary_objective_on_a_kept_tableau():
+    # x3 = 0 on x1 + x2 + x3 = 1 leaves the edge x1 + x2 = 1 optimal
+    kept = lp.Simplex(3, a_eq=[[1, 1, 1]], b_eq=[1])
+    first = kept.minimize([0, 0, 1], then=[-1, 0, 0])
+    second = kept.minimize([0, 0, 1], then=[0, -1, 0])
+    third = kept.minimize([1, 1, 0])
+    assert np.array_equal(first.x, [1.0, 0.0, 0.0])
+    assert np.array_equal(second.x, [0.0, 1.0, 0.0])
+    assert np.array_equal(third.x, [0.0, 0.0, 1.0])
+    assert first.objective == second.objective == 0.0 and third.objective == 0.0
 
 
 # the full tableau (every column kept, basic ones as explicit unit columns),

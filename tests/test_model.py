@@ -359,17 +359,6 @@ def _support_reference(poly, normals):
     return np.array(out)
 
 
-def _counted_support_lps(monkeypatch):
-    calls = []
-
-    def counted(poly, z):
-        calls.append(z)
-        return polyhedron_minimize(poly, z)
-
-    monkeypatch.setattr(model_mod, "polyhedron_minimize", counted)
-    return calls
-
-
 def _redundant_polytope(seed, m=200, p=10):
     """m facets around the origin: 150 random, 30 loosened copies, 20 repeats.
 
@@ -404,36 +393,35 @@ class TestDetermination:
         assert np.all(np.abs(infima - reference) <= Options().tol_lp * (1.0 + np.abs(offsets)))
         assert 0 < counters["support_lps"] < len(offsets)
 
-    def test_cone_needs_one_lp(self, monkeypatch, rng):
+    def test_cone_needs_one_lp(self, rng):
         normals = rng.standard_normal((20, 10))
         normals[:, 0] = np.abs(normals[:, 0]) + 2.0
         family = PolyhedralFamily(Polyhedron(normals, np.zeros(20)))
         reference = _support_reference(family.poly, family.normalized()[0])
-        calls = _counted_support_lps(monkeypatch)
         counters = {}
         rows = family.determination(1e-9, counters)
         # every basic solution of a cone's LP is its apex, which touches every facet
-        assert len(calls) == counters["support_lps"] == 1
+        assert counters["support_lps"] == 1
         assert np.all(np.abs([r[1] for r in rows] - reference) <= 1e-9)
 
-    def test_empty_polyhedron_runs_one_lp(self, monkeypatch, rng):
+    def test_empty_polyhedron_runs_one_lp(self, rng):
         normals = np.vstack([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], rng.standard_normal((8, 3))])
         offsets = np.concatenate([[1.0, 0.0], rng.uniform(-2.0, -1.0, 8)])  # y1 >= 1 and y1 <= 0
         family = PolyhedralFamily(Polyhedron(normals, offsets))
         assert np.all(_support_reference(family.poly, family.normalized()[0]) == np.inf)
-        calls = _counted_support_lps(monkeypatch)
-        rows = family.determination(1e-9)
-        assert len(calls) == 1
+        counters = {}
+        rows = family.determination(1e-9, counters)
+        assert counters["support_lps"] == 1
         assert [r[1] for r in rows] == [np.inf] * 10
 
-    def test_simplex_lp_count_is_pinned(self, monkeypatch):
+    def test_simplex_lp_count_is_pinned(self):
         # y >= 0 and y1 + ... + y4 <= 1: any minimiser is a vertex on four of
         # the five facets, so the one facet it misses is the only other LP
         poly = Polyhedron(np.vstack([np.eye(4), -np.ones((1, 4))]), [0.0, 0.0, 0.0, 0.0, -1.0])
         family = PolyhedralFamily(poly)
-        calls = _counted_support_lps(monkeypatch)
-        rows = family.determination(1e-9)
-        assert len(calls) == 2
+        counters = {}
+        rows = family.determination(1e-9, counters)
+        assert counters["support_lps"] == 2
         assert np.allclose([r[1] for r in rows], [0.0, 0.0, 0.0, 0.0, -0.5], atol=1e-12)
 
     def test_admissible_counters(self):
@@ -442,7 +430,7 @@ class TestDetermination:
         rows = family.determination(Options().tol_lp, counters)
         diag = admissible_diagnostics(Problem(10, parse("x1", 10), family), np.zeros(10))
         assert diag.determination == rows
-        assert diag.counters == {"support_lps": counters["support_lps"], "lipschitz_walks": 0}
+        assert diag.counters == {**counters, "lipschitz_walks": 0}
 
 
 def _ball_reference(rng, center, radius):

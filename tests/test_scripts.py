@@ -93,3 +93,35 @@ def test_certify_fixtures(snapshot):
     assert rows["sip_linear"] == ["KKT", "0"]
     assert rows["strict_active"] == ["NoCertificate", "2"]
     assert len(rows) == 10
+
+
+def test_report_snapshot_compare(snapshot, tmp_path):
+    assert run_script("report_snapshot.py", "--compare", str(snapshot), str(snapshot)) == [
+        f"{3 * len(fixture_names())} lines: 0 differ beyond floats, 0 in floats only"
+    ]
+    head = "fixture demo certify 0"
+    old = {"verdict": "KKT", "lambda": 0.5, "gap": 1, "rows": [{"t": [0.25], "k": 2}]}
+    rounded = {**old, "lambda": 0.5 + 2**-52, "gap": 1.0 + 1e-15}
+
+    def write(name, *reports):
+        (tmp_path / name).write_text("".join(f"{head} {json.dumps(r)}\n" for r in reports))
+
+    write("old.txt", old, old)
+    write("rounded.txt", old, rounded)
+    assert run_script("report_snapshot.py", "--compare", str(tmp_path / "old.txt"),
+                      str(tmp_path / "rounded.txt")) == [
+        "2 lines: 0 differ beyond floats, 1 in floats only",
+        "  gap: max |diff| 1.11e-15 on 1 lines",
+        "  lambda: max |diff| 2.22e-16 on 1 lines",
+    ]
+    for changed in ({**old, "verdict": "FJ"}, {**old, "rows": []},
+                    {**old, "rows": [{"t": [0.25], "k": 3}]}, {**old, "gap": 2}):
+        write("new.txt", old, changed)
+        lines = run_script("report_snapshot.py", "--compare", str(tmp_path / "old.txt"),
+                           str(tmp_path / "new.txt"), code=1)
+        assert lines[0].startswith("fixture demo certify: ")
+        assert lines[-1] == "2 lines: 1 differ beyond floats, 0 in floats only"
+    (tmp_path / "new.txt").write_text(f"{head} {json.dumps(old)}\nfixture demo certify 2 {{}}\n")
+    lines = run_script("report_snapshot.py", "--compare", str(tmp_path / "old.txt"),
+                       str(tmp_path / "new.txt"), code=1)
+    assert lines[0] == "fixture demo certify: fixture demo certify 0 != fixture demo certify 2"
