@@ -11,11 +11,14 @@ a SIPCERT_SEED that is not an integer >= 0, is an input error (exit 4).
 """
 
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from sipcert.options import OptionError, resolve_seed
-from sipcert.selftest import cone_trials
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # this checkout's sipcert
+
+from sipcert.options import OptionError, resolve_seed  # noqa: E402
+from sipcert.selftest import cone_trials  # noqa: E402
 
 
 def _count(argv, i, name, default):

@@ -10,9 +10,12 @@ An invalid problem file or eps0 is an input error (exit 4), as in sipcert.
 """
 
 import sys
+from pathlib import Path
 
-from sipcert.multipliers import tc_approx
-from sipcert.problemfile import ProblemFileError, load_problem, resolve_options
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # this checkout's sipcert
+
+from sipcert.multipliers import tc_approx  # noqa: E402
+from sipcert.problemfile import ProblemFileError, load_problem, resolve_options  # noqa: E402
 
 
 def _number(text):

@@ -42,7 +42,8 @@ from pathlib import Path
 
 os.environ["SIPCERT_SEED"] = "7"
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "bench"))
+# this checkout's sipcert, ahead of any installed one; then bench/instances.py
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from sipcert import cli  # noqa: E402
 from sipcert.fixtures import fixture_names, fixture_path  # noqa: E402

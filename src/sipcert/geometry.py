@@ -362,30 +362,29 @@ class PolyhedronMinimum:
 class PolyhedronLP:
     """min z @ y over one H-polyhedron for objective after objective.
 
-    The free variables are split, y = u - v with u, v >= 0, and the split
-    LP's tableau is kept in one ``Simplex``: phase 1 runs at most once, and
-    each objective starts from the vertex where the previous one ended.
+    The LP is stated in y itself: ``a_j @ y >= b_j`` is the row
+    ``-a_j @ y <= -b_j`` of a ``Simplex`` whose p variables are all free, so
+    the tableau has one column per coordinate of y and no pivot is spent
+    carrying a coordinate through zero.  The tableau is kept: phase 1 runs
+    at most once, and each objective starts from the vertex where the
+    previous one ended.
     """
 
     def __init__(self, poly: Polyhedron):
         self.poly = poly
-        # a_j @ y >= b_j  becomes  -a_j@u + a_j@v <= -b_j
-        self._lp = Simplex(2 * poly.dim, np.hstack([-poly.normals, poly.normals]), -poly.offsets)
+        self._lp = Simplex(poly.dim, -poly.normals, -poly.offsets, free=poly.dim)
 
     def minimize(self, z) -> PolyhedronMinimum:
         """Unbounded results carry a recession ray with z @ ray < 0."""
         z = np.asarray(z, dtype=float).reshape(-1)
-        p = self.poly.dim
-        if z.size != p:
+        if z.size != self.poly.dim:
             raise GeometryError("objective dimension mismatch")
-        sol = self._lp.minimize(np.concatenate([z, -z]))
+        sol = self._lp.minimize(z)
         if sol.status == "infeasible":
             return PolyhedronMinimum("infeasible", float("nan"), None, pivots=sol.pivots)
-        y = sol.x[:p] - sol.x[p:]
         if sol.status == "unbounded":
-            ray = sol.ray[:p] - sol.ray[p:]
-            return PolyhedronMinimum("unbounded", -np.inf, y, ray, sol.pivots)
-        return PolyhedronMinimum("optimal", float(z @ y), y, pivots=sol.pivots)
+            return PolyhedronMinimum("unbounded", -np.inf, sol.x, sol.ray, sol.pivots)
+        return PolyhedronMinimum("optimal", sol.objective, sol.x, pivots=sol.pivots)
 
 
 def polyhedron_minimize(poly: Polyhedron, z) -> PolyhedronMinimum:

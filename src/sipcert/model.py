@@ -387,13 +387,14 @@ class PolyhedralFamily(_Family):
         (the extreme-point classification of necessary constraints: Caron,
         McDonald & Ponic, JOTA 62, 1989).  An unbounded LP gives -inf.
 
-        All LPs share one kept tableau (``PolyhedronLP``): phase 1 runs at
-        most once, and each LP starts at the vertex where the last one
-        ended.  The first LP is facet 0's; after each LP the next is that
-        of the unsettled facet with the least slack ``a_j @ v - c_j`` at
-        the last vertex v, ties to the lowest index, so each LP starts
-        near its optimum.  The rows stay in facet order.  After an
-        infeasible LP every infimum is +inf and no further LP runs.
+        All LPs share one kept tableau (``PolyhedronLP``, in the free
+        coordinates of y, one column each): phase 1 runs at most once, and
+        each LP starts at the vertex where the last one ended.  The first
+        LP is facet 0's; after each LP the next is that of the unsettled
+        facet with the least slack ``a_j @ v - c_j`` at the last vertex v,
+        ties to the lowest index, so each LP starts near its optimum.  The
+        rows stay in facet order.  After an infeasible LP every infimum is
+        +inf and no further LP runs.
         ``counters["support_lps"]`` and ``counters["support_pivots"]``
         (phase 1 included), if given, count the LPs and their pivots.
         """

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize import linprog
 
 import sipcert.geometry as geometry
 from sipcert.geometry import (
@@ -10,6 +11,7 @@ from sipcert.geometry import (
     GeometryError,
     Hull,
     Polyhedron,
+    PolyhedronLP,
     caratheodory_reduce,
     cone_interior_nonempty,
     dual_cone,
@@ -334,6 +336,44 @@ class TestPolyhedronMinimize:
     def test_infeasible(self):
         poly = Polyhedron([[1], [-1]], [1, 0])  # x >= 1 and x <= 0
         assert polyhedron_minimize(poly, [1]).status == "infeasible"
+
+    def test_negative_coordinates_without_a_split(self):
+        # the triangle y1 + y2 <= -1, y1 >= -3, y2 >= -3, mostly in y < 0:
+        # one column per coordinate, and the point is y itself
+        poly = Polyhedron([[-1, -1], [1, 0], [0, 1]], [1, -3, -3])
+        support = PolyhedronLP(poly)
+        for z, point in (([1, 1], [-3, -3]), ([-1, 0], [2, -3]), ([0, -1], [-3, 2]), ([1, 1], [-3, -3])):
+            r = support.minimize(z)
+            assert r.status == "optimal" and np.array_equal(r.point, point)
+            assert r.value == np.dot(z, point)
+        assert support._lp._tableau.shape == (4, 3)
+
+    def test_kept_tableau_against_scipy(self, rng):
+        # random polyhedra (bounded, unbounded, empty), eight objectives each
+        seen = set()
+        for _ in range(30):
+            m, p = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+            normals = rng.standard_normal((m, p))
+            offsets = rng.standard_normal(m) - (0.5 if rng.random() < 0.7 else -1.5)
+            poly = Polyhedron(normals, offsets)
+            support = PolyhedronLP(poly)
+            for _ in range(8):
+                z = rng.standard_normal(p)
+                r = support.minimize(z)
+                ref = linprog(z, A_ub=-normals, b_ub=-offsets, bounds=(None, None))
+                if ref.status == 2:  # HiGHS may call an unbounded LP infeasible
+                    ref = linprog(np.zeros(p), A_ub=-normals, b_ub=-offsets, bounds=(None, None))
+                    assert r.status == ("infeasible" if ref.status == 2 else "unbounded")
+                else:
+                    assert r.status == {0: "optimal", 3: "unbounded"}[ref.status]
+                seen.add(r.status)
+                if r.status == "optimal":
+                    assert r.value == pytest.approx(ref.fun, abs=1e-8 * (1 + abs(ref.fun)))
+                if r.status != "infeasible":
+                    assert poly.contains(r.point, tol=1e-8)
+                if r.status == "unbounded":
+                    assert np.all(normals @ r.ray >= -1e-9) and np.dot(z, r.ray) < 0
+        assert seen == {"optimal", "unbounded", "infeasible"}
 
 
 def test_one_sided_gap_skips_shared_generators():

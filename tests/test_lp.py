@@ -179,7 +179,12 @@ def test_degenerate_hull_lps_with_repeated_columns(rng, n):
 
 
 def _polyhedron_lp(normals, offsets, z):
-    """min z@y over {a_j@y >= b_j} with y = u - v (polyhedron_minimize's LP)."""
+    """min z@y over {a_j@y >= b_j} split as y = u - v with u, v >= 0.
+
+    A row-heavy LP in nonnegative variables only, which ``solve_lp`` and the
+    full-tableau reference both take; ``PolyhedronLP`` states the same LP
+    in free variables instead.
+    """
     return np.concatenate([z, -z]), np.hstack([-normals, normals]), -offsets
 
 
@@ -335,9 +340,9 @@ def _determination(normals, offsets):
 def test_determination_support_lps_and_pivots_are_pinned(monkeypatch):
     phase_one = _phase_one_log(monkeypatch)
     _, _, counters = _determination(*_support_polytope(np.random.default_rng(7), np.zeros(10)))
-    # one kept tableau, visited by least slack: more LPs than the 112 cold
-    # starts from the origin took, with fewer pivots each
-    assert (counters["support_lps"], counters["support_pivots"]) == (178, 1303)
+    # one kept tableau of free variables, visited by least slack: more LPs
+    # than the 112 cold starts from the origin took, with fewer pivots each
+    assert (counters["support_lps"], counters["support_pivots"]) == (178, 913)
     assert phase_one == []  # the origin is inside: the slack basis is feasible
 
 
@@ -362,7 +367,7 @@ def test_determination_of_a_polytope_away_from_the_origin(monkeypatch):
     infima = np.array([r[1] for r in rows])
     reference = _support_reference(normals, offsets, unit)
     assert np.all(np.abs(infima - reference) <= 1e-9 * (1.0 + np.abs(stated)))
-    assert (counters["support_lps"], counters["support_pivots"], phase_one) == (176, 1137, [126])
+    assert (counters["support_lps"], counters["support_pivots"], phase_one) == (176, 1076, [118])
 
 
 # one constraint set, a sequence of objectives on one kept tableau
@@ -432,6 +437,182 @@ def test_secondary_objective_on_a_kept_tableau():
     assert np.array_equal(second.x, [0.0, 1.0, 0.0])
     assert np.array_equal(third.x, [0.0, 0.0, 1.0])
     assert first.objective == second.objective == 0.0 and third.objective == 0.0
+
+
+# free variables: Simplex(..., free=k) against scipy with bounds (None, None)
+
+
+def _free_reference(c, a_ub, b_ub, a_eq, b_eq, free):
+    """scipy's (status, objective); HiGHS may call an unbounded LP infeasible,
+    so infeasibility is decided again with a zero objective."""
+    bounds = [(None, None)] * free + [(0, None)] * (len(c) - free)
+    ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds)
+    if ref.status == 2:
+        ref = linprog(np.zeros(len(c)), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds)
+        return ("infeasible", None) if ref.status == 2 else ("unbounded", -np.inf)
+    return {0: "optimal", 3: "unbounded"}[ref.status], ref.fun
+
+
+def _assert_free_solution(sol, c, a_ub, b_ub, a_eq, b_eq, free):
+    """Feasible x with x[free:] >= 0, or a ray along which c@x falls."""
+    c, a_ub, b_ub, a_eq, b_eq = (np.asarray(v, dtype=float) for v in (c, a_ub, b_ub, a_eq, b_eq))
+    x = sol.x
+    assert np.all(x[free:] >= -1e-9)
+    assert np.all(a_ub @ x <= b_ub + 1e-8) and np.allclose(a_eq @ x, b_eq, atol=1e-8)
+    if sol.status == "unbounded":
+        ray = sol.ray
+        assert np.all(ray[free:] >= 0) and c @ ray < 0
+        assert np.all(a_ub @ ray <= 1e-9) and np.allclose(a_eq @ ray, 0, atol=1e-9)
+
+
+def test_free_variable_lps_match_scipy(rng):
+    statuses = set()
+    for _ in range(80):
+        n, m_ub, m_eq = (int(v) for v in rng.integers([2, 1, 0], [7, 7, 3]))
+        free = int(rng.integers(1, n + 1))
+        a_ub, b_ub, a_eq, b_eq = _random_system(rng, n, m_ub, m_eq)
+        a_eq[:, :free] = rng.standard_normal((m_eq, free))
+        c = rng.standard_normal(n)
+        sol = lp.Simplex(n, a_ub, b_ub, a_eq, b_eq, free=free).minimize(c)
+        status, fun = _free_reference(c, a_ub, b_ub, a_eq, b_eq, free)
+        assert sol.status == status
+        statuses.add(status)
+        if status == "optimal":
+            assert sol.objective == pytest.approx(fun, abs=1e-8 * (1 + abs(fun)))
+        if status != "infeasible":
+            _assert_free_solution(sol, c, a_ub, b_ub, a_eq, b_eq, free)
+    assert statuses == {"optimal", "unbounded", "infeasible"}
+
+
+def _support_lp(normals, offsets):
+    from sipcert.geometry import Polyhedron, PolyhedronLP
+
+    return PolyhedronLP(Polyhedron(normals, offsets))
+
+
+@pytest.mark.parametrize("outside", [False, True])
+def test_support_lps_in_free_variables_match_scipy(rng, outside, monkeypatch):
+    # a sequence of objectives on one kept tableau; with the origin outside,
+    # the one phase 1 runs in the first objective
+    phase_one = _phase_one_log(monkeypatch)
+    center = 4.0 * rng.standard_normal(10) if outside else np.zeros(10)
+    normals, offsets = _support_polytope(rng, center)
+    support = _support_lp(normals, offsets)
+    for _ in range(8):
+        z = rng.standard_normal(10)
+        mine = support.minimize(z)
+        status, fun = _free_reference(z, -normals, -offsets, np.zeros((0, 10)), [], 10)
+        assert mine.status == status == "optimal"
+        assert mine.value == pytest.approx(fun, abs=1e-8 * (1 + abs(fun)))
+        assert np.all(normals @ mine.point >= offsets - 1e-8)
+        fresh = _support_lp(normals, offsets).minimize(z)
+        assert mine.value == pytest.approx(fresh.value, abs=1e-9 * (1 + abs(fresh.value)))
+    assert len(phase_one) == (9 if outside else 0)  # the kept tableau's one, one per fresh solve
+    assert all(count > 0 for count in phase_one)
+    assert support._lp._tableau.shape == (201, 11)  # one column per coordinate, plus the rhs
+
+
+def test_unbounded_support_lps_carry_a_recession_ray(rng):
+    # 40 facets whose normals all have y1 > 0: e1 is a recession direction,
+    # so every z with z1 < 0 is unbounded below, and most with z1 > 0 are not
+    normals = rng.standard_normal((40, 4))
+    normals[:, 0] = np.abs(normals[:, 0]) + 0.1
+    offsets = normals @ rng.standard_normal(4) - 1.0 - rng.random(40)
+    support = _support_lp(normals, offsets)
+    statuses = []
+    for _ in range(12):
+        z = rng.standard_normal(4)
+        mine = support.minimize(z)
+        status, fun = _free_reference(z, -normals, -offsets, np.zeros((0, 4)), [], 4)
+        statuses.append(mine.status)
+        assert mine.status == status
+        assert np.all(normals @ mine.point >= offsets - 1e-8)
+        if status == "unbounded":
+            assert np.all(normals @ mine.ray >= -1e-9) and z @ mine.ray < 0
+        else:
+            assert mine.value == pytest.approx(fun, abs=1e-8 * (1 + abs(fun)))
+    assert {"optimal", "unbounded"} <= set(statuses)
+
+
+def test_infeasible_set_in_free_variables(monkeypatch):
+    # y1 + y2 >= 1 and y1 + y2 <= -1, with y3 unconstrained
+    phase_one = _phase_one_log(monkeypatch)
+    support = _support_lp([[1, 1, 0], [-1, -1, 0]], [1, 1])
+    sols = [support.minimize(z) for z in ([1, 0, 0], [0, 0, 1], [-1, 2, 0])]
+    assert [s.status for s in sols] == ["infeasible"] * 3
+    assert len(phase_one) == 1 and [s.pivots for s in sols] == [phase_one[0], 0, 0]
+    status, _ = _free_reference([1, 0, 0], [[-1, -1, 0], [1, 1, 0]], [-1, -1], np.zeros((0, 3)), [], 3)
+    assert status == "infeasible"
+
+
+def test_a_line_in_the_polyhedron(rng):
+    # y3 appears in no facet, so its free column is zero in every row:
+    # it never enters for z3 = 0, and z3 != 0 is unbounded along -sign(z3) e3
+    normals = np.hstack([rng.standard_normal((30, 2)), np.zeros((30, 1))])
+    offsets = normals @ rng.standard_normal(3) - 1.0 - rng.random(30)
+    normals[:4, :2] = [[1, 0], [-1, 0], [0, 1], [0, -1]]  # bounded in y1, y2
+    offsets[:4] = -5.0
+    support = _support_lp(normals, offsets)
+    for z3 in (0.0, 0.5, -2.0, 0.0):
+        z = np.append(rng.standard_normal(2), z3)
+        mine = support.minimize(z)
+        status, fun = _free_reference(z, -normals, -offsets, np.zeros((0, 3)), [], 3)
+        assert mine.status == status
+        if z3 == 0.0:
+            assert mine.value == pytest.approx(fun, abs=1e-9 * (1 + abs(fun)))
+        else:
+            assert np.array_equal(mine.ray, [0.0, 0.0, -np.sign(z3)])
+
+
+def test_secondary_objective_keeps_a_pinned_free_variable():
+    # min y1 over y1 >= 0, y1 >= y2 - 2, |y2| <= 1: y1 = 0 on the whole face,
+    # y2 in [-1, 1]; pushing y1 either way must not move it off the face
+    a_ub, b_ub = [[-1, 0], [-1, 1], [0, 1], [0, -1]], [0, 2, 1, 1]
+    for then, y2 in (([-1, -1], 1.0), ([1, -1], 1.0), ([-1, 1], -1.0), ([1, 1], -1.0)):
+        sol = lp.Simplex(2, a_ub, b_ub, free=2).minimize([1, 0], then=then)
+        assert sol.optimal and sol.objective == 0.0
+        assert np.array_equal(sol.x, [0.0, y2])
+
+
+def test_a_free_column_held_off_by_an_infinite_cost_is_never_negated():
+    # the secondary pass gives the columns off the optimal face a cost of
+    # +inf; negating such a free column would make it -inf and enter it
+    kept = lp.Simplex(2, [[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1], free=2)
+    cost = np.zeros(kept._total)
+    cost[:2] = [np.inf, -1.0]
+    obj, _, pivots = lp._run_phase(kept._tableau, kept._basis, kept._nb, cost, kept.tol, kept._sign)
+    assert (obj, pivots) == (-1.0, 1)
+    assert np.array_equal(lp._extract(kept._tableau, kept._basis, 2, kept._total, kept._sign), [0.0, 1.0])
+    assert np.array_equal(kept._sign, [1.0, 1.0])
+
+
+def test_free_columns_are_negated_and_rows_of_basic_free_variables_stay_first():
+    # min -y1 + y2 over a box: y2 enters negated; both rows of the basic free
+    # variables come first, in the order they entered
+    kept = lp.Simplex(2, [[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 2, 3, 4], free=2)
+    sol = kept.minimize([-1, 1])
+    assert sol.optimal and np.array_equal(sol.x, [1.0, -4.0]) and sol.pivots == 2
+    assert np.array_equal(kept._sign, [1.0, -1.0])
+    assert sorted(kept._basis[:2]) == [0, 1] and np.all(kept._basis[2:] >= 2)
+    assert np.array_equal(kept.minimize([1, -1]).x, [-2.0, 3.0])
+
+
+def test_a_free_variable_that_evicts_an_artificial_leaves_the_ratio_test():
+    # x1 = 0 and -x1 = 0 cancel in phase 1's costs, so x1 enters only when
+    # the artificials are evicted, below the row of x2 (x2 + x3 = 0); that
+    # row must stay in the ratio test and x1's must leave it, or x3 would
+    # rise to 5 with x2 = -5
+    kept = lp.Simplex(3, [[0, 0, 1]], [5], [[0, 1, 1], [1, 0, 0], [-1, 0, 0]], [0, 0, 0], free=1)
+    sol = kept.minimize([0, 0, -1])
+    assert sol.optimal and np.array_equal(sol.x, [0.0, 0.0, 0.0])
+    assert kept._basis[0] == 0
+
+
+def test_free_count_is_checked():
+    with pytest.raises(ValueError):
+        lp.Simplex(2, [[1, 1]], [1], free=3)
+    with pytest.raises(ValueError):
+        lp.Simplex(2, [[1, 1]], [1], free=-1)
 
 
 # the full tableau (every column kept, basic ones as explicit unit columns),

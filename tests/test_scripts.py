@@ -29,6 +29,27 @@ def run_script(name, *args, code=0, seed="0"):
     return proc.stdout.splitlines()
 
 
+@pytest.mark.parametrize(
+    "name, args, code",
+    [("report_snapshot.py", ["--help"], 0), ("ladder_trace.py", [], 2), ("cone_audit.py", ["1", "2", "10"], 0)],
+)
+def test_scripts_import_their_own_tree(tmp_path, name, args, code):
+    # no PYTHONPATH to this tree, and a sipcert on PYTHONPATH that fails to
+    # import: a script that ran it, or an installed copy, would not exit cleanly
+    (tmp_path / "sipcert").mkdir()
+    (tmp_path / "sipcert" / "__init__.py").write_text("raise ImportError('not this tree')\n")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(tmp_path), "SIPCERT_SEED": "0"},
+        cwd=tmp_path,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout
+
+
 def test_ladder_trace():
     lines = run_script("ladder_trace.py", fixture_path("sip_trig"), "0.01")
     assert lines[0].startswith("eps0 = 0.01: stopped_by=")
