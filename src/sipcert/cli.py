@@ -25,7 +25,7 @@ from .expr import ExprError, evaluate
 from .geometry import cone_interior_nonempty
 from .model import InfeasibleError, admissible_diagnostics, is_feasible
 from .multipliers import Certificate, certify_fj, sip_multipliers, tc_approx
-from .options import OptionError, Options
+from .options import OPTION_KEYS, OptionError, Options
 from .problemfile import LoadedProblem, ProblemFileError, emit_json, load_problem, resolve_options
 from .reduction import FullCertificate, certify_composed, certify_equality, compose_family
 
@@ -77,17 +77,14 @@ def _build_parser():
         sp.add_argument("--refine", type=int, default=None, help="refinement depth override")
         sp.add_argument("--json", action="store_true", help="print the full JSON report")
 
-    sp = sub.add_parser("certify", help="certify first-order optimality of the candidate")
-    common(sp)
-    sp.set_defaults(handler=cmd_certify)
-
-    sp = sub.add_parser("tcset", help="dump the multiplier-set ladder")
-    common(sp)
-    sp.set_defaults(handler=cmd_tcset)
-
-    sp = sub.add_parser("admissible", help="admissibility diagnostics")
-    common(sp)
-    sp.set_defaults(handler=cmd_admissible)
+    for name, handler, text in (
+        ("certify", cmd_certify, "certify first-order optimality of the candidate"),
+        ("tcset", cmd_tcset, "dump the multiplier-set ladder"),
+        ("admissible", cmd_admissible, "admissibility diagnostics"),
+    ):
+        sp = sub.add_parser(name, help=text)
+        common(sp)
+        sp.set_defaults(handler=handler)
 
     sp = sub.add_parser("scan", help="coarse feasible grid search for candidates (not a solver)")
     sp.add_argument("file")
@@ -113,7 +110,8 @@ def _print_error(kind, message, args):
     print(emit_json(report) if getattr(args, "json", False) else f"error ({kind}): {message}")
 
 
-def _load(args) -> tuple[LoadedProblem, Options, int | None]:
+def _load(args) -> tuple[LoadedProblem, Options, int | None, np.ndarray]:
+    """The problem file, its resolved options and grid, and its candidate, which is required."""
     loaded = load_problem(args.file)
     opts = resolve_options(
         loaded.options,
@@ -128,14 +126,13 @@ def _load(args) -> tuple[LoadedProblem, Options, int | None]:
     flag_grid = getattr(args, "grid", None)
     if flag_grid is not None and flag_grid < 2:
         raise ProblemFileError("--grid must be at least 2", "--grid")
-    grid = flag_grid or loaded.grid
-    return loaded, opts, grid
-
-
-def _require_candidate(loaded):
     if loaded.candidate is None:
         raise ProblemFileError("a candidate point is required for this command", "$.candidate")
-    return loaded.candidate
+    return loaded, opts, flag_grid or loaded.grid, loaded.candidate
+
+
+def _composed(problem, x):
+    return compose_family(problem, x) if problem.inner_map is not None else problem
 
 
 def _assumptions(loaded, cert=None):
@@ -153,12 +150,12 @@ def _assumptions(loaded, cert=None):
 
 
 def _ladder_rows(tc):
-    if tc is None:
-        return []
-    rows = []
-    for eps, count, gap in tc.ladder_table():
-        rows.append({"eps": eps, "generators": count, "gap": gap})
-    return rows
+    table = tc.ladder_table() if tc is not None else []
+    return [{"eps": eps, "generators": count, "gap": gap} for eps, count, gap in table]
+
+
+def _weight(tag, param, w):
+    return {"tag": tag, "t": None if param is None else list(param), "weight": w}
 
 
 def _certificate_payload(cert: Certificate):
@@ -167,10 +164,7 @@ def _certificate_payload(cert: Certificate):
         "lambda": cert.lam,
         "beta": cert.beta,
         "witness_x_star": None if cert.x_star is None else list(cert.x_star),
-        "coefficients": [
-            {"tag": tag, "t": None if param is None else list(param), "weight": w}
-            for tag, param, w in cert.coeffs
-        ],
+        "coefficients": [_weight(*c) for c in cert.coeffs],
         "residual": cert.residual,
         "zero_not_in_tc": cert.zero_not_in_tc,
         "objective_gradient": list(cert.grad_f),
@@ -180,44 +174,33 @@ def _certificate_payload(cert: Certificate):
         payload["y_star"] = list(cert.y_star)
     kkt = cert.kkt_weights()
     if kkt is not None:
-        payload["kkt_weights"] = [
-            {"tag": tag, "t": None if param is None else list(param), "weight": w}
-            for tag, param, w in kkt
-        ]
+        payload["kkt_weights"] = [_weight(*c) for c in kkt]
     if cert.diagnostics:
         payload["diagnostics"] = {k: _plain(v) for k, v in cert.diagnostics.items()}
     return payload
 
 
 def _plain(v):
-    if isinstance(v, np.ndarray):
-        return list(v)
-    return v
+    return list(v) if isinstance(v, np.ndarray) else v
+
+
+_KIND_VERDICT = {
+    "kkt": "KKT", "fj": "FJ", "unconstrained": "Unconstrained", "no_certificate": "NoCertificate"
+}
 
 
 def _verdict_of(cert) -> str:
-    if isinstance(cert, FullCertificate):
-        if not cert.found:
-            return "NoCertificate"
-        if cert.branch == "not_onto":
-            return "EqualityDegenerate"
-        if cert.branch == "onto_no_a":
-            return "KKT"
-        inner = cert.inner
-        return {"kkt": "KKT", "fj": "FJ", "unconstrained": "Unconstrained"}.get(
-            inner.kind if inner else "kkt", "KKT"
-        )
-    return {
-        "kkt": "KKT",
-        "fj": "FJ",
-        "unconstrained": "Unconstrained",
-        "no_certificate": "NoCertificate",
-    }[cert.kind]
+    if not isinstance(cert, FullCertificate):
+        return _KIND_VERDICT[cert.kind]
+    if not cert.found:
+        return "NoCertificate"
+    if cert.branch == "not_onto":
+        return "EqualityDegenerate"
+    return _KIND_VERDICT[cert.inner.kind] if cert.inner is not None else "KKT"
 
 
 def cmd_certify(args) -> int:
-    loaded, opts, grid = _load(args)
-    candidate = _require_candidate(loaded)
+    loaded, opts, grid, candidate = _load(args)
     problem = loaded.problem
     started = time.perf_counter()
     try:
@@ -231,6 +214,7 @@ def cmd_certify(args) -> int:
         return _emit_infeasible(args, loaded, err)
 
     verdict = _verdict_of(cert)
+    tc = getattr(cert.inner if isinstance(cert, FullCertificate) else cert, "tc", None)
     report = {
         "tool": "sipcert",
         "command": "certify",
@@ -260,34 +244,32 @@ def cmd_certify(args) -> int:
         }
         if cert.inner is not None:
             report["inequality_certificate"] = _certificate_payload(cert.inner)
-            report["ladder"] = _ladder_rows(cert.inner.tc)
+            report["ladder"] = _ladder_rows(tc)
         if cert.diagnostics:
             report["diagnostics"] = {k: _plain(v) for k, v in cert.diagnostics.items()}
     else:
         report["certificate"] = _certificate_payload(cert)
-        report["ladder"] = _ladder_rows(cert.tc)
-        if cert.tc is not None:
-            report["converged"] = cert.tc.converged
-            report["stopped_by"] = cert.tc.stopped_by
+        report["ladder"] = _ladder_rows(tc)
+        if tc is not None:
+            report["converged"] = tc.converged
+            report["stopped_by"] = tc.stopped_by
         if (
             problem.family is not None
             and not problem.family.pure_finite
             and cert.found
-            and not cert.tc.interior
+            and not tc.interior
         ):
             sm = sip_multipliers(problem, candidate, opts, grid, certificate=cert)
             report["sip_multipliers"] = {
                 "lambda0": sm.lambda0,
-                "entries": [
-                    {"tag": tag, "t": None if param is None else list(param), "weight": w}
-                    for tag, param, w, _ in sm.entries
-                ],
+                "entries": [_weight(tag, param, w) for tag, param, w, _ in sm.entries],
                 "k": sm.k,
                 "residual": sm.residual,
                 "lambda0_nonzero_guaranteed": sm.lambda0_nonzero_guaranteed,
             }
-    # covers the certification and the semi-infinite recast
-    report["timings"] = {"total_s": time.perf_counter() - started}
+    # covers the certification and the semi-infinite recast; the ladder's work
+    work = tc.counters if tc is not None and tc.counters else {"gap_lps": 0, "gap_rows": 0}
+    report["timings"] = {"total_s": time.perf_counter() - started, **work}
 
     if args.json:
         print(emit_json(report))
@@ -347,20 +329,13 @@ def _vec_str(v):
 
 
 def _options_payload(opts: Options):
-    return {
-        "tol": opts.tol, "tol_lp": opts.tol_lp, "tol_feas": opts.tol_feas,
-        "tol_hull": opts.tol_hull, "tol_kink": opts.tol_kink, "eps0": opts.eps0,
-        "shrink": opts.shrink, "max_steps": opts.max_steps,
-        "refine_depth": opts.refine_depth, "k_max": opts.k_max,
-    }
+    """Every option but the Lipschitz sampling ones (admissible's), in field order."""
+    return {k: getattr(opts, k) for k in OPTION_KEYS if not k.startswith("lipschitz_")}
 
 
 def cmd_tcset(args) -> int:
-    loaded, opts, grid = _load(args)
-    candidate = _require_candidate(loaded)
-    problem = loaded.problem
-    if problem.inner_map is not None:
-        problem = compose_family(problem, candidate)
+    loaded, opts, grid, candidate = _load(args)
+    problem = _composed(loaded.problem, candidate)
     try:
         tc = tc_approx(problem, candidate, opts, grid)
     except InfeasibleError as err:
@@ -399,12 +374,9 @@ def cmd_tcset(args) -> int:
 
 
 def cmd_admissible(args) -> int:
-    loaded, opts, grid = _load(args)
-    candidate = _require_candidate(loaded)
-    problem = loaded.problem
+    loaded, opts, grid, candidate = _load(args)
     started = time.perf_counter()
-    if problem.inner_map is not None:
-        problem = compose_family(problem, candidate)
+    problem = _composed(loaded.problem, candidate)
     try:
         diag = admissible_diagnostics(problem, candidate, opts, grid)
     except InfeasibleError as err:
@@ -460,9 +432,7 @@ def cmd_admissible(args) -> int:
 
 def cmd_scan(args) -> int:
     loaded = load_problem(args.file)
-    problem = loaded.problem
-    if problem.inner_map is not None:
-        problem = compose_family(problem, np.zeros(problem.p))
+    problem = _composed(loaded.problem, np.zeros(loaded.problem.p))
     try:
         bounds = [float(v) for v in args.box.split(",")]
     except ValueError:

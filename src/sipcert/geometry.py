@@ -20,9 +20,11 @@ __all__ = [
     "Polyhedron",
     "GeometryError",
     "first_occurrences",
+    "first_equal_rows",
     "hull_member",
     "hull_distance",
     "one_sided_hull_gap",
+    "farthest_row_distance",
     "caratheodory_reduce",
     "segment_hull_member",
     "recession_cone",
@@ -40,14 +42,24 @@ class GeometryError(Exception):
     """Dimension mismatch, invalid input, or reported LP failure."""
 
 
+def _row_keys(rows) -> np.ndarray:
+    """One bytewise key per row of an (n, p) array, so ``-0.0`` and ``0.0`` differ."""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
 def first_occurrences(rows) -> np.ndarray:
     """Ascending indices of the first occurrence of each distinct row of an (n, p) array.
 
     Rows compare bytewise, so ``-0.0`` and ``0.0`` stay apart.
     """
-    rows = np.ascontiguousarray(rows, dtype=float)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    return np.sort(np.unique(keys, return_index=True)[1])
+    return np.sort(np.unique(_row_keys(rows), return_index=True)[1])
+
+
+def first_equal_rows(rows) -> np.ndarray:
+    """Each row's id, the index of its first bytewise-equal row: subsets then dedupe by id."""
+    _, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
+    return first[inverse]
 
 
 @dataclass(frozen=True)
@@ -218,14 +230,8 @@ def hull_distance(target, hull: Hull) -> float:
 def one_sided_hull_gap(src: Hull, dst: Hull) -> float:
     """max over src generators of their distance to conv(dst), by as few LPs as exact allows.
 
-    Generators of ``src`` that literally reappear in ``dst`` contribute
-    zero and are skipped before any LP runs, as are repeats within ``src``.
-    The distance ``u(g) = min_j |g - d_j|_inf`` to the nearest single
-    generator of ``dst`` bounds ``hull_distance(g, dst)`` from above.  The
-    rows are visited in descending ``u``, ties in src order, and the visit
-    stops at the first row with ``u`` at most the gap found so far: no row
-    from there on can raise the maximum.  This is the early-break rule for
-    exact Hausdorff distance (Taha & Hanbury, IEEE TPAMI 37(11), 2015).
+    Generators of ``src`` that literally reappear in ``dst`` contribute zero,
+    as do repeats within ``src``; the rest go to :func:`farthest_row_distance`.
     """
     if len(src) == 0:
         return 0.0
@@ -233,14 +239,27 @@ def one_sided_hull_gap(src: Hull, dst: Hull) -> float:
         return float("inf")
     both = np.vstack([dst.generators, src.generators])
     first = first_occurrences(both)  # a src row equal to a dst row is not first
-    rows = both[first[first >= len(dst)]]
+    return farthest_row_distance(both[first[first >= len(dst)]], dst)[0]
+
+
+def farthest_row_distance(rows: np.ndarray, dst: Hull) -> tuple:
+    """(max over ``rows`` of their distance to conv(dst), LPs run), by the early break.
+
+    The distance ``u(g) = min_j |g - d_j|_inf`` to the nearest single
+    generator of ``dst`` bounds ``hull_distance(g, dst)`` from above.  The
+    rows are visited in descending ``u``, ties in row order, and the visit
+    stops at the first row with ``u`` at most the gap found so far: no row
+    from there on can raise the maximum (the early break for exact Hausdorff
+    distance, Taha & Hanbury, IEEE TPAMI 37(11), 2015).  Callers dedupe.
+    """
     bound = _nearest_generator_distance(rows, dst.generators)
-    gap = 0.0
+    gap, lps = 0.0, 0
     for k in np.argsort(-bound, kind="stable"):
         if bound[k] <= gap:
             break
         gap = max(gap, hull_distance(rows[k], dst))
-    return gap
+        lps += 1
+    return gap, lps
 
 
 _BOUND_CHUNK = 1 << 18  # rows x generators x coordinates per chunk: about 2 MB of floats

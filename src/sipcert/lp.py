@@ -122,6 +122,9 @@ class Simplex:
     from the basis the previous one ended at.  A pivot keeps the basis
     primal feasible, so that basis is a feasible start for any cost; a set
     found infeasible is infeasible for every objective.
+    A set with no equality row and no negative right-hand side (-0.0 is not
+    negative), such as a hull fit, starts from its slack basis: the
+    constructor copies ``a_ub`` and ``b_ub`` and adds no artificial column.
     """
 
     def __init__(self, n, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, free=0, tol=1e-9):
@@ -137,35 +140,36 @@ class Simplex:
         m_eq, m_ub = b_eq.size, b_ub.size
         m = m_eq + m_ub
         n_real = n + m_ub  # the x columns, then one slack per inequality row
-
-        # constraint rows: equalities first, then inequalities; the last row
-        # holds the reduced costs and, in its last entry, -objective
-        rhs = np.concatenate([b_eq, b_ub])
-        neg = rhs < 0  # these rows are negated so that every rhs is nonnegative
-        # artificials for equality rows and for negated inequality rows
-        need_art = neg.copy()
-        need_art[:m_eq] = True
-        art_rows = np.flatnonzero(need_art)
-        total = n_real + art_rows.size
-        # the slack of a negated inequality row starts nonbasic: its artificial is basic
-        slack_rows = art_rows[art_rows >= m_eq]
-        nb = np.concatenate([np.arange(n), n - m_eq + slack_rows])
-        tableau = np.zeros((m + 1, nb.size + 1))
-        tableau[:m_eq, :n] = a_eq
-        tableau[m_eq:m, :n] = a_ub
-        tableau[slack_rows, np.arange(n, nb.size)] = 1.0
-        tableau[:m, -1] = rhs
-        tableau[:m][neg] *= -1.0  # negated slack columns become -1
-
-        basis = np.arange(n - m_eq, n_real)  # each inequality row's slack ...
-        basis[art_rows] = np.arange(n_real, total)  # ... unless the row has an artificial
+        if not m_eq and not (b_ub < 0).any():  # the slack basis is feasible
+            tableau = np.zeros((m + 1, n + 1))
+            tableau[:m, :n] = a_ub
+            tableau[:m, n] = b_ub
+            basis, nb, total = np.arange(n, n_real), np.arange(n), n_real
+        else:
+            # constraint rows: equalities first, then inequalities; the last row
+            # holds the reduced costs and, in its last entry, -objective
+            rhs = np.concatenate([b_eq, b_ub])
+            neg = rhs < 0  # these rows are negated so that every rhs is nonnegative
+            # artificials for equality rows and for negated inequality rows
+            art_rows = np.flatnonzero(neg | (np.arange(m) < m_eq))
+            total = n_real + art_rows.size
+            # the slack of a negated inequality row starts nonbasic: its artificial is basic
+            slack_rows = art_rows[art_rows >= m_eq]
+            nb = np.concatenate([np.arange(n), n - m_eq + slack_rows])
+            tableau = np.zeros((m + 1, nb.size + 1))
+            tableau[:m_eq, :n] = a_eq
+            tableau[m_eq:m, :n] = a_ub
+            tableau[slack_rows, np.arange(n, nb.size)] = 1.0
+            tableau[:m, -1] = rhs
+            tableau[:m][neg] *= -1.0  # negated slack columns become -1
+            basis = np.arange(n - m_eq, n_real)  # each inequality row's slack ...
+            basis[art_rows] = np.arange(n_real, total)  # ... unless the row has an artificial
 
         self.n, self.free, self.tol = n, free, tol
         self._n_real, self._total = n_real, total
         self._tableau, self._basis, self._nb = tableau, basis, nb
         self._sign = np.ones(free)  # the sign each free variable's column carries
-        self._rhs_scale = float(abs(rhs).max(initial=0.0))
-        self._phase_one_due = art_rows.size > 0
+        self._phase_one_due = total > n_real
         self._feasible = True
 
     def minimize(self, c, then=None) -> SimplexSolution:
@@ -216,12 +220,13 @@ class Simplex:
         """
         self._phase_one_due = False
         tableau, basis, nb, n_real = self._tableau, self._basis, self._nb, self._n_real
+        rhs_scale = float(tableau[:-1, -1].max(initial=0.0))  # |rhs|: no pivot ran yet
         cost1 = np.zeros(self._total)
         cost1[n_real:] = 1.0
         obj1, _, pivots = _run_phase(tableau, basis, nb, cost1, self.tol, self._sign)
         if obj1 is None:
             raise SimplexError("phase 1 unbounded (should be impossible)")
-        if obj1 > max(self.tol, 1e-7 * (1.0 + self._rhs_scale)):
+        if obj1 > max(self.tol, 1e-7 * (1.0 + rhs_scale)):
             self._feasible = False
             return pivots
         tableau, self._basis, count = _evict_artificials(tableau, basis, nb, n_real, self.tol)

@@ -24,9 +24,9 @@ from .expr import gradient
 from .geometry import (
     Hull,
     caratheodory_reduce,
-    first_occurrences,
+    farthest_row_distance,
+    first_equal_rows,
     hull_member,
-    one_sided_hull_gap,
     segment_hull_member,
 )
 from .model import FamilyScan, InfeasibleError, Problem, evaluate_family
@@ -48,13 +48,13 @@ class TCApprox:
     stopped_by: str  # 'interior'|'finite_shortcut'|'stabilized'|'empty'|'max_steps'
     # the scan candidate behind each final generator, ascending
     final_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    # the ladder's work, when one ran: "gap_lps" and "gap_rows" (see _ladder_gap)
+    counters: dict = field(default_factory=dict, compare=False)
 
     def ladder_table(self):
-        rows = []
-        for k, (eps, aset) in enumerate(self.ladder):
-            gap = self.hausdorff_gaps[k - 1] if k >= 1 else None
-            rows.append((eps, len(aset.entries), gap))
-        return rows
+        """(eps, generators, gap to the rung before or None) per rung."""
+        gaps = (None, *self.hausdorff_gaps)
+        return [(eps, len(aset.entries), gap) for (eps, aset), gap in zip(self.ladder, gaps)]
 
     def labels(self, idx=None) -> list:
         """(tag, index point or None) of the final generators ``idx`` (ascending; all by default)."""
@@ -89,15 +89,30 @@ class Certificate:
         return tuple((tag, param, self.beta * w / self.lam) for tag, param, w in self.coeffs)
 
 
-def _ladder_gap(grads: np.ndarray, prev: np.ndarray, new: np.ndarray) -> float:
-    """Hausdorff gap between the hulls of two rungs, ``new`` nested in ``prev``.
+def _ladder_gap(grads, gates, ids, prev, eps, counters) -> float:
+    """Hausdorff gap between the rung ``prev`` and the next, ``prev[gates[prev] <= eps]``.
 
     Hulls genuinely stabilized means neither side drifted, so the gap is the
-    larger one-sided gap.  Every generator of ``new`` is one of ``prev``,
-    which makes that side exactly 0; the other needs only the dropped rows.
+    larger one-sided gap.  The next rung is nested in ``prev``, which makes
+    its side exactly 0.  The other needs only the dropped rows, less those
+    equal to a kept row or an earlier dropped one by ``ids``
+    (``first_equal_rows(grads)``): they add to ``counters["gap_rows"]``, and
+    the LPs ``farthest_row_distance`` runs on them to ``counters["gap_lps"]``.
     """
-    dropped = np.setdiff1d(prev, new, assume_unique=True)
-    return one_sided_hull_gap(Hull(grads[dropped]), Hull(grads[new]))
+    kept = gates[prev] <= eps
+    new, dropped = prev[kept], prev[~kept]
+    held = np.zeros(ids.size, dtype=bool)
+    held[ids[new]] = True
+    dropped = _distinct(ids, dropped[~held[ids[dropped]]])
+    gap, lps = farthest_row_distance(grads[dropped], Hull(grads[new]))
+    counters["gap_rows"] += dropped.size
+    counters["gap_lps"] += lps
+    return gap
+
+
+def _distinct(ids, rows):
+    """The ``rows`` (ascending) that hold the first row of their id among ``rows``."""
+    return rows[np.sort(np.unique(ids[rows], return_index=True)[1])]
 
 
 def tc_approx(prob: Problem, x, opts: Options = Options(), grid: int | None = None) -> TCApprox:
@@ -119,6 +134,8 @@ def tc_approx(prob: Problem, x, opts: Options = Options(), grid: int | None = No
         )
 
     scan = FamilyScan(prob, x, values, opts.eps0, opts, grid)
+    ids = first_equal_rows(scan.grads)
+    counters = {"gap_lps": 0, "gap_rows": 0}
     ladder = []
     gaps = []
     converged = False
@@ -132,7 +149,7 @@ def tc_approx(prob: Problem, x, opts: Options = Options(), grid: int | None = No
             break
         ladder.append((eps, aset))
         if prev is not None:  # one gap per rung after the first
-            gaps.append(_ladder_gap(scan.grads, prev.entries, aset.entries))
+            gaps.append(_ladder_gap(scan.grads, scan.gates, ids, prev.entries, eps, counters))
             if (
                 not prob.family.pure_finite
                 and len(gaps) >= 2
@@ -152,11 +169,10 @@ def tc_approx(prob: Problem, x, opts: Options = Options(), grid: int | None = No
         eps *= opts.shrink
     if not ladder:
         return TCApprox((), Hull(np.zeros((0, p))), False, (), False, report.min_value, stopped_by)
-    rows = ladder[-1][1].entries
-    rows = rows[first_occurrences(scan.grads[rows])]
+    rows = _distinct(ids, ladder[-1][1].entries)
     return TCApprox(
         tuple(ladder), Hull(scan.grads[rows]), converged, tuple(gaps), False,
-        report.min_value, stopped_by, rows,
+        report.min_value, stopped_by, rows, counters,
     )
 
 
@@ -301,10 +317,6 @@ def sip_multipliers(
         lam0 = cert.lam if denom <= 0.0 else float(min(max(-(g @ diff) / denom, 0.0), 1.0))
         (tag, param), = cert.tc.labels([i])
         entries = ((tag, param, 1.0 - lam0, g),)
-        residual = _sip_residual(lam0, cert.grad_f, entries)
-        return SipMultipliers(
-            True, lam0, entries, residual, bool(cert.zero_not_in_tc), cert.approximate, cert
-        )
     else:
         # reduce the combined representation of 0 over {grad f} + support generators
         support = cert.coeffs
@@ -322,10 +334,10 @@ def sip_multipliers(
                 tag, param, _ = support[i - 1]
                 entries.append((tag, param, float(w), atoms[i]))
         entries = tuple(entries)
-        residual = _sip_residual(lam0, cert.grad_f, entries)
-        return SipMultipliers(
-            True, lam0, entries, residual, bool(cert.zero_not_in_tc), cert.approximate, cert
-        )
+    residual = _sip_residual(lam0, cert.grad_f, entries)
+    return SipMultipliers(
+        True, lam0, entries, residual, bool(cert.zero_not_in_tc), cert.approximate, cert
+    )
 
 
 def _sip_residual(lam0, grad_f, entries):

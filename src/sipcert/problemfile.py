@@ -193,30 +193,19 @@ def _load_constraints(raw, q):
     _require(isinstance(raw, dict) and raw, "constraints must be a nonempty object", "$.constraints")
     _check_keys(raw, ("finite", "parametric", "polyhedral"), "$.constraints")
     if "polyhedral" in raw:
-        _require(
-            len(raw) == 1, "polyhedral constraints cannot be combined", "$.constraints"
-        )
-        spec = raw["polyhedral"]
-        _require(isinstance(spec, dict), "expected an object", "$.constraints.polyhedral")
-        _check_keys(spec, ("normals", "offsets"), "$.constraints.polyhedral")
-        _require(
-            "normals" in spec and "offsets" in spec,
-            "normals and offsets are required",
-            "$.constraints.polyhedral",
-        )
+        _require(len(raw) == 1, "polyhedral constraints cannot be combined", "$.constraints")
+        spec, where = raw["polyhedral"], "$.constraints.polyhedral"
+        _require(isinstance(spec, dict), "expected an object", where)
+        _check_keys(spec, ("normals", "offsets"), where)
+        _require("normals" in spec and "offsets" in spec, "normals and offsets are required", where)
         normals = spec["normals"]
-        _require(
-            isinstance(normals, list) and normals, "expected a nonempty array", "$.constraints.polyhedral.normals"
-        )
-        rows = [
-            _number_list(row, f"$.constraints.polyhedral.normals[{j}]", length=q)
-            for j, row in enumerate(normals)
-        ]
-        offsets = _number_list(spec["offsets"], "$.constraints.polyhedral.offsets", length=len(rows))
+        _require(isinstance(normals, list) and normals, "expected a nonempty array", f"{where}.normals")
+        rows = [_number_list(r, f"{where}.normals[{j}]", length=q) for j, r in enumerate(normals)]
+        offsets = _number_list(spec["offsets"], f"{where}.offsets", length=len(rows))
         try:
             poly = Polyhedron(np.array(rows), np.array(offsets))
         except Exception as err:
-            raise ProblemFileError(str(err), "$.constraints.polyhedral") from err
+            raise ProblemFileError(str(err), where) from err
         return PolyhedralFamily(poly), None
 
     finite_members = []
@@ -227,9 +216,8 @@ def _load_constraints(raw, q):
             _parse_expr(s, q, 0, f"$.constraints.finite[{i}]") for i, s in enumerate(members)
         ]
 
-    if "parametric" not in raw:
-        tags = tuple(f"phi{i}" for i in range(len(finite_members)))
-        return FiniteFamily(tuple(finite_members), tags), None
+    if "parametric" not in raw:  # the members are tagged phi0, phi1, ... by default
+        return FiniteFamily(tuple(finite_members)), None
 
     spec = raw["parametric"]
     where = "$.constraints.parametric"
@@ -251,9 +239,7 @@ def _load_constraints(raw, q):
         index = IndexSet.box(lower, upper, grid)
     except ValueError as err:
         raise ProblemFileError(str(err), f"{where}.box") from err
-    tags = tuple(f"phi{i}" for i in range(len(finite_members)))
-    family = ParametricFamily(h, index, tuple(finite_members), tags)
-    return family, grid
+    return ParametricFamily(h, index, tuple(finite_members)), grid
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .expr import evaluate, gradient
 from .geometry import Polyhedron, polyhedron_minimize, recession_cone
-from .model import FeasibilityReport, InfeasibleError, Problem
+from .model import FeasibilityReport, InfeasibleError, Problem, feasibility
 from .multipliers import Certificate, certify_fj
 from .options import Options
 
@@ -174,9 +174,9 @@ def certify_equality(prob: Problem, x, opts: Options = Options(), grid=None) -> 
     """Lagrange-type certificate with equality constraints h(x) = 0.
 
     Branches on the equality Jacobian: rank-deficient Jacobians yield the
-    degenerate certificate (0, 0, left-null); full-rank Jacobians reduce to
-    the inequality certification restricted to kernel coordinates, then
-    lift the equality multiplier by least squares on the row space.
+    degenerate certificate (0, 0, left-null); full-rank ones certify the
+    inequalities in kernel coordinates (only their feasibility when the
+    kernel is {0}), then lift the equality multiplier by least squares.
     """
     x = np.asarray(x, dtype=float)
     equality = prob.equality or ()
@@ -196,7 +196,14 @@ def certify_equality(prob: Problem, x, opts: Options = Options(), grid=None) -> 
     grad_f = gradient(prob.objective, x, kink_tol=opts.tol_kink)
     kernel = jac.kernel_basis  # (d, p) orthonormal rows
 
-    if prob.family is None:
+    derived = compose_family(prob, x) if prob.inner_map is not None else prob
+    if prob.family is None or not kernel.size:
+        # no inequality, or Ker J_h = {0} leaves the inequalities no direction:
+        # once x obeys them, (lambda0, z*) = (1, 0) and w* lifts -grad f
+        if prob.family is not None:
+            report = feasibility(derived, x, opts.tol_feas, grid)
+            if not report.feasible:
+                raise InfeasibleError(report)
         projected = kernel.T @ (kernel @ grad_f) if kernel.size else np.zeros_like(grad_f)
         pnorm = float(np.abs(projected).max(initial=0.0))
         if pnorm > opts.tol:
@@ -207,10 +214,11 @@ def certify_equality(prob: Problem, x, opts: Options = Options(), grid=None) -> 
             )
         w_star = _lift_w_star(jac, -grad_f) if w else np.zeros(0)
         residual = float(np.abs(grad_f + jac.matrix.T @ w_star).max(initial=0.0))
-        return FullCertificate(True, "onto_no_a", 1.0, None, w_star, residual, jac)
+        if prob.family is None:
+            return FullCertificate(True, "onto_no_a", 1.0, None, w_star, residual, jac)
+        return FullCertificate(True, "onto_with_a", 1.0, np.zeros(prob.q), w_star, residual, jac)
 
-    derived = compose_family(prob, x) if prob.inner_map is not None else prob
-    inner_cert = certify_fj(derived, x, opts, grid, restrict=kernel if kernel.size else None)
+    inner_cert = certify_fj(derived, x, opts, grid, restrict=kernel)
     if not inner_cert.found:
         return FullCertificate(
             False, "onto_with_a", 0.0, None, None, float("inf"), jac, inner_cert,

@@ -1,7 +1,9 @@
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from sipcert.fixtures import fixture_path
@@ -197,6 +199,66 @@ class TestCertify:
         assert report["problem"]["has_inner_map"]
         assert report["certificate"]["y_star"] == pytest.approx([-0.5, -0.5])
         assert report["sip_multipliers"]["residual"] <= 1e-9
+
+    @pytest.mark.parametrize("doc, w_star", [
+        ({"dimension": 1, "objective": "x1", "constraints": {"finite": ["x1 + 1"]},
+          "equality": ["x1"], "candidate": [0.0]}, [-1.0]),
+        ({"dimension": 2, "objective": "x1 + x2", "constraints": {"finite": ["x1 + x2"]},
+          "equality": ["x1", "x2"], "candidate": [0.0, 0.0]}, [-1.0, -1.0]),
+    ])
+    def test_equality_jacobian_of_full_column_rank(self, tmp_path, doc, w_star):
+        # Ker J_h = {0}: the inequalities have no direction left to certify in
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps(doc))
+        code, report = run_json("certify", str(path))
+        assert (code, report["verdict"], report["branch"]) == (0, "KKT", "onto_with_a")
+        assert report["jacobian"]["kernel_dim"] == 0
+        assert (report["lambda0"], report["z_star"]) == (1, [0] * len(w_star))
+        assert report["w_star"] == pytest.approx(w_star, abs=1e-12)
+        doc["constraints"]["finite"] = ["x1 - 1"]  # violated at x = 0
+        path.write_text(json.dumps(doc))
+        code, report = run_json("certify", str(path))
+        assert (code, report["verdict"]) == (3, "Infeasible")
+
+    @pytest.mark.parametrize("objective, constraints, verdict", [
+        ("x1 - x2", ["1 - x1"], "Unconstrained"),  # interior; grad f is orthogonal to the kernel
+        ("x1 + x2", ["x1 + x2", "-x1 - x2"], "FJ"),  # 0 lies in the kernel-restricted T_C
+    ])
+    def test_equality_verdict_follows_the_inner_certificate(
+        self, tmp_path, objective, constraints, verdict
+    ):
+        doc = {"dimension": 2, "objective": objective, "constraints": {"finite": constraints},
+               "equality": ["x1 - x2"], "candidate": [0.0, 0.0]}
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps(doc))
+        code, report = run_json("certify", str(path))
+        assert (code, report["branch"], report["verdict"]) == (0, "onto_with_a", verdict)
+        assert report["inequality_certificate"]["kind"] == verdict.lower()
+
+    def test_timings_count_the_ladders_gap_lps(self, tmp_path):
+        # the quarter circle h = 1 - x . (cos t1, sin t1) at grid 1025, the
+        # candidate on grid point 400: 368 deduped dropped rows over the
+        # ladder, of which the early break needs 12 LPs
+        t = float(np.linspace(0.0, math.pi / 2, 1025)[400])
+        doc = {
+            "dimension": 2,
+            "objective": f"{math.cos(t)!r}*x1 + {math.sin(t)!r}*x2",
+            "constraints": {"parametric": {
+                "h": "1 - x1*cos(t1) - x2*sin(t1)", "t_dim": 1,
+                "box": {"lower": [0.0], "upper": [math.pi / 2]}, "grid": 1025,
+            }},
+            "candidate": [math.cos(t), math.sin(t)],
+        }
+        path = tmp_path / "quarter_circle.json"
+        path.write_text(json.dumps(doc))
+        _, circle = run_json("certify", str(path))
+        _, trig = run_json("certify", fixture_path("sip_trig"))  # dropped rows repeat kept ones
+        counts = ("gap_lps", "gap_rows")
+        for report in (circle, trig):
+            assert set(report["timings"]) == {"total_s", *counts}
+        assert (circle["verdict"], circle["stopped_by"]) == ("KKT", "stabilized")
+        assert [circle["timings"][k] for k in counts] == [12, 368]
+        assert [trig["timings"][k] for k in counts] == [0, 0]
 
     @pytest.mark.parametrize("name", ["sip_linear", "sip_trig", "near_active"])
     def test_certify_discretizes_the_index_set_once(self, name, monkeypatch, capsys):

@@ -769,3 +769,91 @@ def test_hull_lps_match_the_full_tableau(rng):
         c, a_ub, b_ub, a_eq, b_eq = _hull_lp(gens, target)
         _assert_same_as_full_tableau(c, a_ub, b_ub, a_eq, b_eq)
         _assert_same_as_full_tableau(c, a_ub, b_ub, a_eq, b_eq, then=-np.arange(c.size, 0, -1))
+
+
+# the slack-basis start: with no equality row and no negative right-hand side
+# the constructor skips the artificial bookkeeping.  The general path, reached
+# here through a vacuous equality row 0 @ x == 0 (phase 1 runs, pivots
+# nothing and drops the row), must pivot and round the same.
+
+
+def _assert_slack_start_changes_nothing(phase_ones, c, a_ub, b_ub, then=None):
+    c = np.asarray(c, dtype=float)
+    before = len(phase_ones)
+    slack = lp.Simplex(c.size, a_ub, b_ub).minimize(c, then)
+    assert len(phase_ones) == before  # no phase 1
+    general = lp.Simplex(c.size, a_ub, b_ub, np.zeros((1, c.size)), [0.0]).minimize(c, then)
+    assert phase_ones[before:] == [0]  # phase 1 ran and pivoted nothing
+    assert (slack.status, slack.x.tobytes(), slack.objective.hex(), slack.pivots) == (
+        general.status, general.x.tobytes(), general.objective.hex(), general.pivots
+    )
+    assert (slack.ray is None) == (general.ray is None)
+    if slack.ray is not None:
+        assert slack.ray.tobytes() == general.ray.tobytes()
+    _assert_same_as_full_tableau(c, a_ub, b_ub, np.zeros((0, c.size)), [], then)
+    return slack
+
+
+def test_slack_start_on_random_fit_lps(rng, monkeypatch):
+    from sipcert.geometry import _fit_lp
+
+    phase_ones = _phase_one_log(monkeypatch)
+    for _ in range(60):
+        p, n = int(rng.integers(1, 5)), int(rng.integers(1, 40))
+        cols = rng.integers(-2, 3, size=(p, n)) / 2.0  # repeated columns, ties
+        for t in (cols[:, 0], cols.mean(axis=1), rng.standard_normal(p) * 2.0):
+            c, a_ub, b_ub, _, _ = _fit_lp(cols, t)
+            assert np.all(b_ub >= 0.0)
+            _assert_slack_start_changes_nothing(phase_ones, c, a_ub, b_ub)
+            # a tie-break objective, as the certificate LP takes
+            _assert_slack_start_changes_nothing(phase_ones, c, a_ub, b_ub, -rng.random(c.size))
+
+
+def test_slack_start_on_the_ladder_gap_lps(monkeypatch, sphere_ladder):
+    import sipcert.geometry as geometry
+    from sipcert.multipliers import tc_approx
+    from sipcert.options import Options
+
+    captured = []
+    solve = geometry.solve_lp
+    monkeypatch.setattr(
+        geometry, "solve_lp", lambda *a, **k: captured.append((a, k)) or solve(*a, **k)
+    )
+    for grid, t_index in ((1025, [300]), (65, [40, 16])):  # as the sip-ladder workload
+        tc_approx(*sphere_ladder(grid, t_index), Options())
+    monkeypatch.undo()
+    assert len(captured) >= 10
+    phase_ones = _phase_one_log(monkeypatch)
+    for (c, a_ub, b_ub), kwargs in captured:
+        _assert_slack_start_changes_nothing(phase_ones, c, a_ub, b_ub, kwargs.get("then"))
+
+
+def test_slack_start_with_signed_zero_right_hand_sides(monkeypatch):
+    # a row with rhs -0.0 is not negated (only rhs < 0 is), so it keeps its slack
+    phase_ones = _phase_one_log(monkeypatch)
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n, m = (int(v) for v in rng.integers([1, 1], [5, 6]))
+        b_ub = rng.choice([0.0, -0.0, 1.0, 2.0], size=m)
+        b_ub[0] = -0.0
+        sol = _assert_slack_start_changes_nothing(
+            phase_ones,
+            rng.integers(-2, 3, n).astype(float),
+            rng.integers(-1, 2, (m, n)).astype(float),
+            b_ub,
+            rng.integers(-2, 3, n).astype(float) if seed % 3 == 0 else None,
+        )
+        assert sol.status in ("optimal", "unbounded")
+    assert phase_ones == [0] * 200  # the general path's only
+
+
+def test_an_equality_row_or_a_negative_rhs_still_runs_phase_one(monkeypatch):
+    phase_ones = _phase_one_log(monkeypatch)
+    # x1 + x2 == 1 over x >= 0, and x1 + x2 >= 1 written as -x1 - x2 <= -1
+    for a_eq, b_eq, b_ub in (([[1.0, 1.0]], [1.0], [2.0]), (None, None, [-1.0])):
+        a_ub = [[1.0, 0.0]] if a_eq is not None else [[-1.0, -1.0]]
+        sol = lp.Simplex(2, a_ub, b_ub, a_eq, b_eq).minimize([1.0, 2.0])
+        assert sol.optimal and sol.x.tolist() == [1.0, 0.0]
+        assert len(phase_ones) == 1 and phase_ones[0] >= 1
+        _assert_same_as_full_tableau([1.0, 2.0], a_ub, b_ub, a_eq or np.zeros((0, 2)), b_eq or [])
+        phase_ones.clear()

@@ -7,6 +7,8 @@ import sipcert.lp as lp
 from sipcert.fixtures import load_fixture
 from sipcert.geometry import (
     Hull,
+    Polyhedron,
+    first_equal_rows,
     first_occurrences,
     hull_distance,
     one_sided_hull_gap,
@@ -17,6 +19,7 @@ from sipcert.model import (
     IndexSet,
     InfeasibleError,
     ParametricFamily,
+    PolyhedralFamily,
     Problem,
     active_set,
 )
@@ -108,17 +111,23 @@ class TestTcApprox:
 class TestLadderGap:
     """Nested rungs: the dropped-rows gap is the two-sided gap, bit for bit, in no more LPs."""
 
-    def _check(self, monkeypatch, grads, prev, new):
+    def _check(self, monkeypatch, grads, gates, prev, eps):
+        new = prev[gates[prev] <= eps]
         calls = []
         distance = geometry.hull_distance
         monkeypatch.setattr(geometry, "hull_distance", lambda *a: calls.append(a) or distance(*a))
         outer, inner = Hull(grads[prev]), Hull(grads[new])
         expected = max(one_sided_hull_gap(outer, inner), one_sided_hull_gap(inner, outer))
         two_sided = len(calls)
-        gap = _ladder_gap(grads, prev, new)
+        counters = {"gap_lps": 0, "gap_rows": 0}
+        gap = _ladder_gap(grads, gates, first_equal_rows(grads), prev, eps, counters)
         assert gap.hex() == expected.hex()
-        assert len(calls) - two_sided <= two_sided
+        assert counters["gap_lps"] == len(calls) - two_sided <= two_sided
         monkeypatch.undo()
+        # the ids drop the rows that the bytewise dedupe of the dropped rows drops
+        dropped = np.setdiff1d(prev, new, assume_unique=True)
+        first = first_occurrences(np.vstack([grads[new], grads[dropped]]))
+        assert counters["gap_rows"] == int((first >= new.size).sum())
         return gap
 
     def test_random_nested_hulls_with_repeats_and_signed_zeros(self, monkeypatch, rng):
@@ -130,17 +139,19 @@ class TestLadderGap:
             grads[i, 0], grads[j, 0] = 0.0, -0.0  # equal as numbers, apart as bytes
             prev = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
             new = np.sort(rng.choice(prev, size=int(rng.integers(1, prev.size + 1)), replace=False))
-            self._check(monkeypatch, grads, prev, new)
+            gates = np.ones(n)
+            gates[new] = 0.0
+            self._check(monkeypatch, grads, gates, prev, 0.5)
 
     def test_sip_trig_ladder(self, monkeypatch):
         loaded = load_fixture("sip_trig")
         opts = Options().replace(**loaded.options)
         tc = tc_approx(loaded.problem, loaded.candidate, opts, loaded.grid)
         assert len(tc.ladder) >= 3
-        grads = tc.ladder[0][1].scan.grads
+        scan = tc.ladder[0][1].scan
         gaps = [
-            self._check(monkeypatch, grads, prev.entries, new.entries)
-            for (_, prev), (_, new) in zip(tc.ladder, tc.ladder[1:])
+            self._check(monkeypatch, scan.grads, scan.gates, prev.entries, eps)
+            for (_, prev), (eps, _) in zip(tc.ladder, tc.ladder[1:])
         ]
         assert [g.hex() for g in gaps] == [g.hex() for g in tc.hausdorff_gaps]
 
@@ -153,12 +164,41 @@ class TestLadderGap:
         monkeypatch.undo()
         assert tc.stopped_by == "stabilized" and len(tc.ladder) >= 3
         assert len(calls) <= 20  # every dropped row of every rung is 368 LPs
+        assert tc.counters["gap_lps"] == len(calls)
         grads = tc.ladder[0][1].scan.grads
         unpruned = [
             _unpruned_ladder_gap(grads, prev.entries, new.entries)
             for (_, prev), (_, new) in zip(tc.ladder, tc.ladder[1:])
         ]
         assert [g.hex() for g in tc.hausdorff_gaps] == [g.hex() for g in unpruned]
+
+    def test_signed_zero_twins_and_a_dropped_repeat_of_a_kept_row(self, monkeypatch):
+        # polyhedral members keep a normal's -0.0 (gradients of expressions do not)
+        normals = np.array([
+            [0.0, 1.0], [-0.0, 1.0],  # kept to the end: twins apart as bytes
+            [0.0, 1.0],  # dropped at the third rung, a repeat of a kept row
+            [1.0, 1.0], [1.0, 1.0],  # dropped together at the second rung
+            [-0.0, 1.0],  # dropped at the second rung, a repeat of a kept row
+            [-1.0, 1.0],  # dropped at the third rung ...
+            [-1.0, 1.0],  # ... before its repeat, which is kept to the end
+            [2.0, 1.0],  # dropped at the third rung
+        ])
+        values = np.array([0.0, 0.0, 0.004, 0.008, 0.006, 0.009, 0.003, 0.0, 0.003])  # at x = 0
+        family = PolyhedralFamily(Polyhedron(normals, -values * np.linalg.norm(normals, axis=1)))
+        tc = tc_approx(Problem(2, parse("-x2", 2), family), (0.0, 0.0))
+        scan = tc.ladder[0][1].scan
+        assert np.signbit(scan.grads[:, 0]).tolist() == [0, 1, 0, 0, 0, 1, 1, 1, 0]
+        assert tc.stopped_by == "finite_shortcut" and len(tc.ladder) == 3
+        gaps = [
+            self._check(monkeypatch, scan.grads, scan.gates, prev.entries, eps)
+            for (_, prev), (eps, _) in zip(tc.ladder, tc.ladder[1:])
+        ]
+        assert [g.hex() for g in gaps] == [g.hex() for g in tc.hausdorff_gaps]
+        rows = tc.ladder[-1][1].entries
+        assert np.array_equal(tc.final_rows, rows[first_occurrences(scan.grads[rows])])
+        assert tc.final_rows.tolist() == [0, 1, 7]
+        # offered: one of the two (1, 1) rows at the second rung, (2, 1) at the third
+        assert tc.counters == {"gap_lps": 2, "gap_rows": 2}
 
 
 def _unpruned_ladder_gap(grads, prev, new):

@@ -239,6 +239,33 @@ class TestCertifyEquality:
         assert cert.found and cert.branch == "onto_no_a"
         assert cert.residual <= 1e-9
 
+    @pytest.mark.parametrize("p, inequalities", [(1, ["x1 + 1"]), (2, ["x1 + x2"])])
+    def test_trivial_kernel_with_inequalities(self, p, inequalities):
+        # J_h has full column rank: Ker J_h = {0} leaves the inequalities (one
+        # inactive, one active) no direction, so (lambda0, z*) = (1, 0) and
+        # w* = -grad f, as without any inequality
+        objective = parse(" + ".join(f"x{i + 1}" for i in range(p)), p)
+        equality = tuple(parse(f"x{i + 1}", p) for i in range(p))
+        family = FiniteFamily(tuple(parse(g, p) for g in inequalities))
+        cert = certify_equality(Problem(p, objective, family, equality=equality), np.zeros(p))
+        bare = certify_equality(Problem(p, objective, equality=equality), np.zeros(p))
+        assert cert.found and cert.branch == "onto_with_a" and cert.inner is None
+        assert (cert.lambda0, cert.z_star.tolist()) == (1.0, [0.0] * p)
+        assert np.array_equal(cert.w_star, bare.w_star) and np.allclose(cert.w_star, -1.0)
+        assert cert.residual == bare.residual <= 1e-12
+
+    def test_trivial_kernel_still_reports_an_infeasible_inequality(self):
+        prob = Problem(1, parse("x1", 1), FiniteFamily((parse("x1 - 1", 1),)),
+                       equality=(parse("x1", 1),))
+        with pytest.raises(InfeasibleError) as err:
+            certify_equality(prob, (0.0,))
+        assert err.value.report.min_value == -1.0
+        # through an inner map: the member y1 - 1 at y = g(0) = 0
+        composed = Problem(1, parse("x1", 1), FiniteFamily((parse("x1 - 1", 1),)),
+                           inner_map=(parse("x1^2", 1),), equality=(parse("x1", 1),))
+        with pytest.raises(InfeasibleError):
+            certify_equality(composed, (0.0,))
+
     def test_inner_map_and_equality_together(self):
         prob = Problem(
             2,
