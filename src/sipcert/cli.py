@@ -268,7 +268,9 @@ def cmd_certify(args) -> int:
                 "lambda0_nonzero_guaranteed": sm.lambda0_nonzero_guaranteed,
             }
     # covers the certification and the semi-infinite recast; the ladder's work
-    work = tc.counters if tc is not None and tc.counters else {"gap_lps": 0, "gap_rows": 0}
+    work = tc.counters if tc is not None and tc.counters else dict.fromkeys(
+        ("gap_lps", "gap_rows", "refined_seeds"), 0
+    )
     report["timings"] = {"total_s": time.perf_counter() - started, **work}
 
     if args.json:

@@ -25,7 +25,11 @@ A certification evaluates the family once (:func:`evaluate_family`): its
 feasibility report and the near-active scan read the same values.  The
 scan (:class:`FamilyScan`) is one candidate table in parallel arrays; a
 ladder rung (:class:`ActiveSet`) is an index array into it, so the rungs
-are nested, and tags are formatted only for the rows a report shows.
+are nested, and tags are formatted only for the rows a report shows.  On a
+box index set the scan adds an off-grid twin for each near-active grid
+point that is a discrete local minimum of the grid values (the interior
+of a flat run gets none), bisected toward smaller h within its grid cells;
+a violation between grid points is searched for only in those cells.
 Families and problems are immutable after construction.
 """
 
@@ -130,8 +134,12 @@ class IndexSet:
         if self.kind == "finite":
             return self.points[rows]
         axes = self._axes(grid)
-        cells = np.unravel_index(rows, [axis.size for axis in axes])
+        cells = np.unravel_index(rows, self.shape(grid))
         return np.stack([axis[c] for axis, c in zip(axes, cells)], axis=-1)
+
+    def shape(self, grid: int | None = None) -> tuple:
+        """Grid points per axis of a box; ``grid_points`` is this array in C order."""
+        return (int(grid) if grid else self.base_grid,) * self.t_dim
 
     def steps(self, grid: int | None = None) -> np.ndarray:
         n = int(grid) if grid else self.base_grid
@@ -194,8 +202,9 @@ class _Family:
         return gradient(dict(self._listed)[tag], y)
 
     def refine(self, x, rows, values, eps_cap, opts, grid=None) -> tuple:
-        """Off-grid twins of the near-active ``rows``: (gates, values, points, gradients)."""
-        return np.zeros(0), np.zeros(0), np.zeros((0, 0)), np.zeros((0, len(x)))
+        """Off-grid twins of the near-active ``rows``: (gates, values, points,
+        gradients, number of seeds bisected)."""
+        return np.zeros(0), np.zeros(0), np.zeros((0, 0)), np.zeros((0, len(x))), 0
 
     def determination(self, tol_lp: float = DEFAULT_LP_TOL, counters=None) -> tuple:
         """(normalized normal, infimum over the set, stated offset) per facet."""
@@ -285,21 +294,30 @@ class ParametricFamily(_Family):
         return gradient(self.h, y, np.asarray(param))
 
     def refine(self, x, rows, values, eps_cap, opts, grid=None) -> tuple:
-        """Bisect each near-active box grid point toward smaller h.
+        """Bisect each near-active box grid point that is a discrete local minimum toward smaller h.
 
-        ``opts.refine_depth`` levels per axis localize T(x), each level one
-        tree walk over both quarter points of every seed, so a refinement
-        costs ``refine_depth * t_dim + 1`` walks.  A refined point is gated
-        by the larger of its own and its seed's value, so it joins the
-        ladder exactly when its seed does.  Twins with value above
+        The seeds are the near-active grid points whose value in ``values``
+        (the scan's clamped values) is <= that of each axis neighbour in the
+        box and < at least one of them: the interior of a flat run gets no
+        twin, the rim of a plateau and both points of a two-point tie do.
+        The rule reads grid values only, never eps.  ``opts.refine_depth``
+        levels per axis localize T(x) in the cells around the seeds, each
+        level one tree walk over both quarter points of every seed, so a
+        refinement costs ``refine_depth * t_dim + 1`` walks.  A violation
+        between grid points is found only in those cells.  A refined point
+        is gated by the larger of its own and its seed's value, so it joins
+        the ladder exactly when its seed does.  Twins with value above
         ``eps_cap``, and twins that repeat a seed or an earlier twin bytewise,
         are dropped.
         """
-        seeds = rows[rows >= len(self.extra)]
-        index = self.index
-        if index.kind != "box" or opts.refine_depth <= 0 or not len(seeds):
+        index, d = self.index, len(self.extra)
+        if index.kind != "box" or opts.refine_depth <= 0:
             return super().refine(x, rows, values, eps_cap, opts, grid)
-        points = index.points_at(seeds - len(self.extra), grid)
+        seeds = rows[rows >= d]
+        seeds = seeds[_discrete_minima(values[d:], index.shape(grid), seeds - d)]
+        if not len(seeds):
+            return super().refine(x, rows, values, eps_cap, opts, grid)
+        points = index.points_at(seeds - d, grid)
         steps = index.steps(grid)
         refined = points.copy()
         for axis in range(index.t_dim):
@@ -316,7 +334,8 @@ class ParametricFamily(_Family):
         first = first_occurrences(np.vstack([points, refined[close]]))  # seeds come first
         keep = close[first[first >= len(points)] - len(points)]
         gates = np.maximum(values[seeds[keep]], near[keep])
-        return gates, near[keep], refined[keep], gradient_many(self.h, x, refined[keep], opts.tol_kink)
+        grads = gradient_many(self.h, x, refined[keep], opts.tol_kink)
+        return gates, near[keep], refined[keep], grads, len(seeds)
 
     def _index_points(self, grid):
         return self.index.grid_points(grid)
@@ -349,7 +368,8 @@ class PolyhedralFamily(_Family):
 
     def __post_init__(self):
         norms = np.linalg.norm(self.poly.normals, axis=1)
-        normals, offsets = self.poly.normals / norms[:, None], self.poly.offsets / norms
+        # + 0.0 turns -0.0 into 0.0, as expression gradients do: one generator, not two
+        normals, offsets = self.poly.normals / norms[:, None] + 0.0, self.poly.offsets / norms
         normals.flags.writeable = offsets.flags.writeable = False
         object.__setattr__(self, "_normals", normals)
         object.__setattr__(self, "_offsets", offsets)
@@ -550,6 +570,28 @@ def _feasible(values, eq_violation, tol_feas):
     return not np.any(values < -tol_feas) and eq_violation <= tol_feas
 
 
+def _discrete_minima(grid_values, shape, idx):
+    """Whether each grid point ``idx`` (flat, C order) is a discrete local minimum.
+
+    It is when its value in ``grid_values`` is <= that of each axis
+    neighbour in the box and < at least one of them.  A neighbour outside
+    the box takes the point's own value, which neither test counts.
+    """
+    own = grid_values[idx]
+    cells = np.unravel_index(idx, shape)
+    none_lower = np.ones(idx.size, dtype=bool)
+    some_higher = np.zeros(idx.size, dtype=bool)
+    stride = 1
+    for axis in reversed(range(len(shape))):
+        for step in (-1, 1):
+            inside = (cells[axis] + step >= 0) & (cells[axis] + step < shape[axis])
+            other = np.where(inside, grid_values[np.where(inside, idx + step * stride, idx)], own)
+            none_lower &= own <= other
+            some_higher |= own < other
+        stride *= shape[axis]
+    return none_lower & some_higher
+
+
 def _refine_axis_all(h, x, tpoints, axis, lo, hi, depth):
     """Halve each [lo_i, hi_i] toward smaller h-values, one axis, all seeds at once.
 
@@ -581,6 +623,12 @@ class FamilyScan:
     own value passes the filter.  ``values`` are those of
     :func:`evaluate_family` at a feasible x.
 
+    Box families bisect only the near-active grid points that are discrete
+    local minima of the clamped grid values (:meth:`ParametricFamily.refine`);
+    the rule reads no eps, so it keeps the scan and a direct scan equal.
+    ``refined_seeds`` counts the seeds bisected.  Violations between grid
+    points are searched only in the cells of those seeds.
+
     The candidates are one table of parallel arrays ``gates``, ``values``
     and ``grads`` (n, p), indexed by ``candidates``: the near-active family
     ``rows`` (ascending), then the refined twins at ``points``, seed order.
@@ -595,7 +643,7 @@ class FamilyScan:
         near = _clamp(values, opts.tol_feas)
         self.rows = np.flatnonzero((near >= 0.0) & (near <= eps_cap))
         grads = self.family.gradients(x, self.rows, grid, opts.tol_kink)
-        gates, twin_values, self.points, twin_grads = self.family.refine(
+        gates, twin_values, self.points, twin_grads, self.refined_seeds = self.family.refine(
             x, self.rows, near, eps_cap, opts, grid
         )
         self.gates = np.concatenate([near[self.rows], gates])
@@ -621,9 +669,10 @@ def active_set(
 ) -> ActiveSet:
     """Near-active entries: members with 0 <= value <= eps, with gradients.
 
-    For box families the near-active grid points get one local-refinement
-    pass: ``opts.refine_depth`` bisection levels per axis, descending
-    toward smaller constraint values to localize T(x).
+    For box families the near-active grid points that are discrete local
+    minima get one local-refinement pass: ``opts.refine_depth`` bisection
+    levels per axis, descending toward smaller constraint values to
+    localize T(x).
     """
     values, report = evaluate_family(prob, x, opts.tol_feas, grid)
     if not report.feasible:

@@ -48,7 +48,8 @@ class TCApprox:
     stopped_by: str  # 'interior'|'finite_shortcut'|'stabilized'|'empty'|'max_steps'
     # the scan candidate behind each final generator, ascending
     final_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    # the ladder's work, when one ran: "gap_lps" and "gap_rows" (see _ladder_gap)
+    # the ladder's work, when one ran: "gap_lps" and "gap_rows" (see _ladder_gap),
+    # and the scan's "refined_seeds" (see FamilyScan)
     counters: dict = field(default_factory=dict, compare=False)
 
     def ladder_table(self):
@@ -135,7 +136,7 @@ def tc_approx(prob: Problem, x, opts: Options = Options(), grid: int | None = No
 
     scan = FamilyScan(prob, x, values, opts.eps0, opts, grid)
     ids = first_equal_rows(scan.grads)
-    counters = {"gap_lps": 0, "gap_rows": 0}
+    counters = {"gap_lps": 0, "gap_rows": 0, "refined_seeds": scan.refined_seeds}
     ladder = []
     gaps = []
     converged = False

@@ -237,8 +237,8 @@ class TestCertify:
 
     def test_timings_count_the_ladders_gap_lps(self, tmp_path):
         # the quarter circle h = 1 - x . (cos t1, sin t1) at grid 1025, the
-        # candidate on grid point 400: 368 deduped dropped rows over the
-        # ladder, of which the early break needs 12 LPs
+        # candidate on grid point 400, the one seed bisected: 184 deduped
+        # dropped rows over the ladder, of which the early break needs 12 LPs
         t = float(np.linspace(0.0, math.pi / 2, 1025)[400])
         doc = {
             "dimension": 2,
@@ -253,12 +253,12 @@ class TestCertify:
         path.write_text(json.dumps(doc))
         _, circle = run_json("certify", str(path))
         _, trig = run_json("certify", fixture_path("sip_trig"))  # dropped rows repeat kept ones
-        counts = ("gap_lps", "gap_rows")
+        counts = ("gap_lps", "gap_rows", "refined_seeds")
         for report in (circle, trig):
             assert set(report["timings"]) == {"total_s", *counts}
         assert (circle["verdict"], circle["stopped_by"]) == ("KKT", "stabilized")
-        assert [circle["timings"][k] for k in counts] == [12, 368]
-        assert [trig["timings"][k] for k in counts] == [0, 0]
+        assert [circle["timings"][k] for k in counts] == [12, 184, 1]
+        assert [trig["timings"][k] for k in counts] == [0, 0, 0]  # one flat run: no seed
 
     @pytest.mark.parametrize("name", ["sip_linear", "sip_trig", "near_active"])
     def test_certify_discretizes_the_index_set_once(self, name, monkeypatch, capsys):
@@ -280,8 +280,9 @@ class TestCertify:
     @pytest.mark.parametrize("name", ["sip_linear", "sip_trig", "near_active"])
     def test_certify_differentiates_the_grid_in_one_batch(self, name, monkeypatch, capsys):
         # the scan's near-active grid points and their refined twins each
-        # take one batched call; the scalar gradient serves the objective
-        # and the listed members only
+        # take one batched call (sip_linear and sip_trig are one flat run
+        # each, so no seed is bisected and no twin differentiated); the
+        # scalar gradient serves the objective and the listed members only
         from sipcert import cli, expr, model, multipliers
 
         calls = {"gradient": 0, "gradient_many": 0}
@@ -300,11 +301,11 @@ class TestCertify:
         assert cli.main(["certify", fixture_path(name), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] in ("KKT", "FJ")
         listed = 1 if name == "near_active" else 0  # near_active lists phi0 = x1
-        assert calls == {"gradient": 1 + listed, "gradient_many": 2}
+        assert calls == {"gradient": 1 + listed, "gradient_many": 1 + listed}
 
     @pytest.mark.parametrize("name", ["sip_linear", "sip_trig"])
     def test_certify_formats_tags_for_reported_rows_only(self, name, monkeypatch, capsys):
-        # the minimum and the certificate support: at most p + 2 of the 2,050 candidates
+        # the minimum and the certificate support: at most p + 2 of the 1,025 candidates
         tags = _count_param_tags(monkeypatch)
         from sipcert import cli
 

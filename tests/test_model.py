@@ -160,7 +160,7 @@ class TestActiveSet:
         prob = linear_sip_problem(65)
         aset = active_set(prob, (1, 1), 1e-9)
         params = [param[0] for param in _params(aset)]
-        assert len(params) >= 65  # all grid points, plus refined duplicates
+        assert len(params) == 65  # all grid points; a flat run gets no refined twin
         assert all(aset.scan.values[aset.entries] == 0.0)
 
     def test_infeasible_raises(self):
@@ -248,6 +248,85 @@ class TestActiveSet:
         for param, grad in zip(_params(aset), aset.hull().generators):
             assert np.hypot(*param) <= 1e-2
             assert np.array_equal(grad, [1.0])
+
+
+def _scan(h, lower, upper, grid, x, eps_cap):
+    """The scan of ``h`` (one x variable) over a box at x, with default options."""
+    family = ParametricFamily(h=parse(h, 1, len(lower)), index=IndexSet.box(lower, upper, grid))
+    prob = Problem(1, parse("x1", 1), family)
+    values, report = evaluate_family(prob, [x])
+    assert report.feasible
+    return FamilyScan(prob, [x], values, eps_cap, Options()), prob
+
+
+class TestRefinementSeeds:
+    """Only the near-active grid points that are discrete local minima are bisected."""
+
+    CELL = 2**-Options().refine_depth  # bisection cell width, in grid steps
+
+    def test_discrete_minima_compare_in_box_neighbours_only(self):
+        # on a face or a corner the missing neighbours count neither way
+        minima = model_mod._discrete_minima
+        corner = np.add.outer([0.0, 1.0, 2.0], [0.0, 1.0, 2.0]).ravel()
+        assert minima(corner, (3, 3), np.arange(9)).tolist() == [1] + [0] * 8
+        # a face point tied with its one neighbour is inside a flat run; the
+        # run's rim, with a larger neighbour, is a minimum
+        assert minima(np.array([0.0, 0.0, 1.0]), (3,), np.arange(3)).tolist() == [0, 1, 0]
+        assert minima(np.array([1.0, 0.0, 0.0]), (3,), np.arange(3)).tolist() == [0, 1, 0]
+        assert minima(np.array([1.0, 2.0, 0.0]), (3,), np.arange(3)).tolist() == [1, 0, 1]
+        # a 2-D face point whose in-box neighbours are all larger
+        face = np.array([[1.0, 0.0, 1.0], [2.0, 1.0, 2.0], [3.0, 2.0, 3.0]]).ravel()
+        assert minima(face, (3, 3), np.arange(9)).tolist() == [0, 1, 0] + [0] * 6
+
+    def test_flat_run_interior_gets_no_twin_and_its_rim_does(self):
+        # h = 0 on the plateau [0.25, 0.75], grid points 2..6 of 9
+        scan, _ = _scan("x1 + max(abs(t1 - 0.5) - 0.25, 0)", [0.0], [1.0], 9, 0.0, 0.01)
+        assert scan.rows.tolist() == [2, 3, 4, 5, 6]
+        assert scan.refined_seeds == 2 and len(scan.points) == 2
+        step = 0.125
+        for t in scan.points[:, 0]:
+            assert 0.25 - step * self.CELL <= t <= 0.75 + step * self.CELL
+
+    def test_two_point_tie_around_an_off_grid_minimum(self):
+        # (t1 - 0.375)^2 is 2^-6 at both 0.25 and 0.5, exactly
+        scan, _ = _scan("x1 + (t1 - 0.375)^2", [0.0], [1.0], 5, 0.0, 0.02)
+        assert scan.rows.tolist() == [1, 2] and scan.values.tolist()[:2] == [2**-6] * 2
+        assert scan.refined_seeds == 2 and len(scan.points) == 1  # the same twin, deduped
+        assert np.all(np.abs(scan.points[:, 0] - 0.375) <= 0.25 * self.CELL)
+
+    def test_floor_of_a_two_dimensional_valley(self):
+        # flat along t2, strictly lowest across t1 = 0.5: every floor point is a seed
+        scan, _ = _scan("x1 + (t1 - 0.5)^2", [0.0, 0.0], [1.0, 1.0], 5, 0.0, 0.01)
+        assert scan.rows.tolist() == [10, 11, 12, 13, 14]
+        assert scan.refined_seeds == 5 and len(scan.points) == 5
+        assert np.all(np.abs(scan.points[:, 0] - 0.5) <= 0.25 * self.CELL)
+
+    def test_scan_filter_matches_direct_with_flat_and_strict_minima(self):
+        # a plateau on [0.15, 0.35] at 0 and a strict minimum 0.003 at t1 = 0.75
+        h = "x1 + min(max(abs(t1 - 0.25) - 0.1, 0), (t1 - 0.75)^2 + 0.003)"
+        scan, prob = _scan(h, [0.0], [1.0], 33, 0.0, 0.5)
+        assert scan.refined_seeds == 3  # the plateau's two rims and the strict minimum
+        for eps in (0.5, 0.01, 0.004, 0.001, 1e-6):
+            via_scan = scan.at(eps)
+            direct = active_set(prob, [0.0], eps)
+            assert via_scan.scan.labels(via_scan.entries) == direct.scan.labels(direct.entries)
+            assert via_scan.hull().generators.tobytes() == direct.hull().generators.tobytes()
+            gates = scan.gates[via_scan.entries]
+            assert gates.tobytes() == direct.scan.gates[direct.entries].tobytes()
+
+    def test_violation_next_to_a_minimum_in_a_two_dimensional_box(self):
+        # >= 0.0124 on the grid, about -1e-4 at t = (0.3, 0.6), next to the
+        # grid minimum (0.25, 0.5)
+        h = parse("x1 + (t1 - 0.3)^2 + (t2 - 0.6)^2 - 0.01", 1, 2)
+        family = ParametricFamily(h=h, index=IndexSet.box([0.0, 0.0], [1.0, 1.0], 5))
+        prob = Problem(1, parse("x1", 1), family)
+        assert feasibility(prob, [0.0099]).min_value == pytest.approx(0.0124)
+        with pytest.raises(InfeasibleError) as err:
+            active_set(prob, [0.0099], 0.02)
+        report = err.value.report
+        assert report.min_value < -1e-9
+        t = [float(v) for v in report.min_tag[3:-1].split(",")]
+        assert t == pytest.approx([0.3, 0.6], abs=0.25 * self.CELL)
 
 
 class TestEquiLipschitz:
@@ -548,12 +627,20 @@ def _two_walk_refine(h, x, tpoints, axis, lo, hi, depth):
     return 0.5 * (lo + hi)
 
 
+def _wells(grid, t_dim):
+    """``1 - x1 * cos(6 t1) ... cos(6 t_m)`` on [0, 2.2]^m at x1 = 1: several
+    minima, each of value 0, all but the origin off the grid."""
+    h = parse("1 - x1*" + "*".join(f"cos(6*t{a + 1})" for a in range(t_dim)), 1, t_dim)
+    family = ParametricFamily(h, IndexSet.box([0.0] * t_dim, [2.2] * t_dim, grid))
+    return Problem(1, parse("x1", 1), family), np.array([1.0])
+
+
 class TestFusedRefinement:
     LADDERS = [((1025, [400]), 8), ((65, [40, 16]), 16)]
 
-    @pytest.mark.parametrize("ladder, levels", LADDERS)
-    def test_equals_the_two_walk_bisection(self, monkeypatch, sphere_ladder, ladder, levels):
-        prob, x = sphere_ladder(*ladder)
+    @pytest.mark.parametrize("grid, t_dim", [(1025, 1), (65, 2)])
+    def test_equals_the_two_walk_bisection(self, monkeypatch, grid, t_dim):
+        prob, x = _wells(grid, t_dim)
         seen = []
         fused = model_mod._refine_axis_all
 
@@ -564,7 +651,7 @@ class TestFusedRefinement:
 
         monkeypatch.setattr(model_mod, "_refine_axis_all", recorded)
         tc_approx(prob, x, Options())
-        assert len(seen) == len(ladder[1])  # one call per axis
+        assert len(seen) == t_dim  # one call per axis
         for out, reference, seeds in seen:
             assert seeds > 1
             assert out.tobytes() == reference.tobytes()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sipcert import model as model_mod
 from sipcert.expr import linear_expr, parse
 import sipcert.geometry as geometry
 import sipcert.lp as lp
@@ -173,7 +174,7 @@ class TestLadderGap:
         assert [g.hex() for g in tc.hausdorff_gaps] == [g.hex() for g in unpruned]
 
     def test_signed_zero_twins_and_a_dropped_repeat_of_a_kept_row(self, monkeypatch):
-        # polyhedral members keep a normal's -0.0 (gradients of expressions do not)
+        # no family kind gives -0.0 in a gradient, so the rows are given directly
         normals = np.array([
             [0.0, 1.0], [-0.0, 1.0],  # kept to the end: twins apart as bytes
             [0.0, 1.0],  # dropped at the third rung, a repeat of a kept row
@@ -184,8 +185,7 @@ class TestLadderGap:
             [2.0, 1.0],  # dropped at the third rung
         ])
         values = np.array([0.0, 0.0, 0.004, 0.008, 0.006, 0.009, 0.003, 0.0, 0.003])  # at x = 0
-        family = PolyhedralFamily(Polyhedron(normals, -values * np.linalg.norm(normals, axis=1)))
-        tc = tc_approx(Problem(2, parse("-x2", 2), family), (0.0, 0.0))
+        tc = tc_approx(Problem(2, parse("-x2", 2), _RowsFamily(values, normals)), (0.0, 0.0))
         scan = tc.ladder[0][1].scan
         assert np.signbit(scan.grads[:, 0]).tolist() == [0, 1, 0, 0, 0, 1, 1, 1, 0]
         assert tc.stopped_by == "finite_shortcut" and len(tc.ladder) == 3
@@ -198,7 +198,37 @@ class TestLadderGap:
         assert np.array_equal(tc.final_rows, rows[first_occurrences(scan.grads[rows])])
         assert tc.final_rows.tolist() == [0, 1, 7]
         # offered: one of the two (1, 1) rows at the second rung, (2, 1) at the third
-        assert tc.counters == {"gap_lps": 2, "gap_rows": 2}
+        assert tc.counters == {"gap_lps": 2, "gap_rows": 2, "refined_seeds": 0}
+
+    def test_signed_zero_facets_give_one_generator(self):
+        # facets y2 >= 0 written with normals (0, 1) and (-0, 1)
+        family = PolyhedralFamily(Polyhedron(np.array([[0.0, 1.0], [-0.0, 1.0]]), np.zeros(2)))
+        assert not np.signbit(family.normalized()[0]).any()
+        tc = tc_approx(Problem(2, parse("-x2", 2), family), (0.0, 0.0))
+        assert len(tc.ladder[-1][1].entries) == 2
+        assert tc.final.generators.tolist() == [[0.0, 1.0]] and tc.final_rows.tolist() == [0]
+
+
+class _RowsFamily(model_mod._Family):
+    """A family known in full by its values and gradients at one x, row by row."""
+
+    kind = "finite"
+
+    def __init__(self, values, grads):
+        self._rows = values, grads
+
+    @property
+    def arity(self):
+        return self._rows[1].shape[1]
+
+    def values(self, x, grid=None):
+        return self._rows[0]
+
+    def gradients(self, x, rows, grid=None, kink_tol=None):
+        return self._rows[1][rows]
+
+    def _indexed_labels(self, idx, grid):
+        return [(f"r{j}", None) for j in idx]
 
 
 def _unpruned_ladder_gap(grads, prev, new):
@@ -487,7 +517,7 @@ class TestCanonicalLambda:
 
 
 def test_sip_linear_needs_few_pivots(monkeypatch):
-    # Bland's lowest-index rule alone needs 1,541 pivots on these two 2,050-column LPs
+    # Bland's lowest-index rule alone needs 517 pivots on these two 1,025-column LPs
     pivots = []
     solve = geometry.solve_lp
 
