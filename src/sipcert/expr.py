@@ -19,29 +19,29 @@ are no user-defined functions -- so the evaluator is total and auditable:
 
 Gradients are computed by forward-mode dual numbers, so they are exact up
 to floating rounding; central finite differences are used as a test oracle
-only.  Evaluation never returns NaN or infinity: any non-finite
+only.  Evaluation never returns NaN or infinity: any non-finite input or
 intermediate raises :class:`EvalDomainError`.  Differentiating ``abs``,
 ``min`` or ``max`` at a tie (within ``tol_kink``) raises
 :class:`KinkError` rather than picking an arbitrary subgradient.
 
-There are two tree walkers.  The scalar one (:func:`evaluate`,
-:func:`gradient`) serves one point at a time: objectives, individually
-listed constraints, and the reference the batched one is tested against.
-The batched one (:func:`evaluate_many`, :func:`gradient_many`) serves one
-decision point across n index points of a parametric constraint
-(:func:`evaluate_many` also takes n decision points, one per index point):
-one walk over numpy columns, carrying batched duals (values of shape (n,),
-partials of shape (p, n)) for gradients, with every domain and kink check
-made per point and one finiteness test per walk.  Its results and errors
-are those of the scalar loop over the points: when the batched walk flags
-any point, the scalar loop runs and decides, raising the error of the
-first bad point.
+One walk evaluates a tree over one operator table, whose rule for each
+operator (value, dual derivative, domain or kink check) is written once
+against a kit of primitives for the value type.  The scalar kit (Python
+floats and ``math``: one point, a non-finite node raises at once) serves
+:func:`evaluate` and :func:`gradient`: objectives, listed constraints, and
+the reference in tests.  The batch kit (numpy columns: the n index points
+of a parametric constraint, one finiteness test per walk) serves
+:func:`evaluate_many` and :func:`gradient_many`.  Its results and errors
+are those of the scalar loop over the points: when the batch walk flags
+any point, the scalar loop runs and decides.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -65,8 +65,6 @@ __all__ = [
 ]
 
 DEFAULT_KINK_TOL = 1e-12
-
-FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs", "min", "max")
 
 
 class ExprError(Exception):
@@ -200,222 +198,88 @@ def _val(u):
     return u.value if isinstance(u, Dual) else u
 
 
-def _check_finite(v, where):
-    if not math.isfinite(_val(v)):
-        raise EvalDomainError(f"non-finite value in '{where}'")
-    return v
-
-
-def _power(base, expo, where="^"):
-    bv, ev = _val(base), _val(expo)
-    expo_is_const = not isinstance(expo, Dual) or not expo.partials.any()
-    if expo_is_const and float(ev).is_integer():
-        n = int(ev)
-        if bv == 0.0 and n < 0:
-            raise EvalDomainError("zero raised to a negative power")
-        value = bv**n
-        if isinstance(base, Dual):
-            # d(u^n) = n u^(n-1) u'; at u=0 only n>=1 keeps it finite
-            if n == 0:
-                return Dual(value, 0.0 * base.partials)
-            if bv == 0.0 and n == 1:
-                return Dual(value, base.partials.copy())
-            dfac = n * bv ** (n - 1)
-            return _check_finite(Dual(value, dfac * base.partials), where)
-        return _check_finite(value, where)
-    # general power needs a positive base
-    if bv < 0.0:
-        raise EvalDomainError("negative base with non-integer exponent")
-    if bv == 0.0:
-        if ev > 0.0 and not isinstance(base, Dual) and not isinstance(expo, Dual):
-            return 0.0
-        raise EvalDomainError("zero base with non-integer or non-constant exponent")
-    value = bv**ev
-    if not isinstance(base, Dual) and not isinstance(expo, Dual):
-        return _check_finite(value, where)
-    bp = base.partials if isinstance(base, Dual) else 0.0
-    ep = expo.partials if isinstance(expo, Dual) else 0.0
-    partials = value * (ep * math.log(bv) + ev * bp / bv)
-    return _check_finite(Dual(value, np.asarray(partials)), where)
-
-
-def _fn_sin(u):
-    if isinstance(u, Dual):
-        return Dual(math.sin(u.value), math.cos(u.value) * u.partials)
-    return math.sin(u)
-
-
-def _fn_cos(u):
-    if isinstance(u, Dual):
-        return Dual(math.cos(u.value), -math.sin(u.value) * u.partials)
-    return math.cos(u)
-
-
-def _fn_exp(u):
-    v = math.exp(_val(u)) if _val(u) < 710.0 else math.inf
-    if isinstance(u, Dual):
-        return _check_finite(Dual(v, v * u.partials), "exp")
-    return _check_finite(v, "exp")
-
-
-def _fn_log(u):
-    if _val(u) <= 0.0:
-        raise EvalDomainError("log of a nonpositive value")
-    if isinstance(u, Dual):
-        return Dual(math.log(u.value), u.partials / u.value)
-    return math.log(u)
-
-
-def _fn_sqrt(u):
-    v = _val(u)
-    if v < 0.0:
-        raise EvalDomainError("sqrt of a negative value")
-    if isinstance(u, Dual):
-        if v == 0.0 and u.partials.any():
-            raise EvalDomainError("sqrt differentiated at zero")
-        r = math.sqrt(v)
-        return Dual(r, u.partials / (2.0 * r) if r else 0.0 * u.partials)
-    return math.sqrt(v)
-
-
-def _fn_abs(u, kink_tol):
-    v = _val(u)
-    if isinstance(u, Dual):
-        if abs(v) <= kink_tol and u.partials.any():
-            raise KinkError("abs differentiated at its kink")
-        return Dual(abs(v), math.copysign(1.0, v) * u.partials if v else 0.0 * u.partials)
-    return abs(v)
-
-
-def _fn_minmax(name, args, kink_tol):
-    keyed = sorted(range(len(args)), key=lambda i: _val(args[i]))
-    best = keyed[0] if name == "min" else keyed[-1]
-    second = keyed[1] if name == "min" else keyed[-2]
-    if any(isinstance(a, Dual) for a in args):
-        tie = abs(_val(args[best]) - _val(args[second])) <= kink_tol
-        if tie and not _same_partials(args[best], args[second]):
-            raise KinkError(f"{name} differentiated at a tie")
-        chosen = args[best]
-        if not isinstance(chosen, Dual):
-            other = next(a for a in args if isinstance(a, Dual))
-            chosen = Dual(float(chosen), 0.0 * other.partials)
-        return chosen
-    return _val(args[best])
-
-
-def _same_partials(a, b):
-    pa = a.partials if isinstance(a, Dual) else None
-    pb = b.partials if isinstance(b, Dual) else None
-    if pa is None and pb is None:
-        return True
-    if pa is None or pb is None:
-        return not (pb if pa is None else pa).any()
-    return np.array_equal(pa, pb)
-
-
 # ---------------------------------------------------------------------------
-# Evaluation
+# Kits: the primitives the rules use, one kit per value type.  A value is a
+# plain number or a Dual over it; `any(*masks)` tells whether some point
+# meets every mask, `all(mask)` whether every point meets it, and `number`
+# is the type min and max give a plain argument they lift to a Dual.
 
 
-def _ev(node, xs, ts, kink_tol):
-    if type(node) is Num:
-        return node.value
-    if type(node) is Var:
-        return xs[node.index] if node.kind == "x" else ts[node.index]
-    if type(node) is Neg:
-        return -_ev(node.arg, xs, ts, kink_tol)
-    if type(node) is Bin:
-        left = _ev(node.left, xs, ts, kink_tol)
-        right = _ev(node.right, xs, ts, kink_tol)
-        op = node.op
-        if op == "+":
-            return _check_finite(left + right, "+")
-        if op == "-":
-            return _check_finite(left - right, "-")
-        if op == "*":
-            return _check_finite(left * right, "*")
-        if op == "/":
-            if _val(right) == 0.0:
-                raise EvalDomainError("division by zero")
-            return _check_finite(left / right, "/")
-        return _power(left, right)
-    # Call
-    args = [_ev(a, xs, ts, kink_tol) for a in node.args]
-    name = node.func
-    if name == "sin":
-        return _fn_sin(args[0])
-    if name == "cos":
-        return _fn_cos(args[0])
-    if name == "exp":
-        return _fn_exp(args[0])
-    if name == "log":
-        return _fn_log(args[0])
-    if name == "sqrt":
-        return _fn_sqrt(args[0])
-    if name == "abs":
-        return _fn_abs(args[0], kink_tol)
-    return _fn_minmax(name, args, kink_tol)
+class _Scalar:
+    """One point: Python floats and `math`; a non-finite node raises at once.
+
+    Numbers keep the type the arithmetic gives them (``x`` and ``t`` are
+    float64s): ``float ** int`` raises OverflowError where ``float64 ** int``
+    gives inf, and both errors are kept.
+    """
+
+    sin, cos, log, sqrt, abs = math.sin, math.cos, math.log, math.sqrt, abs
+    exp = staticmethod(lambda v: math.exp(v) if v < 710.0 else math.inf)
+    sign = staticmethod(lambda v: math.copysign(1.0, v) if v else 0.0)
+    pow = staticmethod(lambda base, expo, integer: base ** int(expo) if integer else base**expo)
+    number, take = float, operator.getitem
+    any = staticmethod(lambda *masks: all(masks))
+    all, not_ = bool, operator.not_
+    where = staticmethod(lambda mask, a, b: a if mask else b)
+    check = staticmethod(lambda: None)  # `finite` has raised at the node
+
+    def __init__(self, kink_tol):
+        self.kink_tol = kink_tol
+
+    @staticmethod
+    def finite(v, where):
+        if not math.isfinite(v.value if type(v) is Dual else v):
+            raise EvalDomainError(f"non-finite value in '{where}'")
+        return v
+
+    @staticmethod
+    def extremes(values, smallest):
+        keyed = sorted(range(len(values)), key=values.__getitem__)
+        return (keyed[0], keyed[1]) if smallest else (keyed[-1], keyed[-2])
 
 
-def _coerce_point(v, arity, what):
-    arr = np.asarray(v, dtype=float).reshape(-1) if v is not None else np.zeros(0)
-    if arr.size != arity:
-        raise EvalDomainError(f"{what} has dimension {arr.size}, expected {arity}")
-    return arr
+class _Batch:
+    """n index points at once: numpy columns, or batched duals.
 
+    A t-variable is a column of shape (n,); an x-variable is a number (or
+    a column, when each index point has its own decision point), or a
+    Dual with partials of shape (p, 1), so Dual arithmetic broadcasts to
+    partials of shape (p, n).  Where the scalar kit checks a node for
+    finiteness, this one adds its values into `acc`, tested once by `check`.
+    """
 
-def evaluate(f: ExprFn, x, t=None) -> float:
-    """IEEE-evaluate ``f`` at ``x`` (and index point ``t`` if applicable)."""
-    xs = _coerce_point(x, f.arity_x, "x")
-    ts = _coerce_point(t, f.arity_t, "t")
-    try:
-        with np.errstate(all="ignore"):
-            out = _ev(f.ast, xs, ts, DEFAULT_KINK_TOL)
-    except OverflowError as err:
-        raise EvalDomainError(f"overflow: {err}") from err
-    return _check_finite(float(out), "result")
+    sin, cos, log, sqrt, abs, exp, sign = np.sin, np.cos, np.log, np.sqrt, np.abs, np.exp, np.sign
+    pow = staticmethod(lambda base, expo, integer: np.power(base, expo))
+    number = staticmethod(lambda v: v)
+    any = staticmethod(lambda *masks: np.any(functools.reduce(operator.and_, masks)))
+    all, not_, where = staticmethod(np.all), np.logical_not, staticmethod(np.where)
 
+    def __init__(self, n, kink_tol):
+        self.acc = np.zeros(n)
+        self.kink_tol = kink_tol
 
-def gradient(f: ExprFn, x, t=None, kink_tol: float = DEFAULT_KINK_TOL) -> np.ndarray:
-    """Exact forward-mode gradient of ``f`` in the x-variables."""
-    xs = _coerce_point(x, f.arity_x, "x")
-    ts = _coerce_point(t, f.arity_t, "t")
-    duals = [Dual(xs[i], _unit(f.arity_x, i)) for i in range(f.arity_x)]
-    try:
-        with np.errstate(all="ignore"):
-            out = _ev(f.ast, duals, ts, kink_tol)
-    except OverflowError as err:
-        raise EvalDomainError(f"overflow: {err}") from err
-    if not isinstance(out, Dual):  # constant in x
-        _check_finite(float(out), "result")
-        return np.zeros(f.arity_x)
-    _check_finite(out.value, "result")
-    g = np.asarray(out.partials, dtype=float) + np.zeros(f.arity_x)
-    if not np.all(np.isfinite(g)):
-        raise EvalDomainError("non-finite gradient component")
-    return g
+    def finite(self, v, where):
+        np.add(self.acc, _val(v), out=self.acc)
+        return v
 
+    def check(self):
+        # a finite sum proves every summand finite; a non-finite one (or one
+        # that only overflowed) sends the caller to the scalar loop
+        if not np.isfinite(self.acc).all():
+            raise EvalDomainError("non-finite value")
 
-def _unit(n, i):
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
+    @staticmethod
+    def extremes(values, smallest):
+        # a stable sort picks among ties as the scalar sort does
+        values = np.array(np.broadcast_arrays(*map(np.atleast_1d, values)))
+        order = np.argsort(values, axis=0, kind="stable")
+        return (order[0], order[1]) if smallest else (order[-1], order[-2])
 
-
-# Batched evaluation: the same tree, numpy arrays across n index points.  A
-# t-variable is a column of shape (n,); an x-variable is a plain number (or
-# a column, when each index point has its own decision point), or,
-# for gradients, a Dual whose partials have shape (p, 1), so every Dual in
-# the walk has a value of shape (n,) (or a scalar) and partials of shape
-# (p, n) (or (p, 1)), and the Dual arithmetic above broadcasts unchanged.
-# Every domain and kink check of the scalar walk runs per index point.  The
-# per-node finiteness checks become one running sum `acc` of (n,) over the
-# checked nodes' values, tested once at the end of the walk: non-finite
-# values flow on until then.  The scalar walker stays the n = 1 path and
-# the reference: when the batched walk flags any point, or the sum is not
-# finite, the public functions re-run the scalar loop, which raises the
-# error of the first bad point (or, if only the sum overflowed, returns
-# the values).
+    @staticmethod
+    def take(items, i):
+        # per point, the item `i` picks there; the points run along the last axis
+        *items, i = np.broadcast_arrays(*items, i)
+        return np.take_along_axis(np.array(items), i[None], axis=0)[0]
 
 
 class _Unbatchable(Exception):
@@ -425,135 +289,202 @@ class _Unbatchable(Exception):
 _BATCH_FAILURES = (ExprError, ArithmeticError, _Unbatchable)
 
 
-def _ev_vec(node, xs, tcols, kink_tol, acc):
-    if type(node) is Num:
-        return node.value
-    if type(node) is Var:
-        return xs[node.index] if node.kind == "x" else tcols[node.index]
-    if type(node) is Neg:
-        return -_ev_vec(node.arg, xs, tcols, kink_tol, acc)
-    if type(node) is Bin:
-        left = _ev_vec(node.left, xs, tcols, kink_tol, acc)
-        right = _ev_vec(node.right, xs, tcols, kink_tol, acc)
-        op = node.op
-        if op == "+":
-            return _summed(left + right, acc)
-        if op == "-":
-            return _summed(left - right, acc)
-        if op == "*":
-            return _summed(left * right, acc)
-        if op == "/":
-            if np.any(_val(right) == 0.0):
-                raise EvalDomainError("division by zero")
-            return _summed(left / right, acc)
-        return _vec_power(left, right, acc)
-    args = [_ev_vec(a, xs, tcols, kink_tol, acc) for a in node.args]
-    name = node.func
-    if name in ("min", "max"):
-        return _vec_minmax(name, args, kink_tol)
-    u = args[0]
-    v = _val(u)
-    dual = isinstance(u, Dual)
-    if name == "sin":
-        return Dual(np.sin(v), np.cos(v) * u.partials) if dual else np.sin(v)
-    if name == "cos":
-        return Dual(np.cos(v), -np.sin(v) * u.partials) if dual else np.cos(v)
-    if name == "exp":
-        r = np.exp(v)
-        return _summed(Dual(r, r * u.partials) if dual else r, acc)
-    if name == "log":
-        if np.any(v <= 0.0):
-            raise EvalDomainError("log of a nonpositive value")
-        return Dual(np.log(v), u.partials / v) if dual else np.log(v)
-    if name == "sqrt":
-        if np.any(v < 0.0):
-            raise EvalDomainError("sqrt of a negative value")
-        r = np.sqrt(v)
-        if not dual:
-            return r
-        if np.any((v == 0.0) & u.partials.any(axis=0)):
-            raise EvalDomainError("sqrt differentiated at zero")
-        return Dual(r, np.where(r != 0.0, u.partials / (2.0 * r), 0.0 * u.partials))
-    # abs
-    if not dual:
-        return np.abs(v)
-    if np.any((np.abs(v) <= kink_tol) & u.partials.any(axis=0)):
-        raise KinkError("abs differentiated at its kink")
-    return Dual(np.abs(v), np.where(v != 0.0, np.copysign(1.0, v), 0.0) * u.partials)
+# ---------------------------------------------------------------------------
+# Rules: one per operator, over a kit `K`
 
 
-def _summed(v, acc):
-    # where the scalar walk checks a node for finiteness, the batched walk
-    # adds its values into `acc`, tested once per walk by `_check_sum`
-    np.add(acc, _val(v), out=acc)
-    return v
+def _divide(K, a, b):
+    if K.any(_val(b) == 0.0):
+        raise EvalDomainError("division by zero")
+    return K.finite(a / b, "/")
 
 
-def _check_sum(acc):
-    # a finite sum proves every summand finite; a non-finite one (or one
-    # that only overflowed) sends the caller to the scalar loop, which
-    # decides per node
-    if not np.isfinite(acc).all():
-        raise EvalDomainError("non-finite value")
-
-
-def _vec_power(base, expo, acc):
-    """:func:`_power` per index point."""
+def _power(K, base, expo):
     bv, ev = _val(base), _val(expo)
+    dual_b, dual_e = type(base) is Dual, type(expo) is Dual
     # the integer rule holds where the exponent is integer-valued and has
     # zero x-partials; elsewhere the general rule needs a positive base
-    const = ~expo.partials.any(axis=0) if isinstance(expo, Dual) else True
-    integer = const & np.isfinite(ev) & (np.floor(ev) == ev)
-    if np.any(integer & (bv == 0.0) & (ev < 0.0)):
+    integer = ev % 1.0 == 0.0
+    if dual_e:
+        integer = integer & ~expo.partials.any(axis=0)
+    if K.any(integer, bv == 0.0, ev < 0.0):
         raise EvalDomainError("zero raised to a negative power")
-    if np.any(~integer & (bv < 0.0)):
+    general = K.not_(integer)
+    if K.any(general, bv < 0.0):
         raise EvalDomainError("negative base with non-integer exponent")
-    duals = isinstance(base, Dual) or isinstance(expo, Dual)
-    if np.any(~integer & (bv == 0.0) & (duals | (ev <= 0.0))):
+    if K.any(general, bv == 0.0, dual_b or dual_e or ev <= 0.0):
         raise EvalDomainError("zero base with non-integer or non-constant exponent")
-    value = _summed(np.power(bv, ev), acc)
+    value = K.finite(K.pow(bv, ev, integer), "^")
+    if not dual_b and (not dual_e or K.all(integer)):
+        return value
+    if not dual_b and K.any(integer):
+        raise _Unbatchable  # the integer rule on a plain base gives a plain value
+    bp = base.partials if dual_b else 0.0
+    if K.any(integer):  # d(u^n) = n u^(n-1) u', and 0 for n = 0, where u^-1 is not formed
+        slope = ev * K.pow(bv, K.where(ev == 0.0, 1.0, ev) - 1.0, True)
+        whole = K.where(ev == 0.0, 0.0, slope) * bp
+        if K.all(integer):
+            return Dual(value, whole)
+    ep = expo.partials if dual_e else 0.0
+    partials = value * (ep * K.log(bv) + ev * bp / bv)
+    return Dual(value, K.where(integer, whole, partials) if K.any(integer) else partials)
+
+
+def _sin(K, u):
+    v = _val(u)
+    return Dual(K.sin(v), K.cos(v) * u.partials) if type(u) is Dual else K.sin(v)
+
+
+def _cos(K, u):
+    v = _val(u)
+    return Dual(K.cos(v), -K.sin(v) * u.partials) if type(u) is Dual else K.cos(v)
+
+
+def _exp(K, u):
+    r = K.exp(_val(u))
+    return K.finite(Dual(r, r * u.partials) if type(u) is Dual else r, "exp")
+
+
+def _log(K, u):
+    v = _val(u)
+    if K.any(v <= 0.0):
+        raise EvalDomainError("log of a nonpositive value")
+    return Dual(K.log(v), u.partials / v) if type(u) is Dual else K.log(v)
+
+
+def _sqrt(K, u):
+    v = _val(u)
+    if K.any(v < 0.0):
+        raise EvalDomainError("sqrt of a negative value")
+    if type(u) is not Dual:
+        return K.sqrt(v)
+    if _kinked(K, v == 0.0, u.partials):
+        raise EvalDomainError("sqrt differentiated at zero")
+    r = K.sqrt(v)
+    # where r = 0 the partials are zero (checked above), and stay so
+    return Dual(r, u.partials / K.where(r != 0.0, 2.0 * r, math.inf))
+
+
+def _abs(K, u):
+    v = _val(u)
+    if type(u) is not Dual:
+        return K.abs(v)
+    if _kinked(K, K.abs(v) <= K.kink_tol, u.partials):
+        raise KinkError("abs differentiated at its kink")
+    return Dual(K.abs(v), K.sign(v) * u.partials)
+
+
+def _extreme(name, K, *args):
+    values = [_val(a) for a in args]
+    best, second = K.extremes(values, name == "min")
+    value = K.take(values, best)
+    duals = [a for a in args if type(a) is Dual]
     if not duals:
         return value
-    if not isinstance(base, Dual) and np.any(integer):
-        # the integer rule on a plain base gives a plain value
-        if np.all(integer):
-            return value
-        raise _Unbatchable
-    bp = base.partials if isinstance(base, Dual) else 0.0
-    if np.all(integer):
-        return Dual(value, _int_power_partials(bv, ev, bp))
-    ep = expo.partials if isinstance(expo, Dual) else 0.0
-    partials = value * (ep * np.log(bv) + ev * bp / bv)
-    if np.any(integer):
-        partials = np.where(integer, _int_power_partials(bv, ev, bp), partials)
-    return Dual(value, partials)
-
-
-def _int_power_partials(bv, n, bp):
-    # d(u^n) = n u^(n-1) u', and 0 for n = 0
-    return np.where(n == 0.0, 0.0 * bp, n * np.power(bv, n - 1.0) * bp)
-
-
-def _vec_minmax(name, args, kink_tol):
-    """:func:`_fn_minmax` per index point: a stable sort picks among ties."""
-    values = np.array(np.broadcast_arrays(*[np.atleast_1d(_val(a)) for a in args]))
-    order = np.argsort(values, axis=0, kind="stable")
-    best, second = (order[0], order[1]) if name == "min" else (order[-1], order[-2])
-    cols = np.arange(values.shape[1])
-    value = values[best, cols]
-    duals = [a for a in args if isinstance(a, Dual)]
-    if not duals:
-        return value
-    shape = (duals[0].partials.shape[0], values.shape[1])
-    parts = np.array(
-        [np.broadcast_to(a.partials, shape) if isinstance(a, Dual) else np.zeros(shape) for a in args]
-    )
-    chosen = parts[best, :, cols]  # (n, p)
-    tie = np.abs(value - values[second, cols]) <= kink_tol
-    if np.any(tie & ~(chosen == parts[second, :, cols]).all(axis=1)):
+    # a plain argument has zero partials, and where it is picked the result
+    # has 0 times the first dual's partials
+    zero = np.zeros(duals[0].partials.shape)
+    parts = [a.partials if type(a) is Dual else zero for a in args]
+    partials = K.take(parts, best)
+    tie = K.abs(value - K.take(values, second)) <= K.kink_tol
+    if _kinked(K, tie, partials, K.take(parts, second)):
         raise KinkError(f"{name} differentiated at a tie")
-    plain = np.array([not isinstance(a, Dual) for a in args])[best]
-    return Dual(value, np.where(plain, 0.0 * duals[0].partials, chosen.T))
+    plain = K.take([type(a) is not Dual for a in args], best)
+    value = K.where(plain, K.number(value), value)
+    return Dual(value, K.where(plain, 0.0 * duals[0].partials, partials))
+
+
+def _kinked(K, at, p, q=0.0):
+    # whether the partials p and q differ at some point of the mask `at`
+    return K.any(at) and K.any(at, (p != q).any(axis=0))
+
+
+# name: (rule, arity); a rule takes the kit, then the values of its
+# arguments.  A function's arity is (fewest, most or None) arguments; an
+# operator's (None) is fixed by the grammar.
+_OPS = {
+    "+": (lambda K, a, b: K.finite(a + b, "+"), None),
+    "-": (lambda K, a, b: K.finite(a - b, "-"), None),
+    "*": (lambda K, a, b: K.finite(a * b, "*"), None),
+    "/": (_divide, None),
+    "^": (_power, None),
+    "neg": (lambda K, u: -u, None),
+    "sin": (_sin, (1, 1)),
+    "cos": (_cos, (1, 1)),
+    "exp": (_exp, (1, 1)),
+    "log": (_log, (1, 1)),
+    "sqrt": (_sqrt, (1, 1)),
+    "abs": (_abs, (1, 1)),
+    "min": (functools.partial(_extreme, "min"), (2, None)),
+    "max": (functools.partial(_extreme, "max"), (2, None)),
+}
+
+FUNCTIONS = tuple(name for name, (_, arity) in _OPS.items() if arity)
+
+
+def _walk(node, xs, ts, K):
+    """The value of `node` in kit K, the leaves' values taken from xs and ts."""
+    kind = type(node)
+    if kind is Num:
+        return node.value
+    if kind is Var:
+        return xs[node.index] if node.kind == "x" else ts[node.index]
+    if kind is Bin:
+        return _OPS[node.op][0](K, _walk(node.left, xs, ts, K), _walk(node.right, xs, ts, K))
+    if kind is Neg:
+        return _OPS["neg"][0](K, _walk(node.arg, xs, ts, K))
+    return _OPS[node.func][0](K, *[_walk(a, xs, ts, K) for a in node.args])
+
+
+# ---------------------------------------------------------------------------
+# Evaluation
+
+
+_SCALAR = _Scalar(DEFAULT_KINK_TOL)
+
+
+def _run(f, xs, ts, K):
+    try:
+        with np.errstate(all="ignore"):
+            out = K.finite(_walk(f.ast, xs, ts, K), "result")
+    except OverflowError as err:
+        raise EvalDomainError(f"overflow: {err}") from err
+    K.check()
+    return out
+
+
+def _partials(out, shape):
+    # the gradient in a walk's result, zero where constant in x; -0.0 becomes 0.0
+    if not isinstance(out, Dual):
+        return np.zeros(shape)
+    g = out.partials + np.zeros(shape)
+    if not np.isfinite(g).all():
+        raise EvalDomainError("non-finite gradient component")
+    return g
+
+
+def _coerce_point(v, arity, what):
+    arr = np.asarray(v, dtype=float).reshape(-1) if v is not None else np.zeros(0)
+    if arr.size != arity:
+        raise EvalDomainError(f"{what} has dimension {arr.size}, expected {arity}")
+    if not all(map(math.isfinite, arr.tolist())):
+        raise EvalDomainError(f"non-finite component in {what}")
+    return arr
+
+
+def evaluate(f: ExprFn, x, t=None) -> float:
+    """IEEE-evaluate ``f`` at ``x`` (and index point ``t`` if applicable)."""
+    xs = _coerce_point(x, f.arity_x, "x")
+    ts = _coerce_point(t, f.arity_t, "t")
+    return float(_run(f, xs, ts, _SCALAR))
+
+
+def gradient(f: ExprFn, x, t=None, kink_tol: float = DEFAULT_KINK_TOL) -> np.ndarray:
+    """Exact forward-mode gradient of ``f`` in the x-variables."""
+    xs = _coerce_point(x, f.arity_x, "x")
+    ts = _coerce_point(t, f.arity_t, "t")
+    duals = [Dual(xs[i], e) for i, e in enumerate(np.eye(f.arity_x))]
+    return _partials(_run(f, duals, ts, _Scalar(kink_tol)), f.arity_x)
 
 
 def evaluate_many(f: ExprFn, x, tpoints) -> np.ndarray:
@@ -574,7 +505,9 @@ def evaluate_many(f: ExprFn, x, tpoints) -> np.ndarray:
             raise EvalDomainError(
                 f"x has shape {xrows.shape}, expected ({len(tarr)}, {f.arity_x})"
             )
-        xs = _columns(xrows)
+        if not np.isfinite(xrows).all():
+            raise EvalDomainError("non-finite component in x")
+        xs = list(xrows.T)
     else:
         xs = _coerce_point(x, f.arity_x, "x")
         xrows = itertools.repeat(xs)
@@ -600,43 +533,30 @@ def gradient_many(f: ExprFn, x, tpoints, kink_tol: float = DEFAULT_KINK_TOL) -> 
 
 
 def _values_batched(f, xs, tarr):
-    acc = np.zeros(len(tarr))
-    with np.errstate(all="ignore"):
-        out = _ev_vec(f.ast, xs, _columns(tarr), DEFAULT_KINK_TOL, acc)
-        out = _summed(np.broadcast_to(out, acc.shape).astype(float), acc)
-        _check_sum(acc)
-    return out
+    out = _run(f, xs, list(tarr.T), _Batch(len(tarr), DEFAULT_KINK_TOL))
+    return np.broadcast_to(out, len(tarr)).astype(float)
 
 
 def _gradients_batched(f, xs, tarr, kink_tol):
-    n, p = tarr.shape[0], f.arity_x
-    unit = np.eye(p)
-    duals = [Dual(xs[i], unit[:, i : i + 1]) for i in range(p)]
-    acc = np.zeros(n)
-    with np.errstate(all="ignore"):
-        out = _summed(_ev_vec(f.ast, duals, _columns(tarr), kink_tol, acc), acc)
-        _check_sum(acc)
-    if not isinstance(out, Dual):  # constant in x
-        return np.zeros((n, p))
-    g = out.partials + np.zeros((p, n))  # as in `gradient`, -0.0 becomes 0.0
-    if not np.all(np.isfinite(g)):
-        raise EvalDomainError("non-finite gradient component")
-    return np.ascontiguousarray(g.T)
+    p = f.arity_x
+    duals = [Dual(xs[i], e[:, None]) for i, e in enumerate(np.eye(p))]
+    out = _run(f, duals, list(tarr.T), _Batch(len(tarr), kink_tol))
+    return np.ascontiguousarray(_partials(out, (p, len(tarr))).T)
 
 
 def _index_points(f, tpoints):
     tarr = np.asarray(tpoints, dtype=float)
     if tarr.ndim == 1:
         tarr = tarr.reshape(-1, 1) if f.arity_t == 1 else tarr.reshape(1, -1)
+    if tarr.ndim != 2:
+        raise EvalDomainError(f"index points have shape {tarr.shape}, expected (n, {f.arity_t})")
     if tarr.shape[1] != f.arity_t:
         raise EvalDomainError(
             f"index points have dimension {tarr.shape[1]}, expected {f.arity_t}"
         )
+    if not np.isfinite(tarr).all():
+        raise EvalDomainError("non-finite component in index points")
     return tarr
-
-
-def _columns(tarr):
-    return [tarr[:, j] for j in range(tarr.shape[1])]
 
 
 # ---------------------------------------------------------------------------
@@ -766,8 +686,7 @@ class _Parser:
         return Var(kind, idx - 1)
 
     def check_arity(self, name, n, pos):
-        want = (2, None) if name in ("min", "max") else (1, 1)
-        lo, hi = want
+        lo, hi = _OPS[name][1]
         if n < lo or (hi is not None and n > hi):
             raise ParseError(f"{name} takes {lo if hi else 'at least ' + str(lo)} argument(s)", pos)
 

@@ -516,3 +516,99 @@ def _agrees_with_scalar_loop(ast, x, ts):
             assert flagged is None or isinstance(flagged, expr_mod._Unbatchable)
         else:
             assert flagged is not None
+
+
+# random trees over the operators whose numpy and math results agree to the
+# last bit (no exp, log, sin, cos or non-integer ^), so the one walk with
+# the batch kit must reproduce the scalar loop byte for byte
+def _exact(depth):
+    if depth == 0:
+        return _LEAF
+    sub = st.deferred(lambda: _exact(depth - 1))
+    return st.one_of(
+        _LEAF,
+        st.tuples(st.sampled_from("+-*/"), sub, sub).map(lambda a: Bin(*a)),
+        sub.map(Neg),
+        st.tuples(st.sampled_from(["sqrt", "abs"]), sub).map(lambda a: Call(a[0], (a[1],))),
+        st.tuples(st.sampled_from(["min", "max"]), st.lists(sub, min_size=2, max_size=3)).map(
+            lambda a: Call(a[0], tuple(a[1]))
+        ),
+    )
+
+
+@settings(max_examples=400, derandomize=True)
+@given(_exact(3), st.tuples(_ROUND, _ROUND), st.lists(_ROUND, min_size=1, max_size=6))
+def test_batched_walk_is_the_scalar_loop_bit_for_bit(ast, x, ts):
+    f = ExprFn(ast, 2, 1)
+    tpoints = np.array(ts).reshape(-1, 1)
+    for batched, loop in [
+        (lambda: evaluate_many(f, x, tpoints), lambda: [evaluate(f, x, t) for t in tpoints]),
+        (lambda: gradient_many(f, x, tpoints), lambda: [gradient(f, x, t) for t in tpoints]),
+    ]:
+        looped, loop_error = _outcome(lambda: np.array(loop()))
+        result, error = _outcome(batched)
+        assert error == loop_error
+        if error is None:
+            assert result.tobytes() == looped.reshape(result.shape).tobytes()
+
+
+class TestInputBoundary:
+    """Non-finite or misshapen inputs raise EvalDomainError before any walk."""
+
+    def test_evaluate(self):
+        with pytest.raises(EvalDomainError, match="^non-finite component in x$"):
+            evaluate(parse("sin(x1)", 1), [math.inf])
+        with pytest.raises(EvalDomainError, match="^non-finite component in t$"):
+            evaluate(parse("sin(x1 + t1)", 1, 1), [0.5], [math.nan])
+
+    def test_gradient(self):
+        with pytest.raises(EvalDomainError, match="^non-finite component in x$"):
+            gradient(parse("sin(x1)", 1), [-math.inf])
+        with pytest.raises(EvalDomainError, match="^non-finite component in t$"):
+            gradient(parse("x1*cos(t1)", 1, 1), [0.5], [math.inf])
+
+    def test_evaluate_many(self):
+        f = parse("sin(x1*t1)", 1, 1)
+        with pytest.raises(EvalDomainError, match="^non-finite component in index points$"):
+            evaluate_many(f, [0.5], [[0.0], [math.inf]])
+        with pytest.raises(EvalDomainError, match="^non-finite component in x$"):
+            evaluate_many(f, [math.nan], [[0.0]])
+        with pytest.raises(EvalDomainError, match="^non-finite component in x$"):
+            evaluate_many(f, [[0.5], [math.inf]], [[0.0], [1.0]])
+        with pytest.raises(EvalDomainError, match=r"^index points have shape \(2, 1, 1\)"):
+            evaluate_many(f, [0.5], np.zeros((2, 1, 1)))
+
+    def test_gradient_many(self):
+        f = parse("sin(x1*t1)", 1, 1)
+        with pytest.raises(EvalDomainError, match="^non-finite component in index points$"):
+            gradient_many(f, [0.5], [[math.inf], [0.0]])
+        with pytest.raises(EvalDomainError, match="^non-finite component in x$"):
+            gradient_many(f, [math.inf], [[0.0]])
+        with pytest.raises(EvalDomainError, match=r"^index points have shape \(2, 1, 1\)"):
+            gradient_many(f, [0.5], np.zeros((2, 1, 1)))
+
+
+def test_tie_between_plain_arguments_is_no_kink():
+    # at t1 = -0.6 the x2-partial of x2^t1 overflows to -inf; min picks one
+    # of the tied constants, whose partials are 0 times those of the first
+    # dual argument: no kink, and a nan the gradient check reports
+    f = parse("min(0, 0, x2^t1)", 2, 1)
+    x, tpoints = [-1.0, 1e-200], np.array([[-0.6], [1.0]])
+    with pytest.raises(EvalDomainError, match="^non-finite gradient component$"):
+        gradient(f, x, tpoints[0])
+    with pytest.raises(EvalDomainError, match="^non-finite gradient component$"):
+        gradient_many(f, x, tpoints)
+    assert np.array_equal(gradient_many(f, x, tpoints[1:]), [[0.0, 0.0]])
+
+
+def test_overflow_is_reported_by_the_number_type():
+    # x and t are float64s, whose ^ overflows to inf, reported at the node;
+    # a Python float (a literal, or a plain argument that min lifts to a
+    # dual) raises OverflowError instead, reported as an overflow
+    with pytest.raises(EvalDomainError, match=r"^non-finite value in '\^'$"):
+        evaluate(parse("x1^400", 1), [1e10])
+    with pytest.raises(EvalDomainError, match="^overflow: "):
+        evaluate(parse("1e10^400 + x1", 1), [0.0])
+    for t in ([10.0], [[10.0], [1.0]]):
+        with pytest.raises(EvalDomainError, match="^overflow: "):
+            gradient_many(parse("min(t1, x1)^400 + x1", 1, 1), [1e10], t)
