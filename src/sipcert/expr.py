@@ -214,7 +214,6 @@ class _Scalar:
     """
 
     sin, cos, log, sqrt, abs = math.sin, math.cos, math.log, math.sqrt, abs
-    exp = staticmethod(lambda v: math.exp(v) if v < 710.0 else math.inf)
     sign = staticmethod(lambda v: math.copysign(1.0, v) if v else 0.0)
     pow = staticmethod(lambda base, expo, integer: base ** int(expo) if integer else base**expo)
     number, take = float, operator.getitem
@@ -225,6 +224,13 @@ class _Scalar:
 
     def __init__(self, kink_tol):
         self.kink_tol = kink_tol
+
+    @staticmethod
+    def exp(v):
+        try:
+            return math.exp(v)
+        except OverflowError:  # above about 709.78; `finite` refuses the inf
+            return math.inf
 
     @staticmethod
     def finite(v, where):

@@ -27,14 +27,16 @@ scan (:class:`FamilyScan`) is one candidate table in parallel arrays; a
 ladder rung (:class:`ActiveSet`) is an index array into it, so the rungs
 are nested, and tags are formatted only for the rows a report shows.  On a
 box index set the scan adds an off-grid twin for each near-active grid
-point that is a discrete local minimum of the grid values (the interior
-of a flat run gets none), bisected toward smaller h within its grid cells;
+point that is a discrete local minimum of the grid values (values within
+``tol_feas`` tie, and the interior of a flat run gets none), bisected
+toward smaller h within its grid cells;
 a violation between grid points is searched for only in those cells.
 Families and problems are immutable after construction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -298,8 +300,10 @@ class ParametricFamily(_Family):
 
         The seeds are the near-active grid points whose value in ``values``
         (the scan's clamped values) is <= that of each axis neighbour in the
-        box and < at least one of them: the interior of a flat run gets no
-        twin, the rim of a plateau and both points of a two-point tie do.
+        box and < at least one of them, a neighbour within ``opts.tol_feas``
+        counting as equal: the interior of a run flat to within that
+        tolerance gets no twin, the rim of a plateau and both points of a
+        two-point tie do.
         The rule reads grid values only, never eps.  ``opts.refine_depth``
         levels per axis localize T(x) in the cells around the seeds, each
         level one tree walk over both quarter points of every seed, so a
@@ -314,7 +318,7 @@ class ParametricFamily(_Family):
         if index.kind != "box" or opts.refine_depth <= 0:
             return super().refine(x, rows, values, eps_cap, opts, grid)
         seeds = rows[rows >= d]
-        seeds = seeds[_discrete_minima(values[d:], index.shape(grid), seeds - d)]
+        seeds = seeds[_discrete_minima(values[d:], index.shape(grid), seeds - d, opts.tol_feas)]
         if not len(seeds):
             return super().refine(x, rows, values, eps_cap, opts, grid)
         points = index.points_at(seeds - d, grid)
@@ -448,13 +452,18 @@ class PolyhedralFamily(_Family):
         if counters is not None:
             counters["support_lps"] = counters.get("support_lps", 0) + lps
             counters["support_pivots"] = counters.get("support_pivots", 0) + pivots
-        return tuple(zip(map(tuple, normals), infima.tolist(), offsets.tolist()))
+        return tuple(zip(map(tuple, normals.tolist()), infima.tolist(), offsets.tolist()))
 
     def cone(self) -> Polyhedron | None:
         return self.poly if self.poly.is_cone(tol=1e-12) else None
 
     def _indexed_values(self, x, points):
         return self._normals @ x - self._offsets
+
+    def _values_many(self, xs, points) -> np.ndarray:
+        """One matvec per row of xs: a stacked matmul (gemm) sums in another
+        order than the matvec (gemv) of ``values`` and differs in the last bit."""
+        return np.array([self._normals @ x for x in xs]) - self._offsets
 
     def _indexed_gradients(self, x, idx, grid, kink_tol):
         return self._normals[idx]
@@ -570,12 +579,14 @@ def _feasible(values, eq_violation, tol_feas):
     return not np.any(values < -tol_feas) and eq_violation <= tol_feas
 
 
-def _discrete_minima(grid_values, shape, idx):
+def _discrete_minima(grid_values, shape, idx, tol=0.0):
     """Whether each grid point ``idx`` (flat, C order) is a discrete local minimum.
 
     It is when its value in ``grid_values`` is <= that of each axis
-    neighbour in the box and < at least one of them.  A neighbour outside
-    the box takes the point's own value, which neither test counts.
+    neighbour in the box and < at least one of them, where a neighbour
+    within ``tol`` of it counts as equal: rounding noise is a tie.  A
+    neighbour outside the box takes the point's own value, which neither
+    test counts.
     """
     own = grid_values[idx]
     cells = np.unravel_index(idx, shape)
@@ -586,8 +597,9 @@ def _discrete_minima(grid_values, shape, idx):
         for step in (-1, 1):
             inside = (cells[axis] + step >= 0) & (cells[axis] + step < shape[axis])
             other = np.where(inside, grid_values[np.where(inside, idx + step * stride, idx)], own)
-            none_lower &= own <= other
-            some_higher |= own < other
+            rise = other - own
+            none_lower &= rise >= -tol
+            some_higher |= rise > tol
         stride *= shape[axis]
     return none_lower & some_higher
 
@@ -700,6 +712,16 @@ def equi_lipschitz_estimate(
     random pairs inside B(x, radius).  Monotone nondecreasing in
     ``samples`` for a fixed seed.
 
+    The generator is called in one fixed order: per random point one
+    ``standard_normal(p)`` (its direction) then one ``random()`` (its
+    radius), u before v.  A pair with |u - v| <= 1e-12 (1 + radius) is
+    skipped, and only the shortfall is drawn again, so the accepted pairs
+    are those of a loop that draws pair by pair.  Each direction's norm and
+    each pair's |u - v| are computed once, as the 1-D ``sqrt(w @ w)``; that
+    is ``np.linalg.norm(w)`` bit for bit, where a row-wise norm of a
+    stacked array sums in another order and can differ in the last bit.
+    The points are scaled and shifted as whole arrays.
+
     The sample points, ordered u_1, v_1, u_2, v_2, ..., go through the
     index grid in chunks of whole pairs, about ``_LIPSCHITZ_CHUNK`` (x, t)
     points each: a parametric family's grid part is one tree walk per
@@ -718,56 +740,66 @@ def equi_lipschitz_estimate(
     x = np.asarray(x, dtype=float)
     p = x.size
     rng = np.random.default_rng(resolve_seed() if seed is None else seed)
-    pairs = []
-    for i in range(p):
-        e = np.zeros(p)
-        e[i] = radius
-        pairs.append((x + e, x - e))
-    while len(pairs) < max(samples, 0) + p:
-        u = _ball_point(rng, x, radius)
-        v = _ball_point(rng, x, radius)
-        if np.linalg.norm(u - v) > 1e-12 * (1.0 + radius):
-            pairs.append((u, v))
+    axis = np.diag(np.full(p, float(radius)))
+    ends = [np.stack([x + axis, x - axis], axis=1).reshape(2 * p, p)]  # u_1, v_1, u_2, ...
+    dists = [_pair_distances(ends[0])]
+    shortfall = max(samples, 0)
+    while shortfall:
+        drawn = _ball_points(rng, x, radius, 2 * shortfall)
+        dist = _pair_distances(drawn)
+        kept = dist > 1e-12 * (1.0 + radius)
+        ends.append(drawn.reshape(shortfall, 2, p)[kept].reshape(-1, p))
+        dists.append(dist[kept])
+        shortfall -= int(kept.sum())
+    ends, dists = np.vstack(ends), np.concatenate(dists)
 
     best, walks = 0.0, 0
     points = family._index_points(grid)  # one grid for every pair
     per_walk = max(1, _LIPSCHITZ_CHUNK // (1 if points is None else len(points)))
     step = max(1, per_walk // 2)  # pairs per chunk
-    for start in range(0, len(pairs), step):
-        chunk = pairs[start : start + step]
-        quotient, chunk_walks = _chunk_quotient(family, chunk, points, per_walk > 1)
+    for start in range(0, dists.size, step):
+        chunk = slice(2 * start, 2 * (start + step))  # whole pairs: u_k, v_k
+        quotient, chunk_walks = _chunk_quotient(
+            family, ends[chunk], dists[start : start + step], points, per_walk > 1
+        )
         best, walks = max(best, quotient), walks + chunk_walks
     if counters is not None and not family.pure_finite:
         counters["lipschitz_walks"] = counters.get("lipschitz_walks", 0) + walks
     return best
 
 
-def _chunk_quotient(family, chunk, points, batched):
-    """The largest difference quotient over a chunk of pairs, and the grid walks it took.
+def _chunk_quotient(family, xs, dists, points, batched):
+    """The largest difference quotient over a chunk of pairs (rows u_1, v_1, u_2, ...
+    of xs, |u_k - v_k| in dists), and the grid walks it took.
 
     The chunk's values are freed on return, before the next chunk is walked.
     """
-    xs = np.array([w for pair in chunk for w in pair])  # u_1, v_1, u_2, v_2, ...
     try:
         values = family._values_many(xs, points) if batched else None
     except ExprError:  # redone one point at a time: the first bad point raises
         values = None
     walks = int(batched)
     if values is None:
-        values = [family._values_at(w, points) for w in xs]
+        values = np.array([family._values_at(w, points) for w in xs])
         walks += len(xs)
-    best = 0.0
-    for k, (u, v) in enumerate(chunk):
-        diff = values[2 * k] - values[2 * k + 1]
-        best = max(best, float(np.abs(diff, out=diff).max()) / np.linalg.norm(u - v))
-    return best, walks
+    return float((np.abs(values[0::2] - values[1::2]).max(axis=1) / dists).max()), walks
 
 
-def _ball_point(rng, center, radius):
+def _ball_points(rng, center, radius, n):
+    """n seeded points of B(center, radius), each drawn as its direction then its radius."""
     p = center.size
-    direction = rng.standard_normal(p)
-    direction /= np.linalg.norm(direction)
-    return center + radius * rng.random() ** (1.0 / p) * direction
+    normal, uniform = rng.standard_normal, rng.random
+    directions, scales = [], []
+    for _ in range(n):
+        directions.append(normal(p))
+        scales.append(radius * uniform() ** (1.0 / p))
+    norms = [math.sqrt(d.dot(d)) for d in directions]
+    return center + np.array(scales)[:, None] * (np.array(directions) / np.array(norms)[:, None])
+
+
+def _pair_distances(ends):
+    """|u_k - v_k| for the rows u_1, v_1, u_2, v_2, ... of ends, each as a 1-D norm."""
+    return np.array([math.sqrt(w.dot(w)) for w in ends[0::2] - ends[1::2]])
 
 
 @dataclass(frozen=True)

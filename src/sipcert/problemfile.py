@@ -245,6 +245,8 @@ def _load_constraints(raw, q):
 # ---------------------------------------------------------------------------
 # JSON emission with 17-significant-digit floats
 
+_quote = json.encoder.encode_basestring_ascii  # json.dumps of a str, without its call overhead
+
 
 def _emit(value, out):
     if value is None or isinstance(value, (bool, np.bool_)):
@@ -254,23 +256,27 @@ def _emit(value, out):
     elif isinstance(value, (float, np.floating)):
         v = float(value)
         if not math.isfinite(v):
-            out.append(json.dumps(str(v)))
+            out.append(_quote(str(v)))
         else:
             out.append(format(v, ".17g"))
     elif isinstance(value, str):
-        out.append(json.dumps(value))
+        out.append(_quote(value))
     elif isinstance(value, dict):
         out.append("{")
         for i, (k, v) in enumerate(value.items()):
             if i:
                 out.append(", ")
-            out.append(json.dumps(str(k)))
+            out.append(_quote(str(k)))
             out.append(": ")
             _emit(v, out)
         out.append("}")
     elif isinstance(value, (list, tuple, np.ndarray)):
-        out.append("[")
         items = value.tolist() if isinstance(value, np.ndarray) else value
+        if all(isinstance(v, float) and math.isfinite(v) for v in items):
+            # finite floats (float64 too), most of a long report, in one join
+            out.append("[" + ", ".join(map("%.17g".__mod__, items)) + "]")
+            return
+        out.append("[")
         for i, v in enumerate(items):
             if i:
                 out.append(", ")

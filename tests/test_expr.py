@@ -128,6 +128,14 @@ class TestEvaluate:
         with pytest.raises(EvalDomainError):
             evaluate(parse("x1^9", 1), [1e300])
 
+    @pytest.mark.parametrize("v", [709.9, 710.0])
+    def test_exp_overflow_is_a_non_finite_value(self, v):
+        # math.exp overflows above about 709.78, below 710
+        with pytest.raises(EvalDomainError, match="^non-finite value in 'exp'$"):
+            evaluate(parse("exp(x1)", 1), [v])
+        with pytest.raises(EvalDomainError, match="^non-finite value in 'exp'$"):
+            evaluate_many(parse("exp(x1) + t1", 1, 1), [v], [[0.0], [1.0]])
+
     def test_min_max_values(self):
         assert evaluate(parse("min(x1, x2, 3)", 2), (5, 4)) == 3.0
         assert evaluate(parse("max(x1, -x1)", 1), [-2.0]) == 2.0

@@ -278,6 +278,20 @@ class TestRefinementSeeds:
         face = np.array([[1.0, 0.0, 1.0], [2.0, 1.0, 2.0], [3.0, 2.0, 3.0]]).ravel()
         assert minima(face, (3, 3), np.arange(9)).tolist() == [0, 1, 0] + [0] * 6
 
+    def test_ties_within_the_tolerance(self):
+        minima, tol = model_mod._discrete_minima, Options().tol_feas
+        # rounding noise is a flat run: no minimum, where exact comparison finds two
+        noise = np.array([0.0, -1.1e-16, 2.2e-16, -1.1e-16, 0.0, 1.1e-16])
+        assert minima(noise, (6,), np.arange(6)).tolist() == [0, 1, 0, 1, 0, 0]
+        assert not minima(noise, (6,), np.arange(6), tol).any()
+        # a dip of 1e-6 is still a minimum
+        dip = np.array([1e-6, 1e-6, 0.0, 1e-6, 1e-6])
+        assert minima(dip, (5,), np.arange(5), tol).tolist() == [0, 0, 1, 0, 0]
+        # two points within the tolerance of each other are a tie: both are minima
+        tie = np.array([1e-3, 1e-16, -1e-16, 1e-3])
+        assert minima(tie, (4,), np.arange(4), tol).tolist() == [0, 1, 1, 0]
+        assert minima(np.array([1e-3, 0.0, 0.0, 1e-3]), (4,), np.arange(4)).tolist() == [0, 1, 1, 0]
+
     def test_flat_run_interior_gets_no_twin_and_its_rim_does(self):
         # h = 0 on the plateau [0.25, 0.75], grid points 2..6 of 9
         scan, _ = _scan("x1 + max(abs(t1 - 0.5) - 0.25, 0)", [0.0], [1.0], 9, 0.0, 0.01)
@@ -389,6 +403,9 @@ class TestAdmissibleDiagnostics:
         assert np.allclose(normals, [[1, 0], [0, 1]])  # normalized
         for _, inf_value, stated in diag.determination:
             assert inf_value == pytest.approx(stated, abs=1e-9)
+        # Python floats, which the report writer emits in one join
+        for normal, inf_value, stated in diag.determination:
+            assert {type(v) for v in (*normal, inf_value, stated)} == {float}
 
     def test_infeasible_rejected(self):
         with pytest.raises(InfeasibleError):
@@ -610,6 +627,16 @@ class TestLipschitzChunks:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def test_skipped_pairs_are_drawn_again():
+    # at radius 3e-12 about one random pair in four is within 1e-12 and is
+    # skipped (13 of 45 drawn at p = 1, seed 0), so the shortfall is drawn
+    # again, in rounds, in the pair loop's order
+    prob = Problem(1, parse("x1", 1), FiniteFamily((parse("sin(x1) + x1*x1", 1),)))
+    for seed in (0, 1):
+        got = equi_lipschitz_estimate(prob, [0.0], 3e-12, 32, seed=seed)
+        assert got.hex() == _lipschitz_reference(prob, [0.0], 3e-12, 32, seed).hex()
 
 
 def _two_walk_refine(h, x, tpoints, axis, lo, hi, depth):

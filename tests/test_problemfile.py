@@ -214,6 +214,21 @@ class TestEmitJson:
     def test_floats_always_round_trip(self, value):
         assert json.loads(emit_json({"x": value}))["x"] == value
 
+    def test_bytes_of_floats_ints_bools_and_non_finite_values(self):
+        edge = [0.1, -0.0, 5e-324, 1.7976931348623157e308]
+        finite = "0.10000000000000001, -0, 4.9406564584124654e-324, 1.7976931348623157e+308"
+        mixed = edge + [3, True, math.inf, math.nan]
+        assert emit_json(mixed) == f'[{finite}, 3, true, "inf", "nan"]'
+        assert emit_json(tuple(mixed)) == f'[{finite}, 3, true, "inf", "nan"]'
+        for floats in (edge, np.array(edge), [np.float64(v) for v in edge]):
+            assert emit_json(floats) == f"[{finite}]"
+        with_inf = edge + [-math.inf, math.nan]
+        for floats in (with_inf, np.array(with_inf), [np.float64(v) for v in with_inf]):
+            assert emit_json(floats) == f'[{finite}, "-inf", "nan"]'
+        assert emit_json({"rows": [[], [0.5], (1.0, 2)]}) == '{"rows": [[], [0.5], [1, 2]]}'
+        text = emit_json({'a"é': "x\n\t\\", "k": ["s", None, False]})
+        assert text == '{"a\\"\\u00e9": "x\\n\\t\\\\", "k": ["s", null, false]}'
+
     def test_numpy_values(self):
         text = emit_json({"v": np.array([0.5, 1.5]), "n": np.int64(3), "f": np.float64(0.25)})
         parsed = json.loads(text)
