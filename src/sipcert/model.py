@@ -305,10 +305,13 @@ class ParametricFamily(_Family):
         tolerance gets no twin, the rim of a plateau and both points of a
         two-point tie do.
         The rule reads grid values only, never eps.  ``opts.refine_depth``
-        levels per axis localize T(x) in the cells around the seeds, each
-        level one tree walk over both quarter points of every seed, so a
-        refinement costs ``refine_depth * t_dim + 1`` walks.  A violation
-        between grid points is found only in those cells.  A refined point
+        levels per axis localize T(x) in the cells around the seeds, as many
+        levels per tree walk as fit in ``_LIPSCHITZ_CHUNK`` points (see
+        :func:`_refine_axis_all`): one walk per axis for a few seeds, one
+        per level and axis for thousands, fewer once the cells reach float
+        resolution.  The last axis's walks hold h at the refined points, so
+        no further walk evaluates them.  A violation between grid points is
+        found only in those cells.  A refined point
         is gated by the larger of its own and its seed's value, so it joins
         the ladder exactly when its seed does.  Twins with value above
         ``eps_cap``, and twins that repeat a seed or an earlier twin bytewise,
@@ -327,8 +330,9 @@ class ParametricFamily(_Family):
         for axis in range(index.t_dim):
             lo = np.maximum(index.lower[axis], refined[:, axis] - steps[axis])
             hi = np.minimum(index.upper[axis], refined[:, axis] + steps[axis])
-            refined[:, axis] = _refine_axis_all(self.h, x, refined, axis, lo, hi, opts.refine_depth)
-        refined_values = evaluate_many(self.h, x, refined)
+            refined[:, axis], refined_values = _refine_axis_all(
+                self.h, x, refined, axis, lo, hi, opts.refine_depth
+            )
         bad = np.flatnonzero(refined_values < -opts.tol_feas)
         if bad.size:  # the grid missed a violation between its points
             tag, value = _param_tag(refined[bad[0]]), float(refined_values[bad[0]])
@@ -604,24 +608,84 @@ def _discrete_minima(grid_values, shape, idx, tol=0.0):
     return none_lower & some_higher
 
 
-def _refine_axis_all(h, x, tpoints, axis, lo, hi, depth):
-    """Halve each [lo_i, hi_i] toward smaller h-values, one axis, all seeds at once.
+# points per tree walk: (sample point, index point) pairs of the Lipschitz
+# estimate, midpoints of a bisection tree
+_LIPSCHITZ_CHUNK = 1 << 13
 
-    Each level is one ``evaluate_many`` walk over the 2n stacked quarter
-    points, the left ones first, so an error is the first bad left point's,
-    else the first bad right point's.
+
+def _refine_axis_all(h, x, tpoints, axis, lo, hi, depth):
+    """Halve each [lo_i, hi_i] ``depth`` times toward smaller h-values, one
+    axis, all seeds at once: (the midpoints of the final intervals, h there).
+
+    A level keeps the half [lo, mid] or [mid, hi] (mid = 0.5 (lo + hi))
+    whose midpoint, a quarter point, has the smaller h, the left one on a
+    tie.  Those quarter points are exactly the midpoints of the next
+    level's two intervals, so k levels are one tree of intervals built with
+    the same float operations, and one ``evaluate_many`` walk over its
+    2 (2^k - 1) midpoints per seed decides them all, bit for bit as level
+    by level.  k is the most levels whose tree keeps a walk within
+    ``_LIPSCHITZ_CHUNK`` points: one walk per axis for a few seeds, one per
+    level for thousands.  The bisection stops early once k levels leave
+    every interval bytewise unchanged, since each later level repeats them.
+
+    The tree holds points the bisection never visits.  If a block's walk
+    raises, the block is redone one level per walk, the left quarter points
+    first, so an error is the one the level-by-level bisection raises: the
+    first bad left point's, else the first bad right point's.
     """
-    n = len(tpoints)
-    t = np.vstack([tpoints, tpoints])
-    for _ in range(depth):
+    # the most levels k with n (2^(k+1) - 2) <= _LIPSCHITZ_CHUNK, at least 1
+    per_walk = max(1, (_LIPSCHITZ_CHUNK // len(tpoints) + 2).bit_length() - 2)
+    mid = value = None
+    while depth > 0:
+        levels = min(per_walk, depth)
+        try:
+            block = _bisection_tree(h, x, tpoints, axis, lo, hi, levels)
+        except ExprError:
+            if levels == 1:
+                raise
+            block = lo, hi
+            for _ in range(levels):
+                block = _bisection_tree(h, x, tpoints, axis, *block[:2], 1)
+        depth -= levels
+        stationary = block[0].tobytes() == lo.tobytes() and block[1].tobytes() == hi.tobytes()
+        lo, hi, mid, value = block
+        if stationary:
+            break
+    if mid is None:  # no level
         mid = 0.5 * (lo + hi)
-        t[:n, axis] = 0.5 * (lo + mid)
-        t[n:, axis] = 0.5 * (mid + hi)
-        both = evaluate_many(h, x, t)
-        take_left = both[:n] <= both[n:]
-        hi = np.where(take_left, mid, hi)
-        lo = np.where(take_left, lo, mid)
-    return 0.5 * (lo + hi)
+        value = evaluate_many(h, x, _with_axis(tpoints, axis, mid[None]))
+    return mid, value
+
+
+def _bisection_tree(h, x, tpoints, axis, lo, hi, levels):
+    """``levels`` bisection levels from [lo, hi] in one walk: (lo, hi, mid, h at mid) per seed.
+
+    Node i of level j (2^j nodes, (2^j, n) arrays) has the children i and
+    i + 2^j; the walk visits the midpoints of levels 1 to ``levels``, level
+    by level, node-major.
+    """
+    cols = np.arange(len(tpoints))
+    low, high = lo[None], hi[None]
+    mid, mids = 0.5 * (low + high), []
+    for _ in range(levels):
+        low, high = np.concatenate([low, mid]), np.concatenate([mid, high])
+        mid = 0.5 * (low + high)
+        mids.append(mid)
+    values = evaluate_many(h, x, _with_axis(tpoints, axis, np.concatenate(mids)))
+    node, start = np.zeros(len(cols), dtype=int), 0
+    for j, level in enumerate(mids):
+        at = values[start : start + level.size].reshape(level.shape)
+        start += level.size
+        left, right = at[node, cols], at[node + (1 << j), cols]
+        node = np.where(left <= right, node, node + (1 << j))
+    return low[node, cols], high[node, cols], mid[node, cols], at[node, cols]
+
+
+def _with_axis(tpoints, axis, column):
+    """``tpoints`` repeated once per row of ``column`` (r, n), with its values on ``axis``."""
+    t = np.tile(tpoints, (len(column), 1))
+    t[:, axis] = column.reshape(-1)
+    return t
 
 
 class FamilyScan:
@@ -638,8 +702,9 @@ class FamilyScan:
     Box families bisect only the near-active grid points that are discrete
     local minima of the clamped grid values (:meth:`ParametricFamily.refine`);
     the rule reads no eps, so it keeps the scan and a direct scan equal.
-    ``refined_seeds`` counts the seeds bisected.  Violations between grid
-    points are searched only in the cells of those seeds.
+    ``refined_seeds`` counts the seeds bisected, each axis's levels in as
+    few tree walks as fit in ``_LIPSCHITZ_CHUNK`` points.  Violations
+    between grid points are searched only in the cells of those seeds.
 
     The candidates are one table of parallel arrays ``gates``, ``values``
     and ``grads`` (n, p), indexed by ``candidates``: the near-active family
@@ -690,9 +755,6 @@ def active_set(
     if not report.feasible:
         raise InfeasibleError(report)
     return FamilyScan(prob, x, values, eps, opts, grid).at(eps)
-
-
-_LIPSCHITZ_CHUNK = 1 << 13  # (sample point, index point) pairs per tree walk
 
 
 def equi_lipschitz_estimate(

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -259,6 +260,26 @@ class TestCertify:
         assert (circle["verdict"], circle["stopped_by"]) == ("KKT", "stabilized")
         assert [circle["timings"][k] for k in counts] == [12, 184, 1]
         assert [trig["timings"][k] for k in counts] == [0, 0, 0]  # one flat run: no seed
+
+    def test_bisection_stops_at_float_resolution(self, monkeypatch, capsys):
+        # near_active's one seed is down to adjacent floats within about 60
+        # levels and every later level repeats the last, so depth 20,000
+        # reports what depth 60 does, in at most one more walk
+        from sipcert import cli, model
+
+        reports, walks = [], []
+        walk = model.evaluate_many
+        for depth in ("60", "20000"):
+            sizes = []
+            monkeypatch.setattr(
+                model, "evaluate_many", lambda f, x, t: sizes.append(len(t)) or walk(f, x, t)
+            )
+            assert cli.main(["certify", fixture_path("near_active"), "--refine", depth, "--json"]) == 0
+            out = capsys.readouterr().out
+            reports.append(re.sub(r'"refine_depth": \d+|"timings": \{[^}]*\}', "", out))
+            walks.append(len(sizes))
+        assert reports[0] == reports[1]
+        assert walks[1] <= walks[0] + 1
 
     @pytest.mark.parametrize("name", ["sip_linear", "sip_trig", "near_active"])
     def test_certify_discretizes_the_index_set_once(self, name, monkeypatch, capsys):

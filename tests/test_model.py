@@ -672,9 +672,9 @@ class TestFusedRefinement:
         fused = model_mod._refine_axis_all
 
         def recorded(h, x, tpoints, axis, lo, hi, depth):
-            out = fused(h, x, tpoints, axis, lo, hi, depth)
+            out, value = fused(h, x, tpoints, axis, lo, hi, depth)
             seen.append((out, _two_walk_refine(h, x, tpoints, axis, lo, hi, depth), len(tpoints)))
-            return out
+            return out, value
 
         monkeypatch.setattr(model_mod, "_refine_axis_all", recorded)
         tc_approx(prob, x, Options())
@@ -685,8 +685,10 @@ class TestFusedRefinement:
 
     @pytest.mark.parametrize("ladder, levels", LADDERS)
     def test_one_walk_per_level(self, monkeypatch, sphere_ladder, ladder, levels):
-        # the grid, one walk per bisection level and axis, the refined points
-        # (one walk per quarter point, as before, would be 2 * levels)
+        # the grid, then one walk per axis: the one seed's 8 levels per axis
+        # are one tree of 2 (2^8 - 1) = 510 midpoints, and the last axis's
+        # walk holds h at the refined point (one walk per level and one of
+        # the refined points, as before, was [grid] + [2] * levels + [1])
         prob, x = sphere_ladder(*ladder)
         sizes = []
         walk = model_mod.evaluate_many
@@ -694,8 +696,8 @@ class TestFusedRefinement:
             model_mod, "evaluate_many", lambda f, x, t: sizes.append(len(t)) or walk(f, x, t)
         )
         tc_approx(prob, x, Options())
-        seeds = sizes[-1]
-        assert sizes == [ladder[0] ** len(ladder[1])] + [2 * seeds] * levels + [seeds]
+        axes = len(ladder[1])
+        assert sizes == [ladder[0] ** axes] + [2 * (2 ** (levels // axes) - 1)] * axes
 
     def test_left_point_error_comes_first(self):
         # seed 0 leaves the domain at its right quarter point only (sqrt),
@@ -710,3 +712,46 @@ class TestFusedRefinement:
         # alone, seed 0 raises its right point's error
         with pytest.raises(EvalDomainError, match="^sqrt of a negative value$"):
             model_mod._refine_axis_all(h, [0.0], tpoints[:1], 0, lo[:1], hi[:1], 1)
+
+    @pytest.mark.parametrize("t_dim", [1, 2])
+    @pytest.mark.parametrize("seeds, per_walk", [(1, 12), (700, 2), (5000, 1)])
+    def test_tree_equals_the_reference_bisection(self, monkeypatch, seeds, per_walk, t_dim):
+        # a walk holds the most levels whose tree fits in 8,192 points, at
+        # least one; by depth 60 every interval is down to adjacent floats,
+        # so depth 200 stops early
+        prob, x = _wells(1025, t_dim)
+        h, step, axis = prob.family.h, 2.2 / 1024, t_dim - 1
+        tpoints = np.random.default_rng(seeds).uniform(0.0, 2.2, (seeds, t_dim))
+        lo = np.maximum(0.0, tpoints[:, axis] - step)
+        hi = np.minimum(2.2, tpoints[:, axis] + step)
+        sizes = []
+        walk = model_mod.evaluate_many
+        monkeypatch.setattr(
+            model_mod, "evaluate_many", lambda f, x, t: sizes.append(len(t)) or walk(f, x, t)
+        )
+        for depth in (0, 1, 8, 13, 60, 200):
+            sizes.clear()
+            got, value = model_mod._refine_axis_all(h, x, tpoints, axis, lo, hi, depth)
+            if depth == 13:
+                assert sizes[0] == seeds * (2 ** (per_walk + 1) - 2)
+                assert len(sizes) == -(-13 // per_walk)
+            reference = _two_walk_refine(h, x, tpoints, axis, lo, hi, depth)
+            assert got.tobytes() == reference.tobytes()
+            t = tpoints.copy()
+            t[:, axis] = reference
+            assert value.tobytes() == evaluate_many(h, x, t).tobytes()
+
+    def test_a_point_off_the_path_may_leave_the_domain(self, monkeypatch):
+        # h falls in t1, so every level keeps the right half of [0, 1]; the
+        # tree's second level already holds t1 = 0.125, where sqrt fails
+        h = parse("0*sqrt(t1 - 0.2) - t1 + 0*x1", 1, 1)
+        args = ([0.0], np.array([[0.5]]), 0, np.array([0.0]), np.array([1.0]), 8)
+        sizes = []
+        walk = model_mod.evaluate_many
+        monkeypatch.setattr(
+            model_mod, "evaluate_many", lambda f, x, t: sizes.append(len(t)) or walk(f, x, t)
+        )
+        got, value = model_mod._refine_axis_all(h, *args)
+        assert got.tobytes() == _two_walk_refine(h, *args).tobytes()
+        assert value == -got[0]
+        assert sizes == [510] + [2] * 8  # the tree raised, then one walk per level
