@@ -33,7 +33,10 @@ the reference in tests.  The batch kit (numpy columns: the n index points
 of a parametric constraint, one finiteness test per walk) serves
 :func:`evaluate_many` and :func:`gradient_many`.  Its results and errors
 are those of the scalar loop over the points: when the batch walk flags
-any point, the scalar loop runs and decides.
+any point, the scalar loop runs and decides.  One exception: numpy's
+``exp`` and ``log`` may differ from ``math.exp`` and ``math.log`` in the
+last bit (at most 1 ulp), so a batched value or gradient through them can
+differ from the scalar loop's by that much.
 """
 
 from __future__ import annotations
@@ -387,8 +390,8 @@ def _extreme(name, K, *args):
     duals = [a for a in args if type(a) is Dual]
     if not duals:
         return value
-    # a plain argument has zero partials, and where it is picked the result
-    # has 0 times the first dual's partials
+    # a plain argument has zero partials, also where another argument's are
+    # infinite: where it is picked, the result's partials are zero
     zero = np.zeros(duals[0].partials.shape)
     parts = [a.partials if type(a) is Dual else zero for a in args]
     partials = K.take(parts, best)
@@ -397,7 +400,7 @@ def _extreme(name, K, *args):
         raise KinkError(f"{name} differentiated at a tie")
     plain = K.take([type(a) is not Dual for a in args], best)
     value = K.where(plain, K.number(value), value)
-    return Dual(value, K.where(plain, 0.0 * duals[0].partials, partials))
+    return Dual(value, K.where(plain, zero, partials))
 
 
 def _kinked(K, at, p, q=0.0):
@@ -502,7 +505,9 @@ def evaluate_many(f: ExprFn, x, tpoints) -> np.ndarray:
     t-variable.  Equivalent to a loop of :func:`evaluate` calls, in one
     tree walk with one finiteness test; when the walk flags a point or a
     non-finite value, that loop runs and decides, so an error is the one
-    it raises.
+    it raises.  The exception is ``exp`` and ``log``: numpy's may differ
+    from ``math``'s in the last bit, so a value through them can be 1 ulp
+    off the loop's.
     """
     tarr = _index_points(f, tpoints)
     if np.ndim(x) == 2:

@@ -359,6 +359,18 @@ class TestBatchedAgreesWithScalarLoop:
         with pytest.raises(EvalDomainError, match="negative base with non-integer exponent"):
             evaluate_many(f, [0], [[2.0], [2.5]])
 
+    @pytest.mark.parametrize("src", ["exp(t1) + 0*x1", "log(t1) + 0*x1"])
+    def test_exp_and_log_are_within_one_ulp_of_the_scalar_loop(self, src, rng):
+        # numpy's exp and log may round differently from math's in the last
+        # bit: the one way a batched walk's value can differ from the loop's
+        f = parse(src, 1, 1)
+        t = rng.uniform(-10.0, 10.0, size=(20_000, 1))
+        if src.startswith("log"):
+            t = np.abs(t)
+        batched = evaluate_many(f, [0.5], t)
+        looped = np.array([evaluate(f, [0.5], u) for u in t])
+        assert np.all(np.abs(batched - looped) <= np.abs(np.spacing(looped)))
+
     def test_sip_families_match_within_ulps(self, rng):
         for src, p, m in [
             ("1 - t1*x1 - (1 - t1)*x2", 2, 1),
@@ -598,14 +610,12 @@ class TestInputBoundary:
 
 def test_tie_between_plain_arguments_is_no_kink():
     # at t1 = -0.6 the x2-partial of x2^t1 overflows to -inf; min picks one
-    # of the tied constants, whose partials are 0 times those of the first
-    # dual argument: no kink, and a nan the gradient check reports
+    # of the tied constants, whose partials are zero whatever the dual
+    # argument's are: no kink, and the gradient is exactly zero
     f = parse("min(0, 0, x2^t1)", 2, 1)
     x, tpoints = [-1.0, 1e-200], np.array([[-0.6], [1.0]])
-    with pytest.raises(EvalDomainError, match="^non-finite gradient component$"):
-        gradient(f, x, tpoints[0])
-    with pytest.raises(EvalDomainError, match="^non-finite gradient component$"):
-        gradient_many(f, x, tpoints)
+    assert np.array_equal(gradient(f, x, tpoints[0]), [0.0, 0.0])
+    assert np.array_equal(gradient_many(f, x, tpoints), [[0.0, 0.0], [0.0, 0.0]])
     assert np.array_equal(gradient_many(f, x, tpoints[1:]), [[0.0, 0.0]])
 
 

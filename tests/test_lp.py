@@ -337,23 +337,41 @@ def _determination(normals, offsets):
     return family, rows, counters
 
 
-def test_determination_support_lps_and_pivots_are_pinned(monkeypatch):
-    phase_one = _phase_one_log(monkeypatch)
-    _, _, counters = _determination(*_support_polytope(np.random.default_rng(7), np.zeros(10)))
-    # one kept tableau of free variables, visited by least slack: more LPs
-    # than the 112 cold starts from the origin took, with fewer pivots each
-    assert (counters["support_lps"], counters["support_pivots"]) == (178, 913)
-    assert phase_one == []  # the origin is inside: the slack basis is feasible
-
-
 def _support_reference(normals, offsets, unit):
-    """scipy's inf of a @ y over {normals @ y >= offsets} for each row a of ``unit``."""
+    """scipy's inf of a @ y over {normals @ y >= offsets} for each row a of
+    ``unit``: -inf where unbounded, +inf where the set is empty."""
     out = []
     for a in unit:
         res = linprog(a, A_ub=-normals, b_ub=-offsets, bounds=(None, None))
-        assert res.status == 0
-        out.append(res.fun)
+        assert res.status in (0, 2, 3)
+        out.append({0: res.fun, 2: np.inf, 3: -np.inf}[res.status])
     return np.array(out)
+
+
+def _assert_infima_match_scipy(normals, offsets):
+    """The determination's infima against scipy, within tol_lp (1 + |c_j|);
+    returns the rows."""
+    family, rows, counters = _determination(normals, offsets)
+    unit, stated = family.normalized()
+    infima = np.array([r[1] for r in rows])
+    reference = _support_reference(normals, offsets, unit)
+    assert np.array_equal(infima == np.inf, reference == np.inf)
+    assert np.array_equal(infima == -np.inf, reference == -np.inf)
+    finite = np.isfinite(reference)
+    gap = np.abs(infima[finite] - reference[finite])
+    assert np.all(gap <= 1e-9 * (1.0 + np.abs(stated[finite])))
+    return rows, counters
+
+
+def test_determination_support_lps_and_pivots_are_pinned(monkeypatch):
+    phase_one = _phase_one_log(monkeypatch)
+    normals, offsets = _support_polytope(np.random.default_rng(7), np.zeros(10))
+    rows, counters = _assert_infima_match_scipy(normals, offsets)
+    assert np.isfinite([r[1] for r in rows]).all()  # a bounded polytope
+    # one kept tableau of free variables, visited in normal-cone order:
+    # fewer LPs than the 112 cold starts from the origin, and fewer pivots
+    assert (counters["support_lps"], counters["support_pivots"]) == (96, 741)
+    assert phase_one == []  # the origin is inside: the slack basis is feasible
 
 
 def test_determination_of_a_polytope_away_from_the_origin(monkeypatch):
@@ -362,12 +380,53 @@ def test_determination_of_a_polytope_away_from_the_origin(monkeypatch):
     normals, offsets = _support_polytope(rng, 4.0 * rng.standard_normal(10))
     assert np.count_nonzero(offsets > 0) == 95
     phase_one = _phase_one_log(monkeypatch)
-    family, rows, counters = _determination(normals, offsets)
-    unit, stated = family.normalized()
-    infima = np.array([r[1] for r in rows])
-    reference = _support_reference(normals, offsets, unit)
-    assert np.all(np.abs(infima - reference) <= 1e-9 * (1.0 + np.abs(stated)))
-    assert (counters["support_lps"], counters["support_pivots"], phase_one) == (176, 1076, [118])
+    rows, counters = _assert_infima_match_scipy(normals, offsets)
+    assert np.isfinite([r[1] for r in rows]).all()  # a bounded polytope
+    assert (counters["support_lps"], counters["support_pivots"], phase_one) == (105, 900, [118])
+
+
+def _random_polyhedron(rng, kind):
+    """m facets in p = 2..10 around a random point, each at distance 1 to 2 from it."""
+    p = int(rng.integers(2, 11))
+    m = int(rng.integers(p + 2, 4 * p + 8))
+    normals = rng.standard_normal((m, p))
+    center = np.zeros(p) if kind == "origin" else 4.0 * rng.standard_normal(p)
+    if kind == "recession":  # e1 is a recession direction
+        normals[:, 0] = np.abs(normals[:, 0]) + 0.1
+    if kind == "line":  # the line through the center along e_p lies in the set
+        normals[:, -1] = 0.0
+    offsets = normals @ center - 1.0 - rng.random(m)
+    if kind == "empty":  # y1 >= 1 and -y1 >= 1
+        normals[:2] = 0.0
+        normals[:2, 0] = [1.0, -1.0]
+        offsets[:2] = 1.0
+    return normals, offsets
+
+
+def _touched(rows, tol=1e-9):
+    """Per facet, whether the infimum reaches its stated offset (the facet
+    is necessary) or stays above it (redundant)."""
+    return np.array([inf - c <= tol * (1.0 + abs(c)) for _, inf, c in rows])
+
+
+def test_determination_of_random_polyhedra_matches_scipy_and_facet_order():
+    # bounded and unbounded, origin inside and outside, a line, an empty set;
+    # a facet's infimum over a nonempty set is at least its offset, so no
+    # support LP is unbounded, not even on the unbounded sets
+    rng = np.random.default_rng(19)
+    kinds = ["origin", "outside", "recession", "line"] * 12 + ["empty", "line"]
+    touched_counts = []
+    for kind in kinds:
+        normals, offsets = _random_polyhedron(rng, kind)
+        rows, _ = _assert_infima_match_scipy(normals, offsets)
+        infima = np.array([r[1] for r in rows])
+        assert np.all(infima == np.inf) if kind == "empty" else np.isfinite(infima).all()
+        touched = _touched(rows)
+        perm = rng.permutation(len(offsets))
+        _, permuted, _ = _determination(normals[perm], offsets[perm])
+        assert np.array_equal(_touched(permuted), touched[perm])
+        touched_counts.append((touched.sum(), (~touched).sum()))
+    assert np.all(np.sum(touched_counts, axis=0) > 0)  # necessary and redundant facets
 
 
 # one constraint set, a sequence of objectives on one kept tableau
