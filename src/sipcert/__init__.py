@@ -29,7 +29,6 @@ from .geometry import (
     Polyhedron,
     caratheodory_reduce,
     cone_interior_nonempty,
-    dual_cone,
     hull_distance,
     hull_member,
     one_sided_hull_gap,
@@ -46,7 +45,6 @@ from .model import (
     ParametricFamily,
     PolyhedralFamily,
     Problem,
-    active_set,
     admissible_diagnostics,
     equi_lipschitz_estimate,
     feasibility,

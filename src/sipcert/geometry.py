@@ -28,7 +28,6 @@ __all__ = [
     "caratheodory_reduce",
     "segment_hull_member",
     "recession_cone",
-    "dual_cone",
     "cone_interior_nonempty",
     "PolyhedronLP",
     "polyhedron_minimize",
@@ -103,17 +102,9 @@ class Polyhedron:
         object.__setattr__(self, "normals", a)
         object.__setattr__(self, "offsets", b)
 
-    @classmethod
-    def full_space(cls, dim: int) -> "Polyhedron":
-        return cls(np.zeros((0, dim)), np.zeros(0))
-
     @property
     def dim(self) -> int:
         return self.normals.shape[1]
-
-    def contains(self, y, tol: float = DEFAULT_MEMBER_TOL) -> bool:
-        y = np.asarray(y, dtype=float)
-        return bool(np.all(self.normals @ y >= self.offsets - tol))
 
     def is_cone(self, tol: float = 0.0) -> bool:
         return bool(np.all(np.abs(self.offsets) <= tol))
@@ -311,16 +302,10 @@ def caratheodory_reduce(target, hull: Hull, coeffs, tol_lp: float = DEFAULT_LP_T
     support = [int(i) for i in np.flatnonzero(a > 0.0)]
     while len(support) > 1:
         rows = np.vstack([g[support].T, np.ones(len(support))])
-        u, s, vt = np.linalg.svd(rows)
-        smax = s[0] if s.size else 0.0
-        if rows.shape[0] >= rows.shape[1] and (s.size == 0 or s[-1] > 1e-12 * max(1.0, smax)):
+        _, s, vt = np.linalg.svd(rows)  # s is never empty: two generators at least
+        if rows.shape[0] >= rows.shape[1] and s[-1] > 1e-12 * max(1.0, s[0]):
             break  # affinely independent support
-        if rows.shape[0] < rows.shape[1]:
-            gamma = vt[-1]
-        elif s[-1] <= 1e-12 * max(1.0, smax):
-            gamma = vt[-1]
-        else:
-            break
+        gamma = vt[-1]  # a null direction of the affinely dependent support
         if gamma.max() <= 0.0:
             gamma = -gamma
         positive = gamma > 1e-14
@@ -414,13 +399,6 @@ def polyhedron_minimize(poly: Polyhedron, z) -> PolyhedronMinimum:
 def recession_cone(poly: Polyhedron) -> Polyhedron:
     """Recession cone of an H-polyhedron: same normals, offsets zeroed."""
     return Polyhedron(poly.normals, np.zeros(len(poly.offsets)))
-
-
-def dual_cone(generators: Hull) -> Polyhedron:
-    """Dual positive cone of cone(generators): {y : g_i @ y >= 0 for all i}."""
-    if len(generators) == 0:
-        raise GeometryError("dual cone of an empty generator list")
-    return Polyhedron(generators.generators, np.zeros(len(generators)))
 
 
 def cone_interior_nonempty(poly: Polyhedron, tol: float = DEFAULT_LP_TOL) -> ConeInterior:

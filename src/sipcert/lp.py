@@ -1,12 +1,16 @@
 """A small deterministic dense two-phase simplex solver.
 
-Solves   min c@x   s.t.   a_ub@x <= b_ub,  a_eq@x == b_eq,  x[free:] >= 0.
+Solves   min c@x   s.t.   a_ub@x <= b_ub,  x[free:] >= 0.
+
+Inequality rows only: sipcert states every LP it solves in this form, and
+handles equality constraints through the kernel of their Jacobian
+(``reduction.certify_equality``).  Each row has its own slack column.
 
 The first ``free`` variables are unrestricted in sign (free); the others
 are nonnegative.  A free variable needs no split x = u - v: its column
 enters in either direction, and once basic it never leaves (Chvatal,
 Linear Programming, 1983, ch. 8; Bixby, ORSA J. Computing 4, 1992).
-A nonbasic free column whose reduced cost is above ``tol`` is negated, and
+A nonbasic free column whose reduced cost is above ``_TOL`` is negated, and
 its sign recorded, so that it prices and enters like any other column; the
 rows whose basic variable is free are kept first in the tableau and stay
 out of the ratio test.  The solution and the unbounded ray are returned in
@@ -40,7 +44,7 @@ column order (x, slacks, artificials); the slot order never breaks a tie.
 
 An optional secondary objective ``then`` picks one solution among the
 optimal ones, in the same tableau: after phase 2 only the basic columns and
-the nonbasic ones whose reduced cost is at most ``tol`` may enter (the
+the nonbasic ones whose reduced cost is at most ``_TOL`` may enter (the
 optimal face), and the same pricing loop minimizes ``then`` there; a basic
 column that leaves keeps a slot and may enter again.  Where that secondary
 optimum is unique, the answer does not depend on the pivot rule.  Columns
@@ -70,6 +74,7 @@ import numpy as np
 __all__ = ["Simplex", "SimplexSolution", "SimplexError", "solve_lp"]
 
 _PIVOT_TOL = 1e-10
+_TOL = 1e-9  # reduced costs, the optimal face, phase 1's residual and the eviction pivots
 _MAX_ITERS = 50_000
 _DEGENERATE_RUN = 50  # degenerate pivots in a row before Bland's rule takes over
 _NO_SLOTS = np.zeros(0, dtype=int)
@@ -92,16 +97,7 @@ class SimplexSolution:
         return self.status == "optimal"
 
 
-def _as_2d(a, n):
-    if a is None:
-        return np.zeros((0, n))
-    a = np.asarray(a, dtype=float)
-    return a.reshape(0, n) if a.size == 0 else np.atleast_2d(a)
-
-
-def solve_lp(
-    c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, tol=1e-9, then=None
-) -> SimplexSolution:
+def solve_lp(c, a_ub, b_ub, *, then=None) -> SimplexSolution:
     """Minimize c@x over x >= 0; among the optimal x, minimize ``then``@x when it is given.
 
     One objective on a fresh ``Simplex`` with no free variable.  If ``then``
@@ -109,63 +105,51 @@ def solve_lp(
     returned.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
-    return Simplex(c.size, a_ub, b_ub, a_eq, b_eq, tol=tol).minimize(c, then)
+    return Simplex(c.size, a_ub, b_ub).minimize(c, then)
 
 
 class Simplex:
     """The tableau of one constraint set, kept across a sequence of objectives.
 
-    The set is ``a_ub@x <= b_ub, a_eq@x == b_eq`` in ``n`` variables, of
-    which the first ``free`` are unrestricted in sign and the rest are
-    nonnegative.  Phase 1 runs at most once, in the first ``minimize``, and
-    drops the artificial columns it leaves nonbasic; every later call starts
-    from the basis the previous one ended at.  A pivot keeps the basis
-    primal feasible, so that basis is a feasible start for any cost; a set
-    found infeasible is infeasible for every objective.
-    A set with no equality row and no negative right-hand side (-0.0 is not
-    negative), such as a hull fit, starts from its slack basis: the
-    constructor copies ``a_ub`` and ``b_ub`` and adds no artificial column.
+    The set is ``a_ub@x <= b_ub`` in ``n`` variables, of which the first
+    ``free`` are unrestricted in sign and the rest are nonnegative.  A row
+    with a negative right-hand side (-0.0 is not negative) is negated and
+    starts with an artificial column basic; phase 1 runs at most once, in
+    the first ``minimize``, and drops the artificial columns.  A set with
+    no such row, such as a hull fit, starts from its slack basis with no
+    artificial column.  Every later call starts from the basis the previous
+    one ended at.  A pivot keeps the basis primal feasible, so that basis is
+    a feasible start for any cost; a set found infeasible is infeasible for
+    every objective.
     """
 
-    def __init__(self, n, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, free=0, tol=1e-9):
-        a_ub = _as_2d(a_ub, n)
-        b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).reshape(-1)
-        a_eq = _as_2d(a_eq, n)
-        b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).reshape(-1)
-        if a_ub.shape != (b_ub.size, n) or a_eq.shape != (b_eq.size, n):
+    def __init__(self, n, a_ub, b_ub, *, free=0):
+        a_ub = np.asarray(a_ub, dtype=float)
+        a_ub = a_ub.reshape(0, n) if a_ub.size == 0 else np.atleast_2d(a_ub)
+        b_ub = np.asarray(b_ub, dtype=float).reshape(-1)
+        if a_ub.shape != (b_ub.size, n):
             raise ValueError("inconsistent LP dimensions")
         if not 0 <= free <= n:
             raise ValueError("free must be between 0 and n")
 
-        m_eq, m_ub = b_eq.size, b_ub.size
-        m = m_eq + m_ub
-        n_real = n + m_ub  # the x columns, then one slack per inequality row
-        if not m_eq and not (b_ub < 0).any():  # the slack basis is feasible
-            tableau = np.zeros((m + 1, n + 1))
-            tableau[:m, :n] = a_ub
-            tableau[:m, n] = b_ub
-            basis, nb, total = np.arange(n, n_real), np.arange(n), n_real
-        else:
-            # constraint rows: equalities first, then inequalities; the last row
-            # holds the reduced costs and, in its last entry, -objective
-            rhs = np.concatenate([b_eq, b_ub])
-            neg = rhs < 0  # these rows are negated so that every rhs is nonnegative
-            # artificials for equality rows and for negated inequality rows
-            art_rows = np.flatnonzero(neg | (np.arange(m) < m_eq))
-            total = n_real + art_rows.size
-            # the slack of a negated inequality row starts nonbasic: its artificial is basic
-            slack_rows = art_rows[art_rows >= m_eq]
-            nb = np.concatenate([np.arange(n), n - m_eq + slack_rows])
-            tableau = np.zeros((m + 1, nb.size + 1))
-            tableau[:m_eq, :n] = a_eq
-            tableau[m_eq:m, :n] = a_ub
-            tableau[slack_rows, np.arange(n, nb.size)] = 1.0
-            tableau[:m, -1] = rhs
-            tableau[:m][neg] *= -1.0  # negated slack columns become -1
-            basis = np.arange(n - m_eq, n_real)  # each inequality row's slack ...
-            basis[art_rows] = np.arange(n_real, total)  # ... unless the row has an artificial
+        m = b_ub.size
+        n_real = n + m  # the x columns, then one slack per row
+        # a row with rhs < 0 is negated, its slack starts nonbasic (its column
+        # becomes -1) and an artificial column is basic in its place
+        art_rows = np.flatnonzero(b_ub < 0)
+        total = n_real + art_rows.size
+        nb, basis = np.arange(n), np.arange(n, n_real)
+        # the last row holds the reduced costs and, in its last entry, -objective
+        tableau = np.zeros((m + 1, n + art_rows.size + 1))
+        tableau[:m, :n] = a_ub
+        tableau[:m, -1] = b_ub
+        if art_rows.size:
+            nb = np.concatenate([nb, n + art_rows])
+            tableau[art_rows, np.arange(n, nb.size)] = 1.0
+            tableau[art_rows] *= -1.0
+            basis[art_rows] = np.arange(n_real, total)
 
-        self.n, self.free, self.tol = n, free, tol
+        self.n, self.free = n, free
         self._n_real, self._total = n_real, total
         self._tableau, self._basis, self._nb = tableau, basis, nb
         self._sign = np.ones(free)  # the sign each free variable's column carries
@@ -175,7 +159,7 @@ class Simplex:
     def minimize(self, c, then=None) -> SimplexSolution:
         """Minimize c@x from the current basis; then ``then``@x on the optimal face."""
         c = np.asarray(c, dtype=float).reshape(-1)
-        n, total, tol = self.n, self._total, self.tol
+        n, total = self.n, self._total
         if c.size != n:
             raise ValueError("objective dimension mismatch")
         if then is not None:
@@ -187,7 +171,7 @@ class Simplex:
             return SimplexSolution("infeasible", float("nan"), np.full(n, np.nan), pivots=pivots)
 
         tableau, basis, nb, sign = self._tableau, self._basis, self._nb, self._sign
-        obj2, bad, count = _run_phase(tableau, basis, nb, self._cost(c), tol, sign)
+        obj2, bad, count = _run_phase(tableau, basis, nb, self._cost(c), sign)
         pivots += count
         if obj2 is None:
             ray = np.zeros(total)
@@ -200,8 +184,8 @@ class Simplex:
             # the optimal face: the basic columns and the nonbasic ones that can
             # enter without raising c@x; a basic column that leaves may re-enter
             cost3 = self._cost(then)
-            cost3[nb[tableau[-1, :-1] > tol]] = np.inf  # off the face
-            pivots += _run_phase(tableau, basis, nb, cost3, tol, sign)[2]
+            cost3[nb[tableau[-1, :-1] > _TOL]] = np.inf  # off the face
+            pivots += _run_phase(tableau, basis, nb, cost3, sign)[2]
         x = _extract(tableau, basis, n, total, sign)
         return SimplexSolution("optimal", float(c @ x), x, pivots=pivots)
 
@@ -215,24 +199,24 @@ class Simplex:
     def _phase_one(self) -> int:
         """Drive the artificials out of the basis, or find the set infeasible.
 
-        Returns its pivots.  The artificial columns left nonbasic are dropped:
-        no later phase may enter them.
+        Returns its pivots.  The artificial columns, all nonbasic by then,
+        are dropped: no later phase may enter them.
         """
         self._phase_one_due = False
         tableau, basis, nb, n_real = self._tableau, self._basis, self._nb, self._n_real
         rhs_scale = float(tableau[:-1, -1].max(initial=0.0))  # |rhs|: no pivot ran yet
         cost1 = np.zeros(self._total)
         cost1[n_real:] = 1.0
-        obj1, _, pivots = _run_phase(tableau, basis, nb, cost1, self.tol, self._sign)
+        obj1, _, pivots = _run_phase(tableau, basis, nb, cost1, self._sign)
         if obj1 is None:
             raise SimplexError("phase 1 unbounded (should be impossible)")
-        if obj1 > max(self.tol, 1e-7 * (1.0 + rhs_scale)):
+        if obj1 > max(_TOL, 1e-7 * (1.0 + rhs_scale)):
             self._feasible = False
             return pivots
-        tableau, self._basis, count = _evict_artificials(tableau, basis, nb, n_real, self.tol)
+        pivots += _evict_artificials(tableau, basis, nb, n_real)
         real = nb < n_real
         self._tableau, self._nb = tableau[:, np.append(real, True)], nb[real]
-        return pivots + count
+        return pivots
 
 
 def _signed(v, sign):
@@ -262,7 +246,7 @@ def _free_rows_first(tableau, basis, free):
     return count
 
 
-def _run_phase(tableau, basis, nb, cost, tol, sign):
+def _run_phase(tableau, basis, nb, cost, sign):
     """Minimize cost from the current basis over the columns in the tableau.
 
     ``cost`` is in the tableau's signs; a free column negated here flips its
@@ -270,7 +254,7 @@ def _run_phase(tableau, basis, nb, cost, tol, sign):
     direction.  Returns (objective, None, pivots), or (None, slot, pivots)
     when the column in that slot can enter without bound.
     """
-    free = sign.size
+    free, tol = sign.size, _TOL
     body = tableau[:-1]
     top = _free_rows_first(tableau, basis, free) if free else 0  # rows of basic free variables
     reduced = tableau[-1]
@@ -338,25 +322,18 @@ def _pivot(tableau, basis, nb, row, slot):
     basis[row], nb[slot] = nb[slot], basis[row]
 
 
-def _evict_artificials(tableau, basis, nb, n_real, tol):
-    """Pivot basic artificials out, or drop the (redundant) row if impossible.
+def _evict_artificials(tableau, basis, nb, n_real):
+    """Pivot each basic artificial out on a real column; returns the pivots.
 
-    Returns (tableau, basis, pivots).
+    Every row has its own slack column, so the real columns span every row
+    and such a column exists in exact arithmetic; raises ``SimplexError``
+    if none is nonzero beyond ``_TOL``.
     """
-    drop = []
     pivots = 0
-    for i in range(tableau.shape[0] - 1):
-        if basis[i] < n_real:
-            continue
-        nonzero = np.abs(tableau[i, :-1]) > max(tol, _PIVOT_TOL)
-        candidates = np.flatnonzero(nonzero & (nb < n_real))
-        if candidates.size:
-            _pivot(tableau, basis, nb, i, int(candidates[nb[candidates].argmin()]))
-            pivots += 1
-        else:
-            drop.append(i)
-    if drop:
-        keep = [i for i in range(tableau.shape[0]) if i not in drop]
-        tableau = tableau[keep]
-        basis = np.delete(basis, drop)
-    return tableau, basis, pivots
+    for i in np.flatnonzero(basis >= n_real):
+        candidates = np.flatnonzero((np.abs(tableau[i, :-1]) > _TOL) & (nb < n_real))
+        if not candidates.size:
+            raise SimplexError("no real column to pivot an artificial out on")
+        _pivot(tableau, basis, nb, i, int(candidates[nb[candidates].argmin()]))
+        pivots += 1
+    return pivots

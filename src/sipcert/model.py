@@ -74,7 +74,6 @@ __all__ = [
     "evaluate_family",
     "feasibility",
     "is_feasible",
-    "active_set",
     "FamilyScan",
     "equi_lipschitz_estimate",
     "admissible_diagnostics",
@@ -413,7 +412,9 @@ class PolyhedralFamily(_Family):
         of c_j, and otherwise reports ``max(c_j, min_v a_j @ v)``.  A facet
         through an LP's minimiser is necessary and needs no LP of its own
         (the extreme-point classification of necessary constraints: Caron,
-        McDonald & Ponic, JOTA 62, 1989).  An unbounded LP gives -inf.
+        McDonald & Ponic, JOTA 62, 1989).  An unbounded LP gives -inf,
+        though over a nonempty set the LP of a facet is bounded below by
+        its offset c_j, so only rounding can make it unbounded.
 
         All LPs share one kept tableau (``PolyhedronLP``, in the free
         coordinates of y, one column each): phase 1 runs at most once, and
@@ -456,7 +457,7 @@ class PolyhedralFamily(_Family):
             if result.status == "infeasible":
                 infima[:] = np.inf
                 break
-            infima[j] = -np.inf if result.status == "unbounded" else result.value
+            infima[j] = result.value  # -inf when unbounded
             product = normals @ result.point
             np.minimum(reach, product, out=reach)
             cone = normals[product - offsets <= near].sum(axis=0)
@@ -746,22 +747,6 @@ class FamilyScan:
         n = self.rows.size
         listed = self.family.labels(self.rows[idx[idx < n]], self.grid)
         return listed + _point_labels(self.points[idx[idx >= n] - n])
-
-
-def active_set(
-    prob: Problem, x, eps: float, opts: Options = Options(), grid: int | None = None
-) -> ActiveSet:
-    """Near-active entries: members with 0 <= value <= eps, with gradients.
-
-    For box families the near-active grid points that are discrete local
-    minima get one local-refinement pass: ``opts.refine_depth`` bisection
-    levels per axis, descending toward smaller constraint values to
-    localize T(x).
-    """
-    values, report = evaluate_family(prob, x, opts.tol_feas, grid)
-    if not report.feasible:
-        raise InfeasibleError(report)
-    return FamilyScan(prob, x, values, eps, opts, grid).at(eps)
 
 
 def equi_lipschitz_estimate(

@@ -41,9 +41,7 @@ class TCApprox:
 
     ladder: tuple  # ((eps, ActiveSet), ...)
     final: Hull
-    converged: bool
     hausdorff_gaps: tuple
-    interior: bool  # inf of the family was strictly positive: empty multiplier set
     inf_value: float
     stopped_by: str  # 'interior'|'finite_shortcut'|'stabilized'|'empty'|'max_steps'
     # the scan candidate behind each final generator, ascending
@@ -51,6 +49,16 @@ class TCApprox:
     # the ladder's work, when one ran: "gap_lps" and "gap_rows" (see _ladder_gap),
     # and the scan's "refined_seeds" (see FamilyScan)
     counters: dict = field(default_factory=dict, compare=False)
+
+    @property
+    def converged(self) -> bool:
+        """The ladder reached its limit: interior, stabilized or the finite shortcut."""
+        return self.stopped_by in ("interior", "stabilized", "finite_shortcut")
+
+    @property
+    def interior(self) -> bool:
+        """The family infimum at x was strictly positive: empty multiplier set."""
+        return self.stopped_by == "interior"
 
     def ladder_table(self):
         """(eps, generators, gap to the rung before or None) per rung."""
@@ -130,16 +138,13 @@ def tc_approx(prob: Problem, x, opts: Options = Options(), grid: int | None = No
         raise InfeasibleError(report)
     p = prob.p
     if prob.family is None or not report.boundary:
-        return TCApprox(
-            (), Hull(np.zeros((0, p))), True, (), True, report.min_value, "interior"
-        )
+        return TCApprox((), Hull(np.zeros((0, p))), (), report.min_value, "interior")
 
     scan = FamilyScan(prob, x, values, opts.eps0, opts, grid)
     ids = first_equal_rows(scan.grads)
     counters = {"gap_lps": 0, "gap_rows": 0, "refined_seeds": scan.refined_seeds}
     ladder = []
     gaps = []
-    converged = False
     stopped_by = "max_steps"
     eps = opts.eps0
     prev = None
@@ -157,23 +162,20 @@ def tc_approx(prob: Problem, x, opts: Options = Options(), grid: int | None = No
                 and gaps[-1] <= opts.tol_hull
                 and gaps[-2] <= opts.tol_hull
             ):
-                converged = True
                 stopped_by = "stabilized"
                 break
         if prob.family.pure_finite and np.all(scan.values[aset.entries] <= opts.tol_feas):
             # the whole surviving family is exactly active: the limit hull
             # is the strictly-active hull, no further shrinking needed
-            converged = True
             stopped_by = "finite_shortcut"
             break
         prev = aset
         eps *= opts.shrink
     if not ladder:
-        return TCApprox((), Hull(np.zeros((0, p))), False, (), False, report.min_value, stopped_by)
+        return TCApprox((), Hull(np.zeros((0, p))), (), report.min_value, stopped_by)
     rows = _distinct(ids, ladder[-1][1].entries)
     return TCApprox(
-        tuple(ladder), Hull(scan.grads[rows]), converged, tuple(gaps), False,
-        report.min_value, stopped_by, rows, counters,
+        tuple(ladder), Hull(scan.grads[rows]), tuple(gaps), report.min_value, stopped_by, rows, counters
     )
 
 

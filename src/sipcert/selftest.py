@@ -25,7 +25,7 @@ from .geometry import (
     hull_member,
     one_sided_hull_gap,
 )
-from .model import FiniteFamily, Problem, active_set, admissible_diagnostics
+from .model import FiniteFamily, Problem, admissible_diagnostics
 from .multipliers import certify_fj, sip_multipliers, tc_approx
 from .options import Options, resolve_seed
 from .problemfile import emit_json
@@ -167,8 +167,12 @@ def _segment_distance_inf(points, a, b):
 def check_sip_trig(opts, rng, *, grid):
     problem, candidate, fixture_opts, _ = _load("sip_trig", opts)
     cert = certify_fj(problem, candidate, fixture_opts, grid)
-    reference = active_set(problem, candidate, fixture_opts.tol_feas, fixture_opts, grid).hull()
-    gap = one_sided_hull_gap(cert.tc.final, reference)
+    # h = x1 cos t + x2 sin t vanishes at x = 0 for every t: the closed-form
+    # hull is conv{(cos t, sin t)} over the whole grid, compared both ways
+    t = problem.family.index.grid_points(grid)[:, 0]
+    closed_form = Hull(np.column_stack([np.cos(t), np.sin(t)]))
+    final = cert.tc.final
+    gap = max(one_sided_hull_gap(final, closed_form), one_sided_hull_gap(closed_form, final))
     ok = cert.kind == "fj" and cert.residual <= fixture_opts.tol and gap <= 1e-6
     return ok, f"kind={cert.kind} closed-form gap={gap:.2g} residual={cert.residual:.2g}"
 

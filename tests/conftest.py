@@ -5,12 +5,32 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from sipcert.expr import linear_expr, parse
-from sipcert.model import IndexSet, ParametricFamily, Problem
+from sipcert.model import (
+    FamilyScan,
+    IndexSet,
+    InfeasibleError,
+    ParametricFamily,
+    Problem,
+    evaluate_family,
+)
+from sipcert.options import Options
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("suite")
+
+
+def active_set(prob, x, eps, opts=Options(), grid=None):
+    """The near-active rung at eps of a scan made at eps: members with
+    0 <= value <= eps, with gradients (box families bisect their discrete
+    local minima).  Raises ``InfeasibleError`` at an infeasible x.  The
+    direct scan that ``FamilyScan.at`` must reproduce for every eps below
+    its cap."""
+    values, report = evaluate_family(prob, x, opts.tol_feas, grid)
+    if not report.feasible:
+        raise InfeasibleError(report)
+    return FamilyScan(prob, x, values, eps, opts, grid).at(eps)
 
 
 @pytest.fixture

@@ -14,7 +14,6 @@ from sipcert.geometry import (
     PolyhedronLP,
     caratheodory_reduce,
     cone_interior_nonempty,
-    dual_cone,
     first_occurrences,
     hull_distance,
     hull_member,
@@ -275,7 +274,7 @@ class TestCones:
         assert np.array_equal(rec.normals, [[1, 0], [1, 1]])
 
     def test_recession_full_space(self):
-        rec = recession_cone(Polyhedron.full_space(3))
+        rec = recession_cone(Polyhedron(np.zeros((0, 3)), np.zeros(0)))
         assert rec.normals.shape == (0, 3)
 
     def test_orthant_interior(self):
@@ -298,24 +297,6 @@ class TestCones:
     def test_nonzero_offsets_rejected(self):
         with pytest.raises(GeometryError):
             cone_interior_nonempty(Polyhedron([[1, 0]], [1]))
-
-    def test_dual_cone_examples(self):
-        orthant_dual = dual_cone(H([1, 0], [0, 1]))
-        assert orthant_dual.contains([2, 3])
-        assert not orthant_dual.contains([-1, 0.5])
-        plane_dual = dual_cone(H([1, 0], [-1, 0], [0, 1], [0, -1]))
-        assert plane_dual.contains([0, 0])
-        assert not plane_dual.contains([1e-3, 0])
-        ray_dual = dual_cone(H([1, 1]))
-        assert ray_dual.contains([1, 0]) and not ray_dual.contains([-1, 0])
-
-    def test_bidual_recovers_orthant_predicate(self):
-        # dual of the orthant's dual-cone normals, as a membership predicate
-        first = dual_cone(H([1, 0], [0, 1]))
-        second = dual_cone(Hull(first.normals))
-        orthant = Polyhedron([[1, 0], [0, 1]], [0, 0])
-        for x in np.array([[0.5, 0.5], [1, 0], [0, 0], [-0.5, 0.5], [-1, -1], [0.3, -0.01]]):
-            assert second.contains(x) == orthant.contains(x)
 
 
 class TestPolyhedronMinimize:
@@ -370,7 +351,7 @@ class TestPolyhedronMinimize:
                 if r.status == "optimal":
                     assert r.value == pytest.approx(ref.fun, abs=1e-8 * (1 + abs(ref.fun)))
                 if r.status != "infeasible":
-                    assert poly.contains(r.point, tol=1e-8)
+                    assert np.all(normals @ r.point >= offsets - 1e-8)
                 if r.status == "unbounded":
                     assert np.all(normals @ r.ray >= -1e-9) and np.dot(z, r.ray) < 0
         assert seen == {"optimal", "unbounded", "infeasible"}

@@ -16,7 +16,6 @@ from sipcert.model import (
     ParametricFamily,
     PolyhedralFamily,
     Problem,
-    active_set,
     admissible_diagnostics,
     equi_lipschitz_estimate,
     evaluate_family,
@@ -24,6 +23,8 @@ from sipcert.model import (
 )
 from sipcert.multipliers import certify_fj, tc_approx
 from sipcert.options import Options
+
+from conftest import active_set
 
 
 def near_active_problem():

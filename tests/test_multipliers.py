@@ -22,11 +22,12 @@ from sipcert.model import (
     ParametricFamily,
     PolyhedralFamily,
     Problem,
-    active_set,
 )
 from sipcert.multipliers import _ladder_gap, certify_fj, sip_multipliers, tc_approx
 from sipcert.options import Options
 from sipcert.selftest import ladder_nested
+
+from conftest import active_set
 
 
 def near_active_problem():

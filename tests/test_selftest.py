@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sipcert import selftest
+from sipcert import model, selftest
 from sipcert.geometry import hull_member
 from sipcert.options import Options
 from sipcert.selftest import grid_hull_residual, simplex_grid
@@ -66,3 +66,24 @@ def test_hull_check_decides_inside_points():
     assert ok, detail
     members = int(detail.split("(")[1].split()[0])
     assert members >= 10  # every inside target, and any outside one that hits the hull
+
+
+def test_sip_trig_check_sees_a_scan_that_drops_a_grid_point(monkeypatch):
+    # every grid point is active at x = 0; a scan that loses one leaves a
+    # final hull that misses (cos t, sin t) there, which only a reference
+    # other than the scan itself, compared both ways, can see
+    init = model.FamilyScan.__init__
+
+    def drop_one_row(scan, *args, **kwargs):
+        init(scan, *args, **kwargs)
+        keep = np.ones(scan.gates.size, dtype=bool)
+        keep[scan.rows.size // 3] = False
+        scan.rows = scan.rows[keep[: scan.rows.size]]
+        scan.gates, scan.values, scan.grads = scan.gates[keep], scan.values[keep], scan.grads[keep]
+        scan.candidates = np.arange(scan.gates.size)
+
+    ok, detail = selftest.check_sip_trig(Options(), np.random.default_rng(0), grid=257)
+    assert ok, detail
+    monkeypatch.setattr(model.FamilyScan, "__init__", drop_one_row)
+    ok, detail = selftest.check_sip_trig(Options(), np.random.default_rng(0), grid=257)
+    assert not ok, detail
