@@ -3,7 +3,6 @@
     sipcert certify <file>     certify the file's candidate point
     sipcert tcset <file>       dump the near-active ladder and final hull
     sipcert admissible <file>  admissibility diagnostics at the candidate
-    sipcert scan <file> --box lo1,hi1,lo2,hi2 --grid N --top K
     sipcert selftest           run the bundled fixture and property suite
 
 Exit codes: 0 certificate found, 2 no certificate, 3 infeasible candidate,
@@ -14,16 +13,14 @@ override problem-file options, which override the defaults.
 from __future__ import annotations
 
 import argparse
-import itertools
-import math
 import sys
 import time
 
 import numpy as np
 
-from .expr import ExprError, evaluate
+from .expr import ExprError
 from .geometry import cone_interior_nonempty
-from .model import InfeasibleError, admissible_diagnostics, is_feasible
+from .model import InfeasibleError, admissible_diagnostics
 from .multipliers import Certificate, certify_fj, sip_multipliers, tc_approx
 from .options import OPTION_KEYS, OptionError, Options
 from .problemfile import LoadedProblem, ProblemFileError, emit_json, load_problem, resolve_options
@@ -86,18 +83,6 @@ def _build_parser():
         common(sp)
         sp.set_defaults(handler=handler)
 
-    sp = sub.add_parser("scan", help="coarse feasible grid search for candidates (not a solver)")
-    sp.add_argument("file")
-    sp.add_argument(
-        "--box",
-        required=True,
-        help="lo1,hi1,lo2,hi2,... over the decision box (use --box=-1,1,... for negatives)",
-    )
-    sp.add_argument("--grid", type=int, default=33, help="grid points per axis")
-    sp.add_argument("--top", type=int, default=5, help="number of candidates to report")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(handler=cmd_scan)
-
     sp = sub.add_parser("selftest", help="run the bundled fixture and property suite")
     sp.add_argument("--tol", type=float, default=None, help="certificate tolerance override")
     sp.add_argument("--json", action="store_true")
@@ -107,7 +92,7 @@ def _build_parser():
 
 def _print_error(kind, message, args):
     report = {"error": {"kind": kind, "message": message}}
-    print(emit_json(report) if getattr(args, "json", False) else f"error ({kind}): {message}")
+    print(emit_json(report) if args.json else f"error ({kind}): {message}")
 
 
 def _load(args) -> tuple[LoadedProblem, Options, int | None, np.ndarray]:
@@ -119,23 +104,22 @@ def _load(args) -> tuple[LoadedProblem, Options, int | None, np.ndarray]:
             "--tol": ("tol", args.tol),
             "--eps0": ("eps0", args.eps0),
             "--shrink": ("shrink", args.shrink),
-            "--max-steps": ("max_steps", getattr(args, "max_steps", None)),
-            "--refine": ("refine_depth", getattr(args, "refine", None)),
+            "--max-steps": ("max_steps", args.max_steps),
+            "--refine": ("refine_depth", args.refine),
         },
     )
-    flag_grid = getattr(args, "grid", None)
-    if flag_grid is not None and flag_grid < 2:
+    if args.grid is not None and args.grid < 2:
         raise ProblemFileError("--grid must be at least 2", "--grid")
     if loaded.candidate is None:
         raise ProblemFileError("a candidate point is required for this command", "$.candidate")
-    return loaded, opts, flag_grid or loaded.grid, loaded.candidate
+    return loaded, opts, args.grid or loaded.grid, loaded.candidate
 
 
 def _composed(problem, x):
     return compose_family(problem, x) if problem.inner_map is not None else problem
 
 
-def _assumptions(loaded, cert=None):
+def _assumptions(loaded, approximate=False):
     problem = loaded.problem
     notes = list(loaded.notes)
     if problem.family is not None and not problem.family.pure_finite:
@@ -144,7 +128,7 @@ def _assumptions(loaded, cert=None):
     if problem.equality:
         notes.append("Jacobian regularity is tested at the candidate only, not in a neighborhood")
         notes.append("local Lipschitz behaviour of the objective and inner map is assumed")
-    if cert is not None and getattr(cert, "approximate", False):
+    if approximate:
         notes.append("ladder did not stabilize; the certificate is approximate")
     return notes
 
@@ -214,7 +198,9 @@ def cmd_certify(args) -> int:
         return _emit_infeasible(args, loaded, err)
 
     verdict = _verdict_of(cert)
-    tc = getattr(cert.inner if isinstance(cert, FullCertificate) else cert, "tc", None)
+    # the inequality certificate: an equality certificate's inner one, if any
+    inner = cert.inner if isinstance(cert, FullCertificate) else cert
+    tc = inner.tc if inner is not None else None
     report = {
         "tool": "sipcert",
         "command": "certify",
@@ -227,7 +213,7 @@ def cmd_certify(args) -> int:
             "candidate": list(candidate),
         },
         "options": _options_payload(opts),
-        "assumptions": _assumptions(loaded, cert),
+        "assumptions": _assumptions(loaded, inner is not None and inner.approximate),
         "exit_code": _VERDICT_EXIT[verdict],
     }
     if isinstance(cert, FullCertificate):
@@ -283,14 +269,12 @@ def cmd_certify(args) -> int:
 def _emit_infeasible(args, loaded, err: InfeasibleError) -> int:
     report = {
         "tool": "sipcert",
-        "command": getattr(args, "command", "certify"),
+        "command": args.command,
         "verdict": "Infeasible",
-        "violations": [
-            {"tag": tag, "value": value} for tag, value in getattr(err.report, "violations", ())
-        ],
+        "violations": [{"tag": tag, "value": value} for tag, value in err.report.violations],
         "min_value": err.report.min_value,
         "min_tag": err.report.min_tag,
-        "equality_violation": getattr(err.report, "equality_violation", 0.0),
+        "equality_violation": err.report.equality_violation,
         "exit_code": EXIT_INFEASIBLE,
     }
     if args.json:
@@ -430,51 +414,6 @@ def cmd_admissible(args) -> int:
         for note in report["assumptions"]:
             print(f"  - {note}")
     return EXIT_OK
-
-
-def cmd_scan(args) -> int:
-    loaded = load_problem(args.file)
-    problem = _composed(loaded.problem, np.zeros(loaded.problem.p))
-    try:
-        bounds = [float(v) for v in args.box.split(",")]
-    except ValueError:
-        bounds = []
-    if len(bounds) != 2 * problem.p:
-        raise ProblemFileError(f"needs {2 * problem.p} comma-separated numbers", "--box")
-    if not all(map(math.isfinite, bounds)):
-        raise ProblemFileError("bounds must be finite", "--box")
-    if args.grid < 1:
-        raise ProblemFileError("must be at least 1", "--grid")
-    if args.top < 1:
-        raise ProblemFileError("must be at least 1", "--top")
-    axes = [
-        np.linspace(bounds[2 * i], bounds[2 * i + 1], args.grid) for i in range(problem.p)
-    ]
-    candidates = []
-    for point in itertools.product(*axes):
-        x = np.array(point)
-        if not is_feasible(problem, x, grid=loaded.grid):
-            continue
-        candidates.append((float(evaluate(problem.objective, x)), x))
-    candidates.sort(key=lambda item: -item[0])
-    top = candidates[: args.top]
-    report = {
-        "tool": "sipcert",
-        "command": "scan",
-        "feasible_points": len(candidates),
-        "candidates": [{"x": list(x), "objective": value} for value, x in top],
-        "exit_code": EXIT_OK if candidates else EXIT_INFEASIBLE,
-    }
-    if not candidates:
-        report["error"] = "empty feasible grid"
-    if args.json:
-        print(emit_json(report))
-    else:
-        if not candidates:
-            print("empty feasible grid")
-        for entry in report["candidates"]:
-            print(f"f = {entry['objective']:<14.8g} at {_vec_str(entry['x'])}")
-    return report["exit_code"]
 
 
 def cmd_selftest(args) -> int:

@@ -1,9 +1,11 @@
 """Bundled fixture problems: the ground-truth corpus exercised by selftest.
 
 Each fixture is a problem file under ``sipcert/fixtures``; the countable
-inequality family of the first counterexample is represented as a
-parametric window over t = 1/k, k <= k_max, plus the separately listed
-member phi0 = x1 (the union family).  The ``strict_active`` variant lists
+inequality family {x2 + 1/k : k <= 10} of the first counterexample is
+represented as the parametric window h = x2 + t1 on the 10-point uniform
+grid over [0.1, 1], plus the separately listed member phi0 = x1 (the union
+family).  As h is linear in t1, the window has the same infimum and
+gradients as the points t1 = 1/k.  The ``strict_active`` variant lists
 the same members as a plain finite family, whose multiplier set collapses
 to the strictly active hull -- the certificate is expected to fail there.
 """

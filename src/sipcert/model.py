@@ -73,7 +73,6 @@ __all__ = [
     "InfeasibleError",
     "evaluate_family",
     "feasibility",
-    "is_feasible",
     "FamilyScan",
     "equi_lipschitz_estimate",
     "admissible_diagnostics",
@@ -553,8 +552,11 @@ def evaluate_family(
     and constrained branches.  The minimum is the first smallest row; tags
     are formatted for it and for the violations only.
     """
-    values, eq_violation = _residuals(prob, x, grid)
+    if prob.inner_map is not None:
+        raise ValueError("compose the inner map before feasibility checks")
     family = prob.family
+    values = family.values(x, grid) if family is not None else np.zeros(0)
+    eq_violation = max((abs(evaluate(h, x)) for h in prob.equality or ()), default=0.0)
     min_value, min_tag, violations = float("inf"), "(none)", ()
     if values.size:
         row = int(np.argmin(values))
@@ -563,7 +565,7 @@ def evaluate_family(
         violations = tuple(
             (tag, float(values[r])) for r, (tag, _) in zip(bad, family.labels(bad, grid))
         )
-    feasible = _feasible(values, eq_violation, tol_feas)
+    feasible = not violations and eq_violation <= tol_feas
     boundary = min_value <= tol_feas
     return values, FeasibilityReport(feasible, min_value, min_tag, boundary, violations, eq_violation)
 
@@ -571,24 +573,6 @@ def evaluate_family(
 def feasibility(prob: Problem, x, tol_feas: float = 1e-9, grid: int | None = None) -> FeasibilityReport:
     """The report of :func:`evaluate_family`, without the values."""
     return evaluate_family(prob, x, tol_feas, grid)[1]
-
-
-def is_feasible(prob: Problem, x, tol_feas: float = 1e-9, grid: int | None = None) -> bool:
-    """``feasibility(prob, x, tol_feas, grid).feasible``, without formatting a tag."""
-    return _feasible(*_residuals(prob, x, grid), tol_feas)
-
-
-def _residuals(prob, x, grid):
-    """Every discretized member's value at x, and the largest equality residual."""
-    if prob.inner_map is not None:
-        raise ValueError("compose the inner map before feasibility checks")
-    values = prob.family.values(x, grid) if prob.family is not None else np.zeros(0)
-    eq_violation = max((abs(evaluate(h, x)) for h in prob.equality or ()), default=0.0)
-    return values, eq_violation
-
-
-def _feasible(values, eq_violation, tol_feas):
-    return not np.any(values < -tol_feas) and eq_violation <= tol_feas
 
 
 def _discrete_minima(grid_values, shape, idx, tol=0.0):

@@ -52,7 +52,11 @@ _RANGES = {
 @dataclass(frozen=True)
 class Options:
     tol: float = 1e-8  # certificate residual / membership tolerance
-    tol_lp: float = 1e-9  # LP feasibility tolerance
+    # acceptance checks on LP results, not a simplex tolerance (that is the
+    # fixed lp._TOL): PolyhedralFamily.determination's settling window,
+    # cone_interior_nonempty's margin threshold and caratheodory_reduce's
+    # representation check
+    tol_lp: float = 1e-9
     tol_feas: float = 1e-9  # constraint feasibility tolerance
     tol_hull: float = 1e-7  # ladder stabilization threshold
     tol_kink: float = 1e-12  # abs/min/max tie tolerance for gradients
@@ -60,7 +64,9 @@ class Options:
     shrink: float = 0.5  # geometric ladder shrink factor
     max_steps: int = 20
     refine_depth: int = 8  # bisection levels per axis around near-active cells
-    k_max: int = 10  # truncation order for countable-family fixtures
+    # no computation reads it: setting it in a problem file only adds the
+    # truncation note to the report's assumptions
+    k_max: int = 10
     lipschitz_radius: float = 0.1
     lipschitz_samples: int = 32
 

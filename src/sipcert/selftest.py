@@ -31,7 +31,7 @@ from .options import Options, resolve_seed
 from .problemfile import emit_json
 from .reduction import certify_composed, certify_equality, convex_set_multiplier
 
-__all__ = ["run_selftest", "ladder_nested", "simplex_grid", "grid_hull_residual", "cone_trials"]
+__all__ = ["run_selftest", "ladder_nested", "simplex_grid", "grid_hull_residual"]
 
 
 def run_selftest(tol=None, as_json=False) -> int:
@@ -417,15 +417,14 @@ def check_scaling(opts, rng):
     return ok, "; ".join(details)
 
 
-def cone_trials(rng, *, cones, directions, dim=3):
-    """Random cones ``{d : N d <= 0}`` with 2 to 2 dim rows, each against direction sampling.
+def cone_trials(rng, *, cones, directions):
+    """Random cones ``{d : N d <= 0}`` in R^3 with 2 to 6 rows, each against direction sampling.
 
-    Yields ``(m, result, sampled_margin, violation)`` per cone.  The
-    violation is "false nonempty" when the LP's witness is not strictly
-    interior, "false empty" when the LP finds no interior but a sampled unit
-    direction has margin at least 10 tol, else "".
+    Yields one violation per cone: "false nonempty" when the LP's witness is
+    not strictly interior, "false empty" when the LP finds no interior but a
+    sampled unit direction has margin at least 10 tol, else "".
     """
-    tol = 1e-9
+    tol, dim = 1e-9, 3
     for _ in range(cones):
         m = int(rng.integers(2, 2 * dim + 1))
         normals = rng.standard_normal((m, dim))
@@ -433,18 +432,14 @@ def cone_trials(rng, *, cones, directions, dim=3):
         unit = normals / np.linalg.norm(normals, axis=1, keepdims=True)
         samples = rng.standard_normal((directions, dim))
         samples /= np.linalg.norm(samples, axis=1, keepdims=True)
-        sampled_margin = float((samples @ unit.T).min(axis=1).max())
-        violation = ""
         if result.nonempty:
-            if float((unit @ result.witness).min()) <= 0.0:
-                violation = "false nonempty"
-        elif sampled_margin >= 10 * tol:
-            violation = "false empty"
-        yield m, result, sampled_margin, violation
+            yield "false nonempty" if float((unit @ result.witness).min()) <= 0.0 else ""
+        else:
+            yield "false empty" if float((samples @ unit.T).min(axis=1).max()) >= 10 * tol else ""
 
 
 def check_cone_oracle(opts, rng, *, cones, directions):
-    found = [v for *_, v in cone_trials(rng, cones=cones, directions=directions) if v]
+    found = [v for v in cone_trials(rng, cones=cones, directions=directions) if v]
     false_nonempty = found.count("false nonempty")
     return not found, (
         f"false nonempty: {false_nonempty}, unexplained empty: {len(found) - false_nonempty} "

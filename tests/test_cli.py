@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from sipcert.fixtures import fixture_path
+from sipcert.fixtures import fixture_names, fixture_path
 
 
 def run_cli(*args):
@@ -236,6 +236,31 @@ class TestCertify:
         assert (code, report["branch"], report["verdict"]) == (0, "onto_with_a", verdict)
         assert report["inequality_certificate"]["kind"] == verdict.lower()
 
+    def test_equality_report_keeps_the_approximate_assumption(self, tmp_path, capsys):
+        # one rung cannot stabilize; with or without the equality row the
+        # report says so, as the inequality certificate's flag does
+        from sipcert import cli
+
+        doc = {
+            "dimension": 2,
+            "objective": "x1 + x2",
+            "constraints": {"parametric": {
+                "h": "1 - x1*cos(t1) - x2*sin(t1)", "t_dim": 1,
+                "box": {"lower": [0.0], "upper": [math.pi / 2]}, "grid": 129,
+            }},
+            "candidate": [math.sqrt(0.5), math.sqrt(0.5)],
+        }
+        note = "ladder did not stabilize; the certificate is approximate"
+        for equality, key in ((None, "certificate"), (["x1 - x2"], "inequality_certificate")):
+            if equality:
+                doc["equality"] = equality
+            path = tmp_path / "quarter_circle.json"
+            path.write_text(json.dumps(doc))
+            assert cli.main(["certify", str(path), "--max-steps", "1", "--json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["verdict"] == "KKT" and report[key]["approximate"]
+            assert note in report["assumptions"]
+
     def test_timings_count_the_ladders_gap_lps(self, tmp_path):
         # the quarter circle h = 1 - x . (cos t1, sin t1) at grid 1025, the
         # candidate on grid point 400, the one seed bisected: 184 deduped
@@ -422,83 +447,6 @@ class TestAdmissible:
         assert first == second
 
 
-class TestScan:
-    def test_orthant_box_finds_origin(self, tmp_path):
-        # f = -x1^2 - x2 maximized over the orthant peaks at the origin;
-        # the truncated near_active family would allow x2 >= -1/k_max instead
-        doc = {
-            "dimension": 2,
-            "objective": "-x1^2 - x2",
-            "constraints": {
-                "polyhedral": {"normals": [[1.0, 0.0], [0.0, 1.0]], "offsets": [0.0, 0.0]}
-            },
-        }
-        path = tmp_path / "orthant.json"
-        path.write_text(json.dumps(doc))
-        code, report = run_json(
-            "scan", str(path), "--box=-1,1,-1,1", "--grid", "41", "--top", "3"
-        )
-        assert code == 0
-        best = report["candidates"][0]
-        assert best["x"] == [0.0, 0.0]
-        assert best["objective"] == 0.0
-
-    def test_truncated_family_widens_the_feasible_set(self):
-        code, report = run_json(
-            "scan", fixture_path("near_active"), "--box=-1,1,-1,1", "--grid", "41", "--top", "1"
-        )
-        assert code == 0
-        # the k <= 10 window only enforces x2 >= -0.1
-        best = report["candidates"][0]["x"]
-        assert best[0] == 0.0
-        assert best[1] == pytest.approx(-0.1, abs=1e-12)
-
-    def test_infeasible_box(self):
-        code, report = run_json(
-            "scan", fixture_path("near_active"), "--box=-2,-1,-2,-1", "--grid", "5", "--top", "1"
-        )
-        assert code == 3
-        assert report["error"] == "empty feasible grid"
-
-    def test_scan_formats_no_tags(self, monkeypatch, capsys):
-        # feasibility at each decision-grid point needs only the values
-        from sipcert import cli
-
-        tags = _count_param_tags(monkeypatch)
-        argv = ["scan", fixture_path("sip_linear"), "--box=-2,2,-2,2", "--grid", "9", "--json"]
-        assert cli.main(argv) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert 0 < report["feasible_points"] < 81  # some points violate the family
-        assert tags == []
-
-    def test_top_one(self):
-        code, report = run_json(
-            "scan", fixture_path("near_active"), "--box=-1,1,-1,1", "--grid", "21", "--top", "1"
-        )
-        assert len(report["candidates"]) == 1
-
-    @pytest.mark.parametrize(
-        "flags, message",
-        [
-            (["--box=abc,1,-1,1"], "--box: needs 4 comma-separated numbers"),
-            (["--box=-1,1,-1"], "--box: needs 4 comma-separated numbers"),
-            (["--box=nan,1,-1,1"], "--box: bounds must be finite"),
-            (["--box=-inf,1,-1,1"], "--box: bounds must be finite"),
-            (["--box=-1,1,-1,1", "--grid", "0"], "--grid: must be at least 1"),
-            (["--box=-1,1,-1,1", "--grid", "-2"], "--grid: must be at least 1"),
-            (["--box=-1,1,-1,1", "--top", "0"], "--top: must be at least 1"),
-        ],
-    )
-    def test_bad_flags_exit_four(self, flags, message, capsys):
-        # positioned input errors, checked before the grid is walked
-        from sipcert import cli
-
-        argv = ["scan", fixture_path("near_active"), "--grid", "3", *flags, "--json"]
-        assert cli.main(argv) == 4
-        error = json.loads(capsys.readouterr().out)["error"]
-        assert error == {"kind": "input", "message": message}
-
-
 class TestSelftest:
     def test_fresh_build_passes(self):
         proc = run_cli("selftest")
@@ -548,6 +496,29 @@ def test_bad_seed_is_an_input_error(seed, argv, monkeypatch, capsys):
     assert capsys.readouterr().out == (
         f"error (input): SIPCERT_SEED: must be an integer >= 0, not '{seed}'\n"
     )
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_tol_lp_changes_no_report_or_count(name, tmp_path, capsys):
+    # tol_lp only accepts LP answers (the simplex pivots with lp._TOL): on the
+    # fixtures, 1e-6 changes no verdict, number or work count of any report
+    from sipcert import cli
+
+    doc = json.loads(open(fixture_path(name)).read())
+    doc["options"] = {**doc.get("options", {}), "tol_lp": 1e-6}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    for command in ("certify", "tcset", "admissible"):
+        reports = []
+        for file in (fixture_path(name), str(path)):
+            code = cli.main([command, file, "--json"])
+            report = json.loads(capsys.readouterr().out)
+            report.get("timings", {}).pop("total_s", None)
+            options = report.pop("options", {})
+            reports.append((code, report, options))
+        (code, report, options), (loose_code, loose, loose_options) = reports
+        assert (loose_code, loose) == (code, report)
+        assert loose_options == ({**options, "tol_lp": 1e-6} if options else {})
 
 
 class TestDeterminism:
