@@ -13,6 +13,7 @@ override problem-file options, which override the defaults.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -44,6 +45,7 @@ _VERDICT_EXIT = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    stdout, sys.stdout = sys.stdout, _PipeGuard(sys.stdout)
     try:
         return args.handler(args)
     except ProblemFileError as err:
@@ -55,6 +57,32 @@ def main(argv=None) -> int:
     except OptionError as err:  # SIPCERT_SEED, read where sampling starts
         _print_error("input", f"{err.key}: {err.message}", args)
         return EXIT_INPUT_ERROR
+    finally:
+        sys.stdout.flush()
+        sys.stdout = stdout
+
+
+class _PipeGuard:
+    """stdout that points its stream at os.devnull once the reader has gone (the SIGPIPE
+    recipe of the Python docs): the command keeps its exit code, and prints no traceback."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+    def write(self, text):
+        self._guarded(self._stream.write, text)
+
+    def flush(self):
+        self._guarded(self._stream.flush)
+
+    def _guarded(self, call, *args):
+        try:
+            call(*args)
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), self._stream.fileno())
 
 
 def _build_parser():
@@ -70,7 +98,7 @@ def _build_parser():
         sp.add_argument("--eps0", type=float, default=None, help="first ladder rung")
         sp.add_argument("--shrink", type=float, default=None, help="ladder shrink factor")
         sp.add_argument("--max-steps", type=int, default=None, help="ladder length cap")
-        sp.add_argument("--grid", type=int, default=None, help="index-set grid override")
+        sp.add_argument("--grid", type=int, default=None, help="parametric box grid, replacing the file's")
         sp.add_argument("--refine", type=int, default=None, help="refinement depth override")
         sp.add_argument("--json", action="store_true", help="print the full JSON report")
 
@@ -95,9 +123,11 @@ def _print_error(kind, message, args):
     print(emit_json(report) if args.json else f"error ({kind}): {message}")
 
 
-def _load(args) -> tuple[LoadedProblem, Options, int | None, np.ndarray]:
-    """The problem file, its resolved options and grid, and its candidate, which is required."""
-    loaded = load_problem(args.file)
+def _load(args) -> tuple[LoadedProblem, Options, np.ndarray]:
+    """The problem file on the ``--grid`` grid, its resolved options and its required candidate."""
+    if args.grid is not None and args.grid < 2:
+        raise ProblemFileError("must be at least 2", "--grid")
+    loaded = load_problem(args.file, args.grid)
     opts = resolve_options(
         loaded.options,
         {
@@ -108,15 +138,13 @@ def _load(args) -> tuple[LoadedProblem, Options, int | None, np.ndarray]:
             "--refine": ("refine_depth", args.refine),
         },
     )
-    if args.grid is not None and args.grid < 2:
-        raise ProblemFileError("--grid must be at least 2", "--grid")
     if loaded.candidate is None:
         raise ProblemFileError("a candidate point is required for this command", "$.candidate")
-    return loaded, opts, args.grid or loaded.grid, loaded.candidate
+    return loaded, opts, loaded.candidate
 
 
-def _composed(problem, x):
-    return compose_family(problem, x) if problem.inner_map is not None else problem
+def _composed(problem):
+    return compose_family(problem) if problem.inner_map is not None else problem
 
 
 def _assumptions(loaded, approximate=False):
@@ -184,18 +212,18 @@ def _verdict_of(cert) -> str:
 
 
 def cmd_certify(args) -> int:
-    loaded, opts, grid, candidate = _load(args)
+    loaded, opts, candidate = _load(args)
     problem = loaded.problem
     started = time.perf_counter()
     try:
         if problem.equality:
-            cert = certify_equality(problem, candidate, opts, grid)
+            cert = certify_equality(problem, candidate, opts)
         elif problem.inner_map is not None:
-            cert = certify_composed(problem, candidate, opts, grid)
+            cert = certify_composed(problem, candidate, opts)
         else:
-            cert = certify_fj(problem, candidate, opts, grid)
+            cert = certify_fj(problem, candidate, opts)
     except InfeasibleError as err:
-        return _emit_infeasible(args, loaded, err)
+        return _emit_infeasible(args, err)
 
     verdict = _verdict_of(cert)
     # the inequality certificate: an equality certificate's inner one, if any
@@ -245,7 +273,7 @@ def cmd_certify(args) -> int:
             and cert.found
             and not tc.interior
         ):
-            sm = sip_multipliers(problem, candidate, opts, grid, certificate=cert)
+            sm = sip_multipliers(problem, candidate, opts, certificate=cert)
             report["sip_multipliers"] = {
                 "lambda0": sm.lambda0,
                 "entries": [_weight(tag, param, w) for tag, param, w, _ in sm.entries],
@@ -266,7 +294,7 @@ def cmd_certify(args) -> int:
     return report["exit_code"]
 
 
-def _emit_infeasible(args, loaded, err: InfeasibleError) -> int:
+def _emit_infeasible(args, err: InfeasibleError) -> int:
     report = {
         "tool": "sipcert",
         "command": args.command,
@@ -320,12 +348,12 @@ def _options_payload(opts: Options):
 
 
 def cmd_tcset(args) -> int:
-    loaded, opts, grid, candidate = _load(args)
-    problem = _composed(loaded.problem, candidate)
+    loaded, opts, candidate = _load(args)
+    problem = _composed(loaded.problem)
     try:
-        tc = tc_approx(problem, candidate, opts, grid)
+        tc = tc_approx(problem, candidate, opts)
     except InfeasibleError as err:
-        return _emit_infeasible(args, loaded, err)
+        return _emit_infeasible(args, err)
     report = {
         "tool": "sipcert",
         "command": "tcset",
@@ -360,13 +388,13 @@ def cmd_tcset(args) -> int:
 
 
 def cmd_admissible(args) -> int:
-    loaded, opts, grid, candidate = _load(args)
+    loaded, opts, candidate = _load(args)
     started = time.perf_counter()
-    problem = _composed(loaded.problem, candidate)
+    problem = _composed(loaded.problem)
     try:
-        diag = admissible_diagnostics(problem, candidate, opts, grid)
+        diag = admissible_diagnostics(problem, candidate, opts)
     except InfeasibleError as err:
-        return _emit_infeasible(args, loaded, err)
+        return _emit_infeasible(args, err)
     report = {
         "tool": "sipcert",
         "command": "admissible",

@@ -13,13 +13,13 @@ A constraint family is one of
 
 All three share one interface over *rows*, the discretized members in a
 fixed order: listed members first (a finite family's members, a parametric
-family's extras), then grid points or facets.  ``values(x, grid)`` is one
-array over every row (listed members through scalar ``evaluate``, grid
-points through one ``evaluate_many``, facets through one matmul);
-``gradients(x, rows, grid, kink_tol)`` (one (n, p) array), ``labels(rows,
-grid)`` and ``tag(row, grid)`` serve only the rows a caller asks for.
-``kind`` names the family in reports, ``pure_finite`` says it has no
-sampled part, and ``substitute(inner)`` composes it with an inner map.
+family's extras), then grid points or facets.  ``values(x)`` is one array
+over every row (listed members through scalar ``evaluate``, grid points
+through one ``evaluate_many``, facets through one matmul);
+``gradients(x, rows, kink_tol)`` (one (n, p) array), ``labels(rows)`` and
+``tag(row)`` serve only the rows a caller asks for.  ``kind`` names the
+family in reports, ``pure_finite`` says it has no sampled part, and
+``substitute(inner)`` composes it with an inner map.
 
 A certification evaluates the family once (:func:`evaluate_family`): its
 feasibility report and the near-active scan read the same values.  The
@@ -89,7 +89,7 @@ class InfeasibleError(Exception):
 
 @dataclass(frozen=True)
 class IndexSet:
-    """Index set T: either a finite list of points or a compact box with a grid."""
+    """Index set T: a finite list of points, or a compact box sampled on its one ``base_grid``."""
 
     kind: str  # 'finite' | 'box'
     points: np.ndarray | None = None  # (k, m) for finite sets
@@ -118,32 +118,29 @@ class IndexSet:
     def t_dim(self) -> int:
         return self.points.shape[1] if self.kind == "finite" else self.lower.size
 
-    def _axes(self, grid):
-        n = int(grid) if grid else self.base_grid
-        return [np.linspace(self.lower[a], self.upper[a], n) for a in range(self.t_dim)]
+    def _axes(self):
+        return [np.linspace(self.lower[a], self.upper[a], self.base_grid) for a in range(self.t_dim)]
 
-    def grid_points(self, grid: int | None = None) -> np.ndarray:
+    def grid_points(self) -> np.ndarray:
         if self.kind == "finite":
             return self.points
-        mesh = np.meshgrid(*self._axes(grid), indexing="ij")  # last axis varies fastest
+        mesh = np.meshgrid(*self._axes(), indexing="ij")  # last axis varies fastest
         return np.stack(mesh, axis=-1).reshape(-1, self.t_dim)
 
-    def points_at(self, rows, grid: int | None = None) -> np.ndarray:
-        """``grid_points(grid)[rows]``, without building the whole grid."""
+    def points_at(self, rows) -> np.ndarray:
+        """``grid_points()[rows]``, without building the whole grid."""
         rows = np.asarray(rows, dtype=int)
         if self.kind == "finite":
             return self.points[rows]
-        axes = self._axes(grid)
-        cells = np.unravel_index(rows, self.shape(grid))
-        return np.stack([axis[c] for axis, c in zip(axes, cells)], axis=-1)
+        cells = np.unravel_index(rows, self.shape())
+        return np.stack([axis[c] for axis, c in zip(self._axes(), cells)], axis=-1)
 
-    def shape(self, grid: int | None = None) -> tuple:
+    def shape(self) -> tuple:
         """Grid points per axis of a box; ``grid_points`` is this array in C order."""
-        return (int(grid) if grid else self.base_grid,) * self.t_dim
+        return (self.base_grid,) * self.t_dim
 
-    def steps(self, grid: int | None = None) -> np.ndarray:
-        n = int(grid) if grid else self.base_grid
-        return (self.upper - self.lower) / (n - 1)
+    def steps(self) -> np.ndarray:
+        return (self.upper - self.lower) / (self.base_grid - 1)
 
 
 def _param_tag(t):
@@ -169,8 +166,8 @@ class _Family:
     pure_finite = True  # known in full: no sampled parametric part
     _listed = ()
 
-    def values(self, x, grid: int | None = None) -> np.ndarray:
-        return self._values_at(np.asarray(x, dtype=float), self._index_points(grid))
+    def values(self, x) -> np.ndarray:
+        return self._values_at(np.asarray(x, dtype=float), self._index_points())
 
     def _values_at(self, x, points):
         listed = np.array([evaluate(m, x) for _, m in self._listed], dtype=float)
@@ -180,28 +177,28 @@ class _Family:
         """``_values_at`` at each row of xs (k, p), stacked (k, rows)."""
         return np.array([self._values_at(x, points) for x in xs])
 
-    def gradients(self, x, rows, grid: int | None = None, kink_tol=DEFAULT_KINK_TOL) -> np.ndarray:
+    def gradients(self, x, rows, kink_tol=DEFAULT_KINK_TOL) -> np.ndarray:
         """Gradients at x of the members in ``rows`` (ascending), one per row."""
         rows = np.asarray(rows, dtype=int)
         d = len(self._listed)
         listed = [gradient(self._listed[r][1], x, kink_tol=kink_tol) for r in rows[rows < d]]
-        return np.vstack(listed + [self._indexed_gradients(x, rows[rows >= d] - d, grid, kink_tol)])
+        return np.vstack(listed + [self._indexed_gradients(x, rows[rows >= d] - d, kink_tol)])
 
-    def labels(self, rows, grid: int | None = None) -> list:
+    def labels(self, rows) -> list:
         """(tag, index point or None) of the members in ``rows`` (ascending)."""
         rows = np.asarray(rows, dtype=int)
         d = len(self._listed)
         listed = [(self._listed[r][0], None) for r in rows[rows < d]]
-        return listed + self._indexed_labels(rows[rows >= d] - d, grid)
+        return listed + self._indexed_labels(rows[rows >= d] - d)
 
-    def tag(self, row: int, grid: int | None = None) -> str:
-        return self.labels([row], grid)[0][0]
+    def tag(self, row: int) -> str:
+        return self.labels([row])[0][0]
 
     def entry_gradient(self, y, tag, param):
         """Gradient at y of the member an active entry names by (tag, param)."""
         return gradient(dict(self._listed)[tag], y)
 
-    def refine(self, x, rows, values, eps_cap, opts, grid=None) -> tuple:
+    def refine(self, x, rows, values, eps_cap, opts) -> tuple:
         """Off-grid twins of the near-active ``rows``: (gates, values, points,
         gradients, number of seeds bisected)."""
         return np.zeros(0), np.zeros(0), np.zeros((0, 0)), np.zeros((0, len(x))), 0
@@ -214,16 +211,16 @@ class _Family:
         """The polyhedral cone the family determines, if it is one."""
         return None
 
-    def _index_points(self, grid):
+    def _index_points(self):
         return None
 
     def _indexed_values(self, x, points):
         return np.zeros(0)
 
-    def _indexed_gradients(self, x, idx, grid, kink_tol):
+    def _indexed_gradients(self, x, idx, kink_tol):
         return np.zeros((0, len(x)))
 
-    def _indexed_labels(self, idx, grid):
+    def _indexed_labels(self, idx):
         return []
 
 
@@ -293,7 +290,7 @@ class ParametricFamily(_Family):
             return super().entry_gradient(y, tag, param)
         return gradient(self.h, y, np.asarray(param))
 
-    def refine(self, x, rows, values, eps_cap, opts, grid=None) -> tuple:
+    def refine(self, x, rows, values, eps_cap, opts) -> tuple:
         """Bisect each near-active box grid point that is a discrete local minimum toward smaller h.
 
         The seeds are the near-active grid points whose value in ``values``
@@ -317,13 +314,13 @@ class ParametricFamily(_Family):
         """
         index, d = self.index, len(self.extra)
         if index.kind != "box" or opts.refine_depth <= 0:
-            return super().refine(x, rows, values, eps_cap, opts, grid)
+            return super().refine(x, rows, values, eps_cap, opts)
         seeds = rows[rows >= d]
-        seeds = seeds[_discrete_minima(values[d:], index.shape(grid), seeds - d, opts.tol_feas)]
+        seeds = seeds[_discrete_minima(values[d:], index.shape(), seeds - d, opts.tol_feas)]
         if not len(seeds):
-            return super().refine(x, rows, values, eps_cap, opts, grid)
-        points = index.points_at(seeds - d, grid)
-        steps = index.steps(grid)
+            return super().refine(x, rows, values, eps_cap, opts)
+        points = index.points_at(seeds - d)
+        steps = index.steps()
         refined = points.copy()
         for axis in range(index.t_dim):
             lo = np.maximum(index.lower[axis], refined[:, axis] - steps[axis])
@@ -343,8 +340,8 @@ class ParametricFamily(_Family):
         grads = gradient_many(self.h, x, refined[keep], opts.tol_kink)
         return gates, near[keep], refined[keep], grads, len(seeds)
 
-    def _index_points(self, grid):
-        return self.index.grid_points(grid)
+    def _index_points(self):
+        return self.index.grid_points()
 
     def _values_many(self, xs, points) -> np.ndarray:
         """Listed members point by point; the grid part in one tree walk over
@@ -357,11 +354,11 @@ class ParametricFamily(_Family):
     def _indexed_values(self, x, points):
         return evaluate_many(self.h, x, points)
 
-    def _indexed_gradients(self, x, idx, grid, kink_tol):
-        return gradient_many(self.h, x, self.index.points_at(idx, grid), kink_tol)
+    def _indexed_gradients(self, x, idx, kink_tol):
+        return gradient_many(self.h, x, self.index.points_at(idx), kink_tol)
 
-    def _indexed_labels(self, idx, grid):
-        return _point_labels(self.index.points_at(idx, grid))
+    def _indexed_labels(self, idx):
+        return _point_labels(self.index.points_at(idx))
 
 
 @dataclass(frozen=True)
@@ -379,7 +376,7 @@ class PolyhedralFamily(_Family):
         normals.flags.writeable = offsets.flags.writeable = False
         object.__setattr__(self, "_normals", normals)
         object.__setattr__(self, "_offsets", offsets)
-        facets = self._indexed_labels(range(len(self.poly.offsets)), None)
+        facets = self._indexed_labels(range(len(self.poly.offsets)))
         object.__setattr__(self, "_facet_rows", {tag: j for j, (tag, _) in enumerate(facets)})
 
     @property
@@ -476,10 +473,10 @@ class PolyhedralFamily(_Family):
         order than the matvec (gemv) of ``values`` and differs in the last bit."""
         return np.array([self._normals @ x for x in xs]) - self._offsets
 
-    def _indexed_gradients(self, x, idx, grid, kink_tol):
+    def _indexed_gradients(self, x, idx, kink_tol):
         return self._normals[idx]
 
-    def _indexed_labels(self, idx, grid):
+    def _indexed_labels(self, idx):
         return [(f"A[{j}]", None) for j in idx]
 
 
@@ -541,9 +538,7 @@ class FeasibilityReport:
     equality_violation: float = 0.0
 
 
-def evaluate_family(
-    prob: Problem, x, tol_feas: float = 1e-9, grid: int | None = None
-) -> tuple[np.ndarray, FeasibilityReport]:
+def evaluate_family(prob: Problem, x, tol_feas: float = 1e-9) -> tuple[np.ndarray, FeasibilityReport]:
     """The values of every discretized family member at x, and their report.
 
     Feasible iff the minimum is >= -tol_feas and every equality holds within
@@ -555,24 +550,24 @@ def evaluate_family(
     if prob.inner_map is not None:
         raise ValueError("compose the inner map before feasibility checks")
     family = prob.family
-    values = family.values(x, grid) if family is not None else np.zeros(0)
+    values = family.values(x) if family is not None else np.zeros(0)
     eq_violation = max((abs(evaluate(h, x)) for h in prob.equality or ()), default=0.0)
     min_value, min_tag, violations = float("inf"), "(none)", ()
     if values.size:
         row = int(np.argmin(values))
-        min_value, min_tag = float(values[row]), family.tag(row, grid)
+        min_value, min_tag = float(values[row]), family.tag(row)
         bad = np.flatnonzero(values < -tol_feas)
         violations = tuple(
-            (tag, float(values[r])) for r, (tag, _) in zip(bad, family.labels(bad, grid))
+            (tag, float(values[r])) for r, (tag, _) in zip(bad, family.labels(bad))
         )
     feasible = not violations and eq_violation <= tol_feas
     boundary = min_value <= tol_feas
     return values, FeasibilityReport(feasible, min_value, min_tag, boundary, violations, eq_violation)
 
 
-def feasibility(prob: Problem, x, tol_feas: float = 1e-9, grid: int | None = None) -> FeasibilityReport:
+def feasibility(prob: Problem, x, tol_feas: float = 1e-9) -> FeasibilityReport:
     """The report of :func:`evaluate_family`, without the values."""
-    return evaluate_family(prob, x, tol_feas, grid)[1]
+    return evaluate_family(prob, x, tol_feas)[1]
 
 
 def _discrete_minima(grid_values, shape, idx, tol=0.0):
@@ -703,17 +698,14 @@ class FamilyScan:
     ``rows`` (ascending), then the refined twins at ``points``, seed order.
     """
 
-    def __init__(
-        self, prob: Problem, x, values, eps_cap: float, opts: Options = Options(), grid=None
-    ):
+    def __init__(self, prob: Problem, x, values, eps_cap: float, opts: Options = Options()):
         self.eps_cap = eps_cap
         self.family = prob.family or _Family()  # no family: no candidates
-        self.grid = grid
         near = _clamp(values, opts.tol_feas)
         self.rows = np.flatnonzero((near >= 0.0) & (near <= eps_cap))
-        grads = self.family.gradients(x, self.rows, grid, opts.tol_kink)
+        grads = self.family.gradients(x, self.rows, opts.tol_kink)
         gates, twin_values, self.points, twin_grads, self.refined_seeds = self.family.refine(
-            x, self.rows, near, eps_cap, opts, grid
+            x, self.rows, near, eps_cap, opts
         )
         self.gates = np.concatenate([near[self.rows], gates])
         self.values = np.concatenate([near[self.rows], twin_values])
@@ -729,18 +721,12 @@ class FamilyScan:
         """(tag, index point or None) of the candidates ``idx`` (ascending)."""
         idx = np.asarray(idx, dtype=int)
         n = self.rows.size
-        listed = self.family.labels(self.rows[idx[idx < n]], self.grid)
+        listed = self.family.labels(self.rows[idx[idx < n]])
         return listed + _point_labels(self.points[idx[idx >= n] - n])
 
 
 def equi_lipschitz_estimate(
-    prob: Problem,
-    x,
-    radius: float,
-    samples: int,
-    seed: int | None = None,
-    grid: int | None = None,
-    counters: dict | None = None,
+    prob: Problem, x, radius: float, samples: int, seed: int | None = None, counters: dict | None = None
 ) -> float:
     """Monte-Carlo lower bound on the equi-Lipschitz modulus near x.
 
@@ -792,7 +778,7 @@ def equi_lipschitz_estimate(
     ends, dists = np.vstack(ends), np.concatenate(dists)
 
     best, walks = 0.0, 0
-    points = family._index_points(grid)  # one grid for every pair
+    points = family._index_points()  # one grid for every pair
     per_walk = max(1, _LIPSCHITZ_CHUNK // (1 if points is None else len(points)))
     step = max(1, per_walk // 2)  # pairs per chunk
     for start in range(0, dists.size, step):
@@ -852,9 +838,7 @@ class AdmissibleReport:
     counters: dict = field(default_factory=dict, compare=False)
 
 
-def admissible_diagnostics(
-    prob: Problem, x, opts: Options = Options(), grid: int | None = None
-) -> AdmissibleReport:
+def admissible_diagnostics(prob: Problem, x, opts: Options = Options()) -> AdmissibleReport:
     """Numerical admissibility checks at a feasible x.
 
     (a) whether 0 lies in the hull of *all* family gradients (the
@@ -865,7 +849,7 @@ def admissible_diagnostics(
     ``counters`` say how many support LPs, support pivots and Lipschitz grid
     walks ran.
     """
-    values, report = evaluate_family(prob, x, opts.tol_feas, grid)
+    values, report = evaluate_family(prob, x, opts.tol_feas)
     if not report.feasible:
         raise InfeasibleError(report)
     assumptions = (
@@ -876,10 +860,10 @@ def admissible_diagnostics(
     family = prob.family
     if family is None:
         return AdmissibleReport(False, float("inf"), False, 0.0, (), assumptions, counters)
-    grads = family.gradients(x, np.arange(values.size), grid, opts.tol_kink)
+    grads = family.gradients(x, np.arange(values.size), opts.tol_kink)
     membership = hull_member(np.zeros(prob.p), Hull(grads), opts.tol)
     lipschitz = equi_lipschitz_estimate(
-        prob, x, opts.lipschitz_radius, opts.lipschitz_samples, grid=grid, counters=counters
+        prob, x, opts.lipschitz_radius, opts.lipschitz_samples, counters=counters
     )
     return AdmissibleReport(
         zero_in_full_hull=membership.member,

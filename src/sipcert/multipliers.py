@@ -124,7 +124,7 @@ def _distinct(ids, rows):
     return rows[np.sort(np.unique(ids[rows], return_index=True)[1])]
 
 
-def tc_approx(prob: Problem, x, opts: Options = Options(), grid: int | None = None) -> TCApprox:
+def tc_approx(prob: Problem, x, opts: Options = Options()) -> TCApprox:
     """Build the near-active ladder and its stabilized final hull at x.
 
     Evaluates the family once: the feasibility report and the near-active
@@ -133,14 +133,14 @@ def tc_approx(prob: Problem, x, opts: Options = Options(), grid: int | None = No
     multiplier set is empty (interior point) and an empty final hull is
     returned with the interior indicator set.
     """
-    values, report = evaluate_family(prob, x, opts.tol_feas, grid)
+    values, report = evaluate_family(prob, x, opts.tol_feas)
     if not report.feasible:
         raise InfeasibleError(report)
     p = prob.p
     if prob.family is None or not report.boundary:
         return TCApprox((), Hull(np.zeros((0, p))), (), report.min_value, "interior")
 
-    scan = FamilyScan(prob, x, values, opts.eps0, opts, grid)
+    scan = FamilyScan(prob, x, values, opts.eps0, opts)
     ids = first_equal_rows(scan.grads)
     counters = {"gap_lps": 0, "gap_rows": 0, "refined_seeds": scan.refined_seeds}
     ladder = []
@@ -180,11 +180,7 @@ def tc_approx(prob: Problem, x, opts: Options = Options(), grid: int | None = No
 
 
 def certify_fj(
-    prob: Problem,
-    x,
-    opts: Options = Options(),
-    grid: int | None = None,
-    restrict: np.ndarray | None = None,
+    prob: Problem, x, opts: Options = Options(), restrict: np.ndarray | None = None
 ) -> Certificate:
     """First-order (Fritz John) certificate for max f over the family constraints.
 
@@ -193,7 +189,7 @@ def certify_fj(
     kernel coordinates of the equality Jacobian.  An infeasible x raises
     :class:`InfeasibleError` before the objective gradient is taken.
     """
-    tc = tc_approx(prob, x, opts, grid)
+    tc = tc_approx(prob, x, opts)
     grad_f = gradient(prob.objective, x, kink_tol=opts.tol_kink)
     if restrict is not None:
         grad_f = restrict @ grad_f
@@ -276,11 +272,7 @@ class SipMultipliers:
 
 
 def sip_multipliers(
-    prob: Problem,
-    x,
-    opts: Options = Options(),
-    grid: int | None = None,
-    certificate: Certificate | None = None,
+    prob: Problem, x, opts: Options = Options(), certificate: Certificate | None = None
 ) -> SipMultipliers:
     """Recast a Fritz John certificate as semi-infinite multipliers.
 
@@ -294,7 +286,7 @@ def sip_multipliers(
     """
     if prob.family is None or prob.family.pure_finite:
         raise ValueError("sip_multipliers requires a parametric constraint family")
-    cert = certificate if certificate is not None else certify_fj(prob, x, opts, grid)
+    cert = certificate if certificate is not None else certify_fj(prob, x, opts)
     if cert.tc.interior:
         raise ValueError("active set is empty: the candidate is interior")
     if not cert.found:

@@ -54,7 +54,6 @@ class LoadedProblem:
     problem: Problem
     candidate: np.ndarray | None
     options: dict  # raw option overrides from the file
-    grid: int | None  # parametric base grid, exposed for --grid overrides
     notes: tuple
 
 
@@ -93,8 +92,8 @@ def _number_list(values, where, length=None):
     return out
 
 
-def load_problem(source) -> LoadedProblem:
-    """Load and validate a problem file (path, JSON text, or mapping)."""
+def load_problem(source, grid: int | None = None) -> LoadedProblem:
+    """Load and validate a problem file (path, JSON text, or mapping), its box on ``grid`` if given."""
     if isinstance(source, dict):
         doc = source
     else:
@@ -130,7 +129,7 @@ def load_problem(source) -> LoadedProblem:
         q = len(inner_map)
 
     objective = _parse_expr(doc["objective"], p, 0, "$.objective")
-    family, grid = _load_constraints(doc.get("constraints"), q)
+    family = _load_constraints(doc.get("constraints"), q, grid)
 
     equality = None
     if "equality" in doc:
@@ -163,7 +162,7 @@ def load_problem(source) -> LoadedProblem:
         problem = Problem(p, objective, family, inner_map, equality)
     except ValueError as err:
         raise ProblemFileError(str(err), "$") from err
-    return LoadedProblem(problem, candidate, raw_options, grid, tuple(notes))
+    return LoadedProblem(problem, candidate, raw_options, tuple(notes))
 
 
 def resolve_options(file_options, flags=None) -> Options:
@@ -187,9 +186,9 @@ def resolve_options(file_options, flags=None) -> Options:
         raise ProblemFileError(err.message, flag) from err
 
 
-def _load_constraints(raw, q):
+def _load_constraints(raw, q, grid_override):
     if raw is None:
-        return None, None
+        return None
     _require(isinstance(raw, dict) and raw, "constraints must be a nonempty object", "$.constraints")
     _check_keys(raw, ("finite", "parametric", "polyhedral"), "$.constraints")
     if "polyhedral" in raw:
@@ -206,7 +205,7 @@ def _load_constraints(raw, q):
             poly = Polyhedron(np.array(rows), np.array(offsets))
         except Exception as err:
             raise ProblemFileError(str(err), where) from err
-        return PolyhedralFamily(poly), None
+        return PolyhedralFamily(poly)
 
     finite_members = []
     if "finite" in raw:
@@ -217,7 +216,7 @@ def _load_constraints(raw, q):
         ]
 
     if "parametric" not in raw:  # the members are tagged phi0, phi1, ... by default
-        return FiniteFamily(tuple(finite_members)), None
+        return FiniteFamily(tuple(finite_members))
 
     spec = raw["parametric"]
     where = "$.constraints.parametric"
@@ -236,10 +235,10 @@ def _load_constraints(raw, q):
     grid = spec["grid"]
     _require(isinstance(grid, int) and grid >= 2, "grid must be an integer >= 2", f"{where}.grid")
     try:
-        index = IndexSet.box(lower, upper, grid)
+        index = IndexSet.box(lower, upper, grid if grid_override is None else grid_override)
     except ValueError as err:
         raise ProblemFileError(str(err), f"{where}.box") from err
-    return ParametricFamily(h, index, tuple(finite_members)), grid
+    return ParametricFamily(h, index, tuple(finite_members))
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ class Jacobian:
     matrix: np.ndarray  # (w, p)
     rank: int
     pivots: tuple  # pivot magnitudes from the elimination
-    pivot_cols: tuple  # column indices spanning the complement E1
     kernel_basis: np.ndarray  # (d, p), orthonormal rows
     tol_rank: float
     left_null: np.ndarray | None = None
@@ -60,12 +59,11 @@ def compute_jacobian(exprs, x, tol_rank_factor: float = 1e-10, kink_tol: float =
     max_norm = float(np.abs(matrix).max(initial=0.0))
     tol_rank = tol_rank_factor * max_norm if max_norm > 0 else tol_rank_factor
 
-    # complete-pivot elimination for the rank decision and the pivot columns
+    # complete-pivot elimination for the rank decision
     work = matrix.copy()
     row_free = list(range(w))
     col_free = list(range(p))
     pivots = []
-    pivot_cols = []
     while row_free and col_free:
         sub = np.abs(work[np.ix_(row_free, col_free)])
         i, j = np.unravel_index(int(sub.argmax()), sub.shape)
@@ -74,7 +72,6 @@ def compute_jacobian(exprs, x, tol_rank_factor: float = 1e-10, kink_tol: float =
             break
         r, c = row_free[i], col_free[j]
         pivots.append(magnitude)
-        pivot_cols.append(c)
         for rr in row_free:
             if rr != r:
                 work[rr] -= work[rr, c] / work[r, c] * work[r]
@@ -95,9 +92,7 @@ def compute_jacobian(exprs, x, tol_rank_factor: float = 1e-10, kink_tol: float =
             left_null = _fix_sign(u[:, w - 1])
     else:
         kernel = np.eye(p)
-    return Jacobian(
-        matrix, rank, tuple(pivots), tuple(sorted(pivot_cols)), kernel, tol_rank, left_null
-    )
+    return Jacobian(matrix, rank, tuple(pivots), kernel, tol_rank, left_null)
 
 
 def _fix_sign(v):
@@ -108,7 +103,7 @@ def _fix_sign(v):
     return v
 
 
-def compose_family(prob: Problem, x) -> Problem:
+def compose_family(prob: Problem) -> Problem:
     """Equivalent problem whose family members are the literal composites.
 
     Family members written over y1..yq (as x-variables of arity q) are
@@ -137,15 +132,15 @@ def _recover_y_star(prob: Problem, x, cert: Certificate):
     return y
 
 
-def certify_composed(prob: Problem, x, opts: Options = Options(), grid=None) -> Certificate:
+def certify_composed(prob: Problem, x, opts: Options = Options()) -> Certificate:
     """Fritz John certificate for max f s.t. g(x) in A, with the y* witness.
 
     Runs the core certification on the composed family and recovers
     y* in the image space as the convex combination of the pre-chain
     gradients with the certificate coefficients, so x* = J_g^T y*.
     """
-    derived = compose_family(prob, x)
-    cert = certify_fj(derived, x, opts, grid)
+    derived = compose_family(prob)
+    cert = certify_fj(derived, x, opts)
     if cert.found and cert.coeffs:
         return replace(cert, y_star=_recover_y_star(prob, x, cert))
     return cert
@@ -170,7 +165,7 @@ class FullCertificate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def certify_equality(prob: Problem, x, opts: Options = Options(), grid=None) -> FullCertificate:
+def certify_equality(prob: Problem, x, opts: Options = Options()) -> FullCertificate:
     """Lagrange-type certificate with equality constraints h(x) = 0.
 
     Branches on the equality Jacobian: rank-deficient Jacobians yield the
@@ -196,12 +191,12 @@ def certify_equality(prob: Problem, x, opts: Options = Options(), grid=None) -> 
     grad_f = gradient(prob.objective, x, kink_tol=opts.tol_kink)
     kernel = jac.kernel_basis  # (d, p) orthonormal rows
 
-    derived = compose_family(prob, x) if prob.inner_map is not None else prob
+    derived = compose_family(prob) if prob.inner_map is not None else prob
     if prob.family is None or not kernel.size:
         # no inequality, or Ker J_h = {0} leaves the inequalities no direction:
         # once x obeys them, (lambda0, z*) = (1, 0) and w* lifts -grad f
         if prob.family is not None:
-            report = feasibility(derived, x, opts.tol_feas, grid)
+            report = feasibility(derived, x, opts.tol_feas)
             if not report.feasible:
                 raise InfeasibleError(report)
         projected = kernel.T @ (kernel @ grad_f) if kernel.size else np.zeros_like(grad_f)
@@ -218,7 +213,7 @@ def certify_equality(prob: Problem, x, opts: Options = Options(), grid=None) -> 
             return FullCertificate(True, "onto_no_a", 1.0, None, w_star, residual, jac)
         return FullCertificate(True, "onto_with_a", 1.0, np.zeros(prob.q), w_star, residual, jac)
 
-    inner_cert = certify_fj(derived, x, opts, grid, restrict=kernel)
+    inner_cert = certify_fj(derived, x, opts, restrict=kernel)
     if not inner_cert.found:
         return FullCertificate(
             False, "onto_with_a", 0.0, None, None, float("inf"), jac, inner_cert,

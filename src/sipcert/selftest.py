@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .expr import Bin, ExprFn, Num, evaluate, gradient, linear_expr, parse
-from .fixtures import fixture_names, load_fixture
+from .fixtures import fixture_names, fixture_path
 from .geometry import (
     Hull,
     Polyhedron,
@@ -28,7 +28,7 @@ from .geometry import (
 from .model import FiniteFamily, Problem, admissible_diagnostics
 from .multipliers import certify_fj, sip_multipliers, tc_approx
 from .options import Options, resolve_seed
-from .problemfile import emit_json
+from .problemfile import emit_json, load_problem
 from .reduction import certify_composed, certify_equality, convex_set_multiplier
 
 __all__ = ["run_selftest", "ladder_nested", "simplex_grid", "grid_hull_residual"]
@@ -77,9 +77,9 @@ def run_selftest(tol=None, as_json=False) -> int:
     return 0 if failures == 0 else 1
 
 
-def _load(name, opts):
-    loaded = load_fixture(name)
-    return loaded.problem, loaded.candidate, opts.replace(**loaded.options), loaded.grid
+def _load(name, opts, grid=None):
+    loaded = load_problem(fixture_path(name), grid)  # its box on grid, if given
+    return loaded.problem, loaded.candidate, opts.replace(**loaded.options)
 
 
 def _rounded(hull):
@@ -90,8 +90,8 @@ def _rounded(hull):
 
 
 def check_near_active(opts, rng):
-    problem, candidate, fixture_opts, grid = _load("near_active", opts)
-    cert = certify_fj(problem, candidate, fixture_opts, grid)
+    problem, candidate, fixture_opts = _load("near_active", opts)
+    cert = certify_fj(problem, candidate, fixture_opts)
     final = cert.tc.final
     ok = (
         len(final) == 2
@@ -109,17 +109,17 @@ def check_near_active(opts, rng):
 
 
 def check_strict_active(opts, rng):
-    problem, candidate, fixture_opts, grid = _load("strict_active", opts)
-    cert = certify_fj(problem, candidate, fixture_opts, grid)
+    problem, candidate, fixture_opts = _load("strict_active", opts)
+    cert = certify_fj(problem, candidate, fixture_opts)
     final = sorted(tuple(float(v) for v in g) for g in cert.tc.final.generators)
     ok = cert.kind == "no_certificate" and final == [(1.0, 0.0)]
     return ok, f"kind={cert.kind} final={final}"
 
 
 def check_sip_linear(opts, rng, *, grid):
-    problem, candidate, fixture_opts, _ = _load("sip_linear", opts)
-    tc = tc_approx(problem, candidate, fixture_opts, grid)
-    sm = sip_multipliers(problem, candidate, fixture_opts, grid)
+    problem, candidate, fixture_opts = _load("sip_linear", opts, grid)
+    tc = tc_approx(problem, candidate, fixture_opts)
+    sm = sip_multipliers(problem, candidate, fixture_opts)
     hausdorff = float(_segment_distance_inf(tc.final.generators, [-1.0, 0.0], [0.0, -1.0]).max())
     ok = (
         hausdorff <= 1e-6
@@ -165,11 +165,11 @@ def _segment_distance_inf(points, a, b):
 
 
 def check_sip_trig(opts, rng, *, grid):
-    problem, candidate, fixture_opts, _ = _load("sip_trig", opts)
-    cert = certify_fj(problem, candidate, fixture_opts, grid)
+    problem, candidate, fixture_opts = _load("sip_trig", opts, grid)
+    cert = certify_fj(problem, candidate, fixture_opts)
     # h = x1 cos t + x2 sin t vanishes at x = 0 for every t: the closed-form
     # hull is conv{(cos t, sin t)} over the whole grid, compared both ways
-    t = problem.family.index.grid_points(grid)[:, 0]
+    t = problem.family.index.grid_points()[:, 0]
     closed_form = Hull(np.column_stack([np.cos(t), np.sin(t)]))
     final = cert.tc.final
     gap = max(one_sided_hull_gap(final, closed_form), one_sided_hull_gap(closed_form, final))
@@ -178,8 +178,8 @@ def check_sip_trig(opts, rng, *, grid):
 
 
 def check_circle(opts, rng):
-    problem, candidate, fixture_opts, grid = _load("eq_circle", opts)
-    cert = certify_equality(problem, candidate, fixture_opts, grid)
+    problem, candidate, fixture_opts = _load("eq_circle", opts)
+    cert = certify_equality(problem, candidate, fixture_opts)
     ok = (
         cert.found
         and cert.branch == "onto_no_a"
@@ -193,8 +193,8 @@ def check_circle(opts, rng):
 
 
 def check_duprow(opts, rng):
-    problem, candidate, fixture_opts, grid = _load("eq_duplicated_rows", opts)
-    cert = certify_equality(problem, candidate, fixture_opts, grid)
+    problem, candidate, fixture_opts = _load("eq_duplicated_rows", opts)
+    cert = certify_equality(problem, candidate, fixture_opts)
     unit = abs(np.linalg.norm(cert.w_star) - 1.0) <= 1e-9
     orthogonal = np.abs(cert.jacobian.matrix.T @ cert.w_star).max() <= 1e-9
     ok = cert.branch == "not_onto" and unit and orthogonal
@@ -202,8 +202,8 @@ def check_duprow(opts, rng):
 
 
 def check_orthant_line(opts, rng):
-    problem, candidate, fixture_opts, grid = _load("eq_orthant_line", opts)
-    cert = certify_equality(problem, candidate, fixture_opts, grid)
+    problem, candidate, fixture_opts = _load("eq_orthant_line", opts)
+    cert = certify_equality(problem, candidate, fixture_opts)
     check = convex_set_multiplier(problem.family.poly, candidate, cert.z_star, 1e-8)
     ok = cert.found and cert.branch == "onto_with_a" and cert.residual <= fixture_opts.tol and check.passed
     return ok, (
@@ -213,8 +213,8 @@ def check_orthant_line(opts, rng):
 
 
 def check_parabola(opts, rng):
-    problem, candidate, fixture_opts, grid = _load("composed_parabola", opts)
-    cert = certify_composed(problem, candidate, fixture_opts, grid)
+    problem, candidate, fixture_opts = _load("composed_parabola", opts)
+    cert = certify_composed(problem, candidate, fixture_opts)
     check = convex_set_multiplier(
         problem.family.poly,
         np.array([evaluate(g, candidate) for g in problem.inner_map]),
@@ -234,8 +234,8 @@ def check_parabola(opts, rng):
 
 
 def check_cones(opts, rng):
-    orthant, o_cand, o_opts, _ = _load("cone_orthant", opts)
-    hyper, h_cand, h_opts, _ = _load("cone_hyperplane", opts)
+    orthant, o_cand, o_opts = _load("cone_orthant", opts)
+    hyper, h_cand, h_opts = _load("cone_hyperplane", opts)
     d_orthant = admissible_diagnostics(orthant, o_cand, o_opts)
     d_hyper = admissible_diagnostics(hyper, h_cand, h_opts)
     c_orthant = cone_interior_nonempty(orthant.family.poly)
@@ -340,11 +340,12 @@ def check_nesting(opts, rng, *, samples):
     """Every fixture with a family and no inner map, then ``samples`` random finite problems."""
     bad = []
     for name in fixture_names():
-        problem, candidate, fixture_opts, grid = _load(name, opts)
+        problem, candidate, fixture_opts = _load(name, opts)
         if problem.family is None or problem.inner_map is not None:
             continue
-        grid = 129 if (grid or 0) > 129 else grid
-        if not ladder_nested(tc_approx(problem, candidate, fixture_opts, grid)):
+        if not problem.family.pure_finite and problem.family.index.base_grid > 129:
+            problem, candidate, fixture_opts = _load(name, opts, 129)
+        if not ladder_nested(tc_approx(problem, candidate, fixture_opts)):
             bad.append(name)
     for i in range(samples):
         problem, candidate = _random_finite_problem(rng)
@@ -402,15 +403,15 @@ def check_caratheodory(opts, rng, *, samples):
 
 
 def check_scaling(opts, rng):
-    problem, candidate, fixture_opts, grid = _load("near_active", opts)
-    base = certify_fj(problem, candidate, fixture_opts, grid)
+    problem, candidate, fixture_opts = _load("near_active", opts)
+    base = certify_fj(problem, candidate, fixture_opts)
     details = []
     ok = True
     for c in (1e-3, 1.0, 1e3):
         scaled = Problem(
             problem.p, ExprFn(Bin("*", Num(c), problem.objective.ast), problem.p), problem.family
         )
-        cert = certify_fj(scaled, candidate, fixture_opts, grid)
+        cert = certify_fj(scaled, candidate, fixture_opts)
         moved = np.abs(cert.x_star - base.x_star).max()
         ok = ok and cert.kind == base.kind and moved <= fixture_opts.tol
         details.append(f"c={c:g}: {cert.kind}")

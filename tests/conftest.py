@@ -21,16 +21,16 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
-def active_set(prob, x, eps, opts=Options(), grid=None):
+def active_set(prob, x, eps, opts=Options()):
     """The near-active rung at eps of a scan made at eps: members with
     0 <= value <= eps, with gradients (box families bisect their discrete
     local minima).  Raises ``InfeasibleError`` at an infeasible x.  The
     direct scan that ``FamilyScan.at`` must reproduce for every eps below
     its cap."""
-    values, report = evaluate_family(prob, x, opts.tol_feas, grid)
+    values, report = evaluate_family(prob, x, opts.tol_feas)
     if not report.feasible:
         raise InfeasibleError(report)
-    return FamilyScan(prob, x, values, eps, opts, grid).at(eps)
+    return FamilyScan(prob, x, values, eps, opts).at(eps)
 
 
 @pytest.fixture

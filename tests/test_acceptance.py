@@ -39,7 +39,7 @@ def test_criterion_1_near_active_counterexample():
 
 
 def test_criterion_2_sip_closed_form():
-    assert load_fixture("sip_linear").grid == 1025
+    assert load_fixture("sip_linear").problem.family.index.base_grid == 1025
     started = time.perf_counter()
     ok, detail = checks.check_sip_linear(OPTS, None, grid=1025)
     elapsed = time.perf_counter() - started

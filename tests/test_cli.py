@@ -92,10 +92,11 @@ class TestCertify:
             ("--refine", "-3", "must be >= 0"),
             ("--max-steps", "-1", "must be >= 0"),
             ("--tol", "nan", "must be finite and >= 0"),
+            ("--grid", "1", "must be at least 2"),
         ],
     )
     def test_flag_out_of_range_exit_four(self, flag, value, message, capsys):
-        # checked before any computation, and named like --grid 1
+        # checked before any computation
         from sipcert import cli
 
         argv = ["certify", fixture_path("sip_trig"), f"{flag}={value}", "--json"]
@@ -314,9 +315,9 @@ class TestCertify:
         calls = []
         grid_points = IndexSet.grid_points
 
-        def counted(self, grid=None):
-            calls.append(grid)
-            return grid_points(self, grid)
+        def counted(self):
+            calls.append(self)
+            return grid_points(self)
 
         monkeypatch.setattr(IndexSet, "grid_points", counted)
         assert cli.main(["certify", fixture_path(name), "--json"]) == 0
@@ -404,6 +405,21 @@ class TestTcset:
         code, report = run_json("tcset", str(path))
         gens = {tuple(g) for g in report["final"]["generators"]}
         assert (-1.0, 0.0) in gens and (0.0, -1.0) in gens
+
+    def test_a_closed_pipe_keeps_the_exit_code(self):
+        # about 933 KB of output, and the reader leaves after one line: the
+        # rest goes to os.devnull, with no traceback and the command's exit code
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sipcert", "tcset", fixture_path("sip_trig"),
+             "--eps0", "1", "--grid", "16385"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline().startswith(b"ladder")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+        assert stderr == b""
 
 
 class TestAdmissible:
@@ -519,6 +535,33 @@ def test_tol_lp_changes_no_report_or_count(name, tmp_path, capsys):
         (code, report, options), (loose_code, loose, loose_options) = reports
         assert (loose_code, loose) == (code, report)
         assert loose_options == ({**options, "tol_lp": 1e-6} if options else {})
+
+
+@pytest.mark.parametrize("command", ["certify", "tcset", "admissible"])
+def test_grid_flag_is_the_file_grid(command, tmp_path, capsys):
+    # --grid N gives the reports, work counts included, of a file that says
+    # "grid": N, unlike the file's own grid; a polyhedral family ignores it
+    from sipcert import cli
+
+    doc = json.loads(open(fixture_path("sip_trig")).read())
+    doc["constraints"]["parametric"]["grid"] = 257
+    path = tmp_path / "sip_trig_257.json"
+    path.write_text(json.dumps(doc))
+    runs = [
+        [fixture_path("sip_trig"), "--grid", "257"],
+        [str(path)],
+        [fixture_path("sip_trig")],
+        [fixture_path("cone_orthant"), "--grid", "257"],
+        [fixture_path("cone_orthant")],
+    ]
+    reports = []
+    for argv in runs:
+        code = cli.main([command, *argv, "--json"])
+        report = json.loads(capsys.readouterr().out)
+        report.get("timings", {}).pop("total_s", None)
+        reports.append((code, report))
+    assert reports[0] == reports[1] != reports[2]
+    assert reports[3] == reports[4]
 
 
 class TestDeterminism:

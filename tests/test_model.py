@@ -198,10 +198,9 @@ class TestActiveSet:
     def test_grid_doubling_keeps_refined_tags_close(self):
         # doubling the base grid moves surviving parameters by at most one
         # refinement cell width on the linear fixture
-        prob = linear_sip_problem()
         opts = Options()
-        coarse = active_set(prob, (1, 1), 1e-8, opts, grid=65)
-        fine = active_set(prob, (1, 1), 1e-8, opts, grid=129)
+        coarse = active_set(linear_sip_problem(65), (1, 1), 1e-8, opts)
+        fine = active_set(linear_sip_problem(129), (1, 1), 1e-8, opts)
         fine_params = np.array([param[0] for param in _params(fine)])
         cell = (1.0 / 64) / 2**opts.refine_depth
         for param in _params(coarse):
@@ -368,9 +367,9 @@ class TestEquiLipschitz:
         calls = []
         grid_points = IndexSet.grid_points
 
-        def counted(self, grid=None):
-            calls.append(grid)
-            return grid_points(self, grid)
+        def counted(self):
+            calls.append(self)
+            return grid_points(self)
 
         monkeypatch.setattr(IndexSet, "grid_points", counted)
         equi_lipschitz_estimate(linear_sip_problem(33), (1, 1), 0.5, 32, seed=1)
@@ -536,7 +535,7 @@ def _ball_reference(rng, center, radius):
     return center + radius * rng.random() ** (1.0 / center.size) * direction
 
 
-def _lipschitz_reference(prob, x, radius, samples, seed, grid=None):
+def _lipschitz_reference(prob, x, radius, samples, seed):
     """The estimate as one loop over the sample pairs, every member's values per point."""
     x = np.asarray(x, dtype=float)
     p = x.size
@@ -548,7 +547,7 @@ def _lipschitz_reference(prob, x, radius, samples, seed, grid=None):
             pairs.append((u, v))
     best = 0.0
     for u, v in pairs:
-        change = np.abs(prob.family.values(u, grid) - prob.family.values(v, grid)).max()
+        change = np.abs(prob.family.values(u) - prob.family.values(v)).max()
         best = max(best, float(change) / np.linalg.norm(u - v))
     return best
 

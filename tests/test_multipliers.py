@@ -148,7 +148,7 @@ class TestLadderGap:
     def test_sip_trig_ladder(self, monkeypatch):
         loaded = load_fixture("sip_trig")
         opts = Options().replace(**loaded.options)
-        tc = tc_approx(loaded.problem, loaded.candidate, opts, loaded.grid)
+        tc = tc_approx(loaded.problem, loaded.candidate, opts)
         assert len(tc.ladder) >= 3
         scan = tc.ladder[0][1].scan
         gaps = [
@@ -222,13 +222,13 @@ class _RowsFamily(model_mod._Family):
     def arity(self):
         return self._rows[1].shape[1]
 
-    def values(self, x, grid=None):
+    def values(self, x):
         return self._rows[0]
 
-    def gradients(self, x, rows, grid=None, kink_tol=None):
+    def gradients(self, x, rows, kink_tol=None):
         return self._rows[1][rows]
 
-    def _indexed_labels(self, idx, grid):
+    def _indexed_labels(self, idx):
         return [(f"r{j}", None) for j in idx]
 
 
@@ -390,15 +390,13 @@ class TestClosedFormAgreement:
 
     @pytest.mark.parametrize("name", ["sip_linear", "sip_trig"])
     def test_one_sided_hausdorff(self, name):
-        from sipcert.fixtures import load_fixture
+        from sipcert.fixtures import fixture_path
+        from sipcert.problemfile import load_problem
 
-        loaded = load_fixture(name)
+        loaded = load_problem(fixture_path(name), 257)
         opts = Options().replace(**loaded.options)
-        grid = 257
-        tc = tc_approx(loaded.problem, loaded.candidate, opts, grid)
-        reference = active_set(
-            loaded.problem, loaded.candidate, opts.tol_feas, opts, grid
-        ).hull()
+        tc = tc_approx(loaded.problem, loaded.candidate, opts)
+        reference = active_set(loaded.problem, loaded.candidate, opts.tol_feas, opts).hull()
         gap = one_sided_hull_gap(tc.final, reference)
         assert gap <= 1e-6
 

@@ -77,7 +77,7 @@ class TestLoad:
         family = loaded.problem.family
         assert isinstance(family, ParametricFamily)
         assert len(family.extra) == 1
-        assert loaded.grid == 10
+        assert loaded.problem.family.index.base_grid == 10
 
     def test_polyhedral_stands_alone(self):
         doc = minimal(

@@ -86,7 +86,7 @@ class TestComposeFamily:
             FiniteFamily((parse("x1", 2),), ("m0",)),
             inner_map=(parse("x1 + x2", 2), parse("x1 - x2", 2)),
         )
-        derived = compose_family(prob, (0, 0))
+        derived = compose_family(prob)
         assert np.array_equal(gradient(derived.family.members[0], (0, 0)), [1, 1])
 
     def test_identity_is_noop_up_to_representation(self):
@@ -96,7 +96,7 @@ class TestComposeFamily:
             FiniteFamily((parse("x1", 2), parse("x2", 2))),
             inner_map=(parse("x1", 2), parse("x2", 2)),
         )
-        derived = compose_family(prob, (0, 0))
+        derived = compose_family(prob)
         for member, original in zip(derived.family.members, prob.family.members):
             for x in ([0.3, -0.2], [1.0, 2.0]):
                 assert evaluate(member, x) == evaluate(original, x)
@@ -108,7 +108,7 @@ class TestComposeFamily:
         inner = (parse("x1 + 2*x2", 2), parse("3*x1 + 4*x2", 2))
         phi = parse("0.5*x1 - 1.5*x2", 2)
         prob = Problem(2, parse("x1", 2), FiniteFamily((phi,)), inner_map=inner)
-        derived = compose_family(prob, (0, 0))
+        derived = compose_family(prob)
         assert np.allclose(gradient(derived.family.members[0], (0, 0)), M.T @ y_star)
 
     def test_gradients_match_fd_on_random_composites(self, rng):
@@ -119,7 +119,7 @@ class TestComposeFamily:
             g1 = parse(inners[rng.integers(len(inners))], 2)
             g2 = parse(inners[rng.integers(len(inners))], 2)
             prob = Problem(2, parse("x1", 2), FiniteFamily((phi,)), inner_map=(g1, g2))
-            derived = compose_family(prob, (0, 0))
+            derived = compose_family(prob)
             member = derived.family.members[0]
             x = rng.uniform(-1, 1, size=2)
             g = gradient(member, x)
@@ -128,7 +128,7 @@ class TestComposeFamily:
 
     def test_requires_inner_map(self):
         with pytest.raises(ValueError):
-            compose_family(Problem(2, parse("x1", 2)), (0, 0))
+            compose_family(Problem(2, parse("x1", 2)))
 
 
 class TestCertifyComposed:
