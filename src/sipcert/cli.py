@@ -273,7 +273,7 @@ def cmd_certify(args) -> int:
             and cert.found
             and not tc.interior
         ):
-            sm = sip_multipliers(problem, candidate, opts, certificate=cert)
+            sm = sip_multipliers(cert, opts)
             report["sip_multipliers"] = {
                 "lambda0": sm.lambda0,
                 "entries": [_weight(tag, param, w) for tag, param, w, _ in sm.entries],

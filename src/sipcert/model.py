@@ -255,16 +255,12 @@ class ParametricFamily(_Family):
     h: ExprFn
     index: IndexSet
     extra: tuple[ExprFn, ...] = ()
-    extra_tags: tuple[str, ...] = ()
 
     pure_finite = False
 
     def __post_init__(self):
         object.__setattr__(self, "extra", tuple(self.extra))
-        tags = tuple(self.extra_tags) or tuple(f"phi{i}" for i in range(len(self.extra)))
-        if len(tags) != len(self.extra):
-            raise ValueError("one tag per extra member required")
-        object.__setattr__(self, "extra_tags", tags)
+        tags = tuple(f"phi{i}" for i in range(len(self.extra)))
         object.__setattr__(self, "_listed", tuple(zip(tags, self.extra)))
         if self.h.arity_t != self.index.t_dim:
             raise ValueError("h arity in t must match the index-set dimension")
@@ -282,7 +278,6 @@ class ParametricFamily(_Family):
             substitute_expr(self.h, inner),
             self.index,
             tuple(substitute_expr(m, inner) for m in self.extra),
-            self.extra_tags,
         )
 
     def entry_gradient(self, y, tag, param):
@@ -542,10 +537,12 @@ def evaluate_family(prob: Problem, x, tol_feas: float = 1e-9) -> tuple[np.ndarra
     """The values of every discretized family member at x, and their report.
 
     Feasible iff the minimum is >= -tol_feas and every equality holds within
-    tol_feas.  The report also says whether the infimum sits at zero, the
-    boundary indicator used to decide between the interior (unconstrained)
-    and constrained branches.  The minimum is the first smallest row; tags
-    are formatted for it and for the violations only.
+    tol_feas.  The report also says whether the family infimum sits at
+    zero, the boundary indicator used to decide between the interior
+    (unconstrained) and constrained branches.  The minimum is the first
+    smallest row, or ``-violation`` tagged ``"equality"`` when the equality
+    rows are violated worse than every row; tags are formatted for it and
+    for the violations only.
     """
     if prob.inner_map is not None:
         raise ValueError("compose the inner map before feasibility checks")
@@ -562,11 +559,17 @@ def evaluate_family(prob: Problem, x, tol_feas: float = 1e-9) -> tuple[np.ndarra
         )
     feasible = not violations and eq_violation <= tol_feas
     boundary = min_value <= tol_feas
+    if eq_violation > tol_feas and -eq_violation < min_value:
+        min_value, min_tag = -eq_violation, "equality"
     return values, FeasibilityReport(feasible, min_value, min_tag, boundary, violations, eq_violation)
 
 
 def feasibility(prob: Problem, x, tol_feas: float = 1e-9) -> FeasibilityReport:
-    """The report of :func:`evaluate_family`, without the values."""
+    """The report of :func:`evaluate_family`, without the values.
+
+    No certification calls it (they read :func:`evaluate_family` through
+    ``tc_approx``); it stays for library callers and ``bench/tracing.py``.
+    """
     return evaluate_family(prob, x, tol_feas)[1]
 
 

@@ -16,7 +16,7 @@ lies outside the final hull.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +32,10 @@ from .geometry import (
 from .model import FamilyScan, InfeasibleError, Problem, evaluate_family
 from .options import Options
 
-__all__ = ["TCApprox", "Certificate", "SipMultipliers", "tc_approx", "certify_fj", "sip_multipliers"]
+__all__ = [
+    "TCApprox", "Certificate", "SipMultipliers", "tc_approx", "certify_fj", "certify_ladder",
+    "sip_multipliers",
+]
 
 
 @dataclass(frozen=True)
@@ -179,22 +182,23 @@ def tc_approx(prob: Problem, x, opts: Options = Options()) -> TCApprox:
     )
 
 
-def certify_fj(
-    prob: Problem, x, opts: Options = Options(), restrict: np.ndarray | None = None
-) -> Certificate:
+def certify_fj(prob: Problem, x, opts: Options = Options()) -> Certificate:
     """First-order (Fritz John) certificate for max f over the family constraints.
 
-    ``restrict`` maps all gradients into a subspace basis (rows) before
-    certification; it is used by the equality reduction to certify in the
-    kernel coordinates of the equality Jacobian.  An infeasible x raises
-    :class:`InfeasibleError` before the objective gradient is taken.
+    The ladder (:func:`tc_approx`), then the objective gradient, then
+    :func:`certify_ladder`.  An infeasible x raises :class:`InfeasibleError`
+    before the objective gradient is taken.
     """
     tc = tc_approx(prob, x, opts)
-    grad_f = gradient(prob.objective, x, kink_tol=opts.tol_kink)
-    if restrict is not None:
-        grad_f = restrict @ grad_f
-        if len(tc.final):
-            tc = replace(tc, final=Hull(tc.final.generators @ restrict.T))
+    return certify_ladder(tc, gradient(prob.objective, x, kink_tol=opts.tol_kink), opts)
+
+
+def certify_ladder(tc: TCApprox, grad_f, opts: Options = Options()) -> Certificate:
+    """The certificate 0 in [grad_f, T_C] over the ladder ``tc``, decided by one LP.
+
+    The equality reduction passes a ladder whose final hull and ``grad_f``
+    are both in the kernel coordinates of the equality Jacobian.
+    """
     approx = not tc.converged
 
     if tc.interior:
@@ -263,39 +267,29 @@ class SipMultipliers:
     entries: tuple  # ((tag, param, lambda_i, generator), ...)
     residual: float
     lambda0_nonzero_guaranteed: bool
-    approximate: bool
-    certificate: Certificate
 
     @property
     def k(self) -> int:
         return len(self.entries)
 
 
-def sip_multipliers(
-    prob: Problem, x, opts: Options = Options(), certificate: Certificate | None = None
-) -> SipMultipliers:
-    """Recast a Fritz John certificate as semi-infinite multipliers.
+def sip_multipliers(cert: Certificate, opts: Options = Options()) -> SipMultipliers:
+    """Recast a Fritz John certificate of a parametric family as semi-infinite multipliers.
 
-    Requires a parametric family and a nonempty (near-)active set at x.
-    The support is reduced so that at most p index points carry weight, or
-    p + 1 when lambda0 = 0 (Caratheodory over grad f and the support
-    generators); an exact coincidence of the segment witness with a single
-    generator is preferred, it realizes the smallest possible support.  Pass a
-    ``certificate`` from an earlier :func:`certify_fj` run to skip the
-    recertification; interior and boundary are read from its ladder.
+    ``cert`` comes from :func:`certify_fj` and must have a nonempty
+    (near-)active set.  The support is reduced so that at most p index
+    points carry weight, or p + 1 when lambda0 = 0 (Caratheodory over
+    grad f and the support generators); an exact coincidence of the segment
+    witness with a single generator is preferred, it realizes the smallest
+    possible support.
     """
-    if prob.family is None or prob.family.pure_finite:
-        raise ValueError("sip_multipliers requires a parametric constraint family")
-    cert = certificate if certificate is not None else certify_fj(prob, x, opts)
     if cert.tc.interior:
         raise ValueError("active set is empty: the candidate is interior")
     if not cert.found:
-        return SipMultipliers(False, 0.0, (), float("inf"), False, cert.approximate, cert)
+        return SipMultipliers(False, 0.0, (), float("inf"), False)
     if cert.beta <= 0.0:
         residual = float(np.abs(cert.grad_f).max(initial=0.0))
-        return SipMultipliers(
-            True, cert.lam, (), residual, bool(cert.zero_not_in_tc), cert.approximate, cert
-        )
+        return SipMultipliers(True, cert.lam, (), residual, bool(cert.zero_not_in_tc))
 
     hull = cert.tc.final
     target = cert.x_star
@@ -330,9 +324,7 @@ def sip_multipliers(
                 entries.append((tag, param, float(w), atoms[i]))
         entries = tuple(entries)
     residual = _sip_residual(lam0, cert.grad_f, entries)
-    return SipMultipliers(
-        True, lam0, entries, residual, bool(cert.zero_not_in_tc), cert.approximate, cert
-    )
+    return SipMultipliers(True, lam0, entries, residual, bool(cert.zero_not_in_tc))
 
 
 def _sip_residual(lam0, grad_f, entries):

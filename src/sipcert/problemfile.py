@@ -94,6 +94,8 @@ def _number_list(values, where, length=None):
 
 def load_problem(source, grid: int | None = None) -> LoadedProblem:
     """Load and validate a problem file (path, JSON text, or mapping), its box on ``grid`` if given."""
+    valid_grid = grid is None or isinstance(grid, (int, np.integer)) and grid >= 2
+    _require(valid_grid, f"must be an integer >= 2, got {grid!r}", "grid")
     if isinstance(source, dict):
         doc = source
     else:

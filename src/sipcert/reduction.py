@@ -15,9 +15,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .expr import evaluate, gradient
-from .geometry import Polyhedron, polyhedron_minimize, recession_cone
-from .model import FeasibilityReport, InfeasibleError, Problem, feasibility
-from .multipliers import Certificate, certify_fj
+from .geometry import Hull, Polyhedron, polyhedron_minimize, recession_cone
+from .model import Problem
+from .multipliers import Certificate, certify_fj, certify_ladder, tc_approx
 from .options import Options
 
 __all__ = [
@@ -50,14 +50,18 @@ class Jacobian:
     left_null: np.ndarray | None = None
 
 
-def compute_jacobian(exprs, x, tol_rank_factor: float = 1e-10, kink_tol: float = 1e-12) -> Jacobian:
+# a pivot at most this factor of the largest Jacobian entry counts as zero
+_TOL_RANK_FACTOR = 1e-10
+
+
+def compute_jacobian(exprs, x, kink_tol: float = 1e-12) -> Jacobian:
     x = np.asarray(x, dtype=float)
     p = x.size
     rows = [gradient(h, x, kink_tol=kink_tol) for h in exprs]
     matrix = np.array(rows, dtype=float).reshape(len(rows), p)
     w = matrix.shape[0]
     max_norm = float(np.abs(matrix).max(initial=0.0))
-    tol_rank = tol_rank_factor * max_norm if max_norm > 0 else tol_rank_factor
+    tol_rank = _TOL_RANK_FACTOR * max_norm if max_norm > 0 else _TOL_RANK_FACTOR
 
     # complete-pivot elimination for the rank decision
     work = matrix.copy()
@@ -168,20 +172,17 @@ class FullCertificate:
 def certify_equality(prob: Problem, x, opts: Options = Options()) -> FullCertificate:
     """Lagrange-type certificate with equality constraints h(x) = 0.
 
-    Branches on the equality Jacobian: rank-deficient Jacobians yield the
-    degenerate certificate (0, 0, left-null); full-rank ones certify the
-    inequalities in kernel coordinates (only their feasibility when the
-    kernel is {0}), then lift the equality multiplier by least squares.
+    Checks x as every certification does, by the ladder (:func:`tc_approx`)
+    over the composed family and the equality rows, before the Jacobian.
+    Then branches on the equality Jacobian: rank-deficient Jacobians yield
+    the degenerate certificate (0, 0, left-null); full-rank ones certify the
+    ladder restricted to the kernel coordinates (only x's feasibility when
+    the kernel is {0}), then lift the equality multiplier by least squares.
     """
     x = np.asarray(x, dtype=float)
-    equality = prob.equality or ()
-    if equality:
-        violation = max(abs(evaluate(h, x)) for h in equality)
-        if violation > opts.tol_feas:
-            raise InfeasibleError(
-                FeasibilityReport(False, -violation, "equality", False, (), violation)
-            )
-    jac = compute_jacobian(equality, x, kink_tol=opts.tol_kink)
+    derived = compose_family(prob) if prob.inner_map is not None else prob
+    tc = tc_approx(derived, x, opts)
+    jac = compute_jacobian(prob.equality or (), x, kink_tol=opts.tol_kink)
     w = jac.matrix.shape[0]
 
     if jac.rank < w:
@@ -191,14 +192,9 @@ def certify_equality(prob: Problem, x, opts: Options = Options()) -> FullCertifi
     grad_f = gradient(prob.objective, x, kink_tol=opts.tol_kink)
     kernel = jac.kernel_basis  # (d, p) orthonormal rows
 
-    derived = compose_family(prob) if prob.inner_map is not None else prob
     if prob.family is None or not kernel.size:
         # no inequality, or Ker J_h = {0} leaves the inequalities no direction:
-        # once x obeys them, (lambda0, z*) = (1, 0) and w* lifts -grad f
-        if prob.family is not None:
-            report = feasibility(derived, x, opts.tol_feas)
-            if not report.feasible:
-                raise InfeasibleError(report)
+        # as x obeys them, (lambda0, z*) = (1, 0) and w* lifts -grad f
         projected = kernel.T @ (kernel @ grad_f) if kernel.size else np.zeros_like(grad_f)
         pnorm = float(np.abs(projected).max(initial=0.0))
         if pnorm > opts.tol:
@@ -213,7 +209,8 @@ def certify_equality(prob: Problem, x, opts: Options = Options()) -> FullCertifi
             return FullCertificate(True, "onto_no_a", 1.0, None, w_star, residual, jac)
         return FullCertificate(True, "onto_with_a", 1.0, np.zeros(prob.q), w_star, residual, jac)
 
-    inner_cert = certify_fj(derived, x, opts, restrict=kernel)
+    restricted = replace(tc, final=Hull(tc.final.generators @ kernel.T))
+    inner_cert = certify_ladder(restricted, kernel @ grad_f, opts)
     if not inner_cert.found:
         return FullCertificate(
             False, "onto_with_a", 0.0, None, None, float("inf"), jac, inner_cert,

@@ -118,8 +118,8 @@ def check_strict_active(opts, rng):
 
 def check_sip_linear(opts, rng, *, grid):
     problem, candidate, fixture_opts = _load("sip_linear", opts, grid)
-    tc = tc_approx(problem, candidate, fixture_opts)
-    sm = sip_multipliers(problem, candidate, fixture_opts)
+    cert = certify_fj(problem, candidate, fixture_opts)
+    tc, sm = cert.tc, sip_multipliers(cert, fixture_opts)
     hausdorff = float(_segment_distance_inf(tc.final.generators, [-1.0, 0.0], [0.0, -1.0]).max())
     ok = (
         hausdorff <= 1e-6

@@ -222,6 +222,21 @@ class TestCertify:
         code, report = run_json("certify", str(path))
         assert (code, report["verdict"]) == (3, "Infeasible")
 
+    def test_rank_deficient_equality_still_checks_the_family(self, tmp_path, capsys):
+        # the degenerate branch answers only for a feasible candidate
+        from sipcert import cli
+
+        doc = {"dimension": 2, "objective": "x2", "constraints": {"finite": ["-x2"]},
+               "equality": ["x1", "x1"], "candidate": [0.0, 0.5]}
+        path = tmp_path / "rank_deficient.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["certify", str(path), "--json"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert (report["verdict"], report["min_tag"], report["min_value"]) == ("Infeasible", "phi0", -0.5)
+        assert report["violations"] == [{"tag": "phi0", "value": -0.5}]
+        assert cli.main(["certify", str(path)]) == 3
+        assert capsys.readouterr().out == "verdict: Infeasible\n  worst constraint phi0: -0.5\n"
+
     @pytest.mark.parametrize("objective, constraints, verdict", [
         ("x1 - x2", ["1 - x1"], "Unconstrained"),  # interior; grad f is orthogonal to the kernel
         ("x1 + x2", ["x1 + x2", "-x1 - x2"], "FJ"),  # 0 lies in the kernel-restricted T_C
@@ -562,6 +577,25 @@ def test_grid_flag_is_the_file_grid(command, tmp_path, capsys):
         reports.append((code, report))
     assert reports[0] == reports[1] != reports[2]
     assert reports[3] == reports[4]
+
+
+def test_every_command_names_a_violated_equality(tmp_path, capsys):
+    # eq_circle off its circle: tcset and admissible say what certify says
+    from sipcert import cli
+
+    doc = json.loads(open(fixture_path("eq_circle")).read())
+    doc["candidate"] = [0.5, 0.5]
+    path = tmp_path / "off_circle.json"
+    path.write_text(json.dumps(doc))
+    expected = (
+        '{"tool": "sipcert", "command": "certify", "verdict": "Infeasible", "violations": [], '
+        '"min_value": -0.5, "min_tag": "equality", "equality_violation": 0.5, "exit_code": 3}\n'
+    )
+    for command in ("certify", "tcset", "admissible"):
+        assert cli.main([command, str(path), "--json"]) == 3
+        assert capsys.readouterr().out == expected.replace("certify", command)
+        assert cli.main([command, str(path)]) == 3
+        assert capsys.readouterr().out == "verdict: Infeasible\n  worst constraint equality: -0.5\n"
 
 
 class TestDeterminism:

@@ -33,7 +33,6 @@ def near_active_problem():
         h=parse("x2 + t1", 2, 1),
         index=IndexSet.finite([[1.0 / k] for k in range(1, 11)]),
         extra=(parse("x1", 2),),
-        extra_tags=("phi0",),
     )
     return Problem(2, parse("-x1^2 - x2", 2), family)
 
@@ -102,7 +101,6 @@ class TestFeasibility:
             h=parse("x1 - (t1 - 0.5)^2 * 4 * t2 * 3", 1, 2),
             index=IndexSet.box([0.0, 0.0], [1.0, 1 / 3], 3),
             extra=(parse("x1 - 1", 1),),
-            extra_tags=("phi0",),
         )
         report = feasibility(Problem(1, parse("x1", 1), family), [0.0])
         assert report.violations[0][1] == report.violations[2][1] == -1.0
@@ -134,6 +132,21 @@ class TestFeasibility:
         report = feasibility(prob, (0, 0))
         assert not report.feasible
         assert report.equality_violation == pytest.approx(1.0)
+
+    def test_the_worse_of_equality_and_family_is_named(self):
+        # the family violations are listed either way; the minimum is the
+        # worse of the equality violation and the smallest row
+        family = FiniteFamily((parse("x2", 2),))
+        prob = Problem(2, parse("x1", 2), family, equality=(parse("x1 - 1", 2),))
+        report = feasibility(prob, (0, -0.5))
+        assert (report.min_tag, report.min_value) == ("equality", -1.0)
+        assert report.violations == (("phi0", -0.5),)
+        report = feasibility(prob, (0, -2.0))
+        assert (report.min_tag, report.min_value) == ("phi0", -2.0)
+        assert report.equality_violation == 1.0
+        # a feasible candidate's report does not read the equality rows' residual
+        report = feasibility(prob, (1 + 1e-12, 0.25))
+        assert report.feasible and (report.min_tag, report.min_value) == ("phi0", 0.25)
 
 
 def _tags(aset):

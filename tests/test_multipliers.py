@@ -35,7 +35,6 @@ def near_active_problem():
         h=parse("x2 + t1", 2, 1),
         index=IndexSet.finite([[1.0 / k] for k in range(1, 11)]),
         extra=(parse("x1", 2),),
-        extra_tags=("phi0",),
     )
     return Problem(2, parse("-x1^2 - x2", 2), family)
 
@@ -305,7 +304,7 @@ def _support_gens(cert):
 
 class TestSipMultipliers:
     def test_linear_sip_closed_form(self):
-        sm = sip_multipliers(linear_sip_problem(257), (1, 1))
+        sm = sip_multipliers(certify_fj(linear_sip_problem(257), (1, 1)))
         assert sm.found
         assert sm.k == 1
         assert sm.lambda0 == pytest.approx(1 / 3, abs=1e-6)
@@ -316,7 +315,7 @@ class TestSipMultipliers:
         assert sm.lambda0 + sum(e[2] for e in sm.entries) == pytest.approx(1.0, abs=1e-9)
 
     def test_near_active_recast(self):
-        sm = sip_multipliers(near_active_problem(), (0, 0), EXN1_OPTS)
+        sm = sip_multipliers(certify_fj(near_active_problem(), (0, 0), EXN1_OPTS), EXN1_OPTS)
         assert sm.found
         assert sm.lambda0 == pytest.approx(0.5, abs=1e-9)
         assert sm.k == 1
@@ -324,16 +323,13 @@ class TestSipMultipliers:
         assert sm.entries[0][2] == pytest.approx(0.5, abs=1e-9)
 
     def test_infeasible_precondition(self):
+        # the certificate a recast needs is never made at an infeasible x
         with pytest.raises(InfeasibleError):
-            sip_multipliers(linear_sip_problem(65), (2, 2))
-
-    def test_requires_parametric_family(self):
-        with pytest.raises(ValueError):
-            sip_multipliers(strict_active_problem(), (0, 0))
+            certify_fj(linear_sip_problem(65), (2, 2))
 
     def test_interior_precondition(self):
         with pytest.raises(ValueError):
-            sip_multipliers(linear_sip_problem(65), (0, 0))
+            sip_multipliers(certify_fj(linear_sip_problem(65), (0, 0)))
 
 
 class TestConstructedOptima:

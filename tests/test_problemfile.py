@@ -61,6 +61,13 @@ class TestLoad:
         with pytest.raises(ProblemFileError):
             load_problem(doc)
 
+    def test_bad_grid_argument_is_named(self):
+        # the file's own grid is fine: the error is the argument's
+        for grid in (1, 2.5, "65"):
+            with pytest.raises(ProblemFileError) as err:
+                load_problem(fixture_path("sip_trig"), grid)
+            assert str(err.value) == f"grid: must be an integer >= 2, got {grid!r}"
+
     def test_union_family(self):
         doc = minimal(
             constraints={

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sipcert.expr import evaluate, gradient, parse
+from sipcert.fixtures import load_fixture
 from sipcert.geometry import Polyhedron
 from sipcert.model import (
     FiniteFamily,
@@ -13,6 +14,7 @@ from sipcert.model import (
 )
 from sipcert.multipliers import certify_fj
 from sipcert.options import Options
+from sipcert.problemfile import load_problem
 from sipcert.reduction import (
     certify_composed,
     certify_equality,
@@ -20,6 +22,12 @@ from sipcert.reduction import (
     compute_jacobian,
     convex_set_multiplier,
 )
+
+# a rank-deficient equality Jacobian at a candidate that violates -x2 >= 0
+RANK_DEFICIENT = {
+    "dimension": 2, "objective": "x2", "constraints": {"finite": ["-x2"]},
+    "equality": ["x1", "x1"], "candidate": [0.0, 0.5],
+}
 
 ORTHANT = PolyhedralFamily(Polyhedron([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]))
 
@@ -150,7 +158,6 @@ class TestCertifyComposed:
             h=parse("x2 + t1", 2, 1),
             index=IndexSet.finite([[1.0 / k] for k in range(1, 11)]),
             extra=(parse("x1", 2),),
-            extra_tags=("phi0",),
         )
         opts = Options(eps0=1.0)
         plain = certify_fj(Problem(2, parse("-x1^2 - x2", 2), family), (0, 0), opts)
@@ -265,6 +272,37 @@ class TestCertifyEquality:
                            inner_map=(parse("x1^2", 1),), equality=(parse("x1", 1),))
         with pytest.raises(InfeasibleError):
             certify_equality(composed, (0.0,))
+
+    @pytest.mark.parametrize("name", ["eq_orthant_line", "eq_duplicated_rows", "eq_circle", None])
+    def test_one_feasibility_check_per_certification(self, name, monkeypatch):
+        # the family and the equality rows are evaluated once, by the ladder,
+        # on every branch; None is a rank-deficient Jacobian whose candidate
+        # violates its inequality
+        from sipcert import model, multipliers, reduction
+
+        loaded = load_problem(RANK_DEFICIENT) if name is None else load_fixture(name)
+        prob, x = loaded.problem, loaded.candidate
+        checks, rows = [], []
+        evaluate_family, scalar = model.evaluate_family, model.evaluate
+
+        def counted(f, *args, **kwargs):
+            if f in prob.equality:
+                rows.append(f)
+            return scalar(f, *args, **kwargs)
+
+        monkeypatch.setattr(
+            multipliers, "evaluate_family", lambda *a: checks.append(a) or evaluate_family(*a)
+        )
+        monkeypatch.setattr(model, "evaluate", counted)
+        monkeypatch.setattr(reduction, "evaluate", counted)
+        if name is None:
+            with pytest.raises(InfeasibleError) as err:
+                certify_equality(prob, x)
+            assert (err.value.report.min_tag, err.value.report.min_value) == ("phi0", -0.5)
+        else:
+            assert certify_equality(prob, x).found
+        assert len(checks) == 1
+        assert rows == list(prob.equality)
 
     def test_inner_map_and_equality_together(self):
         prob = Problem(
