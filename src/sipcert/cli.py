@@ -25,7 +25,7 @@ from .model import InfeasibleError, admissible_diagnostics
 from .multipliers import Certificate, certify_fj, sip_multipliers, tc_approx
 from .options import OPTION_KEYS, OptionError, Options
 from .problemfile import LoadedProblem, ProblemFileError, emit_json, load_problem, resolve_options
-from .reduction import FullCertificate, certify_composed, certify_equality, compose_family
+from .reduction import FullCertificate, certify_composed, certify_equality
 
 EXIT_OK = 0
 EXIT_NO_CERTIFICATE = 2
@@ -143,10 +143,6 @@ def _load(args) -> tuple[LoadedProblem, Options, np.ndarray]:
     return loaded, opts, loaded.candidate
 
 
-def _composed(problem):
-    return compose_family(problem) if problem.inner_map is not None else problem
-
-
 def _assumptions(loaded, approximate=False):
     problem = loaded.problem
     notes = list(loaded.notes)
@@ -162,8 +158,7 @@ def _assumptions(loaded, approximate=False):
 
 
 def _ladder_rows(tc):
-    table = tc.ladder_table() if tc is not None else []
-    return [{"eps": eps, "generators": count, "gap": gap} for eps, count, gap in table]
+    return [{"eps": eps, "generators": count, "gap": gap} for eps, count, gap in tc.ladder_table()]
 
 
 def _weight(tag, param, w):
@@ -228,7 +223,7 @@ def cmd_certify(args) -> int:
     verdict = _verdict_of(cert)
     # the inequality certificate: an equality certificate's inner one, if any
     inner = cert.inner if isinstance(cert, FullCertificate) else cert
-    tc = inner.tc if inner is not None else None
+    tc = cert.tc  # the ladder, built on every path and every equality branch
     report = {
         "tool": "sipcert",
         "command": "certify",
@@ -264,9 +259,8 @@ def cmd_certify(args) -> int:
     else:
         report["certificate"] = _certificate_payload(cert)
         report["ladder"] = _ladder_rows(tc)
-        if tc is not None:
-            report["converged"] = tc.converged
-            report["stopped_by"] = tc.stopped_by
+        report["converged"] = tc.converged
+        report["stopped_by"] = tc.stopped_by
         if (
             problem.family is not None
             and not problem.family.pure_finite
@@ -282,10 +276,7 @@ def cmd_certify(args) -> int:
                 "lambda0_nonzero_guaranteed": sm.lambda0_nonzero_guaranteed,
             }
     # covers the certification and the semi-infinite recast; the ladder's work
-    work = tc.counters if tc is not None and tc.counters else dict.fromkeys(
-        ("gap_lps", "gap_rows", "refined_seeds"), 0
-    )
-    report["timings"] = {"total_s": time.perf_counter() - started, **work}
+    report["timings"] = {"total_s": time.perf_counter() - started, **tc.counters}
 
     if args.json:
         print(emit_json(report))
@@ -349,9 +340,8 @@ def _options_payload(opts: Options):
 
 def cmd_tcset(args) -> int:
     loaded, opts, candidate = _load(args)
-    problem = _composed(loaded.problem)
     try:
-        tc = tc_approx(problem, candidate, opts)
+        tc = tc_approx(loaded.problem, candidate, opts)
     except InfeasibleError as err:
         return _emit_infeasible(args, err)
     report = {
@@ -390,15 +380,15 @@ def cmd_tcset(args) -> int:
 def cmd_admissible(args) -> int:
     loaded, opts, candidate = _load(args)
     started = time.perf_counter()
-    problem = _composed(loaded.problem)
+    family = loaded.problem.x_family
     try:
-        diag = admissible_diagnostics(problem, candidate, opts)
+        diag = admissible_diagnostics(loaded.problem, candidate, opts)
     except InfeasibleError as err:
         return _emit_infeasible(args, err)
     report = {
         "tool": "sipcert",
         "command": "admissible",
-        "family": problem.family.kind if problem.family else "none",
+        "family": family.kind if family else "none",
         "zero_in_full_hull": diag.zero_in_full_hull,
         "hull_gap": diag.hull_gap,
         "admissible_style": diag.admissible_style,
@@ -410,7 +400,7 @@ def cmd_admissible(args) -> int:
         "assumptions": list(diag.assumptions),
         "exit_code": EXIT_OK,
     }
-    cone = problem.family.cone() if problem.family is not None else None
+    cone = family.cone() if family is not None else None
     if cone is not None:
         interior = cone_interior_nonempty(cone, opts.tol_lp)
         report["cone"] = {
@@ -423,7 +413,7 @@ def cmd_admissible(args) -> int:
     if args.json:
         print(emit_json(report))
     else:
-        if problem.family is None:
+        if family is None:
             print("no inequality family: admissibility diagnostics are vacuous")
         style = "admissible-style" if diag.admissible_style else "weak-admissible only"
         print(f"0 in conv(all gradients): {diag.zero_in_full_hull}  ->  {style}")

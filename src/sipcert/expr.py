@@ -204,22 +204,20 @@ def _val(u):
 # ---------------------------------------------------------------------------
 # Kits: the primitives the rules use, one kit per value type.  A value is a
 # plain number or a Dual over it; `any(*masks)` tells whether some point
-# meets every mask, `all(mask)` whether every point meets it, and `number`
-# is the type min and max give a plain argument they lift to a Dual.
+# meets every mask, and `all(mask)` whether every point meets it.
 
 
 class _Scalar:
     """One point: Python floats and `math`; a non-finite node raises at once.
 
-    Numbers keep the type the arithmetic gives them (``x`` and ``t`` are
-    float64s): ``float ** int`` raises OverflowError where ``float64 ** int``
-    gives inf, and both errors are kept.
+    Every number is a Python float (``x`` and ``t`` too), and ``exp`` and
+    ``pow`` turn a Python overflow into inf, so `finite` reports every
+    overflow at its node.
     """
 
     sin, cos, log, sqrt, abs = math.sin, math.cos, math.log, math.sqrt, abs
     sign = staticmethod(lambda v: math.copysign(1.0, v) if v else 0.0)
-    pow = staticmethod(lambda base, expo, integer: base ** int(expo) if integer else base**expo)
-    number, take = float, operator.getitem
+    take = operator.getitem
     any = staticmethod(lambda *masks: all(masks))
     all, not_ = bool, operator.not_
     where = staticmethod(lambda mask, a, b: a if mask else b)
@@ -233,6 +231,13 @@ class _Scalar:
         try:
             return math.exp(v)
         except OverflowError:  # above about 709.78; `finite` refuses the inf
+            return math.inf
+
+    @staticmethod
+    def pow(base, expo):
+        try:
+            return base**expo
+        except OverflowError:  # `finite` refuses the inf
             return math.inf
 
     @staticmethod
@@ -258,8 +263,7 @@ class _Batch:
     """
 
     sin, cos, log, sqrt, abs, exp, sign = np.sin, np.cos, np.log, np.sqrt, np.abs, np.exp, np.sign
-    pow = staticmethod(lambda base, expo, integer: np.power(base, expo))
-    number = staticmethod(lambda v: v)
+    pow = staticmethod(np.power)
     any = staticmethod(lambda *masks: np.any(functools.reduce(operator.and_, masks)))
     all, not_, where = staticmethod(np.all), np.logical_not, staticmethod(np.where)
 
@@ -323,14 +327,14 @@ def _power(K, base, expo):
         raise EvalDomainError("negative base with non-integer exponent")
     if K.any(general, bv == 0.0, dual_b or dual_e or ev <= 0.0):
         raise EvalDomainError("zero base with non-integer or non-constant exponent")
-    value = K.finite(K.pow(bv, ev, integer), "^")
+    value = K.finite(K.pow(bv, ev), "^")
     if not dual_b and (not dual_e or K.all(integer)):
         return value
     if not dual_b and K.any(integer):
         raise _Unbatchable  # the integer rule on a plain base gives a plain value
     bp = base.partials if dual_b else 0.0
     if K.any(integer):  # d(u^n) = n u^(n-1) u', and 0 for n = 0, where u^-1 is not formed
-        slope = ev * K.pow(bv, K.where(ev == 0.0, 1.0, ev) - 1.0, True)
+        slope = ev * K.pow(bv, K.where(ev == 0.0, 1.0, ev) - 1.0)
         whole = K.where(ev == 0.0, 0.0, slope) * bp
         if K.all(integer):
             return Dual(value, whole)
@@ -399,7 +403,6 @@ def _extreme(name, K, *args):
     if _kinked(K, tie, partials, K.take(parts, second)):
         raise KinkError(f"{name} differentiated at a tie")
     plain = K.take([type(a) is not Dual for a in args], best)
-    value = K.where(plain, K.number(value), value)
     return Dual(value, K.where(plain, zero, partials))
 
 
@@ -453,11 +456,8 @@ _SCALAR = _Scalar(DEFAULT_KINK_TOL)
 
 
 def _run(f, xs, ts, K):
-    try:
-        with np.errstate(all="ignore"):
-            out = K.finite(_walk(f.ast, xs, ts, K), "result")
-    except OverflowError as err:
-        raise EvalDomainError(f"overflow: {err}") from err
+    with np.errstate(all="ignore"):
+        out = K.finite(_walk(f.ast, xs, ts, K), "result")
     K.check()
     return out
 
@@ -483,16 +483,16 @@ def _coerce_point(v, arity, what):
 
 def evaluate(f: ExprFn, x, t=None) -> float:
     """IEEE-evaluate ``f`` at ``x`` (and index point ``t`` if applicable)."""
-    xs = _coerce_point(x, f.arity_x, "x")
-    ts = _coerce_point(t, f.arity_t, "t")
-    return float(_run(f, xs, ts, _SCALAR))
+    xs = _coerce_point(x, f.arity_x, "x").tolist()
+    ts = _coerce_point(t, f.arity_t, "t").tolist()
+    return _run(f, xs, ts, _SCALAR)
 
 
 def gradient(f: ExprFn, x, t=None, kink_tol: float = DEFAULT_KINK_TOL) -> np.ndarray:
     """Exact forward-mode gradient of ``f`` in the x-variables."""
-    xs = _coerce_point(x, f.arity_x, "x")
-    ts = _coerce_point(t, f.arity_t, "t")
-    duals = [Dual(xs[i], e) for i, e in enumerate(np.eye(f.arity_x))]
+    xs = _coerce_point(x, f.arity_x, "x").tolist()
+    ts = _coerce_point(t, f.arity_t, "t").tolist()
+    duals = [Dual(v, e) for v, e in zip(xs, np.eye(f.arity_x))]
     return _partials(_run(f, duals, ts, _Scalar(kink_tol)), f.arity_x)
 
 

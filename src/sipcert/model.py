@@ -26,7 +26,7 @@ feasibility report and the near-active scan read the same values.  The
 scan (:class:`FamilyScan`) is one candidate table in parallel arrays; a
 ladder rung (:class:`ActiveSet`) is an index array into it, so the rungs
 are nested, and tags are formatted only for the rows a report shows.  On a
-box index set the scan adds an off-grid twin for each near-active grid
+parametric family the scan adds an off-grid twin for each near-active grid
 point that is a discrete local minimum of the grid values (values within
 ``tol_feas`` tie, and the interior of a flat run gets none), bisected
 toward smaller h within its grid cells;
@@ -89,20 +89,15 @@ class InfeasibleError(Exception):
 
 @dataclass(frozen=True)
 class IndexSet:
-    """Index set T: a finite list of points, or a compact box sampled on its one ``base_grid``."""
+    """Index set T: a compact box sampled on its one ``base_grid``.
 
-    kind: str  # 'finite' | 'box'
-    points: np.ndarray | None = None  # (k, m) for finite sets
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
-    base_grid: int = 0
+    A countable family {h(x, k) : k <= K} is the box [1, K] on grid K,
+    whose points are exactly the integers 1, ..., K.
+    """
 
-    @classmethod
-    def finite(cls, points) -> "IndexSet":
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.size == 0:
-            raise ValueError("finite index set must be nonempty")
-        return cls("finite", points=pts)
+    lower: np.ndarray
+    upper: np.ndarray
+    base_grid: int
 
     @classmethod
     def box(cls, lower, upper, base_grid: int) -> "IndexSet":
@@ -112,31 +107,26 @@ class IndexSet:
             raise ValueError("box index set needs lower <= upper componentwise")
         if base_grid < 2:
             raise ValueError("base_grid must be at least 2")
-        return cls("box", lower=lo, upper=hi, base_grid=int(base_grid))
+        return cls(lo, hi, int(base_grid))
 
     @property
     def t_dim(self) -> int:
-        return self.points.shape[1] if self.kind == "finite" else self.lower.size
+        return self.lower.size
 
     def _axes(self):
         return [np.linspace(self.lower[a], self.upper[a], self.base_grid) for a in range(self.t_dim)]
 
     def grid_points(self) -> np.ndarray:
-        if self.kind == "finite":
-            return self.points
         mesh = np.meshgrid(*self._axes(), indexing="ij")  # last axis varies fastest
         return np.stack(mesh, axis=-1).reshape(-1, self.t_dim)
 
     def points_at(self, rows) -> np.ndarray:
         """``grid_points()[rows]``, without building the whole grid."""
-        rows = np.asarray(rows, dtype=int)
-        if self.kind == "finite":
-            return self.points[rows]
-        cells = np.unravel_index(rows, self.shape())
+        cells = np.unravel_index(np.asarray(rows, dtype=int), self.shape())
         return np.stack([axis[c] for axis, c in zip(self._axes(), cells)], axis=-1)
 
     def shape(self) -> tuple:
-        """Grid points per axis of a box; ``grid_points`` is this array in C order."""
+        """Grid points per axis; ``grid_points`` is this array in C order."""
         return (self.base_grid,) * self.t_dim
 
     def steps(self) -> np.ndarray:
@@ -308,7 +298,7 @@ class ParametricFamily(_Family):
         are dropped.
         """
         index, d = self.index, len(self.extra)
-        if index.kind != "box" or opts.refine_depth <= 0:
+        if opts.refine_depth <= 0:
             return super().refine(x, rows, values, eps_cap, opts)
         seeds = rows[rows >= d]
         seeds = seeds[_discrete_minima(values[d:], index.shape(), seeds - d, opts.tol_feas)]
@@ -480,11 +470,19 @@ ConstraintFamily = FiniteFamily | ParametricFamily | PolyhedralFamily
 
 @dataclass(frozen=True)
 class Problem:
+    """max objective(x) s.t. inner_map(x) in family's set, equality(x) = 0.
+
+    ``x_family`` is the family composed with the inner map once, at
+    construction (``family`` itself when there is none): every computation
+    over x reads it, while ``family`` stays in the image coordinates.
+    """
+
     p: int
     objective: ExprFn
     family: ConstraintFamily | None = None
     inner_map: tuple[ExprFn, ...] | None = None
     equality: tuple[ExprFn, ...] | None = None
+    x_family: ConstraintFamily | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.objective.arity_x != self.p or self.objective.arity_t != 0:
@@ -505,6 +503,10 @@ class Problem:
                 raise ValueError(
                     f"constraint family acts on dimension {self.family.arity}, expected {expected}"
                 )
+        composed = self.family
+        if composed is not None and self.inner_map is not None:
+            composed = composed.substitute(list(self.inner_map))
+        object.__setattr__(self, "x_family", composed)
 
     @property
     def q(self) -> int:
@@ -534,7 +536,7 @@ class FeasibilityReport:
 
 
 def evaluate_family(prob: Problem, x, tol_feas: float = 1e-9) -> tuple[np.ndarray, FeasibilityReport]:
-    """The values of every discretized family member at x, and their report.
+    """The values of every discretized member of ``prob.x_family`` at x, and their report.
 
     Feasible iff the minimum is >= -tol_feas and every equality holds within
     tol_feas.  The report also says whether the family infimum sits at
@@ -544,9 +546,7 @@ def evaluate_family(prob: Problem, x, tol_feas: float = 1e-9) -> tuple[np.ndarra
     rows are violated worse than every row; tags are formatted for it and
     for the violations only.
     """
-    if prob.inner_map is not None:
-        raise ValueError("compose the inner map before feasibility checks")
-    family = prob.family
+    family = prob.x_family
     values = family.values(x) if family is not None else np.zeros(0)
     eq_violation = max((abs(evaluate(h, x)) for h in prob.equality or ()), default=0.0)
     min_value, min_tag, violations = float("inf"), "(none)", ()
@@ -689,7 +689,7 @@ class FamilyScan:
     own value passes the filter.  ``values`` are those of
     :func:`evaluate_family` at a feasible x.
 
-    Box families bisect only the near-active grid points that are discrete
+    Parametric families bisect only the near-active grid points that are discrete
     local minima of the clamped grid values (:meth:`ParametricFamily.refine`);
     the rule reads no eps, so it keeps the scan and a direct scan equal.
     ``refined_seeds`` counts the seeds bisected, each axis's levels in as
@@ -703,7 +703,7 @@ class FamilyScan:
 
     def __init__(self, prob: Problem, x, values, eps_cap: float, opts: Options = Options()):
         self.eps_cap = eps_cap
-        self.family = prob.family or _Family()  # no family: no candidates
+        self.family = prob.x_family or _Family()  # no family: no candidates
         near = _clamp(values, opts.tol_feas)
         self.rows = np.flatnonzero((near >= 0.0) & (near <= eps_cap))
         grads = self.family.gradients(x, self.rows, opts.tol_kink)
@@ -761,7 +761,7 @@ def equi_lipschitz_estimate(
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    family = prob.family
+    family = prob.x_family
     if family is None:
         return 0.0
     x = np.asarray(x, dtype=float)
@@ -860,7 +860,7 @@ def admissible_diagnostics(prob: Problem, x, opts: Options = Options()) -> Admis
         "equi-differentiability is exact for the closed expression grammar",
     )
     counters = {"support_lps": 0, "support_pivots": 0, "lipschitz_walks": 0}
-    family = prob.family
+    family = prob.x_family
     if family is None:
         return AdmissibleReport(False, float("inf"), False, 0.0, (), assumptions, counters)
     grads = family.gradients(x, np.arange(values.size), opts.tol_kink)

@@ -49,9 +49,12 @@ class TCApprox:
     stopped_by: str  # 'interior'|'finite_shortcut'|'stabilized'|'empty'|'max_steps'
     # the scan candidate behind each final generator, ascending
     final_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    # the ladder's work, when one ran: "gap_lps" and "gap_rows" (see _ladder_gap),
-    # and the scan's "refined_seeds" (see FamilyScan)
-    counters: dict = field(default_factory=dict, compare=False)
+    # the ladder's work, all 0 when none ran: "gap_lps" and "gap_rows" (see
+    # _ladder_gap), and the scan's "refined_seeds" (see FamilyScan)
+    counters: dict = field(
+        default_factory=lambda: dict.fromkeys(("gap_lps", "gap_rows", "refined_seeds"), 0),
+        compare=False,
+    )
 
     @property
     def converged(self) -> bool:
@@ -84,8 +87,7 @@ class Certificate:
     residual: float
     zero_not_in_tc: bool | None
     grad_f: np.ndarray
-    tc: TCApprox | None
-    approximate: bool = False
+    tc: TCApprox
     y_star: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
     support: tuple = ()  # the final-hull index of each coefficient's generator
@@ -93,6 +95,11 @@ class Certificate:
     @property
     def found(self) -> bool:
         return self.kind in ("kkt", "fj", "unconstrained")
+
+    @property
+    def approximate(self) -> bool:
+        """The ladder did not converge, so the certificate is approximate."""
+        return not self.tc.converged
 
     def kkt_weights(self):
         """Multipliers in the lambda = 1 normalization (valid for KKT only)."""
@@ -139,8 +146,8 @@ def tc_approx(prob: Problem, x, opts: Options = Options()) -> TCApprox:
     values, report = evaluate_family(prob, x, opts.tol_feas)
     if not report.feasible:
         raise InfeasibleError(report)
-    p = prob.p
-    if prob.family is None or not report.boundary:
+    p, family = prob.p, prob.x_family
+    if family is None or not report.boundary:
         return TCApprox((), Hull(np.zeros((0, p))), (), report.min_value, "interior")
 
     scan = FamilyScan(prob, x, values, opts.eps0, opts)
@@ -160,14 +167,14 @@ def tc_approx(prob: Problem, x, opts: Options = Options()) -> TCApprox:
         if prev is not None:  # one gap per rung after the first
             gaps.append(_ladder_gap(scan.grads, scan.gates, ids, prev.entries, eps, counters))
             if (
-                not prob.family.pure_finite
+                not family.pure_finite
                 and len(gaps) >= 2
                 and gaps[-1] <= opts.tol_hull
                 and gaps[-2] <= opts.tol_hull
             ):
                 stopped_by = "stabilized"
                 break
-        if prob.family.pure_finite and np.all(scan.values[aset.entries] <= opts.tol_feas):
+        if family.pure_finite and np.all(scan.values[aset.entries] <= opts.tol_feas):
             # the whole surviving family is exactly active: the limit hull
             # is the strictly-active hull, no further shrinking needed
             stopped_by = "finite_shortcut"
@@ -199,22 +206,18 @@ def certify_ladder(tc: TCApprox, grad_f, opts: Options = Options()) -> Certifica
     The equality reduction passes a ladder whose final hull and ``grad_f``
     are both in the kernel coordinates of the equality Jacobian.
     """
-    approx = not tc.converged
-
     if tc.interior:
         gnorm = float(np.abs(grad_f).max(initial=0.0))
         if gnorm <= opts.tol:
-            return Certificate(
-                "unconstrained", 1.0, 0.0, None, (), gnorm, None, grad_f, tc, approx
-            )
+            return Certificate("unconstrained", 1.0, 0.0, None, (), gnorm, None, grad_f, tc)
         return Certificate(
-            "no_certificate", 0.0, 0.0, None, (), gnorm, None, grad_f, tc, approx,
+            "no_certificate", 0.0, 0.0, None, (), gnorm, None, grad_f, tc,
             diagnostics={"reason": "interior point with nonzero objective gradient"},
         )
 
     if len(tc.final) == 0:
         return Certificate(
-            "no_certificate", 0.0, 0.0, None, (), float("inf"), None, grad_f, tc, True,
+            "no_certificate", 0.0, 0.0, None, (), float("inf"), None, grad_f, tc,
             diagnostics={"reason": "empty near-active hull"},
         )
 
@@ -229,14 +232,14 @@ def certify_ladder(tc: TCApprox, grad_f, opts: Options = Options()) -> Certifica
         residual = float(np.abs(grad_f).max(initial=0.0))
         return Certificate(
             kind, 1.0, 0.0, x_star, ((tag, param, 1.0),),
-            residual, zero_not_in_tc, grad_f, tc, approx, support=(0,),
+            residual, zero_not_in_tc, grad_f, tc, support=(0,),
         )
 
     seg = segment_hull_member(np.zeros(tc.final.dim), grad_f, tc.final, opts.tol)
     if not seg.member:
         return Certificate(
             "no_certificate", 0.0, 0.0, None, (), seg.distance, zero_not_in_tc,
-            grad_f, tc, approx, diagnostics={"reason": "0 outside [grad f, T_C]"},
+            grad_f, tc, diagnostics={"reason": "0 outside [grad f, T_C]"},
         )
     lam, beta = seg.lam, 1.0 - seg.lam
     x_star = tc.final.generators.T @ seg.coeffs if beta > 0 else tc.final.generators[0]
@@ -249,7 +252,7 @@ def certify_ladder(tc: TCApprox, grad_f, opts: Options = Options()) -> Certifica
     kind = "kkt" if zero_not_in_tc and lam > 0.0 else "fj"
     return Certificate(
         kind, float(lam), float(beta), x_star, coeffs, residual, zero_not_in_tc,
-        grad_f, tc, approx, support=tuple(int(i) for i in idx),
+        grad_f, tc, support=tuple(int(i) for i in idx),
     )
 
 

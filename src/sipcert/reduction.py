@@ -1,8 +1,9 @@
 """Reduction of composed (g(x) in A) and equality (h(x) = 0) constraints.
 
-Composed constraints become literal composites by substituting the inner
-map into each family member, so the chained gradients are exact dual-number
-gradients of the composite expression.  Equality constraints are reduced by
+Composed constraints become literal composites: :class:`Problem` substitutes
+the inner map into each family member once (``Problem.x_family``), so the
+chained gradients are exact dual-number gradients of the composite
+expression.  Equality constraints are reduced by
 certifying in the kernel coordinates of the equality Jacobian: the
 finite-dimensional splitting R^p = Ker(J_h) + span(pivot columns) makes the
 implicit-function step of the full reduction unnecessary at first order.
@@ -17,7 +18,7 @@ import numpy as np
 from .expr import evaluate, gradient
 from .geometry import Hull, Polyhedron, polyhedron_minimize, recession_cone
 from .model import Problem
-from .multipliers import Certificate, certify_fj, certify_ladder, tc_approx
+from .multipliers import Certificate, TCApprox, certify_fj, certify_ladder, tc_approx
 from .options import Options
 
 __all__ = [
@@ -108,17 +109,15 @@ def _fix_sign(v):
 
 
 def compose_family(prob: Problem) -> Problem:
-    """Equivalent problem whose family members are the literal composites.
+    """Equivalent problem without an inner map: its family is ``prob.x_family``.
 
-    Family members written over y1..yq (as x-variables of arity q) are
-    substituted with the inner-map expressions, so every downstream
-    gradient is the exact chained gradient J_g(x)^T grad phi(g(x)).
+    No command calls it: every computation reads ``x_family``, whose
+    members are the literal composites, so every gradient is the exact
+    chained gradient J_g(x)^T grad phi(g(x)).
     """
     if prob.inner_map is None:
         raise ValueError("compose_family requires an inner map")
-    family = prob.family
-    composed = None if family is None else family.substitute(list(prob.inner_map))
-    return Problem(prob.p, prob.objective, composed, inner_map=None, equality=prob.equality)
+    return Problem(prob.p, prob.objective, prob.x_family, None, prob.equality)
 
 
 def _recover_y_star(prob: Problem, x, cert: Certificate):
@@ -139,12 +138,12 @@ def _recover_y_star(prob: Problem, x, cert: Certificate):
 def certify_composed(prob: Problem, x, opts: Options = Options()) -> Certificate:
     """Fritz John certificate for max f s.t. g(x) in A, with the y* witness.
 
-    Runs the core certification on the composed family and recovers
-    y* in the image space as the convex combination of the pre-chain
-    gradients with the certificate coefficients, so x* = J_g^T y*.
+    Runs the core certification, which reads the composed family
+    ``prob.x_family``, and recovers y* in the image space as the convex
+    combination of the pre-chain gradients with the certificate
+    coefficients, so x* = J_g^T y*.
     """
-    derived = compose_family(prob)
-    cert = certify_fj(derived, x, opts)
+    cert = certify_fj(prob, x, opts)
     if cert.found and cert.coeffs:
         return replace(cert, y_star=_recover_y_star(prob, x, cert))
     return cert
@@ -155,7 +154,8 @@ class FullCertificate:
     """Multipliers (lambda0, z0*, w0*) for the joint inequality/equality problem.
 
     The residual is |lambda0 grad f + J_g^T z0* + J_h^T w0*| in the max norm,
-    recomputable from the stored fields.
+    recomputable from the stored fields.  ``tc`` is the ladder every branch
+    builds, before the Jacobian.
     """
 
     found: bool
@@ -165,6 +165,7 @@ class FullCertificate:
     w_star: np.ndarray | None
     residual: float
     jacobian: Jacobian
+    tc: TCApprox
     inner: Certificate | None = None
     diagnostics: dict = field(default_factory=dict)
 
@@ -173,21 +174,20 @@ def certify_equality(prob: Problem, x, opts: Options = Options()) -> FullCertifi
     """Lagrange-type certificate with equality constraints h(x) = 0.
 
     Checks x as every certification does, by the ladder (:func:`tc_approx`)
-    over the composed family and the equality rows, before the Jacobian.
+    over ``prob.x_family`` and the equality rows, before the Jacobian.
     Then branches on the equality Jacobian: rank-deficient Jacobians yield
     the degenerate certificate (0, 0, left-null); full-rank ones certify the
     ladder restricted to the kernel coordinates (only x's feasibility when
     the kernel is {0}), then lift the equality multiplier by least squares.
     """
     x = np.asarray(x, dtype=float)
-    derived = compose_family(prob) if prob.inner_map is not None else prob
-    tc = tc_approx(derived, x, opts)
+    tc = tc_approx(prob, x, opts)
     jac = compute_jacobian(prob.equality or (), x, kink_tol=opts.tol_kink)
     w = jac.matrix.shape[0]
 
     if jac.rank < w:
         residual = float(np.abs(jac.matrix.T @ jac.left_null).max(initial=0.0))
-        return FullCertificate(True, "not_onto", 0.0, None, jac.left_null, residual, jac)
+        return FullCertificate(True, "not_onto", 0.0, None, jac.left_null, residual, jac, tc)
 
     grad_f = gradient(prob.objective, x, kink_tol=opts.tol_kink)
     kernel = jac.kernel_basis  # (d, p) orthonormal rows
@@ -199,21 +199,21 @@ def certify_equality(prob: Problem, x, opts: Options = Options()) -> FullCertifi
         pnorm = float(np.abs(projected).max(initial=0.0))
         if pnorm > opts.tol:
             return FullCertificate(
-                False, "onto_no_a", 0.0, None, None, pnorm, jac,
+                False, "onto_no_a", 0.0, None, None, pnorm, jac, tc,
                 diagnostics={"reason": "objective gradient has a kernel component",
                              "projected_gradient": projected},
             )
         w_star = _lift_w_star(jac, -grad_f) if w else np.zeros(0)
         residual = float(np.abs(grad_f + jac.matrix.T @ w_star).max(initial=0.0))
         if prob.family is None:
-            return FullCertificate(True, "onto_no_a", 1.0, None, w_star, residual, jac)
-        return FullCertificate(True, "onto_with_a", 1.0, np.zeros(prob.q), w_star, residual, jac)
+            return FullCertificate(True, "onto_no_a", 1.0, None, w_star, residual, jac, tc)
+        return FullCertificate(True, "onto_with_a", 1.0, np.zeros(prob.q), w_star, residual, jac, tc)
 
     restricted = replace(tc, final=Hull(tc.final.generators @ kernel.T))
     inner_cert = certify_ladder(restricted, kernel @ grad_f, opts)
     if not inner_cert.found:
         return FullCertificate(
-            False, "onto_with_a", 0.0, None, None, float("inf"), jac, inner_cert,
+            False, "onto_with_a", 0.0, None, None, float("inf"), jac, tc, inner_cert,
             diagnostics={"reason": "kernel-restricted certification failed"},
         )
     if inner_cert.kind == "unconstrained" or not inner_cert.coeffs:
@@ -228,7 +228,7 @@ def certify_equality(prob: Problem, x, opts: Options = Options()) -> FullCertifi
     w_star = _lift_w_star(jac, rhs) if w else np.zeros(0)
     residual = float(np.abs(lam0 * grad_f + pulled + jac.matrix.T @ w_star).max(initial=0.0))
     return FullCertificate(
-        True, "onto_with_a", lam0, z_star, w_star, residual, jac, inner_cert
+        True, "onto_with_a", lam0, z_star, w_star, residual, jac, tc, inner_cert
     )
 
 

@@ -337,11 +337,11 @@ def check_hull_oracle(opts, rng, *, instances, generators, steps):
 
 
 def check_nesting(opts, rng, *, samples):
-    """Every fixture with a family and no inner map, then ``samples`` random finite problems."""
+    """Every fixture with a family, composed or not, then ``samples`` random finite problems."""
     bad = []
     for name in fixture_names():
         problem, candidate, fixture_opts = _load(name, opts)
-        if problem.family is None or problem.inner_map is not None:
+        if problem.family is None:
             continue
         if not problem.family.pure_finite and problem.family.index.base_grid > 129:
             problem, candidate, fixture_opts = _load(name, opts, 129)

@@ -302,6 +302,37 @@ class TestCertify:
         assert [circle["timings"][k] for k in counts] == [12, 184, 1]
         assert [trig["timings"][k] for k in counts] == [0, 0, 0]  # one flat run: no seed
 
+    @pytest.mark.parametrize("equality, verdict, branch", [
+        (None, "KKT", None),
+        (["x1 - 0.8775825618903728", "x2 - 0.479425538604203"], "KKT", "onto_with_a"),
+        (["x1 - 0.8775825618903728", "2*x1 - 1.7551651237807455"], "EqualityDegenerate", "not_onto"),
+    ])
+    def test_timings_count_the_ladder_on_every_equality_branch(
+        self, tmp_path, capsys, equality, verdict, branch
+    ):
+        # every equality branch builds the ladder before the Jacobian, so it
+        # reports the same work as the certification without equality rows
+        from sipcert import cli
+
+        doc = {
+            "dimension": 2,
+            "objective": "0.8775825618903728*x1 + 0.479425538604203*x2",
+            "constraints": {"parametric": {
+                "h": "1 - x1*cos(t1) - x2*sin(t1)", "t_dim": 1,
+                "box": {"lower": [0.0], "upper": [1.0]}, "grid": 129,
+            }},
+            "candidate": [0.8775825618903728, 0.479425538604203],  # (cos .5, sin .5)
+        }
+        if equality:
+            doc["equality"] = equality
+        path = tmp_path / "arc.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["certify", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["verdict"], report.get("branch")) == (verdict, branch)
+        timings = report["timings"]
+        assert [timings[k] for k in ("gap_lps", "gap_rows", "refined_seeds")] == [8, 36, 1]
+
     def test_bisection_stops_at_float_resolution(self, monkeypatch, capsys):
         # near_active's one seed is down to adjacent floats within about 60
         # levels and every later level repeats the last, so depth 20,000

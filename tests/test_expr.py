@@ -619,14 +619,14 @@ def test_tie_between_plain_arguments_is_no_kink():
     assert np.array_equal(gradient_many(f, x, tpoints[1:]), [[0.0, 0.0]])
 
 
-def test_overflow_is_reported_by_the_number_type():
-    # x and t are float64s, whose ^ overflows to inf, reported at the node;
-    # a Python float (a literal, or a plain argument that min lifts to a
-    # dual) raises OverflowError instead, reported as an overflow
+def test_overflow_is_reported_at_its_node():
+    # the scalar walk holds Python floats only, and its ^ turns an overflow
+    # into inf: a variable, a literal and a plain argument that min lifts to
+    # a dual all overflow to the one message, reported at the node
     with pytest.raises(EvalDomainError, match=r"^non-finite value in '\^'$"):
         evaluate(parse("x1^400", 1), [1e10])
-    with pytest.raises(EvalDomainError, match="^overflow: "):
+    with pytest.raises(EvalDomainError, match=r"^non-finite value in '\^'$"):
         evaluate(parse("1e10^400 + x1", 1), [0.0])
     for t in ([10.0], [[10.0], [1.0]]):
-        with pytest.raises(EvalDomainError, match="^overflow: "):
+        with pytest.raises(EvalDomainError, match=r"^non-finite value in '\^'$"):
             gradient_many(parse("min(t1, x1)^400 + x1", 1, 1), [1e10], t)

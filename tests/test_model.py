@@ -28,10 +28,10 @@ from conftest import active_set
 
 
 def near_active_problem():
-    """phi0 = x1 plus the countable members as a parametric window t = 1/k."""
+    """phi0 = x1 plus the countable members x2 + 1/k, k = 1..10, as the box [1, 10] on grid 10."""
     family = ParametricFamily(
-        h=parse("x2 + t1", 2, 1),
-        index=IndexSet.finite([[1.0 / k] for k in range(1, 11)]),
+        h=parse("x2 + 1/t1", 2, 1),
+        index=IndexSet.box([1.0], [10.0], 10),
         extra=(parse("x1", 2),),
     )
     return Problem(2, parse("-x1^2 - x2", 2), family)
@@ -52,9 +52,14 @@ class TestIndexSet:
         with pytest.raises(ValueError):
             IndexSet.box([0.0], [1.0], 1)
 
-    def test_finite_nonempty(self):
-        with pytest.raises(ValueError):
-            IndexSet.finite([])
+    def test_countable_family_is_the_integer_box(self):
+        # {x2 + 1/k : k <= 10} is x2 + 1/t1 on the grid 10 of [1, 10], bit for bit
+        x = np.array([0.3, 0.7])
+        family = near_active_problem().family
+        assert family.index.grid_points()[:, 0].tolist() == [float(k) for k in range(1, 11)]
+        expected = [x[0]] + [x[1] + 1.0 / k for k in range(1, 11)]
+        assert family.values(x).tobytes() == np.array(expected).tobytes()
+        assert np.array_equal(family.gradients(x, np.arange(1, 11)), np.tile([0.0, 1.0], (10, 1)))
 
     def test_grid_points_cartesian(self):
         idx = IndexSet.box([0, 0], [1, 2], 3)
@@ -165,10 +170,15 @@ class TestActiveSet:
 
     def test_near_active_half_eps_includes_slow_members(self):
         aset = active_set(near_active_problem(), (0, 0), 0.5)
-        tags = _tags(aset)
+        scan = aset.scan
+        listed = aset.entries[aset.entries < scan.rows.size]  # phi0 and the grid members
+        tags = {tag for tag, _ in scan.labels(listed)}
         assert "phi0" in tags
         # exactly the k with 1/k <= 0.5
         assert len(tags) == 1 + sum(1 for k in range(1, 11) if 1.0 / k <= 0.5)
+        # and one refined twin, bisected from t = 10, the grid's discrete minimum
+        assert aset.entries.size - listed.size == scan.refined_seeds == 1
+        assert 9.0 < scan.points[0, 0] < 10.0 and 0.1 < scan.values[-1] <= 0.5
 
     def test_linear_sip_everything_active(self):
         prob = linear_sip_problem(65)

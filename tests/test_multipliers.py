@@ -32,8 +32,8 @@ from conftest import active_set
 
 def near_active_problem():
     family = ParametricFamily(
-        h=parse("x2 + t1", 2, 1),
-        index=IndexSet.finite([[1.0 / k] for k in range(1, 11)]),
+        h=parse("x2 + 1/t1", 2, 1),
+        index=IndexSet.box([1.0], [10.0], 10),
         extra=(parse("x1", 2),),
     )
     return Problem(2, parse("-x1^2 - x2", 2), family)

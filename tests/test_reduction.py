@@ -11,8 +11,10 @@ from sipcert.model import (
     ParametricFamily,
     PolyhedralFamily,
     Problem,
+    admissible_diagnostics,
+    evaluate_family,
 )
-from sipcert.multipliers import certify_fj
+from sipcert.multipliers import certify_fj, tc_approx
 from sipcert.options import Options
 from sipcert.problemfile import load_problem
 from sipcert.reduction import (
@@ -138,6 +140,24 @@ class TestComposeFamily:
         with pytest.raises(ValueError):
             compose_family(Problem(2, parse("x1", 2)))
 
+    def test_a_problem_with_an_inner_map_is_read_composed(self):
+        # every computation reads the family the problem composed once, so
+        # the problem as loaded and its compose_family twin give the same reports
+        loaded = load_fixture("composed_parabola")
+        problem, x, opts = loaded.problem, loaded.candidate, Options()
+        derived = compose_family(problem)
+        assert problem.inner_map is not None and derived.inner_map is None
+        (values, report), (twin_values, twin_report) = (
+            evaluate_family(prob, x, opts.tol_feas) for prob in (problem, derived)
+        )
+        assert values.tobytes() == twin_values.tobytes() and report == twin_report
+        tc, twin = (tc_approx(prob, x, opts) for prob in (problem, derived))
+        assert (tc.ladder_table(), tc.stopped_by, tc.labels()) == (
+            twin.ladder_table(), twin.stopped_by, twin.labels()
+        )
+        assert tc.final.generators.tobytes() == twin.final.generators.tobytes()
+        assert admissible_diagnostics(problem, x, opts) == admissible_diagnostics(derived, x, opts)
+
 
 class TestCertifyComposed:
     def test_parabola_fixture(self):
@@ -155,8 +175,8 @@ class TestCertifyComposed:
 
     def test_identity_inner_map_matches_plain_certificate(self):
         family = ParametricFamily(
-            h=parse("x2 + t1", 2, 1),
-            index=IndexSet.finite([[1.0 / k] for k in range(1, 11)]),
+            h=parse("x2 + 1/t1", 2, 1),
+            index=IndexSet.box([1.0], [10.0], 10),
             extra=(parse("x1", 2),),
         )
         opts = Options(eps0=1.0)
