@@ -340,6 +340,7 @@ def _options_payload(opts: Options):
 
 def cmd_tcset(args) -> int:
     loaded, opts, candidate = _load(args)
+    started = time.perf_counter()
     try:
         tc = tc_approx(loaded.problem, candidate, opts)
     except InfeasibleError as err:
@@ -360,6 +361,8 @@ def cmd_tcset(args) -> int:
         "assumptions": _assumptions(loaded),
         "options": _options_payload(opts),
         "exit_code": EXIT_OK,
+        # the ladder and its work, as in certify's timings
+        "timings": {"total_s": time.perf_counter() - started, **tc.counters},
     }
     if args.json:
         print(emit_json(report))
@@ -380,7 +383,7 @@ def cmd_tcset(args) -> int:
 def cmd_admissible(args) -> int:
     loaded, opts, candidate = _load(args)
     started = time.perf_counter()
-    family = loaded.problem.x_family
+    family = loaded.problem.family  # the set A, in the inner map's image when there is one
     try:
         diag = admissible_diagnostics(loaded.problem, candidate, opts)
     except InfeasibleError as err:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import Simplex, solve_lp
+from .lp import Simplex, slack_tableau, solve_lp
 
 __all__ = [
     "Hull",
@@ -115,6 +115,7 @@ class HullMembership:
     member: bool
     coeffs: np.ndarray
     distance: float  # optimal infinity-norm mismatch from the LP
+    pivots: int = 0  # the LP's simplex pivots
 
 
 @dataclass(frozen=True)
@@ -141,81 +142,92 @@ def _check_target(target, hull):
     return t
 
 
-def _fit_lp(cols, t, k=None):
+def _fit_lp(cols, t, k):
     """``solve_lp``'s arrays for the inf-norm fit of ``t`` by the columns ``cols``,
-    written around one column k.
+    written around column k into a ``slack_tableau``.
 
     The fit minimizes s over a in the simplex subject to
-    -s <= (cols @ a - t)_j <= s.  By default k is the column nearest to t,
-    found one coordinate at a time as in ``_nearest_generator_distance``.
-    With d = cols_k - t, u = |d|_inf, D = cols - cols_k,
-    a_k = 1 - sum_{i != k} a_i and s = u - r the LP is: maximize r subject
-    to (D a)_j + r <= u - d_j, -(D a)_j + r <= u + d_j and
-    sum_{i != k} a_i <= 1.  Every right-hand side is >= 0 in IEEE
+    -s <= (cols @ a - t)_j <= s.  With d = cols_k - t, u = |d|_inf,
+    D = cols - cols_k, a_k = 1 - sum_{i != k} a_i and s = u - r the LP is:
+    maximize r subject to (D a)_j + r <= u - d_j, -(D a)_j + r <= u + d_j
+    and sum_{i != k} a_i <= 1.  Every right-hand side is >= 0 in IEEE
     arithmetic, since |d_j| <= u exactly, so the slack basis (a = e_k,
-    s = u) is a feasible start: no artificials, no phase 1.  The variables
-    are (a, r); a_k keeps its column, which is zero in every row and in the
-    cost, so it never enters.
+    s = u) is a feasible start: no artificials, no phase 1, and ``solve_lp``
+    runs it in the tableau it was written into.  The variables are (a, r);
+    a_k keeps its column, which is zero in every row and in the cost, so it
+    never enters.
 
-    Returns (c, a_ub, b_ub, k, u).
+    Returns (c, a_ub, b_ub, tableau, u).
     """
     p, n = cols.shape
-    if k is None:
-        dist = np.abs(cols[0] - t[0])
-        for j in range(1, p):
-            np.maximum(dist, np.abs(cols[j] - t[j]), out=dist)
-        k = int(dist.argmin())
     d = cols[:, k] - t
     u = float(np.abs(d).max())
     c = np.zeros(n + 1)
     c[-1] = -1.0
-    a_ub = np.empty((2 * p + 1, n + 1))
+    tableau, a_ub, b_ub = slack_tableau(2 * p + 1, n + 1)
     np.subtract(cols, cols[:, k : k + 1], out=a_ub[:p, :n])
     np.negative(a_ub[:p, :n], out=a_ub[p : 2 * p, :n])
     a_ub[: 2 * p, n] = 1.0
-    a_ub[2 * p] = 1.0
-    a_ub[2 * p, k] = a_ub[2 * p, n] = 0.0
-    return c, a_ub, np.concatenate([u - d, u + d, [1.0]]), k, u
+    a_ub[2 * p, :n] = 1.0
+    a_ub[2 * p, k] = 0.0
+    np.subtract(u, d, out=b_ub[:p])
+    np.add(u, d, out=b_ub[p : 2 * p])
+    b_ub[2 * p] = 1.0
+    return c, a_ub, b_ub, tableau, u
 
 
 def _fit(cols, t, then=None, k=None):
-    """(coefficients a, distance s) of the inf-norm fit of ``t`` by ``cols``,
+    """(coefficients a, distance s, pivots) of the inf-norm fit of ``t`` by ``cols``,
     by ``_fit_lp`` around column k.
 
-    ``then``, over the fit's own variables (a, s), breaks ties among the
-    best fits; it maps through the same substitution as the LP.  The
-    distance lies in [0, u], u the start column's distance, exactly.
+    By default k is the column nearest to t, the first of equals
+    (``_nearest_generator_distance``).  ``then``, over the fit's own
+    variables (a, s), breaks ties among the best fits; it maps through the
+    same substitution as the LP.  The distance lies in [0, u], u the start
+    column's distance, exactly.
     """
-    c, a_ub, b_ub, k, u = _fit_lp(cols, t, k)
+    if k is None:
+        k = int(_nearest_generator_distance(t[None], cols.T)[1][0])
+    c, a_ub, b_ub, tableau, u = _fit_lp(cols, t, k)
     if then is not None:
         then = np.append(then[:-1] - then[k], -then[-1])
-    sol = solve_lp(c, a_ub, b_ub, then=then)
+    sol = solve_lp(c, a_ub, b_ub, then=then, tableau=tableau)
     if not sol.optimal:
         raise GeometryError(f"fit LP failed with status {sol.status}")
-    a = np.clip(sol.x[:-1], 0.0, None)
+    a = np.maximum(sol.x[:-1], 0.0)  # np.clip's bits, -0.0 to 0.0 included
     a[k] = max(1.0 - a.sum(), 0.0)
-    return a, min(max(u - float(sol.x[-1]), 0.0), u)
+    return a, min(max(u - float(sol.x[-1]), 0.0), u), sol.pivots
 
 
-def hull_member(target, hull: Hull, tol: float = DEFAULT_MEMBER_TOL) -> HullMembership:
+def hull_member(
+    target, hull: Hull, tol: float = DEFAULT_MEMBER_TOL, *, start=None
+) -> HullMembership:
     """Decide target in conv(generators) by one LP.
 
     Minimizes s subject to -s <= (sum_i a_i g_i - target)_j <= s with a in
     the simplex; membership holds iff the optimal s is at most ``tol``.
     The LP is written around the generator nearest to the target
     (``_fit_lp``), so it starts feasible and runs no phase 1, and s never
-    exceeds that generator's distance.
+    exceeds that generator's distance.  A caller that has found that
+    generator already passes its index as ``start``.
     """
     t = _check_target(target, hull)
-    coeffs, distance = _fit(hull.generators.T, t)
-    return HullMembership(distance <= tol, coeffs, distance)
+    coeffs, distance, pivots = _fit(hull.generators.T, t, k=start)
+    return HullMembership(distance <= tol, coeffs, distance, pivots)
 
 
-def hull_distance(target, hull: Hull) -> float:
-    """Infinity-norm distance from target to conv(generators)."""
+def hull_distance(target, hull: Hull, *, start=None, counters=None) -> float:
+    """Infinity-norm distance from target to conv(generators).
+
+    ``start`` is as in :func:`hull_member`; the LP's simplex pivots add to
+    ``counters["pivots"]`` when ``counters`` is given.
+    """
     if len(hull) == 0:
         return float("inf")
-    return hull_member(target, hull, tol=0.0).distance
+    membership = hull_member(target, hull, tol=0.0, start=start)
+    if counters is not None:
+        counters["pivots"] += membership.pivots
+    return membership.distance
 
 
 def one_sided_hull_gap(src: Hull, dst: Hull) -> float:
@@ -234,7 +246,7 @@ def one_sided_hull_gap(src: Hull, dst: Hull) -> float:
 
 
 def farthest_row_distance(rows: np.ndarray, dst: Hull) -> tuple:
-    """(max over ``rows`` of their distance to conv(dst), LPs run), by the early break.
+    """(max over ``rows`` of their distance to conv(dst), LPs run, pivots), by the early break.
 
     The distance ``u(g) = min_j |g - d_j|_inf`` to the nearest single
     generator of ``dst`` bounds ``hull_distance(g, dst)`` from above.  The
@@ -242,27 +254,31 @@ def farthest_row_distance(rows: np.ndarray, dst: Hull) -> tuple:
     stops at the first row with ``u`` at most the gap found so far: no row
     from there on can raise the maximum (the early break for exact Hausdorff
     distance, Taha & Hanbury, IEEE TPAMI 37(11), 2015).  Callers dedupe.
+    Each visited row is one ``hull_distance`` LP, started at the nearest
+    generator its bound found: the one that LP would pick itself, so it is
+    not searched for twice.
     """
-    bound = _nearest_generator_distance(rows, dst.generators)
-    gap, lps = 0.0, 0
-    for k in np.argsort(-bound, kind="stable"):
-        if bound[k] <= gap:
+    bound, nearest = _nearest_generator_distance(rows, dst.generators)
+    gap, lps, counters = 0.0, 0, {"pivots": 0}
+    for i in np.argsort(-bound, kind="stable"):
+        if bound[i] <= gap:
             break
-        gap = max(gap, hull_distance(rows[k], dst))
+        gap = max(gap, hull_distance(rows[i], dst, start=int(nearest[i]), counters=counters))
         lps += 1
-    return gap, lps
+    return gap, lps, counters["pivots"]
 
 
 _BOUND_CHUNK = 1 << 18  # rows x generators x coordinates per chunk: about 2 MB of floats
 
 
-def _nearest_generator_distance(rows: np.ndarray, gens: np.ndarray) -> np.ndarray:
-    """``min_j |rows[i] - gens[j]|_inf`` for each row i, a few rows at a time.
+def _nearest_generator_distance(rows: np.ndarray, gens: np.ndarray) -> tuple:
+    """(``min_j |rows[i] - gens[j]|_inf``, the first such j) for each row i, a few rows at a time.
 
     The max over coordinates is taken one coordinate at a time, into a
     (rows, generators) array: numpy reduces a short last axis slowly.
     """
     out = np.empty(len(rows))
+    nearest = np.empty(len(rows), dtype=int)
     step = max(1, _BOUND_CHUNK // max(1, gens.size))
     for start in range(0, len(rows), step):
         chunk = rows[start : start + step]
@@ -270,8 +286,10 @@ def _nearest_generator_distance(rows: np.ndarray, gens: np.ndarray) -> np.ndarra
         for k in range(1, gens.shape[1]):
             diff = chunk[:, None, k] - gens[None, :, k]
             np.maximum(worst, np.abs(diff, out=diff), out=worst)
-        out[start : start + step] = worst.min(axis=1)
-    return out
+        j = worst.argmin(axis=1)
+        nearest[start : start + step] = j
+        out[start : start + step] = worst[np.arange(len(j)), j]
+    return out, nearest
 
 
 def caratheodory_reduce(target, hull: Hull, coeffs, tol_lp: float = DEFAULT_LP_TOL):
@@ -347,7 +365,7 @@ def segment_hull_member(
     # variables: lambda, mu_1..mu_n, s
     largest_lam = np.zeros(n + 2)
     largest_lam[0] = -1.0
-    a, distance = _fit(np.column_stack([w, hull.generators.T]), t, then=largest_lam, k=0)
+    a, distance, _ = _fit(np.column_stack([w, hull.generators.T]), t, then=largest_lam, k=0)
     lam, mu = float(a[0]), a[1:]  # a_0 = 1 - sum(mu), clipped at 0
     weight = mu.sum()
     coeffs = mu / weight if weight > 1e-15 else np.zeros(n)

@@ -59,6 +59,22 @@ each later objective starts from the basis the previous one ended at,
 which is primal feasible for any cost (the dictionary method's warm start,
 Chvatal ch. 2-3).  ``solve_lp`` is one objective on a fresh ``Simplex``.
 
+Two entries share one pivot loop (``_run_phase``) and one phase 2 with
+its optimal-face tie-break (``_optimize``):
+
+- ``Simplex(n, a_ub, b_ub, free=k)`` and its ``minimize``: a kept tableau,
+  phase 1 when a right-hand side is negative (``geometry.PolyhedronLP``,
+  the support LPs of a polyhedron's determination);
+- ``solve_lp(c, a_ub, b_ub, then=)``: one objective on a fresh
+  ``Simplex`` (``geometry.cone_interior_nonempty``).  Given
+  ``tableau=``, the ``slack_tableau`` whose views the caller filled as
+  ``a_ub`` and ``b_ub`` with no right-hand side negative, it solves the LP
+  in that tableau from its slack basis: no copy, no check of the arrays,
+  no artificial column and no phase 1 (``geometry._fit``: the ladder's
+  hull-gap LPs, hull membership and the certificate's segment LP).  That
+  is the tableau and the code ``Simplex`` runs on such an LP, so the
+  pivots and bits are the same either way.
+
 Everything here is small -- a few thousand columns at most -- so a dense
 tableau is the right tool and there is no external dependency.  All state
 belongs to one ``Simplex`` object: separate objects may be used
@@ -71,7 +87,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Simplex", "SimplexSolution", "SimplexError", "solve_lp"]
+__all__ = ["Simplex", "SimplexSolution", "SimplexError", "slack_tableau", "solve_lp"]
 
 _PIVOT_TOL = 1e-10
 _TOL = 1e-9  # reduced costs, the optimal face, phase 1's residual and the eviction pivots
@@ -97,15 +113,31 @@ class SimplexSolution:
         return self.status == "optimal"
 
 
-def solve_lp(c, a_ub, b_ub, *, then=None) -> SimplexSolution:
+def solve_lp(c, a_ub, b_ub, *, then=None, tableau=None) -> SimplexSolution:
     """Minimize c@x over x >= 0; among the optimal x, minimize ``then``@x when it is given.
 
     One objective on a fresh ``Simplex`` with no free variable.  If ``then``
     is unbounded over the optimal face, the optimal vertex reached so far is
-    returned.
+    returned.  ``tableau``, when given, is the ``slack_tableau`` that
+    ``a_ub`` and ``b_ub`` are views of, with every b_ub >= 0 (-0.0 counts):
+    the LP is solved in it, which it overwrites, from its slack basis.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
-    return Simplex(c.size, a_ub, b_ub).minimize(c, then)
+    if tableau is None:
+        return Simplex(c.size, a_ub, b_ub).minimize(c, then)
+    basis, nb = _slack_basis(c.size, b_ub.size)
+    return _optimize(tableau, basis, nb, np.ones(0), *_objectives(c, then, c.size))
+
+
+def slack_tableau(m, n):
+    """(tableau, a_ub, b_ub): the condensed tableau of an LP in m rows and n
+    variables at its slack basis, zeroed, and its views that hold the rows.
+
+    The caller writes the LP into ``a_ub`` and ``b_ub`` and hands all three
+    to ``solve_lp``; the last row, for the reduced costs, stays zero.
+    """
+    tableau = np.zeros((m + 1, n + 1))
+    return tableau, tableau[:m, :n], tableau[:m, -1]
 
 
 class Simplex:
@@ -116,11 +148,11 @@ class Simplex:
     with a negative right-hand side (-0.0 is not negative) is negated and
     starts with an artificial column basic; phase 1 runs at most once, in
     the first ``minimize``, and drops the artificial columns.  A set with
-    no such row, such as a hull fit, starts from its slack basis with no
-    artificial column.  Every later call starts from the basis the previous
-    one ended at.  A pivot keeps the basis primal feasible, so that basis is
-    a feasible start for any cost; a set found infeasible is infeasible for
-    every objective.
+    no such row starts from its slack basis with no artificial column, in
+    a ``slack_tableau``.  Every later call starts from the basis the
+    previous one ended at.  A pivot keeps the basis primal feasible, so that
+    basis is a feasible start for any cost; a set found infeasible is
+    infeasible for every objective.
     """
 
     def __init__(self, n, a_ub, b_ub, *, free=0):
@@ -138,11 +170,11 @@ class Simplex:
         # becomes -1) and an artificial column is basic in its place
         art_rows = np.flatnonzero(b_ub < 0)
         total = n_real + art_rows.size
-        nb, basis = np.arange(n), np.arange(n, n_real)
+        basis, nb = _slack_basis(n, m)
         # the last row holds the reduced costs and, in its last entry, -objective
-        tableau = np.zeros((m + 1, n + art_rows.size + 1))
-        tableau[:m, :n] = a_ub
-        tableau[:m, -1] = b_ub
+        tableau, rows, rhs = slack_tableau(m, n + art_rows.size)
+        rows[:, :n] = a_ub
+        rhs[:] = b_ub
         if art_rows.size:
             nb = np.concatenate([nb, n + art_rows])
             tableau[art_rows, np.arange(n, nb.size)] = 1.0
@@ -158,43 +190,14 @@ class Simplex:
 
     def minimize(self, c, then=None) -> SimplexSolution:
         """Minimize c@x from the current basis; then ``then``@x on the optimal face."""
-        c = np.asarray(c, dtype=float).reshape(-1)
-        n, total = self.n, self._total
-        if c.size != n:
-            raise ValueError("objective dimension mismatch")
-        if then is not None:
-            then = np.asarray(then, dtype=float).reshape(-1)
-            if then.size != n:
-                raise ValueError("secondary objective dimension mismatch")
+        c, then = _objectives(c, then, self.n)
         pivots = self._phase_one() if self._phase_one_due else 0
         if not self._feasible:
-            return SimplexSolution("infeasible", float("nan"), np.full(n, np.nan), pivots=pivots)
-
-        tableau, basis, nb, sign = self._tableau, self._basis, self._nb, self._sign
-        obj2, bad, count = _run_phase(tableau, basis, nb, self._cost(c), sign)
-        pivots += count
-        if obj2 is None:
-            ray = np.zeros(total)
-            ray[nb[bad]] = 1.0
-            ray[basis] = -tableau[:-1, bad]
-            ray[np.abs(ray) < _PIVOT_TOL] = 0.0
-            x = _extract(tableau, basis, n, total, sign)
-            return SimplexSolution("unbounded", -np.inf, x, ray=_signed(ray[:n], sign), pivots=pivots)
-        if then is not None:
-            # the optimal face: the basic columns and the nonbasic ones that can
-            # enter without raising c@x; a basic column that leaves may re-enter
-            cost3 = self._cost(then)
-            cost3[nb[tableau[-1, :-1] > _TOL]] = np.inf  # off the face
-            pivots += _run_phase(tableau, basis, nb, cost3, sign)[2]
-        x = _extract(tableau, basis, n, total, sign)
-        return SimplexSolution("optimal", float(c @ x), x, pivots=pivots)
-
-    def _cost(self, c):
-        """c over every column id, in the tableau's signs."""
-        cost = np.zeros(self._total)
-        cost[: self.n] = c
-        cost[: self.free] *= self._sign
-        return cost
+            x = np.full(self.n, np.nan)
+            return SimplexSolution("infeasible", float("nan"), x, pivots=pivots)
+        sol = _optimize(self._tableau, self._basis, self._nb, self._sign, c, then)
+        sol.pivots += pivots
+        return sol
 
     def _phase_one(self) -> int:
         """Drive the artificials out of the basis, or find the set infeasible.
@@ -217,6 +220,57 @@ class Simplex:
         real = nb < n_real
         self._tableau, self._nb = tableau[:, np.append(real, True)], nb[real]
         return pivots
+
+
+def _slack_basis(n, m):
+    """(basis, nb) at the slack basis: row i's slack (id n + i) basic, the x columns nonbasic."""
+    return np.arange(n, n + m), np.arange(n)
+
+
+def _objectives(c, then, n):
+    """c and ``then`` (or None) as float vectors of length n."""
+    c = np.asarray(c, dtype=float).reshape(-1)
+    if c.size != n:
+        raise ValueError("objective dimension mismatch")
+    if then is not None:
+        then = np.asarray(then, dtype=float).reshape(-1)
+        if then.size != n:
+            raise ValueError("secondary objective dimension mismatch")
+    return c, then
+
+
+def _optimize(tableau, basis, nb, sign, c, then) -> SimplexSolution:
+    """Phase 2 for c from a primal feasible basis, then ``then`` on the optimal face.
+
+    Every artificial column is gone, so the ids are the n x columns and the
+    m slacks.  A free column negated here flips its entry of ``sign``.
+    """
+    n = c.size
+    total = n + basis.size
+    obj2, bad, pivots = _run_phase(tableau, basis, nb, _cost(c, total, sign), sign)
+    if obj2 is None:
+        ray = np.zeros(total)
+        ray[nb[bad]] = 1.0
+        ray[basis] = -tableau[:-1, bad]
+        ray[np.abs(ray) < _PIVOT_TOL] = 0.0
+        x = _extract(tableau, basis, n, total, sign)
+        return SimplexSolution("unbounded", -np.inf, x, ray=_signed(ray[:n], sign), pivots=pivots)
+    if then is not None:
+        # the optimal face: the basic columns and the nonbasic ones that can
+        # enter without raising c@x; a basic column that leaves may re-enter
+        cost3 = _cost(then, total, sign)
+        cost3[nb[tableau[-1, :-1] > _TOL]] = np.inf  # off the face
+        pivots += _run_phase(tableau, basis, nb, cost3, sign)[2]
+    x = _extract(tableau, basis, n, total, sign)
+    return SimplexSolution("optimal", float(c @ x), x, pivots=pivots)
+
+
+def _cost(c, total, sign):
+    """c over every column id, in the tableau's signs."""
+    cost = np.zeros(total)
+    cost[: c.size] = c
+    cost[: sign.size] *= sign
+    return cost
 
 
 def _signed(v, sign):
@@ -291,7 +345,7 @@ def _run_phase(tableau, basis, nb, cost, sign):
         if pos.size == 0:
             return None, k, pivots
         ratios = rhs[pos] / col[pos]
-        best = ratios.min()
+        best = ratios[ratios.argmin()]
         ties = pos[ratios <= best + _PIVOT_TOL * (1.0 + abs(best))]
         # the lowest basic index among the ties
         leave = int(ties[0]) if ties.size == 1 else int(ties[row_basis[ties].argmin()])

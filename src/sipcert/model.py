@@ -848,7 +848,9 @@ def admissible_diagnostics(prob: Problem, x, opts: Options = Options()) -> Admis
     difference between weak-admissible and admissible); (b) the
     equi-Lipschitz estimate; (c) for polyhedral families, the closed-set
     determination by normalized supporting functionals, with each stated
-    offset compared against the infimum over the set.  The report's
+    offset compared against the infimum over the set.  (a) and (b) read the
+    family over x (``x_family``); (c) reads the set A itself, in the image
+    coordinates of the inner map when there is one (``family``).  The report's
     ``counters`` say how many support LPs, support pivots and Lipschitz grid
     walks ran.
     """
@@ -873,7 +875,7 @@ def admissible_diagnostics(prob: Problem, x, opts: Options = Options()) -> Admis
         hull_gap=membership.distance,
         admissible_style=not membership.member,
         lipschitz_estimate=lipschitz,
-        determination=family.determination(opts.tol_lp, counters),
+        determination=prob.family.determination(opts.tol_lp, counters),
         assumptions=assumptions,
         counters=counters,
     )

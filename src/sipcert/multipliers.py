@@ -49,10 +49,12 @@ class TCApprox:
     stopped_by: str  # 'interior'|'finite_shortcut'|'stabilized'|'empty'|'max_steps'
     # the scan candidate behind each final generator, ascending
     final_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    # the ladder's work, all 0 when none ran: "gap_lps" and "gap_rows" (see
-    # _ladder_gap), and the scan's "refined_seeds" (see FamilyScan)
+    # the ladder's work, all 0 when none ran: "gap_lps", "gap_rows" and
+    # "gap_pivots" (see _ladder_gap), and the scan's "refined_seeds" (see FamilyScan)
     counters: dict = field(
-        default_factory=lambda: dict.fromkeys(("gap_lps", "gap_rows", "refined_seeds"), 0),
+        default_factory=lambda: dict.fromkeys(
+            ("gap_lps", "gap_rows", "gap_pivots", "refined_seeds"), 0
+        ),
         compare=False,
     )
 
@@ -115,17 +117,22 @@ def _ladder_gap(grads, gates, ids, prev, eps, counters) -> float:
     larger one-sided gap.  The next rung is nested in ``prev``, which makes
     its side exactly 0.  The other needs only the dropped rows, less those
     equal to a kept row or an earlier dropped one by ``ids``
-    (``first_equal_rows(grads)``): they add to ``counters["gap_rows"]``, and
-    the LPs ``farthest_row_distance`` runs on them to ``counters["gap_lps"]``.
+    (``first_equal_rows(grads)``): they add to ``counters["gap_rows"]``, the
+    LPs ``farthest_row_distance`` runs on them to ``counters["gap_lps"]`` and
+    those LPs' simplex pivots to ``counters["gap_pivots"]``.  A rung that
+    drops no row equals ``prev``: its gap is 0 and nothing more runs.
     """
     kept = gates[prev] <= eps
+    if kept.all():
+        return 0.0
     new, dropped = prev[kept], prev[~kept]
     held = np.zeros(ids.size, dtype=bool)
     held[ids[new]] = True
     dropped = _distinct(ids, dropped[~held[ids[dropped]]])
-    gap, lps = farthest_row_distance(grads[dropped], Hull(grads[new]))
+    gap, lps, pivots = farthest_row_distance(grads[dropped], Hull(grads[new]))
     counters["gap_rows"] += dropped.size
     counters["gap_lps"] += lps
+    counters["gap_pivots"] += pivots
     return gap
 
 
@@ -152,7 +159,7 @@ def tc_approx(prob: Problem, x, opts: Options = Options()) -> TCApprox:
 
     scan = FamilyScan(prob, x, values, opts.eps0, opts)
     ids = first_equal_rows(scan.grads)
-    counters = {"gap_lps": 0, "gap_rows": 0, "refined_seeds": scan.refined_seeds}
+    counters = {"gap_lps": 0, "gap_rows": 0, "gap_pivots": 0, "refined_seeds": scan.refined_seeds}
     ladder = []
     gaps = []
     stopped_by = "max_steps"

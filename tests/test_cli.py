@@ -281,6 +281,7 @@ class TestCertify:
         # the quarter circle h = 1 - x . (cos t1, sin t1) at grid 1025, the
         # candidate on grid point 400, the one seed bisected: 184 deduped
         # dropped rows over the ladder, of which the early break needs 12 LPs
+        # of one pivot each
         t = float(np.linspace(0.0, math.pi / 2, 1025)[400])
         doc = {
             "dimension": 2,
@@ -295,12 +296,15 @@ class TestCertify:
         path.write_text(json.dumps(doc))
         _, circle = run_json("certify", str(path))
         _, trig = run_json("certify", fixture_path("sip_trig"))  # dropped rows repeat kept ones
-        counts = ("gap_lps", "gap_rows", "refined_seeds")
+        counts = ("gap_lps", "gap_rows", "gap_pivots", "refined_seeds")
         for report in (circle, trig):
             assert set(report["timings"]) == {"total_s", *counts}
         assert (circle["verdict"], circle["stopped_by"]) == ("KKT", "stabilized")
-        assert [circle["timings"][k] for k in counts] == [12, 184, 1]
-        assert [trig["timings"][k] for k in counts] == [0, 0, 0]  # one flat run: no seed
+        assert [circle["timings"][k] for k in counts] == [12, 184, 12, 1]
+        assert [trig["timings"][k] for k in counts] == [0, 0, 0, 0]  # one flat run: no seed
+        _, tcset = run_json("tcset", str(path))  # the same ladder, the same work
+        assert set(tcset["timings"]) == {"total_s", *counts}
+        assert [tcset["timings"][k] for k in counts] == [12, 184, 12, 1]
 
     @pytest.mark.parametrize("equality, verdict, branch", [
         (None, "KKT", None),
@@ -331,7 +335,9 @@ class TestCertify:
         report = json.loads(capsys.readouterr().out)
         assert (report["verdict"], report.get("branch")) == (verdict, branch)
         timings = report["timings"]
-        assert [timings[k] for k in ("gap_lps", "gap_rows", "refined_seeds")] == [8, 36, 1]
+        assert [timings[k] for k in ("gap_lps", "gap_rows", "gap_pivots", "refined_seeds")] == [
+            8, 36, 8, 1
+        ]
 
     def test_bisection_stops_at_float_resolution(self, monkeypatch, capsys):
         # near_active's one seed is down to adjacent floats within about 60
@@ -480,6 +486,24 @@ class TestAdmissible:
         assert code == 0
         assert report["admissible_style"] is False
         assert report["cone"]["interior_nonempty"] is False
+
+    def test_composed_polyhedral_set_is_determined_in_its_image(self):
+        # composed_parabola's A is the orthant y >= 0 in the image of
+        # (x1, x2 - x1^2): admissible reports A as certify does, both facets
+        # with infimum 0 equal to the stated offset, and its cone
+        code, report = run_json("admissible", fixture_path("composed_parabola"))
+        _, certified = run_json("certify", fixture_path("composed_parabola"))
+        assert code == 0
+        assert report["family"] == certified["problem"]["family"] == "polyhedral"
+        assert report["determination"] == [
+            {"normal": [1.0, 0.0], "infimum": 0.0, "stated_offset": 0.0},
+            {"normal": [0.0, 1.0], "infimum": 0.0, "stated_offset": 0.0},
+        ]
+        assert report["cone"]["interior_nonempty"] is True
+        # the full hull and the Lipschitz estimate read the composed members:
+        # x2 - x1^2 is steeper than 1 near the candidate, A's facets are not
+        assert (report["zero_in_full_hull"], report["hull_gap"]) == (False, 0.5)
+        assert report["lipschitz_estimate"] > 1.0
 
     def test_near_active_admissible_pass(self):
         code, report = run_json("admissible", fixture_path("near_active"))

@@ -94,23 +94,37 @@ class TestFitLP:
             n, p = int(rng.integers(1, 40)), int(rng.integers(1, 5))
             gens = rng.standard_normal((n, p)) * 10.0 ** rng.integers(-3, 4)
             for t in _fit_targets(rng, gens):
-                c, a_ub, b_ub, k, u = geometry._fit_lp(gens.T, t)
+                bound, nearest = geometry._nearest_generator_distance(t[None], gens)
+                k = int(nearest[0])
+                c, a_ub, b_ub, tableau, u = geometry._fit_lp(gens.T, t, k)
                 assert a_ub.shape == (2 * p + 1, n + 1) and b_ub.shape == (2 * p + 1,)
                 assert np.all(b_ub >= 0.0)
-                assert u == geometry._nearest_generator_distance(t[None], gens)[0]
+                assert u == bound[0]
                 assert np.all(a_ub[:, k] == 0.0) and c[k] == 0.0
+                # the rows are views of the slack tableau, whose cost row is zero
+                assert np.shares_memory(a_ub, tableau) and np.shares_memory(b_ub, tableau)
+                assert not tableau[-1].any()
 
     def test_hull_and_segment_lps_run_no_phase_one(self, monkeypatch, rng):
+        # each fit LP is solved in its own slack tableau, every right-hand
+        # side >= 0: no Simplex is built, so no artificial column, no phase 1
         from sipcert import lp
 
-        calls = []
-        monkeypatch.setattr(lp.Simplex, "_phase_one", lambda self: calls.append(self))
+        built, fits = [], []
+        monkeypatch.setattr(lp, "Simplex", lambda *args, **kwargs: built.append(args))
+        solve = geometry.solve_lp
+
+        def logged(c, a_ub, b_ub, *, then=None, tableau=None):
+            fits.append(tableau is not None and bool(np.all(b_ub >= 0.0)))
+            return solve(c, a_ub, b_ub, then=then, tableau=tableau)
+
+        monkeypatch.setattr(geometry, "solve_lp", logged)
         for _ in range(20):
             gens = rng.standard_normal((int(rng.integers(1, 30)), 3))
             for t in _fit_targets(rng, gens):
                 hull_member(t, Hull(gens))
                 segment_hull_member(t, rng.standard_normal(3), Hull(gens))
-        assert calls == []
+        assert built == [] and len(fits) == 20 * 5 * 2 and all(fits)
 
     def test_distance_lies_within_the_nearest_generator_distance(self, rng):
         # exactly, so one_sided_hull_gap's early break holds in floating point
@@ -118,7 +132,7 @@ class TestFitLP:
             n, p = int(rng.integers(1, 40)), int(rng.integers(1, 5))
             gens = rng.standard_normal((n, p))
             for t in _fit_targets(rng, gens):
-                u = geometry._nearest_generator_distance(t[None], gens)[0]
+                u = geometry._nearest_generator_distance(t[None], gens)[0][0]
                 d = hull_distance(t, Hull(gens))
                 assert 0.0 <= d <= u
 
@@ -401,17 +415,36 @@ def _unpruned_gap(src, dst):
     return gap, list(zip(rows, distances))
 
 
+def _log_fits(monkeypatch):
+    """The target bytes of every fit LP ``geometry._fit`` runs from here on.
+
+    Each fit must start where ``_fit``'s own choice would, at the first
+    nearest column, and give its coefficients, distance and pivots bit for bit.
+    """
+    run = []
+    fit = geometry._fit
+
+    def logged(cols, t, then=None, k=None):
+        run.append(t.tobytes())
+        got = fit(cols, t, then, k)
+        if k is not None:
+            assert k == int(np.abs(cols.T - t).max(axis=1).argmin())  # the first of equals
+            own = fit(cols, t, then)
+            assert got[0].tobytes() == own[0].tobytes()
+            assert (got[1].hex(), got[2]) == (own[1].hex(), own[2])
+        return got
+
+    monkeypatch.setattr(geometry, "_fit", logged)
+    return run
+
+
 class TestOneSidedGapPruning:
     """The pruned gap equals the unpruned maximum bit for bit; skipped rows cannot raise it."""
 
     def _check(self, monkeypatch, src, dst):
         src, dst = Hull(src), Hull(dst)
         expected, distances = _unpruned_gap(src, dst)
-        run = []
-        distance = geometry.hull_distance
-        monkeypatch.setattr(
-            geometry, "hull_distance", lambda t, h: run.append(t.tobytes()) or distance(t, h)
-        )
+        run = _log_fits(monkeypatch)
         gap = one_sided_hull_gap(src, dst)
         monkeypatch.undo()
         assert gap.hex() == expected.hex()
@@ -443,21 +476,26 @@ class TestOneSidedGapPruning:
 
     def test_ties_in_the_bound_go_in_src_order(self, monkeypatch):
         # both rows are 1 from the single dst generator; only the first needs an LP
-        run = []
-        distance = geometry.hull_distance
-        monkeypatch.setattr(
-            geometry, "hull_distance", lambda t, h: run.append(tuple(t)) or distance(t, h)
-        )
+        run = _log_fits(monkeypatch)
         assert one_sided_hull_gap(H([0, 1], [1, 0]), H([0, 0])) == 1.0
-        assert run == [(0.0, 1.0)]
+        assert run == [np.array([0.0, 1.0]).tobytes()]
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_ties_in_the_start_column_go_to_the_first_generator(self, monkeypatch, order):
+        # (0, .5) is 1 from both (1, 0) and (-1, 0): the LP starts at the
+        # first of them in dst order, as hull_distance's own search does
+        dst = H([1, 0], [-1, 0], [0, -3])
+        dst = Hull(np.vstack([dst.generators[:2][::order], dst.generators[2:]]))
+        run = _log_fits(monkeypatch)
+        assert one_sided_hull_gap(H([0, 0.5]), dst) == 0.5
+        assert run == [np.array([0.0, 0.5]).tobytes()]
 
     def test_signed_zero_twin_of_a_dst_row(self, monkeypatch):
         gap, run, offered = self._check(monkeypatch, [[-0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0]])
         assert (gap, run, offered) == (0.0, 0, 1)
 
     def test_empty_sides(self, monkeypatch):
-        run = []
-        monkeypatch.setattr(geometry, "hull_distance", lambda *a: run.append(a))
+        run = _log_fits(monkeypatch)
         assert one_sided_hull_gap(Hull(np.zeros((0, 2))), H([1, 0])) == 0.0
         assert one_sided_hull_gap(H([1, 0]), Hull(np.zeros((0, 2)))) == np.inf
         assert run == []
@@ -480,21 +518,29 @@ class TestOneSidedGapPruning:
 class TestNearestGeneratorBound:
     @staticmethod
     def _broadcast(rows, gens):
-        return np.abs(rows[:, None, :] - gens[None, :, :]).max(axis=2).min(axis=1)
+        """(rows, generators) inf-norm distances."""
+        return np.abs(rows[:, None, :] - gens[None, :, :]).max(axis=2)
 
     @pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 18])
     def test_chunks_match_the_broadcast(self, monkeypatch, rng, chunk):
         monkeypatch.setattr(geometry, "_BOUND_CHUNK", chunk)
         for n, m, p in [(0, 3, 2), (1, 1, 1), (5, 9, 3), (37, 11, 2), (200, 150, 4)]:
             rows, gens = rng.standard_normal((n, p)), rng.standard_normal((m, p))
-            got = geometry._nearest_generator_distance(rows, gens)
-            assert got.tobytes() == self._broadcast(rows, gens).tobytes()
+            got, nearest = geometry._nearest_generator_distance(rows, gens)
+            assert got.tobytes() == self._broadcast(rows, gens).min(axis=1).tobytes()
+            assert np.array_equal(nearest, self._broadcast(rows, gens).argmin(axis=1))
+
+    def test_ties_go_to_the_first_generator(self):
+        rows = np.array([[0.0, 0.5], [2.0, 2.0], [-0.0, 0.0]])
+        gens = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [-0.0, -0.0]])
+        got, nearest = geometry._nearest_generator_distance(rows, gens)
+        assert got.tolist() == [0.5, 2.0, 0.0] and nearest.tolist() == [2, 0, 2]
 
     def test_peak_memory_stays_small(self, rng):
         rows, gens = rng.standard_normal((4096, 2)), rng.standard_normal((4096, 2))
         tracemalloc.start()
         try:
-            got = geometry._nearest_generator_distance(rows, gens)
+            got, _ = geometry._nearest_generator_distance(rows, gens)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -809,32 +809,89 @@ def test_hull_lps_match_the_full_tableau(rng):
 
 
 # the slack-basis start: with no negative right-hand side the constructor
-# adds no artificial column and no phase 1 runs; the pivots and the bits
-# must still be the full tableau's.
+# adds no artificial column and no phase 1 runs, and solve_lp given a
+# slack_tableau solves the LP in the tableau its caller wrote; the pivots
+# and the bits must still be the full tableau's.
 
 
 def _assert_slack_start(phase_ones, c, a_ub, b_ub, then=None):
     c = np.asarray(c, dtype=float)
+    a_ub, b_ub = np.asarray(a_ub, dtype=float), np.asarray(b_ub, dtype=float)
     before = len(phase_ones)
     slack = lp.Simplex(c.size, a_ub, b_ub).minimize(c, then)
     assert len(phase_ones) == before  # no phase 1
     _assert_same_as_full_tableau(c, a_ub, b_ub, then)
+    tableau, rows, rhs = lp.slack_tableau(b_ub.size, c.size)
+    rows[:], rhs[:] = a_ub, b_ub
+    entry = solve_lp(c, rows, rhs, then=then, tableau=tableau)
+    assert (entry.status, entry.x.tobytes(), entry.pivots, entry.objective) == (
+        slack.status, slack.x.tobytes(), slack.pivots, slack.objective
+    )
+    assert (entry.ray is None) == (slack.ray is None)
+    if entry.ray is not None:
+        assert entry.ray.tobytes() == slack.ray.tobytes()
     return slack
 
 
-def test_slack_start_on_random_fit_lps(rng, monkeypatch):
+def _fit_arrays(cols, t, k):
+    """(c, a_ub, b_ub, u) of the fit LP ``geometry._fit_lp`` writes, the rows copied out."""
     from sipcert.geometry import _fit_lp
 
+    c, a_ub, b_ub, _, u = _fit_lp(cols, t, k)
+    return c, a_ub.copy(), b_ub.copy(), u
+
+
+def _fit_start(cols, t):
+    """The fit's default start column: the first column nearest to t."""
+    from sipcert.geometry import _nearest_generator_distance
+
+    return int(_nearest_generator_distance(t[None], cols.T)[1][0])
+
+
+def test_slack_start_on_random_fit_lps(rng, monkeypatch):
     phase_ones = _phase_one_log(monkeypatch)
     for _ in range(60):
         p, n = int(rng.integers(1, 5)), int(rng.integers(1, 40))
         cols = rng.integers(-2, 3, size=(p, n)) / 2.0  # repeated columns, ties
         for t in (cols[:, 0], cols.mean(axis=1), rng.standard_normal(p) * 2.0):
-            c, a_ub, b_ub, _, _ = _fit_lp(cols, t)
+            c, a_ub, b_ub, _ = _fit_arrays(cols, t, _fit_start(cols, t))
             assert np.all(b_ub >= 0.0)
             _assert_slack_start(phase_ones, c, a_ub, b_ub)
             # a tie-break objective, as the certificate LP takes
             _assert_slack_start(phase_ones, c, a_ub, b_ub, -rng.random(c.size))
+
+
+def _assert_fit_is_solve_lp(cols, t, then=None, k=None):
+    """``_fit`` (in its slack tableau) against ``solve_lp`` on copies of its arrays, byte for byte."""
+    from sipcert.geometry import _fit
+
+    start = _fit_start(cols, t) if k is None else k
+    c, a_ub, b_ub, u = _fit_arrays(cols, t, start)
+    mapped = None if then is None else np.append(then[:-1] - then[start], -then[-1])
+    ref = solve_lp(c, a_ub, b_ub, then=mapped)
+    assert ref.optimal
+    a = np.clip(ref.x[:-1], 0.0, None)
+    a[start] = max(1.0 - a.sum(), 0.0)
+    distance = min(max(u - float(ref.x[-1]), 0.0), u)
+    coeffs, got, pivots = _fit(cols, t, then, k)
+    assert (coeffs.tobytes(), got.hex(), pivots) == (a.tobytes(), distance.hex(), ref.pivots)
+
+
+def test_slack_entry_solves_the_same_fit_lp_as_solve_lp(rng):
+    # repeated columns, exact ties in pricing and in the ratio test, signed
+    # zeros in the columns and the target (so in the right-hand sides), with
+    # and without a tie-break objective, from the nearest column or column 0
+    for _ in range(150):
+        p, n = int(rng.integers(1, 5)), int(rng.integers(1, 30))
+        cols = rng.integers(-2, 3, size=(p, n)) / 2.0
+        cols[:, rng.integers(n, size=n // 2)] = cols[:, :1]  # repeats of column 0
+        cols[rng.random((p, n)) < 0.2] = -0.0
+        targets = [cols[:, -1].copy(), cols.mean(axis=1), rng.integers(-3, 4, p) / 2.0]
+        targets[0][rng.random(p) < 0.5] = -0.0
+        for t in targets:
+            for then in (None, -rng.random(n + 1), -np.arange(n + 1, 0, -1.0)):
+                for k in (None, 0):
+                    _assert_fit_is_solve_lp(cols, t, then, k)
 
 
 def test_slack_start_on_the_ladder_gap_lps(monkeypatch, sphere_ladder):
@@ -844,16 +901,25 @@ def test_slack_start_on_the_ladder_gap_lps(monkeypatch, sphere_ladder):
 
     captured = []
     solve = geometry.solve_lp
-    monkeypatch.setattr(
-        geometry, "solve_lp", lambda *a, **k: captured.append((a, k)) or solve(*a, **k)
-    )
+
+    def logged(c, a_ub, b_ub, *, then=None, tableau=None):
+        arrays = (c.copy(), a_ub.copy(), b_ub.copy())  # the solve overwrites a tableau
+        sol = solve(c, a_ub, b_ub, then=then, tableau=tableau)
+        captured.append((arrays, then, tableau is not None, sol))
+        return sol
+
+    monkeypatch.setattr(geometry, "solve_lp", logged)
     for grid, t_index in ((1025, [300]), (65, [40, 16])):  # as the sip-ladder workload
         tc_approx(*sphere_ladder(grid, t_index), Options())
     monkeypatch.undo()
     assert len(captured) >= 10
     phase_ones = _phase_one_log(monkeypatch)
-    for (c, a_ub, b_ub), kwargs in captured:
-        _assert_slack_start(phase_ones, c, a_ub, b_ub, kwargs.get("then"))
+    for (c, a_ub, b_ub), then, in_place, sol in captured:
+        assert in_place  # solved in the tableau the fit wrote
+        _assert_slack_start(phase_ones, c, a_ub, b_ub, then)
+        # the answer the fit got is the full tableau's, bit for bit
+        status, x, pivots, _ = _full_tableau_lp(c, a_ub, b_ub, then)
+        assert (sol.status, sol.x.tobytes(), sol.pivots) == (status, x.tobytes(), pivots)
 
 
 def test_slack_start_with_signed_zero_right_hand_sides(monkeypatch):

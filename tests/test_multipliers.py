@@ -114,16 +114,15 @@ class TestLadderGap:
 
     def _check(self, monkeypatch, grads, gates, prev, eps):
         new = prev[gates[prev] <= eps]
-        calls = []
-        distance = geometry.hull_distance
-        monkeypatch.setattr(geometry, "hull_distance", lambda *a: calls.append(a) or distance(*a))
+        calls = _log_fit_pivots(monkeypatch)
         outer, inner = Hull(grads[prev]), Hull(grads[new])
         expected = max(one_sided_hull_gap(outer, inner), one_sided_hull_gap(inner, outer))
         two_sided = len(calls)
-        counters = {"gap_lps": 0, "gap_rows": 0}
+        counters = {"gap_lps": 0, "gap_rows": 0, "gap_pivots": 0}
         gap = _ladder_gap(grads, gates, first_equal_rows(grads), prev, eps, counters)
         assert gap.hex() == expected.hex()
         assert counters["gap_lps"] == len(calls) - two_sided <= two_sided
+        assert counters["gap_pivots"] == sum(calls[two_sided:])
         monkeypatch.undo()
         # the ids drop the rows that the bytewise dedupe of the dropped rows drops
         dropped = np.setdiff1d(prev, new, assume_unique=True)
@@ -158,14 +157,13 @@ class TestLadderGap:
 
     def test_quarter_circle_ladder_prunes_gap_lps(self, monkeypatch, sphere_ladder):
         prob, x = sphere_ladder(1025, [400])
-        calls = []
-        distance = geometry.hull_distance
-        monkeypatch.setattr(geometry, "hull_distance", lambda *a: calls.append(a) or distance(*a))
+        calls = _log_fit_pivots(monkeypatch)
         tc = tc_approx(prob, x, Options())
         monkeypatch.undo()
         assert tc.stopped_by == "stabilized" and len(tc.ladder) >= 3
         assert len(calls) <= 20  # every dropped row of every rung is 368 LPs
         assert tc.counters["gap_lps"] == len(calls)
+        assert tc.counters["gap_pivots"] == sum(calls)
         grads = tc.ladder[0][1].scan.grads
         unpruned = [
             _unpruned_ladder_gap(grads, prev.entries, new.entries)
@@ -198,7 +196,7 @@ class TestLadderGap:
         assert np.array_equal(tc.final_rows, rows[first_occurrences(scan.grads[rows])])
         assert tc.final_rows.tolist() == [0, 1, 7]
         # offered: one of the two (1, 1) rows at the second rung, (2, 1) at the third
-        assert tc.counters == {"gap_lps": 2, "gap_rows": 2, "refined_seeds": 0}
+        assert tc.counters == {"gap_lps": 2, "gap_rows": 2, "gap_pivots": 3, "refined_seeds": 0}
 
     def test_signed_zero_facets_give_one_generator(self):
         # facets y2 >= 0 written with normals (0, 1) and (-0, 1)
@@ -207,6 +205,20 @@ class TestLadderGap:
         tc = tc_approx(Problem(2, parse("-x2", 2), family), (0.0, 0.0))
         assert len(tc.ladder[-1][1].entries) == 2
         assert tc.final.generators.tolist() == [[0.0, 1.0]] and tc.final_rows.tolist() == [0]
+
+
+def _log_fit_pivots(monkeypatch):
+    """The pivots of every fit LP ``geometry._fit`` runs from here on, one entry per LP."""
+    pivots = []
+    fit = geometry._fit
+
+    def logged(*args, **kwargs):
+        result = fit(*args, **kwargs)
+        pivots.append(result[2])
+        return result
+
+    monkeypatch.setattr(geometry, "_fit", logged)
+    return pivots
 
 
 class _RowsFamily(model_mod._Family):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -156,7 +158,12 @@ class TestComposeFamily:
             twin.ladder_table(), twin.stopped_by, twin.labels()
         )
         assert tc.final.generators.tobytes() == twin.final.generators.tobytes()
-        assert admissible_diagnostics(problem, x, opts) == admissible_diagnostics(derived, x, opts)
+        # admissible reads the composed members too, but determines the set A
+        # itself, in the inner map's image; the twin knows only the composite
+        diag, twin_diag = (admissible_diagnostics(prob, x, opts) for prob in (problem, derived))
+        assert replace(diag, determination=()) == twin_diag and twin_diag.determination == ()
+        assert diag.determination == problem.family.determination(opts.tol_lp)
+        assert [inf for _, inf, _ in diag.determination] == [0.0, 0.0]
 
 
 class TestCertifyComposed:
