@@ -17,6 +17,16 @@ are no user-defined functions -- so the evaluator is total and auditable:
     VARIABLE = ("x" | "t") DIGITS ;                   (* 1-based index *)
     NUMBER   = decimal or scientific literal ;
 
+The tokens come from one regex pass (``findall``), as strings: no
+positions are kept, and a token's offset is computed only when a
+:class:`ParseError` names it, by scanning the source again.  A bad
+character anywhere is reported before any syntax error.  Parentheses,
+function calls, unary signs and ``^`` operands nest at most ``MAX_DEPTH``
+(100) levels, counted together; deeper input is a ``ParseError``, not a
+``RecursionError``.  AST nodes are slot dataclasses, hashable and equal by
+value; they are not frozen (a frozen dataclass's ``__init__`` costs about
+four times as much), so nothing may mutate a node after construction.
+
 Gradients are computed by forward-mode dual numbers, so they are exact up
 to floating rounding; central finite differences are used as a test oracle
 only.  Evaluation never returns NaN or infinity: any non-finite input or
@@ -46,6 +56,7 @@ import itertools
 import math
 import operator
 import re
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,30 +104,30 @@ class KinkError(ExprError):
 # AST
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Num:
     value: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var:
     kind: str  # 'x' or 't'
     index: int  # 0-based
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Neg:
     arg: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Bin:
     op: str  # '+', '-', '*', '/', '^'
     left: object
     right: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Call:
     func: str
     args: tuple
@@ -126,8 +137,9 @@ class Call:
 class ExprFn:
     """A parsed scalar expression with declared variable arities.
 
-    Immutable after :func:`parse`; evaluation is reentrant, so a single
-    ExprFn may be evaluated from several threads at once.
+    Frozen, and nothing mutates its AST's nodes after :func:`parse` (they are
+    slot classes, not frozen); evaluation is reentrant, so a single ExprFn
+    may be evaluated from several threads at once.
     """
 
     ast: object
@@ -573,143 +585,157 @@ def _index_points(f, tpoints):
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 
+# One token after optional whitespace: an operator, an identifier or a
+# number, captured; any other non-space character is matched uncaptured, so
+# `findall` gives it as "".  Trailing whitespace matches nothing.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op>\*\*|[-+*/^(),])
-  | (?P<ws>\s+)
-""",
-    re.VERBOSE,
+    r"\s*(?:(\*\*|[-+*/^(),]|[A-Za-z_][A-Za-z_0-9]*|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)|\S)"
 )
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_PUNCTUATION = frozenset(("**", "+", "-", "*", "/", "^", "(", ")", ","))
+
+MAX_DEPTH = 100  # parentheses, calls, unary signs and "^" operands, counted together
 
 
-def _tokenize(src):
-    tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {src[pos]!r}", pos, ("number", "variable", "operator")
-            )
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(("eof", "", len(src)))
-    return tokens
+def _offset(src, k):
+    """The offset in ``src`` of its token ``k``; the end of ``src`` past the last token."""
+    for j, m in enumerate(_TOKEN_RE.finditer(src)):
+        if j == k:
+            return m.end() - len(m.group().lstrip())  # the match less its whitespace
+    return len(src)
 
 
 class _Parser:
+    """Recursive descent over the token strings; ``i`` indexes the next token.
+
+    A token's offset is found only for an error, by scanning ``src`` again.
+    """
+
     def __init__(self, src, arity_x, arity_t):
         self.src = src
-        self.tokens = _tokenize(src)
+        self.tokens = _TOKEN_RE.findall(src)
+        if "" in self.tokens:  # a bad character, reported before any syntax error
+            offset = _offset(src, self.tokens.index(""))
+            raise ParseError(
+                f"unexpected character {src[offset]!r}", offset, ("number", "variable", "operator")
+            )
+        self.tokens.append("")  # end of input
         self.i = 0
+        self.depth = 0
         self.arity_x = arity_x
         self.arity_t = arity_t
 
-    def peek(self):
-        return self.tokens[self.i]
+    def error(self, message, k, expected=()):
+        return ParseError(message, _offset(self.src, k), expected)
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def nest(self, k):
+        # token k opens one more level
+        if self.depth == MAX_DEPTH:
+            raise self.error(f"expression nested deeper than {MAX_DEPTH} levels", k)
+        self.depth += 1
 
     def parse(self):
         node = self.expr()
-        kind, text, pos = self.peek()
-        if kind != "eof":
-            raise ParseError(f"unexpected token {text!r}", pos, ("operator", "end of input"))
+        if self.tokens[self.i]:
+            expected = ("operator", "end of input")
+            raise self.error(f"unexpected token {self.tokens[self.i]!r}", self.i, expected)
         return node
 
     def expr(self):
         node = self.term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.advance()[1]
+        while (op := self.tokens[self.i]) == "+" or op == "-":
+            self.i += 1
             node = Bin(op, node, self.term())
         return node
 
     def term(self):
         node = self.factor()
-        while self.peek()[1] in ("*", "/"):
-            op = self.advance()[1]
+        while (op := self.tokens[self.i]) == "*" or op == "/":
+            self.i += 1
             node = Bin(op, node, self.factor())
         return node
 
     def factor(self):
-        kind, text, pos = self.peek()
-        if text == "-":
-            self.advance()
-            return Neg(self.factor())
-        if text == "+":
-            self.advance()
-            return self.factor()
-        return self.power()
-
-    def power(self):
+        # a signed factor, or an atom with an optional right-associative power
+        k = self.i
+        tok = self.tokens[k]
+        if tok == "-" or tok == "+":
+            self.nest(k)
+            self.i = k + 1
+            node = self.factor()
+            self.depth -= 1
+            return Neg(node) if tok == "-" else node
         node = self.atom()
-        if self.peek()[1] in ("^", "**"):
-            self.advance()
-            node = Bin("^", node, self.factor())  # right-associative
+        k = self.i
+        if self.tokens[k] in ("^", "**"):
+            self.nest(k)
+            self.i = k + 1
+            node = Bin("^", node, self.factor())
+            self.depth -= 1
         return node
 
     def atom(self):
-        kind, text, pos = self.advance()
-        if kind == "num":
-            value = float(text)
-            if not math.isfinite(value):
-                raise ParseError(f"numeric literal {text!r} overflows", pos, ("finite number",))
-            return Num(value)
-        if kind == "ident":
-            return self.ident(text, pos)
-        if text == "(":
+        k = self.i
+        tok = self.tokens[k]
+        self.i = k + 1
+        if tok[:1] in _IDENT_START:
+            return self.ident(tok, k)
+        if tok == "(":
+            self.nest(k)
             node = self.expr()
             self.expect(")")
+            self.depth -= 1
             return node
-        raise ParseError(
-            f"unexpected token {text or 'end of input'!r}",
-            pos,
-            ("number", "variable", "function", "("),
-        )
+        if tok and tok not in _PUNCTUATION:
+            value = float(tok)
+            if not math.isfinite(value):
+                raise self.error(f"numeric literal {tok!r} overflows", k, ("finite number",))
+            return Num(value)
+        expected = ("number", "variable", "function", "(")
+        raise self.error(f"unexpected token {tok or 'end of input'!r}", k, expected)
 
-    def ident(self, name, pos):
+    def ident(self, name, k):
         if name in FUNCTIONS:
             self.expect("(")
+            self.nest(k + 1)
             args = [self.expr()]
-            while self.peek()[1] == ",":
-                self.advance()
+            while self.tokens[self.i] == ",":
+                self.i += 1
                 args.append(self.expr())
             self.expect(")")
-            self.check_arity(name, len(args), pos)
+            self.depth -= 1
+            lo, hi = _OPS[name][1]
+            if len(args) < lo or (hi is not None and len(args) > hi):
+                count = lo if hi else f"at least {lo}"
+                raise self.error(f"{name} takes {count} argument(s)", k)
             return Call(name, tuple(args))
-        m = re.fullmatch(r"([xt])([0-9]+)", name)
-        if m is None:
-            raise ParseError(f"unknown identifier {name!r}", pos, ("variable", "function"))
-        kind, idx = m.group(1), int(m.group(2))
+        kind, digits = name[0], name[1:]
+        if kind not in "xt" or not digits.isdigit():  # an identifier's digits are ASCII
+            raise self.error(f"unknown identifier {name!r}", k, ("variable", "function"))
+        idx = int(digits)
         if idx < 1:
-            raise ParseError(f"variable index in {name!r} must start at 1", pos)
+            raise self.error(f"variable index in {name!r} must start at 1", k)
         arity = self.arity_x if kind == "x" else self.arity_t
         if idx > arity:
-            raise ParseError(
-                f"variable {name!r} exceeds declared arity ({kind}-dimension {arity})", pos
-            )
+            message = f"variable {name!r} exceeds declared arity ({kind}-dimension {arity})"
+            raise self.error(message, k)
         return Var(kind, idx - 1)
 
-    def check_arity(self, name, n, pos):
-        lo, hi = _OPS[name][1]
-        if n < lo or (hi is not None and n > hi):
-            raise ParseError(f"{name} takes {lo if hi else 'at least ' + str(lo)} argument(s)", pos)
-
     def expect(self, text):
-        kind, got, pos = self.peek()
-        if got != text:
-            raise ParseError(f"expected {text!r}, found {got or 'end of input'!r}", pos, (text,))
-        self.advance()
+        k = self.i
+        found = self.tokens[k]
+        if found != text:
+            raise self.error(f"expected {text!r}, found {found or 'end of input'!r}", k, (text,))
+        self.i = k + 1
 
 
 def parse(src: str, arity_x: int, arity_t: int = 0) -> ExprFn:
-    """Parse ``src`` into an :class:`ExprFn` over x1..x{arity_x}, t1..t{arity_t}."""
+    """Parse ``src`` into an :class:`ExprFn` over x1..x{arity_x}, t1..t{arity_t}.
+
+    Raises :class:`ParseError` for a bad character (the first one, before
+    any syntax is read), a syntax or arity error, an overflowing literal, or
+    nesting deeper than ``MAX_DEPTH`` levels.
+    """
     if not src or not src.strip():
         raise ParseError("empty expression", 0, ("number", "variable", "function", "("))
     ast = _Parser(src, arity_x, arity_t).parse()

@@ -80,16 +80,20 @@ def _is_finite_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
+_NUMBER_TYPES = frozenset((int, float))  # not bool, an int subclass
+
+
 def _number_list(values, where, length=None):
     _require(isinstance(values, list) and values, "expected a nonempty array of numbers", where)
-    out = []
-    for i, v in enumerate(values):
-        if not _is_finite_number(v):
-            raise ProblemFileError("expected a finite number", f"{where}[{i}]")
-        out.append(float(v))
+    # the whole list at once; only a list that fails is walked, to name its first bad entry
+    # (a sum of numbers is finite only when each of them is)
+    if not (_NUMBER_TYPES.issuperset(map(type, values)) and math.isfinite(sum(values))):
+        for i, v in enumerate(values):
+            if not _is_finite_number(v):
+                raise ProblemFileError("expected a finite number", f"{where}[{i}]")
     if length is not None:
-        _require(len(out) == length, f"expected {length} entries", where)
-    return out
+        _require(len(values) == length, f"expected {length} entries", where)
+    return list(map(float, values))
 
 
 def load_problem(source, grid: int | None = None) -> LoadedProblem:

@@ -60,6 +60,19 @@ class TestCertify:
         assert code == 4
         assert "1e999" in report["error"]["message"]
 
+    @pytest.mark.parametrize("member, message", [
+        ("x1 + $ x2", "unexpected character '$' (at offset 5)"),
+        ("(" * 200 + "x1" + ")" * 200, "expression nested deeper than 100 levels (at offset 100)"),
+    ])
+    def test_bad_character_and_deep_nesting_exit_four(self, tmp_path, member, message):
+        doc = {"dimension": 2, "objective": "x1", "constraints": {"finite": [member]},
+               "candidate": [0.0, 0.0]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("certify", str(path))
+        assert (proc.returncode, proc.stderr) == (4, "")
+        assert message in proc.stdout
+
     def test_strict_variant_exit_two(self):
         code, report = run_json("certify", fixture_path("strict_active"))
         assert code == 2

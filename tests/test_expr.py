@@ -96,6 +96,44 @@ class TestParse:
             parse("(x1", 1)
         assert ")" in err.value.expected
 
+    def test_nodes_are_hashable_values(self):
+        a, b = parse("sin(x1)^2 - -x2", 2), parse("sin(x1) ** 2 - (-x2)", 2)
+        assert a == b and hash(a) == hash(b)
+        assert len({a.ast, b.ast, parse("x1", 2).ast}) == 2
+
+
+# one nesting construct, `depth` levels deep, and the offset of the token that opens level 101
+NESTINGS = {
+    "parentheses": (lambda depth: "(" * depth + "x1" + ")" * depth, 100),
+    "calls": (lambda depth: "sin(" * depth + "x1" + ")" * depth, 403),
+    "unary signs": (lambda depth: "-+" * (depth // 2) + "-" * (depth % 2) + "x1", 100),
+    "powers": (lambda depth: "x1" + "^x1" * depth, 302),
+    "all four": (lambda depth: "-(" * (depth // 4) + "cos(x1^" * (depth // 4)
+                 + "-" * (depth % 4) + "x1" + ")" * (depth // 2), 225),
+}
+
+
+class TestNesting:
+    @pytest.mark.parametrize("construct", NESTINGS)
+    def test_deepest_nesting_parses_evaluates_and_differentiates(self, construct):
+        f = parse(NESTINGS[construct][0](expr_mod.MAX_DEPTH), 1)
+        assert math.isfinite(evaluate(f, [1.0]))
+        assert gradient(f, [1.0]).shape == (1,)
+        assert parse(format_expr(f), 1) == f
+
+    @pytest.mark.parametrize("construct", NESTINGS)
+    def test_one_level_deeper_is_a_parse_error(self, construct):
+        build, offset = NESTINGS[construct]
+        with pytest.raises(ParseError) as err:
+            parse(build(expr_mod.MAX_DEPTH + 1), 1)
+        assert str(err.value) == f"expression nested deeper than 100 levels (at offset {offset})"
+        assert err.value.offset == offset
+
+    def test_far_too_deep_is_a_parse_error_not_a_recursion_error(self):
+        for src in ("(" * 200 + "x1" + ")" * 200, "-" * 3000 + "x1", "x1^" * 3000 + "x1"):
+            with pytest.raises(ParseError, match="nested deeper than 100 levels"):
+                parse(src, 1)
+
 
 class TestEvaluate:
     def test_near_active_objective(self):

@@ -192,6 +192,39 @@ class TestLoad:
         with pytest.raises(ProblemFileError, match=r"offsets\[0\]: expected a finite number"):
             load_problem(poly)
 
+    @pytest.mark.parametrize("bad", [True, False, math.nan, -math.inf, "1", None, [1.0]])
+    def test_bad_entry_deep_in_a_polytope_is_named(self, bad):
+        normals = [[1.0, 0, -1, 0.5, float(j)] for j in range(200)]
+        normals[137][4] = bad
+        doc = {"dimension": 5, "objective": "x1",
+               "constraints": {"polyhedral": {"normals": normals, "offsets": [-1.0] * 200}}}
+        with pytest.raises(ProblemFileError) as err:
+            load_problem(json.dumps(doc))
+        assert str(err.value) == "$.constraints.polyhedral.normals[137][4]: expected a finite number"
+
+    def test_numbers_load_as_floats(self):
+        doc = minimal(candidate=[1, -2.5])
+        doc["constraints"] = {"polyhedral": {"normals": [[1, 0], [0.5, 2]], "offsets": [0, -1]}}
+        loaded = load_problem(doc)
+        assert [type(v) for v in loaded.candidate.tolist()] == [float, float]
+        assert np.array_equal(loaded.candidate, [1.0, -2.5])
+        assert np.array_equal(loaded.problem.family.poly.normals, [[1.0, 0.0], [0.5, 2.0]])
+
+    @pytest.mark.parametrize("src, where", [
+        ("(" * 200 + "x1" + ")" * 200, "$.objective"),
+        ("-" * 3000 + "x1", "$.constraints.finite[1]"),
+    ])
+    def test_deep_nesting_is_an_input_error(self, src, where):
+        doc = minimal()
+        if where == "$.objective":
+            doc["objective"] = src
+        else:
+            doc["constraints"]["finite"][1] = src
+        with pytest.raises(ProblemFileError) as err:
+            load_problem(json.dumps(doc))
+        assert err.value.where == where
+        assert str(err.value).endswith("expression nested deeper than 100 levels (at offset 100)")
+
 
 class TestFixtures:
     def test_all_fixtures_load(self):
