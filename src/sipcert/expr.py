@@ -23,9 +23,17 @@ positions are kept, and a token's offset is computed only when a
 character anywhere is reported before any syntax error.  Parentheses,
 function calls, unary signs and ``^`` operands nest at most ``MAX_DEPTH``
 (100) levels, counted together; deeper input is a ``ParseError``, not a
-``RecursionError``.  AST nodes are slot dataclasses, hashable and equal by
-value; they are not frozen (a frozen dataclass's ``__init__`` costs about
-four times as much), so nothing may mutate a node after construction.
+``RecursionError``.  Only nesting is limited, not length.
+
+An expression is a tape (Griewank & Walther, *Evaluating Derivatives*,
+ch. 2): a tuple of ``(op, args)`` entries, one per distinct node, in the
+post-order of their first occurrence.  ``args`` holds earlier slot
+numbers, or a leaf's payload: the constant of a ``"num"``, the 0-based
+index of an ``"x"`` or ``"t"`` variable.  The last slot is the result.
+Each tape is built through one interning table (hash-consing, Filliâtre &
+Conchon 2006), so equal subtrees are one slot; constants are keyed by
+their bits, so ``-0.0`` and ``0.0`` stay two.  Evaluating, printing and
+substituting are each one loop over the tape.
 
 Gradients are computed by forward-mode dual numbers, so they are exact up
 to floating rounding; central finite differences are used as a test oracle
@@ -34,7 +42,7 @@ intermediate raises :class:`EvalDomainError`.  Differentiating ``abs``,
 ``min`` or ``max`` at a tie (within ``tol_kink``) raises
 :class:`KinkError` rather than picking an arbitrary subgradient.
 
-One walk evaluates a tree over one operator table, whose rule for each
+One walk evaluates a tape over one operator table, whose rule for each
 operator (value, dual derivative, domain or kink check) is written once
 against a kit of primitives for the value type.  The scalar kit (Python
 floats and ``math``: one point, a non-finite node raises at once) serves
@@ -101,53 +109,50 @@ class KinkError(ExprError):
 
 
 # ---------------------------------------------------------------------------
-# AST
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Num:
-    value: float
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Var:
-    kind: str  # 'x' or 't'
-    index: int  # 0-based
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Neg:
-    arg: object
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Bin:
-    op: str  # '+', '-', '*', '/', '^'
-    left: object
-    right: object
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Call:
-    func: str
-    args: tuple
+# Tape
 
 
 @dataclass(frozen=True, slots=True)
 class ExprFn:
-    """A parsed scalar expression with declared variable arities.
+    """A scalar expression's tape (see the module docstring) and variable arities:
+    immutable and hashable, and evaluated reentrantly, from several threads at once."""
 
-    Frozen, and nothing mutates its AST's nodes after :func:`parse` (they are
-    slot classes, not frozen); evaluation is reentrant, so a single ExprFn
-    may be evaluated from several threads at once.
-    """
-
-    ast: object
+    tape: tuple
     arity_x: int
     arity_t: int = 0
 
     def __str__(self):
         return format_expr(self)
+
+
+_LEAVES = ("num", "x", "t")
+
+
+class _Tape(dict):
+    """A tape being built: the interning table from each entry ``(op, args)`` to
+    its slot, in slot order.  A zero constant's key holds its text, not the float:
+    -0.0 == 0.0, and the two must stay two slots."""
+
+    def add(self, op, args):
+        return self.setdefault((op, args) if op != "num" or args else (op, str(args)), len(self))
+
+    def tape(self):
+        # from a list: a tuple grown from a generator reallocates, and fragments the heap
+        return tuple([(op, float(args)) if type(args) is str else (op, args) for op, args in self])
+
+    def add_tape(self, tape, x_slot=None):
+        # interns `tape` (an x-variable i as the slot x_slot(i), if given); its result's slot
+        slots, add = [], self.add
+        for op, args in tape:
+            if op == "x" and x_slot:
+                slots.append(x_slot(args))
+            elif op in _LEAVES:
+                slots.append(add(op, args))
+            elif len(args) == 2:  # read directly, as in the walk
+                slots.append(add(op, (slots[args[0]], slots[args[1]])))
+            else:
+                slots.append(add(op, tuple([slots[a] for a in args])))
+        return slots[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -446,18 +451,37 @@ _OPS = {
 FUNCTIONS = tuple(name for name, (_, arity) in _OPS.items() if arity)
 
 
-def _walk(node, xs, ts, K):
-    """The value of `node` in kit K, the leaves' values taken from xs and ts."""
-    kind = type(node)
-    if kind is Num:
-        return node.value
-    if kind is Var:
-        return xs[node.index] if node.kind == "x" else ts[node.index]
-    if kind is Bin:
-        return _OPS[node.op][0](K, _walk(node.left, xs, ts, K), _walk(node.right, xs, ts, K))
-    if kind is Neg:
-        return _OPS["neg"][0](K, _walk(node.arg, xs, ts, K))
-    return _OPS[node.func][0](K, *[_walk(a, xs, ts, K) for a in node.args])
+def _walk(tape, xs, ts, K):
+    """The value of the tape's result in kit K, the leaves' values taken from xs and ts.
+
+    Each node is computed where a recursive walk of the tree first reaches
+    it; a repeat would compute the same value from the same inputs, so the
+    values, dual partials and first error are the tree walk's.  No rule may
+    mutate its arguments: a slot can feed several nodes.  The batch kit's
+    finiteness sum adds each distinct node once, which still proves every
+    node finite; its columns are dropped after their last use.
+    """
+    values = []
+    last = {}  # the batch kit drops each column after the last node that reads it
+    if isinstance(K, _Batch):
+        last = {a: i for i, (op, args) in enumerate(tape) if op not in _LEAVES for a in args}
+    for i, (op, args) in enumerate(tape):
+        if op == "num":
+            values.append(args)
+        elif op == "x":
+            values.append(xs[args])
+        elif op == "t":
+            values.append(ts[args])
+        else:
+            rule = _OPS[op][0]
+            if len(args) == 2:  # read directly: a comprehension costs a frame
+                values.append(rule(K, values[args[0]], values[args[1]]))
+            else:
+                values.append(rule(K, *[values[a] for a in args]))
+            for a in args if last else ():
+                if last[a] == i:
+                    values[a] = None
+    return values[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +493,7 @@ _SCALAR = _Scalar(DEFAULT_KINK_TOL)
 
 def _run(f, xs, ts, K):
     with np.errstate(all="ignore"):
-        out = K.finite(_walk(f.ast, xs, ts, K), "result")
+        out = K.finite(_walk(f.tape, xs, ts, K), "result")
     K.check()
     return out
 
@@ -514,12 +538,10 @@ def evaluate_many(f: ExprFn, x, tpoints) -> np.ndarray:
     ``tpoints`` is an (n, arity_t) array; the result has shape (n,).  ``x``
     is one decision point, or an (n, arity_x) array of them, row i paired
     with index point i: then each x-variable is a column like a
-    t-variable.  Equivalent to a loop of :func:`evaluate` calls, in one
-    tree walk with one finiteness test; when the walk flags a point or a
-    non-finite value, that loop runs and decides, so an error is the one
-    it raises.  The exception is ``exp`` and ``log``: numpy's may differ
-    from ``math``'s in the last bit, so a value through them can be 1 ulp
-    off the loop's.
+    t-variable.  Equivalent to a loop of :func:`evaluate` calls (but for
+    the last bit of ``exp`` and ``log``, see the module docstring), in one
+    tape walk with one finiteness test; when the walk flags a point or a
+    non-finite value, that loop runs and decides the values or the error.
     """
     tarr = _index_points(f, tpoints)
     if np.ndim(x) == 2:
@@ -544,7 +566,7 @@ def gradient_many(f: ExprFn, x, tpoints, kink_tol: float = DEFAULT_KINK_TOL) -> 
     """Gradients in x of ``f`` at one decision point across many index points.
 
     ``tpoints`` is an (n, arity_t) array; the result has shape (n, arity_x).
-    Equivalent to stacking :func:`gradient` over the points, in one tree
+    Equivalent to stacking :func:`gradient` over the points, in one tape
     walk of batched duals; an error is the one that loop raises.
     """
     xs = _coerce_point(x, f.arity_x, "x")
@@ -605,11 +627,12 @@ def _offset(src, k):
     return len(src)
 
 
-class _Parser:
+class _Parser(_Tape):
     """Recursive descent over the token strings; ``i`` indexes the next token.
 
-    A token's offset is found only for an error, by scanning ``src`` again.
-    """
+    Each method interns the node it read into the parser's own tape, after
+    its children (post-order), and returns its slot.  A token's offset is
+    found only for an error, by scanning ``src`` again."""
 
     def __init__(self, src, arity_x, arity_t):
         self.src = src
@@ -622,8 +645,7 @@ class _Parser:
         self.tokens.append("")  # end of input
         self.i = 0
         self.depth = 0
-        self.arity_x = arity_x
-        self.arity_t = arity_t
+        self.arity = {"x": arity_x, "t": arity_t}
 
     def error(self, message, k, expected=()):
         return ParseError(message, _offset(self.src, k), expected)
@@ -639,20 +661,20 @@ class _Parser:
         if self.tokens[self.i]:
             expected = ("operator", "end of input")
             raise self.error(f"unexpected token {self.tokens[self.i]!r}", self.i, expected)
-        return node
+        return self.tape()
 
     def expr(self):
         node = self.term()
         while (op := self.tokens[self.i]) == "+" or op == "-":
             self.i += 1
-            node = Bin(op, node, self.term())
+            node = self.add(op, (node, self.term()))
         return node
 
     def term(self):
         node = self.factor()
         while (op := self.tokens[self.i]) == "*" or op == "/":
             self.i += 1
-            node = Bin(op, node, self.factor())
+            node = self.add(op, (node, self.factor()))
         return node
 
     def factor(self):
@@ -664,13 +686,13 @@ class _Parser:
             self.i = k + 1
             node = self.factor()
             self.depth -= 1
-            return Neg(node) if tok == "-" else node
+            return self.add("neg", (node,)) if tok == "-" else node
         node = self.atom()
         k = self.i
         if self.tokens[k] in ("^", "**"):
             self.nest(k)
             self.i = k + 1
-            node = Bin("^", node, self.factor())
+            node = self.add("^", (node, self.factor()))
             self.depth -= 1
         return node
 
@@ -690,7 +712,7 @@ class _Parser:
             value = float(tok)
             if not math.isfinite(value):
                 raise self.error(f"numeric literal {tok!r} overflows", k, ("finite number",))
-            return Num(value)
+            return self.add("num", value)
         expected = ("number", "variable", "function", "(")
         raise self.error(f"unexpected token {tok or 'end of input'!r}", k, expected)
 
@@ -708,18 +730,18 @@ class _Parser:
             if len(args) < lo or (hi is not None and len(args) > hi):
                 count = lo if hi else f"at least {lo}"
                 raise self.error(f"{name} takes {count} argument(s)", k)
-            return Call(name, tuple(args))
+            return self.add(name, tuple(args))
         kind, digits = name[0], name[1:]
         if kind not in "xt" or not digits.isdigit():  # an identifier's digits are ASCII
             raise self.error(f"unknown identifier {name!r}", k, ("variable", "function"))
         idx = int(digits)
         if idx < 1:
             raise self.error(f"variable index in {name!r} must start at 1", k)
-        arity = self.arity_x if kind == "x" else self.arity_t
+        arity = self.arity[kind]
         if idx > arity:
             message = f"variable {name!r} exceeds declared arity ({kind}-dimension {arity})"
             raise self.error(message, k)
-        return Var(kind, idx - 1)
+        return self.add(kind, idx - 1)
 
     def expect(self, text):
         k = self.i
@@ -738,80 +760,54 @@ def parse(src: str, arity_x: int, arity_t: int = 0) -> ExprFn:
     """
     if not src or not src.strip():
         raise ParseError("empty expression", 0, ("number", "variable", "function", "("))
-    ast = _Parser(src, arity_x, arity_t).parse()
-    return ExprFn(ast, arity_x, arity_t)
+    return ExprFn(_Parser(src, arity_x, arity_t).parse(), arity_x, arity_t)
 
 
 # ---------------------------------------------------------------------------
-# Printing (parse -> print -> parse round-trips to an identical AST)
+# Printing (parse -> print -> parse round-trips to an identical tape)
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def _prec(node):
-    if type(node) is Bin:
-        return _PREC[node.op]
-    if type(node) is Neg:
-        return _PREC["neg"]
-    return 9
-
-
-def _fmt(node):
-    if type(node) is Num:
-        v = node.value
-        return str(int(v)) if v.is_integer() and abs(v) < 1e16 else repr(v)
-    if type(node) is Var:
-        return f"{node.kind}{node.index + 1}"
-    if type(node) is Neg:
-        inner = _fmt(node.arg)
-        if _prec(node.arg) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if type(node) is Call:
-        return f"{node.func}({', '.join(_fmt(a) for a in node.args)})"
-    op = node.op
-    lp, rp = _fmt(node.left), _fmt(node.right)
-    if op == "^":
-        if _prec(node.left) <= _PREC["^"]:
-            lp = f"({lp})"
-        if _prec(node.right) < _PREC["neg"]:
-            rp = f"({rp})"
-        return f"{lp}^{rp}"
-    if _prec(node.left) < _PREC[op]:
-        lp = f"({lp})"
-    if _prec(node.right) <= _PREC[op]:
-        rp = f"({rp})"
-    return f"{lp} {op} {rp}"
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}  # a leaf or a call: 9
 
 
 def format_expr(f: ExprFn) -> str:
-    return _fmt(f.ast)
+    texts = []  # (text, precedence) per slot, dropped after the last node that reads it
+    last = {a: i for i, (op, args) in enumerate(f.tape) if op not in _LEAVES for a in args}
+    for i, (op, args) in enumerate(f.tape):
+        prec = _PREC.get(op, 9)
+        if op == "num":
+            text = str(int(args)) if args.is_integer() and abs(args) < 1e16 else repr(args)
+        elif op == "x" or op == "t":
+            text = f"{op}{args + 1}"
+        elif op == "neg":
+            inner, inner_prec = texts[args[0]]
+            text = f"-({inner})" if inner_prec < prec else f"-{inner}"
+        elif prec == 9:
+            text = f"{op}({', '.join(texts[a][0] for a in args)})"
+        else:
+            # the lowest precedence each operand keeps without parentheses
+            (left, lp), (right, rp) = texts[args[0]], texts[args[1]]
+            left_min, right_min = (prec + 1, _PREC["neg"]) if op == "^" else (prec, prec + 1)
+            left = f"({left})" if lp < left_min else left
+            right = f"({right})" if rp < right_min else right
+            text = f"{left}^{right}" if op == "^" else f"{left} {op} {right}"
+        texts.append((text, prec))
+        for a in args if op not in _LEAVES else ():
+            if last[a] == i:
+                texts[a] = None
+    return texts[-1][0]
 
 
 # ---------------------------------------------------------------------------
 # Substitution (used to compose constraint families through an inner map)
 
 
-def _subst(node, xmap):
-    if type(node) is Num:
-        return node
-    if type(node) is Var:
-        if node.kind == "x":
-            return xmap[node.index]
-        return node
-    if type(node) is Neg:
-        return Neg(_subst(node.arg, xmap))
-    if type(node) is Bin:
-        return Bin(node.op, _subst(node.left, xmap), _subst(node.right, xmap))
-    return Call(node.func, tuple(_subst(a, xmap) for a in node.args))
-
-
 def linear_expr(coeffs, constant: float, arity_x: int) -> ExprFn:
     """The affine expression sum_i coeffs[i]*x(i+1) + constant as an ExprFn."""
-    node = Num(float(constant))
+    tape = _Tape()
+    node = tape.add("num", float(constant))
     for i, c in enumerate(coeffs):
-        node = Bin("+", node, Bin("*", Num(float(c)), Var("x", i)))
-    return ExprFn(node, arity_x)
+        node = tape.add("+", (node, tape.add("*", (tape.add("num", float(c)), tape.add("x", i)))))
+    return ExprFn(tape.tape(), arity_x)
 
 
 def substitute(f: ExprFn, inner: list[ExprFn]) -> ExprFn:
@@ -828,4 +824,6 @@ def substitute(f: ExprFn, inner: list[ExprFn]) -> ExprFn:
     for g in inner:
         if g.arity_x != arity_x or g.arity_t != 0:
             raise EvalDomainError("inner map components must share arity and use no t-variables")
-    return ExprFn(_subst(f.ast, [g.ast for g in inner]), arity_x, f.arity_t)
+    tape = _Tape()
+    tape.add_tape(f.tape, lambda i: tape.add_tape(inner[i].tape))
+    return ExprFn(tape.tape(), arity_x, f.arity_t)

@@ -286,7 +286,7 @@ class ParametricFamily(_Family):
         two-point tie do.
         The rule reads grid values only, never eps.  ``opts.refine_depth``
         levels per axis localize T(x) in the cells around the seeds, as many
-        levels per tree walk as fit in ``_LIPSCHITZ_CHUNK`` points (see
+        levels per tape walk as fit in ``_LIPSCHITZ_CHUNK`` points (see
         :func:`_refine_axis_all`): one walk per axis for a few seeds, one
         per level and axis for thousands, fewer once the cells reach float
         resolution.  The last axis's walks hold h at the refined points, so
@@ -329,7 +329,7 @@ class ParametricFamily(_Family):
         return self.index.grid_points()
 
     def _values_many(self, xs, points) -> np.ndarray:
-        """Listed members point by point; the grid part in one tree walk over
+        """Listed members point by point; the grid part in one tape walk over
         every (row of xs, grid point) pair."""
         k, n = len(xs), len(points)
         listed = np.array([[evaluate(m, x) for _, m in self._listed] for x in xs], dtype=float)
@@ -598,7 +598,7 @@ def _discrete_minima(grid_values, shape, idx, tol=0.0):
     return none_lower & some_higher
 
 
-# points per tree walk: (sample point, index point) pairs of the Lipschitz
+# points per tape walk: (sample point, index point) pairs of the Lipschitz
 # estimate, midpoints of a bisection tree
 _LIPSCHITZ_CHUNK = 1 << 13
 
@@ -693,7 +693,7 @@ class FamilyScan:
     local minima of the clamped grid values (:meth:`ParametricFamily.refine`);
     the rule reads no eps, so it keeps the scan and a direct scan equal.
     ``refined_seeds`` counts the seeds bisected, each axis's levels in as
-    few tree walks as fit in ``_LIPSCHITZ_CHUNK`` points.  Violations
+    few tape walks as fit in ``_LIPSCHITZ_CHUNK`` points.  Violations
     between grid points are searched only in the cells of those seeds.
 
     The candidates are one table of parallel arrays ``gates``, ``values``
@@ -751,7 +751,7 @@ def equi_lipschitz_estimate(
 
     The sample points, ordered u_1, v_1, u_2, v_2, ..., go through the
     index grid in chunks of whole pairs, about ``_LIPSCHITZ_CHUNK`` (x, t)
-    points each: a parametric family's grid part is one tree walk per
+    points each: a parametric family's grid part is one tape walk per
     chunk, and each chunk is reduced to its quotients before the next
     starts.  A pair whose grid alone fills a chunk walks one sample point
     at a time.  If a chunk's walk flags a point, the chunk is redone one

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +77,8 @@ def _parse_expr(src, arity_x, arity_t, where):
 
 
 def _is_finite_number(v):
-    # json accepts NaN and Infinity; neither is a valid input anywhere
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    # json accepts NaN, Infinity and integers beyond any float (compared exactly); none is valid
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 _NUMBER_TYPES = frozenset((int, float))  # not bool, an int subclass
@@ -86,8 +87,9 @@ _NUMBER_TYPES = frozenset((int, float))  # not bool, an int subclass
 def _number_list(values, where, length=None):
     _require(isinstance(values, list) and values, "expected a nonempty array of numbers", where)
     # the whole list at once; only a list that fails is walked, to name its first bad entry
-    # (a sum of numbers is finite only when each of them is)
-    if not (_NUMBER_TYPES.issuperset(map(type, values)) and math.isfinite(sum(values))):
+    # (a sum of magnitudes is at most the largest float only when each of them is)
+    magnitude = sum(map(abs, values)) if _NUMBER_TYPES.issuperset(map(type, values)) else math.inf
+    if not magnitude <= sys.float_info.max:
         for i, v in enumerate(values):
             if not _is_finite_number(v):
                 raise ProblemFileError("expected a finite number", f"{where}[{i}]")

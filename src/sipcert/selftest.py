@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import Bin, ExprFn, Num, evaluate, gradient, linear_expr, parse
+from .expr import evaluate, format_expr, gradient, linear_expr, parse
 from .fixtures import fixture_names, fixture_path
 from .geometry import (
     Hull,
@@ -408,9 +408,8 @@ def check_scaling(opts, rng):
     details = []
     ok = True
     for c in (1e-3, 1.0, 1e3):
-        scaled = Problem(
-            problem.p, ExprFn(Bin("*", Num(c), problem.objective.ast), problem.p), problem.family
-        )
+        objective = parse(f"{c!r} * ({format_expr(problem.objective)})", problem.p)
+        scaled = Problem(problem.p, objective, problem.family)
         cert = certify_fj(scaled, candidate, fixture_opts)
         moved = np.abs(cert.x_star - base.x_star).max()
         ok = ok and cert.kind == base.kind and moved <= fixture_opts.tol

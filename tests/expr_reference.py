@@ -1,16 +1,170 @@
-"""The expression parser as it was before the one-pass tokenizer: the reference.
+"""The expression module as it was before its tape: the reference, for tests only.
 
-``_tokenize`` matches one token (or one run of whitespace) at a time and
-``_Parser`` reads (kind, text, offset) triples.  ``sipcert.expr.parse`` must
-give the same ASTs and the same ``ParseError`` (message, offset, expected)
-on every input this parser accepts or refuses; it has no nesting limit,
-so it is compared on inputs nested less deeply than ``expr.MAX_DEPTH``.
+The tree: the node classes ``Num``, ``Var``, ``Neg``, ``Bin`` and ``Call``,
+the recursive walker ``walk`` (which ``evaluate`` and ``gradient`` run with
+``sipcert.expr``'s rules and scalar kit), the printer ``fmt`` and the
+substitution ``subst``.  ``to_tape`` converts a tree into the tape that
+``sipcert.expr`` builds for it, with an interning table of its own: the
+distinct nodes in the post-order of their first occurrence, constants keyed
+by their bits.
+
+The parser as it was before the one-pass tokenizer: ``_tokenize`` matches
+one token (or one run of whitespace) at a time and ``_Parser`` reads
+(kind, text, offset) triples into a tree.  ``sipcert.expr.parse`` must give
+the tape of the same tree and the same ``ParseError`` (message, offset,
+expected) on every input this parser accepts or refuses; it has no nesting
+limit, so it is compared on inputs nested less deeply than
+``expr.MAX_DEPTH``.  The recursive functions here are as deep as the tree.
 """
 
 import math
 import re
+from dataclasses import dataclass
 
-from sipcert.expr import _OPS, FUNCTIONS, Bin, Call, ExprFn, Neg, Num, ParseError, Var
+import numpy as np
+
+from sipcert.expr import _OPS, _SCALAR, DEFAULT_KINK_TOL, FUNCTIONS, Dual, ParseError, _partials, _Scalar
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class Num:
+    value: float
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class Var:
+    kind: str  # 'x' or 't'
+    index: int  # 0-based
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class Neg:
+    arg: object
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class Bin:
+    op: str  # '+', '-', '*', '/', '^'
+    left: object
+    right: object
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class Call:
+    func: str
+    args: tuple
+
+
+def walk(node, xs, ts, K):
+    """The value of `node` in kit K, the leaves' values taken from xs and ts."""
+    kind = type(node)
+    if kind is Num:
+        return node.value
+    if kind is Var:
+        return xs[node.index] if node.kind == "x" else ts[node.index]
+    if kind is Bin:
+        return _OPS[node.op][0](K, walk(node.left, xs, ts, K), walk(node.right, xs, ts, K))
+    if kind is Neg:
+        return _OPS["neg"][0](K, walk(node.arg, xs, ts, K))
+    return _OPS[node.func][0](K, *[walk(a, xs, ts, K) for a in node.args])
+
+
+def _run(node, xs, ts, K):
+    with np.errstate(all="ignore"):
+        return K.finite(walk(node, xs, ts, K), "result")
+
+
+def evaluate(node, x, t=()):
+    """``sipcert.expr.evaluate`` on a tree, for a finite point of the right dimensions."""
+    return _run(node, [float(v) for v in x], [float(v) for v in t], _SCALAR)
+
+
+def gradient(node, x, t=(), kink_tol=DEFAULT_KINK_TOL):
+    """``sipcert.expr.gradient`` on a tree, for a finite point of the right dimensions."""
+    xs = [float(v) for v in x]
+    duals = [Dual(v, e) for v, e in zip(xs, np.eye(len(xs)))]
+    return _partials(_run(node, duals, [float(v) for v in t], _Scalar(kink_tol)), len(xs))
+
+
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+
+
+def _prec(node):
+    if type(node) is Bin:
+        return _PREC[node.op]
+    if type(node) is Neg:
+        return _PREC["neg"]
+    return 9
+
+
+def fmt(node):
+    if type(node) is Num:
+        v = node.value
+        return str(int(v)) if v.is_integer() and abs(v) < 1e16 else repr(v)
+    if type(node) is Var:
+        return f"{node.kind}{node.index + 1}"
+    if type(node) is Neg:
+        inner = fmt(node.arg)
+        if _prec(node.arg) < _PREC["neg"]:
+            inner = f"({inner})"
+        return f"-{inner}"
+    if type(node) is Call:
+        return f"{node.func}({', '.join(fmt(a) for a in node.args)})"
+    op = node.op
+    lp, rp = fmt(node.left), fmt(node.right)
+    if op == "^":
+        if _prec(node.left) <= _PREC["^"]:
+            lp = f"({lp})"
+        if _prec(node.right) < _PREC["neg"]:
+            rp = f"({rp})"
+        return f"{lp}^{rp}"
+    if _prec(node.left) < _PREC[op]:
+        lp = f"({lp})"
+    if _prec(node.right) <= _PREC[op]:
+        rp = f"({rp})"
+    return f"{lp} {op} {rp}"
+
+
+def subst(node, xmap):
+    if type(node) is Num:
+        return node
+    if type(node) is Var:
+        if node.kind == "x":
+            return xmap[node.index]
+        return node
+    if type(node) is Neg:
+        return Neg(subst(node.arg, xmap))
+    if type(node) is Bin:
+        return Bin(node.op, subst(node.left, xmap), subst(node.right, xmap))
+    return Call(node.func, tuple(subst(a, xmap) for a in node.args))
+
+
+def to_tape(node):
+    """The tape of a tree: its distinct nodes in the post-order of their first occurrence."""
+    slots, tape = {}, []
+
+    def visit(node):
+        kind = type(node)
+        if kind is Num:
+            entry, key = ("num", node.value), ("num", node.value.hex())
+        else:
+            if kind is Var:
+                entry = (node.kind, node.index)
+            elif kind is Neg:
+                entry = ("neg", (visit(node.arg),))
+            elif kind is Bin:
+                entry = (node.op, (visit(node.left), visit(node.right)))
+            else:
+                entry = (node.func, tuple([visit(a) for a in node.args]))
+            key = entry
+        if key not in slots:
+            slots[key] = len(tape)
+            tape.append(entry)
+        return slots[key]
+
+    visit(node)
+    return tuple(tape)
+
 
 _TOKEN_RE = re.compile(
     r"""
@@ -148,7 +302,7 @@ class _Parser:
 
 
 def parse(src, arity_x, arity_t=0):
+    """The tree of ``src``."""
     if not src or not src.strip():
         raise ParseError("empty expression", 0, ("number", "variable", "function", "("))
-    ast = _Parser(src, arity_x, arity_t).parse()
-    return ExprFn(ast, arity_x, arity_t)
+    return _Parser(src, arity_x, arity_t).parse()

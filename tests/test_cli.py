@@ -73,6 +73,33 @@ class TestCertify:
         assert (proc.returncode, proc.stderr) == (4, "")
         assert message in proc.stdout
 
+    def test_long_flat_sums(self, tmp_path):
+        # a 5,000-term sum is a left-deep tree 5,000 nodes deep: every walk of
+        # it is one loop over its tape, so the report is the short sum's
+        from sipcert.expr import format_expr, parse, substitute
+        from sipcert.problemfile import load_problem
+
+        doc = json.loads(open(fixture_path("sip_linear")).read())
+        doc["constraints"]["finite"] = ["x1"]
+        reports = []
+        for pad in (False, True):
+            if pad:
+                doc["constraints"]["parametric"]["h"] += " + 0*t1" * 4997
+                doc["constraints"]["finite"] = ["x1" + " + 0*x2" * 4999]
+            path = tmp_path / f"sums-{pad}.json"
+            path.write_text(json.dumps(doc))
+            proc = run_cli("certify", str(path), "--json")
+            assert (proc.returncode, proc.stderr) == (0, "")
+            reports.append({k: v for k, v in json.loads(proc.stdout).items() if k != "timings"})
+        assert reports[0] == reports[1] and reports[1]["verdict"] == "KKT"
+        problem = load_problem(str(path)).problem
+        member, h = problem.family.extra[0], problem.family.h
+        assert len(member.tape) == 5003 and len(h.tape) == 5008
+        assert parse(format_expr(member), 2) == member and parse(str(h), 2, 1) == h
+        assert hash(member) == hash(parse(doc["constraints"]["finite"][0], 2))
+        composed = substitute(member, [parse("x1 + x2", 2), parse("x2", 2)])
+        assert len(composed.tape) == 5004 and composed != member
+
     def test_strict_variant_exit_two(self):
         code, report = run_json("certify", fixture_path("strict_active"))
         assert code == 2

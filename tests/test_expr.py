@@ -5,18 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import expr_reference as reference
+from expr_reference import Bin, Call, Neg, Num, Var, to_tape
 from sipcert import expr as expr_mod
 from sipcert.expr import (
     DEFAULT_KINK_TOL,
-    Bin,
     EvalDomainError,
     ExprError,
     ExprFn,
     KinkError,
-    Neg,
-    Num,
     ParseError,
-    Var,
     evaluate,
     evaluate_many,
     format_expr,
@@ -42,7 +40,7 @@ def central_diff(f, x, t=None, step=1e-6):
 class TestParse:
     def test_simple_sum(self):
         f = parse("x1 + x2", 2)
-        assert f.ast == Bin("+", Var("x", 0), Var("x", 1))
+        assert f.tape == (("x", 0), ("x", 1), ("+", (0, 1)))
 
     def test_unknown_identifier_offset(self):
         with pytest.raises(ParseError) as err:
@@ -56,7 +54,11 @@ class TestParse:
             Bin("-", Num(1.0), Bin("*", Var("t", 0), Var("x", 0))),
             Bin("*", Bin("-", Num(1.0), Var("t", 0)), Var("x", 1)),
         )
-        assert f.ast == expected
+        # the second 1 and t1 are the first ones' slots
+        assert f.tape == to_tape(expected) == (
+            ("num", 1.0), ("t", 0), ("x", 0), ("*", (1, 2)), ("-", (0, 3)),
+            ("-", (0, 1)), ("x", 1), ("*", (5, 6)), ("-", (4, 7)),
+        )
 
     def test_arity_violation(self):
         with pytest.raises(ParseError):
@@ -79,7 +81,7 @@ class TestParse:
     def test_unary_minus_binds_below_power(self):
         f = parse("-x1^2", 1)
         assert evaluate(f, [3.0]) == -9.0
-        assert f.ast == Neg(Bin("^", Var("x", 0), Num(2.0)))
+        assert f.tape == to_tape(Neg(Bin("^", Var("x", 0), Num(2.0))))
 
     def test_double_star_power(self):
         assert evaluate(parse("x1**2", 1), [3.0]) == 9.0
@@ -99,7 +101,7 @@ class TestParse:
     def test_nodes_are_hashable_values(self):
         a, b = parse("sin(x1)^2 - -x2", 2), parse("sin(x1) ** 2 - (-x2)", 2)
         assert a == b and hash(a) == hash(b)
-        assert len({a.ast, b.ast, parse("x1", 2).ast}) == 2
+        assert len({a.tape, b.tape, parse("x1", 2).tape}) == 2
 
 
 # one nesting construct, `depth` levels deep, and the offset of the token that opens level 101
@@ -233,9 +235,6 @@ class TestGradient:
         assert g[1] == pytest.approx(8 * math.log(2), rel=1e-12)
 
 
-from sipcert.expr import Call  # noqa: E402
-
-
 # random smooth ASTs over x1, x2: exponents are integer constants, no
 # division or log, so finite differences stay trustworthy; constants are
 # nonnegative because the parser produces negatives as Neg nodes
@@ -260,18 +259,19 @@ def _smooth(depth):
 class TestRoundTrip:
     @given(_smooth(3))
     def test_parse_print_parse_identity(self, ast):
-        f = ExprFn(ast, 2)
+        f = ExprFn(to_tape(ast), 2)
         printed = format_expr(f)
-        assert parse(printed, 2).ast == ast
+        assert printed == reference.fmt(ast)
+        assert parse(printed, 2) == f
 
     def test_round_trip_spec_examples(self):
         for src in ("-x1^2 - x2", "1 - t1*x1 - (1-t1)*x2", "min(x1, x2, 0.5)", "x1/(1 + x2^2)"):
             f = parse(src, 2, 1)
-            assert parse(format_expr(f), 2, 1).ast == f.ast
+            assert parse(format_expr(f), 2, 1) == f
 
     @given(_smooth(3), st.tuples(st.floats(-1, 1), st.floats(-1, 1)))
     def test_eval_never_silently_nonfinite(self, ast, point):
-        f = ExprFn(ast, 2)
+        f = ExprFn(to_tape(ast), 2)
         try:
             value = evaluate(f, point)
         except EvalDomainError:
@@ -364,7 +364,7 @@ _LEAF = st.one_of(
 # map the overflowed value back to a finite one, so that the batched walk's
 # one finiteness test per walk must still send such points to the scalar loop
 _SATURATING = st.sampled_from(
-    [parse(src, 2, 1).ast for src in ("1/exp(800*t1)", "min(exp(800*t1), 1)", "x1^(2000*t1)")]
+    [reference.parse(src, 2, 1) for src in ("1/exp(800*t1)", "min(exp(800*t1), 1)", "x1^(2000*t1)")]
 )
 
 
@@ -484,7 +484,7 @@ class TestBatchedAgreesWithScalarLoop:
     def test_decision_point_per_index_point(self, ast, xs, ts):
         # an (n, p) x pairs row i with index point i: the one walk equals
         # the one-point walks row by row, bit for bit, and raises their error
-        f = ExprFn(ast, 2, 1)
+        f = ExprFn(to_tape(ast), 2, 1)
         tpoints = np.array(ts).reshape(-1, 1)
         x = np.array(xs)
         rows, error = _outcome(lambda: np.concatenate([evaluate_many(f, xi, tpoints) for xi in x]))
@@ -545,11 +545,20 @@ class TestBatchedAgreesWithScalarLoop:
         assert gradient_many(f, x, tpoints).tobytes() == grads.tobytes()
 
 
+def _agrees_with_reference(f, ast, x, ts):
+    # the tape walk gives the recursive tree walk's bits, or raises its error
+    for t in ts:
+        for walk, tree_walk in [(evaluate, reference.evaluate), (gradient, reference.gradient)]:
+            got = _outcome(lambda: np.asarray(walk(f, x, [t])).tobytes())
+            assert got == _outcome(lambda: np.asarray(tree_walk(ast, x, [t])).tobytes())
+
+
 def _agrees_with_scalar_loop(ast, x, ts):
     # derandomized: exp, log and ^ may round differently in the last
     # place in numpy than in math, and a chance cancellation could turn
     # that into a large relative difference; a fixed sample reproduces
-    f = ExprFn(ast, 2, 1)
+    f = ExprFn(to_tape(ast), 2, 1)
+    _agrees_with_reference(f, ast, x, ts)
     tpoints = np.array(ts).reshape(-1, 1)
     xs = np.array(x)
     for loop, batched, walk, rtol in [
@@ -597,7 +606,8 @@ def _exact(depth):
 @settings(max_examples=400, derandomize=True)
 @given(_exact(3), st.tuples(_ROUND, _ROUND), st.lists(_ROUND, min_size=1, max_size=6))
 def test_batched_walk_is_the_scalar_loop_bit_for_bit(ast, x, ts):
-    f = ExprFn(ast, 2, 1)
+    f = ExprFn(to_tape(ast), 2, 1)
+    _agrees_with_reference(f, ast, x, ts)
     tpoints = np.array(ts).reshape(-1, 1)
     for batched, loop in [
         (lambda: evaluate_many(f, x, tpoints), lambda: [evaluate(f, x, t) for t in tpoints]),
@@ -608,6 +618,74 @@ def test_batched_walk_is_the_scalar_loop_bit_for_bit(ast, x, ts):
         assert error == loop_error
         if error is None:
             assert result.tobytes() == looped.reshape(result.shape).tobytes()
+
+
+# trees in which a subtree repeats: an operator or function over copies of
+# one subtree, so the tape holds it once and each walk computes it once
+def _repeating(depth):
+    if depth == 0:
+        return _LEAF
+    sub = st.deferred(lambda: _repeating(depth - 1))
+    return st.one_of(
+        _LEAF,
+        st.tuples(st.sampled_from("+-*/^"), sub, sub).map(lambda a: Bin(*a)),
+        st.tuples(st.sampled_from("+-*/^"), sub).map(lambda a: Bin(a[0], a[1], a[1])),
+        st.tuples(st.sampled_from("+-*/^"), sub, sub).map(
+            lambda a: Bin(a[0], Bin("*", a[1], a[2]), Neg(Bin("*", a[1], a[2])))
+        ),
+        sub.map(Neg),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "log", "sqrt", "abs"]), sub).map(
+            lambda a: Call(a[0], (a[1],))
+        ),
+        st.tuples(st.sampled_from(["min", "max"]), sub, sub).map(lambda a: Call(a[0], (a[1], a[2], a[1]))),
+    )
+
+
+class TestSharing:
+    """Equal subtrees are one slot, walked once, with the tree walk's bits and errors."""
+
+    def test_a_repeated_call_is_one_slot(self):
+        f = parse("sin(t1)*x1 + sin(t1)*x2", 2, 1)
+        assert [op for op, _ in f.tape].count("sin") == 1
+        assert f.tape == to_tape(reference.parse("sin(t1)*x1 + sin(t1)*x2", 2, 1))
+        assert len(f.tape) == 7
+
+    def test_interning_keeps_the_sign_of_zero(self):
+        # the constant PolyhedralFamily.substitute builds for a zero offset:
+        # -0.0 + 0.0*(-1.0) is -0.0, and 0.0 + 0.0*(-1.0) would be 0.0
+        f = linear_expr([0.0], -0.0, 1)
+        assert f.tape == (("num", -0.0), ("num", 0.0), ("x", 0), ("*", (1, 2)), ("+", (0, 3)))
+        assert math.copysign(1.0, evaluate(f, [-1.0])) == -1.0
+
+    def test_a_repeated_failing_subtree_raises_the_reference_error(self):
+        src = "sqrt(x1 - 2) + sqrt(x1 - 2)"
+        f, tree = parse(src, 1, 1), reference.parse(src, 1, 1)
+        assert [op for op, _ in f.tape].count("sqrt") == 1
+        tpoints = np.array([[0.0], [1.0]])
+        for call, tree_call in [
+            (lambda: evaluate(f, [1.0], [0.0]), lambda: reference.evaluate(tree, [1.0], [0.0])),
+            (lambda: gradient(f, [1.0], [0.0]), lambda: reference.gradient(tree, [1.0], [0.0])),
+            (lambda: evaluate_many(f, [1.0], tpoints), lambda: reference.evaluate(tree, [1.0], [0.0])),
+            (lambda: gradient_many(f, [1.0], tpoints), lambda: reference.gradient(tree, [1.0], [0.0])),
+        ]:
+            expected = _outcome(tree_call)
+            assert expected == (None, (EvalDomainError, "sqrt of a negative value"))
+            assert _outcome(call) == expected
+
+    def test_substitute_is_the_tree_substitution(self):
+        src, inner = "x1^2 + sin(x2)*x1 - t1*x2", ["x1*x2 + 1", "x1 - 1"]
+        composed = substitute(parse(src, 2, 1), [parse(g, 2) for g in inner])
+        tree = reference.subst(reference.parse(src, 2, 1), [reference.parse(g, 2) for g in inner])
+        assert composed.tape == to_tape(tree)
+        assert format_expr(composed) == reference.fmt(tree)
+        # x1's inner expression is one slot, though x1 occurs twice; so is its 1
+        assert [op for op, _ in composed.tape].count("x") == 2
+        assert [op for op, _ in composed.tape].count("num") == 2
+
+    @settings(max_examples=300, derandomize=True)
+    @given(_repeating(3), st.tuples(_ROUND, _ROUND), st.lists(_ROUND, min_size=1, max_size=6))
+    def test_repeated_subtrees(self, ast, x, ts):
+        _agrees_with_scalar_loop(ast, x, ts)
 
 
 class TestInputBoundary:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sipcert import model as model_mod
-from sipcert.expr import linear_expr, parse
+from sipcert.expr import format_expr, linear_expr, parse
 import sipcert.geometry as geometry
 import sipcert.lp as lp
 from sipcert.fixtures import load_fixture
@@ -297,9 +297,8 @@ class TestCertifyFj:
         base = certify_fj(near_active_problem(), (0, 0), EXN1_OPTS)
         for c in (1e-3, 1e3):
             prob = near_active_problem()
-            from sipcert.expr import Bin, ExprFn, Num
-
-            scaled = Problem(2, ExprFn(Bin("*", Num(c), prob.objective.ast), 2), prob.family)
+            objective = parse(f"{c!r} * ({format_expr(prob.objective)})", 2)
+            scaled = Problem(2, objective, prob.family)
             cert = certify_fj(scaled, (0, 0), EXN1_OPTS)
             assert cert.kind == base.kind
             assert np.abs(cert.x_star - base.x_star).max() <= 1e-8

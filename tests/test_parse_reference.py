@@ -1,8 +1,9 @@
 """`expr.parse` against the reference parser in `expr_reference.py`.
 
-Both must give equal ASTs, or errors with equal message, offset and
-expected list, on every expression of the bundled fixtures and of the
-benchmark instances, on a fixed list of malformed strings, and on random
+`parse`'s tape must be the reference tree's, converted by
+`expr_reference.to_tape`, or both must raise errors with equal message,
+offset and expected list, on every expression of the bundled fixtures and
+of the benchmark instances, on a fixed list of malformed strings, and on random
 strings over the grammar's alphabet.
 """
 
@@ -99,8 +100,9 @@ def outcome(parse, src, arity_x, arity_t):
 
 
 def assert_same(src, arity_x, arity_t):
-    got = outcome(expr.parse, src, arity_x, arity_t)
-    assert got == outcome(expr_reference.parse, src, arity_x, arity_t), src
+    got = outcome(lambda *args: expr.parse(*args).tape, src, arity_x, arity_t)
+    tree_tape = lambda *args: expr_reference.to_tape(expr_reference.parse(*args))  # noqa: E731
+    assert got == outcome(tree_tape, src, arity_x, arity_t), src
 
 
 def test_every_fixture_and_benchmark_expression(corpus):

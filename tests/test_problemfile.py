@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -201,6 +203,33 @@ class TestLoad:
         with pytest.raises(ProblemFileError) as err:
             load_problem(json.dumps(doc))
         assert str(err.value) == "$.constraints.polyhedral.normals[137][4]: expected a finite number"
+
+    @pytest.mark.parametrize("path", [
+        ("candidate", 1),
+        ("constraints", "polyhedral", "normals", 1, 0),
+        ("constraints", "polyhedral", "offsets", 0),
+        ("constraints", "parametric", "box", "lower", 0),
+        ("constraints", "parametric", "box", "upper", 0),
+        ("options", "eps0"),
+    ])
+    def test_an_integer_beyond_any_float_is_named(self, path):
+        # json reads a 401-digit integer exactly; float() and math.isfinite overflow on it
+        doc = minimal(options={"eps0": 0.5})
+        if "parametric" in path:
+            doc = json.loads(open(fixture_path("sip_trig")).read())
+        if "polyhedral" in path:
+            doc["constraints"] = {"polyhedral": {"normals": [[1, 0], [0, 1]], "offsets": [0, 0]}}
+        *keys, last = path
+        functools.reduce(operator.getitem, keys, doc)[last] = -(10**400) if "offsets" in path else 10**400
+        where = "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+        with pytest.raises(ProblemFileError) as err:
+            load_problem(json.dumps(doc))
+        message = "option values must be finite numbers" if "options" in path else "expected a finite number"
+        assert str(err.value) == f"{where}: {message}"
+
+    def test_integers_that_sum_beyond_any_float_load(self):
+        doc = minimal(candidate=[10**308, 10**308])
+        assert load_problem(json.dumps(doc)).candidate.tolist() == [1e308, 1e308]
 
     def test_numbers_load_as_floats(self):
         doc = minimal(candidate=[1, -2.5])
