@@ -26,6 +26,7 @@ from .multipliers import Certificate, certify_fj, sip_multipliers, tc_approx
 from .options import OPTION_KEYS, OptionError, Options
 from .problemfile import LoadedProblem, ProblemFileError, emit_json, load_problem, resolve_options
 from .reduction import FullCertificate, certify_composed, certify_equality
+from .work import counting
 
 EXIT_OK = 0
 EXIT_NO_CERTIFICATE = 2
@@ -118,6 +119,14 @@ def _build_parser():
     return parser
 
 
+_LADDER_WORK = ("gap_lps", "gap_rows", "gap_pivots", "refined_seeds")
+_ADMISSIBLE_WORK = ("support_lps", "support_pivots", "lipschitz_walks")
+
+
+def _timings(started, counts, keys) -> dict:  # the counts of keys in order, 0 when none ran
+    return {"total_s": time.perf_counter() - started, **{key: counts[key] for key in keys}}
+
+
 def _print_error(kind, message, args):
     report = {"error": {"kind": kind, "message": message}}
     print(emit_json(report) if args.json else f"error ({kind}): {message}")
@@ -127,7 +136,10 @@ def _load(args) -> tuple[LoadedProblem, Options, np.ndarray]:
     """The problem file on the ``--grid`` grid, its resolved options and its required candidate."""
     if args.grid is not None and args.grid < 2:
         raise ProblemFileError("must be at least 2", "--grid")
-    loaded = load_problem(args.file, args.grid)
+    try:
+        loaded = load_problem(args.file, args.grid)
+    except ProblemFileError as err:  # the grid argument is the flag
+        raise ProblemFileError(err.message, "--grid") if err.where == "grid" else err
     opts = resolve_options(
         loaded.options,
         {
@@ -211,12 +223,13 @@ def cmd_certify(args) -> int:
     problem = loaded.problem
     started = time.perf_counter()
     try:
-        if problem.equality:
-            cert = certify_equality(problem, candidate, opts)
-        elif problem.inner_map is not None:
-            cert = certify_composed(problem, candidate, opts)
-        else:
-            cert = certify_fj(problem, candidate, opts)
+        with counting() as counts:
+            if problem.equality:
+                cert = certify_equality(problem, candidate, opts)
+            elif problem.inner_map is not None:
+                cert = certify_composed(problem, candidate, opts)
+            else:
+                cert = certify_fj(problem, candidate, opts)
     except InfeasibleError as err:
         return _emit_infeasible(args, err)
 
@@ -276,7 +289,7 @@ def cmd_certify(args) -> int:
                 "lambda0_nonzero_guaranteed": sm.lambda0_nonzero_guaranteed,
             }
     # covers the certification and the semi-infinite recast; the ladder's work
-    report["timings"] = {"total_s": time.perf_counter() - started, **tc.counters}
+    report["timings"] = _timings(started, counts, _LADDER_WORK)
 
     if args.json:
         print(emit_json(report))
@@ -342,7 +355,8 @@ def cmd_tcset(args) -> int:
     loaded, opts, candidate = _load(args)
     started = time.perf_counter()
     try:
-        tc = tc_approx(loaded.problem, candidate, opts)
+        with counting() as counts:
+            tc = tc_approx(loaded.problem, candidate, opts)
     except InfeasibleError as err:
         return _emit_infeasible(args, err)
     report = {
@@ -362,7 +376,7 @@ def cmd_tcset(args) -> int:
         "options": _options_payload(opts),
         "exit_code": EXIT_OK,
         # the ladder and its work, as in certify's timings
-        "timings": {"total_s": time.perf_counter() - started, **tc.counters},
+        "timings": _timings(started, counts, _LADDER_WORK),
     }
     if args.json:
         print(emit_json(report))
@@ -385,7 +399,8 @@ def cmd_admissible(args) -> int:
     started = time.perf_counter()
     family = loaded.problem.family  # the set A, in the inner map's image when there is one
     try:
-        diag = admissible_diagnostics(loaded.problem, candidate, opts)
+        with counting() as counts:
+            diag = admissible_diagnostics(loaded.problem, candidate, opts)
     except InfeasibleError as err:
         return _emit_infeasible(args, err)
     report = {
@@ -412,7 +427,7 @@ def cmd_admissible(args) -> int:
             "margin": interior.margin,
         }
     # covers the diagnostics and the cone LP
-    report["timings"] = {"total_s": time.perf_counter() - started, **diag.counters}
+    report["timings"] = _timings(started, counts, _ADMISSIBLE_WORK)
     if args.json:
         print(emit_json(report))
     else:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lp import Simplex, slack_tableau, solve_lp
+from .work import count
 
 __all__ = [
     "Hull",
@@ -216,17 +217,16 @@ def hull_member(
     return HullMembership(distance <= tol, coeffs, distance, pivots)
 
 
-def hull_distance(target, hull: Hull, *, start=None, counters=None) -> float:
+def hull_distance(target, hull: Hull, *, start=None) -> float:
     """Infinity-norm distance from target to conv(generators).
 
-    ``start`` is as in :func:`hull_member`; the LP's simplex pivots add to
-    ``counters["pivots"]`` when ``counters`` is given.
+    ``start`` is as in :func:`hull_member`; the LP's simplex pivots are
+    tallied as ``gap_pivots`` (:mod:`sipcert.work`).
     """
     if len(hull) == 0:
         return float("inf")
     membership = hull_member(target, hull, tol=0.0, start=start)
-    if counters is not None:
-        counters["pivots"] += membership.pivots
+    count("gap_pivots", membership.pivots)
     return membership.distance
 
 
@@ -242,11 +242,11 @@ def one_sided_hull_gap(src: Hull, dst: Hull) -> float:
         return float("inf")
     both = np.vstack([dst.generators, src.generators])
     first = first_occurrences(both)  # a src row equal to a dst row is not first
-    return farthest_row_distance(both[first[first >= len(dst)]], dst)[0]
+    return farthest_row_distance(both[first[first >= len(dst)]], dst)
 
 
-def farthest_row_distance(rows: np.ndarray, dst: Hull) -> tuple:
-    """(max over ``rows`` of their distance to conv(dst), LPs run, pivots), by the early break.
+def farthest_row_distance(rows: np.ndarray, dst: Hull) -> float:
+    """max over ``rows`` of their distance to conv(dst), by the early break.
 
     The distance ``u(g) = min_j |g - d_j|_inf`` to the nearest single
     generator of ``dst`` bounds ``hull_distance(g, dst)`` from above.  The
@@ -254,18 +254,18 @@ def farthest_row_distance(rows: np.ndarray, dst: Hull) -> tuple:
     stops at the first row with ``u`` at most the gap found so far: no row
     from there on can raise the maximum (the early break for exact Hausdorff
     distance, Taha & Hanbury, IEEE TPAMI 37(11), 2015).  Callers dedupe.
-    Each visited row is one ``hull_distance`` LP, started at the nearest
-    generator its bound found: the one that LP would pick itself, so it is
-    not searched for twice.
+    Each visited row is one ``hull_distance`` LP, tallied as ``gap_lps``,
+    started at the nearest generator its bound found: the one that LP would
+    pick itself, so it is not searched for twice.
     """
     bound, nearest = _nearest_generator_distance(rows, dst.generators)
-    gap, lps, counters = 0.0, 0, {"pivots": 0}
+    gap = 0.0
     for i in np.argsort(-bound, kind="stable"):
         if bound[i] <= gap:
             break
-        gap = max(gap, hull_distance(rows[i], dst, start=int(nearest[i]), counters=counters))
-        lps += 1
-    return gap, lps, counters["pivots"]
+        gap = max(gap, hull_distance(rows[i], dst, start=int(nearest[i])))
+        count("gap_lps")
+    return gap
 
 
 _BOUND_CHUNK = 1 << 18  # rows x generators x coordinates per chunk: about 2 MB of floats

@@ -61,6 +61,7 @@ from .geometry import (
     hull_member,
 )
 from .options import Options, resolve_seed
+from .work import count
 
 __all__ = [
     "IndexSet",
@@ -189,11 +190,10 @@ class _Family:
         return gradient(dict(self._listed)[tag], y)
 
     def refine(self, x, rows, values, eps_cap, opts) -> tuple:
-        """Off-grid twins of the near-active ``rows``: (gates, values, points,
-        gradients, number of seeds bisected)."""
-        return np.zeros(0), np.zeros(0), np.zeros((0, 0)), np.zeros((0, len(x))), 0
+        """Off-grid twins of the near-active ``rows``: (gates, values, points, gradients)."""
+        return np.zeros(0), np.zeros(0), np.zeros((0, 0)), np.zeros((0, len(x)))
 
-    def determination(self, tol_lp: float = DEFAULT_LP_TOL, counters=None) -> tuple:
+    def determination(self, tol_lp: float = DEFAULT_LP_TOL) -> tuple:
         """(normalized normal, infimum over the set, stated offset) per facet."""
         return ()
 
@@ -298,10 +298,9 @@ class ParametricFamily(_Family):
         are dropped.
         """
         index, d = self.index, len(self.extra)
-        if opts.refine_depth <= 0:
-            return super().refine(x, rows, values, eps_cap, opts)
-        seeds = rows[rows >= d]
+        seeds = rows[rows >= d] if opts.refine_depth > 0 else rows[:0]
         seeds = seeds[_discrete_minima(values[d:], index.shape(), seeds - d, opts.tol_feas)]
+        count("refined_seeds", len(seeds))
         if not len(seeds):
             return super().refine(x, rows, values, eps_cap, opts)
         points = index.points_at(seeds - d)
@@ -323,7 +322,7 @@ class ParametricFamily(_Family):
         keep = close[first[first >= len(points)] - len(points)]
         gates = np.maximum(values[seeds[keep]], near[keep])
         grads = gradient_many(self.h, x, refined[keep], opts.tol_kink)
-        return gates, near[keep], refined[keep], grads, len(seeds)
+        return gates, near[keep], refined[keep], grads
 
     def _index_points(self):
         return self.index.grid_points()
@@ -383,7 +382,7 @@ class PolyhedralFamily(_Family):
     def entry_gradient(self, y, tag, param):
         return self._normals[self._facet_rows[tag]]
 
-    def determination(self, tol_lp: float = DEFAULT_LP_TOL, counters=None) -> tuple:
+    def determination(self, tol_lp: float = DEFAULT_LP_TOL) -> tuple:
         """(normalized normal a_j, infimum of a_j @ y over the set, stated offset c_j) per facet.
 
         The infimum is at least c_j, since the set obeys facet j, and at
@@ -411,9 +410,8 @@ class PolyhedralFamily(_Family):
         benchmark's 200- and 100-facet polytopes this runs 29-59% fewer
         LPs, with fewer pivots, than visiting by least slack.  The rows
         stay in facet order.  After an infeasible LP every infimum is +inf
-        and no further LP runs.
-        ``counters["support_lps"]`` and ``counters["support_pivots"]``
-        (phase 1 included), if given, count the LPs and their pivots.
+        and no further LP runs.  The LPs and their pivots (phase 1 included)
+        are tallied as ``support_lps`` and ``support_pivots``.
         """
         normals, offsets = self._normals, self._offsets
         near = tol_lp * (1.0 + np.abs(offsets))
@@ -422,7 +420,6 @@ class PolyhedralFamily(_Family):
         unsettled = np.ones(len(offsets), dtype=bool)
         cone = np.zeros(normals.shape[1])  # unit normals tight at the last vertex, summed
         support = PolyhedronLP(self.poly)
-        lps = pivots = 0
         while True:
             settled = unsettled & (reach - offsets <= near)
             infima[settled] = np.maximum(offsets, reach)[settled]
@@ -433,8 +430,8 @@ class PolyhedralFamily(_Family):
             j = int(open_rows[(normals[open_rows] @ cone).argmax()])
             unsettled[j] = False
             result = support.minimize(normals[j])
-            lps += 1
-            pivots += result.pivots
+            count("support_lps")
+            count("support_pivots", result.pivots)
             if result.status == "infeasible":
                 infima[:] = np.inf
                 break
@@ -442,9 +439,6 @@ class PolyhedralFamily(_Family):
             product = normals @ result.point
             np.minimum(reach, product, out=reach)
             cone = normals[product - offsets <= near].sum(axis=0)
-        if counters is not None:
-            counters["support_lps"] = counters.get("support_lps", 0) + lps
-            counters["support_pivots"] = counters.get("support_pivots", 0) + pivots
         return tuple(zip(map(tuple, normals.tolist()), infima.tolist(), offsets.tolist()))
 
     def cone(self) -> Polyhedron | None:
@@ -690,11 +684,9 @@ class FamilyScan:
     :func:`evaluate_family` at a feasible x.
 
     Parametric families bisect only the near-active grid points that are discrete
-    local minima of the clamped grid values (:meth:`ParametricFamily.refine`);
-    the rule reads no eps, so it keeps the scan and a direct scan equal.
-    ``refined_seeds`` counts the seeds bisected, each axis's levels in as
-    few tape walks as fit in ``_LIPSCHITZ_CHUNK`` points.  Violations
-    between grid points are searched only in the cells of those seeds.
+    local minima of the clamped grid values (:meth:`ParametricFamily.refine`,
+    which tallies them as ``refined_seeds``); the rule reads no eps, so it
+    keeps the scan and a direct scan equal.
 
     The candidates are one table of parallel arrays ``gates``, ``values``
     and ``grads`` (n, p), indexed by ``candidates``: the near-active family
@@ -707,7 +699,7 @@ class FamilyScan:
         near = _clamp(values, opts.tol_feas)
         self.rows = np.flatnonzero((near >= 0.0) & (near <= eps_cap))
         grads = self.family.gradients(x, self.rows, opts.tol_kink)
-        gates, twin_values, self.points, twin_grads, self.refined_seeds = self.family.refine(
+        gates, twin_values, self.points, twin_grads = self.family.refine(
             x, self.rows, near, eps_cap, opts
         )
         self.gates = np.concatenate([near[self.rows], gates])
@@ -729,7 +721,7 @@ class FamilyScan:
 
 
 def equi_lipschitz_estimate(
-    prob: Problem, x, radius: float, samples: int, seed: int | None = None, counters: dict | None = None
+    prob: Problem, x, radius: float, samples: int, seed: int | None = None
 ) -> float:
     """Monte-Carlo lower bound on the equi-Lipschitz modulus near x.
 
@@ -743,11 +735,8 @@ def equi_lipschitz_estimate(
     ``standard_normal(p)`` (its direction) then one ``random()`` (its
     radius), u before v.  A pair with |u - v| <= 1e-12 (1 + radius) is
     skipped, and only the shortfall is drawn again, so the accepted pairs
-    are those of a loop that draws pair by pair.  Each direction's norm and
-    each pair's |u - v| are computed once, as the 1-D ``sqrt(w @ w)``; that
-    is ``np.linalg.norm(w)`` bit for bit, where a row-wise norm of a
-    stacked array sums in another order and can differ in the last bit.
-    The points are scaled and shifted as whole arrays.
+    are those of a loop that draws pair by pair.  Norms are 1-D
+    (``_pair_distances``), and points are scaled and shifted as arrays.
 
     The sample points, ordered u_1, v_1, u_2, v_2, ..., go through the
     index grid in chunks of whole pairs, about ``_LIPSCHITZ_CHUNK`` (x, t)
@@ -756,8 +745,8 @@ def equi_lipschitz_estimate(
     starts.  A pair whose grid alone fills a chunk walks one sample point
     at a time.  If a chunk's walk flags a point, the chunk is redone one
     sample point at a time, so the error raised is that of the first bad
-    point in that order.  ``counters["lipschitz_walks"]``, if given, counts
-    the grid walks.
+    point in that order.  The walks of a family with a grid are tallied as
+    ``lipschitz_walks`` (:mod:`sipcert.work`).
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -780,24 +769,19 @@ def equi_lipschitz_estimate(
         shortfall -= int(kept.sum())
     ends, dists = np.vstack(ends), np.concatenate(dists)
 
-    best, walks = 0.0, 0
+    best = 0.0
     points = family._index_points()  # one grid for every pair
     per_walk = max(1, _LIPSCHITZ_CHUNK // (1 if points is None else len(points)))
     step = max(1, per_walk // 2)  # pairs per chunk
     for start in range(0, dists.size, step):
-        chunk = slice(2 * start, 2 * (start + step))  # whole pairs: u_k, v_k
-        quotient, chunk_walks = _chunk_quotient(
-            family, ends[chunk], dists[start : start + step], points, per_walk > 1
-        )
-        best, walks = max(best, quotient), walks + chunk_walks
-    if counters is not None and not family.pure_finite:
-        counters["lipschitz_walks"] = counters.get("lipschitz_walks", 0) + walks
+        pairs, chunk = slice(start, start + step), slice(2 * start, 2 * (start + step))  # u_k, v_k
+        best = max(best, _chunk_quotient(family, ends[chunk], dists[pairs], points, per_walk > 1))
     return best
 
 
 def _chunk_quotient(family, xs, dists, points, batched):
     """The largest difference quotient over a chunk of pairs (rows u_1, v_1, u_2, ...
-    of xs, |u_k - v_k| in dists), and the grid walks it took.
+    of xs, |u_k - v_k| in dists).
 
     The chunk's values are freed on return, before the next chunk is walked.
     """
@@ -805,11 +789,11 @@ def _chunk_quotient(family, xs, dists, points, batched):
         values = family._values_many(xs, points) if batched else None
     except ExprError:  # redone one point at a time: the first bad point raises
         values = None
-    walks = int(batched)
+    if not family.pure_finite:  # one grid walk, and one per point when redone
+        count("lipschitz_walks", int(batched) + (len(xs) if values is None else 0))
     if values is None:
         values = np.array([family._values_at(w, points) for w in xs])
-        walks += len(xs)
-    return float((np.abs(values[0::2] - values[1::2]).max(axis=1) / dists).max()), walks
+    return float((np.abs(values[0::2] - values[1::2]).max(axis=1) / dists).max())
 
 
 def _ball_points(rng, center, radius, n):
@@ -825,7 +809,8 @@ def _ball_points(rng, center, radius, n):
 
 
 def _pair_distances(ends):
-    """|u_k - v_k| for the rows u_1, v_1, u_2, v_2, ... of ends, each as a 1-D norm."""
+    """|u_k - v_k| for the rows u_1, v_1, u_2, ... of ends, each as the 1-D ``sqrt(w @ w)``:
+    ``np.linalg.norm(w)`` bit for bit, where a row-wise norm can differ in the last bit."""
     return np.array([math.sqrt(w.dot(w)) for w in ends[0::2] - ends[1::2]])
 
 
@@ -837,8 +822,6 @@ class AdmissibleReport:
     lipschitz_estimate: float
     determination: tuple = ()  # polyhedral: (normalized normal, inf over A, stated offset)
     assumptions: tuple = ()
-    # work done: support LPs, their pivots and Lipschitz grid walks; not part of the result
-    counters: dict = field(default_factory=dict, compare=False)
 
 
 def admissible_diagnostics(prob: Problem, x, opts: Options = Options()) -> AdmissibleReport:
@@ -850,9 +833,7 @@ def admissible_diagnostics(prob: Problem, x, opts: Options = Options()) -> Admis
     determination by normalized supporting functionals, with each stated
     offset compared against the infimum over the set.  (a) and (b) read the
     family over x (``x_family``); (c) reads the set A itself, in the image
-    coordinates of the inner map when there is one (``family``).  The report's
-    ``counters`` say how many support LPs, support pivots and Lipschitz grid
-    walks ran.
+    coordinates of the inner map when there is one (``family``).
     """
     values, report = evaluate_family(prob, x, opts.tol_feas)
     if not report.feasible:
@@ -861,21 +842,17 @@ def admissible_diagnostics(prob: Problem, x, opts: Options = Options()) -> Admis
         "equi-lower-semicontinuity of the inactive members is assumed, not verified",
         "equi-differentiability is exact for the closed expression grammar",
     )
-    counters = {"support_lps": 0, "support_pivots": 0, "lipschitz_walks": 0}
     family = prob.x_family
     if family is None:
-        return AdmissibleReport(False, float("inf"), False, 0.0, (), assumptions, counters)
+        return AdmissibleReport(False, float("inf"), False, 0.0, (), assumptions)
     grads = family.gradients(x, np.arange(values.size), opts.tol_kink)
     membership = hull_member(np.zeros(prob.p), Hull(grads), opts.tol)
-    lipschitz = equi_lipschitz_estimate(
-        prob, x, opts.lipschitz_radius, opts.lipschitz_samples, counters=counters
-    )
+    lipschitz = equi_lipschitz_estimate(prob, x, opts.lipschitz_radius, opts.lipschitz_samples)
     return AdmissibleReport(
         zero_in_full_hull=membership.member,
         hull_gap=membership.distance,
         admissible_style=not membership.member,
         lipschitz_estimate=lipschitz,
-        determination=prob.family.determination(opts.tol_lp, counters),
+        determination=prob.family.determination(opts.tol_lp),
         assumptions=assumptions,
-        counters=counters,
     )

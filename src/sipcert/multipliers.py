@@ -31,6 +31,7 @@ from .geometry import (
 )
 from .model import FamilyScan, InfeasibleError, Problem, evaluate_family
 from .options import Options
+from .work import count
 
 __all__ = [
     "TCApprox", "Certificate", "SipMultipliers", "tc_approx", "certify_fj", "certify_ladder",
@@ -49,14 +50,6 @@ class TCApprox:
     stopped_by: str  # 'interior'|'finite_shortcut'|'stabilized'|'empty'|'max_steps'
     # the scan candidate behind each final generator, ascending
     final_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    # the ladder's work, all 0 when none ran: "gap_lps", "gap_rows" and
-    # "gap_pivots" (see _ladder_gap), and the scan's "refined_seeds" (see FamilyScan)
-    counters: dict = field(
-        default_factory=lambda: dict.fromkeys(
-            ("gap_lps", "gap_rows", "gap_pivots", "refined_seeds"), 0
-        ),
-        compare=False,
-    )
 
     @property
     def converged(self) -> bool:
@@ -110,30 +103,24 @@ class Certificate:
         return tuple((tag, param, self.beta * w / self.lam) for tag, param, w in self.coeffs)
 
 
-def _ladder_gap(grads, gates, ids, prev, eps, counters) -> float:
+def _ladder_gap(grads, gates, ids, least, prev, eps) -> float:
     """Hausdorff gap between the rung ``prev`` and the next, ``prev[gates[prev] <= eps]``.
 
     Hulls genuinely stabilized means neither side drifted, so the gap is the
     larger one-sided gap.  The next rung is nested in ``prev``, which makes
-    its side exactly 0.  The other needs only the dropped rows, less those
-    equal to a kept row or an earlier dropped one by ``ids``
-    (``first_equal_rows(grads)``): they add to ``counters["gap_rows"]``, the
-    LPs ``farthest_row_distance`` runs on them to ``counters["gap_lps"]`` and
-    those LPs' simplex pivots to ``counters["gap_pivots"]``.  A rung that
-    drops no row equals ``prev``: its gap is 0 and nothing more runs.
+    its side exactly 0.  The other needs only the dropped rows of an id
+    (``ids = first_equal_rows(grads)``) that no kept or earlier dropped row
+    has, tallied as ``gap_rows``: a row of id i is kept iff ``least[i]``, the
+    smallest gate of id i, is at most eps.  A rung that drops no row equals
+    ``prev``: its gap is 0 and nothing runs.
     """
     kept = gates[prev] <= eps
     if kept.all():
         return 0.0
     new, dropped = prev[kept], prev[~kept]
-    held = np.zeros(ids.size, dtype=bool)
-    held[ids[new]] = True
-    dropped = _distinct(ids, dropped[~held[ids[dropped]]])
-    gap, lps, pivots = farthest_row_distance(grads[dropped], Hull(grads[new]))
-    counters["gap_rows"] += dropped.size
-    counters["gap_lps"] += lps
-    counters["gap_pivots"] += pivots
-    return gap
+    dropped = _distinct(ids, dropped[least[ids[dropped]] > eps])
+    count("gap_rows", dropped.size)
+    return farthest_row_distance(grads[dropped], Hull(grads[new]))
 
 
 def _distinct(ids, rows):
@@ -159,12 +146,10 @@ def tc_approx(prob: Problem, x, opts: Options = Options()) -> TCApprox:
 
     scan = FamilyScan(prob, x, values, opts.eps0, opts)
     ids = first_equal_rows(scan.grads)
-    counters = {"gap_lps": 0, "gap_rows": 0, "gap_pivots": 0, "refined_seeds": scan.refined_seeds}
-    ladder = []
-    gaps = []
-    stopped_by = "max_steps"
-    eps = opts.eps0
-    prev = None
+    least = np.full(ids.size, np.inf)  # the smallest gate of each id
+    np.minimum.at(least, ids, scan.gates)
+    ladder, gaps = [], []
+    stopped_by, eps, prev = "max_steps", opts.eps0, None
     for _ in range(opts.max_steps + 1):
         aset = scan.at(eps)
         if not aset.entries.size:
@@ -172,13 +157,8 @@ def tc_approx(prob: Problem, x, opts: Options = Options()) -> TCApprox:
             break
         ladder.append((eps, aset))
         if prev is not None:  # one gap per rung after the first
-            gaps.append(_ladder_gap(scan.grads, scan.gates, ids, prev.entries, eps, counters))
-            if (
-                not family.pure_finite
-                and len(gaps) >= 2
-                and gaps[-1] <= opts.tol_hull
-                and gaps[-2] <= opts.tol_hull
-            ):
+            gaps.append(_ladder_gap(scan.grads, scan.gates, ids, least, prev.entries, eps))
+            if not family.pure_finite and len(gaps) >= 2 and max(gaps[-2:]) <= opts.tol_hull:
                 stopped_by = "stabilized"
                 break
         if family.pure_finite and np.all(scan.values[aset.entries] <= opts.tol_feas):
@@ -188,11 +168,9 @@ def tc_approx(prob: Problem, x, opts: Options = Options()) -> TCApprox:
             break
         prev = aset
         eps *= opts.shrink
-    if not ladder:
-        return TCApprox((), Hull(np.zeros((0, p))), (), report.min_value, stopped_by)
-    rows = _distinct(ids, ladder[-1][1].entries)
+    rows = _distinct(ids, ladder[-1][1].entries) if ladder else np.zeros(0, dtype=int)
     return TCApprox(
-        tuple(ladder), Hull(scan.grads[rows]), tuple(gaps), report.min_value, stopped_by, rows, counters
+        tuple(ladder), Hull(scan.grads[rows]), tuple(gaps), report.min_value, stopped_by, rows
     )
 
 

@@ -47,7 +47,7 @@ __all__ = ["ProblemFileError", "LoadedProblem", "load_problem", "resolve_options
 class ProblemFileError(Exception):
     def __init__(self, message, where="$"):
         super().__init__(f"{where}: {message}")
-        self.where = where
+        self.message, self.where = message, where
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,7 @@ def _is_finite_number(v):
 
 
 _NUMBER_TYPES = frozenset((int, float))  # not bool, an int subclass
+_MAX_INDEX = int(np.iinfo(np.intp).max)  # the most points a grid can number
 
 
 def _number_list(values, where, length=None):
@@ -240,10 +241,14 @@ def _load_constraints(raw, q, grid_override):
     _check_keys(box, ("lower", "upper"), f"{where}.box")
     lower = _number_list(box.get("lower"), f"{where}.box.lower", length=t_dim)
     upper = _number_list(box.get("upper"), f"{where}.box.upper", length=t_dim)
-    grid = spec["grid"]
-    _require(isinstance(grid, int) and grid >= 2, "grid must be an integer >= 2", f"{where}.grid")
+    grid, where_grid = spec["grid"], f"{where}.grid"
+    _require(isinstance(grid, int) and grid >= 2, "grid must be an integer >= 2", where_grid)
+    if grid_override is not None:  # the argument replaces the file's grid, and owns its errors
+        grid, where_grid = int(grid_override), "grid"
+    indexable = grid <= _MAX_INDEX and grid ** min(t_dim, 64) <= _MAX_INDEX  # 2 ** 64 is past it
+    _require(indexable, f"grid ** t_dim exceeds the largest index, {_MAX_INDEX}", where_grid)
     try:
-        index = IndexSet.box(lower, upper, grid if grid_override is None else grid_override)
+        index = IndexSet.box(lower, upper, grid)
     except ValueError as err:
         raise ProblemFileError(str(err), f"{where}.box") from err
     return ParametricFamily(h, index, tuple(finite_members))

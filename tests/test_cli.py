@@ -144,6 +144,26 @@ class TestCertify:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error == {"kind": "input", "message": f"{flag}: {message}"}
 
+    def test_grid_past_the_largest_index_exit_four(self, tmp_path, capsys):
+        # numpy cannot size such a grid: an input error, not a traceback
+        from sipcert import cli
+
+        doc = json.loads(open(fixture_path("sip_linear")).read())
+        doc["constraints"]["parametric"]["grid"] = 10**400
+        path = tmp_path / "huge_grid.json"
+        path.write_text(json.dumps(doc))
+        message = "grid ** t_dim exceeds the largest index, 9223372036854775807"
+        for argv, where in (
+            ([str(path)], "$.constraints.parametric.grid"),
+            ([fixture_path("sip_linear"), "--grid", str(10**400)], "--grid"),
+        ):
+            assert cli.main(["certify", *argv, "--json"]) == 4
+            out, err = capsys.readouterr()
+            assert json.loads(out)["error"] == {"kind": "input", "message": f"{where}: {message}"}
+            assert err == ""
+        # the flag replaces the file's grid, so the file's one is never sized
+        assert cli.main(["certify", str(path), "--grid", "65", "--json"]) == 0
+
     def test_selftest_tolerance_checked(self, capsys):
         from sipcert import cli
 

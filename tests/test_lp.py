@@ -309,11 +309,12 @@ def _determination(normals, offsets):
     from sipcert.geometry import Polyhedron
     from sipcert.model import PolyhedralFamily
     from sipcert.options import Options
+    from sipcert.work import counting
 
     family = PolyhedralFamily(Polyhedron(normals, offsets))
-    counters = {}
-    rows = family.determination(Options().tol_lp, counters)
-    return family, rows, counters
+    with counting() as counts:
+        rows = family.determination(Options().tol_lp)
+    return family, rows, counts
 
 
 def _support_reference(normals, offsets, unit):
@@ -330,7 +331,7 @@ def _support_reference(normals, offsets, unit):
 def _assert_infima_match_scipy(normals, offsets):
     """The determination's infima against scipy, within tol_lp (1 + |c_j|);
     returns the rows."""
-    family, rows, counters = _determination(normals, offsets)
+    family, rows, counts = _determination(normals, offsets)
     unit, stated = family.normalized()
     infima = np.array([r[1] for r in rows])
     reference = _support_reference(normals, offsets, unit)
@@ -339,17 +340,17 @@ def _assert_infima_match_scipy(normals, offsets):
     finite = np.isfinite(reference)
     gap = np.abs(infima[finite] - reference[finite])
     assert np.all(gap <= 1e-9 * (1.0 + np.abs(stated[finite])))
-    return rows, counters
+    return rows, counts
 
 
 def test_determination_support_lps_and_pivots_are_pinned(monkeypatch):
     phase_one = _phase_one_log(monkeypatch)
     normals, offsets = _support_polytope(np.random.default_rng(7), np.zeros(10))
-    rows, counters = _assert_infima_match_scipy(normals, offsets)
+    rows, counts = _assert_infima_match_scipy(normals, offsets)
     assert np.isfinite([r[1] for r in rows]).all()  # a bounded polytope
     # one kept tableau of free variables, visited in normal-cone order:
     # fewer LPs than the 112 cold starts from the origin, and fewer pivots
-    assert (counters["support_lps"], counters["support_pivots"]) == (96, 741)
+    assert (counts["support_lps"], counts["support_pivots"]) == (96, 741)
     assert phase_one == []  # the origin is inside: the slack basis is feasible
 
 
@@ -359,9 +360,9 @@ def test_determination_of_a_polytope_away_from_the_origin(monkeypatch):
     normals, offsets = _support_polytope(rng, 4.0 * rng.standard_normal(10))
     assert np.count_nonzero(offsets > 0) == 95
     phase_one = _phase_one_log(monkeypatch)
-    rows, counters = _assert_infima_match_scipy(normals, offsets)
+    rows, counts = _assert_infima_match_scipy(normals, offsets)
     assert np.isfinite([r[1] for r in rows]).all()  # a bounded polytope
-    assert (counters["support_lps"], counters["support_pivots"], phase_one) == (105, 900, [118])
+    assert (counts["support_lps"], counts["support_pivots"], phase_one) == (105, 900, [118])
 
 
 def _random_polyhedron(rng, kind):

@@ -23,6 +23,7 @@ from sipcert.model import (
 )
 from sipcert.multipliers import certify_fj, tc_approx
 from sipcert.options import Options
+from sipcert.work import counting
 
 from conftest import active_set
 
@@ -169,7 +170,8 @@ class TestActiveSet:
         assert np.array_equal(aset.hull().generators[0], [1.0, 0.0])
 
     def test_near_active_half_eps_includes_slow_members(self):
-        aset = active_set(near_active_problem(), (0, 0), 0.5)
+        with counting() as counts:
+            aset = active_set(near_active_problem(), (0, 0), 0.5)
         scan = aset.scan
         listed = aset.entries[aset.entries < scan.rows.size]  # phi0 and the grid members
         tags = {tag for tag, _ in scan.labels(listed)}
@@ -177,7 +179,7 @@ class TestActiveSet:
         # exactly the k with 1/k <= 0.5
         assert len(tags) == 1 + sum(1 for k in range(1, 11) if 1.0 / k <= 0.5)
         # and one refined twin, bisected from t = 10, the grid's discrete minimum
-        assert aset.entries.size - listed.size == scan.refined_seeds == 1
+        assert aset.entries.size - listed.size == counts["refined_seeds"] == 1
         assert 9.0 < scan.points[0, 0] < 10.0 and 0.1 < scan.values[-1] <= 0.5
 
     def test_linear_sip_everything_active(self):
@@ -317,32 +319,36 @@ class TestRefinementSeeds:
 
     def test_flat_run_interior_gets_no_twin_and_its_rim_does(self):
         # h = 0 on the plateau [0.25, 0.75], grid points 2..6 of 9
-        scan, _ = _scan("x1 + max(abs(t1 - 0.5) - 0.25, 0)", [0.0], [1.0], 9, 0.0, 0.01)
+        with counting() as counts:
+            scan, _ = _scan("x1 + max(abs(t1 - 0.5) - 0.25, 0)", [0.0], [1.0], 9, 0.0, 0.01)
         assert scan.rows.tolist() == [2, 3, 4, 5, 6]
-        assert scan.refined_seeds == 2 and len(scan.points) == 2
+        assert counts["refined_seeds"] == 2 and len(scan.points) == 2
         step = 0.125
         for t in scan.points[:, 0]:
             assert 0.25 - step * self.CELL <= t <= 0.75 + step * self.CELL
 
     def test_two_point_tie_around_an_off_grid_minimum(self):
         # (t1 - 0.375)^2 is 2^-6 at both 0.25 and 0.5, exactly
-        scan, _ = _scan("x1 + (t1 - 0.375)^2", [0.0], [1.0], 5, 0.0, 0.02)
+        with counting() as counts:
+            scan, _ = _scan("x1 + (t1 - 0.375)^2", [0.0], [1.0], 5, 0.0, 0.02)
         assert scan.rows.tolist() == [1, 2] and scan.values.tolist()[:2] == [2**-6] * 2
-        assert scan.refined_seeds == 2 and len(scan.points) == 1  # the same twin, deduped
+        assert counts["refined_seeds"] == 2 and len(scan.points) == 1  # the same twin, deduped
         assert np.all(np.abs(scan.points[:, 0] - 0.375) <= 0.25 * self.CELL)
 
     def test_floor_of_a_two_dimensional_valley(self):
         # flat along t2, strictly lowest across t1 = 0.5: every floor point is a seed
-        scan, _ = _scan("x1 + (t1 - 0.5)^2", [0.0, 0.0], [1.0, 1.0], 5, 0.0, 0.01)
+        with counting() as counts:
+            scan, _ = _scan("x1 + (t1 - 0.5)^2", [0.0, 0.0], [1.0, 1.0], 5, 0.0, 0.01)
         assert scan.rows.tolist() == [10, 11, 12, 13, 14]
-        assert scan.refined_seeds == 5 and len(scan.points) == 5
+        assert counts["refined_seeds"] == 5 and len(scan.points) == 5
         assert np.all(np.abs(scan.points[:, 0] - 0.5) <= 0.25 * self.CELL)
 
     def test_scan_filter_matches_direct_with_flat_and_strict_minima(self):
         # a plateau on [0.15, 0.35] at 0 and a strict minimum 0.003 at t1 = 0.75
         h = "x1 + min(max(abs(t1 - 0.25) - 0.1, 0), (t1 - 0.75)^2 + 0.003)"
-        scan, prob = _scan(h, [0.0], [1.0], 33, 0.0, 0.5)
-        assert scan.refined_seeds == 3  # the plateau's two rims and the strict minimum
+        with counting() as counts:
+            scan, prob = _scan(h, [0.0], [1.0], 33, 0.0, 0.5)
+        assert counts["refined_seeds"] == 3  # the plateau's two rims and the strict minimum
         for eps in (0.5, 0.01, 0.004, 0.001, 1e-6):
             via_scan = scan.at(eps)
             direct = active_set(prob, [0.0], eps)
@@ -503,24 +509,24 @@ class TestDetermination:
         poly = _redundant_polytope(seed)
         family = PolyhedralFamily(poly)
         normals, offsets = family.normalized()
-        counters = {}
-        rows = family.determination(Options().tol_lp, counters)
+        with counting() as counts:
+            rows = family.determination(Options().tol_lp)
         reference = _support_reference(poly, normals)
         assert [r[0] for r in rows] == [tuple(a) for a in normals]
         assert [r[2] for r in rows] == [float(c) for c in offsets]
         infima = np.array([r[1] for r in rows])
         assert np.all(np.abs(infima - reference) <= Options().tol_lp * (1.0 + np.abs(offsets)))
-        assert 0 < counters["support_lps"] < len(offsets)
+        assert 0 < counts["support_lps"] < len(offsets)
 
     def test_cone_needs_one_lp(self, rng):
         normals = rng.standard_normal((20, 10))
         normals[:, 0] = np.abs(normals[:, 0]) + 2.0
         family = PolyhedralFamily(Polyhedron(normals, np.zeros(20)))
         reference = _support_reference(family.poly, family.normalized()[0])
-        counters = {}
-        rows = family.determination(1e-9, counters)
+        with counting() as counts:
+            rows = family.determination(1e-9)
         # every basic solution of a cone's LP is its apex, which touches every facet
-        assert counters["support_lps"] == 1
+        assert counts["support_lps"] == 1
         assert np.all(np.abs([r[1] for r in rows] - reference) <= 1e-9)
 
     def test_empty_polyhedron_runs_one_lp(self, rng):
@@ -528,9 +534,9 @@ class TestDetermination:
         offsets = np.concatenate([[1.0, 0.0], rng.uniform(-2.0, -1.0, 8)])  # y1 >= 1 and y1 <= 0
         family = PolyhedralFamily(Polyhedron(normals, offsets))
         assert np.all(_support_reference(family.poly, family.normalized()[0]) == np.inf)
-        counters = {}
-        rows = family.determination(1e-9, counters)
-        assert counters["support_lps"] == 1
+        with counting() as counts:
+            rows = family.determination(1e-9)
+        assert counts["support_lps"] == 1
         assert [r[1] for r in rows] == [np.inf] * 10
 
     def test_simplex_lp_count_is_pinned(self):
@@ -538,18 +544,19 @@ class TestDetermination:
         # the five facets, so the one facet it misses is the only other LP
         poly = Polyhedron(np.vstack([np.eye(4), -np.ones((1, 4))]), [0.0, 0.0, 0.0, 0.0, -1.0])
         family = PolyhedralFamily(poly)
-        counters = {}
-        rows = family.determination(1e-9, counters)
-        assert counters["support_lps"] == 2
+        with counting() as counts:
+            rows = family.determination(1e-9)
+        assert counts["support_lps"] == 2
         assert np.allclose([r[1] for r in rows], [0.0, 0.0, 0.0, 0.0, -0.5], atol=1e-12)
 
     def test_admissible_counters(self):
         family = PolyhedralFamily(_redundant_polytope(4))
-        counters = {}
-        rows = family.determination(Options().tol_lp, counters)
-        diag = admissible_diagnostics(Problem(10, parse("x1", 10), family), np.zeros(10))
+        with counting() as counts:
+            rows = family.determination(Options().tol_lp)
+        with counting() as diag_counts:
+            diag = admissible_diagnostics(Problem(10, parse("x1", 10), family), np.zeros(10))
         assert diag.determination == rows
-        assert diag.counters == {**counters, "lipschitz_walks": 0}
+        assert diag_counts == counts and diag_counts["lipschitz_walks"] == 0
 
 
 def _ball_reference(rng, center, radius):
@@ -633,9 +640,9 @@ class TestLipschitzChunks:
 
     def test_walks_per_chunk(self):
         # grid 257: 31 sample points per walk, so 15 pairs; 34 pairs take 3 walks
-        counters = {}
-        equi_lipschitz_estimate(linear_sip_problem(257), (1, 1), 0.1, 32, seed=1, counters=counters)
-        assert counters == {"lipschitz_walks": 3}
+        with counting() as counts:
+            equi_lipschitz_estimate(linear_sip_problem(257), (1, 1), 0.1, 32, seed=1)
+        assert counts == {"lipschitz_walks": 3}
 
     def test_memory_stays_at_one_sample_point_at_grid_16385(self, sphere_ladder):
         # a pair's grid fills a chunk, so each sample point walks alone: the

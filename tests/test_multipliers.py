@@ -23,8 +23,10 @@ from sipcert.model import (
     PolyhedralFamily,
     Problem,
 )
-from sipcert.multipliers import _ladder_gap, certify_fj, sip_multipliers, tc_approx
+from sipcert import multipliers
+from sipcert.multipliers import _distinct, _ladder_gap, certify_fj, sip_multipliers, tc_approx
 from sipcert.options import Options
+from sipcert.work import counting
 from sipcert.selftest import ladder_nested
 
 from conftest import active_set
@@ -118,16 +120,17 @@ class TestLadderGap:
         outer, inner = Hull(grads[prev]), Hull(grads[new])
         expected = max(one_sided_hull_gap(outer, inner), one_sided_hull_gap(inner, outer))
         two_sided = len(calls)
-        counters = {"gap_lps": 0, "gap_rows": 0, "gap_pivots": 0}
-        gap = _ladder_gap(grads, gates, first_equal_rows(grads), prev, eps, counters)
+        ids = first_equal_rows(grads)
+        with counting() as counts:
+            gap = _ladder_gap(grads, gates, ids, _least_gates(ids, gates), prev, eps)
         assert gap.hex() == expected.hex()
-        assert counters["gap_lps"] == len(calls) - two_sided <= two_sided
-        assert counters["gap_pivots"] == sum(calls[two_sided:])
+        assert counts["gap_lps"] == len(calls) - two_sided <= two_sided
+        assert counts["gap_pivots"] == sum(calls[two_sided:])
         monkeypatch.undo()
         # the ids drop the rows that the bytewise dedupe of the dropped rows drops
         dropped = np.setdiff1d(prev, new, assume_unique=True)
         first = first_occurrences(np.vstack([grads[new], grads[dropped]]))
-        assert counters["gap_rows"] == int((first >= new.size).sum())
+        assert counts["gap_rows"] == int((first >= new.size).sum())
         return gap
 
     def test_random_nested_hulls_with_repeats_and_signed_zeros(self, monkeypatch, rng):
@@ -142,6 +145,33 @@ class TestLadderGap:
             gates = np.ones(n)
             gates[new] = 0.0
             self._check(monkeypatch, grads, gates, prev, 0.5)
+
+    def test_id_gates_drop_what_a_mark_array_drops(self, monkeypatch, rng):
+        # the rows offered to the gap LPs, against marking the ids of the kept
+        # rows: the same rows in the same order, on rungs cut by their gates
+        offered = []
+        monkeypatch.setattr(
+            multipliers, "farthest_row_distance", lambda rows, dst: offered.append(rows) or 0.0
+        )
+        for _ in range(60):
+            n, p = int(rng.integers(4, 14)), int(rng.integers(1, 4))
+            grads = rng.integers(-2, 3, size=(n, p)).astype(float)  # exact repeats
+            i, j = rng.choice(n, size=2, replace=False)
+            grads[j] = grads[i]
+            grads[i, 0], grads[j, 0] = 0.0, -0.0  # equal as numbers, apart as bytes
+            gates = rng.integers(0, 4, size=n) / 4.0
+            prev = np.flatnonzero(gates <= 0.5)
+            ids = first_equal_rows(grads)
+            kept = gates[prev] <= 0.25
+            held = np.zeros(n, dtype=bool)
+            held[ids[prev[kept]]] = True
+            dropped = prev[~kept]
+            expected = _distinct(ids, dropped[~held[ids[dropped]]])
+            offered.clear()
+            _ladder_gap(grads, gates, ids, _least_gates(ids, gates), prev, 0.25)
+            assert [rows.tobytes() for rows in offered] == (
+                [grads[expected].tobytes()] if dropped.size else []
+            )
 
     def test_sip_trig_ladder(self, monkeypatch):
         loaded = load_fixture("sip_trig")
@@ -158,12 +188,13 @@ class TestLadderGap:
     def test_quarter_circle_ladder_prunes_gap_lps(self, monkeypatch, sphere_ladder):
         prob, x = sphere_ladder(1025, [400])
         calls = _log_fit_pivots(monkeypatch)
-        tc = tc_approx(prob, x, Options())
+        with counting() as counts:
+            tc = tc_approx(prob, x, Options())
         monkeypatch.undo()
         assert tc.stopped_by == "stabilized" and len(tc.ladder) >= 3
         assert len(calls) <= 20  # every dropped row of every rung is 368 LPs
-        assert tc.counters["gap_lps"] == len(calls)
-        assert tc.counters["gap_pivots"] == sum(calls)
+        assert counts["gap_lps"] == len(calls)
+        assert counts["gap_pivots"] == sum(calls)
         grads = tc.ladder[0][1].scan.grads
         unpruned = [
             _unpruned_ladder_gap(grads, prev.entries, new.entries)
@@ -183,7 +214,8 @@ class TestLadderGap:
             [2.0, 1.0],  # dropped at the third rung
         ])
         values = np.array([0.0, 0.0, 0.004, 0.008, 0.006, 0.009, 0.003, 0.0, 0.003])  # at x = 0
-        tc = tc_approx(Problem(2, parse("-x2", 2), _RowsFamily(values, normals)), (0.0, 0.0))
+        with counting() as counts:
+            tc = tc_approx(Problem(2, parse("-x2", 2), _RowsFamily(values, normals)), (0.0, 0.0))
         scan = tc.ladder[0][1].scan
         assert np.signbit(scan.grads[:, 0]).tolist() == [0, 1, 0, 0, 0, 1, 1, 1, 0]
         assert tc.stopped_by == "finite_shortcut" and len(tc.ladder) == 3
@@ -196,7 +228,7 @@ class TestLadderGap:
         assert np.array_equal(tc.final_rows, rows[first_occurrences(scan.grads[rows])])
         assert tc.final_rows.tolist() == [0, 1, 7]
         # offered: one of the two (1, 1) rows at the second rung, (2, 1) at the third
-        assert tc.counters == {"gap_lps": 2, "gap_rows": 2, "gap_pivots": 3, "refined_seeds": 0}
+        assert counts == {"gap_lps": 2, "gap_rows": 2, "gap_pivots": 3}
 
     def test_signed_zero_facets_give_one_generator(self):
         # facets y2 >= 0 written with normals (0, 1) and (-0, 1)
@@ -205,6 +237,13 @@ class TestLadderGap:
         tc = tc_approx(Problem(2, parse("-x2", 2), family), (0.0, 0.0))
         assert len(tc.ladder[-1][1].entries) == 2
         assert tc.final.generators.tolist() == [[0.0, 1.0]] and tc.final_rows.tolist() == [0]
+
+
+def _least_gates(ids, gates):
+    """The smallest gate of the rows of each id, as ``tc_approx`` passes it to ``_ladder_gap``."""
+    least = np.full(ids.size, np.inf)
+    np.minimum.at(least, ids, gates)
+    return least
 
 
 def _log_fit_pivots(monkeypatch):

@@ -70,6 +70,23 @@ class TestLoad:
                 load_problem(fixture_path("sip_trig"), grid)
             assert str(err.value) == f"grid: must be an integer >= 2, got {grid!r}"
 
+    def test_grid_past_the_largest_index_is_named(self):
+        # 10**400 points on one axis, 2**32 on each of two, 2 on each of 63:
+        # more points than an index numbers (2**63 - 1)
+        message = "grid ** t_dim exceeds the largest index, 9223372036854775807"
+        for t_dim, grid in ((1, 10**400), (2, 2**32), (63, 2)):
+            doc = minimal(constraints={"parametric": {
+                "h": "x1 - t1", "t_dim": t_dim,
+                "box": {"lower": [0.0] * t_dim, "upper": [1.0] * t_dim}, "grid": grid,
+            }})
+            with pytest.raises(ProblemFileError) as err:
+                load_problem(doc)
+            assert str(err.value) == f"$.constraints.parametric.grid: {message}"
+        for grid in (10**400, 2**63):  # an argument grid on the file's one axis
+            with pytest.raises(ProblemFileError) as err:
+                load_problem(fixture_path("sip_linear"), grid)
+            assert str(err.value) == f"grid: {message}"
+
     def test_union_family(self):
         doc = minimal(
             constraints={
