@@ -35,6 +35,15 @@ Conchon 2006), so equal subtrees are one slot; constants are keyed by
 their bits, so ``-0.0`` and ``0.0`` stay two.  Evaluating, printing and
 substituting are each one loop over the tape.
 
+A list of expressions (:class:`ExprList`: a family's listed members, the
+equality rows, an inner map) shares one tape: its strings are parsed into
+one interning table (:func:`parse_list`), in list order, and each member's
+result is one slot of it; an :class:`ExprFn` is the one-output case, walked
+and substituted by the same routines.  :func:`evaluate_list` and
+:func:`gradient_list` read every member, or the gradients of some, in one
+walk.  Substituting an inner map into a list interns each inner expression
+once, where a member first reads it, and every composite shares its slots.
+
 Gradients are computed by forward-mode dual numbers, so they are exact up
 to floating rounding; central finite differences are used as a test oracle
 only.  Evaluation never returns NaN or infinity: any non-finite input or
@@ -46,8 +55,8 @@ One walk evaluates a tape over one operator table, whose rule for each
 operator (value, dual derivative, domain or kink check) is written once
 against a kit of primitives for the value type.  The scalar kit (Python
 floats and ``math``: one point, a non-finite node raises at once) serves
-:func:`evaluate` and :func:`gradient`: objectives, listed constraints, and
-the reference in tests.  The batch kit (numpy columns: the n index points
+:func:`evaluate` and :func:`gradient` (objectives, the reference in tests)
+and the list walks.  The batch kit (numpy columns: the n index points
 of a parametric constraint, one finiteness test per walk) serves
 :func:`evaluate_many` and :func:`gradient_many`.  Its results and errors
 are those of the scalar loop over the points: when the batch walk flags
@@ -71,19 +80,24 @@ import numpy as np
 
 __all__ = [
     "ExprFn",
+    "ExprList",
     "Dual",
     "ExprError",
     "ParseError",
     "EvalDomainError",
     "KinkError",
     "parse",
+    "parse_list",
     "evaluate",
+    "evaluate_list",
     "evaluate_many",
     "gradient",
+    "gradient_list",
     "gradient_many",
     "format_expr",
     "substitute",
     "linear_expr",
+    "linear_list",
 ]
 
 DEFAULT_KINK_TOL = 1e-12
@@ -94,6 +108,8 @@ class ExprError(Exception):
 
 
 class ParseError(ExprError):
+    index = None  # set by parse_list: the bad string's place in its list
+
     def __init__(self, message, offset, expected=()):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
@@ -124,8 +140,75 @@ class ExprFn:
     def __str__(self):
         return format_expr(self)
 
+    @property
+    def outputs(self):  # as an ExprList's: the one result is the last slot
+        return (len(self.tape) - 1,)
+
 
 _LEAVES = ("num", "x", "t")
+
+
+@dataclass(frozen=True, slots=True)
+class ExprList:
+    """Expressions over x1..x{arity_x} (no t) on one tape: member i's result is
+    the slot ``outputs[i]``.
+
+    The members enter the interning table in list order, each in its own
+    post-order, so each member's new slots follow those of the members before
+    it, and its result is its last new slot (or an earlier member's slot).
+    Indexing or iterating gives a member as an :class:`ExprFn`, the tape
+    :func:`parse` builds from its own string.
+    """
+
+    tape: tuple
+    outputs: tuple
+    arity_x: int
+
+    @classmethod
+    def of(cls, exprs, arity_x=None) -> "ExprList":
+        """``exprs`` (ExprFns, or an ExprList, returned as it is) as one ExprList.
+
+        The arity is ``arity_x``, or the first member's; a member with
+        another x-arity, or with t-variables, is a ValueError.
+        """
+        if isinstance(exprs, ExprList) and arity_x in (None, exprs.arity_x):
+            return exprs
+        exprs = tuple(exprs)
+        if arity_x is None:
+            arity_x = exprs[0].arity_x if exprs else 0
+        if any(f.arity_x != arity_x or f.arity_t for f in exprs):
+            raise ValueError(f"list members must be functions of x1..x{arity_x} only")
+        table = _Tape()
+        outputs = tuple([table.add_tape(f.tape)[-1] for f in exprs])
+        return cls(table.tape(), outputs, arity_x)
+
+    def __len__(self):
+        return len(self.outputs)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.outputs)))
+
+    def __getitem__(self, i) -> ExprFn:
+        table = _Tape()
+        table.add_tape(self.tape, order=self.post_order(i))
+        return ExprFn(table.tape(), self.arity_x)
+
+    def post_order(self, i) -> list:
+        """Member i's slots in the post-order of their first visit from its
+        result: the order in which its own parse interns them."""
+        tape, order, seen = self.tape, [], set()
+        stack = [(self.outputs[i], False)]
+        while stack:
+            s, done = stack.pop()
+            if done:
+                order.append(s)
+            elif s not in seen:
+                seen.add(s)
+                stack.append((s, True))
+                op, args = tape[s]
+                if op not in _LEAVES:
+                    stack.extend([(a, False) for a in reversed(args)])
+        return order
 
 
 class _Tape(dict):
@@ -140,19 +223,22 @@ class _Tape(dict):
         # from a list: a tuple grown from a generator reallocates, and fragments the heap
         return tuple([(op, float(args)) if type(args) is str else (op, args) for op, args in self])
 
-    def add_tape(self, tape, x_slot=None):
-        # interns `tape` (an x-variable i as the slot x_slot(i), if given); its result's slot
-        slots, add = [], self.add
-        for op, args in tape:
+    def add_tape(self, tape, x_slot=None, order=None):
+        # interns the entries of `tape` (those in `order`, a post-order, if
+        # given), an x-variable i as the slot x_slot(i) if given; the slot of
+        # each entry, by its place in `tape`
+        slots, add = [None] * len(tape), self.add
+        for i in range(len(tape)) if order is None else order:
+            op, args = tape[i]
             if op == "x" and x_slot:
-                slots.append(x_slot(args))
+                slots[i] = x_slot(args)
             elif op in _LEAVES:
-                slots.append(add(op, args))
+                slots[i] = add(op, args)
             elif len(args) == 2:  # read directly, as in the walk
-                slots.append(add(op, (slots[args[0]], slots[args[1]])))
+                slots[i] = add(op, (slots[args[0]], slots[args[1]]))
             else:
-                slots.append(add(op, tuple([slots[a] for a in args])))
-        return slots[-1]
+                slots[i] = add(op, tuple([slots[a] for a in args]))
+        return slots
 
 
 # ---------------------------------------------------------------------------
@@ -451,37 +537,46 @@ _OPS = {
 FUNCTIONS = tuple(name for name, (_, arity) in _OPS.items() if arity)
 
 
-def _walk(tape, xs, ts, K):
-    """The value of the tape's result in kit K, the leaves' values taken from xs and ts.
+def _walk(entries, values, xs, ts, K, last=None):
+    """Compute the tape ``entries``, (slot, (op, args)) pairs in slot order
+    (each one's arguments among them or already in ``values``), into
+    ``values`` in kit K, the leaves' values taken from xs and ts.
 
     Each node is computed where a recursive walk of the tree first reaches
     it; a repeat would compute the same value from the same inputs, so the
     values, dual partials and first error are the tree walk's.  No rule may
     mutate its arguments: a slot can feed several nodes.  The batch kit's
     finiteness sum adds each distinct node once, which still proves every
-    node finite; its columns are dropped after their last use.
+    node finite; its columns are dropped after their last use (``last``).
     """
-    values = []
-    last = {}  # the batch kit drops each column after the last node that reads it
-    if isinstance(K, _Batch):
-        last = {a: i for i, (op, args) in enumerate(tape) if op not in _LEAVES for a in args}
-    for i, (op, args) in enumerate(tape):
+    for i, (op, args) in entries:
         if op == "num":
-            values.append(args)
+            values[i] = args
         elif op == "x":
-            values.append(xs[args])
+            values[i] = xs[args]
         elif op == "t":
-            values.append(ts[args])
+            values[i] = ts[args]
         else:
             rule = _OPS[op][0]
             if len(args) == 2:  # read directly: a comprehension costs a frame
-                values.append(rule(K, values[args[0]], values[args[1]]))
+                values[i] = rule(K, values[args[0]], values[args[1]])
             else:
-                values.append(rule(K, *[values[a] for a in args]))
+                values[i] = rule(K, *[values[a] for a in args])
             for a in args if last else ():
                 if last[a] == i:
                     values[a] = None
-    return values[-1]
+
+
+def _reads(tape, roots):
+    """The slots the ``roots`` read, themselves included, ascending."""
+    need = bytearray(len(tape))
+    for s in roots:
+        need[s] = 1
+    for i in range(max(roots, default=-1), -1, -1):
+        if need[i] and tape[i][0] not in _LEAVES:
+            for a in tape[i][1]:
+                need[a] = 1
+    return [i for i, n in enumerate(need) if n]
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +586,35 @@ def _walk(tape, xs, ts, K):
 _SCALAR = _Scalar(DEFAULT_KINK_TOL)
 
 
-def _run(f, xs, ts, K):
+def _run(f, xs, ts, K, shape=None, rows=None):
+    """The results of ``f`` (an ExprFn or an ExprList) in kit K: every member's,
+    or those of the members ``rows`` (ascending); with ``shape``, each
+    result's gradient (see :func:`_partials`).
+
+    Over every member, the slots are walked member by member and each result
+    is checked once its member's slots are done, so the first error is that
+    of a loop over the members.  Over ``rows``, one walk computes the slots
+    those members read; its error need not be the loop's.
+    """
+    tape = f.tape
+    values = [None] * len(tape)
+    last = None
+    if isinstance(K, _Batch):  # one output, never read: drop each column after its last read
+        last = {a: i for i, (op, args) in enumerate(tape) if op not in _LEAVES for a in args}
+    out, done = [], 0  # the slots before `done` are walked
     with np.errstate(all="ignore"):
-        out = K.finite(_walk(f.tape, xs, ts, K), "result")
+        if rows is None:
+            outputs = f.outputs
+        else:
+            outputs = [f.outputs[r] for r in rows]
+            _walk([(i, tape[i]) for i in _reads(tape, outputs)], values, xs, ts, K)
+            done = len(tape)
+        for slot in outputs:
+            if slot >= done:
+                _walk(enumerate(tape[done : slot + 1], done), values, xs, ts, K, last)
+                done = slot + 1
+            v = K.finite(values[slot], "result")
+            out.append(v if shape is None else _partials(v, shape))
     K.check()
     return out
 
@@ -521,7 +642,7 @@ def evaluate(f: ExprFn, x, t=None) -> float:
     """IEEE-evaluate ``f`` at ``x`` (and index point ``t`` if applicable)."""
     xs = _coerce_point(x, f.arity_x, "x").tolist()
     ts = _coerce_point(t, f.arity_t, "t").tolist()
-    return _run(f, xs, ts, _SCALAR)
+    return _run(f, xs, ts, _SCALAR)[0]
 
 
 def gradient(f: ExprFn, x, t=None, kink_tol: float = DEFAULT_KINK_TOL) -> np.ndarray:
@@ -529,7 +650,42 @@ def gradient(f: ExprFn, x, t=None, kink_tol: float = DEFAULT_KINK_TOL) -> np.nda
     xs = _coerce_point(x, f.arity_x, "x").tolist()
     ts = _coerce_point(t, f.arity_t, "t").tolist()
     duals = [Dual(v, e) for v, e in zip(xs, np.eye(f.arity_x))]
-    return _partials(_run(f, duals, ts, _Scalar(kink_tol)), f.arity_x)
+    return _run(f, duals, ts, _Scalar(kink_tol), f.arity_x)[0]
+
+
+def evaluate_list(fs: ExprList, x) -> np.ndarray:
+    """The values at ``x`` of every member of ``fs``, in one walk of its tape.
+
+    The values and the first error are those of a loop of :func:`evaluate`
+    over the members (see :func:`_run`).
+    """
+    if not len(fs):
+        return np.zeros(0)
+    return np.array(_run(fs, _coerce_point(x, fs.arity_x, "x").tolist(), (), _SCALAR))
+
+
+def gradient_list(fs: ExprList, x, rows=None, kink_tol: float = DEFAULT_KINK_TOL) -> np.ndarray:
+    """Gradients at ``x`` of the members ``rows`` of ``fs`` (ascending and
+    distinct; all if None), one row each, in one dual walk of the slots
+    they read.
+
+    Equal to a loop of :func:`gradient` over those members.  Over every
+    member the walk's first error is that loop's; when a walk over some
+    members raises, the loop runs and decides the error.
+    """
+    p = fs.arity_x
+    every = rows is None or len(rows) == len(fs)
+    if not len(fs.outputs if every else rows):
+        return np.zeros((0, p))
+    xs = _coerce_point(x, p, "x")
+    duals = [Dual(v, e) for v, e in zip(xs.tolist(), np.eye(p))]
+    K = _Scalar(kink_tol)
+    if every:
+        return np.array(_run(fs, duals, (), K, p))
+    try:
+        return np.array(_run(fs, duals, (), K, p, rows))
+    except ExprError:
+        return np.array([gradient(fs[r], xs, kink_tol=kink_tol) for r in rows])
 
 
 def evaluate_many(f: ExprFn, x, tpoints) -> np.ndarray:
@@ -578,15 +734,15 @@ def gradient_many(f: ExprFn, x, tpoints, kink_tol: float = DEFAULT_KINK_TOL) -> 
 
 
 def _values_batched(f, xs, tarr):
-    out = _run(f, xs, list(tarr.T), _Batch(len(tarr), DEFAULT_KINK_TOL))
+    out = _run(f, xs, list(tarr.T), _Batch(len(tarr), DEFAULT_KINK_TOL))[0]
     return np.broadcast_to(out, len(tarr)).astype(float)
 
 
 def _gradients_batched(f, xs, tarr, kink_tol):
     p = f.arity_x
     duals = [Dual(xs[i], e[:, None]) for i, e in enumerate(np.eye(p))]
-    out = _run(f, duals, list(tarr.T), _Batch(len(tarr), kink_tol))
-    return np.ascontiguousarray(_partials(out, (p, len(tarr))).T)
+    out = _run(f, duals, list(tarr.T), _Batch(len(tarr), kink_tol), (p, len(tarr)))[0]
+    return np.ascontiguousarray(out.T)
 
 
 def _index_points(f, tpoints):
@@ -631,10 +787,18 @@ class _Parser(_Tape):
     """Recursive descent over the token strings; ``i`` indexes the next token.
 
     Each method interns the node it read into the parser's own tape, after
-    its children (post-order), and returns its slot.  A token's offset is
+    its children (post-order), and returns its slot; :meth:`read` parses one
+    string, so the strings of a list share the tape.  A token's offset is
     found only for an error, by scanning ``src`` again."""
 
-    def __init__(self, src, arity_x, arity_t):
+    def __init__(self, arity_x, arity_t):
+        self.arity = {"x": arity_x, "t": arity_t}
+        self.leaves = {}  # the slot of each variable or number token read so far
+
+    def read(self, src):
+        """Parse ``src`` into the tape: the slot of its result."""
+        if not src or not src.strip():
+            raise ParseError("empty expression", 0, ("number", "variable", "function", "("))
         self.src = src
         self.tokens = _TOKEN_RE.findall(src)
         if "" in self.tokens:  # a bad character, reported before any syntax error
@@ -645,7 +809,11 @@ class _Parser(_Tape):
         self.tokens.append("")  # end of input
         self.i = 0
         self.depth = 0
-        self.arity = {"x": arity_x, "t": arity_t}
+        node = self.expr()
+        if self.tokens[self.i]:
+            expected = ("operator", "end of input")
+            raise self.error(f"unexpected token {self.tokens[self.i]!r}", self.i, expected)
+        return node
 
     def error(self, message, k, expected=()):
         return ParseError(message, _offset(self.src, k), expected)
@@ -655,13 +823,6 @@ class _Parser(_Tape):
         if self.depth == MAX_DEPTH:
             raise self.error(f"expression nested deeper than {MAX_DEPTH} levels", k)
         self.depth += 1
-
-    def parse(self):
-        node = self.expr()
-        if self.tokens[self.i]:
-            expected = ("operator", "end of input")
-            raise self.error(f"unexpected token {self.tokens[self.i]!r}", self.i, expected)
-        return self.tape()
 
     def expr(self):
         node = self.term()
@@ -700,6 +861,9 @@ class _Parser(_Tape):
         k = self.i
         tok = self.tokens[k]
         self.i = k + 1
+        slot = self.leaves.get(tok)
+        if slot is not None:  # a leaf token read before: its checks passed
+            return slot
         if tok[:1] in _IDENT_START:
             return self.ident(tok, k)
         if tok == "(":
@@ -712,7 +876,8 @@ class _Parser(_Tape):
             value = float(tok)
             if not math.isfinite(value):
                 raise self.error(f"numeric literal {tok!r} overflows", k, ("finite number",))
-            return self.add("num", value)
+            slot = self.leaves[tok] = self.add("num", value)
+            return slot
         expected = ("number", "variable", "function", "(")
         raise self.error(f"unexpected token {tok or 'end of input'!r}", k, expected)
 
@@ -741,7 +906,8 @@ class _Parser(_Tape):
         if idx > arity:
             message = f"variable {name!r} exceeds declared arity ({kind}-dimension {arity})"
             raise self.error(message, k)
-        return self.add(kind, idx - 1)
+        slot = self.leaves[name] = self.add(kind, idx - 1)
+        return slot
 
     def expect(self, text):
         k = self.i
@@ -758,9 +924,27 @@ def parse(src: str, arity_x: int, arity_t: int = 0) -> ExprFn:
     any syntax is read), a syntax or arity error, an overflowing literal, or
     nesting deeper than ``MAX_DEPTH`` levels.
     """
-    if not src or not src.strip():
-        raise ParseError("empty expression", 0, ("number", "variable", "function", "("))
-    return ExprFn(_Parser(src, arity_x, arity_t).parse(), arity_x, arity_t)
+    parser = _Parser(arity_x, arity_t)
+    parser.read(src)  # the result is the last slot
+    return ExprFn(parser.tape(), arity_x, arity_t)
+
+
+def parse_list(srcs, arity_x: int) -> ExprList:
+    """Parse the strings ``srcs`` over x1..x{arity_x} into one :class:`ExprList`,
+    in list order.
+
+    Member i equals ``parse(srcs[i], arity_x)``.  The error is that of the
+    first bad string, as :func:`parse` raises it, with its place in
+    ``srcs`` as the error's ``index``.
+    """
+    parser, outputs = _Parser(arity_x, 0), []
+    for i, src in enumerate(srcs):
+        try:
+            outputs.append(parser.read(src))
+        except ParseError as err:
+            err.index = i
+            raise
+    return ExprList(parser.tape(), tuple(outputs), arity_x)
 
 
 # ---------------------------------------------------------------------------
@@ -803,27 +987,46 @@ def format_expr(f: ExprFn) -> str:
 
 def linear_expr(coeffs, constant: float, arity_x: int) -> ExprFn:
     """The affine expression sum_i coeffs[i]*x(i+1) + constant as an ExprFn."""
-    tape = _Tape()
-    node = tape.add("num", float(constant))
-    for i, c in enumerate(coeffs):
-        node = tape.add("+", (node, tape.add("*", (tape.add("num", float(c)), tape.add("x", i)))))
-    return ExprFn(tape.tape(), arity_x)
+    return ExprFn(linear_list([coeffs], [constant], arity_x).tape, arity_x)
 
 
-def substitute(f: ExprFn, inner: list[ExprFn]) -> ExprFn:
-    """Replace each x-variable of ``f`` by the corresponding inner expression.
+def linear_list(rows, constants, arity_x: int) -> ExprList:
+    """The affine expressions sum_i rows[k][i]*x(i+1) + constants[k], in the
+    order of k, as one ExprList."""
+    tape, outputs = _Tape(), []
+    for coeffs, constant in zip(rows, constants):
+        node = tape.add("num", float(constant))
+        for i, c in enumerate(coeffs):
+            node = tape.add("+", (node, tape.add("*", (tape.add("num", float(c)), tape.add("x", i)))))
+        outputs.append(node)
+    return ExprList(tape.tape(), tuple(outputs), arity_x)
 
-    The result is the literal composite over the inner expressions'
-    x-variables; t-variables of ``f`` pass through unchanged.
+
+def substitute(f, inner):
+    """Replace each x-variable of ``f`` (an ExprFn or an ExprList) by the
+    corresponding inner expression (``inner``: ExprFns, or an ExprList).
+
+    The result, of the same kind as ``f``, is the literal composite over the
+    inner expressions' x-variables, and t-variables of ``f`` pass through
+    unchanged.  Each inner expression is interned once, where a member first
+    reads it, and every later read is its slot: the composites share it.
     """
     if len(inner) != f.arity_x:
         raise EvalDomainError(
             f"inner map has {len(inner)} components, expected {f.arity_x}"
         )
-    arity_x = inner[0].arity_x if inner else 0
-    for g in inner:
-        if g.arity_x != arity_x or g.arity_t != 0:
-            raise EvalDomainError("inner map components must share arity and use no t-variables")
-    tape = _Tape()
-    tape.add_tape(f.tape, lambda i: tape.add_tape(inner[i].tape))
-    return ExprFn(tape.tape(), arity_x, f.arity_t)
+    try:
+        inner = ExprList.of(inner)
+    except ValueError:
+        raise EvalDomainError("inner map components must share arity and use no t-variables") from None
+    table, read = _Tape(), {}
+
+    def x_slot(i):
+        if i not in read:  # in the component's own post-order, as its composites hold it
+            read[i] = table.add_tape(inner.tape, order=inner.post_order(i))[inner.outputs[i]]
+        return read[i]
+
+    slots = table.add_tape(f.tape, x_slot)
+    if isinstance(f, ExprList):
+        return ExprList(table.tape(), tuple([slots[s] for s in f.outputs]), inner.arity_x)
+    return ExprFn(table.tape(), inner.arity_x, f.arity_t)

@@ -13,13 +13,16 @@ A constraint family is one of
 
 All three share one interface over *rows*, the discretized members in a
 fixed order: listed members first (a finite family's members, a parametric
-family's extras), then grid points or facets.  ``values(x)`` is one array
-over every row (listed members through scalar ``evaluate``, grid points
-through one ``evaluate_many``, facets through one matmul);
-``gradients(x, rows, kink_tol)`` (one (n, p) array), ``labels(rows)`` and
+family's extras), then grid points or facets.  The listed members are one
+:class:`~sipcert.expr.ExprList`, one tape for them all.  ``values(x)`` is
+one array over every row (listed members through one scalar walk of their
+tape, grid points through one ``evaluate_many``, facets through one
+matmul); ``gradients(x, rows, kink_tol)`` (one (n, p) array, the listed
+rows from one dual walk of the slots they read), ``labels(rows)`` and
 ``tag(row)`` serve only the rows a caller asks for.  ``kind`` names the
 family in reports, ``pure_finite`` says it has no sampled part, and
-``substitute(inner)`` composes it with an inner map.
+``substitute(inner)`` composes it with an inner map, which each list
+interns once for all its members.
 
 A certification evaluates the family once (:func:`evaluate_family`): its
 feasibility report and the near-active scan read the same values.  The
@@ -45,11 +48,13 @@ from .expr import (
     DEFAULT_KINK_TOL,
     ExprError,
     ExprFn,
-    evaluate,
+    ExprList,
+    evaluate_list,
     evaluate_many,
     gradient,
+    gradient_list,
     gradient_many,
-    linear_expr,
+    linear_list,
 )
 from .expr import substitute as substitute_expr
 from .geometry import (
@@ -72,12 +77,20 @@ __all__ = [
     "ActiveSet",
     "FeasibilityReport",
     "InfeasibleError",
+    "GridError",
     "evaluate_family",
     "feasibility",
     "FamilyScan",
     "equi_lipschitz_estimate",
     "admissible_diagnostics",
 ]
+
+
+_MAX_INDEX = int(np.iinfo(np.intp).max)  # the most points a grid can number
+
+
+class GridError(ValueError):
+    """A grid :meth:`IndexSet.box` cannot number."""
 
 
 class InfeasibleError(Exception):
@@ -93,7 +106,8 @@ class IndexSet:
     """Index set T: a compact box sampled on its one ``base_grid``.
 
     A countable family {h(x, k) : k <= K} is the box [1, K] on grid K,
-    whose points are exactly the integers 1, ..., K.
+    whose points are exactly the integers 1, ..., K.  The grid's
+    ``base_grid ** t_dim`` points must be numbered by a numpy index.
     """
 
     lower: np.ndarray
@@ -102,13 +116,23 @@ class IndexSet:
 
     @classmethod
     def box(cls, lower, upper, base_grid: int) -> "IndexSet":
+        """The box [lower, upper] on ``base_grid`` points per axis.
+
+        Raises :class:`GridError` for a grid below 2 or one with more points
+        than the largest index, checked before the box, and ValueError for a
+        box with lower > upper in some component.
+        """
         lo = np.asarray(lower, dtype=float).reshape(-1)
         hi = np.asarray(upper, dtype=float).reshape(-1)
+        grid = int(base_grid)  # a Python int: a numpy one would wrap in the power below
+        if grid < 2:
+            raise GridError("base_grid must be at least 2")
+        # 2 ** 64 is past the largest index, so no power above 64 is formed
+        if grid > _MAX_INDEX or grid ** min(lo.size, 64) > _MAX_INDEX:
+            raise GridError(f"grid ** t_dim exceeds the largest index, {_MAX_INDEX}")
         if lo.size != hi.size or np.any(lo > hi):
             raise ValueError("box index set needs lower <= upper componentwise")
-        if base_grid < 2:
-            raise ValueError("base_grid must be at least 2")
-        return cls(lo, hi, int(base_grid))
+        return cls(lo, hi, grid)
 
     @property
     def t_dim(self) -> int:
@@ -150,19 +174,20 @@ def _clamp(values, tol_feas):
 class _Family:
     """The row interface the family kinds share (see the module docstring).
 
-    Subclasses list their individually named members in ``_listed`` as
-    (tag, expr) pairs and supply the ``_indexed_*`` hooks for the rest.
+    Subclasses hold their individually named members in ``_listed``, one
+    ExprList, tagged by ``_tags``, and supply the ``_indexed_*`` hooks for
+    the rest.
     """
 
     pure_finite = True  # known in full: no sampled parametric part
-    _listed = ()
+    _listed = ExprList((), (), 0)
+    _tags = ()
 
     def values(self, x) -> np.ndarray:
         return self._values_at(np.asarray(x, dtype=float), self._index_points())
 
     def _values_at(self, x, points):
-        listed = np.array([evaluate(m, x) for _, m in self._listed], dtype=float)
-        return np.concatenate([listed, self._indexed_values(x, points)])
+        return np.concatenate([evaluate_list(self._listed, x), self._indexed_values(x, points)])
 
     def _values_many(self, xs, points) -> np.ndarray:
         """``_values_at`` at each row of xs (k, p), stacked (k, rows)."""
@@ -171,15 +196,15 @@ class _Family:
     def gradients(self, x, rows, kink_tol=DEFAULT_KINK_TOL) -> np.ndarray:
         """Gradients at x of the members in ``rows`` (ascending), one per row."""
         rows = np.asarray(rows, dtype=int)
-        d = len(self._listed)
-        listed = [gradient(self._listed[r][1], x, kink_tol=kink_tol) for r in rows[rows < d]]
+        d = len(self._tags)
+        listed = [gradient_list(self._listed, x, rows[rows < d], kink_tol)] if d else []
         return np.vstack(listed + [self._indexed_gradients(x, rows[rows >= d] - d, kink_tol)])
 
     def labels(self, rows) -> list:
         """(tag, index point or None) of the members in ``rows`` (ascending)."""
         rows = np.asarray(rows, dtype=int)
-        d = len(self._listed)
-        listed = [(self._listed[r][0], None) for r in rows[rows < d]]
+        d = len(self._tags)
+        listed = [(self._tags[r], None) for r in rows[rows < d]]
         return listed + self._indexed_labels(rows[rows >= d] - d)
 
     def tag(self, row: int) -> str:
@@ -187,7 +212,8 @@ class _Family:
 
     def entry_gradient(self, y, tag, param):
         """Gradient at y of the member an active entry names by (tag, param)."""
-        return gradient(dict(self._listed)[tag], y)
+        row = {t: r for r, t in enumerate(self._tags)}[tag]
+        return gradient_list(self._listed, y, [row])[0]
 
     def refine(self, x, rows, values, eps_cap, opts) -> tuple:
         """Off-grid twins of the near-active ``rows``: (gates, values, points, gradients)."""
@@ -216,13 +242,13 @@ class _Family:
 
 @dataclass(frozen=True)
 class FiniteFamily(_Family):
-    members: tuple[ExprFn, ...]
+    members: ExprList  # given as ExprFns or an ExprList
     tags: tuple[str, ...] = ()
 
     kind = "finite"
 
     def __post_init__(self):
-        members = tuple(self.members)
+        members = ExprList.of(self.members)
         if not members:
             raise ValueError("finite family must be nonempty")
         tags = tuple(self.tags) or tuple(f"phi{i}" for i in range(len(members)))
@@ -230,28 +256,30 @@ class FiniteFamily(_Family):
             raise ValueError("one tag per member required")
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "tags", tags)
-        object.__setattr__(self, "_listed", tuple(zip(tags, members)))
+        object.__setattr__(self, "_listed", members)
+        object.__setattr__(self, "_tags", tags)
 
     @property
     def arity(self) -> int:
-        return self.members[0].arity_x
+        return self.members.arity_x
 
     def substitute(self, inner) -> "FiniteFamily":
-        return FiniteFamily(tuple(substitute_expr(m, inner) for m in self.members), self.tags)
+        return FiniteFamily(substitute_expr(self.members, inner), self.tags)
 
 
 @dataclass(frozen=True)
 class ParametricFamily(_Family):
     h: ExprFn
     index: IndexSet
-    extra: tuple[ExprFn, ...] = ()
+    extra: ExprList = ()  # given as ExprFns or an ExprList
 
     pure_finite = False
 
     def __post_init__(self):
-        object.__setattr__(self, "extra", tuple(self.extra))
-        tags = tuple(f"phi{i}" for i in range(len(self.extra)))
-        object.__setattr__(self, "_listed", tuple(zip(tags, self.extra)))
+        extra = ExprList.of(self.extra, self.h.arity_x)
+        object.__setattr__(self, "extra", extra)
+        object.__setattr__(self, "_listed", extra)
+        object.__setattr__(self, "_tags", tuple(f"phi{i}" for i in range(len(extra))))
         if self.h.arity_t != self.index.t_dim:
             raise ValueError("h arity in t must match the index-set dimension")
 
@@ -265,9 +293,7 @@ class ParametricFamily(_Family):
 
     def substitute(self, inner) -> "ParametricFamily":
         return ParametricFamily(
-            substitute_expr(self.h, inner),
-            self.index,
-            tuple(substitute_expr(m, inner) for m in self.extra),
+            substitute_expr(self.h, inner), self.index, substitute_expr(self.extra, inner)
         )
 
     def entry_gradient(self, y, tag, param):
@@ -328,10 +354,10 @@ class ParametricFamily(_Family):
         return self.index.grid_points()
 
     def _values_many(self, xs, points) -> np.ndarray:
-        """Listed members point by point; the grid part in one tape walk over
-        every (row of xs, grid point) pair."""
+        """Listed members in one walk per row of xs; the grid part in one tape
+        walk over every (row of xs, grid point) pair."""
         k, n = len(xs), len(points)
-        listed = np.array([[evaluate(m, x) for _, m in self._listed] for x in xs], dtype=float)
+        listed = np.array([evaluate_list(self._listed, x) for x in xs])
         walked = evaluate_many(self.h, np.repeat(xs, n, axis=0), np.tile(points, (k, 1)))
         return np.hstack([listed.reshape(k, -1), walked.reshape(k, n)])
 
@@ -374,10 +400,8 @@ class PolyhedralFamily(_Family):
     def substitute(self, inner) -> FiniteFamily:
         """The normalized linear members, composed: a finite family tagged A[j]."""
         normals, offsets = self.normalized()
-        members = [linear_expr(a, -b, normals.shape[1]) for a, b in zip(normals, offsets)]
-        return FiniteFamily(
-            tuple(substitute_expr(m, inner) for m in members), tuple(self._facet_rows)
-        )
+        members = linear_list(normals, -offsets, normals.shape[1])
+        return FiniteFamily(substitute_expr(members, inner), tuple(self._facet_rows))
 
     def entry_gradient(self, y, tag, param):
         return self._normals[self._facet_rows[tag]]
@@ -474,23 +498,19 @@ class Problem:
     p: int
     objective: ExprFn
     family: ConstraintFamily | None = None
-    inner_map: tuple[ExprFn, ...] | None = None
-    equality: tuple[ExprFn, ...] | None = None
+    inner_map: ExprList | None = None  # given as ExprFns or an ExprList
+    equality: ExprList | None = None  # given as ExprFns or an ExprList
     x_family: ConstraintFamily | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.objective.arity_x != self.p or self.objective.arity_t != 0:
             raise ValueError("objective arity must equal the decision dimension")
-        if self.inner_map is not None:
-            object.__setattr__(self, "inner_map", tuple(self.inner_map))
-            for g in self.inner_map:
-                if g.arity_x != self.p or g.arity_t != 0:
-                    raise ValueError("inner map components must be functions of x only")
-        if self.equality is not None:
-            object.__setattr__(self, "equality", tuple(self.equality))
-            for h in self.equality:
-                if h.arity_x != self.p or h.arity_t != 0:
-                    raise ValueError("equality components must be functions of x only")
+        for name, what in (("inner_map", "inner map"), ("equality", "equality")):
+            if getattr(self, name) is not None:
+                try:
+                    object.__setattr__(self, name, ExprList.of(getattr(self, name), self.p))
+                except ValueError:
+                    raise ValueError(f"{what} components must be functions of x only") from None
         if self.family is not None:
             expected = len(self.inner_map) if self.inner_map else self.p
             if self.family.arity != expected:
@@ -499,7 +519,7 @@ class Problem:
                 )
         composed = self.family
         if composed is not None and self.inner_map is not None:
-            composed = composed.substitute(list(self.inner_map))
+            composed = composed.substitute(self.inner_map)
         object.__setattr__(self, "x_family", composed)
 
     @property
@@ -542,7 +562,8 @@ def evaluate_family(prob: Problem, x, tol_feas: float = 1e-9) -> tuple[np.ndarra
     """
     family = prob.x_family
     values = family.values(x) if family is not None else np.zeros(0)
-    eq_violation = max((abs(evaluate(h, x)) for h in prob.equality or ()), default=0.0)
+    equality = evaluate_list(prob.equality, x) if prob.equality else np.zeros(0)
+    eq_violation = float(np.abs(equality).max(initial=0.0))
     min_value, min_tag, violations = float("inf"), "(none)", ()
     if values.size:
         row = int(np.argmin(values))

@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import ParseError, parse
+from .expr import ParseError, parse, parse_list
 from .geometry import Polyhedron
-from .model import FiniteFamily, IndexSet, ParametricFamily, PolyhedralFamily, Problem
+from .model import FiniteFamily, GridError, IndexSet, ParametricFamily, PolyhedralFamily, Problem
 from .options import OPTION_KEYS, OptionError, Options
 
 __all__ = ["ProblemFileError", "LoadedProblem", "load_problem", "resolve_options", "emit_json"]
@@ -76,13 +76,28 @@ def _parse_expr(src, arity_x, arity_t, where):
         raise ProblemFileError(f"bad expression {src!r}: {err}", where) from err
 
 
+def _parse_list(raw, arity_x, where):
+    """The array ``raw`` of expression strings as one ExprList; an error names
+    the first bad entry, ``where[i]``."""
+
+    def strings():  # checked as the parser reaches them
+        for i, src in enumerate(raw):
+            _require(isinstance(src, str), "expected an expression string", f"{where}[{i}]")
+            yield src
+
+    try:
+        return parse_list(strings(), arity_x)
+    except ParseError as err:
+        src, i = raw[err.index], err.index
+        raise ProblemFileError(f"bad expression {src!r}: {err}", f"{where}[{i}]") from err
+
+
 def _is_finite_number(v):
     # json accepts NaN, Infinity and integers beyond any float (compared exactly); none is valid
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 _NUMBER_TYPES = frozenset((int, float))  # not bool, an int subclass
-_MAX_INDEX = int(np.iinfo(np.intp).max)  # the most points a grid can number
 
 
 def _number_list(values, where, length=None):
@@ -115,7 +130,7 @@ def load_problem(source, grid: int | None = None) -> LoadedProblem:
                 raise ProblemFileError(f"cannot read {source}: {err}") from err
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # JSONDecodeError, or an integer past Python's digit limit
             raise ProblemFileError(f"malformed JSON: {err}") from err
     _require(isinstance(doc, dict), "top level must be an object", "$")
     _check_keys(
@@ -132,9 +147,7 @@ def load_problem(source, grid: int | None = None) -> LoadedProblem:
     if "inner_map" in doc:
         raw = doc["inner_map"]
         _require(isinstance(raw, list) and raw, "inner_map must be a nonempty array", "$.inner_map")
-        inner_map = tuple(
-            _parse_expr(s, p, 0, f"$.inner_map[{i}]") for i, s in enumerate(raw)
-        )
+        inner_map = _parse_list(raw, p, "$.inner_map")
         q = len(inner_map)
 
     objective = _parse_expr(doc["objective"], p, 0, "$.objective")
@@ -144,7 +157,7 @@ def load_problem(source, grid: int | None = None) -> LoadedProblem:
     if "equality" in doc:
         raw = doc["equality"]
         _require(isinstance(raw, list) and raw, "equality must be a nonempty array", "$.equality")
-        equality = tuple(_parse_expr(s, p, 0, f"$.equality[{i}]") for i, s in enumerate(raw))
+        equality = _parse_list(raw, p, "$.equality")
 
     candidate = None
     if "candidate" in doc:
@@ -216,16 +229,14 @@ def _load_constraints(raw, q, grid_override):
             raise ProblemFileError(str(err), where) from err
         return PolyhedralFamily(poly)
 
-    finite_members = []
+    finite_members = ()
     if "finite" in raw:
         members = raw["finite"]
         _require(isinstance(members, list) and members, "expected a nonempty array", "$.constraints.finite")
-        finite_members = [
-            _parse_expr(s, q, 0, f"$.constraints.finite[{i}]") for i, s in enumerate(members)
-        ]
+        finite_members = _parse_list(members, q, "$.constraints.finite")
 
     if "parametric" not in raw:  # the members are tagged phi0, phi1, ... by default
-        return FiniteFamily(tuple(finite_members))
+        return FiniteFamily(finite_members)
 
     spec = raw["parametric"]
     where = "$.constraints.parametric"
@@ -245,13 +256,11 @@ def _load_constraints(raw, q, grid_override):
     _require(isinstance(grid, int) and grid >= 2, "grid must be an integer >= 2", where_grid)
     if grid_override is not None:  # the argument replaces the file's grid, and owns its errors
         grid, where_grid = int(grid_override), "grid"
-    indexable = grid <= _MAX_INDEX and grid ** min(t_dim, 64) <= _MAX_INDEX  # 2 ** 64 is past it
-    _require(indexable, f"grid ** t_dim exceeds the largest index, {_MAX_INDEX}", where_grid)
     try:
         index = IndexSet.box(lower, upper, grid)
-    except ValueError as err:
-        raise ProblemFileError(str(err), f"{where}.box") from err
-    return ParametricFamily(h, index, tuple(finite_members))
+    except ValueError as err:  # the grid's (checked first) or the box's
+        raise ProblemFileError(str(err), where_grid if isinstance(err, GridError) else f"{where}.box") from err
+    return ParametricFamily(h, index, finite_members)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Reduction of composed (g(x) in A) and equality (h(x) = 0) constraints.
 
-Composed constraints become literal composites: :class:`Problem` substitutes
-the inner map into each family member once (``Problem.x_family``), so the
-chained gradients are exact dual-number gradients of the composite
-expression.  Equality constraints are reduced by
+Composed constraints become composites on one tape: :class:`Problem`
+substitutes the inner map into the family once (``Problem.x_family``),
+each inner component interned once and read by every member that uses it,
+so the chained gradients are exact dual-number gradients of the composite
+expressions.  The equality rows and the inner map are each one tape too,
+read in one walk: their values, their Jacobian.  Equality constraints are
+reduced by
 certifying in the kernel coordinates of the equality Jacobian: the
 finite-dimensional splitting R^p = Ker(J_h) + span(pivot columns) makes the
 implicit-function step of the full reduction unnecessary at first order.
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .expr import evaluate, gradient
+from .expr import ExprList, evaluate_list, gradient, gradient_list
 from .geometry import Hull, Polyhedron, polyhedron_minimize, recession_cone
 from .model import Problem
 from .multipliers import Certificate, TCApprox, certify_fj, certify_ladder, tc_approx
@@ -56,10 +59,10 @@ _TOL_RANK_FACTOR = 1e-10
 
 
 def compute_jacobian(exprs, x, kink_tol: float = 1e-12) -> Jacobian:
+    """The Jacobian at x of ``exprs`` (ExprFns, or an ExprList), its rows from one dual walk."""
     x = np.asarray(x, dtype=float)
     p = x.size
-    rows = [gradient(h, x, kink_tol=kink_tol) for h in exprs]
-    matrix = np.array(rows, dtype=float).reshape(len(rows), p)
+    matrix = gradient_list(ExprList.of(exprs), x, kink_tol=kink_tol).reshape(-1, p)
     w = matrix.shape[0]
     max_norm = float(np.abs(matrix).max(initial=0.0))
     tol_rank = _TOL_RANK_FACTOR * max_norm if max_norm > 0 else _TOL_RANK_FACTOR
@@ -112,8 +115,8 @@ def compose_family(prob: Problem) -> Problem:
     """Equivalent problem without an inner map: its family is ``prob.x_family``.
 
     No command calls it: every computation reads ``x_family``, whose
-    members are the literal composites, so every gradient is the exact
-    chained gradient J_g(x)^T grad phi(g(x)).
+    members are the composites, so every gradient is the exact chained
+    gradient J_g(x)^T grad phi(g(x)).
     """
     if prob.inner_map is None:
         raise ValueError("compose_family requires an inner map")
@@ -126,7 +129,7 @@ def _recover_y_star(prob: Problem, x, cert: Certificate):
     Each gradient is the member's own gradient at the image point g(x).
     """
     if prob.inner_map is not None:
-        image = np.array([evaluate(g, x) for g in prob.inner_map])
+        image = evaluate_list(prob.inner_map, x)
     else:
         image = np.asarray(x, dtype=float)
     y = np.zeros(image.size)
@@ -235,7 +238,7 @@ def certify_equality(prob: Problem, x, opts: Options = Options()) -> FullCertifi
 def _inner_jacobian(prob: Problem, x, opts) -> np.ndarray:
     if prob.inner_map is None:
         return np.eye(prob.p)
-    return np.array([gradient(g, x, kink_tol=opts.tol_kink) for g in prob.inner_map])
+    return gradient_list(prob.inner_map, x, kink_tol=opts.tol_kink)
 
 
 def _lift_w_star(jac: Jacobian, rhs) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import evaluate, format_expr, gradient, linear_expr, parse
+from .expr import evaluate, evaluate_list, format_expr, gradient, linear_expr, parse
 from .fixtures import fixture_names, fixture_path
 from .geometry import (
     Hull,
@@ -217,7 +217,7 @@ def check_parabola(opts, rng):
     cert = certify_composed(problem, candidate, fixture_opts)
     check = convex_set_multiplier(
         problem.family.poly,
-        np.array([evaluate(g, candidate) for g in problem.inner_map]),
+        evaluate_list(problem.inner_map, candidate),
         cert.beta * cert.y_star,
         1e-8,
     )

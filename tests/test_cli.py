@@ -164,6 +164,18 @@ class TestCertify:
         # the flag replaces the file's grid, so the file's one is never sized
         assert cli.main(["certify", str(path), "--grid", "65", "--json"]) == 0
 
+    def test_an_integer_past_the_digit_limit_exit_four(self, tmp_path):
+        # a 5,001-digit grid: Python refuses to read the integer, an input error
+        doc = json.loads(open(fixture_path("sip_linear")).read())
+        text = json.dumps(doc).replace('"grid": 1025', '"grid": 1' + "0" * 5000)
+        path = tmp_path / "huge_grid.json"
+        path.write_text(text)
+        for output in ((), ("--json",)):
+            proc = run_cli("certify", str(path), *output)
+            assert (proc.returncode, proc.stderr) == (4, "")
+            assert "$: malformed JSON: Exceeds the limit (4300 digits)" in proc.stdout
+        assert json.loads(proc.stdout)["error"]["kind"] == "input"
+
     def test_selftest_tolerance_checked(self, capsys):
         from sipcert import cli
 
@@ -441,10 +453,11 @@ class TestCertify:
         # the scan's near-active grid points and their refined twins each
         # take one batched call (sip_linear and sip_trig are one flat run
         # each, so no seed is bisected and no twin differentiated); the
-        # scalar gradient serves the objective and the listed members only
+        # scalar gradient serves the objective only, and the listed members
+        # take one walk of their list's tape
         from sipcert import cli, expr, model, multipliers
 
-        calls = {"gradient": 0, "gradient_many": 0}
+        calls = {"gradient": 0, "gradient_list": 0, "gradient_many": 0}
 
         def counting(fn):
             def counted(*args, **kwargs):
@@ -460,7 +473,7 @@ class TestCertify:
         assert cli.main(["certify", fixture_path(name), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] in ("KKT", "FJ")
         listed = 1 if name == "near_active" else 0  # near_active lists phi0 = x1
-        assert calls == {"gradient": 1 + listed, "gradient_many": 1 + listed}
+        assert calls == {"gradient": 1, "gradient_list": listed, "gradient_many": 1 + listed}
 
     @pytest.mark.parametrize("name", ["sip_linear", "sip_trig"])
     def test_certify_formats_tags_for_reported_rows_only(self, name, monkeypatch, capsys):

@@ -13,15 +13,20 @@ from sipcert.expr import (
     EvalDomainError,
     ExprError,
     ExprFn,
+    ExprList,
     KinkError,
     ParseError,
     evaluate,
+    evaluate_list,
     evaluate_many,
     format_expr,
     gradient,
+    gradient_list,
     gradient_many,
     linear_expr,
+    linear_list,
     parse,
+    parse_list,
     substitute,
 )
 
@@ -622,12 +627,12 @@ def test_batched_walk_is_the_scalar_loop_bit_for_bit(ast, x, ts):
 
 # trees in which a subtree repeats: an operator or function over copies of
 # one subtree, so the tape holds it once and each walk computes it once
-def _repeating(depth):
+def _repeating(depth, leaf=_LEAF):
     if depth == 0:
-        return _LEAF
-    sub = st.deferred(lambda: _repeating(depth - 1))
+        return leaf
+    sub = st.deferred(lambda: _repeating(depth - 1, leaf))
     return st.one_of(
-        _LEAF,
+        leaf,
         st.tuples(st.sampled_from("+-*/^"), sub, sub).map(lambda a: Bin(*a)),
         st.tuples(st.sampled_from("+-*/^"), sub).map(lambda a: Bin(a[0], a[1], a[1])),
         st.tuples(st.sampled_from("+-*/^"), sub, sub).map(
@@ -746,3 +751,132 @@ def test_overflow_is_reported_at_its_node():
     for t in ([10.0], [[10.0], [1.0]]):
         with pytest.raises(EvalDomainError, match=r"^non-finite value in '\^'$"):
             gradient_many(parse("min(t1, x1)^400 + x1", 1, 1), [1e10], t)
+
+
+# lists of random trees in x1, x2 that share subtrees: each member is an
+# operator over two trees drawn from one small pool, so several members read
+# the same subtree, and in different orders
+_X_LEAF = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0]).map(Num), st.sampled_from([Var("x", 0), Var("x", 1)])
+)
+_SHARED_LISTS = st.lists(_repeating(2, _X_LEAF), min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(
+        st.tuples(st.sampled_from("+-*/^"), st.sampled_from(pool), st.sampled_from(pool)).map(
+            lambda a: Bin(*a)
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+
+
+def _loop(fn, members):
+    # the per-member loop: the first member that raises decides the error
+    return _outcome(lambda: np.array([fn(m) for m in members]).tobytes())
+
+
+def _walks_agree_with_the_loop(fs, srcs, x, rows):
+    members = [parse(src, fs.arity_x) for src in srcs]
+    assert list(fs) == members  # each member as its own parse builds it
+    assert _outcome(lambda: evaluate_list(fs, x).tobytes()) == _loop(lambda m: evaluate(m, x), members)
+    assert _outcome(lambda: gradient_list(fs, x).tobytes()) == _loop(lambda m: gradient(m, x), members)
+    picked = [members[r] for r in rows]
+    expected = _loop(lambda m: gradient(m, x), picked) if picked else (np.zeros((0, fs.arity_x)).tobytes(), None)
+    assert _outcome(lambda: gradient_list(fs, x, rows).tobytes()) == expected
+
+
+class TestLists:
+    """A list of expressions on one tape: the per-member loop's bits and first error."""
+
+    def test_members_share_one_tape_in_list_order(self):
+        srcs = ["x2 + sin(x1)", "sin(x1) * x2", "x1", "x2 + sin(x1)"]
+        fs = parse_list(srcs, 2)
+        # member 0's slots are its own tape; members 2 and 3 add none
+        assert fs.tape[:4] == parse(srcs[0], 2).tape
+        assert len(fs.tape) == 5 and fs.outputs == (3, 4, 1, 3)
+        assert ExprList.of([parse(src, 2) for src in srcs]) == fs
+        assert [hash(m) for m in fs] == [hash(parse(src, 2)) for src in srcs]
+
+    def test_parse_list_names_the_first_bad_string(self):
+        with pytest.raises(ParseError) as err:
+            parse_list(["x1", "x1 +", "x1 $"], 1)
+        assert err.value.index == 1
+        with pytest.raises(ParseError) as alone:
+            parse("x1 +", 1)
+        assert str(err.value) == str(alone.value)
+
+    def test_two_erring_members_raise_the_first_ones_error(self):
+        # the loop stops at member 0's sqrt; member 1 alone stops at its log
+        fs = parse_list(["x1 + sqrt(x2)", "log(x1) + 1/x2", "sqrt(x2)"], 2)
+        x = [-1.0, -1.0]
+        _walks_agree_with_the_loop(fs, ["x1 + sqrt(x2)", "log(x1) + 1/x2", "sqrt(x2)"], x, [1, 2])
+        with pytest.raises(EvalDomainError, match="^sqrt of a negative value$"):
+            evaluate_list(fs, x)
+        with pytest.raises(EvalDomainError, match="^log of a nonpositive value$"):
+            gradient_list(fs, x, [1])
+
+    def test_a_gradient_that_overflows_comes_before_a_later_members_error(self):
+        # x1/x2 is finite at (1e-200, 1e-200), its x2-partial is not: the
+        # loop stops at member 0, before member 1's log
+        srcs = ["x1/x2", "log(x1 - 1)"]
+        x = [1e-200, 1e-200]
+        with pytest.raises(EvalDomainError, match="^non-finite gradient component$"):
+            gradient_list(parse_list(srcs, 2), x)
+        _walks_agree_with_the_loop(parse_list(srcs, 2), srcs, x, [1])
+
+    def test_a_subset_walk_that_raises_is_decided_by_the_loop(self):
+        # member 0 reads sqrt(x2) before log(x1), member 1 the other way round:
+        # a walk of member 1's slots in tape order meets the sqrt first
+        srcs = ["sqrt(x2) * 2 + log(x1)", "log(x1) + sqrt(x2)"]
+        fs = parse_list(srcs, 2)
+        with pytest.raises(EvalDomainError, match="^log of a nonpositive value$"):
+            gradient_list(fs, [-1.0, -1.0], [1])
+        _walks_agree_with_the_loop(fs, srcs, [-1.0, -1.0], [1])
+
+    def test_a_kink_in_a_row_not_asked_for_raises_nothing(self):
+        fs = parse_list(["abs(x1) + x2", "x2 * x1", "abs(x1)"], 2)
+        x = [0.0, 1.0]
+        assert gradient_list(fs, x, [1]).tolist() == [[1.0, 0.0]]
+        assert gradient_list(fs, x, []).shape == (0, 2)
+        with pytest.raises(KinkError):
+            gradient_list(fs, x)
+        with pytest.raises(KinkError):
+            gradient_list(fs, x, [1, 2])
+
+    def test_an_empty_list_reads_no_point(self):
+        fs = ExprList.of((), 2)
+        assert evaluate_list(fs, [math.nan]).shape == (0,)
+        assert gradient_list(fs, [math.nan]).shape == (0, 2)
+
+    def test_composites_intern_each_inner_component_once(self):
+        inner = ["x1*x2 + sin(x1)", "x1 - 1"]
+        srcs = ["y1^2 + y2", "y2*y1", "y1"]
+        outer = parse_list([s.replace("y", "x") for s in srcs], 2)
+        composed = substitute(outer, parse_list(inner, 2))
+        per_member = [substitute(m, [parse(g, 2) for g in inner]) for m in outer]
+        assert list(composed) == per_member
+        assert ExprList.of(per_member) == composed
+        assert [op for op, _ in composed.tape].count("sin") == 1
+
+    def test_composites_fail_in_the_order_their_members_read_the_inner_map(self):
+        # member 0 reads y2 first; y2's log fails, as does y1's sqrt
+        outer = parse_list(["x2 + x1", "x1"], 2)
+        composed = substitute(outer, parse_list(["sqrt(x1 - 1)", "log(x1 - 1)"], 1))
+        members = list(composed)
+        for walk, one in [(evaluate_list, evaluate), (gradient_list, gradient)]:
+            assert _outcome(lambda: walk(composed, [0.5]).tobytes()) == _loop(lambda m: one(m, [0.5]), members)
+        with pytest.raises(EvalDomainError, match="^log of a nonpositive value$"):
+            evaluate_list(composed, [0.5])
+
+    def test_linear_list_is_the_linear_members(self):
+        rows, constants = [[1.0, -2.0], [0.0, 3.5]], [-0.0, 4.0]
+        fs = linear_list(rows, constants, 2)
+        assert list(fs) == [linear_expr(a, b, 2) for a, b in zip(rows, constants)]
+
+    @settings(max_examples=300, derandomize=True)
+    @given(_SHARED_LISTS, st.tuples(_ROUND, _ROUND), st.sets(st.integers(0, 4)))
+    def test_random_lists_with_shared_subtrees(self, asts, x, rows):
+        srcs = [reference.fmt(a) for a in asts]
+        fs = parse_list(srcs, 2)
+        assert ExprList.of([ExprFn(to_tape(a), 2) for a in asts]) == fs
+        _walks_agree_with_the_loop(fs, srcs, x, sorted(r for r in rows if r < len(fs)))

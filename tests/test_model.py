@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -5,12 +6,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sipcert import model as model_mod
-from sipcert.expr import EvalDomainError, evaluate_many, parse
-from sipcert.fixtures import load_fixture
+from sipcert.expr import (
+    EvalDomainError,
+    ExprError,
+    KinkError,
+    evaluate,
+    evaluate_list,
+    evaluate_many,
+    gradient,
+    gradient_list,
+    parse,
+)
+from sipcert.fixtures import fixture_names, fixture_path, load_fixture
 from sipcert.geometry import Polyhedron, polyhedron_minimize
 from sipcert.model import (
     FamilyScan,
     FiniteFamily,
+    GridError,
     IndexSet,
     InfeasibleError,
     ParametricFamily,
@@ -52,6 +64,17 @@ class TestIndexSet:
             IndexSet.box([1.0], [0.0], 5)
         with pytest.raises(ValueError):
             IndexSet.box([0.0], [1.0], 1)
+
+    def test_a_grid_past_the_largest_index_is_refused_when_built(self):
+        # 10**400 points on one axis, 2**32 on each of two, 2 on each of 63
+        message = "grid ** t_dim exceeds the largest index, 9223372036854775807"
+        for t_dim, grid in ((1, 10**400), (2, 2**32), (2, np.int64(2**32)), (63, 2), (1, 2**63)):
+            with pytest.raises(GridError, match=f"^{message.replace('*', '[*]')}$"):
+                IndexSet.box([0.0] * t_dim, [1.0] * t_dim, grid)
+        # the grid is checked before the box, and the largest grid builds
+        with pytest.raises(GridError):
+            IndexSet.box([1.0], [0.0], 10**400)
+        assert IndexSet.box([0.0], [1.0], 2**63 - 1).base_grid == 2**63 - 1
 
     def test_countable_family_is_the_integer_box(self):
         # {x2 + 1/k : k <= 10} is x2 + 1/t1 on the grid 10 of [1, 10], bit for bit
@@ -785,3 +808,91 @@ class TestFusedRefinement:
         assert got.tobytes() == _two_walk_refine(h, *args).tobytes()
         assert value == -got[0]
         assert sizes == [510] + [2] * 8  # the tree raised, then one walk per level
+
+
+def _outcome(fn):
+    try:
+        return np.asarray(fn()).tobytes(), None
+    except ExprError as err:
+        return None, (type(err), str(err))
+
+
+def _loop_outcome(fn, members):
+    # the per-member loop: the first member that raises decides the error
+    return _outcome(lambda: [fn(m) for m in members])
+
+
+class TestListedMembersOnOneTape:
+    """A family's listed members, the equality rows and the inner map: one walk
+    each, with the per-member loop's bits and first error."""
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_every_fixture_list_is_the_member_loop(self, name):
+        doc = json.load(open(fixture_path(name)))
+        prob = load_fixture(name).problem
+        x = np.asarray(doc.get("candidate", [0.5] * prob.p), dtype=float)
+        lists = [(prob.equality, doc.get("equality")), (prob.inner_map, doc.get("inner_map"))]
+        constraints = doc.get("constraints", {})
+        if prob.family is not None and "finite" in constraints:
+            lists.append((prob.family._listed, constraints["finite"]))
+        if prob.x_family is not None:
+            lists.append((prob.x_family._listed, None))
+        for fs, srcs in lists:
+            if not fs:
+                continue
+            members = list(fs)
+            if srcs is not None:  # each member as its own parse builds it
+                assert members == [parse(src, fs.arity_x) for src in srcs]
+            assert _outcome(lambda: evaluate_list(fs, x)) == _loop_outcome(lambda m: evaluate(m, x), members)
+            assert _outcome(lambda: gradient_list(fs, x)) == _loop_outcome(lambda m: gradient(m, x), members)
+            last = members[-1:]
+            assert _outcome(lambda: gradient_list(fs, x, [len(fs) - 1])) == _loop_outcome(
+                lambda m: gradient(m, x), last
+            )
+        if prob.x_family is not None:
+            family, d = prob.x_family, len(prob.x_family._tags)
+            values = family.values(x)
+            assert values[:d].tobytes() == evaluate_list(family._listed, x).tobytes()
+            rows = np.arange(values.size)
+            assert family.gradients(x, rows)[:d].tobytes() == gradient_list(family._listed, x).tobytes()
+
+    def test_composed_members_fail_in_the_order_they_read_the_inner_map(self):
+        # member phi0 = y2 reads the second component first: its log fails
+        # before the first component's sqrt, which phi1 = y1 reads
+        family = FiniteFamily((parse("x2", 2), parse("x1", 2)))
+        prob = Problem(1, parse("x1", 1), family, inner_map=(parse("sqrt(x1 - 1)", 1), parse("log(x1 - 1)", 1)))
+        x = np.array([0.5])
+        members = list(prob.x_family.members)
+        assert _outcome(lambda: prob.x_family.values(x)) == _loop_outcome(lambda m: evaluate(m, x), members)
+        assert _outcome(lambda: prob.x_family.gradients(x, [0, 1])) == _loop_outcome(
+            lambda m: gradient(m, x), members
+        )
+        with pytest.raises(EvalDomainError, match="^log of a nonpositive value$"):
+            evaluate_family(prob, x)
+        with pytest.raises(EvalDomainError, match="^sqrt of a negative value$"):
+            prob.x_family.gradients(x, [1])
+
+    def test_a_kink_in_an_inactive_member_is_not_differentiated(self):
+        # abs(x1) + 5 is kinked at x1 = 0 but far from active: the scan asks
+        # for the gradients of the active rows only, and they raise nothing
+        family = FiniteFamily((parse("abs(x1) + 5", 2), parse("x2", 2), parse("x1 + x2", 2)))
+        prob = Problem(2, parse("x1 + x2", 2), family)
+        x = np.zeros(2)
+        values, _ = evaluate_family(prob, x)
+        scan = FamilyScan(prob, x, values, eps_cap=1.0)
+        assert scan.rows.tolist() == [1, 2]
+        assert scan.grads.tolist() == [[0.0, 1.0], [1.0, 1.0]]
+        with pytest.raises(KinkError):
+            family.gradients(x, [0, 1])
+        assert family.gradients(x, [1]).tolist() == [[0.0, 1.0]]
+
+    def test_parametric_extras_and_grid_rows(self):
+        extra = (parse("x1 + x2", 2), parse("x2 * x1 + 1", 2))
+        family = ParametricFamily(parse("x1 - t1*x2", 2, 1), IndexSet.box([0.0], [1.0], 5), extra)
+        x = np.array([0.3, -0.2])
+        grads = family.gradients(x, [1, 2, 6])
+        assert grads[0].tobytes() == gradient(extra[1], x).tobytes()
+        assert list(family.extra) == list(extra)
+        assert family.kind == "parametric+finite"
+        loop = np.array([[evaluate(m, w) for m in extra] for w in (x, -x)])
+        assert family._values_many(np.array([x, -x]), family._index_points())[:, :2].tobytes() == loop.tobytes()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sipcert.expr import parse
 from sipcert.fixtures import fixture_names, fixture_path, load_fixture
 from sipcert.model import FiniteFamily, ParametricFamily, PolyhedralFamily
 from sipcert.problemfile import ProblemFileError, emit_json, load_problem, resolve_options
@@ -53,6 +54,51 @@ class TestLoad:
     def test_bad_expression_reports_location(self):
         with pytest.raises(ProblemFileError, match="finite"):
             load_problem(minimal(constraints={"finite": ["x1 +"]}))
+
+    @pytest.mark.parametrize("key", ["finite", "equality", "inner_map"])
+    def test_a_list_names_its_first_bad_entry(self, key):
+        def load(entries):
+            if key == "finite":
+                return load_problem(minimal(constraints={"finite": entries}))
+            return load_problem(minimal(**{key: entries}))
+
+        where = "$.constraints.finite" if key == "finite" else f"$.{key}"
+        cases = [
+            (["x1", "x2 +", "x1 $"], f"{where}[1]: bad expression 'x2 +': unexpected token "
+             "'end of input' (at offset 4)"),
+            (["x1", "x9"], f"{where}[1]: bad expression 'x9': variable 'x9' exceeds declared arity "
+             "(x-dimension 2) (at offset 0)"),
+            (["x1 +", 5], f"{where}[0]: bad expression 'x1 +'"),
+            (["x1", 5, "x1 +"], f"{where}[1]: expected an expression string"),
+        ]
+        for entries, message in cases:
+            with pytest.raises(ProblemFileError) as err:
+                load(entries)
+            assert str(err.value).startswith(message)
+
+    def test_each_list_is_one_tape(self):
+        loaded = load_problem(minimal(
+            constraints={"finite": ["x1^2 + x2", "x2 + x1^2", "x1^2"]},
+            inner_map=["x1", "x2"], equality=["x1 - x2", "sin(x1 - x2)"],
+        ))
+        family, prob = loaded.problem.family, loaded.problem
+        assert family.members.outputs == (4, 5, 2)
+        assert [str(m) for m in family.members] == ["x1^2 + x2", "x2 + x1^2", "x1^2"]
+        assert [op for op, _ in prob.equality.tape].count("-") == 1
+        assert list(prob.inner_map) == [parse("x1", 2), parse("x2", 2)]
+
+    def test_an_integer_past_the_digit_limit_is_malformed_json(self, tmp_path):
+        # Python refuses to read an integer of more than 4,300 digits
+        doc = json.load(open(fixture_path("sip_linear")))
+        text = json.dumps(doc).replace('"grid": 1025', '"grid": 1' + "0" * 5000)
+        assert '"grid": 1000' in text
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        for source in (text, str(path)):
+            with pytest.raises(ProblemFileError) as err:
+                load_problem(source)
+            assert err.value.where == "$"
+            assert err.value.message.startswith("malformed JSON: Exceeds the limit (4300 digits)")
 
     def test_candidate_length_checked(self):
         with pytest.raises(ProblemFileError):

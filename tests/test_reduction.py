@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sipcert.expr import evaluate, gradient, parse
+from sipcert.expr import KinkError, evaluate, gradient, parse
 from sipcert.fixtures import load_fixture
 from sipcert.geometry import Polyhedron
 from sipcert.model import (
@@ -88,6 +88,29 @@ class TestJacobian:
         jac = compute_jacobian((), (0.0, 0.0))
         assert jac.rank == 0
         assert np.array_equal(jac.kernel_basis, np.eye(2))
+
+
+    @pytest.mark.parametrize("name", ["eq_circle", "eq_duplicated_rows", "eq_orthant_line"])
+    def test_rows_are_the_gradient_loop(self, name):
+        loaded = load_fixture(name)
+        prob, x = loaded.problem, loaded.candidate
+        jac = compute_jacobian(prob.equality, x)
+        loop = np.array([gradient(h, x) for h in prob.equality])
+        assert jac.matrix.tobytes() == loop.tobytes()
+        assert compute_jacobian(tuple(prob.equality), x).matrix.tobytes() == loop.tobytes()
+
+    def test_inner_jacobian_is_the_gradient_loop(self):
+        from sipcert import reduction
+
+        loaded = load_fixture("composed_parabola")
+        prob, x = loaded.problem, loaded.candidate
+        loop = np.array([gradient(g, x) for g in prob.inner_map])
+        assert reduction._inner_jacobian(prob, x, Options()).tobytes() == loop.tobytes()
+
+    def test_a_kinked_row_raises_the_first_rows_error(self):
+        rows = (parse("x1 + x2", 2), parse("abs(x1)", 2), parse("sqrt(x1 - 1)", 2))
+        with pytest.raises(KinkError):
+            compute_jacobian(rows, (0.0, 0.0))
 
 
 class TestComposeFamily:
@@ -310,18 +333,18 @@ class TestCertifyEquality:
         loaded = load_problem(RANK_DEFICIENT) if name is None else load_fixture(name)
         prob, x = loaded.problem, loaded.candidate
         checks, rows = [], []
-        evaluate_family, scalar = model.evaluate_family, model.evaluate
+        evaluate_family, walk = model.evaluate_family, model.evaluate_list
 
-        def counted(f, *args, **kwargs):
-            if f in prob.equality:
-                rows.append(f)
-            return scalar(f, *args, **kwargs)
+        def counted(fs, *args, **kwargs):
+            if fs == prob.equality:
+                rows.extend(fs)
+            return walk(fs, *args, **kwargs)
 
         monkeypatch.setattr(
             multipliers, "evaluate_family", lambda *a: checks.append(a) or evaluate_family(*a)
         )
-        monkeypatch.setattr(model, "evaluate", counted)
-        monkeypatch.setattr(reduction, "evaluate", counted)
+        monkeypatch.setattr(model, "evaluate_list", counted)
+        monkeypatch.setattr(reduction, "evaluate_list", counted)
         if name is None:
             with pytest.raises(InfeasibleError) as err:
                 certify_equality(prob, x)
