@@ -25,7 +25,6 @@ from .expr import (
 )
 from .geometry import (
     GeometryError,
-    Hull,
     Polyhedron,
     caratheodory_reduce,
     cone_interior_nonempty,

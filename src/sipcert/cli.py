@@ -44,19 +44,21 @@ _VERDICT_EXIT = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    as_json = "--json" in argv  # until the command line is read
     stdout, sys.stdout = sys.stdout, _PipeGuard(sys.stdout)
     try:
+        args = _build_parser().parse_args(argv)
+        as_json = args.json
         return args.handler(args)
     except ProblemFileError as err:
-        _print_error("input", str(err), args)
+        _print_error("input", str(err), as_json)
         return EXIT_INPUT_ERROR
     except ExprError as err:
-        _print_error("expression", str(err), args)
+        _print_error("expression", str(err), as_json)
         return EXIT_INPUT_ERROR
     except OptionError as err:  # SIPCERT_SEED, read where sampling starts
-        _print_error("input", f"{err.key}: {err.message}", args)
+        _print_error("input", f"{err.key}: {err.message}", as_json)
         return EXIT_INPUT_ERROR
     finally:
         sys.stdout.flush()
@@ -86,8 +88,21 @@ class _PipeGuard:
             os.dup2(os.open(os.devnull, os.O_WRONLY), self._stream.fileno())
 
 
+_ERROR_CHARS = 120  # argparse quotes a bad flag value whole, however many digits it has
+
+
+class _Parser(argparse.ArgumentParser):
+    """A command line that cannot be read is an input error (exit 4), not argparse's
+    usage on stderr and exit 2; the sub-parsers are built from this class too."""
+
+    def error(self, message):
+        if len(message) > _ERROR_CHARS:
+            message = message[: _ERROR_CHARS - 3] + "..."
+        raise ProblemFileError(message, "command line")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sipcert",
         description="First-order optimality certificates via multiplier-set membership.",
     )
@@ -127,9 +142,9 @@ def _timings(started, counts, keys) -> dict:  # the counts of keys in order, 0 w
     return {"total_s": time.perf_counter() - started, **{key: counts[key] for key in keys}}
 
 
-def _print_error(kind, message, args):
+def _print_error(kind, message, as_json):
     report = {"error": {"kind": kind, "message": message}}
-    print(emit_json(report) if args.json else f"error ({kind}): {message}")
+    print(emit_json(report) if as_json else f"error ({kind}): {message}")
 
 
 def _load(args) -> tuple[LoadedProblem, Options, np.ndarray]:
@@ -369,7 +384,7 @@ def cmd_tcset(args) -> int:
         "converged": tc.converged,
         "stopped_by": tc.stopped_by,
         "final": {
-            "generators": [list(g) for g in tc.final.generators],
+            "generators": [list(g) for g in tc.final],
             "tags": [tag for tag, _ in tc.labels()],
         },
         "assumptions": _assumptions(loaded),

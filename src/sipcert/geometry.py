@@ -1,26 +1,25 @@
-"""Exact-tolerance convex geometry over generator lists.
+"""Exact-tolerance convex geometry over generator arrays.
 
-Hulls are kept in V-representation only (lists of generators); every
-operation needed downstream is a membership or a linear optimization, both
-of which reduce to small dense LPs.  Polyhedra are kept in
-H-representation ``{y : a_j @ y >= b_j}``.  All functions are pure; a
-``PolyhedronLP`` keeps one polyhedron's simplex tableau between objectives.
+A hull is the (n, p) array of its generators, one per row, kept in
+V-representation only; every operation needed downstream is a membership
+or a linear optimization, both of which reduce to small dense LPs.
+Polyhedra are kept in H-representation ``{y : a_j @ y >= b_j}``.  All
+functions are pure; the ``Simplex`` of ``polyhedron_lp`` keeps one
+polyhedron's tableau between objectives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import Simplex, slack_tableau, solve_lp
+from .lp import Simplex, SimplexSolution, slack_tableau, solve_lp
 from .work import count
 
 __all__ = [
-    "Hull",
     "Polyhedron",
     "GeometryError",
-    "first_occurrences",
     "first_equal_rows",
     "hull_member",
     "hull_distance",
@@ -30,7 +29,7 @@ __all__ = [
     "segment_hull_member",
     "recession_cone",
     "cone_interior_nonempty",
-    "PolyhedronLP",
+    "polyhedron_lp",
     "polyhedron_minimize",
 ]
 
@@ -42,44 +41,25 @@ class GeometryError(Exception):
     """Dimension mismatch, invalid input, or reported LP failure."""
 
 
-def _row_keys(rows) -> np.ndarray:
-    """One bytewise key per row of an (n, p) array, so ``-0.0`` and ``0.0`` differ."""
-    rows = np.ascontiguousarray(rows, dtype=float)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-
-
-def first_occurrences(rows) -> np.ndarray:
-    """Ascending indices of the first occurrence of each distinct row of an (n, p) array.
-
-    Rows compare bytewise, so ``-0.0`` and ``0.0`` stay apart.
-    """
-    return np.sort(np.unique(_row_keys(rows), return_index=True)[1])
-
-
 def first_equal_rows(rows) -> np.ndarray:
-    """Each row's id, the index of its first bytewise-equal row: subsets then dedupe by id."""
-    _, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
+    """Each row's id, the index of its first bytewise-equal row: subsets then dedupe by id.
+
+    Rows compare bytewise, so ``-0.0`` and ``0.0`` stay apart; the rows
+    with ``first_equal_rows(rows) == np.arange(n)`` are the first
+    occurrences, in order.
+    """
+    rows = np.ascontiguousarray(rows, dtype=float)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     return first[inverse]
 
 
-@dataclass(frozen=True)
-class Hull:
-    """Convex hull of finitely many generators."""
-
-    generators: np.ndarray  # (n, p)
-
-    def __post_init__(self):
-        g = np.atleast_2d(np.asarray(self.generators, dtype=float))
-        if g.size == 0:
-            g = g.reshape(0, g.shape[-1] if g.ndim == 2 else 0)
-        object.__setattr__(self, "generators", g)
-
-    def __len__(self):
-        return self.generators.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.generators.shape[1]
+def _generators(hull) -> np.ndarray:
+    """A hull's generators as an (n, p) float array, one generator per row."""
+    g = np.asarray(hull, dtype=float)
+    if g.ndim != 2:
+        raise GeometryError("a hull is an (n, p) array of generators")
+    return g
 
 
 @dataclass(frozen=True)
@@ -135,12 +115,14 @@ class ConeInterior:
 
 
 def _check_target(target, hull):
+    """(target, generators) as float arrays of matching dimension."""
+    g = _generators(hull)
     t = np.asarray(target, dtype=float).reshape(-1)
-    if len(hull) == 0:
+    if len(g) == 0:
         raise GeometryError("hull has no generators")
-    if t.size != hull.dim:
-        raise GeometryError(f"target dimension {t.size} != hull dimension {hull.dim}")
-    return t
+    if t.size != g.shape[1]:
+        raise GeometryError(f"target dimension {t.size} != hull dimension {g.shape[1]}")
+    return t, g
 
 
 def _fit_lp(cols, t, k):
@@ -201,9 +183,9 @@ def _fit(cols, t, then=None, k=None):
 
 
 def hull_member(
-    target, hull: Hull, tol: float = DEFAULT_MEMBER_TOL, *, start=None
+    target, hull: np.ndarray, tol: float = DEFAULT_MEMBER_TOL, *, start=None
 ) -> HullMembership:
-    """Decide target in conv(generators) by one LP.
+    """Decide target in conv(hull), the hull of the (n, p) generators, by one LP.
 
     Minimizes s subject to -s <= (sum_i a_i g_i - target)_j <= s with a in
     the simplex; membership holds iff the optimal s is at most ``tol``.
@@ -212,12 +194,12 @@ def hull_member(
     exceeds that generator's distance.  A caller that has found that
     generator already passes its index as ``start``.
     """
-    t = _check_target(target, hull)
-    coeffs, distance, pivots = _fit(hull.generators.T, t, k=start)
+    t, g = _check_target(target, hull)
+    coeffs, distance, pivots = _fit(g.T, t, k=start)
     return HullMembership(distance <= tol, coeffs, distance, pivots)
 
 
-def hull_distance(target, hull: Hull, *, start=None) -> float:
+def hull_distance(target, hull: np.ndarray, *, start=None) -> float:
     """Infinity-norm distance from target to conv(generators).
 
     ``start`` is as in :func:`hull_member`; the LP's simplex pivots are
@@ -230,22 +212,23 @@ def hull_distance(target, hull: Hull, *, start=None) -> float:
     return membership.distance
 
 
-def one_sided_hull_gap(src: Hull, dst: Hull) -> float:
+def one_sided_hull_gap(src: np.ndarray, dst: np.ndarray) -> float:
     """max over src generators of their distance to conv(dst), by as few LPs as exact allows.
 
     Generators of ``src`` that literally reappear in ``dst`` contribute zero,
     as do repeats within ``src``; the rest go to :func:`farthest_row_distance`.
     """
+    src, dst = _generators(src), _generators(dst)
     if len(src) == 0:
         return 0.0
     if len(dst) == 0:
         return float("inf")
-    both = np.vstack([dst.generators, src.generators])
-    first = first_occurrences(both)  # a src row equal to a dst row is not first
-    return farthest_row_distance(both[first[first >= len(dst)]], dst)
+    n = len(dst)
+    ids = first_equal_rows(np.vstack([dst, src]))  # a src row equal to a dst row is not first
+    return farthest_row_distance(src[ids[n:] == np.arange(n, ids.size)], dst)
 
 
-def farthest_row_distance(rows: np.ndarray, dst: Hull) -> float:
+def farthest_row_distance(rows: np.ndarray, dst: np.ndarray) -> float:
     """max over ``rows`` of their distance to conv(dst), by the early break.
 
     The distance ``u(g) = min_j |g - d_j|_inf`` to the nearest single
@@ -258,7 +241,7 @@ def farthest_row_distance(rows: np.ndarray, dst: Hull) -> float:
     started at the nearest generator its bound found: the one that LP would
     pick itself, so it is not searched for twice.
     """
-    bound, nearest = _nearest_generator_distance(rows, dst.generators)
+    bound, nearest = _nearest_generator_distance(rows, dst)
     gap = 0.0
     for i in np.argsort(-bound, kind="stable"):
         if bound[i] <= gap:
@@ -292,7 +275,7 @@ def _nearest_generator_distance(rows: np.ndarray, gens: np.ndarray) -> tuple:
     return out, nearest
 
 
-def caratheodory_reduce(target, hull: Hull, coeffs, tol_lp: float = DEFAULT_LP_TOL):
+def caratheodory_reduce(target, hull: np.ndarray, coeffs, tol_lp: float = DEFAULT_LP_TOL):
     """Reduce a convex representation of target to an affinely independent support.
 
     Iterated null-space pivoting: while the supported generators are
@@ -301,12 +284,11 @@ def caratheodory_reduce(target, hull: Hull, coeffs, tol_lp: float = DEFAULT_LP_T
     output support has at most p+1 generators and reproduces the target
     within ``tol_lp``.
 
-    Returns (indices, coeffs) with indices into ``hull.generators``.
+    Returns (indices, coeffs) with indices into the rows of ``hull``.
     """
-    t = _check_target(target, hull)
-    g = hull.generators
+    t, g = _check_target(target, hull)
     a = np.asarray(coeffs, dtype=float).copy().reshape(-1)
-    if a.size != len(hull):
+    if a.size != len(g):
         raise GeometryError("one coefficient per generator required")
     scale = 1.0 + float(np.abs(t).max(initial=0.0))
     if (
@@ -345,7 +327,7 @@ def caratheodory_reduce(target, hull: Hull, coeffs, tol_lp: float = DEFAULT_LP_T
 
 
 def segment_hull_member(
-    target, w, hull: Hull, tol: float = DEFAULT_MEMBER_TOL
+    target, w, hull: np.ndarray, tol: float = DEFAULT_MEMBER_TOL
 ) -> SegmentMembership:
     """Decide target in [w, conv(hull)] by one LP over (lambda, coefficients).
 
@@ -357,61 +339,40 @@ def segment_hull_member(
     (``_fit_lp``) is written around w: it starts feasible at lambda = 1,
     the end the tie-break prefers, and runs no phase 1.
     """
-    t = _check_target(target, hull)
+    t, g = _check_target(target, hull)
     w = np.asarray(w, dtype=float).reshape(-1)
-    if w.size != hull.dim:
+    if w.size != g.shape[1]:
         raise GeometryError("segment endpoint dimension mismatch")
-    n = len(hull)
+    n = len(g)
     # variables: lambda, mu_1..mu_n, s
     largest_lam = np.zeros(n + 2)
     largest_lam[0] = -1.0
-    a, distance, _ = _fit(np.column_stack([w, hull.generators.T]), t, then=largest_lam, k=0)
+    a, distance, _ = _fit(np.column_stack([w, g.T]), t, then=largest_lam, k=0)
     lam, mu = float(a[0]), a[1:]  # a_0 = 1 - sum(mu), clipped at 0
     weight = mu.sum()
     coeffs = mu / weight if weight > 1e-15 else np.zeros(n)
     return SegmentMembership(distance <= tol, lam, coeffs, distance)
 
 
-@dataclass(frozen=True)
-class PolyhedronMinimum:
-    status: str  # 'optimal' | 'unbounded' | 'infeasible'
-    value: float
-    point: np.ndarray | None
-    ray: np.ndarray | None = None
-    pivots: int = field(default=0, compare=False)  # simplex pivots, phase 1 included
-
-
-class PolyhedronLP:
-    """min z @ y over one H-polyhedron for objective after objective.
+def polyhedron_lp(poly: Polyhedron) -> Simplex:
+    """The kept ``Simplex`` of min z @ y over one H-polyhedron, for objective after objective.
 
     The LP is stated in y itself: ``a_j @ y >= b_j`` is the row
-    ``-a_j @ y <= -b_j`` of a ``Simplex`` whose p variables are all free, so
-    the tableau has one column per coordinate of y and no pivot is spent
-    carrying a coordinate through zero.  The tableau is kept: phase 1 runs
-    at most once, and each objective starts from the vertex where the
-    previous one ended.
+    ``-a_j @ y <= -b_j`` over p free variables, so the tableau has one
+    column per coordinate of y and no pivot is spent carrying a coordinate
+    through zero.  Phase 1 runs at most once, and each objective starts
+    from the vertex where the previous one ended.  An unbounded result
+    carries a recession ray with z @ ray < 0.
     """
-
-    def __init__(self, poly: Polyhedron):
-        self.poly = poly
-        self._lp = Simplex(poly.dim, -poly.normals, -poly.offsets, free=poly.dim)
-
-    def minimize(self, z) -> PolyhedronMinimum:
-        """Unbounded results carry a recession ray with z @ ray < 0."""
-        z = np.asarray(z, dtype=float).reshape(-1)
-        if z.size != self.poly.dim:
-            raise GeometryError("objective dimension mismatch")
-        sol = self._lp.minimize(z)
-        if sol.status == "infeasible":
-            return PolyhedronMinimum("infeasible", float("nan"), None, pivots=sol.pivots)
-        if sol.status == "unbounded":
-            return PolyhedronMinimum("unbounded", -np.inf, sol.x, sol.ray, sol.pivots)
-        return PolyhedronMinimum("optimal", sol.objective, sol.x, pivots=sol.pivots)
+    return Simplex(poly.dim, -poly.normals, -poly.offsets, free=poly.dim)
 
 
-def polyhedron_minimize(poly: Polyhedron, z) -> PolyhedronMinimum:
-    """min z @ y over the H-polyhedron: one objective on a fresh ``PolyhedronLP``."""
-    return PolyhedronLP(poly).minimize(z)
+def polyhedron_minimize(poly: Polyhedron, z) -> SimplexSolution:
+    """min z @ y over the H-polyhedron: one objective on a fresh ``polyhedron_lp``."""
+    z = np.asarray(z, dtype=float).reshape(-1)
+    if z.size != poly.dim:
+        raise GeometryError("objective dimension mismatch")
+    return polyhedron_lp(poly).minimize(z)
 
 
 def recession_cone(poly: Polyhedron) -> Polyhedron:

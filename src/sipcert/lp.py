@@ -63,7 +63,7 @@ Two entries share one pivot loop (``_run_phase``) and one phase 2 with
 its optimal-face tie-break (``_optimize``):
 
 - ``Simplex(n, a_ub, b_ub, free=k)`` and its ``minimize``: a kept tableau,
-  phase 1 when a right-hand side is negative (``geometry.PolyhedronLP``,
+  phase 1 when a right-hand side is negative (``geometry.polyhedron_lp``,
   the support LPs of a polyhedron's determination);
 - ``solve_lp(c, a_ub, b_ub, then=)``: one objective on a fresh
   ``Simplex`` (``geometry.cone_interior_nonempty``).  Given

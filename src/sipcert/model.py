@@ -40,6 +40,7 @@ Families and problems are immutable after construction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,11 +60,10 @@ from .expr import (
 from .expr import substitute as substitute_expr
 from .geometry import (
     DEFAULT_LP_TOL,
-    Hull,
     Polyhedron,
-    PolyhedronLP,
-    first_occurrences,
+    first_equal_rows,
     hull_member,
+    polyhedron_lp,
 )
 from .options import Options, resolve_seed
 from .work import count
@@ -118,13 +118,16 @@ class IndexSet:
     def box(cls, lower, upper, base_grid: int) -> "IndexSet":
         """The box [lower, upper] on ``base_grid`` points per axis.
 
-        Raises :class:`GridError` for a grid below 2 or one with more points
-        than the largest index, checked before the box, and ValueError for a
-        box with lower > upper in some component.
+        Raises :class:`GridError` for a grid that is not an integer, below 2
+        or with more points than the largest index, checked before the box,
+        and ValueError for a box with lower > upper in some component.
         """
         lo = np.asarray(lower, dtype=float).reshape(-1)
         hi = np.asarray(upper, dtype=float).reshape(-1)
-        grid = int(base_grid)  # a Python int: a numpy one would wrap in the power below
+        try:  # a Python int: a numpy one would wrap in the power below
+            grid = operator.index(base_grid)
+        except TypeError:
+            raise GridError(f"base_grid must be an integer, got {base_grid!r}") from None
         if grid < 2:
             raise GridError("base_grid must be at least 2")
         # 2 ** 64 is past the largest index, so no power above 64 is formed
@@ -344,8 +347,9 @@ class ParametricFamily(_Family):
             raise InfeasibleError(FeasibilityReport(False, value, tag, True, ((tag, value),)))
         near = _clamp(refined_values, opts.tol_feas)
         close = np.flatnonzero(near <= eps_cap)
-        first = first_occurrences(np.vstack([points, refined[close]]))  # seeds come first
-        keep = close[first[first >= len(points)] - len(points)]
+        n = len(points)
+        ids = first_equal_rows(np.vstack([points, refined[close]]))  # seeds come first
+        keep = close[ids[n:] == np.arange(n, ids.size)]
         gates = np.maximum(values[seeds[keep]], near[keep])
         grads = gradient_many(self.h, x, refined[keep], opts.tol_kink)
         return gates, near[keep], refined[keep], grads
@@ -420,7 +424,7 @@ class PolyhedralFamily(_Family):
         though over a nonempty set the LP of a facet is bounded below by
         its offset c_j, so only rounding can make it unbounded.
 
-        All LPs share one kept tableau (``PolyhedronLP``, in the free
+        All LPs share one kept tableau (``polyhedron_lp``, in the free
         coordinates of y, one column each): phase 1 runs at most once, and
         each LP starts at the vertex where the last one ended.  The LPs run
         in normal-cone order.  The first LP is facet 0's.  After each LP,
@@ -443,7 +447,7 @@ class PolyhedralFamily(_Family):
         infima = np.full(len(offsets), np.nan)
         unsettled = np.ones(len(offsets), dtype=bool)
         cone = np.zeros(normals.shape[1])  # unit normals tight at the last vertex, summed
-        support = PolyhedronLP(self.poly)
+        support = polyhedron_lp(self.poly)
         while True:
             settled = unsettled & (reach - offsets <= near)
             infima[settled] = np.maximum(offsets, reach)[settled]
@@ -459,8 +463,8 @@ class PolyhedralFamily(_Family):
             if result.status == "infeasible":
                 infima[:] = np.inf
                 break
-            infima[j] = result.value  # -inf when unbounded
-            product = normals @ result.point
+            infima[j] = result.objective  # -inf when unbounded
+            product = normals @ result.x
             np.minimum(reach, product, out=reach)
             cone = normals[product - offsets <= near].sum(axis=0)
         return tuple(zip(map(tuple, normals.tolist()), infima.tolist(), offsets.tolist()))
@@ -535,8 +539,9 @@ class ActiveSet:
     entries: np.ndarray
     scan: "FamilyScan"
 
-    def hull(self) -> Hull:
-        return Hull(self.scan.grads[self.entries])
+    def hull(self) -> np.ndarray:
+        """The rung's generators, one gradient per row."""
+        return self.scan.grads[self.entries]
 
 
 @dataclass(frozen=True)
@@ -867,7 +872,7 @@ def admissible_diagnostics(prob: Problem, x, opts: Options = Options()) -> Admis
     if family is None:
         return AdmissibleReport(False, float("inf"), False, 0.0, (), assumptions)
     grads = family.gradients(x, np.arange(values.size), opts.tol_kink)
-    membership = hull_member(np.zeros(prob.p), Hull(grads), opts.tol)
+    membership = hull_member(np.zeros(prob.p), grads, opts.tol)
     lipschitz = equi_lipschitz_estimate(prob, x, opts.lipschitz_radius, opts.lipschitz_samples)
     return AdmissibleReport(
         zero_in_full_hull=membership.member,

@@ -22,7 +22,6 @@ import numpy as np
 
 from .expr import gradient
 from .geometry import (
-    Hull,
     caratheodory_reduce,
     farthest_row_distance,
     first_equal_rows,
@@ -44,7 +43,7 @@ class TCApprox:
     """Ladder of near-active hulls approximating the multiplier set."""
 
     ladder: tuple  # ((eps, ActiveSet), ...)
-    final: Hull
+    final: np.ndarray  # (n, p): the final hull's generators
     hausdorff_gaps: tuple
     inf_value: float
     stopped_by: str  # 'interior'|'finite_shortcut'|'stabilized'|'empty'|'max_steps'
@@ -120,7 +119,7 @@ def _ladder_gap(grads, gates, ids, least, prev, eps) -> float:
     new, dropped = prev[kept], prev[~kept]
     dropped = _distinct(ids, dropped[least[ids[dropped]] > eps])
     count("gap_rows", dropped.size)
-    return farthest_row_distance(grads[dropped], Hull(grads[new]))
+    return farthest_row_distance(grads[dropped], grads[new])
 
 
 def _distinct(ids, rows):
@@ -142,7 +141,7 @@ def tc_approx(prob: Problem, x, opts: Options = Options()) -> TCApprox:
         raise InfeasibleError(report)
     p, family = prob.p, prob.x_family
     if family is None or not report.boundary:
-        return TCApprox((), Hull(np.zeros((0, p))), (), report.min_value, "interior")
+        return TCApprox((), np.zeros((0, p)), (), report.min_value, "interior")
 
     scan = FamilyScan(prob, x, values, opts.eps0, opts)
     ids = first_equal_rows(scan.grads)
@@ -170,7 +169,7 @@ def tc_approx(prob: Problem, x, opts: Options = Options()) -> TCApprox:
         eps *= opts.shrink
     rows = _distinct(ids, ladder[-1][1].entries) if ladder else np.zeros(0, dtype=int)
     return TCApprox(
-        tuple(ladder), Hull(scan.grads[rows]), tuple(gaps), report.min_value, stopped_by, rows
+        tuple(ladder), scan.grads[rows], tuple(gaps), report.min_value, stopped_by, rows
     )
 
 
@@ -206,12 +205,12 @@ def certify_ladder(tc: TCApprox, grad_f, opts: Options = Options()) -> Certifica
             diagnostics={"reason": "empty near-active hull"},
         )
 
-    zero_not_in_tc = not hull_member(np.zeros(tc.final.dim), tc.final, opts.tol).member
+    zero_not_in_tc = not hull_member(np.zeros(tc.final.shape[1]), tc.final, opts.tol).member
 
     if float(np.abs(grad_f).max(initial=0.0)) <= opts.tol:
         # boundary point with vanishing objective gradient: (lambda, beta) = (1, 0)
         # directly, skipping a degenerate segment LP
-        x_star = tc.final.generators[0]
+        x_star = tc.final[0]
         (tag, param), = tc.labels([0])
         kind = "kkt" if zero_not_in_tc else "fj"
         residual = float(np.abs(grad_f).max(initial=0.0))
@@ -220,19 +219,19 @@ def certify_ladder(tc: TCApprox, grad_f, opts: Options = Options()) -> Certifica
             residual, zero_not_in_tc, grad_f, tc, support=(0,),
         )
 
-    seg = segment_hull_member(np.zeros(tc.final.dim), grad_f, tc.final, opts.tol)
+    seg = segment_hull_member(np.zeros(tc.final.shape[1]), grad_f, tc.final, opts.tol)
     if not seg.member:
         return Certificate(
             "no_certificate", 0.0, 0.0, None, (), seg.distance, zero_not_in_tc,
             grad_f, tc, diagnostics={"reason": "0 outside [grad f, T_C]"},
         )
     lam, beta = seg.lam, 1.0 - seg.lam
-    x_star = tc.final.generators.T @ seg.coeffs if beta > 0 else tc.final.generators[0]
+    x_star = tc.final.T @ seg.coeffs if beta > 0 else tc.final[0]
     idx, reduced = caratheodory_reduce(x_star, tc.final, seg.coeffs, opts.tol_lp)
     coeffs = tuple(
         (tag, param, float(w)) for (tag, param), w in zip(tc.labels(idx), reduced)
     )
-    x_star = tc.final.generators[idx].T @ reduced if len(idx) else x_star
+    x_star = tc.final[idx].T @ reduced if len(idx) else x_star
     residual = float(np.abs(lam * grad_f + beta * x_star).max())
     kind = "kkt" if zero_not_in_tc and lam > 0.0 else "fj"
     return Certificate(
@@ -282,11 +281,11 @@ def sip_multipliers(cert: Certificate, opts: Options = Options()) -> SipMultipli
     hull = cert.tc.final
     target = cert.x_star
     # exact coincidence with one generator gives the minimal support directly
-    mismatch = np.abs(hull.generators - target).max(axis=1)
+    mismatch = np.abs(hull - target).max(axis=1)
     hits = np.flatnonzero(mismatch <= opts.tol)
     if hits.size:
         i = int(hits[0])
-        g = hull.generators[i]
+        g = hull[i]
         # re-fit the pair on the snapped atom: lam0 grad_f + (1 - lam0) g = 0
         # in least squares, so snapping never inflates the residual
         diff = cert.grad_f - g
@@ -297,10 +296,10 @@ def sip_multipliers(cert: Certificate, opts: Options = Options()) -> SipMultipli
     else:
         # reduce the combined representation of 0 over {grad f} + support generators
         support = cert.coeffs
-        atoms = np.vstack([cert.grad_f[None, :], hull.generators[list(cert.support)]])
+        atoms = np.vstack([cert.grad_f[None, :], hull[list(cert.support)]])
         weights = np.concatenate([[cert.lam], [cert.beta * w for _, _, w in support]])
         idx, reduced = caratheodory_reduce(
-            np.zeros(hull.dim), Hull(atoms), weights, opts.tol_lp
+            np.zeros(hull.shape[1]), atoms, weights, opts.tol_lp
         )
         lam0 = 0.0
         entries = []

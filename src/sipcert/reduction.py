@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .expr import ExprList, evaluate_list, gradient, gradient_list
-from .geometry import Hull, Polyhedron, polyhedron_minimize, recession_cone
+from .geometry import Polyhedron, polyhedron_minimize, recession_cone
 from .model import Problem
 from .multipliers import Certificate, TCApprox, certify_fj, certify_ladder, tc_approx
 from .options import Options
@@ -212,7 +212,7 @@ def certify_equality(prob: Problem, x, opts: Options = Options()) -> FullCertifi
             return FullCertificate(True, "onto_no_a", 1.0, None, w_star, residual, jac, tc)
         return FullCertificate(True, "onto_with_a", 1.0, np.zeros(prob.q), w_star, residual, jac, tc)
 
-    restricted = replace(tc, final=Hull(tc.final.generators @ kernel.T))
+    restricted = replace(tc, final=tc.final @ kernel.T)
     inner_cert = certify_ladder(restricted, kernel @ grad_f, opts)
     if not inner_cert.found:
         return FullCertificate(
@@ -273,7 +273,7 @@ def convex_set_multiplier(A: Polyhedron, x_img, z_star, tol: float = 1e-8) -> Co
         np.concatenate([rec.offsets, -np.ones(A.dim), -np.ones(A.dim)]),
     )
     probe = polyhedron_minimize(box, z)
-    in_dual = probe.status == "optimal" and probe.value >= -tol
+    in_dual = probe.status == "optimal" and probe.objective >= -tol
 
     result = polyhedron_minimize(A, z)
     if result.status == "unbounded":
@@ -281,5 +281,5 @@ def convex_set_multiplier(A: Polyhedron, x_img, z_star, tol: float = 1e-8) -> Co
     if result.status == "infeasible":
         raise ValueError("the polyhedron is empty")
     value = float(z @ x_img)
-    attains = abs(value - result.value) <= tol * (1.0 + abs(result.value))
-    return ConvexSetCheck(in_dual and attains, in_dual, attains, result.value, value)
+    attains = abs(value - result.objective) <= tol * (1.0 + abs(result.objective))
+    return ConvexSetCheck(in_dual and attains, in_dual, attains, result.objective, value)

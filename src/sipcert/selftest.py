@@ -18,7 +18,6 @@ import numpy as np
 from .expr import evaluate, evaluate_list, format_expr, gradient, linear_expr, parse
 from .fixtures import fixture_names, fixture_path
 from .geometry import (
-    Hull,
     Polyhedron,
     caratheodory_reduce,
     cone_interior_nonempty,
@@ -83,7 +82,7 @@ def _load(name, opts, grid=None):
 
 
 def _rounded(hull):
-    return {tuple(float(v) for v in np.round(g, 12)) for g in hull.generators}
+    return {tuple(float(v) for v in np.round(g, 12)) for g in hull}
 
 
 # --- the bundled fixtures against their closed forms ------------------------
@@ -111,7 +110,7 @@ def check_near_active(opts, rng):
 def check_strict_active(opts, rng):
     problem, candidate, fixture_opts = _load("strict_active", opts)
     cert = certify_fj(problem, candidate, fixture_opts)
-    final = sorted(tuple(float(v) for v in g) for g in cert.tc.final.generators)
+    final = sorted(tuple(float(v) for v in g) for g in cert.tc.final)
     ok = cert.kind == "no_certificate" and final == [(1.0, 0.0)]
     return ok, f"kind={cert.kind} final={final}"
 
@@ -120,7 +119,7 @@ def check_sip_linear(opts, rng, *, grid):
     problem, candidate, fixture_opts = _load("sip_linear", opts, grid)
     cert = certify_fj(problem, candidate, fixture_opts)
     tc, sm = cert.tc, sip_multipliers(cert, fixture_opts)
-    hausdorff = float(_segment_distance_inf(tc.final.generators, [-1.0, 0.0], [0.0, -1.0]).max())
+    hausdorff = float(_segment_distance_inf(tc.final, [-1.0, 0.0], [0.0, -1.0]).max())
     ok = (
         hausdorff <= 1e-6
         and sm.found
@@ -170,7 +169,7 @@ def check_sip_trig(opts, rng, *, grid):
     # h = x1 cos t + x2 sin t vanishes at x = 0 for every t: the closed-form
     # hull is conv{(cos t, sin t)} over the whole grid, compared both ways
     t = problem.family.index.grid_points()[:, 0]
-    closed_form = Hull(np.column_stack([np.cos(t), np.sin(t)]))
+    closed_form = np.column_stack([np.cos(t), np.sin(t)])
     final = cert.tc.final
     gap = max(one_sided_hull_gap(final, closed_form), one_sided_hull_gap(closed_form, final))
     ok = cert.kind == "fj" and cert.residual <= fixture_opts.tol and gap <= 1e-6
@@ -321,7 +320,7 @@ def check_hull_oracle(opts, rng, *, instances, generators, steps):
         inside = gens.T @ rng.dirichlet(np.ones(generators))
         for target in (inside, rng.uniform(-1.5, 1.5, size=2)):
             residual = grid_hull_residual(target, gens, weights)
-            lp = hull_member(target, Hull(gens), tol)
+            lp = hull_member(target, gens, tol)
             members += lp.member
             if target is inside or residual <= tol:
                 wrong_verdict = not lp.member
@@ -392,7 +391,7 @@ def check_caratheodory(opts, rng, *, samples):
         gens = rng.uniform(-1, 1, size=(n, p))
         weights = rng.dirichlet(np.ones(n))
         target = gens.T @ weights
-        idx, reduced = caratheodory_reduce(target, Hull(gens), weights)
+        idx, reduced = caratheodory_reduce(target, gens, weights)
         worst_excess = max(worst_excess, len(idx) - (p + 1))
         worst_residual = max(worst_residual, float(np.abs(gens[idx].T @ reduced - target).max()))
     ok = worst_excess <= 0 and worst_residual <= 1e-9

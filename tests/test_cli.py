@@ -657,6 +657,43 @@ def test_bad_seed_is_an_input_error(seed, argv, monkeypatch, capsys):
     )
 
 
+_DIGITS = "1" + "0" * 5000  # past Python's integer-string limit
+
+
+@pytest.mark.parametrize("output", [[], ["--json"]])
+@pytest.mark.parametrize("argv, message", [
+    (["--grid", "abc"], "argument --grid: invalid int value: 'abc'"),
+    (["--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
+    (["--max-steps", "1.5"], "argument --max-steps: invalid int value: '1.5'"),
+    (["--refine", "1e3"], "argument --refine: invalid int value: '1e3'"),
+    # argparse quotes the whole value: the message keeps its first 117 characters
+    (["--grid", _DIGITS], f"argument --grid: invalid int value: '{_DIGITS[:80]}..."),
+    (["--bogus"], "unrecognized arguments: --bogus"),
+    (None, "the following arguments are required: command"),
+])
+def test_a_command_line_argparse_rejects_is_an_input_error(argv, message, output, capsys):
+    # exit 4 with the message on stdout, not argparse's usage on stderr and exit 2
+    from sipcert import cli
+
+    command = [] if argv is None else ["certify", fixture_path("sip_linear"), *argv]
+    assert cli.main(command + output) == 4
+    out, err = capsys.readouterr()
+    message = f"command line: {message}"
+    assert len(message) < 200 and err == ""
+    if output:
+        assert json.loads(out) == {"error": {"kind": "input", "message": message}}
+    else:
+        assert out == f"error (input): {message}\n"
+
+
+def test_argparse_errors_leave_stderr_empty_and_help_exits_zero():
+    proc = run_cli("certify", fixture_path("sip_linear"), "--grid", _DIGITS)
+    assert (proc.returncode, proc.stderr) == (4, "")
+    assert proc.stdout.startswith("error (input): command line: argument --grid: invalid int value")
+    proc = run_cli("certify", "--help")
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: sipcert certify")
+
+
 @pytest.mark.parametrize("name", fixture_names())
 def test_tol_lp_changes_no_report_or_count(name, tmp_path, capsys):
     # tol_lp only accepts LP answers (the simplex pivots with lp._TOL): on the

@@ -9,15 +9,14 @@ import sipcert.geometry as geometry
 from sipcert.geometry import (
     DEFAULT_LP_TOL,
     GeometryError,
-    Hull,
     Polyhedron,
-    PolyhedronLP,
     caratheodory_reduce,
     cone_interior_nonempty,
-    first_occurrences,
+    first_equal_rows,
     hull_distance,
     hull_member,
     one_sided_hull_gap,
+    polyhedron_lp,
     polyhedron_minimize,
     recession_cone,
     segment_hull_member,
@@ -27,7 +26,7 @@ from sipcert.options import Options
 
 
 def H(*rows):
-    return Hull(np.array(rows, dtype=float))
+    return np.array(rows, dtype=float)
 
 
 class TestHullMember:
@@ -51,7 +50,7 @@ class TestHullMember:
             gens = rng.uniform(-1, 1, size=(5, 3))
             weights = rng.dirichlet(np.ones(5))
             target = gens.T @ weights
-            r = hull_member(target, Hull(gens), 1e-8)
+            r = hull_member(target, gens, 1e-8)
             assert r.member
             assert np.all(r.coeffs >= -1e-9)
             assert abs(r.coeffs.sum() - 1.0) <= 1e-9
@@ -63,13 +62,13 @@ class TestHullMember:
 
     def test_empty_hull(self):
         with pytest.raises(GeometryError):
-            hull_member((0.0,), Hull(np.zeros((0, 1))))
+            hull_member((0.0,), np.zeros((0, 1)))
 
     @given(st.floats(min_value=0.1, max_value=10))
     def test_scaling_agreement(self, c):
         gens = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-        base = hull_member((0.1, 0.2), Hull(gens))
-        scaled = hull_member((0.1 * c, 0.2 * c), Hull(c * gens))
+        base = hull_member((0.1, 0.2), gens)
+        scaled = hull_member((0.1 * c, 0.2 * c), c * gens)
         assert base.member == scaled.member
         assert np.abs(base.coeffs - scaled.coeffs).max() <= 1e-9
 
@@ -122,8 +121,8 @@ class TestFitLP:
         for _ in range(20):
             gens = rng.standard_normal((int(rng.integers(1, 30)), 3))
             for t in _fit_targets(rng, gens):
-                hull_member(t, Hull(gens))
-                segment_hull_member(t, rng.standard_normal(3), Hull(gens))
+                hull_member(t, gens)
+                segment_hull_member(t, rng.standard_normal(3), gens)
         assert built == [] and len(fits) == 20 * 5 * 2 and all(fits)
 
     def test_distance_lies_within_the_nearest_generator_distance(self, rng):
@@ -133,13 +132,13 @@ class TestFitLP:
             gens = rng.standard_normal((n, p))
             for t in _fit_targets(rng, gens):
                 u = geometry._nearest_generator_distance(t[None], gens)[0][0]
-                d = hull_distance(t, Hull(gens))
+                d = hull_distance(t, gens)
                 assert 0.0 <= d <= u
 
     def test_target_on_a_generator_is_at_distance_zero(self, rng):
         gens = rng.standard_normal((50, 3))
         for k in range(50):
-            r = hull_member(gens[k], Hull(gens), tol=0.0)
+            r = hull_member(gens[k], gens, tol=0.0)
             assert r.distance == 0.0 and r.member
 
     def test_coefficients_pass_the_convexity_check(self, rng):
@@ -147,9 +146,9 @@ class TestFitLP:
             n, p = int(rng.integers(2, 40)), int(rng.integers(1, 5))
             gens = rng.standard_normal((n, p))
             t = rng.dirichlet(np.ones(n)) @ gens
-            r = hull_member(t, Hull(gens))
+            r = hull_member(t, gens)
             assert r.member and np.all(r.coeffs >= 0.0)
-            idx, coeffs = caratheodory_reduce(t, Hull(gens), r.coeffs)
+            idx, coeffs = caratheodory_reduce(t, gens, r.coeffs)
             assert np.abs(gens[idx].T @ coeffs - t).max() <= 1e-9
 
     def test_hull_lps_match_scipy(self, rng):
@@ -162,7 +161,7 @@ class TestFitLP:
                 a_ub = np.block([[gens.T, -np.ones((p, 1))], [-gens.T, -np.ones((p, 1))]])
                 ref = linprog(np.r_[np.zeros(n), 1.0], A_ub=a_ub, b_ub=np.r_[t, -t],
                               A_eq=np.r_[np.ones(n), 0.0][None, :], b_eq=[1.0])
-                r = hull_member(t, Hull(gens))
+                r = hull_member(t, gens)
                 assert r.distance == pytest.approx(ref.fun, abs=1e-9 * (1.0 + abs(ref.fun)))
                 assert abs(r.coeffs.sum() - 1.0) <= 1e-12
                 assert np.abs(gens.T @ r.coeffs - t).max() <= r.distance + 1e-9
@@ -173,7 +172,7 @@ class TestCaratheodory:
         hull = H([1, 0], [0, 1], [-1, 0], [0, -1])
         idx, coeffs = caratheodory_reduce((0, 0), hull, [0.25] * 4)
         assert len(idx) <= 3
-        assert np.abs(hull.generators[idx].T @ coeffs - 0).max() <= 1e-9
+        assert np.abs(hull[idx].T @ coeffs - 0).max() <= 1e-9
 
     def test_independent_support_is_fixed_point(self):
         hull = H([1, 0], [0, 1])
@@ -201,11 +200,11 @@ class TestCaratheodory:
             gens = rng.uniform(-1, 1, size=(n, p))
             weights = rng.dirichlet(np.ones(n))
             target = gens.T @ weights
-            idx, coeffs = caratheodory_reduce(target, Hull(gens), weights)
+            idx, coeffs = caratheodory_reduce(target, gens, weights)
             assert len(idx) <= p + 1
             assert np.abs(gens[idx].T @ coeffs - target).max() <= 1e-9
             # the output is still a convex representation
-            check = hull_member(target, Hull(gens[idx]), 1e-8)
+            check = hull_member(target, gens[idx], 1e-8)
             assert check.member
 
 
@@ -229,7 +228,7 @@ class TestSegmentHull:
     def test_largest_lambda_whatever_the_order(self, order):
         # 0 = lam (1, 0) + (1 - lam) g holds for every lam in [0, 1/2]
         gens = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
-        r = segment_hull_member((0, 0), (1, 0), Hull(gens[order]))
+        r = segment_hull_member((0, 0), (1, 0), gens[order])
         assert r.member
         assert r.lam == pytest.approx(0.5, abs=1e-12)
 
@@ -238,7 +237,7 @@ class TestSegmentHull:
             gens = rng.uniform(-1, 1, size=(3, 2))
             w = rng.uniform(-1, 1, size=2)
             target = rng.uniform(-1, 1, size=2) * 0.8
-            lp = segment_hull_member(target, w, Hull(gens), 1e-6)
+            lp = segment_hull_member(target, w, gens, 1e-6)
             best = _segment_grid_oracle(target, w, gens)
             resolution = 0.15
             if best <= 1e-9:
@@ -318,7 +317,7 @@ class TestPolyhedronMinimize:
         poly = Polyhedron([[1, 1], [1, 0]], [1, 0])  # x+y >= 1, x >= 0
         r = polyhedron_minimize(poly, [1, 1])
         assert r.status == "optimal"
-        assert r.value == pytest.approx(1.0, abs=1e-9)
+        assert r.objective == pytest.approx(1.0, abs=1e-9)
 
     def test_unbounded_with_ray(self):
         poly = Polyhedron([[1, 0]], [0])  # x >= 0, y free
@@ -336,12 +335,12 @@ class TestPolyhedronMinimize:
         # the triangle y1 + y2 <= -1, y1 >= -3, y2 >= -3, mostly in y < 0:
         # one column per coordinate, and the point is y itself
         poly = Polyhedron([[-1, -1], [1, 0], [0, 1]], [1, -3, -3])
-        support = PolyhedronLP(poly)
+        support = polyhedron_lp(poly)
         for z, point in (([1, 1], [-3, -3]), ([-1, 0], [2, -3]), ([0, -1], [-3, 2]), ([1, 1], [-3, -3])):
             r = support.minimize(z)
-            assert r.status == "optimal" and np.array_equal(r.point, point)
-            assert r.value == np.dot(z, point)
-        assert support._lp._tableau.shape == (4, 3)
+            assert r.status == "optimal" and np.array_equal(r.x, point)
+            assert r.objective == np.dot(z, point)
+        assert support._tableau.shape == (4, 3)
 
     def test_kept_tableau_against_scipy(self, rng):
         # random polyhedra (bounded, unbounded, empty), eight objectives each
@@ -351,7 +350,7 @@ class TestPolyhedronMinimize:
             normals = rng.standard_normal((m, p))
             offsets = rng.standard_normal(m) - (0.5 if rng.random() < 0.7 else -1.5)
             poly = Polyhedron(normals, offsets)
-            support = PolyhedronLP(poly)
+            support = polyhedron_lp(poly)
             for _ in range(8):
                 z = rng.standard_normal(p)
                 r = support.minimize(z)
@@ -363,9 +362,9 @@ class TestPolyhedronMinimize:
                     assert r.status == {0: "optimal", 3: "unbounded"}[ref.status]
                 seen.add(r.status)
                 if r.status == "optimal":
-                    assert r.value == pytest.approx(ref.fun, abs=1e-8 * (1 + abs(ref.fun)))
+                    assert r.objective == pytest.approx(ref.fun, abs=1e-8 * (1 + abs(ref.fun)))
                 if r.status != "infeasible":
-                    assert np.all(normals @ r.point >= offsets - 1e-8)
+                    assert np.all(normals @ r.x >= offsets - 1e-8)
                 if r.status == "unbounded":
                     assert np.all(normals @ r.ray >= -1e-9) and np.dot(z, r.ray) < 0
         assert seen == {"optimal", "unbounded", "infeasible"}
@@ -382,7 +381,7 @@ def test_one_sided_gap_skips_shared_generators():
 def test_hull_dedupe_keeps_first_tag():
     gens = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
     tags = ("a", "b", "c")
-    keep = first_occurrences(gens)
+    keep = np.flatnonzero(first_equal_rows(gens) == np.arange(len(gens)))
     assert len(keep) == 2
     assert tuple(tags[i] for i in keep) == ("a", "b")
 
@@ -390,13 +389,13 @@ def test_hull_dedupe_keeps_first_tag():
 def test_hull_dedupe_keeps_first_occurrence_and_signed_zeros_apart():
     gens = np.array([[-0.0, 1.0], [2.0, 3.0], [0.0, 1.0], [2.0, 3.0], [-0.0, 1.0]])
     tags = ("a", "b", "c", "d", "e")
-    keep = first_occurrences(gens)
+    keep = np.flatnonzero(first_equal_rows(gens) == np.arange(len(gens)))
     assert tuple(tags[i] for i in keep) == ("a", "b", "c")
     assert [np.signbit(g[0]) for g in gens[keep]] == [True, False, False]
 
 
 def test_hull_distance_empty_is_infinite():
-    assert hull_distance((0.0,), Hull(np.zeros((0, 1)))) == np.inf
+    assert hull_distance((0.0,), np.zeros((0, 1))) == np.inf
 
 
 def _unpruned_gap(src, dst):
@@ -405,8 +404,8 @@ def _unpruned_gap(src, dst):
         return 0.0, []
     if len(dst) == 0:
         return float("inf"), []
-    both = np.vstack([dst.generators, src.generators])
-    first = first_occurrences(both)
+    both = np.vstack([dst, src])
+    first = np.flatnonzero(first_equal_rows(both) == np.arange(len(both)))
     rows = both[first[first >= len(dst)]]
     distances = [hull_distance(row, dst) for row in rows]
     gap = 0.0
@@ -442,7 +441,7 @@ class TestOneSidedGapPruning:
     """The pruned gap equals the unpruned maximum bit for bit; skipped rows cannot raise it."""
 
     def _check(self, monkeypatch, src, dst):
-        src, dst = Hull(src), Hull(dst)
+        src, dst = np.asarray(src, dtype=float), np.asarray(dst, dtype=float)
         expected, distances = _unpruned_gap(src, dst)
         run = _log_fits(monkeypatch)
         gap = one_sided_hull_gap(src, dst)
@@ -485,7 +484,7 @@ class TestOneSidedGapPruning:
         # (0, .5) is 1 from both (1, 0) and (-1, 0): the LP starts at the
         # first of them in dst order, as hull_distance's own search does
         dst = H([1, 0], [-1, 0], [0, -3])
-        dst = Hull(np.vstack([dst.generators[:2][::order], dst.generators[2:]]))
+        dst = np.vstack([dst[:2][::order], dst[2:]])
         run = _log_fits(monkeypatch)
         assert one_sided_hull_gap(H([0, 0.5]), dst) == 0.5
         assert run == [np.array([0.0, 0.5]).tobytes()]
@@ -496,8 +495,8 @@ class TestOneSidedGapPruning:
 
     def test_empty_sides(self, monkeypatch):
         run = _log_fits(monkeypatch)
-        assert one_sided_hull_gap(Hull(np.zeros((0, 2))), H([1, 0])) == 0.0
-        assert one_sided_hull_gap(H([1, 0]), Hull(np.zeros((0, 2)))) == np.inf
+        assert one_sided_hull_gap(np.zeros((0, 2)), H([1, 0])) == 0.0
+        assert one_sided_hull_gap(H([1, 0]), np.zeros((0, 2))) == np.inf
         assert run == []
 
     @pytest.mark.parametrize("grid, t_index", [(1025, [400]), (65, [40, 16])])

@@ -178,7 +178,7 @@ def _polyhedron_lp(normals, offsets, z):
     """min z@y over {a_j@y >= b_j} split as y = u - v with u, v >= 0.
 
     A row-heavy LP in nonnegative variables only, which ``solve_lp`` and the
-    full-tableau reference both take; ``PolyhedronLP`` states the same LP
+    full-tableau reference both take; ``polyhedron_lp`` states the same LP
     in free variables instead.
     """
     return np.concatenate([z, -z]), np.hstack([-normals, normals]), -offsets
@@ -525,9 +525,9 @@ def test_free_variable_lps_match_scipy(rng):
 
 
 def _support_lp(normals, offsets):
-    from sipcert.geometry import Polyhedron, PolyhedronLP
+    from sipcert.geometry import Polyhedron, polyhedron_lp
 
-    return PolyhedronLP(Polyhedron(normals, offsets))
+    return polyhedron_lp(Polyhedron(normals, offsets))
 
 
 @pytest.mark.parametrize("outside", [False, True])
@@ -543,13 +543,13 @@ def test_support_lps_in_free_variables_match_scipy(rng, outside, monkeypatch):
         mine = support.minimize(z)
         status, fun = _free_reference(z, -normals, -offsets, 10)
         assert mine.status == status == "optimal"
-        assert mine.value == pytest.approx(fun, abs=1e-8 * (1 + abs(fun)))
-        assert np.all(normals @ mine.point >= offsets - 1e-8)
+        assert mine.objective == pytest.approx(fun, abs=1e-8 * (1 + abs(fun)))
+        assert np.all(normals @ mine.x >= offsets - 1e-8)
         fresh = _support_lp(normals, offsets).minimize(z)
-        assert mine.value == pytest.approx(fresh.value, abs=1e-9 * (1 + abs(fresh.value)))
+        assert mine.objective == pytest.approx(fresh.objective, abs=1e-9 * (1 + abs(fresh.objective)))
     assert len(phase_one) == (9 if outside else 0)  # the kept tableau's one, one per fresh solve
     assert all(count > 0 for count in phase_one)
-    assert support._lp._tableau.shape == (201, 11)  # one column per coordinate, plus the rhs
+    assert support._tableau.shape == (201, 11)  # one column per coordinate, plus the rhs
 
 
 def test_unbounded_support_lps_carry_a_recession_ray(rng):
@@ -566,11 +566,11 @@ def test_unbounded_support_lps_carry_a_recession_ray(rng):
         status, fun = _free_reference(z, -normals, -offsets, 4)
         statuses.append(mine.status)
         assert mine.status == status
-        assert np.all(normals @ mine.point >= offsets - 1e-8)
+        assert np.all(normals @ mine.x >= offsets - 1e-8)
         if status == "unbounded":
             assert np.all(normals @ mine.ray >= -1e-9) and z @ mine.ray < 0
         else:
-            assert mine.value == pytest.approx(fun, abs=1e-8 * (1 + abs(fun)))
+            assert mine.objective == pytest.approx(fun, abs=1e-8 * (1 + abs(fun)))
     assert {"optimal", "unbounded"} <= set(statuses)
 
 
@@ -599,7 +599,7 @@ def test_a_line_in_the_polyhedron(rng):
         status, fun = _free_reference(z, -normals, -offsets, 3)
         assert mine.status == status
         if z3 == 0.0:
-            assert mine.value == pytest.approx(fun, abs=1e-9 * (1 + abs(fun)))
+            assert mine.objective == pytest.approx(fun, abs=1e-9 * (1 + abs(fun)))
         else:
             assert np.array_equal(mine.ray, [0.0, 0.0, -np.sign(z3)])
 

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -75,6 +76,15 @@ class TestIndexSet:
         with pytest.raises(GridError):
             IndexSet.box([1.0], [0.0], 10**400)
         assert IndexSet.box([0.0], [1.0], 2**63 - 1).base_grid == 2**63 - 1
+
+    @pytest.mark.parametrize("grid", [10.9, 10.0, np.float64(10.0), "10", None])
+    def test_a_grid_that_is_not_an_integer_is_refused(self, grid):
+        # int() would build a 10-point grid from 10.9
+        message = f"base_grid must be an integer, got {grid!r}"
+        with pytest.raises(GridError, match=f"^{re.escape(message)}$"):
+            IndexSet.box([0.0], [1.0], grid)
+        index = IndexSet.box([0.0], [1.0], np.int32(10))  # a numpy integer still passes
+        assert type(index.base_grid) is int and len(index.grid_points()) == 10
 
     def test_countable_family_is_the_integer_box(self):
         # {x2 + 1/k : k <= 10} is x2 + 1/t1 on the grid 10 of [1, 10], bit for bit
@@ -190,7 +200,7 @@ class TestActiveSet:
     def test_near_active_small_eps_keeps_only_phi0(self):
         aset = active_set(near_active_problem(), (0, 0), 0.05)
         assert _tags(aset) == {"phi0"}
-        assert np.array_equal(aset.hull().generators[0], [1.0, 0.0])
+        assert np.array_equal(aset.hull()[0], [1.0, 0.0])
 
     def test_near_active_half_eps_includes_slow_members(self):
         with counting() as counts:
@@ -293,7 +303,7 @@ class TestActiveSet:
         prob = Problem(1, parse("-x1", 1), family)
         aset = active_set(prob, [0.0], 1e-4)
         assert aset.entries.size
-        for param, grad in zip(_params(aset), aset.hull().generators):
+        for param, grad in zip(_params(aset), aset.hull()):
             assert np.hypot(*param) <= 1e-2
             assert np.array_equal(grad, [1.0])
 
@@ -376,7 +386,7 @@ class TestRefinementSeeds:
             via_scan = scan.at(eps)
             direct = active_set(prob, [0.0], eps)
             assert via_scan.scan.labels(via_scan.entries) == direct.scan.labels(direct.entries)
-            assert via_scan.hull().generators.tobytes() == direct.hull().generators.tobytes()
+            assert via_scan.hull().tobytes() == direct.hull().tobytes()
             gates = scan.gates[via_scan.entries]
             assert gates.tobytes() == direct.scan.gates[direct.entries].tobytes()
 
@@ -503,7 +513,7 @@ def _support_reference(poly, normals):
     out = []
     for a in normals:
         result = polyhedron_minimize(poly, a)
-        out.append({"optimal": result.value, "unbounded": -np.inf, "infeasible": np.inf}[result.status])
+        out.append({"optimal": result.objective, "unbounded": -np.inf, "infeasible": np.inf}[result.status])
     return np.array(out)
 
 

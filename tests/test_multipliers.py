@@ -7,10 +7,8 @@ import sipcert.geometry as geometry
 import sipcert.lp as lp
 from sipcert.fixtures import load_fixture
 from sipcert.geometry import (
-    Hull,
     Polyhedron,
     first_equal_rows,
-    first_occurrences,
     hull_distance,
     one_sided_hull_gap,
     segment_hull_member,
@@ -61,7 +59,7 @@ class TestTcApprox:
     def test_near_active_keeps_the_limit_gradient(self):
         tc = tc_approx(near_active_problem(), (0, 0), EXN1_OPTS)
         assert tc.converged and tc.stopped_by == "stabilized"
-        gens = {tuple(g) for g in tc.final.generators}
+        gens = {tuple(g) for g in tc.final}
         assert gens == {(1.0, 0.0), (0.0, 1.0)}
         tags = {tag for tag, _ in tc.labels()}
         assert "phi0" in tags and len(tags) == 2
@@ -70,7 +68,7 @@ class TestTcApprox:
         prob = Problem(2, parse("x1 + x2", 2), FiniteFamily((parse("x1", 2), parse("x2", 2))))
         tc = tc_approx(prob, (0, 0))
         assert tc.converged and tc.stopped_by == "finite_shortcut"
-        assert {tuple(g) for g in tc.final.generators} == {(1.0, 0.0), (0.0, 1.0)}
+        assert {tuple(g) for g in tc.final} == {(1.0, 0.0), (0.0, 1.0)}
 
     def test_finite_shortcut_after_a_member_drops_out(self):
         members = (parse("x1", 2), parse("x2", 2), parse("0.005 + x1 + x2", 2))
@@ -83,12 +81,12 @@ class TestTcApprox:
     def test_strict_family_collapses(self):
         tc = tc_approx(strict_active_problem(), (0, 0))
         assert tc.stopped_by == "finite_shortcut"
-        assert {tuple(g) for g in tc.final.generators} == {(1.0, 0.0)}
+        assert {tuple(g) for g in tc.final} == {(1.0, 0.0)}
 
     def test_linear_sip_segment(self):
         tc = tc_approx(linear_sip_problem(129), (1, 1))
-        segment = Hull(np.array([[-1.0, 0.0], [0.0, -1.0]]))
-        gap = max(hull_distance(g, segment) for g in tc.final.generators)
+        segment = np.array([[-1.0, 0.0], [0.0, -1.0]])
+        gap = max(hull_distance(g, segment) for g in tc.final)
         assert gap <= 1e-9
 
     def test_interior_point_gives_empty_set(self):
@@ -117,7 +115,7 @@ class TestLadderGap:
     def _check(self, monkeypatch, grads, gates, prev, eps):
         new = prev[gates[prev] <= eps]
         calls = _log_fit_pivots(monkeypatch)
-        outer, inner = Hull(grads[prev]), Hull(grads[new])
+        outer, inner = grads[prev], grads[new]
         expected = max(one_sided_hull_gap(outer, inner), one_sided_hull_gap(inner, outer))
         two_sided = len(calls)
         ids = first_equal_rows(grads)
@@ -129,7 +127,8 @@ class TestLadderGap:
         monkeypatch.undo()
         # the ids drop the rows that the bytewise dedupe of the dropped rows drops
         dropped = np.setdiff1d(prev, new, assume_unique=True)
-        first = first_occurrences(np.vstack([grads[new], grads[dropped]]))
+        both = np.vstack([grads[new], grads[dropped]])
+        first = np.flatnonzero(first_equal_rows(both) == np.arange(len(both)))
         assert counts["gap_rows"] == int((first >= new.size).sum())
         return gap
 
@@ -225,7 +224,7 @@ class TestLadderGap:
         ]
         assert [g.hex() for g in gaps] == [g.hex() for g in tc.hausdorff_gaps]
         rows = tc.ladder[-1][1].entries
-        assert np.array_equal(tc.final_rows, rows[first_occurrences(scan.grads[rows])])
+        assert np.array_equal(tc.final_rows, rows[first_equal_rows(scan.grads[rows]) == np.arange(rows.size)])
         assert tc.final_rows.tolist() == [0, 1, 7]
         # offered: one of the two (1, 1) rows at the second rung, (2, 1) at the third
         assert counts == {"gap_lps": 2, "gap_rows": 2, "gap_pivots": 3}
@@ -236,7 +235,7 @@ class TestLadderGap:
         assert not np.signbit(family.normalized()[0]).any()
         tc = tc_approx(Problem(2, parse("-x2", 2), family), (0.0, 0.0))
         assert len(tc.ladder[-1][1].entries) == 2
-        assert tc.final.generators.tolist() == [[0.0, 1.0]] and tc.final_rows.tolist() == [0]
+        assert tc.final.tolist() == [[0.0, 1.0]] and tc.final_rows.tolist() == [0]
 
 
 def _least_gates(ids, gates):
@@ -286,8 +285,8 @@ def _unpruned_ladder_gap(grads, prev, new):
     """The largest LP distance of a deduped dropped row to the new rung's hull."""
     dropped = np.setdiff1d(prev, new, assume_unique=True)
     both = np.vstack([grads[new], grads[dropped]])
-    first = first_occurrences(both)
-    return max([0.0] + [hull_distance(g, Hull(grads[new])) for g in both[first[first >= len(new)]]])
+    first = np.flatnonzero(first_equal_rows(both) == np.arange(len(both)))
+    return max([0.0] + [hull_distance(g, grads[new]) for g in both[first[first >= len(new)]]])
 
 
 class TestCertifyFj:
@@ -349,7 +348,7 @@ class TestCertifyFj:
 
 def _support_gens(cert):
     hull = cert.tc.final
-    return [hull.generators[i] for i in cert.support]
+    return [hull[i] for i in cert.support]
 
 
 class TestSipMultipliers:
@@ -415,7 +414,7 @@ class TestConstructedOptima:
             if len(tc.final) == 0:
                 continue
             alpha = rng.dirichlet(np.ones(len(tc.final)))
-            x_star = tc.final.generators.T @ alpha
+            x_star = tc.final.T @ alpha
             prob = Problem(2, linear_expr(-rng.uniform(0.5, 2.0) * x_star, 0.0, 2), family)
             cert = certify_fj(prob, x)
             assert cert.found
@@ -552,10 +551,10 @@ class TestCanonicalLambda:
         assert cert.kind == "fj"
         if bland:
             monkeypatch.setattr(lp, "_DEGENERATE_RUN", 0)  # Bland's rule from the start
-        gens = cert.tc.final.generators
+        gens = cert.tc.final
         rng = np.random.default_rng(7)
         for _ in range(3):
-            shuffled = Hull(gens[rng.permutation(len(gens))])
+            shuffled = gens[rng.permutation(len(gens))]
             seg = segment_hull_member(np.zeros(2), cert.grad_f, shuffled)
             assert seg.member
             assert seg.lam == pytest.approx(cert.lam, abs=1e-9)

@@ -180,7 +180,7 @@ class TestComposeFamily:
         assert (tc.ladder_table(), tc.stopped_by, tc.labels()) == (
             twin.ladder_table(), twin.stopped_by, twin.labels()
         )
-        assert tc.final.generators.tobytes() == twin.final.generators.tobytes()
+        assert tc.final.tobytes() == twin.final.tobytes()
         # admissible reads the composed members too, but determines the set A
         # itself, in the inner map's image; the twin knows only the composite
         diag, twin_diag = (admissible_diagnostics(prob, x, opts) for prob in (problem, derived))
