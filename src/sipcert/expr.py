@@ -56,13 +56,17 @@ operator (value, dual derivative, domain or kink check) is written once
 against a kit of primitives for the value type.  The scalar kit (Python
 floats and ``math``: one point, a non-finite node raises at once) serves
 :func:`evaluate` and :func:`gradient` (objectives, the reference in tests)
-and the list walks.  The batch kit (numpy columns: the n index points
+and the list walks.  The batch kit (numpy arrays: the n index points
 of a parametric constraint, one finiteness test per walk) serves
-:func:`evaluate_many` and :func:`gradient_many`.  Its results and errors
-are those of the scalar loop over the points: when the batch walk flags
-any point, the scalar loop runs and decides.  One exception: numpy's
-``exp`` and ``log`` may differ from ``math.exp`` and ``math.log`` in the
-last bit (at most 1 ulp), so a batched value or gradient through them can
+:func:`evaluate_many` and :func:`gradient_many`.  Over a product grid,
+given by its axes, each axis and the decision-point rows get a dimension
+of their own, so broadcasting computes each node over only the axes and
+rows it reads: ``cos(t1)`` once per t1 value, not once per (row, grid
+point) pair.  Its results and errors are those of the scalar loop over
+the points: when the batch walk flags any point, the scalar loop runs and
+decides.  One exception: numpy's ``exp``, ``log`` and ``power`` may
+differ from ``math.exp``, ``math.log`` and Python's ``**`` in the last
+bit (at most 1 ulp), so a batched value or gradient through them can
 differ from the scalar loop's by that much.
 """
 
@@ -356,13 +360,18 @@ class _Scalar:
 
 
 class _Batch:
-    """n index points at once: numpy columns, or batched duals.
+    """Many index points at once: numpy arrays, or batched duals.
 
-    A t-variable is a column of shape (n,); an x-variable is a number (or
-    a column, when each index point has its own decision point), or a
-    Dual with partials of shape (p, 1), so Dual arithmetic broadcasts to
+    Over a point list a t-variable is a column of shape (n,).  Over a
+    product grid of m axes, axis a is an array shaped (n_a, 1, ..., 1),
+    with m - 1 - a ones, and numpy broadcasting computes each node over
+    exactly the axes (and decision-point rows) it reads.  An x-variable
+    is a number; a column (n,), or (k, 1, ..., 1) over a grid, when each
+    index point or each of k rows has its own decision point; or a Dual
+    with partials of shape (p, 1), so Dual arithmetic broadcasts to
     partials of shape (p, n).  Where the scalar kit checks a node for
-    finiteness, this one adds its values into `acc`, tested once by `check`.
+    finiteness, this one adds its values into `acc`, one running sum per
+    value shape, tested once by `check`.
     """
 
     sin, cos, log, sqrt, abs, exp, sign = np.sin, np.cos, np.log, np.sqrt, np.abs, np.exp, np.sign
@@ -370,18 +379,23 @@ class _Batch:
     any = staticmethod(lambda *masks: np.any(functools.reduce(operator.and_, masks)))
     all, not_, where = staticmethod(np.all), np.logical_not, staticmethod(np.where)
 
-    def __init__(self, n, kink_tol):
-        self.acc = np.zeros(n)
+    def __init__(self, kink_tol):
+        self.acc = {}
         self.kink_tol = kink_tol
 
     def finite(self, v, where):
-        np.add(self.acc, _val(v), out=self.acc)
+        value = _val(v)
+        acc = self.acc.get(np.shape(value))
+        if acc is None:
+            self.acc[np.shape(value)] = np.array(value, dtype=float)
+        else:
+            np.add(acc, value, out=acc)
         return v
 
     def check(self):
         # a finite sum proves every summand finite; a non-finite one (or one
         # that only overflowed) sends the caller to the scalar loop
-        if not np.isfinite(self.acc).all():
+        if not all(np.isfinite(acc).all() for acc in self.acc.values()):
             raise EvalDomainError("non-finite value")
 
     @staticmethod
@@ -691,31 +705,37 @@ def gradient_list(fs: ExprList, x, rows=None, kink_tol: float = DEFAULT_KINK_TOL
 def evaluate_many(f: ExprFn, x, tpoints) -> np.ndarray:
     """Evaluate ``f`` across many index points.
 
-    ``tpoints`` is an (n, arity_t) array; the result has shape (n,).  ``x``
-    is one decision point, or an (n, arity_x) array of them, row i paired
-    with index point i: then each x-variable is a column like a
-    t-variable.  Equivalent to a loop of :func:`evaluate` calls (but for
-    the last bit of ``exp`` and ``log``, see the module docstring), in one
-    tape walk with one finiteness test; when the walk flags a point or a
-    non-finite value, that loop runs and decides the values or the error.
+    ``tpoints`` is an (n, arity_t) array, or a product grid given as the
+    tuple of its axes, one 1-D array per t-variable: its n = n_1 ... n_m
+    points in C order, the last axis varying fastest.  ``x`` is one
+    decision point, or a (k, arity_x) array of them.  Over a point list
+    row i pairs with index point i (k = n); over a grid every row pairs
+    with every grid point, sample-major, so the k n pairs are those of
+    ``np.repeat(x, n, axis=0)`` and ``np.tile(points, (k, 1))``.  The result
+    is one value per pair, shape (n,) or (k n,), in that order.
+
+    Equivalent to a loop of :func:`evaluate` calls over the pairs (but for
+    the last bit of ``exp``, ``log`` and ``^``, see the module docstring),
+    in one tape walk with one finiteness test; over a grid each node is
+    computed over only the axes and rows it reads.  When the walk flags a
+    point or a non-finite value, that loop runs and decides the values or
+    the error.
     """
-    tarr = _index_points(f, tpoints)
+    grid = isinstance(tpoints, tuple)
+    tpoints = _grid_axes(f, tpoints) if grid else _index_points(f, tpoints)
     if np.ndim(x) == 2:
-        xrows = np.asarray(x, dtype=float)
-        if xrows.shape != (len(tarr), f.arity_x):
-            raise EvalDomainError(
-                f"x has shape {xrows.shape}, expected ({len(tarr)}, {f.arity_x})"
-            )
-        if not np.isfinite(xrows).all():
+        x = np.asarray(x, dtype=float)
+        expected = (len(x) if grid else len(tpoints), f.arity_x)
+        if x.shape != expected:
+            raise EvalDomainError(f"x has shape {x.shape}, expected {expected}")
+        if not np.isfinite(x).all():
             raise EvalDomainError("non-finite component in x")
-        xs = list(xrows.T)
     else:
-        xs = _coerce_point(x, f.arity_x, "x")
-        xrows = itertools.repeat(xs)
+        x = _coerce_point(x, f.arity_x, "x")
     try:
-        return _values_batched(f, xs, tarr)
+        return _values_batched(f, x, tpoints)
     except _BATCH_FAILURES:
-        return np.array([evaluate(f, xp, t) for xp, t in zip(xrows, tarr)])
+        return np.array([evaluate(f, xp, t) for xp, t in _pairs(x, tpoints)])
 
 
 def gradient_many(f: ExprFn, x, tpoints, kink_tol: float = DEFAULT_KINK_TOL) -> np.ndarray:
@@ -733,15 +753,32 @@ def gradient_many(f: ExprFn, x, tpoints, kink_tol: float = DEFAULT_KINK_TOL) -> 
         return np.array([gradient(f, xs, t, kink_tol) for t in tarr]).reshape(len(tarr), f.arity_x)
 
 
-def _values_batched(f, xs, tarr):
-    out = _run(f, xs, list(tarr.T), _Batch(len(tarr), DEFAULT_KINK_TOL))[0]
-    return np.broadcast_to(out, len(tarr)).astype(float)
+def _values_batched(f, x, tpoints):
+    # the values of evaluate_many in one batch walk: x one decision point
+    # (p,) or rows (k, p), tpoints an (n, m) array or a grid's axes
+    if isinstance(tpoints, tuple):  # each axis, and the rows, on a dimension of its own
+        m = len(tpoints)
+        shape = x.shape[:-1] + tuple(map(len, tpoints))
+        ts = [a.reshape((-1,) + (1,) * (m - 1 - i)) for i, a in enumerate(tpoints)]
+        xs = x.T.reshape(x.shape[::-1] + (1,) * m) if x.ndim == 2 else x
+    else:  # row i with point i: columns
+        shape, ts, xs = (len(tpoints),), list(tpoints.T), x.T
+    out = _run(f, xs, ts, _Batch(DEFAULT_KINK_TOL))[0]
+    return np.broadcast_to(out, shape).astype(float).reshape(-1)
+
+
+def _pairs(x, tpoints):
+    # evaluate_many's (decision point, index point) pairs, in its order
+    if isinstance(tpoints, tuple):
+        axes = [a.tolist() for a in tpoints]
+        return ((xp, t) for xp in (x if x.ndim == 2 else [x]) for t in itertools.product(*axes))
+    return zip(x if x.ndim == 2 else itertools.repeat(x), tpoints)
 
 
 def _gradients_batched(f, xs, tarr, kink_tol):
     p = f.arity_x
     duals = [Dual(xs[i], e[:, None]) for i, e in enumerate(np.eye(p))]
-    out = _run(f, duals, list(tarr.T), _Batch(len(tarr), kink_tol), (p, len(tarr)))[0]
+    out = _run(f, duals, list(tarr.T), _Batch(kink_tol), (p, len(tarr)))[0]
     return np.ascontiguousarray(out.T)
 
 
@@ -758,6 +795,17 @@ def _index_points(f, tpoints):
     if not np.isfinite(tarr).all():
         raise EvalDomainError("non-finite component in index points")
     return tarr
+
+
+def _grid_axes(f, axes):
+    if len(axes) != f.arity_t:
+        raise EvalDomainError(f"index grid has {len(axes)} axes, expected {f.arity_t}")
+    axes = tuple(np.asarray(a, dtype=float) for a in axes)
+    if any(a.ndim != 1 for a in axes):
+        raise EvalDomainError("grid axes must be 1-D arrays")
+    if not all(np.isfinite(a).all() for a in axes):
+        raise EvalDomainError("non-finite component in index points")
+    return axes
 
 
 # ---------------------------------------------------------------------------

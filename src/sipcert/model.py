@@ -39,6 +39,7 @@ Families and problems are immutable after construction.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -107,7 +108,10 @@ class IndexSet:
 
     A countable family {h(x, k) : k <= K} is the box [1, K] on grid K,
     whose points are exactly the integers 1, ..., K.  The grid's
-    ``base_grid ** t_dim`` points must be numbered by a numpy index.
+    ``base_grid ** t_dim`` points must be numbered by a numpy index.  The
+    grid is the product of its :attr:`axes`, built on first use and kept;
+    ``evaluate_many`` walks that product as given, and :meth:`grid_points`
+    lists it in C order.
     """
 
     lower: np.ndarray
@@ -141,17 +145,23 @@ class IndexSet:
     def t_dim(self) -> int:
         return self.lower.size
 
-    def _axes(self):
-        return [np.linspace(self.lower[a], self.upper[a], self.base_grid) for a in range(self.t_dim)]
+    @functools.cached_property
+    def axes(self) -> tuple:
+        """One read-only ``linspace`` per t-variable: the grid is their product."""
+        axes = tuple(np.linspace(lo, hi, self.base_grid) for lo, hi in zip(self.lower, self.upper))
+        for axis in axes:
+            axis.flags.writeable = False
+        return axes
 
     def grid_points(self) -> np.ndarray:
-        mesh = np.meshgrid(*self._axes(), indexing="ij")  # last axis varies fastest
+        """Every grid point, one row each, in C order (the last axis varies fastest)."""
+        mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack(mesh, axis=-1).reshape(-1, self.t_dim)
 
     def points_at(self, rows) -> np.ndarray:
         """``grid_points()[rows]``, without building the whole grid."""
         cells = np.unravel_index(np.asarray(rows, dtype=int), self.shape())
-        return np.stack([axis[c] for axis, c in zip(self._axes(), cells)], axis=-1)
+        return np.stack([axis[c] for axis, c in zip(self.axes, cells)], axis=-1)
 
     def shape(self) -> tuple:
         """Grid points per axis; ``grid_points`` is this array in C order."""
@@ -219,8 +229,8 @@ class _Family:
         return gradient_list(self._listed, y, [row])[0]
 
     def refine(self, x, rows, values, eps_cap, opts) -> tuple:
-        """Off-grid twins of the near-active ``rows``: (gates, values, points, gradients)."""
-        return np.zeros(0), np.zeros(0), np.zeros((0, 0)), np.zeros((0, len(x)))
+        """Off-grid twins of the near-active ``rows``: (values, points, gradients)."""
+        return np.zeros(0), np.zeros((0, 0)), np.zeros((0, len(x)))
 
     def determination(self, tol_lp: float = DEFAULT_LP_TOL) -> tuple:
         """(normalized normal, infimum over the set, stated offset) per facet."""
@@ -320,11 +330,12 @@ class ParametricFamily(_Family):
         per level and axis for thousands, fewer once the cells reach float
         resolution.  The last axis's walks hold h at the refined points, so
         no further walk evaluates them.  A violation between grid points is
-        found only in those cells.  A refined point
-        is gated by the larger of its own and its seed's value, so it joins
-        the ladder exactly when its seed does.  Twins with value above
-        ``eps_cap``, and twins that repeat a seed or an earlier twin bytewise,
-        are dropped.
+        found only in those cells.  The seeds are chosen at ``eps_cap`` and a
+        refined point is gated by its own value, so a twin stays on the
+        ladder below the grid value of its seed: a minimum between grid
+        points is kept at the rungs its grid neighbours have left.  Twins
+        with value above ``eps_cap``, and twins that repeat a seed or an
+        earlier twin bytewise, are dropped.
         """
         index, d = self.index, len(self.extra)
         seeds = rows[rows >= d] if opts.refine_depth > 0 else rows[:0]
@@ -350,20 +361,18 @@ class ParametricFamily(_Family):
         n = len(points)
         ids = first_equal_rows(np.vstack([points, refined[close]]))  # seeds come first
         keep = close[ids[n:] == np.arange(n, ids.size)]
-        gates = np.maximum(values[seeds[keep]], near[keep])
         grads = gradient_many(self.h, x, refined[keep], opts.tol_kink)
-        return gates, near[keep], refined[keep], grads
+        return near[keep], refined[keep], grads
 
     def _index_points(self):
-        return self.index.grid_points()
+        return self.index.axes
 
     def _values_many(self, xs, points) -> np.ndarray:
-        """Listed members in one walk per row of xs; the grid part in one tape
-        walk over every (row of xs, grid point) pair."""
-        k, n = len(xs), len(points)
-        listed = np.array([evaluate_list(self._listed, x) for x in xs])
-        walked = evaluate_many(self.h, np.repeat(xs, n, axis=0), np.tile(points, (k, 1)))
-        return np.hstack([listed.reshape(k, -1), walked.reshape(k, n)])
+        """Listed members, if any, in one walk per row of xs; the grid part in
+        one tape walk over the product of the rows and the grid's axes."""
+        listed = np.array([evaluate_list(self._listed, x) for x in xs]) if self._tags else None
+        walked = evaluate_many(self.h, xs, points).reshape(len(xs), -1)
+        return walked if listed is None else np.hstack([listed, walked])
 
     def _indexed_values(self, x, points):
         return evaluate_many(self.h, x, points)
@@ -703,20 +712,22 @@ class FamilyScan:
 
     Values, gradients and box-refinement outputs do not depend on eps,
     only the near-active filter does, so the scan computes them once for
-    all members with value <= eps_cap and :meth:`at` filters.  Filtering
-    at any eps <= eps_cap reproduces a direct scan at that eps exactly:
-    refinement is deterministic per seed and a seed participates iff its
-    own value passes the filter.  ``values`` are those of
-    :func:`evaluate_family` at a feasible x.
+    all members with value <= eps_cap and :meth:`at` filters.  The seeds
+    are chosen at ``eps_cap`` and every candidate is gated by its own
+    value, so filtering at eps <= eps_cap keeps the grid rows of a direct
+    scan at eps, and the twins whose own value is <= eps: also those whose
+    seed's grid value is above eps, which a direct scan at eps would not
+    have refined.  ``values`` are those of :func:`evaluate_family` at a
+    feasible x.
 
     Parametric families bisect only the near-active grid points that are discrete
     local minima of the clamped grid values (:meth:`ParametricFamily.refine`,
-    which tallies them as ``refined_seeds``); the rule reads no eps, so it
-    keeps the scan and a direct scan equal.
+    which tallies them as ``refined_seeds``); the rule reads no eps.
 
-    The candidates are one table of parallel arrays ``gates``, ``values``
-    and ``grads`` (n, p), indexed by ``candidates``: the near-active family
-    ``rows`` (ascending), then the refined twins at ``points``, seed order.
+    The candidates are one table of parallel arrays ``values`` (also
+    ``gates``, what :meth:`at` filters) and ``grads`` (n, p), indexed by
+    ``candidates``: the near-active family ``rows`` (ascending), then the
+    refined twins at ``points``, seed order.
     """
 
     def __init__(self, prob: Problem, x, values, eps_cap: float, opts: Options = Options()):
@@ -725,11 +736,9 @@ class FamilyScan:
         near = _clamp(values, opts.tol_feas)
         self.rows = np.flatnonzero((near >= 0.0) & (near <= eps_cap))
         grads = self.family.gradients(x, self.rows, opts.tol_kink)
-        gates, twin_values, self.points, twin_grads = self.family.refine(
-            x, self.rows, near, eps_cap, opts
-        )
-        self.gates = np.concatenate([near[self.rows], gates])
+        twin_values, self.points, twin_grads = self.family.refine(x, self.rows, near, eps_cap, opts)
         self.values = np.concatenate([near[self.rows], twin_values])
+        self.gates = self.values  # each candidate is gated by its own value
         self.grads = np.vstack([grads, twin_grads])
         self.candidates = np.arange(self.gates.size)
 
@@ -767,8 +776,8 @@ def equi_lipschitz_estimate(
     The sample points, ordered u_1, v_1, u_2, v_2, ..., go through the
     index grid in chunks of whole pairs, about ``_LIPSCHITZ_CHUNK`` (x, t)
     points each: a parametric family's grid part is one tape walk per
-    chunk, and each chunk is reduced to its quotients before the next
-    starts.  A pair whose grid alone fills a chunk walks one sample point
+    chunk, over the product of the chunk's points and the grid's axes, and
+    each chunk is reduced to its quotients before the next starts.  A pair whose grid alone fills a chunk walks one sample point
     at a time.  If a chunk's walk flags a point, the chunk is redone one
     sample point at a time, so the error raised is that of the first bad
     point in that order.  The walks of a family with a grid are tallied as
@@ -797,7 +806,7 @@ def equi_lipschitz_estimate(
 
     best = 0.0
     points = family._index_points()  # one grid for every pair
-    per_walk = max(1, _LIPSCHITZ_CHUNK // (1 if points is None else len(points)))
+    per_walk = max(1, _LIPSCHITZ_CHUNK // (1 if points is None else math.prod(map(len, points))))
     step = max(1, per_walk // 2)  # pairs per chunk
     for start in range(0, dists.size, step):
         pairs, chunk = slice(start, start + step), slice(2 * start, 2 * (start + step))  # u_k, v_k

@@ -168,7 +168,7 @@ def check_sip_trig(opts, rng, *, grid):
     cert = certify_fj(problem, candidate, fixture_opts)
     # h = x1 cos t + x2 sin t vanishes at x = 0 for every t: the closed-form
     # hull is conv{(cos t, sin t)} over the whole grid, compared both ways
-    t = problem.family.index.grid_points()[:, 0]
+    t = problem.family.index.axes[0]
     closed_form = np.column_stack([np.cos(t), np.sin(t)])
     final = cert.tc.final
     gap = max(one_sided_hull_gap(final, closed_form), one_sided_hull_gap(closed_form, final))

@@ -24,13 +24,39 @@ settings.load_profile("suite")
 def active_set(prob, x, eps, opts=Options()):
     """The near-active rung at eps of a scan made at eps: members with
     0 <= value <= eps, with gradients (box families bisect their discrete
-    local minima).  Raises ``InfeasibleError`` at an infeasible x.  The
-    direct scan that ``FamilyScan.at`` must reproduce for every eps below
-    its cap."""
+    local minima).  Raises ``InfeasibleError`` at an infeasible x.
+    ``FamilyScan.at`` below its cap keeps this scan's grid rows; its twins
+    are those of the seeds near-active at the cap, each kept when its own
+    value is <= eps, so it can hold a twin this scan lacks."""
     values, report = evaluate_family(prob, x, opts.tol_feas)
     if not report.feasible:
         raise InfeasibleError(report)
     return FamilyScan(prob, x, values, eps, opts).at(eps)
+
+
+def chebyshev_doc(n, form, grid):
+    """Best uniform approximation of t^(n+1) on [-1, 1] by degree-n polynomials, as a
+    problem file at its exact optimum: KKT with lambda = 1/2 on p = n + 2 support points.
+
+    Maximize -E over (c_0, ..., c_n, E) = (x1, ..., x{n+1}, x{n+2}) subject to
+    E - |t^(n+1) - sum_i c_i t^i| >= 0, in the ``"t"`` form on [-1, 1] or the
+    ``"s"`` form t = cos(s) on [0, pi].  The optimum is t^(n+1) - 2^-n T_{n+1}(t),
+    with E = 2^-n; its n + 2 alternation points are cos(k pi / (n + 1)).
+    """
+    p = n + 2
+    chebyshev = np.polynomial.chebyshev.cheb2poly([0] * (n + 1) + [1]) * 2.0**-n
+    coeffs = [0.0 - float(c) for c in chebyshev[: n + 1]]  # 0.0 - c: no -0.0
+    t = "t1" if form == "t" else "cos(t1)"
+    poly = " + ".join(["x1"] + [f"x{i + 1}*{t}^{i}" for i in range(1, n + 1)])
+    lower, upper = ([-1.0], [1.0]) if form == "t" else ([0.0], [math.pi])
+    box = {"lower": lower, "upper": upper}
+    h = f"x{p} - abs({t}^{n + 1} - ({poly}))"
+    return {
+        "dimension": p,
+        "objective": f"-x{p}",
+        "constraints": {"parametric": {"h": h, "t_dim": 1, "box": box, "grid": grid}},
+        "candidate": coeffs + [2.0**-n],
+    }
 
 
 @pytest.fixture

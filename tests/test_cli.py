@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import chebyshev_doc
 from sipcert.fixtures import fixture_names, fixture_path
 
 
@@ -24,6 +25,28 @@ def run_json(*args):
     proc = run_cli(*args, "--json")
     report = json.loads(proc.stdout)
     return proc.returncode, report
+
+
+class TestChebyshevGridPhase:
+    """Best uniform approximation at its exact optimum certifies wherever the grid falls."""
+
+    @pytest.mark.parametrize("grid", [1025, 1026, 16385])
+    @pytest.mark.parametrize("form", ["t", "s"])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_kkt_with_lambda_one_half_on_p_points(self, n, form, grid, tmp_path, capsys):
+        # the interior alternation points lie between grid points, but in the
+        # s form when n + 1 divides grid - 1; their refined twins are gated by
+        # their own values, so the ladder keeps them after passing their seeds
+        from sipcert import cli
+
+        path = tmp_path / "chebyshev.json"
+        path.write_text(json.dumps(chebyshev_doc(n, form, grid)))
+        assert cli.main(["certify", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "KKT"
+        assert abs(report["certificate"]["lambda"] - 0.5) <= 5e-16
+        assert abs(report["sip_multipliers"]["lambda0"] - 0.5) <= 5e-16
+        assert report["sip_multipliers"]["k"] == n + 2
 
 
 class TestCertify:
@@ -433,20 +456,19 @@ class TestCertify:
 
     @pytest.mark.parametrize("name", ["sip_linear", "sip_trig", "near_active"])
     def test_certify_discretizes_the_index_set_once(self, name, monkeypatch, capsys):
+        # the grid is walked as the product of its axes: no point list is
+        # built, and the one axis is built once for the whole certification
         from sipcert import cli
         from sipcert.model import IndexSet
 
-        calls = []
-        grid_points = IndexSet.grid_points
-
-        def counted(self):
-            calls.append(self)
-            return grid_points(self)
-
-        monkeypatch.setattr(IndexSet, "grid_points", counted)
+        calls, built = [], []
+        grid_points, linspace = IndexSet.grid_points, np.linspace
+        monkeypatch.setattr(IndexSet, "grid_points", lambda self: calls.append(self) or grid_points(self))
+        monkeypatch.setattr(np, "linspace", lambda *args, **kw: built.append(args) or linspace(*args, **kw))
         assert cli.main(["certify", fixture_path(name), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] in ("KKT", "FJ")
-        assert len(calls) == 1
+        assert len(calls) == 0
+        assert len(built) == 1
 
     @pytest.mark.parametrize("name", ["sip_linear", "sip_trig", "near_active"])
     def test_certify_differentiates_the_grid_in_one_batch(self, name, monkeypatch, capsys):

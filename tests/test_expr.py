@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -727,6 +728,137 @@ class TestInputBoundary:
             gradient_many(f, [math.inf], [[0.0]])
         with pytest.raises(EvalDomainError, match=r"^index points have shape \(2, 1, 1\)"):
             gradient_many(f, [0.5], np.zeros((2, 1, 1)))
+
+
+
+def _grid_loop(f, x, axes):
+    # evaluate over evaluate_many's grid pairs: each decision point (rows
+    # first) with every grid point, the last axis fastest
+    rows = np.atleast_2d(np.asarray(x, dtype=float))
+    return [evaluate(f, xp, t) for xp in rows for t in itertools.product(*axes)]
+
+
+# numpy's exp, log and pow may round differently from math's in the last
+# place (see the module docstring of sipcert.expr); at these points they agree
+_AXES = {
+    1: (np.linspace(0.25, 2.0, 7),),
+    2: (np.linspace(0.25, 2.0, 5), np.array([0.5, 1.5, 3.0])),
+    3: (np.array([0.25, 1.0, 2.25]), np.array([2.0, 0.5]), np.linspace(0.125, 1.0, 4)),
+}
+
+
+def _grid_leaves(t_dim):
+    return st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]).map(Num),
+        st.sampled_from([Var("x", 0), Var("x", 1)] + [Var("t", a) for a in range(t_dim)]),
+    )
+
+
+class TestGridForm:
+    """``evaluate_many`` over a product grid given by its axes: the scalar loop over
+    every (decision point, grid point) pair, sample-major and in C order."""
+
+    @pytest.mark.parametrize("t_dim", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "x1*cos(t{a}) + x2*sin(t{b}) - exp(0.5*t{c})",
+            "log(t{a} + x1^2) - abs(x2 - t{b})",
+            "min(x1, t{a}, t{c}*x2) + max(t{b}, 0.75)^2",
+            "t{a}^x1 / (1 + x2^2) + sqrt(t{b}*t{c})",
+            "1 - (x1*cos(t{a}) + x2*sin(t{a})*cos(t{b}) + sin(t{a})*sin(t{b})*cos(t{c}))",
+        ],
+    )
+    def test_equals_the_scalar_loop_over_the_pairs(self, t_dim, src):
+        names = dict(zip("abc", [1, 2, 3][:t_dim] * 3))
+        f = parse(src.format(**names), 2, t_dim)
+        axes = _AXES[t_dim]
+        rows = np.array([[0.5, 0.25], [1.5, -0.75], [0.5, 0.25]])
+        for x in (rows[0], rows):
+            got = evaluate_many(f, x, axes)
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in _grid_loop(f, x, axes)]
+        # the point list the axes span, as grid_points() and np.tile list it
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, t_dim)
+        paired = evaluate_many(f, np.repeat(rows, len(points), axis=0), np.tile(points, (3, 1)))
+        assert evaluate_many(f, rows, axes).tobytes() == paired.tobytes()
+
+    @settings(max_examples=300, derandomize=True)
+    @given(
+        _grammar(3, _grid_leaves(3)),
+        st.lists(st.tuples(_ROUND, _ROUND), min_size=1, max_size=3),
+        st.lists(st.lists(_ROUND, min_size=1, max_size=3), min_size=3, max_size=3),
+    )
+    def test_random_expressions_on_three_axes(self, ast, xs, axes):
+        # the grid form is today's paired point list, bit for bit, or its error
+        f = ExprFn(to_tape(ast), 2, 3)
+        axes = tuple(np.array(a) for a in axes)
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        x = np.array(xs)
+        paired = (np.repeat(x, len(points), axis=0), np.tile(points, (len(x), 1)))
+        for grid_args, list_args in [((x, axes), paired), ((x[0], axes), (x[0], points))]:
+            expected = _outcome(lambda: evaluate_many(f, *list_args).tobytes())
+            assert _outcome(lambda: evaluate_many(f, *grid_args).tobytes()) == expected
+
+    def test_fallback_raises_the_first_pair_error(self):
+        # the walk meets log(t1) first and flags t1 = -1; the loop over the
+        # pairs meets sqrt(t2 - 0.5) < 0 at its second pair, first
+        f = parse("log(t1) + sqrt(t2 - 0.5) + x1", 1, 2)
+        axes = (np.array([1.0, -1.0]), np.array([1.0, 0.0]))
+        with pytest.raises(EvalDomainError, match="^log of a nonpositive value$"):
+            expr_mod._values_batched(f, np.ones(1), axes)
+        for x in ([0.0], [[0.0], [1.0]]):
+            with pytest.raises(EvalDomainError, match="^sqrt of a negative value$"):
+                _grid_loop(f, x, axes)
+            with pytest.raises(EvalDomainError, match="^sqrt of a negative value$"):
+                evaluate_many(f, x, axes)
+
+    def test_flagged_walk_returns_the_loop_values(self):
+        # every node is finite, but a running sum is not: the walk is
+        # flagged and the loop over the pairs returns the values
+        f = parse("(x1*1e308*t1 - 1e308) + x1*1.7e308*t2", 1, 2)
+        axes = (np.array([0.25, 0.5]), np.array([0.5, 0.25]))
+        with pytest.raises(EvalDomainError):
+            expr_mod._values_batched(f, np.ones(1), axes)
+        rows = np.array([[1.0], [0.5]])
+        for x in (rows[0], rows):
+            looped = np.array(_grid_loop(f, x, axes))
+            assert evaluate_many(f, x, axes).tobytes() == looped.tobytes()
+
+    def test_each_node_spans_only_the_axes_and_rows_it_reads(self, monkeypatch):
+        shapes = {}
+        run = expr_mod._run
+
+        def recorded(f, xs, ts, K, *args):
+            out = run(f, xs, ts, K, *args)
+            shapes.update(K.acc)
+            return out
+
+        monkeypatch.setattr(expr_mod, "_run", recorded)
+        f = parse("x1*cos(t1) + sin(t1)*cos(t3) + x2", 2, 3)
+        axes = (np.zeros(5), np.zeros(6), np.zeros(7))
+        # the finiteness sums, one per shape of the operator nodes: x1*cos(t1)
+        # spans the rows and t1, sin(t1)*cos(t3) t1 and t3 (broadcast from
+        # the right), the sums all three
+        assert evaluate_many(f, np.zeros((4, 2)), axes).shape == (4 * 5 * 6 * 7,)
+        assert set(shapes) == {(4, 5, 1, 1), (5, 1, 7), (4, 5, 1, 7)}
+        shapes.clear()
+        assert evaluate_many(f, np.zeros(2), axes).shape == (5 * 6 * 7,)
+        assert set(shapes) == {(5, 1, 1), (5, 1, 7)}
+
+    def test_inputs_are_checked(self):
+        f = parse("sin(x1*t1) + t2", 1, 2)
+        axes = (np.zeros(2), np.zeros(3))
+        with pytest.raises(EvalDomainError, match="^non-finite component in index points$"):
+            evaluate_many(f, [0.5], (np.zeros(2), np.array([0.0, math.nan])))
+        with pytest.raises(EvalDomainError, match="^index grid has 1 axes, expected 2$"):
+            evaluate_many(f, [0.5], axes[:1])
+        with pytest.raises(EvalDomainError, match="^grid axes must be 1-D arrays$"):
+            evaluate_many(f, [0.5], (np.zeros((2, 1)), np.zeros(3)))
+        with pytest.raises(EvalDomainError, match="^non-finite component in x$"):
+            evaluate_many(f, [[0.5], [math.inf]], axes)
+        with pytest.raises(EvalDomainError, match=r"^x has shape \(2, 2\), expected \(2, 1\)$"):
+            evaluate_many(f, np.zeros((2, 2)), axes)
+        assert evaluate_many(f, np.zeros((2, 1)), axes).tolist() == [0.0] * 12
 
 
 def test_tie_between_plain_arguments_is_no_kink():

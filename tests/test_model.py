@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import re
 import tracemalloc
 
@@ -36,9 +38,10 @@ from sipcert.model import (
 )
 from sipcert.multipliers import certify_fj, tc_approx
 from sipcert.options import Options
+from sipcert.problemfile import load_problem
 from sipcert.work import counting
 
-from conftest import active_set
+from conftest import active_set, chebyshev_doc
 
 
 def near_active_problem():
@@ -377,18 +380,62 @@ class TestRefinementSeeds:
         assert np.all(np.abs(scan.points[:, 0] - 0.5) <= 0.25 * self.CELL)
 
     def test_scan_filter_matches_direct_with_flat_and_strict_minima(self):
-        # a plateau on [0.15, 0.35] at 0 and a strict minimum 0.003 at t1 = 0.75
+        # a plateau on [0.15, 0.35] at 0 and a strict minimum 0.003 at t1 = 0.75.
+        # The seeds are chosen at the cap and every candidate is gated by its
+        # own value, so filtering at eps keeps a direct scan's grid rows and
+        # the twins with value <= eps.  Here no seed's grid value is above an
+        # eps that its twin's value is below, so the filter is the direct scan
         h = "x1 + min(max(abs(t1 - 0.25) - 0.1, 0), (t1 - 0.75)^2 + 0.003)"
         with counting() as counts:
             scan, prob = _scan(h, [0.0], [1.0], 33, 0.0, 0.5)
         assert counts["refined_seeds"] == 3  # the plateau's two rims and the strict minimum
+        assert scan.gates.tobytes() == scan.values.tobytes()
+        n = scan.rows.size
         for eps in (0.5, 0.01, 0.004, 0.001, 1e-6):
             via_scan = scan.at(eps)
             direct = active_set(prob, [0.0], eps)
+            entries = via_scan.entries
+            assert scan.rows[entries[entries < n]].tolist() == direct.scan.rows.tolist()
+            assert entries[entries >= n].tolist() == (n + np.flatnonzero(scan.values[n:] <= eps)).tolist()
             assert via_scan.scan.labels(via_scan.entries) == direct.scan.labels(direct.entries)
             assert via_scan.hull().tobytes() == direct.hull().tobytes()
             gates = scan.gates[via_scan.entries]
             assert gates.tobytes() == direct.scan.gates[direct.entries].tobytes()
+
+    def test_a_twin_below_eps_stays_when_its_seed_is_above(self):
+        # (t1 - 0.33)^2 on 11 points: the seed t1 = 0.3 has grid value 9e-4,
+        # its twin near 0.33 about 1e-10; below 9e-4 the twin alone remains
+        scan, prob = _scan("x1 + (t1 - 0.33)^2", [0.0], [1.0], 11, 0.0, 0.01)
+        assert scan.rows.tolist() == [3, 4] and scan.values[0] == pytest.approx(9e-4)
+        twin = scan.rows.size
+        assert abs(scan.points[0, 0] - 0.33) <= 0.1 * self.CELL and scan.values[twin] < 1e-8
+        assert scan.gates[twin] == scan.values[twin]
+        for eps in (1e-4, 1e-8):
+            assert scan.at(eps).entries.tolist() == [twin]
+            assert active_set(prob, [0.0], eps).entries.size == 0  # the direct scan has no seed
+
+    def test_the_last_rung_keeps_twins_whose_seeds_it_passed(self, tmp_path):
+        # best approximation of t^5 on [-1, 1] at its optimum, grid 1025: the four
+        # interior alternation points fall between grid points, whose values
+        # (1.6e-7 to 4.1e-7) the ladder passes; their twins (about 1e-11) stay
+        path = tmp_path / "chebyshev.json"
+        path.write_text(json.dumps(chebyshev_doc(4, "t", 1025)))
+        loaded = load_problem(str(path))
+        prob, x = loaded.problem, loaded.candidate
+        values, _ = evaluate_family(prob, x)
+        tc = tc_approx(prob, x, Options())
+        eps, rung = tc.ladder[-1]
+        scan, n = rung.scan, rung.scan.rows.size
+        twins = rung.entries[rung.entries >= n]
+        index = prob.family.index
+        passed = 0
+        for twin in twins:
+            t = scan.points[twin - n, 0]
+            seeds = np.abs(index.axes[0] - t) <= index.steps()[0]  # the seed is among them
+            assert scan.values[twin] <= eps
+            passed += bool(values[seeds].min() > eps)
+        assert passed == 4
+        assert len(tc.final) == 6
 
     def test_violation_next_to_a_minimum_in_a_two_dimensional_box(self):
         # >= 0.0124 on the grid, about -1e-4 at t = (0.3, 0.6), next to the
@@ -426,16 +473,14 @@ class TestEquiLipschitz:
         assert values[0] <= values[1] <= values[2]
 
     def test_one_grid_for_all_sample_pairs(self, monkeypatch):
-        calls = []
-        grid_points = IndexSet.grid_points
-
-        def counted(self):
-            calls.append(self)
-            return grid_points(self)
-
-        monkeypatch.setattr(IndexSet, "grid_points", counted)
+        # every pair walks the grid's axes, built once; no point list is built
+        calls, built = [], []
+        grid_points, linspace = IndexSet.grid_points, np.linspace
+        monkeypatch.setattr(IndexSet, "grid_points", lambda self: calls.append(self) or grid_points(self))
+        monkeypatch.setattr(np, "linspace", lambda *args, **kw: built.append(args) or linspace(*args, **kw))
         equi_lipschitz_estimate(linear_sip_problem(33), (1, 1), 0.5, 32, seed=1)
-        assert len(calls) == 1
+        assert len(calls) == 0
+        assert len(built) == 1
 
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -692,6 +737,48 @@ class TestLipschitzChunks:
         assert peak < 1 << 20
 
 
+class TestGridWalk:
+    """A parametric family walks its grid as the product of its axes."""
+
+    def test_listed_members_and_grid_equal_the_loop_over_the_pairs(self):
+        extra = (parse("exp(x1) - x2", 2), parse("abs(x1 - x2)", 2))
+        h = parse("log(2 + t1*x1) + max(t2, x2)^2 - min(x1*t2, t1)", 2, 2)
+        family = ParametricFamily(h, IndexSet.box([0.0, 0.25], [1.0, 1.5], 4), extra)
+        xs = np.array([[0.3, -0.2], [-0.1, 0.7], [0.5, 0.5]])
+        pairs = list(itertools.product(*family.index.axes))
+        loop = [[evaluate(m, x) for m in extra] + [evaluate(h, x, t) for t in pairs] for x in xs]
+        got = family._values_many(xs, family._index_points())
+        assert [[v.hex() for v in row] for row in got.tolist()] == [[v.hex() for v in row] for row in loop]
+        assert family.values(xs[0]).tobytes() == got[0].tobytes()
+
+    def test_no_listed_member_no_list_walk(self, monkeypatch):
+        calls = []
+        walk = model_mod.evaluate_list
+        monkeypatch.setattr(model_mod, "evaluate_list", lambda fs, x: calls.append(fs) or walk(fs, x))
+        family = linear_sip_problem(33).family
+        assert family._values_many(np.ones((5, 2)), family._index_points()).shape == (5, 33)
+        assert calls == []
+
+    def test_octant_evaluation_peaks_under_five_values_arrays(self):
+        # h = 1 - x . u(t) on the 3-sphere octant at 65^3 points: sin(t1) is
+        # a column of 65 values, not of 274,625
+        text = ("cos(t1)", "sin(t1)*cos(t2)", "sin(t1)*sin(t2)*cos(t3)", "sin(t1)*sin(t2)*sin(t3)")
+        h = parse("1 - (" + " + ".join(f"x{k + 1}*{u}" for k, u in enumerate(text)) + ")", 4, 3)
+        family = ParametricFamily(h, IndexSet.box([0.0] * 3, [math.pi / 2] * 3, 65))
+        t = family.index.axes[0][32]
+        x = np.array([math.cos(t), math.sin(t) * math.cos(t), math.sin(t) ** 2 * math.cos(t), math.sin(t) ** 3])
+        prob = Problem(4, parse("x1", 4), family)
+        values, report = evaluate_family(prob, x)
+        assert report.feasible and values.size == 65**3
+        tracemalloc.start()
+        try:
+            evaluate_family(prob, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * values.nbytes
+
+
 def test_skipped_pairs_are_drawn_again():
     # at radius 3e-12 about one random pair in four is within 1e-12 and is
     # skipped (13 of 45 drawn at p = 1, seed 0), so the shortfall is drawn
@@ -755,8 +842,12 @@ class TestFusedRefinement:
         prob, x = sphere_ladder(*ladder)
         sizes = []
         walk = model_mod.evaluate_many
+        # a grid-form walk counts its grid points, a point list its rows
         monkeypatch.setattr(
-            model_mod, "evaluate_many", lambda f, x, t: sizes.append(len(t)) or walk(f, x, t)
+            model_mod,
+            "evaluate_many",
+            lambda f, x, t: sizes.append(math.prod(map(len, t)) if isinstance(t, tuple) else len(t))
+            or walk(f, x, t),
         )
         tc_approx(prob, x, Options())
         axes = len(ladder[1])
