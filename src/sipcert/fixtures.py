@@ -8,6 +8,8 @@ family).  As h is linear in t1, the window has the same infimum and
 gradients as the points t1 = 1/k.  The ``strict_active`` variant lists
 the same members as a plain finite family, whose multiplier set collapses
 to the strictly active hull -- the certificate is expected to fail there.
+``sip_chebyshev`` is the best uniform approximation of t^5 by quartics
+on [-1, 1] at its optimum, whose multipliers are known in closed form.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ _NAMES = (
     "strict_active",
     "sip_linear",
     "sip_trig",
+    "sip_chebyshev",
     "eq_circle",
     "eq_duplicated_rows",
     "eq_orthant_line",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import Simplex, SimplexSolution, slack_tableau, solve_lp
+from .lp import _PIVOT_TOL, _TOL, Simplex, SimplexSolution, slack_tableau, solve_lp
 from .work import count
 
 __all__ = [
@@ -168,11 +168,29 @@ def _fit(cols, t, then=None, k=None):
     variables (a, s), breaks ties among the best fits; it maps through the
     same substitution as the LP.  The distance lies in [0, u], u the start
     column's distance, exactly.
+
+    Without ``then``, the simplex's first pivot is read off the rows before
+    it runs.  At the slack basis only r's reduced cost, -1, is negative, so
+    r enters; its column is 1.0 in the 2p bound rows and 0 in the simplex
+    row, so the leaving row j is the first bound row within the ratio
+    test's tie window of the least b_ub.  The pivot element is 1.0, so the
+    a-columns' reduced costs become a_ub[j] exactly and r becomes b_ub[j].
+    When no entry of a_ub[j] is below -``lp._TOL`` that basis is optimal:
+    the fit returns a = e_k, s = u - b_ub[j] and 1 pivot, the simplex's
+    answer bit for bit, without running it.
     """
     if k is None:
         k = int(_nearest_generator_distance(t[None], cols.T)[1][0])
     c, a_ub, b_ub, tableau, u = _fit_lp(cols, t, k)
-    if then is not None:
+    if then is None:
+        rhs = b_ub[:-1]  # the bound rows' ratios: r's entry there is 1.0
+        best = rhs.min()
+        ties = np.flatnonzero(rhs <= best + _PIVOT_TOL * (1.0 + abs(best)))
+        if ties.size and a_ub[ties[0], :-1].min() >= -_TOL:  # no ties only for a NaN
+            a = np.zeros(cols.shape[1])
+            a[k] = 1.0
+            return a, min(max(u - float(rhs[ties[0]]), 0.0), u), 1
+    else:
         then = np.append(then[:-1] - then[k], -then[-1])
     sol = solve_lp(c, a_ub, b_ub, then=then, tableau=tableau)
     if not sol.optimal:
@@ -192,7 +210,9 @@ def hull_member(
     The LP is written around the generator nearest to the target
     (``_fit_lp``), so it starts feasible and runs no phase 1, and s never
     exceeds that generator's distance.  A caller that has found that
-    generator already passes its index as ``start``.
+    generator already passes its index as ``start``.  When the simplex's
+    first pivot would leave the LP optimal, ``_fit`` returns that pivot's
+    answer, the simplex's bit for bit, without running it.
     """
     t, g = _check_target(target, hull)
     coeffs, distance, pivots = _fit(g.T, t, k=start)
@@ -203,7 +223,9 @@ def hull_distance(target, hull: np.ndarray, *, start=None) -> float:
     """Infinity-norm distance from target to conv(generators).
 
     ``start`` is as in :func:`hull_member`; the LP's simplex pivots are
-    tallied as ``gap_pivots`` (:mod:`sipcert.work`).
+    tallied as ``gap_pivots`` (:mod:`sipcert.work`).  An LP that its first
+    pivot ends (every gap LP of a quarter-circle ladder) runs no simplex
+    and counts that one pivot, as the simplex would.
     """
     if len(hull) == 0:
         return float("inf")

@@ -73,7 +73,10 @@ its optimal-face tie-break (``_optimize``):
   no artificial column and no phase 1 (``geometry._fit``: the ladder's
   hull-gap LPs, hull membership and the certificate's segment LP).  That
   is the tableau and the code ``Simplex`` runs on such an LP, so the
-  pivots and bits are the same either way.
+  pivots and bits are the same either way.  A fit with no ``then``
+  reaches ``solve_lp`` only when its first pivot does not end it:
+  ``_fit`` reads that pivot off the rows it wrote, with this module's
+  ``_PIVOT_TOL`` and ``_TOL``, and returns its answer when it is optimal.
 
 Everything here is small -- a few thousand columns at most -- so a dense
 tableau is the right tool and there is no external dependency.  All state

@@ -3,6 +3,7 @@ import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,6 +274,7 @@ class TestCertify:
             ("strict_active", "NoCertificate", 2),
             ("sip_linear", "KKT", 0),
             ("sip_trig", "FJ", 0),
+            ("sip_chebyshev", "KKT", 0),
             ("eq_circle", "KKT", 0),
             ("eq_duplicated_rows", "EqualityDegenerate", 0),
             ("eq_orthant_line", "KKT", 0),
@@ -737,6 +739,59 @@ def test_tol_lp_changes_no_report_or_count(name, tmp_path, capsys):
         (code, report, options), (loose_code, loose, loose_options) = reports
         assert (loose_code, loose) == (code, report)
         assert loose_options == ({**options, "tol_lp": 1e-6} if options else {})
+
+
+def _fit_by_simplex(cols, t, then=None, k=None):
+    """``geometry._fit`` with no first-pivot exit: every fit runs ``solve_lp``."""
+    from sipcert import geometry
+
+    if k is None:
+        k = int(geometry._nearest_generator_distance(t[None], cols.T)[1][0])
+    c, a_ub, b_ub, tableau, u = geometry._fit_lp(cols, t, k)
+    if then is not None:
+        then = np.append(then[:-1] - then[k], -then[-1])
+    sol = geometry.solve_lp(c, a_ub, b_ub, then=then, tableau=tableau)
+    assert sol.optimal
+    a = np.maximum(sol.x[:-1], 0.0)
+    a[k] = max(1.0 - a.sum(), 0.0)
+    return a, min(max(u - float(sol.x[-1]), 0.0), u), sol.pivots
+
+
+def test_fits_ended_at_their_first_pivot_change_no_report(monkeypatch, tmp_path, capsys):
+    # every report, its work counts included, is the one it is when every
+    # fit runs the simplex: on the bundled fixtures and on the sip-ladder
+    # instances, where nearly every gap LP ends at its first pivot
+    from sipcert import cli, geometry
+
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import instances
+    finally:
+        sys.path.remove(bench)
+    monkeypatch.setenv("SIPCERT_SEED", "7")
+    runs = [([fixture_path(name)], name) for name in fixture_names()]
+    for inst in instances.build("sip-ladder", 7, tmp_path):
+        runs.append(([inst.path] + ([] if inst.grid is None else ["--grid", str(inst.grid)]), inst.name))
+
+    def reports():
+        lines = []
+        for argv, name in runs:
+            for command in ("certify", "tcset", "admissible"):
+                code = cli.main([command, *argv, "--json"])
+                report = json.loads(capsys.readouterr().out)
+                report.get("timings", {}).pop("total_s", None)
+                lines.append(f"{name} {command} {code} {json.dumps(report)}")
+        return lines
+
+    solves = []
+    solve = geometry.solve_lp
+    monkeypatch.setattr(geometry, "solve_lp", lambda *a, **kw: solves.append(1) or solve(*a, **kw))
+    exits = reports()
+    ended = len(solves)
+    monkeypatch.setattr(geometry, "_fit", _fit_by_simplex)
+    assert reports() == exits
+    assert len(solves) - ended > ended  # some fits ended at their first pivot
 
 
 @pytest.mark.parametrize("command", ["certify", "tcset", "admissible"])

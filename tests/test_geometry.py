@@ -105,25 +105,55 @@ class TestFitLP:
                 assert not tableau[-1].any()
 
     def test_hull_and_segment_lps_run_no_phase_one(self, monkeypatch, rng):
-        # each fit LP is solved in its own slack tableau, every right-hand
-        # side >= 0: no Simplex is built, so no artificial column, no phase 1
+        # each fit LP is either solved in its own slack tableau, every
+        # right-hand side >= 0, so no Simplex is built: no artificial column,
+        # no phase 1; or, with no tie-break objective, its first pivot ends
+        # it and the fit returns solve_lp's answer on copies of its arrays,
+        # byte for byte, without a solve
         from sipcert import lp
 
-        built, fits = [], []
+        built, solved, written, exits = [], [], [], []
         monkeypatch.setattr(lp, "Simplex", lambda *args, **kwargs: built.append(args))
-        solve = geometry.solve_lp
+        solve, fit, fit_lp = geometry.solve_lp, geometry._fit, geometry._fit_lp
 
         def logged(c, a_ub, b_ub, *, then=None, tableau=None):
-            fits.append(tableau is not None and bool(np.all(b_ub >= 0.0)))
+            solved.append(tableau is not None and bool(np.all(b_ub >= 0.0)))
             return solve(c, a_ub, b_ub, then=then, tableau=tableau)
 
+        def writing(cols, t, k):
+            arrays = fit_lp(cols, t, k)
+            c, a_ub, b_ub, _, u = arrays
+            written.append((k, c.copy(), a_ub.copy(), b_ub.copy(), u))
+            return arrays
+
+        def fitting(cols, t, then=None, k=None):
+            before = len(solved)
+            answer = fit(cols, t, then, k)
+            if len(solved) == before:
+                assert then is None  # a fit with a tie-break always runs the simplex
+                exits.append((written[-1], answer))
+            return answer
+
         monkeypatch.setattr(geometry, "solve_lp", logged)
+        monkeypatch.setattr(geometry, "_fit_lp", writing)
+        monkeypatch.setattr(geometry, "_fit", fitting)
         for _ in range(20):
             gens = rng.standard_normal((int(rng.integers(1, 30)), 3))
             for t in _fit_targets(rng, gens):
                 hull_member(t, gens)
                 segment_hull_member(t, rng.standard_normal(3), gens)
-        assert built == [] and len(fits) == 20 * 5 * 2 and all(fits)
+        for (k, c, a_ub, b_ub, u), (coeffs, distance, pivots) in exits:
+            tableau, rows, rhs = lp.slack_tableau(*a_ub.shape)
+            rows[:], rhs[:] = a_ub, b_ub
+            ref = solve(c, rows, rhs, tableau=tableau)
+            a = np.clip(ref.x[:-1], 0.0, None)
+            a[k] = max(1.0 - a.sum(), 0.0)
+            expected = min(max(u - float(ref.x[-1]), 0.0), u)
+            assert (coeffs.tobytes(), distance.hex(), pivots) == (
+                a.tobytes(), expected.hex(), ref.pivots
+            )
+        assert built == [] and all(solved) and exits
+        assert len(solved) + len(exits) == len(written) == 20 * 5 * 2
 
     def test_distance_lies_within_the_nearest_generator_distance(self, rng):
         # exactly, so one_sided_hull_gap's early break holds in floating point

@@ -895,6 +895,46 @@ def test_slack_entry_solves_the_same_fit_lp_as_solve_lp(rng):
                     _assert_fit_is_solve_lp(cols, t, then, k)
 
 
+_BELOW_TOL = np.nextafter(-lp._TOL, -np.inf)
+
+
+@pytest.mark.parametrize("rows, t, exits, at_u", [
+    # row 0's rhs, 5e-11, is in the first pivot's tie window, ahead of row
+    # 1's exact zero: row 0 leaves, and its entries are >= 0, so s < u
+    ([[1.0 - 5e-11, 2.0], [1.0, 0.0]], [0.0, 0.0], True, False),
+    # the same, but row 0 has an entry -0.5: the simplex runs, though the
+    # exact-zero row alone would have ended the fit
+    ([[1.0 - 5e-11, 0.5], [1.0, 5.0]], [0.0, 0.0], False, None),
+    # 2e-10 is outside the window: the exact-zero row leaves, s = u
+    ([[1.0 - 2e-10, 0.5], [1.0, 5.0]], [0.0, 0.0], True, True),
+    # the leaving row 0's least entry is exactly -lp._TOL: optimal
+    ([[0.0, -lp._TOL], [0.0, 5.0]], [-1.0, 0.0], True, True),
+    # ... and the next float below it: the simplex runs
+    ([[0.0, _BELOW_TOL], [0.0, 5.0]], [-1.0, 0.0], False, None),
+])
+def test_a_fit_ends_at_its_first_pivot_exactly_when_solve_lp_does(monkeypatch, rows, t, exits, at_u):
+    # both edges of the first pivot's test: the leaving row is the first
+    # within the ratio test's tie window, and it ends the LP iff its least
+    # entry is >= -lp._TOL; either way the answer is solve_lp's, byte for byte
+    import sipcert.geometry as geometry
+
+    solves = []
+    solve = geometry.solve_lp
+
+    def logged(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "solve_lp", logged)
+    cols, t = np.array(rows), np.array(t)
+    assert _fit_start(cols, t) == 0
+    _assert_fit_is_solve_lp(cols, t)
+    assert solves == ([] if exits else [1])
+    _, distance, pivots = geometry._fit(cols, t)
+    assert (pivots == 1) == exits
+    assert at_u is None or (distance == 1.0) == at_u  # u = 1; s from the first pivot's row
+
+
 def test_slack_start_on_the_ladder_gap_lps(monkeypatch, sphere_ladder):
     import sipcert.geometry as geometry
     from sipcert.multipliers import tc_approx

@@ -954,7 +954,12 @@ class TestListedMembersOnOneTape:
             family, d = prob.x_family, len(prob.x_family._tags)
             values = family.values(x)
             assert values[:d].tobytes() == evaluate_list(family._listed, x).tobytes()
-            rows = np.arange(values.size)
+            # every row but an indexed one at a kink of abs, whose gradient
+            # raises alone too (sip_chebyshev's t = 0, where its error vanishes)
+            rows = np.array([
+                r for r in range(values.size)
+                if r < d or _outcome(lambda: family.gradients(x, np.array([r])))[1] is None
+            ])
             assert family.gradients(x, rows)[:d].tobytes() == gradient_list(family._listed, x).tobytes()
 
     def test_composed_members_fail_in_the_order_they_read_the_inner_map(self):

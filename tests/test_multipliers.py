@@ -5,7 +5,7 @@ from sipcert import model as model_mod
 from sipcert.expr import format_expr, linear_expr, parse
 import sipcert.geometry as geometry
 import sipcert.lp as lp
-from sipcert.fixtures import load_fixture
+from sipcert.fixtures import fixture_path, load_fixture
 from sipcert.geometry import (
     Polyhedron,
     first_equal_rows,
@@ -24,6 +24,7 @@ from sipcert.model import (
 from sipcert import multipliers
 from sipcert.multipliers import _distinct, _ladder_gap, certify_fj, sip_multipliers, tc_approx
 from sipcert.options import Options
+from sipcert.problemfile import load_problem
 from sipcert.work import counting
 from sipcert.selftest import ladder_nested
 
@@ -200,6 +201,38 @@ class TestLadderGap:
             for (_, prev), (_, new) in zip(tc.ladder, tc.ladder[1:])
         ]
         assert [g.hex() for g in tc.hausdorff_gaps] == [g.hex() for g in unpruned]
+
+    @pytest.mark.parametrize("ladder, gap_lps, gap_pivots, all_exit", [
+        # the quarter circle: every gap LP ends at its first pivot
+        ((1025, [400]), 12, 12, True),
+        # the 65^2 octant: some gap LPs need more pivots than the first
+        ((65, [40, 16]), 18, 41, False),
+    ])
+    def test_gap_lps_that_end_at_their_first_pivot_run_no_simplex(
+        self, monkeypatch, sphere_ladder, ladder, gap_lps, gap_pivots, all_exit
+    ):
+        # the work counts are those of the simplex run on every gap LP
+        solved, inside = [], []
+        solve, distance = geometry.solve_lp, geometry.hull_distance
+
+        def logged(*args, **kwargs):
+            if inside:  # called under hull_distance: a gap LP runs the simplex
+                solved.append(1)
+            return solve(*args, **kwargs)
+
+        def gap_lp(*args, **kwargs):
+            inside.append(1)
+            try:
+                return distance(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(geometry, "solve_lp", logged)
+        monkeypatch.setattr(geometry, "hull_distance", gap_lp)
+        with counting() as work:
+            tc_approx(*sphere_ladder(*ladder), Options())
+        assert (work["gap_lps"], work["gap_pivots"]) == (gap_lps, gap_pivots)
+        assert (solved == []) == all_exit
 
     def test_signed_zero_twins_and_a_dropped_repeat_of_a_kept_row(self, monkeypatch):
         # no family kind gives -0.0 in a gradient, so the rows are given directly
@@ -528,6 +561,30 @@ def full_circle_fj_problem(grid=1025):
 def _fixture_certificate(name):
     loaded = load_fixture(name)
     return certify_fj(loaded.problem, loaded.candidate, Options().replace(**loaded.options))
+
+
+@pytest.mark.parametrize("grid", [1025, 1026])
+def test_sip_chebyshev_meets_the_closed_form(grid):
+    # best uniform approximation of t^5 by quartics on [-1, 1], at its optimum:
+    # lambda = 1/2 and p = 6 support points, the alternation points
+    # cos(k pi / 5), with weights 1/20 at +-1 and 1/10 inside
+    # (Chebyshev-Gauss-Lobatto); the support points lie off the grid
+    loaded = load_problem(fixture_path("sip_chebyshev"), grid)
+    opts = Options().replace(**loaded.options)
+    cert = certify_fj(loaded.problem, loaded.candidate, opts)
+    sip = sip_multipliers(cert, opts)
+    assert cert.kind == "kkt" and abs(cert.lam - 0.5) <= 1e-12
+    assert abs(sip.lambda0 - 0.5) <= 1e-12
+    assert len(sip.entries) == loaded.problem.p == 6
+    cell = 2.0 * loaded.problem.family.index.steps()[0] / 2**opts.refine_depth
+    nodes = np.cos(np.arange(6) * np.pi / 5)
+    hit = []
+    for _, t, weight, _ in sip.entries:
+        k = int(np.abs(nodes - t[0]).argmin())
+        assert abs(nodes[k] - t[0]) <= cell
+        assert abs(weight - (1 / 20 if k in (0, 5) else 1 / 10)) <= 1e-3
+        hit.append(k)
+    assert sorted(hit) == list(range(6))
 
 
 class TestCanonicalLambda:

@@ -2,6 +2,8 @@ import functools
 import json
 import math
 import operator
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,6 +326,15 @@ class TestFixtures:
             loaded = load_fixture(name)
             assert loaded.problem.p >= 1
             assert loaded.candidate is not None
+
+    def test_readme_table_names_every_fixture(self):
+        # README's "Bundled fixtures" table names the corpus in its order; one
+        # row may name two fixtures, as cone_orthant and cone_hyperplane share one
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Bundled fixtures\n", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+        named = [name for cell in rows for name in re.findall(r"`(\w+)`", cell)]
+        assert named == list(fixture_names())
 
 
 class TestEmitJson:

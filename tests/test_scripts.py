@@ -76,7 +76,7 @@ def test_certify_fixtures(snapshot):
             rows[name] = [json.loads(report).get("verdict", "error"), code]
     assert rows["sip_linear"] == ["KKT", "0"]
     assert rows["strict_active"] == ["NoCertificate", "2"]
-    assert len(rows) == 10
+    assert list(rows) == list(fixture_names())
 
 
 def test_report_snapshot_compare(snapshot, tmp_path):
