@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import _PIVOT_TOL, _TOL, Simplex, SimplexSolution, slack_tableau, solve_lp
+from .lp import Simplex, SimplexSolution, _first_pivot_optimum, slack_tableau, solve_lp
 from .work import count
 
 __all__ = [
@@ -169,27 +169,22 @@ def _fit(cols, t, then=None, k=None):
     same substitution as the LP.  The distance lies in [0, u], u the start
     column's distance, exactly.
 
-    Without ``then``, the simplex's first pivot is read off the rows before
-    it runs.  At the slack basis only r's reduced cost, -1, is negative, so
-    r enters; its column is 1.0 in the 2p bound rows and 0 in the simplex
-    row, so the leaving row j is the first bound row within the ratio
-    test's tie window of the least b_ub.  The pivot element is 1.0, so the
-    a-columns' reduced costs become a_ub[j] exactly and r becomes b_ub[j].
-    When no entry of a_ub[j] is below -``lp._TOL`` that basis is optimal:
-    the fit returns a = e_k, s = u - b_ub[j] and 1 pivot, the simplex's
-    answer bit for bit, without running it.
+    Without ``then``, ``lp._first_pivot_optimum`` reads the simplex's first
+    pivot off the rows before it runs: r enters, its column is 1.0 in the
+    2p bound rows and 0 in the simplex row, so the pivot leaves a = e_k and
+    r = b_ub[j] for the leaving row j.  When that basis is optimal the
+    simplex stops there, so the fit returns a = e_k, s = u - b_ub[j] and 1
+    pivot, the simplex's answer bit for bit, without running it.
     """
     if k is None:
         k = int(_nearest_generator_distance(t[None], cols.T)[1][0])
     c, a_ub, b_ub, tableau, u = _fit_lp(cols, t, k)
     if then is None:
-        rhs = b_ub[:-1]  # the bound rows' ratios: r's entry there is 1.0
-        best = rhs.min()
-        ties = np.flatnonzero(rhs <= best + _PIVOT_TOL * (1.0 + abs(best)))
-        if ties.size and a_ub[ties[0], :-1].min() >= -_TOL:  # no ties only for a NaN
+        r = _first_pivot_optimum(a_ub, b_ub, cols.shape[1])
+        if r is not None:
             a = np.zeros(cols.shape[1])
             a[k] = 1.0
-            return a, min(max(u - float(rhs[ties[0]]), 0.0), u), 1
+            return a, min(max(u - r, 0.0), u), 1
     else:
         then = np.append(then[:-1] - then[k], -then[-1])
     sol = solve_lp(c, a_ub, b_ub, then=then, tableau=tableau)

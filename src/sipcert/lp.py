@@ -75,8 +75,9 @@ its optimal-face tie-break (``_optimize``):
   is the tableau and the code ``Simplex`` runs on such an LP, so the
   pivots and bits are the same either way.  A fit with no ``then``
   reaches ``solve_lp`` only when its first pivot does not end it:
-  ``_fit`` reads that pivot off the rows it wrote, with this module's
-  ``_PIVOT_TOL`` and ``_TOL``, and returns its answer when it is optimal.
+  ``_fit`` first asks ``_first_pivot_optimum``, which reads that pivot off
+  the rows with ``_run_phase``'s own ratio test (``_ratio_test``) and
+  optimality test, and returns its answer when it is optimal.
 
 Everything here is small -- a few thousand columns at most -- so a dense
 tableau is the right tool and there is no external dependency.  All state
@@ -343,13 +344,9 @@ def _run_phase(tableau, basis, nb, cost, sign):
             if negative.size == 0:
                 return -float(reduced[-1]), None, pivots
             k = int(negative[nb[negative].argmin()])  # Bland: lowest id
-        col = rows[:, k]
-        pos = (col > _PIVOT_TOL).nonzero()[0]
-        if pos.size == 0:
+        ties, best = _ratio_test(rows[:, k], rhs)
+        if best is None:
             return None, k, pivots
-        ratios = rhs[pos] / col[pos]
-        best = ratios[ratios.argmin()]
-        ties = pos[ratios <= best + _PIVOT_TOL * (1.0 + abs(best))]
         # the lowest basic index among the ties
         leave = int(ties[0]) if ties.size == 1 else int(ties[row_basis[ties].argmin()])
         degenerate = degenerate + 1 if best <= _PIVOT_TOL else 0
@@ -363,6 +360,42 @@ def _run_phase(tableau, basis, nb, cost, sign):
             rows, rhs, row_basis = body[top:], body[top:, -1], basis[top:]
             turn = turn[turn != k]
     raise SimplexError("simplex iteration limit exceeded")
+
+
+def _ratio_test(col, rhs):
+    """(ties, best): the least ratio rhs / col over the rows where the entering
+    column ``col`` is above ``_PIVOT_TOL``, and the rows whose ratio is within
+    its tie window; (no rows, None) when no row bounds the column."""
+    pos = (col > _PIVOT_TOL).nonzero()[0]
+    if pos.size == 0:
+        return pos, None
+    ratios = rhs[pos] / col[pos]
+    best = ratios[ratios.argmin()]
+    return pos[ratios <= best + _PIVOT_TOL * (1.0 + abs(best))], best
+
+
+def _first_pivot_optimum(a_ub, b_ub, j):
+    """x_j after the first pivot of ``min -x_j`` from a ``slack_tableau``'s
+    slack basis, when that pivot leaves the LP optimal; None when the simplex
+    would pivot on (or raise).
+
+    At the slack basis only x_j's reduced cost, -1, is negative, so x_j
+    enters (``_run_phase``'s Dantzig rule).  The leaving row i is the
+    ratio test's first tie: the slack basis orders the basic ids as the
+    rows, so it is the lowest basic index.  After the pivot on e =
+    a_ub[i, j], column l's reduced cost is a_ub[i, l] / e and x_j is
+    b_ub[i] / e, the bits ``_pivot`` writes (0.0 - (-1.0 * y) == y), and the
+    leaving slack's cost is 1 / e > 0.  So the LP is optimal iff the least
+    of a_ub[i] / e is at least -``_TOL``, the test ``_run_phase`` makes next.
+    """
+    ties, _ = _ratio_test(a_ub[:, j], b_ub)
+    if not ties.size:  # x_j unbounded, or a NaN ratio
+        return None
+    i = int(ties[0])
+    e = a_ub[i, j]
+    if (a_ub[i] / e).min() >= -_TOL:
+        return float(b_ub[i] / e)
+    return None
 
 
 def _pivot(tableau, basis, nb, row, slot):

@@ -59,6 +59,24 @@ def chebyshev_doc(n, form, grid):
     }
 
 
+def fit_by_solve_lp(cols, t, then=None, k=None):
+    """``geometry._fit``'s answer (a, distance, pivots) by ``solve_lp`` on copies
+    of ``_fit_lp``'s arrays, in a fresh ``Simplex``: the fit with no
+    first-pivot exit, the reference the exit is held to byte for byte."""
+    from sipcert import geometry
+    from sipcert.lp import solve_lp
+
+    if k is None:
+        k = int(geometry._nearest_generator_distance(t[None], cols.T)[1][0])
+    c, a_ub, b_ub, _, u = geometry._fit_lp(cols, t, k)
+    mapped = None if then is None else np.append(then[:-1] - then[k], -then[-1])
+    sol = solve_lp(c, a_ub.copy(), b_ub.copy(), then=mapped)
+    assert sol.optimal
+    a = np.clip(sol.x[:-1], 0.0, None)
+    a[k] = max(1.0 - a.sum(), 0.0)
+    return a, min(max(u - float(sol.x[-1]), 0.0), u), sol.pivots
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250809)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import chebyshev_doc
+from conftest import chebyshev_doc, fit_by_solve_lp
 from sipcert.fixtures import fixture_names, fixture_path
 
 
@@ -741,22 +741,6 @@ def test_tol_lp_changes_no_report_or_count(name, tmp_path, capsys):
         assert loose_options == ({**options, "tol_lp": 1e-6} if options else {})
 
 
-def _fit_by_simplex(cols, t, then=None, k=None):
-    """``geometry._fit`` with no first-pivot exit: every fit runs ``solve_lp``."""
-    from sipcert import geometry
-
-    if k is None:
-        k = int(geometry._nearest_generator_distance(t[None], cols.T)[1][0])
-    c, a_ub, b_ub, tableau, u = geometry._fit_lp(cols, t, k)
-    if then is not None:
-        then = np.append(then[:-1] - then[k], -then[-1])
-    sol = geometry.solve_lp(c, a_ub, b_ub, then=then, tableau=tableau)
-    assert sol.optimal
-    a = np.maximum(sol.x[:-1], 0.0)
-    a[k] = max(1.0 - a.sum(), 0.0)
-    return a, min(max(u - float(sol.x[-1]), 0.0), u), sol.pivots
-
-
 def test_fits_ended_at_their_first_pivot_change_no_report(monkeypatch, tmp_path, capsys):
     # every report, its work counts included, is the one it is when every
     # fit runs the simplex: on the bundled fixtures and on the sip-ladder
@@ -784,14 +768,14 @@ def test_fits_ended_at_their_first_pivot_change_no_report(monkeypatch, tmp_path,
                 lines.append(f"{name} {command} {code} {json.dumps(report)}")
         return lines
 
-    solves = []
-    solve = geometry.solve_lp
+    fits, solves = [], []
+    fit, solve = geometry._fit, geometry.solve_lp
+    monkeypatch.setattr(geometry, "_fit", lambda *a, **kw: fits.append(1) or fit(*a, **kw))
     monkeypatch.setattr(geometry, "solve_lp", lambda *a, **kw: solves.append(1) or solve(*a, **kw))
     exits = reports()
-    ended = len(solves)
-    monkeypatch.setattr(geometry, "_fit", _fit_by_simplex)
+    assert len(solves) < len(fits)  # some fits ended at their first pivot
+    monkeypatch.setattr(geometry, "_fit", fit_by_solve_lp)
     assert reports() == exits
-    assert len(solves) - ended > ended  # some fits ended at their first pivot
 
 
 @pytest.mark.parametrize("command", ["certify", "tcset", "admissible"])

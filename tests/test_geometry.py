@@ -24,6 +24,8 @@ from sipcert.geometry import (
 from sipcert.multipliers import tc_approx
 from sipcert.options import Options
 
+from conftest import fit_by_solve_lp
+
 
 def H(*rows):
     return np.array(rows, dtype=float)
@@ -121,17 +123,15 @@ class TestFitLP:
             return solve(c, a_ub, b_ub, then=then, tableau=tableau)
 
         def writing(cols, t, k):
-            arrays = fit_lp(cols, t, k)
-            c, a_ub, b_ub, _, u = arrays
-            written.append((k, c.copy(), a_ub.copy(), b_ub.copy(), u))
-            return arrays
+            written.append(k)
+            return fit_lp(cols, t, k)
 
         def fitting(cols, t, then=None, k=None):
             before = len(solved)
             answer = fit(cols, t, then, k)
             if len(solved) == before:
                 assert then is None  # a fit with a tie-break always runs the simplex
-                exits.append((written[-1], answer))
+                exits.append((cols.copy(), t.copy(), written[-1], answer))
             return answer
 
         monkeypatch.setattr(geometry, "solve_lp", logged)
@@ -142,18 +142,14 @@ class TestFitLP:
             for t in _fit_targets(rng, gens):
                 hull_member(t, gens)
                 segment_hull_member(t, rng.standard_normal(3), gens)
-        for (k, c, a_ub, b_ub, u), (coeffs, distance, pivots) in exits:
-            tableau, rows, rhs = lp.slack_tableau(*a_ub.shape)
-            rows[:], rhs[:] = a_ub, b_ub
-            ref = solve(c, rows, rhs, tableau=tableau)
-            a = np.clip(ref.x[:-1], 0.0, None)
-            a[k] = max(1.0 - a.sum(), 0.0)
-            expected = min(max(u - float(ref.x[-1]), 0.0), u)
-            assert (coeffs.tobytes(), distance.hex(), pivots) == (
-                a.tobytes(), expected.hex(), ref.pivots
-            )
         assert built == [] and all(solved) and exits
         assert len(solved) + len(exits) == len(written) == 20 * 5 * 2
+        monkeypatch.undo()
+        for cols, t, k, (coeffs, distance, pivots) in exits:
+            a, expected, ref_pivots = fit_by_solve_lp(cols, t, k=k)
+            assert (coeffs.tobytes(), distance.hex(), pivots) == (
+                a.tobytes(), expected.hex(), ref_pivots
+            )
 
     def test_distance_lies_within_the_nearest_generator_distance(self, rng):
         # exactly, so one_sided_hull_gap's early break holds in floating point

@@ -5,6 +5,8 @@ from scipy.optimize import linprog
 import sipcert.lp as lp
 from sipcert.lp import SimplexError, solve_lp
 
+from conftest import fit_by_solve_lp
+
 
 def test_simple_optimal():
     sol = solve_lp([-1, -1], a_ub=[[1, 0], [0, 1], [1, 1]], b_ub=[1, 1, 1.5])
@@ -866,16 +868,9 @@ def _assert_fit_is_solve_lp(cols, t, then=None, k=None):
     """``_fit`` (in its slack tableau) against ``solve_lp`` on copies of its arrays, byte for byte."""
     from sipcert.geometry import _fit
 
-    start = _fit_start(cols, t) if k is None else k
-    c, a_ub, b_ub, u = _fit_arrays(cols, t, start)
-    mapped = None if then is None else np.append(then[:-1] - then[start], -then[-1])
-    ref = solve_lp(c, a_ub, b_ub, then=mapped)
-    assert ref.optimal
-    a = np.clip(ref.x[:-1], 0.0, None)
-    a[start] = max(1.0 - a.sum(), 0.0)
-    distance = min(max(u - float(ref.x[-1]), 0.0), u)
     coeffs, got, pivots = _fit(cols, t, then, k)
-    assert (coeffs.tobytes(), got.hex(), pivots) == (a.tobytes(), distance.hex(), ref.pivots)
+    a, distance, ref_pivots = fit_by_solve_lp(cols, t, then, k)
+    assert (coeffs.tobytes(), got.hex(), pivots) == (a.tobytes(), distance.hex(), ref_pivots)
 
 
 def test_slack_entry_solves_the_same_fit_lp_as_solve_lp(rng):
@@ -933,6 +928,30 @@ def test_a_fit_ends_at_its_first_pivot_exactly_when_solve_lp_does(monkeypatch, r
     _, distance, pivots = geometry._fit(cols, t)
     assert (pivots == 1) == exits
     assert at_u is None or (distance == 1.0) == at_u  # u = 1; s from the first pivot's row
+
+
+def test_first_pivot_optimum_is_the_simplex_after_one_pivot(rng):
+    # min -x_j from the slack basis, with pivot elements other than 1.0,
+    # ties in the ratio test and zero right-hand sides: the helper returns
+    # x_j exactly when the simplex stops after its first pivot, with its bits
+    seen = set()
+    for _ in range(400):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        a_ub = rng.integers(-2, 5, size=(m, n)) / 2.0
+        b_ub = rng.integers(0, 3, size=m) / 2.0
+        j = int(rng.integers(n))
+        c = np.zeros(n)
+        c[j] = -1.0
+        tableau, rows, rhs = lp.slack_tableau(m, n)
+        rows[:], rhs[:] = a_ub, b_ub
+        got = lp._first_pivot_optimum(rows, rhs, j)
+        ref = solve_lp(c, a_ub, b_ub)
+        ends = ref.optimal and ref.pivots == 1
+        assert (got is not None) == ends
+        if ends:
+            assert got.hex() == float(ref.x[j]).hex()
+        seen.add((ref.status, ends))
+    assert seen >= {("optimal", True), ("optimal", False), ("unbounded", False)}
 
 
 def test_slack_start_on_the_ladder_gap_lps(monkeypatch, sphere_ladder):
