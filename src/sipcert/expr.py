@@ -82,6 +82,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .options import Options
+
 __all__ = [
     "ExprFn",
     "ExprList",
@@ -103,9 +105,6 @@ __all__ = [
     "linear_expr",
     "linear_list",
 ]
-
-DEFAULT_KINK_TOL = 1e-12
-
 
 class ExprError(Exception):
     """Base class for expression-language errors."""
@@ -597,7 +596,7 @@ def _reads(tape, roots):
 # Evaluation
 
 
-_SCALAR = _Scalar(DEFAULT_KINK_TOL)
+_SCALAR = _Scalar(Options.tol_kink)
 
 
 def _run(f, xs, ts, K, shape=None, rows=None):
@@ -659,7 +658,7 @@ def evaluate(f: ExprFn, x, t=None) -> float:
     return _run(f, xs, ts, _SCALAR)[0]
 
 
-def gradient(f: ExprFn, x, t=None, kink_tol: float = DEFAULT_KINK_TOL) -> np.ndarray:
+def gradient(f: ExprFn, x, t=None, kink_tol: float = Options.tol_kink) -> np.ndarray:
     """Exact forward-mode gradient of ``f`` in the x-variables."""
     xs = _coerce_point(x, f.arity_x, "x").tolist()
     ts = _coerce_point(t, f.arity_t, "t").tolist()
@@ -678,7 +677,7 @@ def evaluate_list(fs: ExprList, x) -> np.ndarray:
     return np.array(_run(fs, _coerce_point(x, fs.arity_x, "x").tolist(), (), _SCALAR))
 
 
-def gradient_list(fs: ExprList, x, rows=None, kink_tol: float = DEFAULT_KINK_TOL) -> np.ndarray:
+def gradient_list(fs: ExprList, x, rows=None, kink_tol: float = Options.tol_kink) -> np.ndarray:
     """Gradients at ``x`` of the members ``rows`` of ``fs`` (ascending and
     distinct; all if None), one row each, in one dual walk of the slots
     they read.
@@ -722,7 +721,7 @@ def evaluate_many(f: ExprFn, x, tpoints) -> np.ndarray:
     the error.
     """
     grid = isinstance(tpoints, tuple)
-    tpoints = _grid_axes(f, tpoints) if grid else _index_points(f, tpoints)
+    tpoints = _grid_axes(f, tpoints) if grid else _point_list(f, tpoints)
     if np.ndim(x) == 2:
         x = np.asarray(x, dtype=float)
         expected = (len(x) if grid else len(tpoints), f.arity_x)
@@ -738,7 +737,7 @@ def evaluate_many(f: ExprFn, x, tpoints) -> np.ndarray:
         return np.array([evaluate(f, xp, t) for xp, t in _pairs(x, tpoints)])
 
 
-def gradient_many(f: ExprFn, x, tpoints, kink_tol: float = DEFAULT_KINK_TOL) -> np.ndarray:
+def gradient_many(f: ExprFn, x, tpoints, kink_tol: float = Options.tol_kink) -> np.ndarray:
     """Gradients in x of ``f`` at one decision point across many index points.
 
     ``tpoints`` is an (n, arity_t) array; the result has shape (n, arity_x).
@@ -746,7 +745,7 @@ def gradient_many(f: ExprFn, x, tpoints, kink_tol: float = DEFAULT_KINK_TOL) -> 
     walk of batched duals; an error is the one that loop raises.
     """
     xs = _coerce_point(x, f.arity_x, "x")
-    tarr = _index_points(f, tpoints)
+    tarr = _point_list(f, tpoints)
     try:
         return _gradients_batched(f, xs, tarr, kink_tol)
     except _BATCH_FAILURES:
@@ -763,7 +762,7 @@ def _values_batched(f, x, tpoints):
         xs = x.T.reshape(x.shape[::-1] + (1,) * m) if x.ndim == 2 else x
     else:  # row i with point i: columns
         shape, ts, xs = (len(tpoints),), list(tpoints.T), x.T
-    out = _run(f, xs, ts, _Batch(DEFAULT_KINK_TOL))[0]
+    out = _run(f, xs, ts, _Batch(Options.tol_kink))[0]
     return np.broadcast_to(out, shape).astype(float).reshape(-1)
 
 
@@ -782,7 +781,7 @@ def _gradients_batched(f, xs, tarr, kink_tol):
     return np.ascontiguousarray(out.T)
 
 
-def _index_points(f, tpoints):
+def _point_list(f, tpoints):
     tarr = np.asarray(tpoints, dtype=float)
     if tarr.ndim == 1:
         tarr = tarr.reshape(-1, 1) if f.arity_t == 1 else tarr.reshape(1, -1)

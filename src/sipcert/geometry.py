@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import Simplex, SimplexSolution, _first_pivot_optimum, slack_tableau, solve_lp
+from .options import Options
 from .work import count
 
 __all__ = [
@@ -32,10 +33,6 @@ __all__ = [
     "polyhedron_lp",
     "polyhedron_minimize",
 ]
-
-DEFAULT_MEMBER_TOL = 1e-8
-DEFAULT_LP_TOL = 1e-9
-
 
 class GeometryError(Exception):
     """Dimension mismatch, invalid input, or reported LP failure."""
@@ -87,8 +84,9 @@ class Polyhedron:
     def dim(self) -> int:
         return self.normals.shape[1]
 
-    def is_cone(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.offsets) <= tol))
+    def is_cone(self) -> bool:
+        """Every offset is 0, to within 1e-12: the set is a cone."""
+        return bool(np.all(np.abs(self.offsets) <= 1e-12))
 
 
 @dataclass(frozen=True)
@@ -196,7 +194,7 @@ def _fit(cols, t, then=None, k=None):
 
 
 def hull_member(
-    target, hull: np.ndarray, tol: float = DEFAULT_MEMBER_TOL, *, start=None
+    target, hull: np.ndarray, tol: float = Options.tol, *, start=None
 ) -> HullMembership:
     """Decide target in conv(hull), the hull of the (n, p) generators, by one LP.
 
@@ -292,7 +290,7 @@ def _nearest_generator_distance(rows: np.ndarray, gens: np.ndarray) -> tuple:
     return out, nearest
 
 
-def caratheodory_reduce(target, hull: np.ndarray, coeffs, tol_lp: float = DEFAULT_LP_TOL):
+def caratheodory_reduce(target, hull: np.ndarray, coeffs, tol_lp: float = Options.tol_lp):
     """Reduce a convex representation of target to an affinely independent support.
 
     Iterated null-space pivoting: while the supported generators are
@@ -344,7 +342,7 @@ def caratheodory_reduce(target, hull: np.ndarray, coeffs, tol_lp: float = DEFAUL
 
 
 def segment_hull_member(
-    target, w, hull: np.ndarray, tol: float = DEFAULT_MEMBER_TOL
+    target, w, hull: np.ndarray, tol: float = Options.tol
 ) -> SegmentMembership:
     """Decide target in [w, conv(hull)] by one LP over (lambda, coefficients).
 
@@ -397,14 +395,14 @@ def recession_cone(poly: Polyhedron) -> Polyhedron:
     return Polyhedron(poly.normals, np.zeros(len(poly.offsets)))
 
 
-def cone_interior_nonempty(poly: Polyhedron, tol: float = DEFAULT_LP_TOL) -> ConeInterior:
+def cone_interior_nonempty(poly: Polyhedron, tol: float = Options.tol_lp) -> ConeInterior:
     """Interior test for a polyhedral cone via the normalized-margin LP.
 
     Maximizes delta subject to (a_j/|a_j|) @ e >= delta over the box
     |e|_inf <= 1; the cone has nonempty interior iff the optimum exceeds
     ``tol``.  This realizes the criterion inf{y*(e) : y* in S cap A*} > 0.
     """
-    if not poly.is_cone(tol=1e-12):
+    if not poly.is_cone():
         raise GeometryError("cone_interior_nonempty expects zero offsets")
     if poly.normals.shape[0] == 0:  # full space
         return ConeInterior(True, np.zeros(poly.dim), float("inf"))

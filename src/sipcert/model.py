@@ -16,13 +16,13 @@ fixed order: listed members first (a finite family's members, a parametric
 family's extras), then grid points or facets.  The listed members are one
 :class:`~sipcert.expr.ExprList`, one tape for them all.  ``values(x)`` is
 one array over every row (listed members through one scalar walk of their
-tape, grid points through one ``evaluate_many``, facets through one
-matmul); ``gradients(x, rows, kink_tol)`` (one (n, p) array, the listed
-rows from one dual walk of the slots they read), ``labels(rows)`` and
-``tag(row)`` serve only the rows a caller asks for.  ``kind`` names the
-family in reports, ``pure_finite`` says it has no sampled part, and
-``substitute(inner)`` composes it with an inner map, which each list
-interns once for all its members.
+tape, grid points through one ``evaluate_many`` over the index set's own
+``axes``, facets through one matmul); ``gradients(x, rows, kink_tol)``
+(one (n, p) array, the listed rows from one dual walk of the slots they
+read), ``labels(rows)`` and ``tag(row)`` serve only the rows a caller asks
+for.  ``kind`` names the family in reports, ``pure_finite`` says it has no
+sampled part, and ``substitute(inner)`` composes it with an inner map,
+which each list interns once for all its members.
 
 A certification evaluates the family once (:func:`evaluate_family`): its
 feasibility report and the near-active scan read the same values.  The
@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import (
-    DEFAULT_KINK_TOL,
     ExprError,
     ExprFn,
     ExprList,
@@ -60,7 +59,6 @@ from .expr import (
 )
 from .expr import substitute as substitute_expr
 from .geometry import (
-    DEFAULT_LP_TOL,
     Polyhedron,
     first_equal_rows,
     hull_member,
@@ -197,16 +195,14 @@ class _Family:
     _tags = ()
 
     def values(self, x) -> np.ndarray:
-        return self._values_at(np.asarray(x, dtype=float), self._index_points())
+        x = np.asarray(x, dtype=float)
+        return np.concatenate([evaluate_list(self._listed, x), self._indexed_values(x)])
 
-    def _values_at(self, x, points):
-        return np.concatenate([evaluate_list(self._listed, x), self._indexed_values(x, points)])
+    def _values_many(self, xs) -> np.ndarray:
+        """``values`` at each row of xs (k, p), stacked (k, rows)."""
+        return np.array([self.values(x) for x in xs])
 
-    def _values_many(self, xs, points) -> np.ndarray:
-        """``_values_at`` at each row of xs (k, p), stacked (k, rows)."""
-        return np.array([self._values_at(x, points) for x in xs])
-
-    def gradients(self, x, rows, kink_tol=DEFAULT_KINK_TOL) -> np.ndarray:
+    def gradients(self, x, rows, kink_tol=Options.tol_kink) -> np.ndarray:
         """Gradients at x of the members in ``rows`` (ascending), one per row."""
         rows = np.asarray(rows, dtype=int)
         d = len(self._tags)
@@ -232,7 +228,7 @@ class _Family:
         """Off-grid twins of the near-active ``rows``: (values, points, gradients)."""
         return np.zeros(0), np.zeros((0, 0)), np.zeros((0, len(x)))
 
-    def determination(self, tol_lp: float = DEFAULT_LP_TOL) -> tuple:
+    def determination(self, tol_lp: float = Options.tol_lp) -> tuple:
         """(normalized normal, infimum over the set, stated offset) per facet."""
         return ()
 
@@ -240,10 +236,7 @@ class _Family:
         """The polyhedral cone the family determines, if it is one."""
         return None
 
-    def _index_points(self):
-        return None
-
-    def _indexed_values(self, x, points):
+    def _indexed_values(self, x):
         return np.zeros(0)
 
     def _indexed_gradients(self, x, idx, kink_tol):
@@ -364,18 +357,15 @@ class ParametricFamily(_Family):
         grads = gradient_many(self.h, x, refined[keep], opts.tol_kink)
         return near[keep], refined[keep], grads
 
-    def _index_points(self):
-        return self.index.axes
-
-    def _values_many(self, xs, points) -> np.ndarray:
+    def _values_many(self, xs) -> np.ndarray:
         """Listed members, if any, in one walk per row of xs; the grid part in
         one tape walk over the product of the rows and the grid's axes."""
         listed = np.array([evaluate_list(self._listed, x) for x in xs]) if self._tags else None
-        walked = evaluate_many(self.h, xs, points).reshape(len(xs), -1)
+        walked = evaluate_many(self.h, xs, self.index.axes).reshape(len(xs), -1)
         return walked if listed is None else np.hstack([listed, walked])
 
-    def _indexed_values(self, x, points):
-        return evaluate_many(self.h, x, points)
+    def _indexed_values(self, x):
+        return evaluate_many(self.h, x, self.index.axes)
 
     def _indexed_gradients(self, x, idx, kink_tol):
         return gradient_many(self.h, x, self.index.points_at(idx), kink_tol)
@@ -419,7 +409,7 @@ class PolyhedralFamily(_Family):
     def entry_gradient(self, y, tag, param):
         return self._normals[self._facet_rows[tag]]
 
-    def determination(self, tol_lp: float = DEFAULT_LP_TOL) -> tuple:
+    def determination(self, tol_lp: float = Options.tol_lp) -> tuple:
         """(normalized normal a_j, infimum of a_j @ y over the set, stated offset c_j) per facet.
 
         The infimum is at least c_j, since the set obeys facet j, and at
@@ -479,12 +469,12 @@ class PolyhedralFamily(_Family):
         return tuple(zip(map(tuple, normals.tolist()), infima.tolist(), offsets.tolist()))
 
     def cone(self) -> Polyhedron | None:
-        return self.poly if self.poly.is_cone(tol=1e-12) else None
+        return self.poly if self.poly.is_cone() else None
 
-    def _indexed_values(self, x, points):
+    def _indexed_values(self, x):
         return self._normals @ x - self._offsets
 
-    def _values_many(self, xs, points) -> np.ndarray:
+    def _values_many(self, xs) -> np.ndarray:
         """One matvec per row of xs: a stacked matmul (gemm) sums in another
         order than the matvec (gemv) of ``values`` and differs in the last bit."""
         return np.array([self._normals @ x for x in xs]) - self._offsets
@@ -542,9 +532,8 @@ class Problem:
 
 @dataclass(frozen=True)
 class ActiveSet:
-    """One ladder rung: the ascending indices of the scan's candidates with gate <= eps."""
+    """One ladder rung: the ascending indices of the scan's candidates with value <= eps."""
 
-    eps: float
     entries: np.ndarray
     scan: "FamilyScan"
 
@@ -563,7 +552,9 @@ class FeasibilityReport:
     equality_violation: float = 0.0
 
 
-def evaluate_family(prob: Problem, x, tol_feas: float = 1e-9) -> tuple[np.ndarray, FeasibilityReport]:
+def evaluate_family(
+    prob: Problem, x, tol_feas: float = Options.tol_feas
+) -> tuple[np.ndarray, FeasibilityReport]:
     """The values of every discretized member of ``prob.x_family`` at x, and their report.
 
     Feasible iff the minimum is >= -tol_feas and every equality holds within
@@ -593,7 +584,7 @@ def evaluate_family(prob: Problem, x, tol_feas: float = 1e-9) -> tuple[np.ndarra
     return values, FeasibilityReport(feasible, min_value, min_tag, boundary, violations, eq_violation)
 
 
-def feasibility(prob: Problem, x, tol_feas: float = 1e-9) -> FeasibilityReport:
+def feasibility(prob: Problem, x, tol_feas: float = Options.tol_feas) -> FeasibilityReport:
     """The report of :func:`evaluate_family`, without the values.
 
     No certification calls it (they read :func:`evaluate_family` through
@@ -713,19 +704,19 @@ class FamilyScan:
     Values, gradients and box-refinement outputs do not depend on eps,
     only the near-active filter does, so the scan computes them once for
     all members with value <= eps_cap and :meth:`at` filters.  The seeds
-    are chosen at ``eps_cap`` and every candidate is gated by its own
-    value, so filtering at eps <= eps_cap keeps the grid rows of a direct
-    scan at eps, and the twins whose own value is <= eps: also those whose
-    seed's grid value is above eps, which a direct scan at eps would not
-    have refined.  ``values`` are those of :func:`evaluate_family` at a
-    feasible x.
+    are chosen at ``eps_cap`` and :meth:`at` keeps the candidates whose own
+    value is <= eps, so filtering at eps <= eps_cap keeps the grid rows of
+    a direct scan at eps, and the twins whose own value is <= eps: also
+    those whose seed's grid value is above eps, which a direct scan at eps
+    would not have refined.  The ``values`` passed in are those of
+    :func:`evaluate_family` at a feasible x.
 
     Parametric families bisect only the near-active grid points that are discrete
     local minima of the clamped grid values (:meth:`ParametricFamily.refine`,
     which tallies them as ``refined_seeds``); the rule reads no eps.
 
-    The candidates are one table of parallel arrays ``values`` (also
-    ``gates``, what :meth:`at` filters) and ``grads`` (n, p), indexed by
+    The candidates are one table of parallel arrays ``values`` (clamped,
+    what :meth:`at` filters) and ``grads`` (n, p), indexed by
     ``candidates``: the near-active family ``rows`` (ascending), then the
     refined twins at ``points``, seed order.
     """
@@ -738,14 +729,13 @@ class FamilyScan:
         grads = self.family.gradients(x, self.rows, opts.tol_kink)
         twin_values, self.points, twin_grads = self.family.refine(x, self.rows, near, eps_cap, opts)
         self.values = np.concatenate([near[self.rows], twin_values])
-        self.gates = self.values  # each candidate is gated by its own value
         self.grads = np.vstack([grads, twin_grads])
-        self.candidates = np.arange(self.gates.size)
+        self.candidates = np.arange(self.values.size)
 
     def at(self, eps: float) -> ActiveSet:
         if eps > self.eps_cap:
             raise ValueError("eps exceeds the scanned cap")
-        return ActiveSet(eps, self.candidates[self.gates <= eps], self)
+        return ActiveSet(self.candidates[self.values <= eps], self)
 
     def labels(self, idx) -> list:
         """(tag, index point or None) of the candidates ``idx`` (ascending)."""
@@ -768,20 +758,24 @@ def equi_lipschitz_estimate(
 
     The generator is called in one fixed order: per random point one
     ``standard_normal(p)`` (its direction) then one ``random()`` (its
-    radius), u before v.  A pair with |u - v| <= 1e-12 (1 + radius) is
-    skipped, and only the shortfall is drawn again, so the accepted pairs
-    are those of a loop that draws pair by pair.  Norms are 1-D
-    (``_pair_distances``), and points are scaled and shifted as arrays.
+    radius), u before v.  A pair with |u - v| <= 1e-12 radius is skipped,
+    and only the shortfall is drawn again, so the accepted pairs are those
+    of a loop that draws pair by pair.  The threshold scales with the
+    radius, since every |u - v| is at most 2 radius: a fixed one would skip
+    every pair of a small enough ball, and the draws would never end.
+    Norms are 1-D (``_pair_distances``), and points are scaled and shifted
+    as arrays.
 
     The sample points, ordered u_1, v_1, u_2, v_2, ..., go through the
     index grid in chunks of whole pairs, about ``_LIPSCHITZ_CHUNK`` (x, t)
     points each: a parametric family's grid part is one tape walk per
     chunk, over the product of the chunk's points and the grid's axes, and
-    each chunk is reduced to its quotients before the next starts.  A pair whose grid alone fills a chunk walks one sample point
-    at a time.  If a chunk's walk flags a point, the chunk is redone one
-    sample point at a time, so the error raised is that of the first bad
-    point in that order.  The walks of a family with a grid are tallied as
-    ``lipschitz_walks`` (:mod:`sipcert.work`).
+    each chunk is reduced to its quotients before the next starts.  A pair
+    whose grid alone fills a chunk walks one sample point at a time.  If a
+    chunk's walk flags a point, the chunk is redone one sample point at a
+    time, so the error raised is that of the first bad point in that order.
+    The walks of a family with a grid are tallied as ``lipschitz_walks``
+    (:mod:`sipcert.work`).
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -798,36 +792,36 @@ def equi_lipschitz_estimate(
     while shortfall:
         drawn = _ball_points(rng, x, radius, 2 * shortfall)
         dist = _pair_distances(drawn)
-        kept = dist > 1e-12 * (1.0 + radius)
+        kept = dist > 1e-12 * radius
         ends.append(drawn.reshape(shortfall, 2, p)[kept].reshape(-1, p))
         dists.append(dist[kept])
         shortfall -= int(kept.sum())
     ends, dists = np.vstack(ends), np.concatenate(dists)
 
     best = 0.0
-    points = family._index_points()  # one grid for every pair
-    per_walk = max(1, _LIPSCHITZ_CHUNK // (1 if points is None else math.prod(map(len, points))))
+    grid = 1 if family.pure_finite else math.prod(family.index.shape())  # points per sample point
+    per_walk = max(1, _LIPSCHITZ_CHUNK // grid)
     step = max(1, per_walk // 2)  # pairs per chunk
     for start in range(0, dists.size, step):
         pairs, chunk = slice(start, start + step), slice(2 * start, 2 * (start + step))  # u_k, v_k
-        best = max(best, _chunk_quotient(family, ends[chunk], dists[pairs], points, per_walk > 1))
+        best = max(best, _chunk_quotient(family, ends[chunk], dists[pairs], per_walk > 1))
     return best
 
 
-def _chunk_quotient(family, xs, dists, points, batched):
+def _chunk_quotient(family, xs, dists, batched):
     """The largest difference quotient over a chunk of pairs (rows u_1, v_1, u_2, ...
     of xs, |u_k - v_k| in dists).
 
     The chunk's values are freed on return, before the next chunk is walked.
     """
     try:
-        values = family._values_many(xs, points) if batched else None
+        values = family._values_many(xs) if batched else None
     except ExprError:  # redone one point at a time: the first bad point raises
         values = None
     if not family.pure_finite:  # one grid walk, and one per point when redone
         count("lipschitz_walks", int(batched) + (len(xs) if values is None else 0))
     if values is None:
-        values = np.array([family._values_at(w, points) for w in xs])
+        values = np.array([family.values(w) for w in xs])
     return float((np.abs(values[0::2] - values[1::2]).max(axis=1) / dists).max())
 
 

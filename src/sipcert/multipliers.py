@@ -102,18 +102,18 @@ class Certificate:
         return tuple((tag, param, self.beta * w / self.lam) for tag, param, w in self.coeffs)
 
 
-def _ladder_gap(grads, gates, ids, least, prev, eps) -> float:
-    """Hausdorff gap between the rung ``prev`` and the next, ``prev[gates[prev] <= eps]``.
+def _ladder_gap(grads, values, ids, least, prev, eps) -> float:
+    """Hausdorff gap between the rung ``prev`` and the next, ``prev[values[prev] <= eps]``.
 
     Hulls genuinely stabilized means neither side drifted, so the gap is the
     larger one-sided gap.  The next rung is nested in ``prev``, which makes
     its side exactly 0.  The other needs only the dropped rows of an id
     (``ids = first_equal_rows(grads)``) that no kept or earlier dropped row
     has, tallied as ``gap_rows``: a row of id i is kept iff ``least[i]``, the
-    smallest gate of id i, is at most eps.  A rung that drops no row equals
+    smallest value of id i, is at most eps.  A rung that drops no row equals
     ``prev``: its gap is 0 and nothing runs.
     """
-    kept = gates[prev] <= eps
+    kept = values[prev] <= eps
     if kept.all():
         return 0.0
     new, dropped = prev[kept], prev[~kept]
@@ -145,8 +145,8 @@ def tc_approx(prob: Problem, x, opts: Options = Options()) -> TCApprox:
 
     scan = FamilyScan(prob, x, values, opts.eps0, opts)
     ids = first_equal_rows(scan.grads)
-    least = np.full(ids.size, np.inf)  # the smallest gate of each id
-    np.minimum.at(least, ids, scan.gates)
+    least = np.full(ids.size, np.inf)  # the smallest value of each id
+    np.minimum.at(least, ids, scan.values)
     ladder, gaps = [], []
     stopped_by, eps, prev = "max_steps", opts.eps0, None
     for _ in range(opts.max_steps + 1):
@@ -156,7 +156,7 @@ def tc_approx(prob: Problem, x, opts: Options = Options()) -> TCApprox:
             break
         ladder.append((eps, aset))
         if prev is not None:  # one gap per rung after the first
-            gaps.append(_ladder_gap(scan.grads, scan.gates, ids, least, prev.entries, eps))
+            gaps.append(_ladder_gap(scan.grads, scan.values, ids, least, prev.entries, eps))
             if not family.pure_finite and len(gaps) >= 2 and max(gaps[-2:]) <= opts.tol_hull:
                 stopped_by = "stabilized"
                 break

@@ -1,5 +1,10 @@
 """Tolerances and ladder parameters shared across the pipeline.
 
+:class:`Options` is the one place a default is stated: a library default
+is the field's class attribute (``tol_feas=Options.tol_feas``), and the
+integer options are the fields with an integer default.  This module
+imports nothing from sipcert, so every module can import it.
+
 Precedence when running from the CLI: command-line flags override problem
 file ``options``, which override these defaults.  The sampling seed comes
 from the SIPCERT_SEED environment variable so reports stay reproducible.

@@ -168,7 +168,7 @@ def load_problem(source, grid: int | None = None) -> LoadedProblem:
         opts = doc["options"]
         _require(isinstance(opts, dict), "options must be an object", "$.options")
         _check_keys(opts, OPTION_KEYS, "$.options")
-        int_keys = ("max_steps", "refine_depth", "k_max", "lipschitz_samples")
+        int_keys = [key for key in OPTION_KEYS if type(getattr(Options, key)) is int]
         for key, value in opts.items():
             where = f"$.options.{key}"
             _require(_is_finite_number(value), "option values must be finite numbers", where)

@@ -58,7 +58,7 @@ class Jacobian:
 _TOL_RANK_FACTOR = 1e-10
 
 
-def compute_jacobian(exprs, x, kink_tol: float = 1e-12) -> Jacobian:
+def compute_jacobian(exprs, x, kink_tol: float = Options.tol_kink) -> Jacobian:
     """The Jacobian at x of ``exprs`` (ExprFns, or an ExprList), its rows from one dual walk."""
     x = np.asarray(x, dtype=float)
     p = x.size
@@ -256,7 +256,7 @@ class ConvexSetCheck:
     unbounded_ray: np.ndarray | None = None
 
 
-def convex_set_multiplier(A: Polyhedron, x_img, z_star, tol: float = 1e-8) -> ConvexSetCheck:
+def convex_set_multiplier(A: Polyhedron, x_img, z_star, tol: float = Options.tol) -> ConvexSetCheck:
     """Check the convex-set multiplier clause for z* at the image point.
 
     (a) z* lies in the dual cone of the recession cone of A, tested by

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sipcert.expr import _OPS, _SCALAR, DEFAULT_KINK_TOL, FUNCTIONS, Dual, ParseError, _partials, _Scalar
+from sipcert.expr import _OPS, _SCALAR, FUNCTIONS, Dual, ParseError, _partials, _Scalar
+from sipcert.options import Options
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -79,7 +80,7 @@ def evaluate(node, x, t=()):
     return _run(node, [float(v) for v in x], [float(v) for v in t], _SCALAR)
 
 
-def gradient(node, x, t=(), kink_tol=DEFAULT_KINK_TOL):
+def gradient(node, x, t=(), kink_tol=Options.tol_kink):
     """``sipcert.expr.gradient`` on a tree, for a finite point of the right dimensions."""
     xs = [float(v) for v in x]
     duals = [Dual(v, e) for v, e in zip(xs, np.eye(len(xs)))]

@@ -218,6 +218,21 @@ class TestCertify:
             error = json.loads(capsys.readouterr().out)["error"]
             assert error["message"] == "$.options.lipschitz_radius: must be finite and > 0"
 
+    def test_admissible_returns_at_a_tiny_lipschitz_radius(self, tmp_path):
+        # every pair of B(x, r) has |u - v| <= 2r: a pair-skip threshold that
+        # does not scale with r skips every pair below r = 5e-13, and the
+        # estimate draws forever
+        doc = json.loads(Path(fixture_path("sip_linear")).read_text())
+        doc["options"] = {"lipschitz_radius": 1e-13}
+        path = tmp_path / "radius.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sipcert", "admissible", str(path), "--json"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["lipschitz_estimate"] == 1.0
+
     def test_non_finite_candidate_exit_four(self, tmp_path):
         # json reads NaN; the loader rejects it at its position
         doc = json.loads(open(fixture_path("near_active")).read())

@@ -10,7 +10,6 @@ import expr_reference as reference
 from expr_reference import Bin, Call, Neg, Num, Var, to_tape
 from sipcert import expr as expr_mod
 from sipcert.expr import (
-    DEFAULT_KINK_TOL,
     EvalDomainError,
     ExprError,
     ExprFn,
@@ -30,6 +29,7 @@ from sipcert.expr import (
     parse_list,
     substitute,
 )
+from sipcert.options import Options
 
 
 def central_diff(f, x, t=None, step=1e-6):
@@ -472,7 +472,7 @@ class TestBatchedAgreesWithScalarLoop:
         f = parse("2^(t1*x1) + (t1 - 1)^(t1*x1)", 1, 1)
         tpoints = np.array([[0.0], [1.5], [2.0]])
         with pytest.raises(expr_mod._Unbatchable):
-            expr_mod._gradients_batched(f, np.ones(1), tpoints, DEFAULT_KINK_TOL)
+            expr_mod._gradients_batched(f, np.ones(1), tpoints, Options.tol_kink)
         looped = [gradient(f, [1.0], t) for t in tpoints]
         assert np.array_equal(gradient_many(f, [1.0], tpoints), looped)
 
@@ -543,7 +543,7 @@ class TestBatchedAgreesWithScalarLoop:
         with pytest.raises(EvalDomainError):
             expr_mod._values_batched(f, np.ones(1), tpoints)
         with pytest.raises(EvalDomainError):
-            expr_mod._gradients_batched(f, np.ones(1), tpoints, DEFAULT_KINK_TOL)
+            expr_mod._gradients_batched(f, np.ones(1), tpoints, Options.tol_kink)
         looped = np.array([evaluate(f, x, t) for t in tpoints])
         assert looped.tolist() == [(1e308 * t - 1e308) + 1.7e308 * t for t in (0.25, 0.5)]
         assert evaluate_many(f, x, tpoints).tobytes() == looped.tobytes()
@@ -571,7 +571,7 @@ def _agrees_with_scalar_loop(ast, x, ts):
         (lambda t: evaluate(f, x, t), lambda: evaluate_many(f, x, tpoints),
          lambda: expr_mod._values_batched(f, xs, tpoints), 1e-15),
         (lambda t: gradient(f, x, t), lambda: gradient_many(f, x, tpoints),
-         lambda: expr_mod._gradients_batched(f, xs, tpoints, DEFAULT_KINK_TOL),
+         lambda: expr_mod._gradients_batched(f, xs, tpoints, Options.tol_kink),
          4 * np.finfo(float).eps),
     ]:
         looped, loop_error = _outcome(lambda: np.array([loop(t) for t in tpoints]))

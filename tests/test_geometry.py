@@ -7,7 +7,6 @@ from scipy.optimize import linprog
 
 import sipcert.geometry as geometry
 from sipcert.geometry import (
-    DEFAULT_LP_TOL,
     GeometryError,
     Polyhedron,
     caratheodory_reduce,
@@ -476,7 +475,7 @@ class TestOneSidedGapPruning:
         assert len(run) == len(set(run)) <= len(distances)
         for row, d in distances:
             if row.tobytes() not in run:  # skipped
-                assert d <= gap + DEFAULT_LP_TOL
+                assert d <= gap + Options.tol_lp
         return gap, len(run), len(distances)
 
     def test_random_hulls(self, monkeypatch, rng):

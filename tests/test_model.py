@@ -381,15 +381,14 @@ class TestRefinementSeeds:
 
     def test_scan_filter_matches_direct_with_flat_and_strict_minima(self):
         # a plateau on [0.15, 0.35] at 0 and a strict minimum 0.003 at t1 = 0.75.
-        # The seeds are chosen at the cap and every candidate is gated by its
-        # own value, so filtering at eps keeps a direct scan's grid rows and
+        # The seeds are chosen at the cap and every candidate is filtered by
+        # its own value, so filtering at eps keeps a direct scan's grid rows and
         # the twins with value <= eps.  Here no seed's grid value is above an
         # eps that its twin's value is below, so the filter is the direct scan
         h = "x1 + min(max(abs(t1 - 0.25) - 0.1, 0), (t1 - 0.75)^2 + 0.003)"
         with counting() as counts:
             scan, prob = _scan(h, [0.0], [1.0], 33, 0.0, 0.5)
         assert counts["refined_seeds"] == 3  # the plateau's two rims and the strict minimum
-        assert scan.gates.tobytes() == scan.values.tobytes()
         n = scan.rows.size
         for eps in (0.5, 0.01, 0.004, 0.001, 1e-6):
             via_scan = scan.at(eps)
@@ -399,8 +398,8 @@ class TestRefinementSeeds:
             assert entries[entries >= n].tolist() == (n + np.flatnonzero(scan.values[n:] <= eps)).tolist()
             assert via_scan.scan.labels(via_scan.entries) == direct.scan.labels(direct.entries)
             assert via_scan.hull().tobytes() == direct.hull().tobytes()
-            gates = scan.gates[via_scan.entries]
-            assert gates.tobytes() == direct.scan.gates[direct.entries].tobytes()
+            values = scan.values[via_scan.entries]
+            assert values.tobytes() == direct.scan.values[direct.entries].tobytes()
 
     def test_a_twin_below_eps_stays_when_its_seed_is_above(self):
         # (t1 - 0.33)^2 on 11 points: the seed t1 = 0.3 has grid value 9e-4,
@@ -409,7 +408,6 @@ class TestRefinementSeeds:
         assert scan.rows.tolist() == [3, 4] and scan.values[0] == pytest.approx(9e-4)
         twin = scan.rows.size
         assert abs(scan.points[0, 0] - 0.33) <= 0.1 * self.CELL and scan.values[twin] < 1e-8
-        assert scan.gates[twin] == scan.values[twin]
         for eps in (1e-4, 1e-8):
             assert scan.at(eps).entries.tolist() == [twin]
             assert active_set(prob, [0.0], eps).entries.size == 0  # the direct scan has no seed
@@ -651,7 +649,7 @@ def _lipschitz_reference(prob, x, radius, samples, seed):
     pairs = [(x + radius * e, x - radius * e) for e in np.eye(p)]
     while len(pairs) < samples + p:
         u, v = _ball_reference(rng, x, radius), _ball_reference(rng, x, radius)
-        if np.linalg.norm(u - v) > 1e-12 * (1.0 + radius):
+        if np.linalg.norm(u - v) > 1e-12 * radius:
             pairs.append((u, v))
     best = 0.0
     for u, v in pairs:
@@ -747,7 +745,7 @@ class TestGridWalk:
         xs = np.array([[0.3, -0.2], [-0.1, 0.7], [0.5, 0.5]])
         pairs = list(itertools.product(*family.index.axes))
         loop = [[evaluate(m, x) for m in extra] + [evaluate(h, x, t) for t in pairs] for x in xs]
-        got = family._values_many(xs, family._index_points())
+        got = family._values_many(xs)
         assert [[v.hex() for v in row] for row in got.tolist()] == [[v.hex() for v in row] for row in loop]
         assert family.values(xs[0]).tobytes() == got[0].tobytes()
 
@@ -756,7 +754,7 @@ class TestGridWalk:
         walk = model_mod.evaluate_list
         monkeypatch.setattr(model_mod, "evaluate_list", lambda fs, x: calls.append(fs) or walk(fs, x))
         family = linear_sip_problem(33).family
-        assert family._values_many(np.ones((5, 2)), family._index_points()).shape == (5, 33)
+        assert family._values_many(np.ones((5, 2))).shape == (5, 33)
         assert calls == []
 
     def test_octant_evaluation_peaks_under_five_values_arrays(self):
@@ -779,14 +777,43 @@ class TestGridWalk:
         assert peak < 5 * values.nbytes
 
 
-def test_skipped_pairs_are_drawn_again():
-    # at radius 3e-12 about one random pair in four is within 1e-12 and is
-    # skipped (13 of 45 drawn at p = 1, seed 0), so the shortfall is drawn
-    # again, in rounds, in the pair loop's order
+class _RepeatingGenerator:
+    """numpy's generator, except that v_k redraws u_k's direction and radius for the
+    random pairs k in ``repeat`` (counted over every pair drawn), so u_k = v_k there."""
+
+    def __init__(self, rng, repeat):
+        self.rng, self.repeat = rng, repeat
+        self.drawn = {"standard_normal": [], "random": []}
+
+    def _draw(self, kind, *args):
+        drawn = self.drawn[kind]
+        i = len(drawn)  # point i: u or v of pair i // 2
+        drawn.append(drawn[-1] if i % 2 and i // 2 in self.repeat else getattr(self.rng, kind)(*args))
+        return np.copy(drawn[-1]) if kind == "standard_normal" else drawn[-1]
+
+    def standard_normal(self, p):
+        return self._draw("standard_normal", p)
+
+    def random(self):
+        return self._draw("random")
+
+
+def test_skipped_pairs_are_drawn_again(monkeypatch):
+    # pairs 0 and 5 repeat a point (|u - v| = 0), so the first round keeps 30
+    # of 32 pairs; pair 32 of the second round repeats too, so a third round
+    # draws pair 34, all in the pair loop's order
     prob = Problem(1, parse("x1", 1), FiniteFamily((parse("sin(x1) + x1*x1", 1),)))
+    default_rng, generators = np.random.default_rng, []
+
+    def repeating(seed):
+        generators.append(_RepeatingGenerator(default_rng(seed), {0, 5, 32}))
+        return generators[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", repeating)
     for seed in (0, 1):
         got = equi_lipschitz_estimate(prob, [0.0], 3e-12, 32, seed=seed)
         assert got.hex() == _lipschitz_reference(prob, [0.0], 3e-12, 32, seed).hex()
+    assert [len(g.drawn["random"]) for g in generators] == [2 * 35] * 4
 
 
 def _two_walk_refine(h, x, tpoints, axis, lo, hi, depth):
@@ -1003,4 +1030,4 @@ class TestListedMembersOnOneTape:
         assert list(family.extra) == list(extra)
         assert family.kind == "parametric+finite"
         loop = np.array([[evaluate(m, w) for m in extra] for w in (x, -x)])
-        assert family._values_many(np.array([x, -x]), family._index_points())[:, :2].tobytes() == loop.tobytes()
+        assert family._values_many(np.array([x, -x]))[:, :2].tobytes() == loop.tobytes()

@@ -113,15 +113,15 @@ class TestTcApprox:
 class TestLadderGap:
     """Nested rungs: the dropped-rows gap is the two-sided gap, bit for bit, in no more LPs."""
 
-    def _check(self, monkeypatch, grads, gates, prev, eps):
-        new = prev[gates[prev] <= eps]
+    def _check(self, monkeypatch, grads, values, prev, eps):
+        new = prev[values[prev] <= eps]
         calls = _log_fit_pivots(monkeypatch)
         outer, inner = grads[prev], grads[new]
         expected = max(one_sided_hull_gap(outer, inner), one_sided_hull_gap(inner, outer))
         two_sided = len(calls)
         ids = first_equal_rows(grads)
         with counting() as counts:
-            gap = _ladder_gap(grads, gates, ids, _least_gates(ids, gates), prev, eps)
+            gap = _ladder_gap(grads, values, ids, _least_values(ids, values), prev, eps)
         assert gap.hex() == expected.hex()
         assert counts["gap_lps"] == len(calls) - two_sided <= two_sided
         assert counts["gap_pivots"] == sum(calls[two_sided:])
@@ -168,7 +168,7 @@ class TestLadderGap:
             dropped = prev[~kept]
             expected = _distinct(ids, dropped[~held[ids[dropped]]])
             offered.clear()
-            _ladder_gap(grads, gates, ids, _least_gates(ids, gates), prev, 0.25)
+            _ladder_gap(grads, gates, ids, _least_values(ids, gates), prev, 0.25)
             assert [rows.tobytes() for rows in offered] == (
                 [grads[expected].tobytes()] if dropped.size else []
             )
@@ -180,7 +180,7 @@ class TestLadderGap:
         assert len(tc.ladder) >= 3
         scan = tc.ladder[0][1].scan
         gaps = [
-            self._check(monkeypatch, scan.grads, scan.gates, prev.entries, eps)
+            self._check(monkeypatch, scan.grads, scan.values, prev.entries, eps)
             for (_, prev), (eps, _) in zip(tc.ladder, tc.ladder[1:])
         ]
         assert [g.hex() for g in gaps] == [g.hex() for g in tc.hausdorff_gaps]
@@ -252,7 +252,7 @@ class TestLadderGap:
         assert np.signbit(scan.grads[:, 0]).tolist() == [0, 1, 0, 0, 0, 1, 1, 1, 0]
         assert tc.stopped_by == "finite_shortcut" and len(tc.ladder) == 3
         gaps = [
-            self._check(monkeypatch, scan.grads, scan.gates, prev.entries, eps)
+            self._check(monkeypatch, scan.grads, scan.values, prev.entries, eps)
             for (_, prev), (eps, _) in zip(tc.ladder, tc.ladder[1:])
         ]
         assert [g.hex() for g in gaps] == [g.hex() for g in tc.hausdorff_gaps]
@@ -271,10 +271,10 @@ class TestLadderGap:
         assert tc.final.tolist() == [[0.0, 1.0]] and tc.final_rows.tolist() == [0]
 
 
-def _least_gates(ids, gates):
-    """The smallest gate of the rows of each id, as ``tc_approx`` passes it to ``_ladder_gap``."""
+def _least_values(ids, values):
+    """The smallest value of the rows of each id, as ``tc_approx`` passes it to ``_ladder_gap``."""
     least = np.full(ids.size, np.inf)
-    np.minimum.at(least, ids, gates)
+    np.minimum.at(least, ids, values)
     return least
 
 

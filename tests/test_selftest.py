@@ -76,11 +76,11 @@ def test_sip_trig_check_sees_a_scan_that_drops_a_grid_point(monkeypatch):
 
     def drop_one_row(scan, *args, **kwargs):
         init(scan, *args, **kwargs)
-        keep = np.ones(scan.gates.size, dtype=bool)
+        keep = np.ones(scan.values.size, dtype=bool)
         keep[scan.rows.size // 3] = False
         scan.rows = scan.rows[keep[: scan.rows.size]]
-        scan.gates, scan.values, scan.grads = scan.gates[keep], scan.values[keep], scan.grads[keep]
-        scan.candidates = np.arange(scan.gates.size)
+        scan.values, scan.grads = scan.values[keep], scan.grads[keep]
+        scan.candidates = np.arange(scan.values.size)
 
     ok, detail = selftest.check_sip_trig(Options(), np.random.default_rng(0), grid=257)
     assert ok, detail
