@@ -57,8 +57,9 @@ def main(argv=None) -> int:
     except ExprError as err:
         _print_error("expression", str(err), as_json)
         return EXIT_INPUT_ERROR
-    except OptionError as err:  # SIPCERT_SEED, read where sampling starts
-        _print_error("input", f"{err.key}: {err.message}", as_json)
+    except OptionError as err:  # SIPCERT_SEED, or a radius the ball cannot sample
+        where = f"$.options.{err.key}" if err.key in OPTION_KEYS else err.key
+        _print_error("input", f"{where}: {err.message}", as_json)
         return EXIT_INPUT_ERROR
     finally:
         sys.stdout.flush()

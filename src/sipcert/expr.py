@@ -56,14 +56,18 @@ operator (value, dual derivative, domain or kink check) is written once
 against a kit of primitives for the value type.  The scalar kit (Python
 floats and ``math``: one point, a non-finite node raises at once) serves
 :func:`evaluate` and :func:`gradient` (objectives, the reference in tests)
-and the list walks.  The batch kit (numpy arrays: the n index points
-of a parametric constraint, one finiteness test per walk) serves
-:func:`evaluate_many` and :func:`gradient_many`.  Over a product grid,
-given by its axes, each axis and the decision-point rows get a dimension
-of their own, so broadcasting computes each node over only the axes and
-rows it reads: ``cos(t1)`` once per t1 value, not once per (row, grid
-point) pair.  Its results and errors are those of the scalar loop over
-the points: when the batch walk flags any point, the scalar loop runs and
+and the list walks.  The batch kit (numpy arrays: the n index points of
+a parametric constraint) serves :func:`evaluate_many` and
+:func:`gradient_many`.  It walks under numpy's floating-point traps
+(Goldberg, *ACM Computing Surveys* 23(1), 1991): its leaves are finite
+and every other value is made by numpy, constants included, so an
+overflow, a division by zero or an invalid operation raises where it
+happens, and no finiteness test runs.  Over a product grid, given by its
+axes, each axis and the decision-point rows get a dimension of their own,
+so broadcasting computes each node over only the axes and rows it reads:
+``cos(t1)`` once per t1 value, not once per (row, grid point) pair.  Its
+results and errors are those of the scalar loop over the points: when
+the batch walk flags any point or traps, the scalar loop runs and
 decides.  One exception: numpy's ``exp``, ``log`` and ``power`` may
 differ from ``math.exp``, ``math.log`` and Python's ``**`` in the last
 bit (at most 1 ulp), so a batched value or gradient through them can
@@ -327,7 +331,9 @@ class _Scalar:
     any = staticmethod(lambda *masks: all(masks))
     all, not_ = bool, operator.not_
     where = staticmethod(lambda mask, a, b: a if mask else b)
-    check = staticmethod(lambda: None)  # `finite` has raised at the node
+    number = float  # a constant's value: the tape's float itself
+    # numpy touches only dual partials here, and `_partials` checks those
+    traps = {"all": "ignore"}
 
     def __init__(self, kink_tol):
         self.kink_tol = kink_tol
@@ -368,34 +374,28 @@ class _Batch:
     is a number; a column (n,), or (k, 1, ..., 1) over a grid, when each
     index point or each of k rows has its own decision point; or a Dual
     with partials of shape (p, 1), so Dual arithmetic broadcasts to
-    partials of shape (p, n).  Where the scalar kit checks a node for
-    finiteness, this one adds its values into `acc`, one running sum per
-    value shape, tested once by `check`.
+    partials of shape (p, n).
+
+    The walk runs under ``traps``: an overflow, a division by zero or an
+    invalid operation raises ``FloatingPointError`` where numpy performs
+    it, underflow passes as in Python.  numpy's flags do not see Python
+    float arithmetic, so a constant is an ``np.float64`` (``number``): the
+    same IEEE arithmetic, trapped, and ``1e200*1e200*0`` raises as the
+    scalar walk does.  Where the scalar kit checks a node (``finite``), a
+    non-finite value has already raised here.  A trap may also come from
+    a value that the scalar walk never makes (a discarded ``where``
+    branch, a partial that ``min`` drops): the scalar loop then decides.
     """
 
     sin, cos, log, sqrt, abs, exp, sign = np.sin, np.cos, np.log, np.sqrt, np.abs, np.exp, np.sign
-    pow = staticmethod(np.power)
+    pow, number = staticmethod(np.power), np.float64
     any = staticmethod(lambda *masks: np.any(functools.reduce(operator.and_, masks)))
     all, not_, where = staticmethod(np.all), np.logical_not, staticmethod(np.where)
+    finite = staticmethod(lambda v, where: v)  # a non-finite value has trapped
+    traps = {"over": "raise", "divide": "raise", "invalid": "raise", "under": "ignore"}
 
     def __init__(self, kink_tol):
-        self.acc = {}
         self.kink_tol = kink_tol
-
-    def finite(self, v, where):
-        value = _val(v)
-        acc = self.acc.get(np.shape(value))
-        if acc is None:
-            self.acc[np.shape(value)] = np.array(value, dtype=float)
-        else:
-            np.add(acc, value, out=acc)
-        return v
-
-    def check(self):
-        # a finite sum proves every summand finite; a non-finite one (or one
-        # that only overflowed) sends the caller to the scalar loop
-        if not all(np.isfinite(acc).all() for acc in self.acc.values()):
-            raise EvalDomainError("non-finite value")
 
     @staticmethod
     def extremes(values, smallest):
@@ -558,13 +558,14 @@ def _walk(entries, values, xs, ts, K, last=None):
     Each node is computed where a recursive walk of the tree first reaches
     it; a repeat would compute the same value from the same inputs, so the
     values, dual partials and first error are the tree walk's.  No rule may
-    mutate its arguments: a slot can feed several nodes.  The batch kit's
-    finiteness sum adds each distinct node once, which still proves every
-    node finite; its columns are dropped after their last use (``last``).
+    mutate its arguments: a slot can feed several nodes.  A constant enters
+    as the kit's ``number``; the batch kit's columns are dropped after
+    their last use (``last``).
     """
+    number = K.number
     for i, (op, args) in entries:
         if op == "num":
-            values[i] = args
+            values[i] = number(args)
         elif op == "x":
             values[i] = xs[args]
         elif op == "t":
@@ -615,7 +616,7 @@ def _run(f, xs, ts, K, shape=None, rows=None):
     if isinstance(K, _Batch):  # one output, never read: drop each column after its last read
         last = {a: i for i, (op, args) in enumerate(tape) if op not in _LEAVES for a in args}
     out, done = [], 0  # the slots before `done` are walked
-    with np.errstate(all="ignore"):
+    with np.errstate(**K.traps):
         if rows is None:
             outputs = f.outputs
         else:
@@ -628,7 +629,6 @@ def _run(f, xs, ts, K, shape=None, rows=None):
                 done = slot + 1
             v = K.finite(values[slot], "result")
             out.append(v if shape is None else _partials(v, shape))
-    K.check()
     return out
 
 
@@ -715,10 +715,10 @@ def evaluate_many(f: ExprFn, x, tpoints) -> np.ndarray:
 
     Equivalent to a loop of :func:`evaluate` calls over the pairs (but for
     the last bit of ``exp``, ``log`` and ``^``, see the module docstring),
-    in one tape walk with one finiteness test; over a grid each node is
-    computed over only the axes and rows it reads.  When the walk flags a
-    point or a non-finite value, that loop runs and decides the values or
-    the error.
+    in one tape walk under numpy's floating-point traps; over a grid each
+    node is computed over only the axes and rows it reads.  When the walk
+    flags a point or traps, that loop runs and decides the values or the
+    error.
     """
     grid = isinstance(tpoints, tuple)
     tpoints = _grid_axes(f, tpoints) if grid else _point_list(f, tpoints)

@@ -141,8 +141,7 @@ def _fit_lp(cols, t, k):
     Returns (c, a_ub, b_ub, tableau, u).
     """
     p, n = cols.shape
-    d = cols[:, k] - t
-    u = float(np.abs(d).max())
+    u, bounds = _fit_bounds(cols, t, k)
     c = np.zeros(n + 1)
     c[-1] = -1.0
     tableau, a_ub, b_ub = slack_tableau(2 * p + 1, n + 1)
@@ -151,10 +150,16 @@ def _fit_lp(cols, t, k):
     a_ub[: 2 * p, n] = 1.0
     a_ub[2 * p, :n] = 1.0
     a_ub[2 * p, k] = 0.0
-    np.subtract(u, d, out=b_ub[:p])
-    np.add(u, d, out=b_ub[p : 2 * p])
+    b_ub[: 2 * p] = bounds
     b_ub[2 * p] = 1.0
     return c, a_ub, b_ub, tableau, u
+
+
+def _fit_bounds(cols, t, k):
+    """(u, the right-hand sides of the fit LP's 2p bound rows, u - d then u + d)."""
+    d = cols[:, k] - t
+    u = float(np.abs(d).max())
+    return u, np.concatenate([u - d, u + d])
 
 
 def _fit(cols, t, then=None, k=None):
@@ -167,24 +172,33 @@ def _fit(cols, t, then=None, k=None):
     same substitution as the LP.  The distance lies in [0, u], u the start
     column's distance, exactly.
 
-    Without ``then``, ``lp._first_pivot_optimum`` reads the simplex's first
-    pivot off the rows before it runs: r enters, its column is 1.0 in the
-    2p bound rows and 0 in the simplex row, so the pivot leaves a = e_k and
-    r = b_ub[j] for the leaving row j.  When that basis is optimal the
-    simplex stops there, so the fit returns a = e_k, s = u - b_ub[j] and 1
-    pivot, the simplex's answer bit for bit, without running it.
+    Without ``then``, ``lp._first_pivot_optimum`` decides the simplex's
+    first pivot before any tableau is written: r enters, its column is 1.0
+    in the 2p bound rows and 0 in the simplex row, so the pivot leaves
+    a = e_k and r = b_ub[j] for the leaving row j, whose other entries are
+    cols[j] - cols[j, k] (j < p) or their negation, as ``_fit_lp`` writes
+    them.  When that basis is optimal the simplex stops there, so the fit
+    returns a = e_k, s = u - b_ub[j] and 1 pivot, the simplex's answer bit
+    for bit; ``_fit_lp`` and ``solve_lp`` run only when it is not.
     """
     if k is None:
         k = int(_nearest_generator_distance(t[None], cols.T)[1][0])
-    c, a_ub, b_ub, tableau, u = _fit_lp(cols, t, k)
     if then is None:
-        r = _first_pivot_optimum(a_ub, b_ub, cols.shape[1])
+        u, bounds = _fit_bounds(cols, t, k)
+        p = len(t)
+
+        def leaving(j):
+            row = cols[j % p] - cols[j % p, k]
+            return row if j < p else -row
+
+        r = _first_pivot_optimum(np.ones(2 * p), bounds, leaving)
         if r is not None:
             a = np.zeros(cols.shape[1])
             a[k] = 1.0
             return a, min(max(u - r, 0.0), u), 1
     else:
         then = np.append(then[:-1] - then[k], -then[-1])
+    c, a_ub, b_ub, tableau, u = _fit_lp(cols, t, k)
     sol = solve_lp(c, a_ub, b_ub, then=then, tableau=tableau)
     if not sol.optimal:
         raise GeometryError(f"fit LP failed with status {sol.status}")
@@ -205,7 +219,8 @@ def hull_member(
     exceeds that generator's distance.  A caller that has found that
     generator already passes its index as ``start``.  When the simplex's
     first pivot would leave the LP optimal, ``_fit`` returns that pivot's
-    answer, the simplex's bit for bit, without running it.
+    answer, the simplex's bit for bit, from the right-hand sides and the
+    leaving row alone: no tableau is written and no simplex runs.
     """
     t, g = _check_target(target, hull)
     coeffs, distance, pivots = _fit(g.T, t, k=start)

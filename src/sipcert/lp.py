@@ -74,10 +74,12 @@ its optimal-face tie-break (``_optimize``):
   hull-gap LPs, hull membership and the certificate's segment LP).  That
   is the tableau and the code ``Simplex`` runs on such an LP, so the
   pivots and bits are the same either way.  A fit with no ``then``
-  reaches ``solve_lp`` only when its first pivot does not end it:
-  ``_fit`` first asks ``_first_pivot_optimum``, which reads that pivot off
-  the rows with ``_run_phase``'s own ratio test (``_ratio_test``) and
-  optimality test, and returns its answer when it is optimal.
+  writes its tableau and reaches ``solve_lp`` only when its first pivot
+  does not end it: ``_fit`` first asks ``_first_pivot_optimum``, which
+  takes the entering column, the right-hand sides and the leaving row,
+  no tableau, and applies ``_run_phase``'s own ratio test
+  (``_ratio_test``) and optimality test; when that pivot is optimal the
+  fit returns its answer, and no tableau is ever allocated.
 
 Everything here is small -- a few thousand columns at most -- so a dense
 tableau is the right tool and there is no external dependency.  All state
@@ -374,27 +376,31 @@ def _ratio_test(col, rhs):
     return pos[ratios <= best + _PIVOT_TOL * (1.0 + abs(best))], best
 
 
-def _first_pivot_optimum(a_ub, b_ub, j):
-    """x_j after the first pivot of ``min -x_j`` from a ``slack_tableau``'s
-    slack basis, when that pivot leaves the LP optimal; None when the simplex
-    would pivot on (or raise).
+def _first_pivot_optimum(col, rhs, row):
+    """x_j after the first pivot of ``min -x_j`` from the slack basis of
+    ``a_ub@x <= b_ub``, when that pivot leaves the LP optimal; None when the
+    simplex would pivot on (or raise).  No tableau is read or written.
 
-    At the slack basis only x_j's reduced cost, -1, is negative, so x_j
-    enters (``_run_phase``'s Dantzig rule).  The leaving row i is the
+    ``col`` and ``rhs`` are x_j's column and the right-hand sides, over the
+    rows in order (rows past them, where x_j's entry is at most 0, bound
+    nothing), and ``row(i)`` is row i of a_ub, asked for the leaving row
+    only.  At the slack basis only x_j's reduced cost, -1, is negative, so
+    x_j enters (``_run_phase``'s Dantzig rule).  The leaving row i is the
     ratio test's first tie: the slack basis orders the basic ids as the
-    rows, so it is the lowest basic index.  After the pivot on e =
-    a_ub[i, j], column l's reduced cost is a_ub[i, l] / e and x_j is
-    b_ub[i] / e, the bits ``_pivot`` writes (0.0 - (-1.0 * y) == y), and the
-    leaving slack's cost is 1 / e > 0.  So the LP is optimal iff the least
-    of a_ub[i] / e is at least -``_TOL``, the test ``_run_phase`` makes next.
+    rows, so it is the lowest basic index.  After the pivot on e = col[i],
+    column l's reduced cost is a_ub[i, l] / e and x_j is rhs[i] / e, the
+    bits ``_pivot`` writes (0.0 - (-1.0 * y) == y), and the leaving slack's
+    cost is 1 / e > 0.  So the LP is optimal iff the least of row(i) / e is
+    at least -``_TOL``, the test ``_run_phase`` makes next; x_j's own entry,
+    e / e, may be left out of ``row(i)``.
     """
-    ties, _ = _ratio_test(a_ub[:, j], b_ub)
+    ties, _ = _ratio_test(col, rhs)
     if not ties.size:  # x_j unbounded, or a NaN ratio
         return None
     i = int(ties[0])
-    e = a_ub[i, j]
-    if (a_ub[i] / e).min() >= -_TOL:
-        return float(b_ub[i] / e)
+    e = col[i]
+    if (row(i) / e).min() >= -_TOL:
+        return float(rhs[i] / e)
     return None
 
 

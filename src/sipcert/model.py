@@ -64,7 +64,7 @@ from .geometry import (
     hull_member,
     polyhedron_lp,
 )
-from .options import Options, resolve_seed
+from .options import OptionError, Options, resolve_seed
 from .work import count
 
 __all__ = [
@@ -762,9 +762,14 @@ def equi_lipschitz_estimate(
     and only the shortfall is drawn again, so the accepted pairs are those
     of a loop that draws pair by pair.  The threshold scales with the
     radius, since every |u - v| is at most 2 radius: a fixed one would skip
-    every pair of a small enough ball, and the draws would never end.
-    Norms are 1-D (``_pair_distances``), and points are scaled and shifted
-    as arrays.
+    every pair of a small enough ball, and the draws would never end.  An
+    axis pair is skipped by the same rule, so no 0/0 quotient is formed.
+    When every axis pair is skipped, no pair of the ball could be kept
+    either: the radius is below the float spacing at x (every x +- radius
+    e_i rounds to x, and so does every point of the ball), or so small
+    that every |u - v|^2 underflows to 0.  That is an :class:`OptionError`
+    at ``lipschitz_radius``, raised before any draw.  Norms are 1-D
+    (``_pair_distances``), and points are scaled and shifted as arrays.
 
     The sample points, ordered u_1, v_1, u_2, v_2, ..., go through the
     index grid in chunks of whole pairs, about ``_LIPSCHITZ_CHUNK`` (x, t)
@@ -785,17 +790,25 @@ def equi_lipschitz_estimate(
     x = np.asarray(x, dtype=float)
     p = x.size
     rng = np.random.default_rng(resolve_seed() if seed is None else seed)
+    ends, dists = [], []
+
+    def keep(points):  # the pairs u_1, v_1, u_2, ... of points that are kept; their number
+        dist = _pair_distances(points)
+        kept = dist > 1e-12 * radius
+        ends.append(points.reshape(-1, 2, p)[kept].reshape(-1, p))
+        dists.append(dist[kept])
+        return int(kept.sum())
+
     axis = np.diag(np.full(p, float(radius)))
-    ends = [np.stack([x + axis, x - axis], axis=1).reshape(2 * p, p)]  # u_1, v_1, u_2, ...
-    dists = [_pair_distances(ends[0])]
+    if not keep(np.stack([x + axis, x - axis], axis=1).reshape(2 * p, p)):
+        raise OptionError(
+            "lipschitz_radius",
+            f"{radius!r} is too small to sample at the candidate:"
+            " every axis pair x +- r e_i is within 1e-12 r in floating point",
+        )
     shortfall = max(samples, 0)
     while shortfall:
-        drawn = _ball_points(rng, x, radius, 2 * shortfall)
-        dist = _pair_distances(drawn)
-        kept = dist > 1e-12 * radius
-        ends.append(drawn.reshape(shortfall, 2, p)[kept].reshape(-1, p))
-        dists.append(dist[kept])
-        shortfall -= int(kept.sum())
+        shortfall -= keep(_ball_points(rng, x, radius, 2 * shortfall))
     ends, dists = np.vstack(ends), np.concatenate(dists)
 
     best = 0.0

@@ -123,7 +123,13 @@ def _ladder_gap(grads, values, ids, least, prev, eps) -> float:
 
 
 def _distinct(ids, rows):
-    """The ``rows`` (ascending) that hold the first row of their id among ``rows``."""
+    """The ``rows`` (ascending) that hold the first row of their id among ``rows``.
+
+    When every row is the first of its id overall (``ids[rows] == rows``),
+    it is the first among ``rows`` too, and ``rows`` is returned as it is.
+    """
+    if (ids[rows] == rows).all():
+        return rows
     return rows[np.sort(np.unique(ids[rows], return_index=True)[1])]
 
 

@@ -233,6 +233,30 @@ class TestCertify:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["lipschitz_estimate"] == 1.0
 
+    @pytest.mark.parametrize("radius", [1e-17, 1e-300])
+    def test_admissible_refuses_a_radius_below_the_float_spacing(self, radius, tmp_path):
+        # at the candidate (1, 1) every x +- r e_i rounds to x, and so does
+        # every point of the ball: no pair has |u - v| > 0, and the estimate
+        # would draw forever; the radius is an input error instead
+        doc = json.loads(Path(fixture_path("sip_linear")).read_text())
+        doc["options"] = {"lipschitz_radius": radius}
+        path = tmp_path / "radius.json"
+        path.write_text(json.dumps(doc))
+        message = (
+            f"$.options.lipschitz_radius: {radius!r} is too small to sample at the"
+            " candidate: every axis pair x +- r e_i is within 1e-12 r in floating point"
+        )
+        for output in ([], ["--json"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "sipcert", "admissible", str(path), *output],
+                capture_output=True, text=True, timeout=60,
+            )
+            assert (proc.returncode, proc.stderr) == (4, "")
+            if output:
+                assert json.loads(proc.stdout)["error"] == {"kind": "input", "message": message}
+            else:
+                assert proc.stdout == f"error (input): {message}\n"
+
     def test_non_finite_candidate_exit_four(self, tmp_path):
         # json reads NaN; the loader rejects it at its position
         doc = json.loads(open(fixture_path("near_active")).read())

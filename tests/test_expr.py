@@ -368,7 +368,7 @@ _LEAF = st.one_of(
 
 # subtrees that overflow at some of those points and whose parent node can
 # map the overflowed value back to a finite one, so that the batched walk's
-# one finiteness test per walk must still send such points to the scalar loop
+# floating-point traps must still send such points to the scalar loop
 _SATURATING = st.sampled_from(
     [reference.parse(src, 2, 1) for src in ("1/exp(800*t1)", "min(exp(800*t1), 1)", "x1^(2000*t1)")]
 )
@@ -516,8 +516,8 @@ class TestBatchedAgreesWithScalarLoop:
     @settings(max_examples=300, derandomize=True)
     @given(_grammar(2, _LEAF | _SATURATING), st.tuples(_ROUND, _ROUND), st.lists(_ROUND, min_size=1, max_size=6))
     def test_non_finite_intermediates(self, ast, x, ts):
-        # an overflowed node need not leave the result non-finite: the one
-        # test per walk must catch it all the same, and the scalar loop
+        # an overflowed node need not leave the result non-finite: the
+        # walk's traps must catch it all the same, and the scalar loop
         # must name the node
         _agrees_with_scalar_loop(ast, x, ts)
 
@@ -536,19 +536,74 @@ class TestBatchedAgreesWithScalarLoop:
                 gradient_many(f, [2.0], tpoints)
 
     def test_sum_overflow_returns_the_scalar_values(self):
-        # every node is finite, but the running sum of the nodes is not: the
-        # walk is flagged and the scalar loop returns the values, bit for bit
+        # every node is finite, though the sum of the nodes is not: nothing
+        # traps, and the walk itself returns the scalar loop's values and
+        # gradients, bit for bit
         f = parse("(x1*1e308*t1 - 1e308) + x1*1.7e308*t1", 1, 1)
         x, tpoints = [1.0], np.array([[0.25], [0.5]])
-        with pytest.raises(EvalDomainError):
-            expr_mod._values_batched(f, np.ones(1), tpoints)
-        with pytest.raises(EvalDomainError):
-            expr_mod._gradients_batched(f, np.ones(1), tpoints, Options.tol_kink)
         looped = np.array([evaluate(f, x, t) for t in tpoints])
         assert looped.tolist() == [(1e308 * t - 1e308) + 1.7e308 * t for t in (0.25, 0.5)]
+        assert expr_mod._values_batched(f, np.ones(1), tpoints).tobytes() == looped.tobytes()
         assert evaluate_many(f, x, tpoints).tobytes() == looped.tobytes()
         grads = np.array([gradient(f, x, t) for t in tpoints])
+        walked = expr_mod._gradients_batched(f, np.ones(1), tpoints, Options.tol_kink)
+        assert walked.tobytes() == grads.tobytes()
         assert gradient_many(f, x, tpoints).tobytes() == grads.tobytes()
+
+    @pytest.mark.parametrize(
+        "src, error",
+        [
+            ("1e200*1e200*0 + x1*t1", "non-finite value in '*'"),
+            ("(1e200*1e200 - 1e200*1e200) + x1*t1", "non-finite value in '*'"),
+            ("2^1024*0 + x1*t1", "non-finite value in '^'"),
+        ],
+    )
+    def test_constant_only_overflow_raises_the_scalar_error(self, src, error):
+        # a subtree of constants overflows to inf, and its parent maps the
+        # inf to NaN: numpy's flags see only numpy arithmetic, so the batch
+        # walk's constants are numpy floats, and the walk traps at the node
+        f = parse(src, 1, 1)
+        tpoints, axes = np.array([[0.25], [0.5]]), (np.array([0.25, 0.5]),)
+        with pytest.raises(EvalDomainError, match=f"^{re.escape(error)}$"):
+            evaluate(f, [1.0], [0.25])
+        for walk in (
+            lambda: expr_mod._values_batched(f, np.ones(1), tpoints),
+            lambda: expr_mod._values_batched(f, np.ones((2, 1)), axes),
+            lambda: expr_mod._gradients_batched(f, np.ones(1), tpoints, Options.tol_kink),
+        ):
+            with pytest.raises(FloatingPointError):
+                walk()
+        for call in (
+            lambda: evaluate_many(f, [1.0], tpoints),
+            lambda: evaluate_many(f, [[1.0], [2.0]], tpoints),
+            lambda: evaluate_many(f, [1.0], axes),
+            lambda: evaluate_many(f, [[1.0], [2.0]], axes),
+            lambda: gradient_many(f, [1.0], tpoints),
+        ):
+            with pytest.raises(EvalDomainError, match=f"^{re.escape(error)}$"):
+                call()
+
+    @pytest.mark.parametrize(
+        "src, x",
+        [
+            ("min(1, 1e200*t1*1e200) + x1", [1.0, 1.0]),  # the loop names the node
+            ("max(x1, exp(800*t1)) - x2", [1.0, 1.0]),
+            ("min(0, 0, x2^t1)", [-1.0, 1e-200]),  # a partial overflows, min drops it
+            ("max(1e308*x1, -1e308*x1) + 0*t1", [1.0, 1.0]),  # the tie test overflows
+        ],
+    )
+    def test_non_finite_in_an_unselected_branch_is_the_loops(self, src, x):
+        # min and max compute every argument; a non-finite value made in a
+        # branch they do not pick traps the walk, and the loop decides
+        f = parse(src, 2, 1)
+        tpoints = np.array([[-0.6], [1.0]])
+        for loop, batched in [
+            (lambda t: evaluate(f, x, t), lambda: evaluate_many(f, x, tpoints)),
+            (lambda t: gradient(f, x, t), lambda: gradient_many(f, x, tpoints)),
+            (lambda t: evaluate(f, x, t), lambda: evaluate_many(f, x, (tpoints[:, 0],))),
+        ]:
+            looped = _outcome(lambda: np.array([loop(t) for t in tpoints]).tobytes())
+            assert _outcome(lambda: batched().tobytes()) == looped
 
 
 def _agrees_with_reference(f, ast, x, ts):
@@ -813,32 +868,34 @@ class TestGridForm:
                 evaluate_many(f, x, axes)
 
     def test_flagged_walk_returns_the_loop_values(self):
-        # every node is finite, but a running sum is not: the walk is
-        # flagged and the loop over the pairs returns the values
+        # every node is finite, though the sum of the nodes is not: nothing
+        # traps, and the walk itself returns the loop's values over the pairs
         f = parse("(x1*1e308*t1 - 1e308) + x1*1.7e308*t2", 1, 2)
         axes = (np.array([0.25, 0.5]), np.array([0.5, 0.25]))
-        with pytest.raises(EvalDomainError):
-            expr_mod._values_batched(f, np.ones(1), axes)
         rows = np.array([[1.0], [0.5]])
         for x in (rows[0], rows):
             looped = np.array(_grid_loop(f, x, axes))
+            assert expr_mod._values_batched(f, x, axes).tobytes() == looped.tobytes()
             assert evaluate_many(f, x, axes).tobytes() == looped.tobytes()
 
     def test_each_node_spans_only_the_axes_and_rows_it_reads(self, monkeypatch):
-        shapes = {}
-        run = expr_mod._run
+        shapes = set()
+        walk = expr_mod._walk
 
-        def recorded(f, xs, ts, K, *args):
-            out = run(f, xs, ts, K, *args)
-            shapes.update(K.acc)
-            return out
+        def recorded(entries, values, xs, ts, K, last=None):
+            # one entry at a time, so each operator slot is seen before a
+            # later reader drops it
+            for i, (op, args) in entries:
+                walk([(i, (op, args))], values, xs, ts, K, last)
+                if op in ("+", "-", "*", "/", "^"):
+                    shapes.add(np.shape(values[i]))
 
-        monkeypatch.setattr(expr_mod, "_run", recorded)
+        monkeypatch.setattr(expr_mod, "_walk", recorded)
         f = parse("x1*cos(t1) + sin(t1)*cos(t3) + x2", 2, 3)
         axes = (np.zeros(5), np.zeros(6), np.zeros(7))
-        # the finiteness sums, one per shape of the operator nodes: x1*cos(t1)
-        # spans the rows and t1, sin(t1)*cos(t3) t1 and t3 (broadcast from
-        # the right), the sums all three
+        # the shapes of the operator slots: x1*cos(t1) spans the rows and
+        # t1, sin(t1)*cos(t3) t1 and t3 (broadcast from the right), the
+        # sums all three
         assert evaluate_many(f, np.zeros((4, 2)), axes).shape == (4 * 5 * 6 * 7,)
         assert set(shapes) == {(4, 5, 1, 1), (5, 1, 7), (4, 5, 1, 7)}
         shapes.clear()

@@ -109,11 +109,11 @@ class TestFitLP:
         # each fit LP is either solved in its own slack tableau, every
         # right-hand side >= 0, so no Simplex is built: no artificial column,
         # no phase 1; or, with no tie-break objective, its first pivot ends
-        # it and the fit returns solve_lp's answer on copies of its arrays,
-        # byte for byte, without a solve
+        # it and the fit returns solve_lp's answer on copies of _fit_lp's
+        # arrays, byte for byte, with no tableau written and no solve
         from sipcert import lp
 
-        built, solved, written, exits = [], [], [], []
+        built, solved, written, fits, exits = [], [], [], [], []
         monkeypatch.setattr(lp, "Simplex", lambda *args, **kwargs: built.append(args))
         solve, fit, fit_lp = geometry.solve_lp, geometry._fit, geometry._fit_lp
 
@@ -126,11 +126,13 @@ class TestFitLP:
             return fit_lp(cols, t, k)
 
         def fitting(cols, t, then=None, k=None):
-            before = len(solved)
+            before = (len(solved), len(written))
             answer = fit(cols, t, then, k)
-            if len(solved) == before:
+            fits.append(k)
+            if len(solved) == before[0]:
                 assert then is None  # a fit with a tie-break always runs the simplex
-                exits.append((cols.copy(), t.copy(), written[-1], answer))
+                assert len(written) == before[1]  # an exit writes no tableau
+                exits.append((cols.copy(), t.copy(), k, answer))
             return answer
 
         monkeypatch.setattr(geometry, "solve_lp", logged)
@@ -142,7 +144,8 @@ class TestFitLP:
                 hull_member(t, gens)
                 segment_hull_member(t, rng.standard_normal(3), gens)
         assert built == [] and all(solved) and exits
-        assert len(solved) + len(exits) == len(written) == 20 * 5 * 2
+        assert len(solved) + len(exits) == len(fits) == 20 * 5 * 2
+        assert len(written) == len(solved)  # a tableau only for a fit the simplex runs
         monkeypatch.undo()
         for cols, t, k, (coeffs, distance, pivots) in exits:
             a, expected, ref_pivots = fit_by_solve_lp(cols, t, k=k)

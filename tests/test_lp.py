@@ -944,7 +944,7 @@ def test_first_pivot_optimum_is_the_simplex_after_one_pivot(rng):
         c[j] = -1.0
         tableau, rows, rhs = lp.slack_tableau(m, n)
         rows[:], rhs[:] = a_ub, b_ub
-        got = lp._first_pivot_optimum(rows, rhs, j)
+        got = lp._first_pivot_optimum(rows[:, j], rhs, rows.__getitem__)
         ref = solve_lp(c, a_ub, b_ub)
         ends = ref.optimal and ref.pivots == 1
         assert (got is not None) == ends

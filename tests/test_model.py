@@ -37,7 +37,7 @@ from sipcert.model import (
     feasibility,
 )
 from sipcert.multipliers import certify_fj, tc_approx
-from sipcert.options import Options
+from sipcert.options import OptionError, Options
 from sipcert.problemfile import load_problem
 from sipcert.work import counting
 
@@ -483,6 +483,21 @@ class TestEquiLipschitz:
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError):
             equi_lipschitz_estimate(near_active_problem(), (0, 0), 0.0, 4)
+
+    def test_radius_below_the_float_spacing(self):
+        # at x1 = 1 a radius of 1e-17 rounds away: x1's axis pair is skipped
+        # as a drawn pair is, no 0/0 quotient is formed, and x2's axis pair
+        # gives the member x2 its modulus; at x = (1, 1) every axis pair
+        # collapses, and so would every pair of the ball; at x = 0 a radius
+        # of 1e-300 is exact, but every |u - v|^2 underflows to 0
+        finite = Problem(2, parse("x1", 2), FiniteFamily((parse("x2", 2),)))
+        assert equi_lipschitz_estimate(finite, (1.0, 0.0), 1e-17, 8, seed=1) == 1.0
+        prob = linear_sip_problem(33)
+        for x, radius in [((1.0, 1.0), 1e-17), ((1.0, 1.0), 1e-300), ((0.0, 0.0), 1e-300)]:
+            with pytest.raises(OptionError) as err:
+                equi_lipschitz_estimate(prob, x, radius, 8, seed=1)
+            assert err.value.key == "lipschitz_radius"
+        assert equi_lipschitz_estimate(finite, (0.0, 0.0), 1e-150, 8, seed=1) == 1.0
 
 
 class TestAdmissibleDiagnostics:

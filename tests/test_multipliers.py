@@ -173,6 +173,25 @@ class TestLadderGap:
                 [grads[expected].tobytes()] if dropped.size else []
             )
 
+    def test_distinct_rows_skip_the_sort_and_keep_its_answer(self, rng):
+        # rows with and without bytewise repeats: the first row of each id
+        # among the rows, as the np.unique path finds it, whichever path runs
+        seen = set()
+        for _ in range(200):
+            n, p = int(rng.integers(1, 12)), int(rng.integers(1, 3))
+            grads = rng.integers(-1, 2, size=(n, p)).astype(float)  # repeats when n is large
+            if rng.random() < 0.3:
+                grads[rng.integers(n), 0] = -0.0  # equal as a number to 0.0, apart as bytes
+            ids = first_equal_rows(grads)
+            rows = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+            expected = rows[np.sort(np.unique(ids[rows], return_index=True)[1])]
+            got = _distinct(ids, rows)
+            assert got.tobytes() == expected.tobytes()
+            fast = bool((ids[rows] == rows).all())
+            assert (got is rows) == fast
+            seen.add((fast, len(np.unique(ids[rows])) < rows.size))
+        assert seen == {(True, False), (False, False), (False, True)}
+
     def test_sip_trig_ladder(self, monkeypatch):
         loaded = load_fixture("sip_trig")
         opts = Options().replace(**loaded.options)
